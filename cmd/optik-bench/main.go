@@ -20,7 +20,7 @@
 //	-churn-peak  peak element count of the churn figure (default 100000;
 //	          CI passes a small peak to keep the sweep short)
 //	-janitor  run the resizable series of the resize and churn figures
-//	          with the background janitor enabled (hashmap.WithJanitor):
+//	          with the background janitor enabled (workload.Janitored):
 //	          the table quiesces and recycles its nodes on its own when
 //	          traffic idles, instead of relying on the workload's
 //	          phase-flip Quiesce calls

@@ -32,11 +32,10 @@
 //	-shed-water    population high-water mark above which the server
 //	               sheds idle-longest conns with -ERR busy retry
 //	               (default: 90% of -maxconns when that is set)
-//	-byte-budget   byte budget of the hash store (default 0 = unbounded):
+//	-byte-budget   byte budget of the store (default 0 = unbounded):
 //	               above it, maintenance passes and write-path hands
 //	               evict sampled-idle entries back to the budget; STATS
-//	               reports bytes_used and evicted (hash store only —
-//	               the ordered store carries no TTL/eviction layer)
+//	               reports bytes_used and evicted
 //	-ordered       back the server with the range-partitioned skip-list
 //	               store instead of the hash store: keys must be decimal
 //	               uint64s, and the ordered command family (SCAN, RANGE,
@@ -77,7 +76,7 @@ func main() {
 	connMode := flag.String("connmode", "goroutine", "connection mode: goroutine (one goroutine per conn) or poller (shared epoll poller; linux only)")
 	idleGrace := flag.Duration("idle-grace", 0, "idle grace before a conn's buffers return to the pool (0 = default 5s)")
 	shedWater := flag.Int("shed-water", 0, "shed idle conns above this population (0 = default: 90% of -maxconns)")
-	byteBudget := flag.Int64("byte-budget", 0, "byte budget of the hash store, 0 = unbounded (incompatible with -ordered)")
+	byteBudget := flag.Int64("byte-budget", 0, "byte budget of the store, 0 = unbounded")
 	ordered := flag.Bool("ordered", false, "back the server with the range-partitioned skip-list store (decimal keys, SCAN/RANGE/MIN/MAX)")
 	keyMax := flag.Uint64("keymax", 0, "largest expected key of the ordered store (0 = full key space; ignored without -ordered)")
 	flag.Parse()
@@ -105,33 +104,21 @@ func main() {
 	if *shedWater > 0 {
 		sopts = append(sopts, server.WithShedWater(*shedWater))
 	}
-	var srv *server.Server
-	var shardCount int
-	var closeStore func()
-	if *ordered {
-		if *byteBudget > 0 {
-			fmt.Fprintln(os.Stderr, "optik-server: -byte-budget requires the hash store (drop -ordered)")
-			os.Exit(2)
-		}
-		stOpts := []store.Option{store.WithShards(*shards)}
-		if *keyMax > 0 {
-			stOpts = append(stOpts, store.WithKeyMax(*keyMax))
-		}
-		st := store.NewSortedStrings(stOpts...)
-		srv = server.NewOrdered(st, sopts...)
-		shardCount = st.Index().Shards()
-		closeStore = st.Close
-	} else {
-		stOpts := []store.Option{store.WithShards(*shards), store.WithShardBuckets(*shardBuckets)}
-		if *byteBudget > 0 {
-			stOpts = append(stOpts, store.WithByteBudget(*byteBudget))
-		}
-		st := store.NewStrings(stOpts...)
-		srv = server.New(st, sopts...)
-		shardCount = st.Index().Shards()
-		closeStore = st.Close
+	stOpts := []store.Option{store.WithShards(*shards), store.WithShardBuckets(*shardBuckets),
+		store.WithByteBudget(*byteBudget)}
+	if *keyMax > 0 {
+		stOpts = append(stOpts, store.WithKeyMax(*keyMax))
 	}
-	defer closeStore()
+	var srv *server.Server
+	var st *store.Strings
+	if *ordered {
+		sorted := store.NewSortedStrings(stOpts...)
+		srv, st = server.NewOrdered(sorted, sopts...), &sorted.Strings
+	} else {
+		st = store.NewStrings(stOpts...)
+		srv = server.New(st, sopts...)
+	}
+	defer st.Close()
 
 	bound, err := srv.Listen(*addr)
 	if err != nil {
@@ -139,7 +126,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("optik-server: serving %d %s shards on %s (batch %d, coalesce %d, maxconns %d, connmode %s)\n",
-		shardCount, storeKind(*ordered), bound, *batch, *coalesce, *maxConns, mode)
+		st.Index().Shards(), storeKind(*ordered), bound, *batch, *coalesce, *maxConns, mode)
 
 	// SIGINT/SIGTERM drain the server before the store's scheduler stops.
 	sig := make(chan os.Signal, 1)

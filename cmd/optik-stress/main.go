@@ -10,9 +10,10 @@
 //
 // The hashmaps family additionally drives the resizable table through two
 // full grow/drain churn cycles and — unless -janitor=false — runs that
-// churn with the background janitor on (hashmap.WithJanitor) plus a
-// dedicated StartJanitor/Stop hammer under live traffic, verifying the
-// janitor's lifecycle and the table's invariants never interfere.
+// churn with the table registered on a background maintenance scheduler
+// (maint.Scheduler, the janitor) plus a dedicated scheduler start/stop
+// hammer under live traffic, verifying the janitor's lifecycle and the
+// table's invariants never interfere.
 //
 // The stores family drives the sharded store.Store: a mixed
 // scalar-and-batched GET/SET/DEL stream with exact conservation across
@@ -39,6 +40,7 @@ import (
 	"github.com/optik-go/optik/ds/queue"
 	"github.com/optik-go/optik/ds/skiplist"
 	"github.com/optik-go/optik/internal/linearize"
+	"github.com/optik-go/optik/internal/maint"
 	"github.com/optik-go/optik/internal/rng"
 	"github.com/optik-go/optik/internal/workload"
 	"github.com/optik-go/optik/store"
@@ -186,7 +188,7 @@ func stressResizableChurn(threads int, janitor bool) bool {
 	factory := func() ds.Set { return hashmap.NewResizable(start) }
 	if janitor {
 		name = "hashmaps/resizable-churn-jan"
-		factory = func() ds.Set { return hashmap.NewResizable(start, hashmap.WithJanitor()) }
+		factory = func() ds.Set { return workload.Janitored(hashmap.NewResizable(start)) }
 	}
 	res := workload.RunChurn(workload.ChurnConfig{
 		Threads: threads, PeakSize: peak, Cycles: 2, SearchPct: 20, SteadyOps: peak / 2,
@@ -214,8 +216,8 @@ func stressResizableChurn(threads int, janitor bool) bool {
 	return true
 }
 
-// stressJanitorHammer starts and stops the background janitor in a tight
-// loop while workers churn the table, then leaves the janitor running,
+// stressJanitorHammer starts and stops a maintenance scheduler on the
+// table in a tight loop while workers churn it, then leaves one running,
 // stops the traffic, and requires the table to reach its floor with no
 // one calling Quiesce — the lifecycle is safe under fire AND the janitor
 // actually does its job afterwards.
@@ -243,11 +245,12 @@ func stressJanitorHammer(threads int) bool {
 		}(uint64(g + 1))
 	}
 	for i := 0; i < 200; i++ {
-		m.StartJanitor(time.Millisecond)
+		sched := maint.NewScheduler(time.Millisecond)
+		sched.Register(m)
 		if i%2 == 0 {
 			time.Sleep(500 * time.Microsecond)
 		}
-		m.Stop()
+		sched.Stop()
 	}
 	// Drain: delete-heavy traffic empties the table, then stops entirely.
 	stop.Store(true)
@@ -262,10 +265,11 @@ func stressJanitorHammer(threads int) bool {
 		return false
 	}
 	// The janitor, not the caller, must return the empty table to its
-	// floor. DefaultJanitorInterval is 10ms; two idle ticks suffice, but
+	// floor. maint.DefaultInterval is 10ms; two idle ticks suffice, but
 	// give the scheduler slack.
-	m.StartJanitor(0)
-	defer m.Stop()
+	sched := maint.NewScheduler(0)
+	defer sched.Stop()
+	sched.Register(m)
 	deadline := time.Now().Add(5 * time.Second)
 	for m.Buckets() != 64 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -42,24 +42,31 @@
 // inserts, with the OPTIK version validation — not reader announcements —
 // keeping the lock-free readers safe against reuse (hashmap.SlabReuse
 // isolates that ablation on the fixed table). Background maintenance is a
-// shared subsystem: one hashmap.Scheduler goroutine services any number
-// of registered tables, watching each table's monotone operation counter
-// for idleness (balanced insert/delete traffic still reads as active),
-// quiescing idle tables — migrations driven home, retired nodes swept —
-// and backing its poll interval off exponentially while everything
-// sleeps; StartJanitor/Stop (or the WithJanitor construction option) wrap
-// a private one-table scheduler, so an abandoned oversized table returns
-// to its floor and recycles its nodes with no caller involvement.
+// shared subsystem (internal/maint): one Scheduler goroutine services any
+// number of registered structures — a table joins by implementing the
+// three-method Maintainer contract — watching each one's monotone
+// operation counter for idleness (balanced insert/delete traffic still
+// reads as active), quiescing the idle ones — migrations driven home,
+// retired nodes swept — and backing its poll interval off exponentially
+// while everything sleeps, so an abandoned oversized table registered on
+// a scheduler returns to its floor and recycles its nodes with no caller
+// involvement.
 //
-// The store package composes the pieces into a servable system: a
-// power-of-two fleet of Resizable shards behind a 64-bit hash router,
-// with upsert Set semantics, batched MGet/MSet/MDel that visit each
-// touched shard once (routing through a pooled scratch, so batches
-// allocate nothing), aggregated statistics, and the whole fleet
-// janitored by one shared Scheduler. store.Strings adds string keys and
-// values on top — a chunked atomic-handle arena whose GETs validate a
-// pair's hash against slot recycling, the OPTIK move lifted to the
-// value layer — and the server package puts that store on the network:
+// The store package composes the pieces into a servable system, as one
+// stack: a shard contract (point ops, per-shard batches, conditional
+// delete, maintenance) satisfied by the Resizable table and by the OPTIK
+// skip list; a router that is data (shard = min((key·mul)>>shift, last):
+// the Fibonacci multiplier hashes, mul = 1 range-partitions); one index
+// core over them (store.Store — upsert Set semantics, batched
+// MGet/MSet/MDel that visit each touched shard once through a pooled
+// scratch, aggregated statistics, the whole fleet serviced by one shared
+// Scheduler), which store.Ordered specializes only by carrying
+// Scan/Min/Max over sorted shards; and one string layer (store.Strings —
+// a chunked atomic-handle arena whose reads validate a pair's hash
+// against slot recycling, the OPTIK move lifted to the value layer, with
+// per-entry TTL and byte-budget eviction), which store.SortedStrings
+// specializes the same way. The server package puts that store on the
+// network:
 // a RESP-flavored pipelined TCP protocol served by cmd/optik-server and
 // measured by cmd/optik-bench's net figure. docs/ARCHITECTURE.md in the
 // repository walks the full stack and tabulates, layer by layer, what

@@ -36,10 +36,10 @@
 //     load 1/4, never below the initial floor) triggers the resizes and
 //     makes Len O(shards) instead of O(n). Chain nodes live on a
 //     quiescent-state reclamation domain (internal/qsbr) and are recycled
-//     across deletes and migrations, and an optional background janitor
-//     quiesces the table when traffic idles. See resizable.go for the
-//     design, reclaim.go for the reuse-safety argument, and janitor.go
-//     for the lifecycle.
+//     across deletes and migrations, and the table implements the
+//     maintenance scheduler's Maintainer contract (internal/maint), so a
+//     registered table is quiesced when traffic idles. See resizable.go
+//     for the design and reclaim.go for the reuse-safety argument.
 package hashmap
 
 import (

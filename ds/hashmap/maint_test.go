@@ -6,14 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"github.com/optik-go/optik/internal/maint"
 	"github.com/optik-go/optik/internal/rng"
 )
 
-// TestJanitorReturnsTableToFloor is the acceptance scenario: a janitored
-// table grown to 1M elements and drained to 1k must return to its floor
-// bucket count with ZERO caller calls to Quiesce — the janitor notices
-// the idle, drives the shrink chain home, and recycles the nodes.
-func TestJanitorReturnsTableToFloor(t *testing.T) {
+// TestSchedulerReturnsTableToFloor is the acceptance scenario: a table
+// registered on a maintenance scheduler, grown to 1M elements and drained
+// to 1k, must return to its floor bucket count with ZERO caller calls to
+// Quiesce — the scheduler notices the idle, drives the shrink chain home,
+// and recycles the nodes. (The scheduler's own suite lives in
+// internal/maint; the tests here are the ones that need the table's
+// white-box migration checks.)
+func TestSchedulerReturnsTableToFloor(t *testing.T) {
 	total := uint64(1_000_000)
 	if testing.Short() {
 		total = 100_000
@@ -23,8 +27,10 @@ func TestJanitorReturnsTableToFloor(t *testing.T) {
 	// exact rather than "within the hysteresis band".
 	const keep = 1000
 	const floor = 4096
-	m := NewResizable(floor, WithJanitor())
-	defer m.Stop()
+	m := NewResizable(floor)
+	sched := maint.NewScheduler(0)
+	defer sched.Stop()
+	sched.Register(m)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -56,7 +62,7 @@ func TestJanitorReturnsTableToFloor(t *testing.T) {
 	}
 	wg.Wait()
 
-	// No Quiesce anywhere: the janitor alone must bring the bucket count
+	// No Quiesce anywhere: the scheduler alone must bring the bucket count
 	// back to the floor once it sees the traffic stopped.
 	deadline := time.Now().Add(30 * time.Second)
 	for m.Buckets() != floor && time.Now().Before(deadline) {
@@ -80,10 +86,11 @@ func TestJanitorReturnsTableToFloor(t *testing.T) {
 	m.checkMigrationState(t)
 }
 
-// TestJanitorStartStopHammer is the -race lifecycle stress: StartJanitor
-// and Stop raced from several goroutines while others churn the table.
-// Nothing may deadlock, leak past Stop, or break conservation.
-func TestJanitorStartStopHammer(t *testing.T) {
+// TestSchedulerStartStopHammer is the -race lifecycle stress: schedulers
+// started on, and stopped under, a table several goroutines are churning.
+// Nothing may deadlock, leak past Stop, or break conservation — a pass
+// cancelled mid-quiesce must leave the migration state coherent.
+func TestSchedulerStartStopHammer(t *testing.T) {
 	m := NewResizable(16)
 	var stop atomic.Bool
 	var net atomic.Int64
@@ -111,63 +118,21 @@ func TestJanitorStartStopHammer(t *testing.T) {
 		go func(id int) {
 			defer hammerWG.Done()
 			for i := 0; i < 50; i++ {
-				m.StartJanitor(time.Millisecond)
+				s := maint.NewScheduler(time.Millisecond)
+				s.Register(m)
 				if (i+id)%3 == 0 {
 					time.Sleep(200 * time.Microsecond)
 				}
-				m.Stop()
+				s.Stop()
 			}
 		}(g)
 	}
 	hammerWG.Wait()
 	stop.Store(true)
 	wg.Wait()
-	m.Stop() // idempotent on a stopped janitor
 	m.Quiesce()
 	if got, want := int64(m.Len()), net.Load(); got != want {
 		t.Fatalf("Len = %d, net = %d after hammer", got, want)
 	}
 	m.checkMigrationState(t)
-}
-
-// TestWithJanitorOption pins the constructor option and the lifecycle
-// contract: WithJanitor starts the goroutine, StartJanitor on a running
-// janitor is a no-op, Stop is idempotent, and a stopped janitor can be
-// restarted.
-func TestWithJanitorOption(t *testing.T) {
-	m := NewResizable(8, WithJanitor())
-	m.jan.mu.Lock()
-	running := m.jan.sched != nil
-	m.jan.mu.Unlock()
-	if !running {
-		t.Fatal("WithJanitor did not start the janitor")
-	}
-	m.StartJanitor(time.Millisecond) // no-op on a running janitor
-	m.Stop()
-	m.Stop() // idempotent
-	m.jan.mu.Lock()
-	running = m.jan.sched != nil
-	m.jan.mu.Unlock()
-	if running {
-		t.Fatal("Stop left the janitor registered")
-	}
-	// Restartable: grow the table, stop traffic, and let the restarted
-	// janitor settle a pending resize with no Quiesce call.
-	m.StartJanitor(time.Millisecond)
-	defer m.Stop()
-	for k := uint64(1); k <= 4096; k++ {
-		m.Insert(k, k)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if rt := m.root.Load(); rt.next.Load() == nil && int64(len(rt.buckets))*maxLoad >= int64(m.Len()) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	rt := m.root.Load()
-	if rt.next.Load() != nil || int64(len(rt.buckets))*maxLoad < int64(m.Len()) {
-		t.Fatalf("restarted janitor left the table out of band: %d buckets for %d elements",
-			m.Buckets(), m.Len())
-	}
 }

@@ -30,7 +30,7 @@ import (
 //     count falls below len(buckets)/shrinkLoad (and the slab is above
 //     the floor, the table's initial bucket count), it links one of half
 //     the size instead. The op half is the maintenance scheduler's
-//     activity signal (scheduler.go): unlike the net sum, it advances
+//     activity signal (internal/maint): unlike the net sum, it advances
 //     under perfectly balanced traffic.
 //   - Migration is incremental and cooperative: each update claims work
 //     from the old slab via an atomic cursor (up to migrateQuantum claims
@@ -61,9 +61,10 @@ import (
 // between sizes; the floor keeps a delete storm from shrinking a table
 // below its provisioned size. Migration advances only on the backs of
 // updates; Quiesce drives it (and any threshold-pending resize) home when
-// traffic stops, and the optional background janitor (janitor.go) calls
-// Quiesce itself when it sees traffic idle, so an abandoned oversized
-// table hands its memory back with no caller involvement.
+// traffic stops, and a table registered on a maintenance scheduler
+// (internal/maint — the table implements its Maintainer contract) is
+// quiesced by it once traffic idles, so an abandoned oversized table hands
+// its memory back with no caller involvement.
 //
 // Unlike the fixed tables, every path of Search and Delete must
 // re-validate the bucket version — the miss paths because migration moves
@@ -88,8 +89,6 @@ type Resizable struct {
 	// resizes counts linked resize slabs, grows and shrinks alike (racy
 	// reads via Resizes; for monitoring and the flapping tests).
 	resizes atomic.Int64
-	// jan is the optional background janitor; see janitor.go.
-	jan janitorState
 }
 
 var _ ds.Set = (*Resizable)(nil)
@@ -150,24 +149,9 @@ const chainGuardMask = 16 - 1
 // validation test uses it to stage that interleaving deterministically.
 var testHookChainHit func()
 
-// ResizableOption configures NewResizable beyond its bucket count.
-type ResizableOption func(*resizableOptions)
-
-type resizableOptions struct {
-	janitor bool
-}
-
-// WithJanitor makes NewResizable start the background janitor (see
-// StartJanitor) before returning. Equivalent to calling StartJanitor on
-// the new table; callers that stop using a janitored table should call
-// Stop to release its goroutine.
-func WithJanitor() ResizableOption {
-	return func(o *resizableOptions) { o.janitor = true }
-}
-
 // NewResizable returns a growing table with at least nbuckets buckets
 // (rounded up to a power of two).
-func NewResizable(nbuckets int, opts ...ResizableOption) *Resizable {
+func NewResizable(nbuckets int) *Resizable {
 	if nbuckets <= 0 {
 		panic("hashmap: nbuckets must be positive")
 	}
@@ -181,13 +165,6 @@ func NewResizable(nbuckets int, opts ...ResizableOption) *Resizable {
 		floor: n,
 	}
 	r.root.Store(newRTable(n))
-	var o resizableOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.janitor {
-		r.StartJanitor(0)
-	}
 	return r
 }
 
@@ -631,7 +608,7 @@ func (r *Resizable) ReclaimStats() (retired, reclaimed, reused uint64) {
 	return r.pool.Domain().Stats()
 }
 
-// ActivitySample implements Maintainer: a hash of the root slab pointer,
+// ActivitySample implements maint.Maintainer: a hash of the root slab pointer,
 // the migration cursor and the monotone op count, so any update — an
 // insert, a delete, a value replacement, or migration progress — changes
 // the sample. The old per-field comparison compared the striped element
@@ -650,7 +627,7 @@ func (r *Resizable) ActivitySample() uint64 {
 	return h
 }
 
-// MaintainIdle implements Maintainer: the full maintenance pass for a
+// MaintainIdle implements maint.Maintainer: the full maintenance pass for a
 // table nothing touched since the last sample — quiesce any migration
 // home (cancellably) and sweep the reclamation pool so retirements below
 // the release batch threshold still reach the free lists.
@@ -659,7 +636,7 @@ func (r *Resizable) MaintainIdle(cancel <-chan struct{}) {
 	r.pool.Sweep()
 }
 
-// MaintainBusy implements Maintainer: a busy table drives its own resizes
+// MaintainBusy implements maint.Maintainer: a busy table drives its own resizes
 // on the backs of its updates, so the scheduler only lends a bounded hand
 // when a migration is actually in flight.
 func (r *Resizable) MaintainBusy() {
@@ -750,21 +727,22 @@ func (r *Resizable) maybeShrink() {
 // is a single slab sized within the hysteresis band. Migration otherwise
 // advances only on the backs of updates, so a table left oversized by a
 // delete storm keeps its memory until the next write burst; operators and
-// the churn workload call Quiesce between traffic phases (or run the
-// janitor, which calls it for them). Safe to call concurrently with
+// the churn workload call Quiesce between traffic phases (or register the
+// table on a maint.Scheduler, which calls it for them). Safe to call
+// concurrently with
 // operations, which proceed exactly as they do against update-driven
 // migration.
 //
 // When every remaining claim is already handed out to concurrent updates
 // that have not finished them, there is nothing left to help with; the
 // loop then backs off (exponentially, yielding to the scheduler first)
-// instead of spinning on the root pointer, so a janitor quiescing under
+// instead of spinning on the root pointer, so a scheduler quiescing under
 // sustained write traffic cannot burn a core re-reading state only those
 // writers can change.
 func (r *Resizable) Quiesce() { r.quiesce(nil) }
 
-// quiesce is Quiesce with an optional cancel channel, so the janitor's
-// maintenance never outlives a Stop even when traffic keeps the table out
+// quiesce is Quiesce with an optional cancel channel, so a scheduler's
+// maintenance never outlives its Stop even when traffic keeps the table out
 // of band indefinitely.
 func (r *Resizable) quiesce(cancel <-chan struct{}) {
 	rc := reclaimer{Pool: r.pool}

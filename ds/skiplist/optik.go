@@ -346,10 +346,45 @@ func (s *Optik) Delete(key uint64) (uint64, bool) {
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
-	return s.delete(&rc, key)
+	return s.delete(&rc, key, nil)
 }
 
-func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64) (uint64, bool) {
+// DeleteIfValue removes key only while it still maps to val, reporting
+// whether it did — the skip list's form of hashmap.Resizable's primitive
+// of the same name, with the victim's tower lock in the role of the bucket
+// lock. The value check and confirm (when non-nil) run under the victim's
+// lock BEFORE the node is marked: in-place replacement needs that same
+// lock, and a delete+re-insert of the key produces a different node, so a
+// passing check proves the mapping is still the one the caller sampled. A
+// failed check or a confirm veto releases the lock with Revert — no
+// version bump, nothing changed — and leaves the entry in place. A layer
+// above uses this to retire an entry it judged dead without a lock
+// (store.Strings: an expired or evicted value slot, confirmed by pair
+// identity so a slot recycled for the same key is never mistaken for it).
+func (s *Optik) DeleteIfValue(key, val uint64, confirm func() bool) bool {
+	ds.CheckKey(key)
+	rc := qsbr.Reclaimer{Pool: s.pool}
+	defer rc.Release()
+	rc.Pin()
+	_, ok := s.delete(&rc, key, &deleteCond{val: val, confirm: confirm})
+	return ok
+}
+
+// deleteCond is DeleteIfValue's condition, checked under the victim's lock.
+type deleteCond struct {
+	val     uint64
+	confirm func() bool
+}
+
+// testHookDeleteWindow, when non-nil, runs inside a conditional delete
+// after the parse found its victim and before the victim's lock is taken —
+// the optimistic window in which a concurrent replacement can change what
+// the key maps to. The white-box test stages that interleaving through it.
+var testHookDeleteWindow func()
+
+// delete is the shared Delete/DeleteIfValue loop; cond is nil for the
+// unconditional form.
+func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64, cond *deleteCond) (uint64, bool) {
 	var preds, succs [MaxLevel]*oNode
 	var predVs [MaxLevel]core.Version
 	var victim *oNode
@@ -368,6 +403,9 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64) (uint64, bool) {
 				runtime.Gosched()
 				continue
 			}
+			if h := testHookDeleteWindow; cond != nil && h != nil {
+				h()
+			}
 			v := victim.lock.GetVersion()
 			if v.IsLocked() || !victim.lock.TryLockVersion(v) {
 				// A concurrent insert is using the victim as predecessor,
@@ -380,6 +418,10 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64) (uint64, bool) {
 			}
 			if victim.marked.Load() {
 				// Cannot happen: markers hold the lock forever. Defensive.
+				return 0, false
+			}
+			if cond != nil && (victim.val.Load() != cond.val || (cond.confirm != nil && !cond.confirm())) {
+				victim.lock.Revert()
 				return 0, false
 			}
 			victim.marked.Store(true) // linearization point
@@ -574,7 +616,7 @@ func (s *Optik) DeleteBatchEach(keys, old []uint64, found []bool) int {
 	removed := 0
 	for i, k := range keys {
 		ds.CheckKey(k)
-		old[i], found[i] = s.delete(&rc, k)
+		old[i], found[i] = s.delete(&rc, k, nil)
 		if found[i] {
 			removed++
 		}

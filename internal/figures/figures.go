@@ -248,7 +248,7 @@ func ResizeAlgos(startBuckets int) []NamedSet {
 func resizeAlgos(startBuckets int, janitor bool) []NamedSet {
 	resizable := func() ds.Set { return hashmap.NewResizable(startBuckets) }
 	if janitor {
-		resizable = func() ds.Set { return hashmap.NewResizable(startBuckets, hashmap.WithJanitor()) }
+		resizable = func() ds.Set { return workload.Janitored(hashmap.NewResizable(startBuckets)) }
 	}
 	return []NamedSet{
 		{"lazy-gl-fixed", func() ds.Set { return hashmap.NewLazyGL(startBuckets) }},

@@ -13,16 +13,17 @@ import (
 )
 
 // recordKVTTLHistory runs a concurrent KV workload with expiry against a
-// string store driven by an injected clock. One dedicated client advances
+// string store — built by newStrings, so both constructors of the string
+// layer take the same harness — driven by an injected clock. One dedicated client advances
 // the clock (each advance is an operation in the history — the model's
 // time only moves where the checker can see it), the workers mix
 // Get/Set/Del/ExpireAt/Persist over few keys, and a janitor goroutine
 // concurrently drives the store's sweep so background retirement of
 // expired entries races the recorded operations.
-func recordKVTTLHistory(goroutines, iters int, keys uint64) []linearize.Operation {
+func recordKVTTLHistory(newStrings func(...store.Option) *store.Strings, goroutines, iters int, keys uint64) []linearize.Operation {
 	var clock atomic.Int64
 	clock.Store(1_000_000_000)
-	s := store.NewStrings(
+	s := newStrings(
 		store.WithClock(clock.Load),
 		store.WithShards(2),
 		store.WithShardBuckets(16),
@@ -134,13 +135,26 @@ func recordKVTTLHistory(goroutines, iters int, keys uint64) []linearize.Operatio
 // TestStringsTTLLinearizable checks the string store's TTL surface for
 // linearizability: an expired Get must linearize as a miss after its
 // deadline passed (an Advance in the history), never before, and the
-// background sweep's retirements must be unobservable.
+// background sweep's retirements must be unobservable — over the hash
+// index and over the sorted one, whose expiry retires through the skip
+// list's conditional delete.
 func TestStringsTTLLinearizable(t *testing.T) {
+	ctors := []struct {
+		name string
+		new  func(...store.Option) *store.Strings
+	}{
+		{"hash", store.NewStrings},
+		{"sorted", func(opts ...store.Option) *store.Strings { return &store.NewSortedStrings(opts...).Strings }},
+	}
 	model := linearize.KVTTLModel(1_000_000_000)
-	for round := 0; round < 3; round++ {
-		h := recordKVTTLHistory(4, 60, 4)
-		if !linearize.Check(model, h) {
-			t.Fatalf("round %d: KV-TTL history not linearizable (%d ops)", round, len(h))
-		}
+	for _, c := range ctors {
+		t.Run(c.name, func(t *testing.T) {
+			for round := 0; round < 3; round++ {
+				h := recordKVTTLHistory(c.new, 4, 60, 4)
+				if !linearize.Check(model, h) {
+					t.Fatalf("round %d: KV-TTL history not linearizable (%d ops)", round, len(h))
+				}
+			}
+		})
 	}
 }

@@ -1,4 +1,12 @@
-package hashmap
+// Package maint is the shared maintenance goroutine behind every structure
+// that needs background attention: one Scheduler services any number of
+// registered Maintainers — hashmap.Resizable tables, the skip-list shards
+// of an ordered store, a string store's expiry/eviction pass — so a
+// sharded deployment pays one timer and one goroutine for its whole fleet
+// instead of one per shard. It lives outside ds/hashmap because nothing in
+// it is table-specific: a structure joins by implementing three methods,
+// without importing the hash map.
+package maint
 
 import (
 	"sync"
@@ -6,42 +14,39 @@ import (
 	"time"
 )
 
-// Scheduler is the shared maintenance goroutine behind the background
-// janitors: one goroutine services any number of registered Resizable
-// tables, so a sharded deployment (store.Store) pays one timer and one
-// goroutine for its whole fleet instead of one per shard. Each poll the
-// scheduler samples every table's activity; a table idle for two
-// consecutive samples gets the full maintenance pass (quiesce its resize
-// chain home, sweep its reclamation pool), a table with a migration in
-// flight gets a bounded hand, and a busy table is left to drive its own
-// resizes on the backs of its updates.
+// DefaultInterval is the base poll period NewScheduler uses when given a
+// non-positive interval: short enough that an abandoned table shrinks
+// promptly, long enough that an idle scheduler is invisible in a profile.
+// While the fleet stays idle the scheduler backs the interval off
+// exponentially, up to idleBackoffMax times this.
+const DefaultInterval = 10 * time.Millisecond
+
+// Scheduler is one maintenance goroutine over a set of registered
+// structures. Each poll it samples every structure's activity; one idle
+// for two consecutive samples gets the full maintenance pass (a table
+// quiesces its resize chain home and sweeps its reclamation pool), one
+// with traffic gets a bounded hand and is otherwise left to drive its own
+// maintenance on the backs of its updates.
 //
-// Two refinements over the per-table janitor it replaces:
+// Two properties make one goroutine enough for a fleet:
 //
-//   - The activity signal is the table's monotone operation count (the op
-//     half of the packed striped counter), alongside the root slab and
-//     migration cursor. The old signal compared the striped element *sum*,
-//     which perfectly balanced traffic — equal inserts and deletes, the
-//     steady state of any full cache — leaves unchanged, so a hot table
-//     could read as idle. The op count advances on every successful
-//     update, so "unchanged since last sample" now genuinely means
-//     untouched. (A spurious idle verdict was always safe — quiescing is
-//     merely unnecessary work — but a scheduler serving many tables
-//     cannot afford to run full quiesces against busy ones.)
-//   - The poll interval backs off exponentially while every table is
+//   - The activity signal is whatever monotone write-visible word the
+//     structure exposes (for the tables, the op half of the packed striped
+//     counter hashed with the root slab and migration cursor). Comparing
+//     an element *sum* instead would read perfectly balanced traffic —
+//     equal inserts and deletes, the steady state of any full cache — as
+//     idle. A spurious idle verdict is always safe (the idle pass is
+//     merely unnecessary work), but a scheduler serving many structures
+//     cannot afford to run full passes against busy ones.
+//   - The poll interval backs off exponentially while every structure is
 //     idle, doubling from the base up to idleBackoffMax times it, and
-//     snaps back to the base the moment any table shows activity (or a
-//     table is registered). An abandoned fleet costs a waking timer a few
-//     times a second instead of a hundred times; a busy one is sampled at
-//     the base rate.
+//     snaps back to the base the moment any shows activity (or one is
+//     registered). An abandoned fleet costs a waking timer a few times a
+//     second instead of a hundred times; a busy one is sampled at the
+//     base rate.
 //
-// The scheduler is structure-agnostic: anything implementing Maintainer —
-// Resizable tables, the skip-list shards behind store.Ordered — registers
-// and shares the one goroutine. Register and Unregister may be called at
-// any time, including while the scheduler is mid-pass; Stop halts the
-// goroutine and waits for it. The per-table StartJanitor/WithJanitor API
-// (janitor.go) remains as a thin wrapper that runs a private one-table
-// scheduler.
+// Register and Unregister may be called at any time, including while the
+// scheduler is mid-pass; Stop halts the goroutine and waits for it.
 type Scheduler struct {
 	mu      sync.Mutex
 	entries map[Maintainer]*schedEntry
@@ -93,11 +98,11 @@ type schedEntry struct {
 const idleBackoffMax = 64
 
 // NewScheduler returns a running scheduler polling every base
-// (DefaultJanitorInterval when base <= 0). It starts with no tables; the
+// (DefaultInterval when base <= 0). It starts with no tables; the
 // goroutine idles at the backed-off interval until the first Register.
 func NewScheduler(base time.Duration) *Scheduler {
 	if base <= 0 {
-		base = DefaultJanitorInterval
+		base = DefaultInterval
 	}
 	s := &Scheduler{
 		entries: make(map[Maintainer]*schedEntry),

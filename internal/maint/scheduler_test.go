@@ -1,4 +1,4 @@
-package hashmap
+package maint
 
 import (
 	"runtime"
@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/optik-go/optik/ds/hashmap"
 )
 
 // newTestScheduler builds an unstarted scheduler for white-box, single-step
@@ -16,7 +18,7 @@ func newTestScheduler() *Scheduler {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		wake:    make(chan struct{}, 1),
-		base:    DefaultJanitorInterval,
+		base:    DefaultInterval,
 	}
 }
 
@@ -28,7 +30,7 @@ func newTestScheduler() *Scheduler {
 // steady state of any full cache); the op count is monotone, so it cannot
 // be.
 func TestSchedulerBalancedTrafficReadsActive(t *testing.T) {
-	m := NewResizable(64)
+	m := hashmap.NewResizable(64)
 	s := newTestScheduler()
 	e := &schedEntry{m: m}
 
@@ -39,7 +41,7 @@ func TestSchedulerBalancedTrafficReadsActive(t *testing.T) {
 		t.Fatal("untouched table read as active on the second sample")
 	}
 
-	netBefore := m.count.Net()
+	lenBefore := m.Len()
 	for k := uint64(1); k <= 1000; k++ {
 		if !m.Insert(k, k) {
 			t.Fatalf("Insert(%d) failed", k)
@@ -48,8 +50,8 @@ func TestSchedulerBalancedTrafficReadsActive(t *testing.T) {
 			t.Fatalf("Delete(%d) failed", k)
 		}
 	}
-	if net := m.count.Net(); net != netBefore {
-		t.Fatalf("traffic was not balanced: net moved %d -> %d", netBefore, net)
+	if n := m.Len(); n != lenBefore {
+		t.Fatalf("traffic was not balanced: Len moved %d -> %d", lenBefore, n)
 	}
 	// The net sum is back where it was — the exact state the old signal
 	// could not distinguish from idleness.
@@ -65,7 +67,7 @@ func TestSchedulerBalancedTrafficReadsActive(t *testing.T) {
 // which move neither the element count nor any threshold — still feed the
 // activity signal.
 func TestSchedulerValueUpdatesReadActive(t *testing.T) {
-	m := NewResizable(8)
+	m := hashmap.NewResizable(8)
 	m.Insert(7, 1)
 	s := newTestScheduler()
 	e := &schedEntry{m: m}
@@ -98,7 +100,7 @@ func TestSchedulerIdleBackoffWidens(t *testing.T) {
 	}
 	// A registration is activity: the cadence restarts at the base so the
 	// new table's first sample lands promptly.
-	m := NewResizable(8)
+	m := hashmap.NewResizable(8)
 	s.Register(m)
 	deadline = time.Now().Add(30 * time.Second)
 	for s.Interval() != base && time.Now().Before(deadline) {
@@ -123,9 +125,9 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := NewScheduler(time.Millisecond)
 	defer s.Stop()
-	ms := make([]*Resizable, tables)
+	ms := make([]*hashmap.Resizable, tables)
 	for i := range ms {
-		ms[i] = NewResizable(floor)
+		ms[i] = hashmap.NewResizable(floor)
 		s.Register(ms[i])
 	}
 	if got := s.Tables(); got != tables {
@@ -140,7 +142,7 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := range ms {
 		wg.Add(1)
-		go func(m *Resizable, seed uint64) {
+		go func(m *hashmap.Resizable, seed uint64) {
 			defer wg.Done()
 			for k := uint64(1); k <= uint64(n); k++ {
 				m.Insert(k, k+seed)
@@ -172,7 +174,6 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 		if got := m.Len(); got != 0 {
 			t.Errorf("table %d: Len = %d after drain, want 0", i, got)
 		}
-		m.checkMigrationState(t)
 	}
 }
 
@@ -182,7 +183,7 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 // registrations instead of leaking them.
 func TestSchedulerLifecycle(t *testing.T) {
 	s := NewScheduler(time.Millisecond)
-	m := NewResizable(8)
+	m := hashmap.NewResizable(8)
 	s.Register(m)
 	s.Register(m)
 	if got := s.Tables(); got != 1 {
@@ -253,7 +254,7 @@ func TestSchedulerDrivesAnyMaintainer(t *testing.T) {
 func TestSchedulerMixedFleet(t *testing.T) {
 	s := NewScheduler(time.Millisecond)
 	defer s.Stop()
-	r := NewResizable(8)
+	r := hashmap.NewResizable(8)
 	m := &stubMaintainer{}
 	s.Register(r)
 	s.Register(m)

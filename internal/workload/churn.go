@@ -22,6 +22,8 @@ import (
 	"time"
 
 	"github.com/optik-go/optik/ds"
+	"github.com/optik-go/optik/ds/hashmap"
+	"github.com/optik-go/optik/internal/maint"
 	"github.com/optik-go/optik/internal/rng"
 	"github.com/optik-go/optik/internal/stats"
 )
@@ -46,10 +48,27 @@ type reclaimStatted interface {
 	ReclaimStats() (retired, reclaimed, reused uint64)
 }
 
-// stopper matches structures with background maintenance goroutines (the
-// resizable table's janitor); the drivers stop them before reporting so
-// no goroutine outlives its run.
+// stopper matches structures with background maintenance goroutines (a
+// Janitored table); the drivers stop them before reporting so no
+// goroutine outlives its run.
 type stopper interface{ Stop() }
+
+// Janitored returns m registered on a maintenance scheduler of its own —
+// the "janitor on" mode of the churn and resize figures — as a set whose
+// Stop halts that scheduler, which the drivers call before their final
+// accounting.
+func Janitored(m *hashmap.Resizable) ds.Set {
+	s := maint.NewScheduler(0)
+	s.Register(m)
+	return janitored{m, s}
+}
+
+type janitored struct {
+	*hashmap.Resizable
+	sched *maint.Scheduler
+}
+
+func (j janitored) Stop() { j.sched.Stop() }
 
 // phase kinds within a cycle.
 const (

@@ -100,7 +100,7 @@ func TestRunChurnJanitoredStops(t *testing.T) {
 	before := runtime.NumGoroutine()
 	res := RunChurn(ChurnConfig{
 		Threads: 2, PeakSize: 2000, Cycles: 1, SearchPct: 10,
-	}, func() ds.Set { return hashmap.NewResizable(128, hashmap.WithJanitor()) })
+	}, func() ds.Set { return Janitored(hashmap.NewResizable(128)) })
 	if res.FinalLen != res.Net {
 		t.Fatalf("FinalLen = %d, Net = %d", res.FinalLen, res.Net)
 	}

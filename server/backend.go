@@ -1,21 +1,17 @@
-// The server/store boundary. The server used to be hard-wired to the
-// hash-routed store.Strings; the ordered index gives it a second store
-// with the same point-op surface plus range queries, so the store-side
-// dependency is now an interface. The two implementations differ in
-// exactly two places:
+// The server/store boundary. Both servers drive one store.Strings — the
+// string layer is the same code over a hash-routed or a sorted index — so
+// the whole command surface (point ops, batches, TTL, eviction, STATS) is
+// shared verbatim. A server over a store.SortedStrings differs in exactly
+// two places:
 //
-//   - key: how a wire key maps into the uint64 index space. The hash
-//     backend hashes arbitrary bytes (FNV-1a) and can never fail; the
-//     ordered backend parses a decimal uint64 — hashing would destroy the
+//   - the key codec: how a wire key maps into the uint64 index space. The
+//     hash server hashes arbitrary bytes (FNV-1a) and can never fail; the
+//     ordered server parses a decimal uint64 — hashing would destroy the
 //     order SCAN/RANGE serve — and rejects anything else, which the
 //     dispatcher turns into a soft per-request error.
 //   - the ordered family: SCAN/RANGE/MIN/MAX exist only where the index
-//     can answer them; the dispatcher discovers support by interface
-//     assertion and answers -ERR on the hash backend.
-//
-// Everything else — the coalescer, the reply framing, the pipeline
-// machinery — is shared verbatim, which is the point: range queries ride
-// the existing ingest path instead of forking it.
+//     can answer them (Server.sorted non-nil); the hash server answers
+//     -ERR.
 package server
 
 import (
@@ -25,77 +21,18 @@ import (
 	"github.com/optik-go/optik/store"
 )
 
-// backend is the store surface the server drives. The *Hashed family
-// matches store.Strings' method set; key maps a wire key into the index's
-// key space (false = the key is not representable, a soft error).
-type backend interface {
-	key(arg []byte) (uint64, bool)
-	GetHashed(k uint64) (string, bool)
-	SetHashed(k uint64, val string) bool
-	DelHashed(k uint64) bool
-	MGetHashed(keys []uint64, vals []string, found []bool)
-	MSetHashed(keys []uint64, vals []string, replaced []bool) int
-	MDelHashed(keys []uint64, found []bool) int
-	Len() int
-	Quiesce()
-	// statsPrefix renders the store-side lines of the STATS reply; the
-	// server appends its own connection/command counters after it.
-	statsPrefix() string
+// key maps a wire key into the index's key space; false means the key is
+// not representable (a soft error).
+func (s *Server) key(arg []byte) (uint64, bool) {
+	if s.sorted == nil {
+		return store.HashKeyBytes(arg), true
+	}
+	return decimalKey(arg)
 }
 
-// orderedBackend is the extra surface of a backend whose index is sorted.
-type orderedBackend interface {
-	Scan(from, to uint64, keys []uint64, vals []string) int
-	Min() (uint64, string, bool)
-	Max() (uint64, string, bool)
-}
-
-// ttlBackend is the extra surface of a backend with per-entry expiry
-// (EXPIRE/SETEX/TTL/PERSIST). Discovered by assertion exactly like
-// orderedBackend; the sorted store answers -ERR.
-type ttlBackend interface {
-	SetEXHashed(k uint64, val string, secs int64) bool
-	ExpireHashed(k uint64, secs int64) bool
-	TTLHashed(k uint64) int64
-	PersistHashed(k uint64) bool
-}
-
-// stringsBackend adapts store.Strings (the promoted methods cover the
-// whole *Hashed family).
-type stringsBackend struct {
-	*store.Strings
-}
-
-func (b stringsBackend) key(arg []byte) (uint64, bool) {
-	return store.HashKeyBytes(arg), true
-}
-
-func (b stringsBackend) statsPrefix() string {
-	idx := b.Index()
-	retired, reclaimed, reused := idx.ReclaimStats()
-	lazy, swept, evicted := b.TTLStats()
-	return fmt.Sprintf(
-		"len:%d\nshards:%d\nbuckets:%d\nresizes:%d\n"+
-			"nodes_retired:%d\nnodes_reclaimed:%d\nnodes_reused:%d\n"+
-			"values_allocated:%d\nvalues_free:%d\n"+
-			"bytes_used:%d\nexpired_lazy:%d\nexpired_swept:%d\nevicted:%d\n",
-		idx.Len(), idx.Shards(), idx.Buckets(), idx.Resizes(),
-		retired, reclaimed, reused,
-		b.Values().Allocated(), b.Values().FreeLen(),
-		b.BytesUsed(), lazy, swept, evicted)
-}
-
-// sortedBackend adapts store.SortedStrings; its index methods take the
-// key directly (no hash), so the adapters are renames.
-type sortedBackend struct {
-	st *store.SortedStrings
-}
-
-var _ orderedBackend = sortedBackend{}
-
-// key parses a decimal uint64 in the index key range. Overflow, non-digit
-// bytes, and the two sentinel values are all rejected.
-func (b sortedBackend) key(arg []byte) (uint64, bool) {
+// decimalKey parses a decimal uint64 in the index key range. Overflow,
+// non-digit bytes, and the two sentinel values are all rejected.
+func decimalKey(arg []byte) (uint64, bool) {
 	if len(arg) == 0 || len(arg) > 20 {
 		return 0, false
 	}
@@ -110,48 +47,30 @@ func (b sortedBackend) key(arg []byte) (uint64, bool) {
 		}
 		n = n*10 + d
 	}
-	if n < ds.MinKey || n > ds.MaxKey {
-		return 0, false
-	}
-	return n, true
+	return n, n >= ds.MinKey && n <= ds.MaxKey
 }
 
-func (b sortedBackend) GetHashed(k uint64) (string, bool) { return b.st.Get(k) }
-func (b sortedBackend) SetHashed(k uint64, val string) bool {
-	return b.st.Set(k, val)
-}
-func (b sortedBackend) DelHashed(k uint64) bool { return b.st.Del(k) }
-func (b sortedBackend) MGetHashed(keys []uint64, vals []string, found []bool) {
-	b.st.MGet(keys, vals, found)
-}
-func (b sortedBackend) MSetHashed(keys []uint64, vals []string, replaced []bool) int {
-	return b.st.MSet(keys, vals, replaced)
-}
-func (b sortedBackend) MDelHashed(keys []uint64, found []bool) int {
-	return b.st.MDel(keys, found)
-}
-func (b sortedBackend) Len() int { return b.st.Len() }
-func (b sortedBackend) Quiesce() { b.st.Quiesce() }
-
-func (b sortedBackend) Scan(from, to uint64, keys []uint64, vals []string) int {
-	return b.st.Scan(from, to, keys, vals)
-}
-func (b sortedBackend) Min() (uint64, string, bool) { return b.st.Min() }
-func (b sortedBackend) Max() (uint64, string, bool) { return b.st.Max() }
-
-// statsPrefix keeps the nodes_* names (they count retired/reclaimed/
-// reused index nodes — towers here, chain nodes on the hash backend) so
-// stats consumers read both backends with one parser; ordered:1 is the
-// discriminator, and the hash-only buckets/resizes lines are absent.
-func (b sortedBackend) statsPrefix() string {
-	idx := b.st.Index()
+// statsPrefix renders the store-side lines of the STATS reply; the server
+// appends its own connection/command counters after it. One line set for
+// both stores, so stats consumers read them with one parser: nodes_* count
+// retired/reclaimed/reused index nodes (chain nodes of the hash tables,
+// towers of the skip lists), buckets/resizes read 0 where shards do not
+// resize, and an ordered server adds the ordered:1 discriminator.
+func (s *Server) statsPrefix() string {
+	idx, vals := s.st.Index(), s.st.Values()
 	retired, reclaimed, reused := idx.ReclaimStats()
-	return fmt.Sprintf(
-		"len:%d\nshards:%d\nordered:1\n"+
+	lazy, swept, evicted := s.st.TTLStats()
+	prefix := fmt.Sprintf(
+		"len:%d\nshards:%d\nbuckets:%d\nresizes:%d\n"+
 			"nodes_retired:%d\nnodes_reclaimed:%d\nnodes_reused:%d\n"+
-			"values_allocated:%d\nvalues_free:%d\nbytes_used:%d\n",
-		idx.Len(), idx.Shards(),
+			"values_allocated:%d\nvalues_free:%d\n"+
+			"bytes_used:%d\nexpired_lazy:%d\nexpired_swept:%d\nevicted:%d\n",
+		idx.Len(), idx.Shards(), idx.Buckets(), idx.Resizes(),
 		retired, reclaimed, reused,
-		b.st.Values().Allocated(), b.st.Values().FreeLen(),
-		b.st.Values().Bytes())
+		vals.Allocated(), vals.FreeLen(),
+		s.st.BytesUsed(), lazy, swept, evicted)
+	if s.sorted != nil {
+		prefix += "ordered:1\n"
+	}
+	return prefix
 }

@@ -226,15 +226,15 @@ func (s *Server) drainDel(co *coalescer, w *bufio.Writer, out []byte) ([]byte, e
 	return out, nil
 }
 
-// stageKeys maps every key view through the backend into the run's key
-// stream. On an unrepresentable key (ordered backend, non-decimal bytes)
+// stageKeys maps every key view through the key codec into the run's key
+// stream. On an unrepresentable key (ordered server, non-decimal bytes)
 // the request's keys are rolled back and false returned: the run keeps
 // only fully staged requests, so the dispatcher can answer a per-request
 // error without corrupting the reply accounting.
 func (s *Server) stageKeys(co *coalescer, keys [][]byte) bool {
 	base := len(co.hashes)
 	for _, k := range keys {
-		h, ok := s.st.key(k)
+		h, ok := s.key(k)
 		if !ok {
 			co.hashes = co.hashes[:base]
 			return false
@@ -250,7 +250,7 @@ func (s *Server) stageKeys(co *coalescer, keys [][]byte) bool {
 func (s *Server) stagePairs(co *coalescer, args [][]byte) bool {
 	baseH, baseV := len(co.hashes), len(co.vals)
 	for i := 0; i < len(args); i += 2 {
-		h, ok := s.st.key(args[i])
+		h, ok := s.key(args[i])
 		if !ok {
 			co.hashes = co.hashes[:baseH]
 			clear(co.vals[baseV:])

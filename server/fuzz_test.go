@@ -8,6 +8,28 @@ import (
 	"testing"
 )
 
+// ttlSeeds is the expiry family's corner of the fuzz corpus: inline and
+// multibulk framing, bad seconds (negative, overflow, non-numeric), arity
+// errors, truncations. FuzzParseRequest seeds the parser with them, and
+// TestTTLSeedsOnBothServers replays them through the dispatcher of a hash
+// and of an ordered server.
+var ttlSeeds = [][]byte{
+	[]byte("EXPIRE user:1 60\r\n"),
+	[]byte("SETEX user:1 60 alice\r\n"),
+	[]byte("TTL user:1\r\n"),
+	[]byte("PERSIST user:1\r\n"),
+	[]byte("EXPIRE user:1 -1\r\n"),
+	[]byte("EXPIRE user:1 99999999999999999999\r\n"),
+	[]byte("SETEX user:1 abc alice\r\n"),
+	[]byte("SETEX user:1 0 alice\r\nTTL user:1\r\n"),
+	[]byte("EXPIRE user:1\r\n"),
+	[]byte("*3\r\n$6\r\nEXPIRE\r\n$6\r\nuser:1\r\n$2\r\n60\r\n"),
+	[]byte("*4\r\n$5\r\nSETEX\r\n$6\r\nuser:1\r\n$2\r\n60\r\n$5\r\nalice\r\n"),
+	[]byte("*2\r\n$3\r\nTTL\r\n$6\r\nuser:1\r\n*2\r\n$7\r\nPERSIST\r\n$6\r\nuser:1\r\n"),
+	[]byte("*4\r\n$5\r\nSETEX\r\n$6\r\nuser:1\r\n$2\r\n60\r\n"),
+	[]byte("*3\r\n$6\r\nEXPIRE\r\n$6\r\nuser:1\r\n$3\r\n-"),
+}
+
 // FuzzParseRequest drives the wire parser with arbitrary byte streams and
 // checks its contract: it never panics, it only ever fails with io.EOF
 // (clean close at a request boundary), io.ErrUnexpectedEOF (truncated
@@ -30,22 +52,6 @@ func FuzzParseRequest(f *testing.F) {
 		[]byte("*3\r\n$3\r\nSET\r\n$6\r\nuser:1\r\n$5\r\nalice\r\n"),
 		[]byte("*2\r\n$3\r\nGET\r\n$6\r\nuser:1\r\n*2\r\n$3\r\nDEL\r\n$6\r\nuser:1\r\n"),
 		[]byte("*2\r\n$4\r\nMGET\r\n$0\r\n\r\n"),
-		// The expiry family: inline and multibulk framing, bad seconds
-		// (negative, overflow, non-numeric), arity errors, truncations.
-		[]byte("EXPIRE user:1 60\r\n"),
-		[]byte("SETEX user:1 60 alice\r\n"),
-		[]byte("TTL user:1\r\n"),
-		[]byte("PERSIST user:1\r\n"),
-		[]byte("EXPIRE user:1 -1\r\n"),
-		[]byte("EXPIRE user:1 99999999999999999999\r\n"),
-		[]byte("SETEX user:1 abc alice\r\n"),
-		[]byte("SETEX user:1 0 alice\r\nTTL user:1\r\n"),
-		[]byte("EXPIRE user:1\r\n"),
-		[]byte("*3\r\n$6\r\nEXPIRE\r\n$6\r\nuser:1\r\n$2\r\n60\r\n"),
-		[]byte("*4\r\n$5\r\nSETEX\r\n$6\r\nuser:1\r\n$2\r\n60\r\n$5\r\nalice\r\n"),
-		[]byte("*2\r\n$3\r\nTTL\r\n$6\r\nuser:1\r\n*2\r\n$7\r\nPERSIST\r\n$6\r\nuser:1\r\n"),
-		[]byte("*4\r\n$5\r\nSETEX\r\n$6\r\nuser:1\r\n$2\r\n60\r\n"),
-		[]byte("*3\r\n$6\r\nEXPIRE\r\n$6\r\nuser:1\r\n$3\r\n-"),
 		// Truncations and violations.
 		[]byte("*3\r\n$3\r\nSET\r\n$6\r\nuser:1\r\n"),
 		[]byte("*1\r\n$4\r\nPI"),
@@ -58,7 +64,7 @@ func FuzzParseRequest(f *testing.F) {
 		[]byte("*1\r\n$4\r\nPINGx\r\n"),
 		[]byte("*1\r\n$4\r\nPING\rx"),
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, ttlSeeds...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

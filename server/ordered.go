@@ -92,7 +92,7 @@ func scanScratch(n int) ([]uint64, []string) {
 // executeScan answers SCAN cursor [PREFIX p] [COUNT n]: a flat array
 // whose first element is the next cursor (0 = exhausted) followed by
 // key/value pairs.
-func (s *Server) executeScan(ob orderedBackend, rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
+func (s *Server) executeScan(rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
 	if len(rest) < 1 || len(rest)%2 != 1 {
 		return arity(out, "scan")
 	}
@@ -148,7 +148,7 @@ func (s *Server) executeScan(ob orderedBackend, rest [][]byte, w *bufio.Writer, 
 		if lo > hi {
 			continue
 		}
-		filled += ob.Scan(lo, hi, keys[filled:], vals[filled:])
+		filled += s.sorted.Scan(lo, hi, keys[filled:], vals[filled:])
 		if filled == count {
 			// The page is full; unless this range (and every later one) is
 			// truly done, more may remain.
@@ -177,7 +177,7 @@ func (s *Server) executeScan(ob orderedBackend, rest [][]byte, w *bufio.Writer, 
 // pairs for min <= key <= max, ascending, at most n pairs (default 128,
 // cap 4096). Unlike SCAN it carries no cursor — callers page by reissuing
 // with min = lastKey+1.
-func (s *Server) executeRange(ob orderedBackend, rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
+func (s *Server) executeRange(rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
 	if len(rest) != 2 && len(rest) != 4 {
 		return arity(out, "range")
 	}
@@ -206,7 +206,7 @@ func (s *Server) executeRange(ob orderedBackend, rest [][]byte, w *bufio.Writer,
 	var vals []string
 	if lo <= hi {
 		keys, vals = scanScratch(limit)
-		filled = ob.Scan(lo, hi, keys, vals)
+		filled = s.sorted.Scan(lo, hi, keys, vals)
 	}
 	out = appendArrayHeader(out, 2*filled)
 	var err error

@@ -136,8 +136,12 @@ const DefaultCoalesce = 256
 // then ListenAndServe (blocking) or Start (background); Close shuts the
 // listener and every connection down and waits for the handlers to drain.
 type Server struct {
-	st   backend
-	opts options
+	// st is the store every command drives. sorted is the same store's
+	// ordered face — non-nil exactly on a NewOrdered server, where it
+	// selects the decimal key codec and serves SCAN/RANGE/MIN/MAX.
+	st     *store.Strings
+	sorted *store.SortedStrings
+	opts   options
 
 	mu    sync.Mutex
 	ln    net.Listener
@@ -164,7 +168,7 @@ type Server struct {
 // stops serving but leaves st (and its maintenance scheduler) to the
 // caller.
 func New(st *store.Strings, opts ...Option) *Server {
-	return newServer(stringsBackend{st}, opts)
+	return newServer(st, nil, opts)
 }
 
 // NewOrdered returns a server for an ordered store. Keys on the wire must
@@ -172,10 +176,10 @@ func New(st *store.Strings, opts ...Option) *Server {
 // any other key draws a per-request error — and the ordered command
 // family (SCAN, RANGE, MIN, MAX) is served. Ownership contract as in New.
 func NewOrdered(st *store.SortedStrings, opts ...Option) *Server {
-	return newServer(sortedBackend{st: st}, opts)
+	return newServer(&st.Strings, st, opts)
 }
 
-func newServer(b backend, opts []Option) *Server {
+func newServer(st *store.Strings, sorted *store.SortedStrings, opts []Option) *Server {
 	o := options{pipeline: 512, bufSize: 16384, coalesce: DefaultCoalesce}
 	for _, opt := range opts {
 		opt(&o)
@@ -198,7 +202,7 @@ func newServer(b backend, opts []Option) *Server {
 	if o.idleGrace == 0 {
 		o.idleGrace = 5 * time.Second
 	}
-	return &Server{st: b, opts: o, conns: make(map[net.Conn]*connState)}
+	return &Server{st: st, sorted: sorted, opts: o, conns: make(map[net.Conn]*connState)}
 }
 
 // Listen binds addr ("host:port"; ":0" picks a free port) without serving
@@ -525,7 +529,7 @@ func (s *Server) dispatch(co *coalescer, req *request, w *bufio.Writer, out []by
 		staged = s.stageKeys(co, rest)
 	}
 	if !staged {
-		// A key the backend cannot represent (the ordered backend takes
+		// A key the codec cannot represent (the ordered server takes
 		// decimal uint64s only): soft per-request error, with the staged
 		// run's replies drained first so arrival order holds. Nothing of
 		// this request was staged (the stage rolls back), so the
@@ -552,34 +556,29 @@ func (s *Server) execute(req *request, w *bufio.Writer, out []byte) ([]byte, err
 	cmd, rest := args[0], args[1:]
 	switch {
 	case cmdEq(cmd, "SCAN"), cmdEq(cmd, "RANGE"), cmdEq(cmd, "MIN"), cmdEq(cmd, "MAX"):
-		ob, ok := s.st.(orderedBackend)
-		if !ok {
+		if s.sorted == nil {
 			return appendError(out, "ERR ordered commands require an ordered store (optik-server -ordered)"), nil
 		}
 		switch {
 		case cmdEq(cmd, "SCAN"):
-			return s.executeScan(ob, rest, w, out)
+			return s.executeScan(rest, w, out)
 		case cmdEq(cmd, "RANGE"):
-			return s.executeRange(ob, rest, w, out)
+			return s.executeRange(rest, w, out)
 		case cmdEq(cmd, "MIN"):
 			if len(rest) != 0 {
 				return arity(out, "min")
 			}
-			k, v, ok := ob.Min()
+			k, v, ok := s.sorted.Min()
 			return executeEndpoint(out, k, v, ok), nil
 		default:
 			if len(rest) != 0 {
 				return arity(out, "max")
 			}
-			k, v, ok := ob.Max()
+			k, v, ok := s.sorted.Max()
 			return executeEndpoint(out, k, v, ok), nil
 		}
 	case cmdEq(cmd, "EXPIRE"), cmdEq(cmd, "SETEX"), cmdEq(cmd, "TTL"), cmdEq(cmd, "PERSIST"):
-		tb, ok := s.st.(ttlBackend)
-		if !ok {
-			return appendError(out, "ERR TTL commands require the hash store (run optik-server without -ordered)"), nil
-		}
-		return s.executeTTL(tb, cmd, rest, out)
+		return s.executeTTL(cmd, rest, out)
 	case cmdEq(cmd, "LEN"):
 		if len(rest) != 0 {
 			return arity(out, "len")
@@ -611,13 +610,13 @@ func (s *Server) execute(req *request, w *bufio.Writer, out []byte) ([]byte, err
 // coalesced run — a pipelined SET k / EXPIRE k pair applies in arrival
 // order. Bad seconds (non-numeric, overflow, and SETEX's non-positive)
 // are soft errors: the frame was well-formed, the connection stays up.
-func (s *Server) executeTTL(tb ttlBackend, cmd []byte, rest [][]byte, out []byte) ([]byte, error) {
+func (s *Server) executeTTL(cmd []byte, rest [][]byte, out []byte) ([]byte, error) {
 	switch {
 	case cmdEq(cmd, "EXPIRE"):
 		if len(rest) != 2 {
 			return arity(out, "expire")
 		}
-		k, ok := s.st.key(rest[0])
+		k, ok := s.key(rest[0])
 		if !ok {
 			return appendError(out, "ERR invalid key"), nil
 		}
@@ -625,12 +624,12 @@ func (s *Server) executeTTL(tb ttlBackend, cmd []byte, rest [][]byte, out []byte
 		if !ok {
 			return appendError(out, "ERR value is not an integer or out of range"), nil
 		}
-		return appendInt(out, b2i(tb.ExpireHashed(k, secs))), nil
+		return appendInt(out, b2i(s.st.ExpireHashed(k, secs))), nil
 	case cmdEq(cmd, "SETEX"):
 		if len(rest) != 3 {
 			return arity(out, "setex")
 		}
-		k, ok := s.st.key(rest[0])
+		k, ok := s.key(rest[0])
 		if !ok {
 			return appendError(out, "ERR invalid key"), nil
 		}
@@ -641,25 +640,25 @@ func (s *Server) executeTTL(tb ttlBackend, cmd []byte, rest [][]byte, out []byte
 		if secs <= 0 {
 			return appendError(out, "ERR invalid expire time in 'setex' command"), nil
 		}
-		return appendInt(out, b2i(tb.SetEXHashed(k, string(rest[2]), secs))), nil
+		return appendInt(out, b2i(s.st.SetEXHashed(k, string(rest[2]), secs))), nil
 	case cmdEq(cmd, "TTL"):
 		if len(rest) != 1 {
 			return arity(out, "ttl")
 		}
-		k, ok := s.st.key(rest[0])
+		k, ok := s.key(rest[0])
 		if !ok {
 			return appendError(out, "ERR invalid key"), nil
 		}
-		return appendInt(out, tb.TTLHashed(k)), nil
+		return appendInt(out, s.st.TTLHashed(k)), nil
 	default: // PERSIST
 		if len(rest) != 1 {
 			return arity(out, "persist")
 		}
-		k, ok := s.st.key(rest[0])
+		k, ok := s.key(rest[0])
 		if !ok {
 			return appendError(out, "ERR invalid key"), nil
 		}
-		return appendInt(out, b2i(tb.PersistHashed(k))), nil
+		return appendInt(out, b2i(s.st.PersistHashed(k))), nil
 	}
 }
 
@@ -704,14 +703,14 @@ func cmdEq(b []byte, upper string) bool {
 	return true
 }
 
-// statsText renders the STATS reply: the backend's store-side lines, then
-// the server's connection and command counters. See docs/PROTOCOL.md for
+// statsText renders the STATS reply: the store-side lines, then the
+// server's connection and command counters. See docs/PROTOCOL.md for
 // the field list and stability contract.
 func (s *Server) statsText() string {
 	s.mu.Lock()
 	poller := s.pl != nil
 	s.mu.Unlock()
-	return s.st.statsPrefix() + fmt.Sprintf(
+	return s.statsPrefix() + fmt.Sprintf(
 		"conns:%d\naccepted:%d\ncommands:%d\n"+
 			"coalesced_batches:%d\ncoalesced_keys:%d\n"+
 			"conns_open:%d\nconns_rejected:%d\nconns_shed:%d\n"+

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -8,20 +11,28 @@ import (
 	"github.com/optik-go/optik/store"
 )
 
-// startTTLServer brings up a server over a hash store driven by an
-// injected clock, so the wire-level expiry tests advance time by hand —
-// no sleeps.
-func startTTLServer(t *testing.T, opts ...store.Option) (*atomic.Int64, string) {
+// startTTLServer brings up a server — over a hash store, or an ordered
+// one — driven by an injected clock, so the wire-level expiry tests
+// advance time by hand — no sleeps.
+func startTTLServer(t *testing.T, ordered bool) (*atomic.Int64, string) {
 	t.Helper()
 	var clock atomic.Int64
 	clock.Store(1_000_000_000)
-	opts = append([]store.Option{
+	opts := []store.Option{
 		store.WithClock(clock.Load),
 		store.WithShards(2),
 		store.WithShardBuckets(64),
-	}, opts...)
-	st := store.NewStrings(opts...)
-	srv := New(st)
+		store.WithKeyMax(1 << 20),
+	}
+	var st *store.Strings
+	var srv *Server
+	if ordered {
+		sorted := store.NewSortedStrings(opts...)
+		st, srv = &sorted.Strings, NewOrdered(sorted)
+	} else {
+		st = store.NewStrings(opts...)
+		srv = New(st)
+	}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -33,18 +44,52 @@ func startTTLServer(t *testing.T, opts ...store.Option) (*atomic.Int64, string) 
 	return &clock, addr.String()
 }
 
+// ttlServers are the two servers the expiry family runs on — one string
+// layer under both, so one transcript serves both. keys rewrites a
+// transcript for the server's key codec.
+var ttlServers = []struct {
+	name    string
+	ordered bool
+	keys    func(send string) string
+}{
+	{"hash", false, func(send string) string { return send }},
+	{"ordered", true, decimalKeys},
+}
+
+// decimalKeys rewrites every command's key (its first argument) to a
+// decimal one — the only kind an ordered server takes — derived from the
+// name, so a name means the same key in every send of a session.
+func decimalKeys(send string) string {
+	lines := strings.Split(send, "\r\n")
+	for i, line := range lines {
+		f := strings.Fields(line)
+		if len(f) < 2 {
+			continue
+		}
+		f[1] = fmt.Sprint(1 + store.HashKey(f[1])%(1<<20-1))
+		lines[i] = strings.Join(f, " ")
+	}
+	return strings.Join(lines, "\r\n")
+}
+
 // TestServerTTLTranscript pins the exact bytes of an expiry session: the
 // TTL family's replies before and after the (injected) clock passes the
-// deadlines.
+// deadlines — on the hash server and, byte for byte, on the ordered one.
 func TestServerTTLTranscript(t *testing.T) {
-	clock, addr := startTTLServer(t)
+	for _, srv := range ttlServers {
+		t.Run(srv.name, func(t *testing.T) { testServerTTLTranscript(t, srv.ordered, srv.keys) })
+	}
+}
+
+func testServerTTLTranscript(t *testing.T, ordered bool, keys func(string) string) {
+	clock, addr := startTTLServer(t, ordered)
 	conn, r := dialRaw(t, addr)
 
 	send := "SETEX s 1 ephemeral\r\nSET k v\r\nTTL k\r\nEXPIRE k 100\r\nTTL k\r\n" +
 		"PERSIST k\r\nTTL k\r\nTTL missing\r\nEXPIRE missing 5\r\nPERSIST k\r\n"
 	want := ":0\r\n:0\r\n:-1\r\n:1\r\n:100\r\n" +
 		":1\r\n:-1\r\n:-2\r\n:0\r\n:0\r\n"
-	if _, err := conn.Write([]byte(send)); err != nil {
+	if _, err := conn.Write([]byte(keys(send))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if got := readN(t, r, len(want)); got != want {
@@ -56,7 +101,7 @@ func TestServerTTLTranscript(t *testing.T) {
 	clock.Add(2_000_000_000)
 	send = "GET s\r\nGET k\r\nSETEX s 1 back\r\nGET s\r\nEXPIRE k -1\r\nGET k\r\n"
 	want = "$-1\r\n$1\r\nv\r\n:0\r\n$4\r\nback\r\n:1\r\n$-1\r\n"
-	if _, err := conn.Write([]byte(send)); err != nil {
+	if _, err := conn.Write([]byte(keys(send))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if got := readN(t, r, len(want)); got != want {
@@ -68,7 +113,7 @@ func TestServerTTLTranscript(t *testing.T) {
 // commands are barriers, so a pipelined coalesced run ahead of them
 // answers first and their effects apply to the already-staged writes.
 func TestServerTTLBarriersWithPipeline(t *testing.T) {
-	_, addr := startTTLServer(t)
+	_, addr := startTTLServer(t, false)
 	conn, r := dialRaw(t, addr)
 
 	send := "SET a 1\r\nSET b 2\r\nEXPIRE a 50\r\nMGET a b\r\nTTL a\r\nTTL b\r\n"
@@ -85,7 +130,7 @@ func TestServerTTLBarriersWithPipeline(t *testing.T) {
 // seconds (non-numeric, overflow, SETEX non-positive), wrong arity. The
 // connection survives every one.
 func TestServerTTLSoftErrors(t *testing.T) {
-	_, addr := startTTLServer(t)
+	_, addr := startTTLServer(t, false)
 	conn, r := dialRaw(t, addr)
 
 	cases := []struct{ send, wantPrefix string }{
@@ -117,44 +162,15 @@ func TestServerTTLSoftErrors(t *testing.T) {
 	}
 }
 
-// TestTTLCommandsOnOrderedServer: the sorted store has no expiry; the
-// whole family answers a soft error and the connection stays usable.
-func TestTTLCommandsOnOrderedServer(t *testing.T) {
-	_, c := startOrdered(t)
-	addr := c.addr
-	conn, r := dialRaw(t, addr)
-	for _, send := range []string{"EXPIRE 1 5\r\n", "SETEX 1 5 v\r\n", "TTL 1\r\n", "PERSIST 1\r\n"} {
-		if _, err := conn.Write([]byte(send)); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("%q: read: %v", send, err)
-		}
-		if !strings.HasPrefix(line, "-ERR TTL commands require the hash store") {
-			t.Fatalf("%q: got %q", send, line)
-		}
-	}
-	conn.Write([]byte("PING\r\n"))
-	if line, _ := r.ReadString('\n'); line != "+PONG\r\n" {
-		t.Fatalf("connection dead after TTL errors: %q", line)
-	}
-}
-
-// hashStatsFields and orderedStatsFields are the documented STATS field
-// lists (docs/PROTOCOL.md); serverStatsFields is the server-side suffix
-// shared by both modes.
+// storeStatsFields is the documented store-side STATS field list
+// (docs/PROTOCOL.md), the same on both servers — an ordered one adds the
+// ordered:1 discriminator; serverStatsFields is the server-side suffix.
 var (
-	hashStatsFields = []string{
+	storeStatsFields = []string{
 		"len", "shards", "buckets", "resizes",
 		"nodes_retired", "nodes_reclaimed", "nodes_reused",
 		"values_allocated", "values_free",
 		"bytes_used", "expired_lazy", "expired_swept", "evicted",
-	}
-	orderedStatsFields = []string{
-		"len", "shards", "ordered",
-		"nodes_retired", "nodes_reclaimed", "nodes_reused",
-		"values_allocated", "values_free", "bytes_used",
 	}
 	serverStatsFields = []string{
 		"conns", "accepted", "commands",
@@ -176,7 +192,7 @@ func TestServerStatsFields(t *testing.T) {
 		}
 		defer c.Close()
 		st := c.Stats()
-		for _, f := range append(append([]string{}, hashStatsFields...), serverStatsFields...) {
+		for _, f := range append(append([]string{}, storeStatsFields...), serverStatsFields...) {
 			if _, ok := st[f]; !ok {
 				t.Errorf("hash STATS missing %q", f)
 			}
@@ -188,37 +204,38 @@ func TestServerStatsFields(t *testing.T) {
 	t.Run("ordered", func(t *testing.T) {
 		_, c := startOrdered(t)
 		st := c.Stats()
-		for _, f := range append(append([]string{}, orderedStatsFields...), serverStatsFields...) {
+		for _, f := range append(append([]string{"ordered"}, storeStatsFields...), serverStatsFields...) {
 			if _, ok := st[f]; !ok {
 				t.Errorf("ordered STATS missing %q", f)
-			}
-		}
-		for _, f := range []string{"buckets", "resizes", "expired_lazy", "expired_swept", "evicted"} {
-			if _, ok := st[f]; ok {
-				t.Errorf("ordered STATS must not report hash-only %q", f)
 			}
 		}
 	})
 }
 
 // TestServerTTLStatsCounters drives lazy expiry over the wire and checks
-// the governance counters move.
+// the governance counters move, on both servers.
 func TestServerTTLStatsCounters(t *testing.T) {
-	clock, addr := startTTLServer(t)
+	for _, srv := range ttlServers {
+		t.Run(srv.name, func(t *testing.T) { testServerTTLStatsCounters(t, srv.ordered, srv.keys) })
+	}
+}
+
+func testServerTTLStatsCounters(t *testing.T, ordered bool, keys func(string) string) {
+	clock, addr := startTTLServer(t, ordered)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 	conn, r := dialRaw(t, addr)
-	conn.Write([]byte("SETEX gone 1 xx\r\nSET stay 1 \r\n"))
+	conn.Write([]byte(keys("SETEX gone 1 xx\r\nSET stay 1 \r\n")))
 	readN(t, r, len(":0\r\n:0\r\n"))
 	st := c.Stats()
 	if st["bytes_used"] <= 0 {
 		t.Fatalf("bytes_used = %d, want > 0", st["bytes_used"])
 	}
 	clock.Add(2_000_000_000)
-	conn.Write([]byte("GET gone\r\n"))
+	conn.Write([]byte(keys("GET gone\r\n")))
 	readN(t, r, len("$-1\r\n"))
 	st = c.Stats()
 	if st["expired_lazy"] == 0 {
@@ -226,5 +243,41 @@ func TestServerTTLStatsCounters(t *testing.T) {
 	}
 	if st["len"] != 1 {
 		t.Fatalf("len = %d, want 1", st["len"])
+	}
+}
+
+// TestTTLSeedsOnBothServers replays the fuzz corpus's expiry seeds — bad
+// seconds, arity errors, truncated frames — as whole connections against
+// both servers (the ordered one additionally with its inline keys made
+// decimal, so the commands reach the store instead of stopping at the key
+// codec). Whatever each seed draws, the connection must end cleanly and
+// the server must still answer afterwards.
+func TestTTLSeedsOnBothServers(t *testing.T) {
+	for _, srv := range ttlServers {
+		t.Run(srv.name, func(t *testing.T) {
+			_, addr := startTTLServer(t, srv.ordered)
+			sends := ttlSeeds
+			if srv.ordered {
+				for _, seed := range ttlSeeds {
+					sends = append(sends, []byte(srv.keys(string(seed))))
+				}
+			}
+			for _, send := range sends {
+				conn, r := dialRaw(t, addr)
+				if _, err := conn.Write(send); err != nil {
+					t.Fatalf("%q: write: %v", send, err)
+				}
+				conn.(*net.TCPConn).CloseWrite()
+				if _, err := io.ReadAll(r); err != nil {
+					t.Fatalf("%q: connection did not end cleanly: %v", send, err)
+				}
+				conn.Close()
+			}
+			conn, r := dialRaw(t, addr)
+			conn.Write([]byte("PING\r\n"))
+			if line, _ := r.ReadString('\n'); line != "+PONG\r\n" {
+				t.Fatalf("server dead after the seeds: %q", line)
+			}
+		})
 	}
 }

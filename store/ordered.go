@@ -1,7 +1,5 @@
-// The ordered index: the same lift the package applies to the resizable
-// hash table (store.Store), applied to the OPTIK skip list of §5.3 —
-// shards behind a router, batched multi-key operations, one shared
-// maintenance scheduler — but the router is a RANGE partition, not a hash.
+// The ordered face of the package: the same index core and the same string
+// layer, over sorted shards behind a RANGE partition instead of a hash.
 // Hashing would scatter adjacent keys across shards and turn every range
 // scan into a full-fleet merge; partitioning the key space into contiguous
 // slices keeps a scan's locality (one shard, or a few adjacent ones) and
@@ -13,226 +11,159 @@
 // the store the real key ceiling and the partition stretches over the used
 // space instead of dedicating almost every shard to keys that never occur.
 //
-// Reclamation differs from the hash fleet too, deliberately: the hash
-// shards each own a private qsbr pool (their readers revalidate buckets,
-// so domains never interact), while the ordered shards share ONE domain
-// and pool. Skip-list traversals dereference plain fields under an epoch
-// pin, every operation borrows a handle, and a shared pool lets a burst on
-// one shard reuse towers retired on another — same memory, fewer cold
-// allocations — at no extra coordination cost, since handle slots are
-// already per-thread-affine.
+// Nothing else differs. Ordered and SortedStrings exist as types only so
+// that Scan, Min and Max are callable exactly where the shards are sorted;
+// every other method is the shared core's.
 package store
 
 import (
-	"runtime"
-
 	"github.com/optik-go/optik/ds"
-	"github.com/optik-go/optik/ds/hashmap"
 	"github.com/optik-go/optik/ds/skiplist"
 	"github.com/optik-go/optik/internal/core"
 	"github.com/optik-go/optik/internal/qsbr"
 )
 
-// WithKeyMax declares the largest key the ordered store will hold
-// (default ds.MaxKey). The range partition divides [0, max] evenly across
-// the shards, so a store holding small keys should declare its real
-// ceiling or every key lands on shard 0. Keys above max are still legal —
-// they all route to the last shard. Ignored by the hash-routed New.
+// WithKeyMax declares the largest key an ordered store will hold (default
+// ds.MaxKey). The range partition divides [0, max] evenly across the
+// shards, so a store holding small keys should declare its real ceiling
+// or every key lands on shard 0. Keys above max are still legal — they
+// all route to the last shard. Ignored by the hash-routed constructors.
 func WithKeyMax(max uint64) Option {
 	return func(o *options) { o.keyMax = max }
 }
 
-// orderedShard pairs one skip list with its activity counter; it is the
-// unit registered on the shared maintenance scheduler.
+// orderedShard is the sorted implementation of the shard contract: an
+// OPTIK skip list (§5.3) recycling its towers through its own qsbr pool,
+// plus the striped counter the list itself does not keep. The embedded
+// list supplies the read side (Search, SearchBatch, ScanRange, Min, Max,
+// ReclaimStats); every mutator is overridden below to record its outcome
+// on the counter, whose net half is a cheap Len (the list's own is an
+// O(n) walk) and whose op half is the scheduler's activity signal.
 type orderedShard struct {
-	list *skiplist.Optik
-	// count tracks successful updates: AddOp per insert/delete/replace
-	// (the op half feeds ActivitySample, the net half a cheap Len — the
-	// skip list's own Len is an O(n) walk).
+	*skiplist.Optik
 	count *core.Striped
 }
 
-var _ hashmap.Maintainer = (*orderedShard)(nil)
-
-// ActivitySample implements hashmap.Maintainer: the monotone op count
-// moves on every successful update, so an unchanged sample means the
-// shard was untouched since the last poll.
-func (sh *orderedShard) ActivitySample() uint64 { return uint64(sh.count.Ops()) }
-
-// MaintainIdle implements hashmap.Maintainer: with the shard idle, sweep
-// the (shared) pool so towers retired here reclaim even if no future
-// operation ever borrows a handle. The sweep is domain-wide — sibling
-// shards benefit too — and cheap when nothing is pending.
-func (sh *orderedShard) MaintainIdle(cancel <-chan struct{}) {
-	sh.list.Pool().Sweep()
-}
-
-// MaintainBusy implements hashmap.Maintainer: a busy skip-list shard needs
-// no help — there is no migration to advance, and the operations' own
-// handle borrows drive the reclamation epoch.
-func (sh *orderedShard) MaintainBusy() {}
-
-// Ordered is a sharded ordered key-value store over uint64 keys: point
-// operations with the same surface as Store, plus the ordered family —
-// Scan, Min, Max — that a hash store cannot serve. All methods are safe
-// for concurrent use. Keys follow the library's range
-// ([ds.MinKey, ds.MaxKey]).
-type Ordered struct {
-	shards []*orderedShard
-	// shift maps a key to its slice of the partition: shard = key>>shift,
-	// clamped to the last shard (the clamp absorbs both keys above the
-	// declared ceiling and a ceiling that is not a multiple of the shard
-	// count).
-	shift uint
-	pool  *qsbr.Pool
-	sched *hashmap.Scheduler
-}
-
-var _ ds.Set = (*Ordered)(nil)
-
-// NewOrdered returns an ordered store. WithShards, WithMaintenanceInterval
-// and WithoutMaintenance mean what they do for New; WithKeyMax bounds the
-// range partition; WithShardBuckets does not apply.
-func NewOrdered(opts ...Option) *Ordered {
-	o := options{
-		keyMax:      ds.MaxKey,
-		maintenance: true,
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.shards <= 0 {
-		o.shards = runtime.GOMAXPROCS(0)
-	}
-	n := 1
-	for n < o.shards && n < maxShards {
-		n <<= 1
-	}
-	var shift uint
-	for shift < 64 && o.keyMax>>shift >= uint64(n) {
-		shift++
-	}
-	domain := qsbr.NewDomain()
-	s := &Ordered{
-		shards: make([]*orderedShard, n),
-		shift:  shift,
-		pool:   qsbr.NewPool(domain, 0),
-	}
-	for i := range s.shards {
-		s.shards[i] = &orderedShard{
-			list:  skiplist.NewOptikPool(s.pool),
-			count: core.NewStriped(0),
-		}
-	}
-	if o.maintenance {
-		s.sched = hashmap.NewScheduler(o.interval)
-		for _, sh := range s.shards {
-			s.sched.Register(sh)
-		}
-	}
-	return s
-}
-
-// Close stops the shared maintenance scheduler; the shards stay usable.
-// Idempotent.
-func (s *Ordered) Close() {
-	if s.sched != nil {
-		s.sched.Stop()
+func newOrderedShard() shard {
+	return &orderedShard{
+		Optik: skiplist.NewOptikPool(qsbr.NewPool(qsbr.NewDomain(), 0)),
+		count: core.NewStriped(0),
 	}
 }
 
-// shardID routes a key to its partition slice.
-func (s *Ordered) shardID(key uint64) int {
-	id := int(key >> s.shift)
-	if id >= len(s.shards) {
-		id = len(s.shards) - 1
-	}
-	return id
-}
-
-func (s *Ordered) shardFor(key uint64) *orderedShard {
-	return s.shards[s.shardID(key)]
-}
-
-// Get returns the value stored under key, if present. Lock-free.
-func (s *Ordered) Get(key uint64) (uint64, bool) {
-	return s.shardFor(key).list.Search(key)
-}
-
-// Set stores key→val, inserting or replacing in place, and returns the
-// previous value and whether one was replaced.
-func (s *Ordered) Set(key, val uint64) (uint64, bool) {
-	sh := s.shardFor(key)
-	old, replaced := sh.list.Upsert(key, val)
+// noteUpsert records one upsert: +1 element unless it replaced in place.
+func (sh *orderedShard) noteUpsert(key uint64, replaced bool) {
 	if replaced {
 		sh.count.AddOp(key, 0)
 	} else {
 		sh.count.AddOp(key, 1)
 	}
+}
+
+func (sh *orderedShard) Insert(key, val uint64) bool {
+	ok := sh.Optik.Insert(key, val)
+	if ok {
+		sh.count.AddOp(key, 1)
+	}
+	return ok
+}
+
+func (sh *orderedShard) Upsert(key, val uint64) (uint64, bool) {
+	old, replaced := sh.Optik.Upsert(key, val)
+	sh.noteUpsert(key, replaced)
 	return old, replaced
 }
 
-// Del removes key, returning its value, if present.
-func (s *Ordered) Del(key uint64) (uint64, bool) {
-	sh := s.shardFor(key)
-	val, ok := sh.list.Delete(key)
+func (sh *orderedShard) Delete(key uint64) (uint64, bool) {
+	val, ok := sh.Optik.Delete(key)
 	if ok {
 		sh.count.AddOp(key, -1)
 	}
 	return val, ok
 }
 
-// Search implements ds.Set (alias of Get).
-func (s *Ordered) Search(key uint64) (uint64, bool) { return s.Get(key) }
-
-// Insert implements ds.Set: strict insert-if-absent.
-func (s *Ordered) Insert(key, val uint64) bool {
-	sh := s.shardFor(key)
-	if !sh.list.Insert(key, val) {
-		return false
+func (sh *orderedShard) DeleteIfValue(key, val uint64, confirm func() bool) bool {
+	ok := sh.Optik.DeleteIfValue(key, val, confirm)
+	if ok {
+		sh.count.AddOp(key, -1)
 	}
-	sh.count.AddOp(key, 1)
-	return true
+	return ok
 }
 
-// Delete implements ds.Set (alias of Del).
-func (s *Ordered) Delete(key uint64) (uint64, bool) { return s.Del(key) }
-
-// Len sums the shard counters: O(shards × stripes), independent of the
-// element count — the skip lists' own O(n) walks never run. Same
-// non-linearizable contract as every Len in the library.
-func (s *Ordered) Len() int {
-	n := int64(0)
-	for _, sh := range s.shards {
-		n += sh.count.Net()
+func (sh *orderedShard) UpsertBatchEach(keys, vals, old []uint64, replaced []bool) int {
+	inserted := sh.Optik.UpsertBatchEach(keys, vals, old, replaced)
+	for i, k := range keys {
+		sh.noteUpsert(k, replaced[i])
 	}
-	return int(n)
+	return inserted
 }
 
-// Shards returns the shard count.
-func (s *Ordered) Shards() int { return len(s.shards) }
-
-// ReclaimStats reports the shared domain's lifetime tower reclamation
-// counters (racy snapshot; for monitoring).
-func (s *Ordered) ReclaimStats() (retired, reclaimed, reused uint64) {
-	return s.pool.Domain().Stats()
+func (sh *orderedShard) DeleteBatchEach(keys, old []uint64, found []bool) int {
+	removed := sh.Optik.DeleteBatchEach(keys, old, found)
+	for i, k := range keys {
+		if found[i] {
+			sh.count.AddOp(k, -1)
+		}
+	}
+	return removed
 }
 
-// Quiesce drains pending tower retirements deterministically: with no
-// concurrent operations, every retired tower is on the free list when it
-// returns. Operators normally never call it — the scheduler's idle sweeps
-// do the same work — but tests and workload phase transitions want the
-// determinism. Bounded, so it terminates under concurrent traffic too
-// (where "fully drained" is a moving target).
-func (s *Ordered) Quiesce() {
+// Len reads the counter's net half, clamped at zero like the tables' (a
+// reader can catch a delete's decrement before the matching insert's
+// increment).
+func (sh *orderedShard) Len() int {
+	return int(max(sh.count.Net(), 0))
+}
+
+// Quiesce drains pending tower retirements: with no concurrent operations,
+// every retired tower is on the free list when it returns. Bounded, so it
+// terminates under concurrent traffic too (where "fully drained" is a
+// moving target).
+func (sh *orderedShard) Quiesce() {
 	for i := 0; i < 4; i++ {
-		retired, reclaimed, _ := s.pool.Domain().Stats()
-		if retired == reclaimed {
+		if retired, reclaimed, _ := sh.ReclaimStats(); retired == reclaimed {
 			return
 		}
-		s.pool.Sweep()
+		sh.Pool().Sweep()
 	}
 }
+
+// ActivitySample implements maint.Maintainer: the monotone op count moves
+// on every successful update, so an unchanged sample means the shard was
+// untouched since the last poll.
+func (sh *orderedShard) ActivitySample() uint64 { return uint64(sh.count.Ops()) }
+
+// MaintainIdle implements maint.Maintainer: with the shard idle, sweep its
+// pool so retired towers reclaim even if no future operation ever borrows
+// a handle. Cheap when nothing is pending.
+func (sh *orderedShard) MaintainIdle(<-chan struct{}) { sh.Pool().Sweep() }
+
+// MaintainBusy implements maint.Maintainer: a busy skip-list shard needs
+// no help — there is no migration to advance, and the operations' own
+// handle borrows drive the reclamation epoch.
+func (sh *orderedShard) MaintainBusy() {}
+
+// Ordered is the index core over sorted shards: every method of Store,
+// plus the ordered family — Scan, Min, Max — that a hash-routed store
+// cannot serve.
+type Ordered struct{ Store }
+
+// NewOrdered returns a range-partitioned store over OPTIK skip lists.
+// WithShards, WithMaintenanceInterval and WithoutMaintenance mean what
+// they do for New; WithKeyMax bounds the partition; WithShardBuckets does
+// not apply.
+func NewOrdered(opts ...Option) *Ordered {
+	o := newOptions(opts)
+	var shift uint
+	for shift < 64 && o.keyMax>>shift >= uint64(o.shards) {
+		shift++
+	}
+	return &Ordered{newStore(o, 1, shift, newOrderedShard)}
+}
+
+// sorted recovers the sorted shard behind the contract; an Ordered holds
+// no other kind.
+func sorted(sh shard) *orderedShard { return sh.(*orderedShard) }
 
 // Scan copies the live entries with from <= key <= to, ascending, into
 // keys/vals (same length), returning how many were filled. The range
@@ -245,15 +176,12 @@ func (s *Ordered) Quiesce() {
 func (s *Ordered) Scan(from, to uint64, keys, vals []uint64) int {
 	ds.CheckKey(from)
 	ds.CheckKey(to)
-	if from > to || len(keys) == 0 {
+	if from > to {
 		return 0
 	}
 	n := 0
-	for si := s.shardID(from); si <= s.shardID(to); si++ {
-		n += s.shards[si].list.ScanRange(from, to, keys[n:], vals[n:])
-		if n == len(keys) {
-			break
-		}
+	for i, end := s.shardID(from), s.shardID(to); i <= end && n < len(keys); i++ {
+		n += sorted(s.shards[i]).ScanRange(from, to, keys[n:], vals[n:])
 	}
 	return n
 }
@@ -263,7 +191,7 @@ func (s *Ordered) Scan(from, to uint64, keys, vals []uint64) int {
 // the global minimum.
 func (s *Ordered) Min() (key, val uint64, ok bool) {
 	for _, sh := range s.shards {
-		if k, v, ok := sh.list.Min(); ok {
+		if k, v, ok := sorted(sh).Min(); ok {
 			return k, v, true
 		}
 	}
@@ -274,373 +202,76 @@ func (s *Ordered) Min() (key, val uint64, ok bool) {
 // empty store.
 func (s *Ordered) Max() (key, val uint64, ok bool) {
 	for i := len(s.shards) - 1; i >= 0; i-- {
-		if k, v, ok := s.shards[i].list.Max(); ok {
+		if k, v, ok := sorted(s.shards[i]).Max(); ok {
 			return k, v, true
 		}
 	}
 	return 0, 0, false
 }
 
-// orderedRoute computes every key's shard id into sc.ids and the
-// touched-shard bitset — the ordered counterpart of Store.route, with the
-// partition function in place of the hash.
-func (s *Ordered) orderedRoute(keys []uint64, sc *batchScratch) ([]uint8, shardSet) {
-	if cap(sc.ids) < len(keys) {
-		sc.ids = make([]uint8, len(keys))
-	}
-	ids := sc.ids[:len(keys)]
-	var touched shardSet
-	for i, k := range keys {
-		id := uint8(s.shardID(k))
-		ids[i] = id
-		touched.add(int(id))
-	}
-	return ids, touched
-}
-
-// MGet looks up every keys[i], storing the value into vals[i] and
-// presence into found[i]; vals and found must be at least len(keys) long.
-// Each touched shard is visited once under a single qsbr pin.
-func (s *Ordered) MGet(keys, vals []uint64, found []bool) {
-	if len(s.shards) == 1 {
-		s.shards[0].list.SearchBatch(keys, vals, found)
-		return
-	}
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.orderedRoute(keys, sc)
-	if cap(sc.subOld) < len(keys) {
-		sc.subOld = make([]uint64, len(keys))
-		sc.subFound = make([]bool, len(keys))
-	}
-	sub := sc.subKeys
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		sub = sub[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				sub = append(sub, k)
-			}
-		}
-		sh := s.shards[si]
-		subVals, subFound := sc.subOld[:len(sub)], sc.subFound[:len(sub)]
-		sh.list.SearchBatch(sub, subVals, subFound)
-		j := 0
-		for i := range keys {
-			if ids[i] == uint8(si) {
-				vals[i], found[i] = subVals[j], subFound[j]
-				j++
-			}
-		}
-	}
-	sc.subKeys = sub
-	scratchPool.Put(sc)
-}
-
-// MSetEach applies Set(keys[i], vals[i]) for every i with per-key
-// results — old[i] the replaced value, replaced[i] whether one existed —
-// and returns the fresh-insert count. Within one shard keys apply in
-// arrival order (duplicates route to the same shard), exactly as
-// sequential Sets.
-func (s *Ordered) MSetEach(keys, vals, old []uint64, replaced []bool) int {
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.orderedRoute(keys, sc)
-	if cap(sc.subOld) < len(keys) {
-		sc.subOld = make([]uint64, len(keys))
-		sc.subFound = make([]bool, len(keys))
-	}
-	inserted := 0
-	subKeys, subVals := sc.subKeys, sc.subVals
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		subKeys, subVals = subKeys[:0], subVals[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				subKeys = append(subKeys, k)
-				subVals = append(subVals, vals[i])
-			}
-		}
-		sh := s.shards[si]
-		subOld, subRepl := sc.subOld[:len(subKeys)], sc.subFound[:len(subKeys)]
-		ins := sh.list.UpsertBatchEach(subKeys, subVals, subOld, subRepl)
-		inserted += ins
-		for j, k := range subKeys {
-			if subRepl[j] {
-				sh.count.AddOp(k, 0)
-			} else {
-				sh.count.AddOp(k, 1)
-			}
-		}
-		j := 0
-		for i := range keys {
-			if ids[i] == uint8(si) {
-				old[i], replaced[i] = subOld[j], subRepl[j]
-				j++
-			}
-		}
-	}
-	sc.subKeys, sc.subVals = subKeys, subVals
-	scratchPool.Put(sc)
-	return inserted
-}
-
-// MSet applies Set(keys[i], vals[i]) for every i, returning how many keys
-// were newly inserted.
-func (s *Ordered) MSet(keys, vals []uint64) int {
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.orderedRoute(keys, sc)
-	if cap(sc.subOld) < len(keys) {
-		sc.subOld = make([]uint64, len(keys))
-		sc.subFound = make([]bool, len(keys))
-	}
-	inserted := 0
-	subKeys, subVals := sc.subKeys, sc.subVals
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		subKeys, subVals = subKeys[:0], subVals[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				subKeys = append(subKeys, k)
-				subVals = append(subVals, vals[i])
-			}
-		}
-		sh := s.shards[si]
-		subOld, subRepl := sc.subOld[:len(subKeys)], sc.subFound[:len(subKeys)]
-		inserted += sh.list.UpsertBatchEach(subKeys, subVals, subOld, subRepl)
-		for j, k := range subKeys {
-			if subRepl[j] {
-				sh.count.AddOp(k, 0)
-			} else {
-				sh.count.AddOp(k, 1)
-			}
-		}
-	}
-	sc.subKeys, sc.subVals = subKeys, subVals
-	scratchPool.Put(sc)
-	return inserted
-}
-
-// MDelEach deletes every keys[i] with per-key results — old[i] the
-// removed value, found[i] presence — returning the hit count.
-func (s *Ordered) MDelEach(keys, old []uint64, found []bool) int {
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.orderedRoute(keys, sc)
-	if cap(sc.subOld) < len(keys) {
-		sc.subOld = make([]uint64, len(keys))
-		sc.subFound = make([]bool, len(keys))
-	}
-	deleted := 0
-	sub := sc.subKeys
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		sub = sub[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				sub = append(sub, k)
-			}
-		}
-		sh := s.shards[si]
-		subOld, subFound := sc.subOld[:len(sub)], sc.subFound[:len(sub)]
-		deleted += sh.list.DeleteBatchEach(sub, subOld, subFound)
-		for j, k := range sub {
-			if subFound[j] {
-				sh.count.AddOp(k, -1)
-			}
-		}
-		j := 0
-		for i := range keys {
-			if ids[i] == uint8(si) {
-				old[i], found[i] = subOld[j], subFound[j]
-				j++
-			}
-		}
-	}
-	sc.subKeys = sub
-	scratchPool.Put(sc)
-	return deleted
-}
-
-// MDel deletes every key, returning how many were present.
-func (s *Ordered) MDel(keys []uint64) int {
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.orderedRoute(keys, sc)
-	if cap(sc.subOld) < len(keys) {
-		sc.subOld = make([]uint64, len(keys))
-		sc.subFound = make([]bool, len(keys))
-	}
-	deleted := 0
-	sub := sc.subKeys
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		sub = sub[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				sub = append(sub, k)
-			}
-		}
-		sh := s.shards[si]
-		subOld, subFound := sc.subOld[:len(sub)], sc.subFound[:len(sub)]
-		deleted += sh.list.DeleteBatchEach(sub, subOld, subFound)
-		for j, k := range sub {
-			if subFound[j] {
-				sh.count.AddOp(k, -1)
-			}
-		}
-	}
-	sc.subKeys = sub
-	scratchPool.Put(sc)
-	return deleted
-}
-
-// SortedStrings maps uint64 keys to string values with range queries: an
-// Ordered index from keys to value handles in a Values arena — the
-// ordered face of Strings. The arena's validation hash IS the key (keys
-// already live in [ds.MinKey, ds.MaxKey], clear of the clamp sentinels),
-// so the read path is the same optimistic load-validate-retry as Strings.
+// SortedStrings maps uint64 keys to string values with range queries: the
+// string layer (Strings, embedded — TTL, byte budget, eviction and the
+// whole *Hashed family included) over an Ordered index. Here the "hash" a
+// *Hashed method takes IS the key: keys already live in
+// [ds.MinKey, ds.MaxKey], clear of the arena's sentinels, and the short
+// names below are the same calls without the misnomer.
 //
-// Arbitrary string KEYS are deliberately not supported: hashing a string
-// key would destroy the ordering this store exists to serve. Callers with
-// naturally ordered identifiers (scores, timestamps, sequence numbers)
-// encode them as uint64s; everything else belongs in Strings.
+// Arbitrary string KEYS are deliberately not the point: the embedded
+// Strings' string-keyed conveniences (Strings.Get, Strings.SetEX, ...)
+// still work, but they hash the key, which destroys the ordering this
+// store exists to serve. Callers with naturally ordered identifiers
+// (scores, timestamps, sequence numbers) encode them as uint64s;
+// everything else belongs in a plain Strings.
 type SortedStrings struct {
-	index  *Ordered
-	values *Values
+	Strings
+	sorted *Ordered
 }
 
 // NewSortedStrings returns an ordered string store; the options configure
-// the underlying index exactly as in NewOrdered.
+// the index exactly as in NewOrdered and the value layer as in NewStrings.
 func NewSortedStrings(opts ...Option) *SortedStrings {
-	return &SortedStrings{index: NewOrdered(opts...), values: NewValues()}
+	s := &SortedStrings{sorted: NewOrdered(opts...)}
+	s.init(&s.sorted.Store, opts)
+	return s
 }
 
-// Index exposes the underlying ordered index for stats aggregation.
-func (s *SortedStrings) Index() *Ordered { return s.index }
+// Get returns the value stored under key.
+func (s *SortedStrings) Get(key uint64) (string, bool) { return s.GetHashed(key) }
 
-// Values exposes the underlying arena for stats aggregation.
-func (s *SortedStrings) Values() *Values { return s.values }
-
-// Close stops the index's maintenance scheduler.
-func (s *SortedStrings) Close() { s.index.Close() }
-
-// Quiesce drains the index's pending tower retirements.
-func (s *SortedStrings) Quiesce() { s.index.Quiesce() }
-
-// Len returns the live key count.
-func (s *SortedStrings) Len() int { return s.index.Len() }
-
-// Set stores key→value, returning true if it replaced an existing value.
-func (s *SortedStrings) Set(key uint64, value string) bool {
-	ds.CheckKey(key)
-	slot := s.values.Put(key, value)
-	old, replaced := s.index.Set(key, slot)
-	if replaced {
-		s.values.Release(old)
-	}
-	return replaced
-}
-
-// Get returns the value stored under key: optimistic read, validate the
-// pair still belongs to the key, retry on recycling conflict.
-func (s *SortedStrings) Get(key uint64) (string, bool) {
-	for {
-		slot, ok := s.index.Get(key)
-		if !ok {
-			return "", false
-		}
-		if val, ok := s.values.Load(slot, key); ok {
-			return val, true
-		}
-	}
-}
+// Set stores key→value, returning true if it replaced a live value.
+func (s *SortedStrings) Set(key uint64, value string) bool { return s.SetHashed(key, value) }
 
 // Del removes key, reporting whether it was present.
-func (s *SortedStrings) Del(key uint64) bool {
-	old, ok := s.index.Del(key)
-	if !ok {
-		return false
-	}
-	s.values.Release(old)
-	return true
-}
+func (s *SortedStrings) Del(key uint64) bool { return s.DelHashed(key) }
 
 // MGet looks up every keys[i] into vals[i]/found[i] (at least len(keys)
-// long); the index pass is shard-batched.
+// long).
 func (s *SortedStrings) MGet(keys []uint64, vals []string, found []bool) {
-	sc := grabStrScratch(len(keys))
-	defer strScratchPool.Put(sc)
-	slots := sc.slots[:len(keys)]
-	s.index.MGet(keys, slots, found)
-	for i, k := range keys {
-		if !found[i] {
-			vals[i] = ""
-			continue
-		}
-		if v, ok := s.values.Load(slots[i], k); ok {
-			vals[i] = v
-		} else {
-			vals[i], found[i] = s.Get(k)
-		}
-	}
+	s.MGetHashed(keys, vals, found)
 }
 
 // MSet stores vals[i] under keys[i], recording into replaced[i] whether a
-// value was overwritten, and returns the fresh-insert count. Duplicate
-// keys apply in order, exactly as sequential Sets.
+// live value was overwritten, and returns the fresh-insert count.
 func (s *SortedStrings) MSet(keys []uint64, vals []string, replaced []bool) int {
-	sc := grabStrScratch(len(keys))
-	defer strScratchPool.Put(sc)
-	slots, old := sc.slots[:len(keys)], sc.old[:len(keys)]
-	for i, k := range keys {
-		ds.CheckKey(k)
-		slots[i] = s.values.Put(k, vals[i])
-	}
-	inserted := s.index.MSetEach(keys, slots, old, replaced)
-	rel := slots[:0]
-	for i := range keys {
-		if replaced[i] {
-			rel = append(rel, old[i])
-		}
-	}
-	s.values.ReleaseBatch(rel)
-	return inserted
+	return s.MSetHashed(keys, vals, replaced)
 }
 
 // MDel removes every keys[i], recording presence into found[i], and
 // returns the hit count.
 func (s *SortedStrings) MDel(keys []uint64, found []bool) int {
-	sc := grabStrScratch(len(keys))
-	defer strScratchPool.Put(sc)
-	old := sc.old[:len(keys)]
-	deleted := s.index.MDelEach(keys, old, found)
-	rel := sc.slots[:0]
-	for i := range keys {
-		if found[i] {
-			rel = append(rel, old[i])
-		}
-	}
-	s.values.ReleaseBatch(rel)
-	return deleted
+	return s.MDelHashed(keys, found)
 }
 
 // Scan copies live entries with from <= key <= to, ascending, into
-// keys/vals (same length), returning how many were filled. An entry whose
-// value slot recycles between the index scan and the arena load is
-// re-read through Get; if the key was deleted meanwhile it is dropped and
-// the index scan resumes past the last visited key to refill the freed
-// slots. A short return therefore always means the range is exhausted,
-// never that churn shrank the page — paging callers (the server's SCAN
-// cursor) treat a short page as end-of-range, so a churn-shrunk page
-// would silently skip every key between the lost entries and the range
-// end.
+// keys/vals (same length), returning how many were filled. An index entry
+// that resolves to no live value — deleted between the index scan and the
+// arena load, or expired (in which case it is retired on the spot) — is
+// dropped, and the index scan resumes past the last visited key to refill
+// the freed positions. A short return therefore always means the range is
+// exhausted, never that churn or expiry shrank the page — paging callers
+// (the server's SCAN cursor) treat a short page as end-of-range, so a
+// shrunk page would silently skip every key between the lost entries and
+// the range end.
 func (s *SortedStrings) Scan(from, to uint64, keys []uint64, vals []string) int {
 	sc := grabStrScratch(len(keys))
 	defer strScratchPool.Put(sc)
@@ -648,22 +279,17 @@ func (s *SortedStrings) Scan(from, to uint64, keys []uint64, vals []string) int 
 	for w < len(keys) {
 		kbuf := keys[w:]
 		slots := sc.slots[:len(kbuf)]
-		n := s.index.Scan(from, to, kbuf, slots)
+		n := s.sorted.Scan(from, to, kbuf, slots)
 		if n == 0 {
 			break
 		}
 		// Read before compaction below may overwrite kbuf[n-1] in place.
 		last := kbuf[n-1]
 		for i := 0; i < n; i++ {
-			v, ok := s.values.Load(slots[i], kbuf[i])
-			if !ok {
-				v, ok = s.Get(kbuf[i])
+			if _, p := s.read(kbuf[i], slots[i], true); p != nil {
+				keys[w], vals[w] = kbuf[i], p.val
+				w++
 			}
-			if !ok {
-				continue // deleted between index scan and load
-			}
-			keys[w], vals[w] = kbuf[i], v
-			w++
 		}
 		if n < len(kbuf) || last >= to {
 			break // the index itself ran out of keys in range
@@ -675,37 +301,23 @@ func (s *SortedStrings) Scan(from, to uint64, keys []uint64, vals []string) int 
 
 // Min returns the smallest live key and its value; ok is false on an
 // empty store.
-func (s *SortedStrings) Min() (uint64, string, bool) {
-	for {
-		k, slot, ok := s.index.Min()
-		if !ok {
-			return 0, "", false
-		}
-		if v, ok := s.values.Load(slot, k); ok {
-			return k, v, true
-		}
-		// Slot recycled mid-read; the key may have moved or gone. Retry
-		// through the scalar path, falling back to a fresh Min if the key
-		// vanished entirely.
-		if v, ok := s.Get(k); ok {
-			return k, v, true
-		}
-	}
-}
+func (s *SortedStrings) Min() (uint64, string, bool) { return s.endpoint(s.sorted.Min) }
 
 // Max returns the largest live key and its value; ok is false on an
 // empty store.
-func (s *SortedStrings) Max() (uint64, string, bool) {
+func (s *SortedStrings) Max() (uint64, string, bool) { return s.endpoint(s.sorted.Max) }
+
+// endpoint resolves the index's current extreme entry to a live value. An
+// entry that vanished or expired under the read (read retires the expired
+// one) leaves a different extreme behind, so the loop asks the index again.
+func (s *SortedStrings) endpoint(extreme func() (key, slot uint64, ok bool)) (uint64, string, bool) {
 	for {
-		k, slot, ok := s.index.Max()
+		k, slot, ok := extreme()
 		if !ok {
 			return 0, "", false
 		}
-		if v, ok := s.values.Load(slot, k); ok {
-			return k, v, true
-		}
-		if v, ok := s.Get(k); ok {
-			return k, v, true
+		if _, p := s.read(k, slot, true); p != nil {
+			return k, p.val, true
 		}
 	}
 }

@@ -511,3 +511,90 @@ func TestSortedStringsScanShortPageMeansExhausted(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestSortedStringsExpiredAreAbsent pins the ordered family's view of TTL
+// under the injected clock: Scan, Min and Max treat an expired pair as
+// absent — retiring it on the way past — and Scan keeps filling its page
+// behind the holes, so a short page still means the range is exhausted.
+func TestSortedStringsExpiredAreAbsent(t *testing.T) {
+	clk := newTestClock(1_000_000_000)
+	s := NewSortedStrings(WithClock(clk.fn()), WithShards(4), WithKeyMax(1<<10), WithoutMaintenance())
+	// Keys 1..200: every third one mortal, plus both extremes.
+	mortal := func(k uint64) bool { return k%3 == 0 || k == 1 || k == 200 }
+	live := 0
+	for k := uint64(1); k <= 200; k++ {
+		if mortal(k) {
+			s.SetEXHashed(k, "mortal", 5)
+		} else {
+			s.Set(k, "stable")
+			live++
+		}
+	}
+	keys, vals := make([]uint64, 16), make([]string, 16)
+
+	// Before the deadline everything is served.
+	if k, _, ok := s.Min(); !ok || k != 1 {
+		t.Fatalf("Min before expiry = %d,%v, want 1", k, ok)
+	}
+	if k, _, ok := s.Max(); !ok || k != 200 {
+		t.Fatalf("Max before expiry = %d,%v, want 200", k, ok)
+	}
+	if n := s.Scan(1, 200, keys, vals); n != len(keys) || keys[0] != 1 || keys[2] != 3 {
+		t.Fatalf("Scan before expiry = %d entries starting %v", n, keys[:3])
+	}
+
+	clk.advance(6 * nsPerSec)
+	if k, v, ok := s.Min(); !ok || k != 2 || v != "stable" {
+		t.Fatalf("Min after expiry = %d,%q,%v, want 2", k, v, ok)
+	}
+	if k, v, ok := s.Max(); !ok || k != 199 || v != "stable" {
+		t.Fatalf("Max after expiry = %d,%q,%v, want 199", k, v, ok)
+	}
+	// Page through with the server's cursor rule: every page but the last
+	// is full although a third of the index entries under it were dead.
+	seen, from := 0, uint64(1)
+	for {
+		n := s.Scan(from, 200, keys, vals)
+		for i := 0; i < n; i++ {
+			if mortal(keys[i]) || vals[i] != "stable" || (i > 0 && keys[i] <= keys[i-1]) {
+				t.Fatalf("Scan served %d=%q at position %d of %v", keys[i], vals[i], i, keys[:n])
+			}
+		}
+		seen += n
+		if n < len(keys) {
+			break
+		}
+		from = keys[n-1] + 1
+	}
+	if seen != live {
+		t.Fatalf("paged Scan saw %d live keys, want %d", seen, live)
+	}
+	// The readers retired what they stepped over: the index holds only
+	// the live keys and the arena gave the dead pairs' bytes back.
+	if got := s.Len(); got != live {
+		t.Fatalf("Len = %d after the scans, want %d", got, live)
+	}
+	if lazy, _, _ := s.TTLStats(); lazy != uint64(200-live) {
+		t.Fatalf("expired_lazy = %d, want %d", lazy, 200-live)
+	}
+	if got, want := s.BytesUsed(), int64(live*(len("stable")+PairOverhead)); got != want {
+		t.Fatalf("BytesUsed = %d, want %d", got, want)
+	}
+
+	// A store whose every entry is dead reads as empty from both ends.
+	clk.advance(1)
+	s.SetEXHashed(500, "last", 1)
+	for k := uint64(1); k <= 200; k++ {
+		s.Del(k)
+	}
+	clk.advance(2 * nsPerSec)
+	if _, _, ok := s.Min(); ok {
+		t.Fatal("Min served an expired sole entry")
+	}
+	if _, _, ok := s.Max(); ok {
+		t.Fatal("Max on an all-expired store")
+	}
+	if n := s.Scan(1, 1<<10, keys, vals); n != 0 {
+		t.Fatalf("Scan of an all-expired store = %d", n)
+	}
+}

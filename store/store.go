@@ -1,25 +1,39 @@
-// Package store lifts the library's resizable OPTIK hash table into a
-// servable subsystem: a Store is a power-of-two set of independent
-// hashmap.Resizable shards behind a 64-bit hash router, with batched
-// multi-key operations, store-wide aggregation, and a single shared
-// maintenance scheduler janitoring the whole fleet.
+// Package store lifts the library's concurrent structures into a servable
+// subsystem, as one stack with one body per behaviour:
 //
-// Sharding is the classic route from a fast table to a served system
+//	shard contract   what a shard must do: point ops, per-shard batches,
+//	                 conditional delete, maintenance. Two structures
+//	                 satisfy it — the resizable OPTIK hash table as is,
+//	                 and the OPTIK skip list plus a striped counter
+//	                 (ordered.go), which additionally scans in key order.
+//	router           data, not code: shard = min((key·mul)>>shift, last).
+//	                 The Fibonacci multiplier gives the hash router, mul=1
+//	                 the range partition.
+//	index core       Store: shards behind the router, one route → gather →
+//	                 shard-batch → scatter helper under every multi-key
+//	                 call, store-wide aggregation, one shared maintenance
+//	                 scheduler. Ordered is the same core over sorted
+//	                 shards, and is the type that carries Scan/Min/Max.
+//	string layer     Strings (values.go, ttl.go): a value arena behind the
+//	                 index with the optimistic validate-and-retry read,
+//	                 per-entry TTL and byte-budget eviction. SortedStrings
+//	                 is the same layer over an Ordered index.
+//
+// Sharding is the classic route from a fast structure to a served system
 // (lock striping over optimistic structures — the design behind the
-// paper's ConcurrentHashMap baseline, scaled out): each shard is its own
-// table with its own per-bucket OPTIK locks, its own striped counter, its
-// own qsbr reclamation pool, and its own incremental resize machinery, so
-// shards never contend on anything — no shared counter cell, no shared
-// migration cursor, no shared free list. A resize migrates one shard's
-// buckets while the other shards serve traffic untouched, which bounds
-// the tail a resize can inflict on the store as a whole.
+// paper's ConcurrentHashMap baseline, scaled out): each shard owns its
+// locks, its striped counter and its qsbr reclamation pool (and, for the
+// tables, its incremental resize machinery), so shards never contend on
+// anything — no shared counter cell, no shared migration cursor, no
+// shared free list. A resize migrates one shard's buckets while the other
+// shards serve traffic untouched, which bounds the tail a resize can
+// inflict on the store as a whole.
 //
 // The fleet shares exactly one piece of infrastructure: the maintenance
-// scheduler (hashmap.Scheduler). One goroutine samples every shard's
+// scheduler (internal/maint). One goroutine samples every shard's
 // activity, quiesces the idle ones, and backs its poll interval off
-// exponentially while the whole fleet sleeps — where per-table janitors
-// would cost a goroutine and a timer per shard, the store costs one of
-// each at any shard count.
+// exponentially while the whole fleet sleeps — the store costs one
+// goroutine and one timer at any shard count.
 //
 // Batched operations (MGet, MSet, MDel) route each key to its shard and
 // then visit each touched shard once, so the per-operation overheads —
@@ -37,25 +51,63 @@ import (
 
 	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/ds/hashmap"
+	"github.com/optik-go/optik/internal/maint"
 )
 
-// Store is a sharded key-value store over uint64 keys and values. All
-// methods are safe for concurrent use. Keys follow the library's range
-// ([ds.MinKey, ds.MaxKey]); values are unrestricted.
+// shard is the contract one partition of the index satisfies. Everything
+// above it — routing, batching, the value layer's expiry and eviction — is
+// written once against this surface; *hashmap.Resizable implements it as
+// is, *orderedShard wraps the skip list to do so. Both are pointer-shaped, so a
+// shard visit costs one itab call and the per-key work behind it is the
+// structure's own.
+type shard interface {
+	maint.Maintainer
+	Search(key uint64) (uint64, bool)
+	Insert(key, val uint64) bool
+	Upsert(key, val uint64) (old uint64, replaced bool)
+	Delete(key uint64) (uint64, bool)
+	// DeleteIfValue removes key only while it maps to val; confirm, when
+	// non-nil, runs under the lock that owns the entry and can veto.
+	DeleteIfValue(key, val uint64, confirm func() bool) bool
+	// The batch forms apply the scalar operation to every key in order
+	// under one reclamation handle; the result slices are at least
+	// len(keys) long, the int is the fresh-insert / hit count.
+	SearchBatch(keys, vals []uint64, found []bool)
+	UpsertBatchEach(keys, vals, old []uint64, replaced []bool) int
+	DeleteBatchEach(keys, old []uint64, found []bool) int
+	Len() int
+	ReclaimStats() (retired, reclaimed, reused uint64)
+	Quiesce()
+}
+
+// Store is a sharded key-value index over uint64 keys and values: the
+// hash-routed form New builds, and the core every other type in the
+// package is made of. All methods are safe for concurrent use. Keys follow
+// the library's range ([ds.MinKey, ds.MaxKey]); values are unrestricted.
 type Store struct {
-	shards []*hashmap.Resizable
-	// shift routes a mixed key to a shard by its top bits: the bucket
-	// index inside a shard uses low-order mix bits, so the two choices
-	// stay independent.
+	shards []shard
+	// The router: shard = min((key*mul)>>shift, last). With the Fibonacci
+	// multiplier it consumes the hash's top bits (the shard tables place
+	// buckets by bits 32 and up of the same product, so a route and a
+	// bucket index never alias for any sane shard × bucket count); with
+	// mul = 1 it is a range partition, and the clamp absorbs keys above
+	// the declared ceiling and a ceiling that is no multiple of the shard
+	// count. A shift of 64 (one shard) routes everything to shard 0.
+	mul   uint64
 	shift uint
-	sched *hashmap.Scheduler
+	last  uint64
+	sched *maint.Scheduler
 }
 
 var _ ds.Set = (*Store)(nil)
 
-// maxShards bounds the shard count; the batch router tracks touched
-// shards in a fixed bitset of this width.
+// maxShards bounds the shard count (and so the batch router's boundary
+// table).
 const maxShards = 256
+
+// fibMul is the Fibonacci multiplicative hash constant the hash router
+// shares with the shard tables' bucket placement.
+const fibMul = 0x9E3779B97F4A7C15
 
 // options collects construction knobs; see the Option helpers.
 type options struct {
@@ -63,17 +115,17 @@ type options struct {
 	shardBuckets int
 	interval     time.Duration
 	maintenance  bool
-	// keyMax bounds the range partition of the ordered store (see
-	// WithKeyMax); the hash-routed New ignores it.
+	// keyMax bounds the range partition of the ordered constructors (see
+	// WithKeyMax); the hash-routed ones ignore it.
 	keyMax uint64
-	// clock and byteBudget configure the value layer's memory governance
-	// (see WithClock/WithByteBudget and store/ttl.go); the index-only New
-	// ignores them.
+	// clock and byteBudget configure the string layer's memory governance
+	// (see WithClock/WithByteBudget and ttl.go); the index-only
+	// constructors ignore them.
 	clock      func() int64
 	byteBudget int64
 }
 
-// Option configures New.
+// Option configures the constructors.
 type Option func(*options)
 
 // WithShards sets the shard count, rounded up to a power of two and
@@ -83,53 +135,48 @@ func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }
 
-// WithShardBuckets sets each shard's initial (and floor) bucket count;
-// the default is 1024. A shard never shrinks below its floor, so this is
-// the provisioned per-shard size.
+// WithShardBuckets sets each hash shard's initial (and floor) bucket
+// count; the default is 1024. A shard never shrinks below its floor, so
+// this is the provisioned per-shard size. Sorted shards have no buckets.
 func WithShardBuckets(n int) Option {
 	return func(o *options) { o.shardBuckets = n }
 }
 
 // WithMaintenanceInterval sets the shared scheduler's base poll interval
-// (default hashmap.DefaultJanitorInterval; it backs off exponentially
-// while the fleet idles).
+// (default maint.DefaultInterval; it backs off exponentially while the
+// fleet idles).
 func WithMaintenanceInterval(d time.Duration) Option {
 	return func(o *options) { o.interval = d }
 }
 
 // WithoutMaintenance builds the store with no background scheduler: the
-// caller owns quiescence (Quiesce, or registering the shards with its own
-// hashmap.Scheduler). Benchmarks isolating the data path use this.
+// caller owns quiescence (Quiesce). Benchmarks isolating the data path
+// use this.
 func WithoutMaintenance() Option {
 	return func(o *options) { o.maintenance = false }
 }
 
-// WithClock injects the nanosecond clock the value layer's TTL machinery
-// reads (NewStrings only). The default is a coarse time.Now cached per
-// maintenance pass and refreshed by TTL-setting operations; tests inject
-// a clock they advance by hand, so every expiry behavior reproduces
-// deterministically — no sleeps.
+// WithClock injects the nanosecond clock the string layer's TTL machinery
+// reads. The default is a coarse time.Now cached per maintenance pass and
+// refreshed by TTL-setting operations; tests inject a clock they advance
+// by hand, so every expiry behavior reproduces deterministically — no
+// sleeps.
 func WithClock(now func() int64) Option {
 	return func(o *options) { o.clock = now }
 }
 
-// WithByteBudget bounds the value layer's approximate live footprint
-// (NewStrings only): when bytes_used exceeds n, the maintenance pass
-// evicts sampled-idle entries until back under. 0 (the default) means
-// unbounded. The budget governs bytes, not elements — the store sheds a
-// few large values or many small ones alike.
+// WithByteBudget bounds the string layer's approximate live footprint:
+// when bytes_used exceeds n, the maintenance pass evicts sampled-idle
+// entries until back under. 0 (the default) means unbounded. The budget
+// governs bytes, not elements — the store sheds a few large values or
+// many small ones alike.
 func WithByteBudget(n int64) Option {
 	return func(o *options) { o.byteBudget = n }
 }
 
-// New returns a Store with every shard registered on one shared
-// maintenance scheduler (unless WithoutMaintenance). Close releases the
-// scheduler goroutine.
-func New(opts ...Option) *Store {
-	o := options{
-		shardBuckets: 1024,
-		maintenance:  true,
-	}
+// newOptions applies opts over the defaults and settles the shard count.
+func newOptions(opts []Option) options {
+	o := options{shardBuckets: 1024, maintenance: true, keyMax: ds.MaxKey}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -140,22 +187,40 @@ func New(opts ...Option) *Store {
 	for n < o.shards && n < maxShards {
 		n <<= 1
 	}
-	// For one shard the shift is 64, which Go defines to route every key
-	// to shard 0.
-	s := &Store{
-		shards: make([]*hashmap.Resizable, n),
-		shift:  uint(64 - bits.TrailingZeros(uint(n))),
+	o.shards = n
+	return o
+}
+
+// newStore assembles the index core: o.shards shards from newShard behind
+// the (mul, shift) router, every shard registered on one shared
+// maintenance scheduler unless o says otherwise.
+func newStore(o options, mul uint64, shift uint, newShard func() shard) Store {
+	s := Store{
+		shards: make([]shard, o.shards),
+		mul:    mul,
+		shift:  shift,
+		last:   uint64(o.shards - 1),
 	}
 	for i := range s.shards {
-		s.shards[i] = hashmap.NewResizable(o.shardBuckets)
+		s.shards[i] = newShard()
 	}
 	if o.maintenance {
-		s.sched = hashmap.NewScheduler(o.interval)
+		s.sched = maint.NewScheduler(o.interval)
 		for _, sh := range s.shards {
 			s.sched.Register(sh)
 		}
 	}
 	return s
+}
+
+// New returns a hash-routed Store over resizable OPTIK hash tables, every
+// shard registered on one shared maintenance scheduler (unless
+// WithoutMaintenance). Close releases the scheduler goroutine.
+func New(opts ...Option) *Store {
+	o := newOptions(opts)
+	s := newStore(o, fibMul, uint(64-bits.TrailingZeros(uint(o.shards))),
+		func() shard { return hashmap.NewResizable(o.shardBuckets) })
+	return &s
 }
 
 // Close stops the shared maintenance scheduler. The shards stay usable —
@@ -167,42 +232,37 @@ func (s *Store) Close() {
 	}
 }
 
-// mix is the same Fibonacci multiplicative hash the shard tables use for
-// bucket placement; the router consumes its top bits, the tables bits
-// 32 and up, so a route and a bucket index never alias for any sane
-// shard/bucket count (shards × buckets up to 2^32).
-func mix(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 }
-
-// shardFor routes a key to its shard.
-func (s *Store) shardFor(key uint64) *hashmap.Resizable {
-	return s.shards[mix(key)>>s.shift]
+// shardID routes a key to its shard.
+func (s *Store) shardID(key uint64) uint64 {
+	return min(key*s.mul>>s.shift, s.last)
 }
 
 // Get returns the value stored under key, if present. Lock-free, like the
 // shard's Search.
 func (s *Store) Get(key uint64) (uint64, bool) {
-	return s.shardFor(key).Search(key)
+	return s.shards[s.shardID(key)].Search(key)
 }
 
-// Set stores key→val, inserting or replacing, and returns the previous
-// value and whether one was replaced — the upsert a serving store needs
-// (contrast Insert, the paper's set semantics).
+// Set stores key→val, inserting or replacing in place, and returns the
+// previous value and whether one was replaced — the upsert a serving store
+// needs (contrast Insert, the paper's set semantics).
 func (s *Store) Set(key, val uint64) (uint64, bool) {
-	return s.shardFor(key).Upsert(key, val)
+	return s.shards[s.shardID(key)].Upsert(key, val)
 }
 
 // Del removes key, returning its value, if present.
 func (s *Store) Del(key uint64) (uint64, bool) {
-	return s.shardFor(key).Delete(key)
+	return s.shards[s.shardID(key)].Delete(key)
 }
 
 // DelIfValue removes key only while it still maps to val; confirm, when
-// non-nil, runs under the owning bucket's lock after the value check and
-// can veto the removal. The value layer's expiry/eviction retirement uses
-// it to splice out exactly the slot it judged dead, never a recycled
-// successor that reused the same slot for the same hash.
+// non-nil, runs under the lock owning the entry (the table's bucket lock,
+// the skip list's tower lock) after the value check and can veto the
+// removal. The value layer's expiry/eviction retirement uses it to splice
+// out exactly the slot it judged dead, never a recycled successor that
+// reused the same slot for the same key.
 func (s *Store) DelIfValue(key, val uint64, confirm func() bool) bool {
-	return s.shardFor(key).DeleteIfValue(key, val, confirm)
+	return s.shards[s.shardID(key)].DeleteIfValue(key, val, confirm)
 }
 
 // Search implements ds.Set (alias of Get), so the workload drivers and
@@ -211,7 +271,7 @@ func (s *Store) Search(key uint64) (uint64, bool) { return s.Get(key) }
 
 // Insert implements ds.Set: strict insert-if-absent.
 func (s *Store) Insert(key, val uint64) bool {
-	return s.shardFor(key).Insert(key, val)
+	return s.shards[s.shardID(key)].Insert(key, val)
 }
 
 // Delete implements ds.Set (alias of Del).
@@ -231,11 +291,20 @@ func (s *Store) Len() int {
 // Shards returns the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
 
+// resizer is the monitoring surface of shards that resize (the hash
+// tables); a store of sorted shards reads 0 for both.
+type resizer interface {
+	Buckets() int
+	Resizes() int
+}
+
 // Buckets sums the shards' current bucket counts (racy; for monitoring).
 func (s *Store) Buckets() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.Buckets()
+		if r, ok := sh.(resizer); ok {
+			n += r.Buckets()
+		}
 	}
 	return n
 }
@@ -244,13 +313,16 @@ func (s *Store) Buckets() int {
 func (s *Store) Resizes() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.Resizes()
+		if r, ok := sh.(resizer); ok {
+			n += r.Resizes()
+		}
 	}
 	return n
 }
 
-// ReclaimStats sums the shards' chain-node reclamation counters (racy
-// snapshot; for monitoring).
+// ReclaimStats sums the shards' index-node reclamation counters — chain
+// nodes of the tables, towers of the skip lists (racy snapshot; for
+// monitoring).
 func (s *Store) ReclaimStats() (retired, reclaimed, reused uint64) {
 	for _, sh := range s.shards {
 		a, b, c := sh.ReclaimStats()
@@ -262,221 +334,147 @@ func (s *Store) ReclaimStats() (retired, reclaimed, reused uint64) {
 }
 
 // Quiesce drives every shard's maintenance home: in-flight migrations
-// completed, pending resizes settled. Operators normally never call it —
-// the shared scheduler does — but workload phase transitions and tests
-// want the determinism.
+// completed, pending resizes settled, retired nodes swept onto the free
+// lists. Operators normally never call it — the shared scheduler does —
+// but workload phase transitions and tests want the determinism.
 func (s *Store) Quiesce() {
 	for _, sh := range s.shards {
 		sh.Quiesce()
 	}
 }
 
+// batchOp names the shard batch a multi-key call drives.
+type batchOp uint8
+
+const (
+	opSearch batchOp = iota
+	opUpsert
+	opDelete
+)
+
+// run applies op to one shard: the single itab call of a shard visit.
+func (op batchOp) run(sh shard, keys, in, out []uint64, flags []bool) int {
+	switch op {
+	case opSearch:
+		sh.SearchBatch(keys, out, flags)
+		return 0
+	case opUpsert:
+		return sh.UpsertBatchEach(keys, in, out, flags)
+	default:
+		return sh.DeleteBatchEach(keys, out, flags)
+	}
+}
+
 // batchScratch is the reusable routing state of one batched call: the
-// per-key shard ids and the per-shard gather slices. Batches borrow one
-// from a pool keyed by nothing — under a steady per-goroutine batch rate
-// the same goroutine gets its scratch back (sync.Pool is per-P) — so
-// large batches route allocation-free instead of costing two slices per
-// call (the ROADMAP's batch-routing item).
+// keys (and inputs) regrouped by shard, the shard batches' results in the
+// same grouped order, each key's position in that order, and the shard
+// boundaries. Batches borrow one from a pool keyed by nothing — under a
+// steady per-goroutine batch rate the same goroutine gets its scratch back
+// (sync.Pool is per-P) — so large batches route allocation-free.
 type batchScratch struct {
-	ids     []uint8
-	subKeys []uint64
-	subVals []uint64
-	// Per-key-result gather buffers (MSetEach/MDelEach): shard-batch
-	// outputs land here and scatter back to the caller's arrays.
-	subOld   []uint64
-	subFound []bool
+	keys, in, out []uint64
+	flags         []bool
+	pos           []int32
+	bound         [maxShards + 1]int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// route computes every key's shard once (shard ids fit a byte: maxShards
-// is 256) and the touched-shard bitset into sc.ids, so the per-shard
-// gather passes below compare bytes instead of recomputing the hash
-// route — the rescan is O(touchedShards × len(keys)) byte compares, the
-// routing itself O(len(keys)).
-func (s *Store) route(keys []uint64, sc *batchScratch) ([]uint8, shardSet) {
-	if cap(sc.ids) < len(keys) {
-		sc.ids = make([]uint8, len(keys))
+// batch is the one body under every multi-key call: op applied to every
+// key, each touched shard visited exactly once. in carries the per-key
+// input (values to store; nil otherwise); out and flags receive the
+// per-key results (value found / replaced / removed, and whether there was
+// one) and may both be nil when the caller wants only the returned count
+// of fresh inserts or hits. With one shard — and a caller-supplied result
+// space — the call goes straight to the shard batch. Otherwise the keys
+// are regrouped by shard with a counting sort (route and count, prefix-sum
+// the shard boundaries, route again and place), each non-empty group runs
+// as one shard batch, and the results scatter back through the recorded
+// positions: O(len(keys) + shards), no data-dependent branch per key. The
+// sort is stable and a duplicate key always routes to the same shard, so
+// within a shard keys apply in arrival order and duplicates behave exactly
+// as the sequential scalar calls would.
+func (s *Store) batch(op batchOp, keys, in, out []uint64, flags []bool) int {
+	single := len(s.shards) == 1
+	if single && out != nil {
+		return op.run(s.shards[0], keys, in, out, flags)
 	}
-	ids := sc.ids[:len(keys)]
-	var touched shardSet
+	n := len(keys)
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	if cap(sc.keys) < n {
+		sc.keys, sc.in, sc.out = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		sc.flags, sc.pos = make([]bool, n), make([]int32, n)
+	}
+	if single {
+		return op.run(s.shards[0], keys, in, sc.out[:n], sc.flags[:n])
+	}
+	// bound[id] counts up from shard id's first position to its end as the
+	// keys are placed; bound[len(shards)] absorbs the counting pass's +1
+	// offset.
+	bound := sc.bound[:len(s.shards)+1]
+	clear(bound)
+	for _, k := range keys {
+		bound[s.shardID(k)+1]++
+	}
+	for id := 1; id < len(bound); id++ {
+		bound[id] += bound[id-1]
+	}
+	pos := sc.pos[:n]
 	for i, k := range keys {
-		id := uint8(mix(k) >> s.shift)
-		ids[i] = id
-		touched.add(int(id))
+		id := s.shardID(k)
+		p := bound[id]
+		bound[id] = p + 1
+		pos[i] = p
+		sc.keys[p] = k
+		if in != nil {
+			sc.in[p] = in[i]
+		}
 	}
-	return ids, touched
+	total, lo := 0, int32(0)
+	for id, sh := range s.shards {
+		if hi := bound[id]; hi > lo {
+			total += op.run(sh, sc.keys[lo:hi], sc.in[lo:hi], sc.out[lo:hi], sc.flags[lo:hi])
+			lo = hi
+		}
+	}
+	if out != nil {
+		for i, p := range pos {
+			out[i], flags[i] = sc.out[p], sc.flags[p]
+		}
+	}
+	return total
 }
-
-// shardSet is the touched-shards bitset of a batch route.
-type shardSet [maxShards / 64]uint64
-
-func (b *shardSet) add(i int)      { b[i>>6] |= 1 << (i & 63) }
-func (b *shardSet) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 
 // MGet looks up every keys[i], storing the value into vals[i] and
 // presence into found[i]; vals and found must be at least len(keys) long.
-// Keys are served in shard groups so each touched shard is visited once
-// with its buckets hot.
 func (s *Store) MGet(keys, vals []uint64, found []bool) {
-	if len(s.shards) == 1 {
-		s.shards[0].SearchBatch(keys, vals, found)
-		return
-	}
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.route(keys, sc)
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		sh := s.shards[si]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				vals[i], found[i] = sh.Search(k)
-			}
-		}
-	}
-	scratchPool.Put(sc)
+	s.batch(opSearch, keys, nil, vals, found)
 }
 
 // MSet applies Set(keys[i], vals[i]) for every i, returning how many keys
-// were newly inserted. Each touched shard is visited once, amortizing the
-// reclamation handle and migration help over the keys that landed on it.
+// were newly inserted.
 func (s *Store) MSet(keys, vals []uint64) int {
-	if len(s.shards) == 1 {
-		return s.shards[0].UpsertBatch(keys, vals)
-	}
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.route(keys, sc)
-	inserted := 0
-	subKeys, subVals := sc.subKeys, sc.subVals
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		subKeys, subVals = subKeys[:0], subVals[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				subKeys = append(subKeys, k)
-				subVals = append(subVals, vals[i])
-			}
-		}
-		inserted += s.shards[si].UpsertBatch(subKeys, subVals)
-	}
-	sc.subKeys, sc.subVals = subKeys, subVals
-	scratchPool.Put(sc)
-	return inserted
+	return s.batch(opUpsert, keys, vals, nil, nil)
 }
 
 // MSetEach is MSet with per-key results: old[i] receives the value
 // keys[i] replaced and replaced[i] whether one existed; the return value
 // still counts fresh inserts. old and replaced must be at least
-// len(keys) long. The value layer (store.Strings) and the server's
-// pipelined SET replies both need the per-key outcomes, which plain MSet
-// folds away. Within one shard keys apply in arrival order, so duplicate
-// keys behave exactly as sequential Sets (a duplicate always routes to
-// the same shard).
+// len(keys) long. The value layer and the server's pipelined SET replies
+// both need the per-key outcomes, which plain MSet folds away.
 func (s *Store) MSetEach(keys, vals, old []uint64, replaced []bool) int {
-	if len(s.shards) == 1 {
-		return s.shards[0].UpsertBatchEach(keys, vals, old, replaced)
-	}
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.route(keys, sc)
-	if cap(sc.subOld) < len(keys) {
-		sc.subOld = make([]uint64, len(keys))
-		sc.subFound = make([]bool, len(keys))
-	}
-	inserted := 0
-	subKeys, subVals := sc.subKeys, sc.subVals
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		subKeys, subVals = subKeys[:0], subVals[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				subKeys = append(subKeys, k)
-				subVals = append(subVals, vals[i])
-			}
-		}
-		subOld, subRepl := sc.subOld[:len(subKeys)], sc.subFound[:len(subKeys)]
-		inserted += s.shards[si].UpsertBatchEach(subKeys, subVals, subOld, subRepl)
-		j := 0
-		for i := range keys {
-			if ids[i] == uint8(si) {
-				old[i], replaced[i] = subOld[j], subRepl[j]
-				j++
-			}
-		}
-	}
-	sc.subKeys, sc.subVals = subKeys, subVals
-	scratchPool.Put(sc)
-	return inserted
+	return s.batch(opUpsert, keys, vals, old, replaced)
+}
+
+// MDel deletes every key, returning how many were present.
+func (s *Store) MDel(keys []uint64) int {
+	return s.batch(opDelete, keys, nil, nil, nil)
 }
 
 // MDelEach is MDel with per-key results: old[i] receives the removed
 // value and found[i] whether keys[i] was present; the return value still
 // counts hits. old and found must be at least len(keys) long.
 func (s *Store) MDelEach(keys, old []uint64, found []bool) int {
-	if len(s.shards) == 1 {
-		return s.shards[0].DeleteBatchEach(keys, old, found)
-	}
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.route(keys, sc)
-	if cap(sc.subOld) < len(keys) {
-		sc.subOld = make([]uint64, len(keys))
-		sc.subFound = make([]bool, len(keys))
-	}
-	deleted := 0
-	sub := sc.subKeys
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		sub = sub[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				sub = append(sub, k)
-			}
-		}
-		subOld, subFound := sc.subOld[:len(sub)], sc.subFound[:len(sub)]
-		deleted += s.shards[si].DeleteBatchEach(sub, subOld, subFound)
-		j := 0
-		for i := range keys {
-			if ids[i] == uint8(si) {
-				old[i], found[i] = subOld[j], subFound[j]
-				j++
-			}
-		}
-	}
-	sc.subKeys = sub
-	scratchPool.Put(sc)
-	return deleted
-}
-
-// MDel deletes every key, returning how many were present. Each touched
-// shard is visited once.
-func (s *Store) MDel(keys []uint64) int {
-	if len(s.shards) == 1 {
-		return s.shards[0].DeleteBatch(keys)
-	}
-	sc := scratchPool.Get().(*batchScratch)
-	ids, touched := s.route(keys, sc)
-	deleted := 0
-	sub := sc.subKeys
-	for si := range s.shards {
-		if !touched.has(si) {
-			continue
-		}
-		sub = sub[:0]
-		for i, k := range keys {
-			if ids[i] == uint8(si) {
-				sub = append(sub, k)
-			}
-		}
-		deleted += s.shards[si].DeleteBatch(sub)
-	}
-	sc.subKeys = sub
-	scratchPool.Put(sc)
-	return deleted
+	return s.batch(opDelete, keys, nil, old, found)
 }

@@ -246,8 +246,8 @@ func TestStoreSchedulerReturnsFleetToFloor(t *testing.T) {
 	// Every shard must have grown well past its floor for the drain to
 	// mean anything.
 	for i, sh := range s.shards {
-		if sh.Buckets() <= floor {
-			t.Fatalf("shard %d never grew (%d buckets)", i, sh.Buckets())
+		if got := sh.(resizer).Buckets(); got <= floor {
+			t.Fatalf("shard %d never grew (%d buckets)", i, got)
 		}
 	}
 	for g := uint64(0); g < workers; g++ {
@@ -271,7 +271,7 @@ func TestStoreSchedulerReturnsFleetToFloor(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for i, sh := range s.shards {
-		if got := sh.Buckets(); got != floor {
+		if got := sh.(resizer).Buckets(); got != floor {
 			t.Errorf("shard %d: buckets = %d after idle drain, want the %d floor", i, got, floor)
 		}
 	}

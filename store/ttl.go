@@ -6,9 +6,11 @@
 // pair, and a reader validates it lazily exactly where it already
 // validates the pair's hash against slot recycling — an expired pair is a
 // miss, and the dead slot retires through the index's conditional-delete
-// splice (DelIfValue, confirmed by pair identity under the bucket lock,
-// so a recycled slot that reuses the same handle for the same hash is
-// never mistaken for the entry that expired). Readers of TTL-less entries
+// splice (DelIfValue, confirmed by pair identity under the lock owning the
+// index entry, so a recycled slot that reuses the same handle for the same
+// key is never mistaken for the entry that expired). The index core makes
+// that splice available on every shard kind, so nothing here knows whether
+// the store is hash-routed or sorted. Readers of TTL-less entries
 // pay one predictable branch; nothing on the hot path ever blocks on the
 // clock or the sweeper.
 //
@@ -31,6 +33,7 @@ package store
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -80,31 +83,6 @@ const (
 	// evictSampleK victims).
 	evictHandRounds = 4
 )
-
-// initTTL wires the governance layer into a freshly built Strings: seeds
-// the sweep rng and the cached clock, and registers the maintenance hook
-// on the index's shared scheduler (when one exists — WithoutMaintenance
-// stores are driven via Quiesce).
-func (s *Strings) initTTL() {
-	s.sweepRng = 0x9E3779B97F4A7C15
-	s.handRng.Store(0x6A09E667F3BCC909)
-	if s.clock == nil {
-		s.cachedNow.Store(time.Now().UnixNano())
-	}
-	if s.index.sched != nil {
-		s.index.sched.Register(ttlMaintainer{s})
-	}
-}
-
-// now is the read-path clock: the injected clock, or the coarse cached
-// time.Now the maintenance pass refreshes. Reads never pay a syscall, at
-// the cost of entries expiring up to one pass interval late.
-func (s *Strings) now() int64 {
-	if s.clock != nil {
-		return s.clock()
-	}
-	return s.cachedNow.Load()
-}
 
 // nowFresh is the write-path clock for TTL-setting operations and TTL
 // itself: a fresh time.Now (cached for subsequent reads), or the injected
@@ -166,11 +144,7 @@ func (s *Strings) SetEX(key, value string, secs int64) bool {
 
 // SetEXHashed is SetEX for a pre-hashed key.
 func (s *Strings) SetEXHashed(k uint64, value string, secs int64) bool {
-	slot := s.values.put(k, value, s.deadlineFor(secs), s.epoch.Load())
-	old, replaced := s.index.Set(k, slot)
-	live := replaced && !s.releaseChecked(old)
-	s.evictHand()
-	return live
+	return s.set(k, value, s.deadlineFor(secs))
 }
 
 // Expire sets key's TTL to secs seconds from now, returning whether the
@@ -196,36 +170,9 @@ func (s *Strings) ExpireAt(key string, deadline int64) bool {
 	return s.ExpireAtHashed(HashKey(key), deadline)
 }
 
-// ExpireAtHashed is ExpireAt for a pre-hashed key. The loop is the OPTIK
-// shape again: read the slot, build a replacement pair carrying the new
-// deadline, publish by pointer CAS. Pair pointers are never reused, so
-// the CAS cannot ABA; a recycled slot always fails it and the lap
-// restarts through the index. Expired pairs are never re-armed — they
-// retire, keeping an expired pair's identity stable for the confirm
-// callbacks that splice it out.
+// ExpireAtHashed is ExpireAt for a pre-hashed key.
 func (s *Strings) ExpireAtHashed(k uint64, deadline int64) bool {
-	if deadline <= 0 {
-		deadline = 1
-	}
-	for {
-		slot, ok := s.index.Get(k)
-		if !ok {
-			return false
-		}
-		p := s.values.loadPair(slot)
-		if p == nil || p.hash != k {
-			continue
-		}
-		if s.expiredNow(p) {
-			s.retireExpired(k, slot, p)
-			return false
-		}
-		np := &pair{hash: k, val: p.val, deadline: deadline}
-		np.touched.Store(p.touched.Load())
-		if s.values.casPair(slot, p, np) {
-			return true
-		}
-	}
+	return s.setDeadline(k, max(deadline, 1))
 }
 
 // Persist clears key's TTL, returning true only if the key was live and
@@ -236,23 +183,25 @@ func (s *Strings) Persist(key string) bool {
 
 // PersistHashed is Persist for a pre-hashed key.
 func (s *Strings) PersistHashed(k uint64) bool {
+	return s.setDeadline(k, 0)
+}
+
+// setDeadline re-arms (deadline > 0) or clears (0) k's TTL, reporting
+// whether a live pair's deadline actually changed hands — clearing a TTL
+// the pair never carried reports false. The loop is the OPTIK shape again:
+// read the live pair, build a replacement carrying the new deadline,
+// publish by pointer CAS. Pair pointers are never reused, so the CAS
+// cannot ABA; a recycled slot always fails it and the lap restarts through
+// the index. Expired pairs are never re-armed — the read retires them —
+// keeping an expired pair's identity stable for the confirm callbacks that
+// splice it out.
+func (s *Strings) setDeadline(k uint64, deadline int64) bool {
 	for {
-		slot, ok := s.index.Get(k)
-		if !ok {
+		slot, p := s.lookup(k)
+		if p == nil || (deadline == 0 && p.deadline == 0) {
 			return false
 		}
-		p := s.values.loadPair(slot)
-		if p == nil || p.hash != k {
-			continue
-		}
-		if s.expiredNow(p) {
-			s.retireExpired(k, slot, p)
-			return false
-		}
-		if p.deadline == 0 {
-			return false
-		}
-		np := &pair{hash: k, val: p.val}
+		np := &pair{hash: k, val: p.val, deadline: deadline}
 		np.touched.Store(p.touched.Load())
 		if s.values.casPair(slot, p, np) {
 			return true
@@ -268,27 +217,18 @@ func (s *Strings) TTL(key string) int64 {
 
 // TTLHashed is TTL for a pre-hashed key. It reads a fresh clock — an
 // operator asking "how long has this left" deserves better than the
-// pass-coarse cache.
+// pass-coarse cache — and reads it BEFORE the lookup, so a pair the
+// (later) lookup judges live always has time left at that reading.
 func (s *Strings) TTLHashed(k uint64) int64 {
 	now := s.nowFresh()
-	for {
-		slot, ok := s.index.Get(k)
-		if !ok {
-			return -2
-		}
-		p := s.values.loadPair(slot)
-		if p == nil || p.hash != k {
-			continue
-		}
-		if p.expiredAt(now) {
-			s.retireExpired(k, slot, p)
-			return -2
-		}
-		if p.deadline == 0 {
-			return -1
-		}
-		return (p.deadline - now + nsPerSec - 1) / nsPerSec
+	_, p := s.lookup(k)
+	switch {
+	case p == nil:
+		return -2
+	case p.deadline == 0:
+		return -1
 	}
+	return (p.deadline - now + nsPerSec - 1) / nsPerSec
 }
 
 // BytesUsed returns the store's approximate live footprint in bytes.
@@ -303,26 +243,20 @@ func (s *Strings) TTLStats() (expiredLazy, expiredSwept, evicted uint64) {
 	return s.expiredLazy.Load(), s.expiredSwept.Load(), s.evicted.Load()
 }
 
-// retireExpired splices an expired entry out on behalf of the reader that
-// tripped over it: remove k's index entry only if it still maps to slot
-// AND slot still holds exactly the pair judged expired (confirmed under
-// the bucket lock — a concurrent delete+insert can recycle the slot for
-// the same hash, and an unconditional delete here would kill that live
-// successor). Losing the race means someone else already retired it; the
-// read stays a miss either way.
-func (s *Strings) retireExpired(k, slot uint64, p *pair) {
-	if s.index.DelIfValue(k, slot, func() bool { return s.values.loadPair(slot) == p }) {
-		s.values.Release(slot)
-		s.expiredLazy.Add(1)
+// retire splices out an entry judged dead — expired, or sampled for
+// eviction — counting it on counter: remove the pair's key from the index
+// only if it still maps to slot AND slot still holds exactly this pair
+// (confirmed under the lock owning the index entry — a concurrent
+// delete+insert can recycle the slot for the same key, and an
+// unconditional delete here would kill that live successor). Losing the
+// race means someone else already retired or replaced it.
+func (s *Strings) retire(slot uint64, p *pair, counter *atomic.Uint64) bool {
+	if !s.index.DelIfValue(p.hash, slot, func() bool { return s.values.loadPair(slot) == p }) {
+		return false
 	}
-}
-
-// retireSwept is retireExpired for the background sweep's counter.
-func (s *Strings) retireSwept(slot uint64, p *pair) {
-	if s.index.DelIfValue(p.hash, slot, func() bool { return s.values.loadPair(slot) == p }) {
-		s.values.Release(slot)
-		s.expiredSwept.Add(1)
-	}
+	s.values.Release(slot)
+	counter.Add(1)
+	return true
 }
 
 // ttlMaintainer adapts the store's governance pass to the shared
@@ -348,11 +282,6 @@ func (m ttlMaintainer) MaintainIdle(cancel <-chan struct{}) {
 // capped per call so the pass never blocks a busy store's scheduler slot.
 func (m ttlMaintainer) MaintainBusy() {
 	m.s.maintainPass(nil, evictBusyMax)
-}
-
-// maintain is the synchronous full pass Quiesce drives home.
-func (s *Strings) maintain(cancel <-chan struct{}) {
-	s.maintainPass(cancel, 0)
 }
 
 // maintainPass is one governance round: refresh the coarse clock, tick
@@ -382,7 +311,7 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 		slot := s.sweepCursor % limit
 		s.sweepCursor++
 		if p := s.values.loadPair(slot); p != nil && p.expiredAt(now) {
-			s.retireSwept(slot, p)
+			s.retire(slot, p, &s.expiredSwept)
 		}
 	}
 	if s.budget == 0 {
@@ -433,7 +362,7 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 // convergence). rng is caller-owned xorshift state — the sweeper passes
 // its maintMu-guarded field, write-path hands a private local — so
 // concurrent rounds never race; every retirement below it is a
-// thread-safe confirmed delete.
+// thread-safe confirmed delete (retire).
 func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, limit uint64, aggressive bool) int {
 	var best *pair
 	var bestSlot uint64
@@ -450,7 +379,7 @@ func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, limit uint64
 		}
 		live++
 		if p.expiredAt(now) {
-			s.retireSwept(slot, p)
+			s.retire(slot, p, &s.expiredSwept)
 			continue
 		}
 		// Wraparound guard: an entry touched after this round snapshotted
@@ -463,7 +392,7 @@ func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, limit uint64
 			age = 0
 		}
 		if aggressive && age >= aggressiveMinAge {
-			if s.evictOne(slot, p) {
+			if s.retire(slot, p, &s.evicted) {
 				evicted++
 			}
 			continue
@@ -472,21 +401,10 @@ func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, limit uint64
 			best, bestSlot, bestAge = p, slot, age
 		}
 	}
-	if evicted == 0 && best != nil && s.evictOne(bestSlot, best) {
+	if evicted == 0 && best != nil && s.retire(bestSlot, best, &s.evicted) {
 		evicted = 1
 	}
 	return evicted
-}
-
-// evictOne retires one victim through the same confirmed conditional
-// delete as expiry (see retireExpired for the recycling race it guards).
-func (s *Strings) evictOne(slot uint64, p *pair) bool {
-	if s.index.DelIfValue(p.hash, slot, func() bool { return s.values.loadPair(slot) == p }) {
-		s.values.Release(slot)
-		s.evicted.Add(1)
-		return true
-	}
-	return false
 }
 
 // evictHand is the write path's bounded governance hand: an insert that

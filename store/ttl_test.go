@@ -113,15 +113,37 @@ func (r *ttlRef) ttl(key string) int64 {
 	return (e.deadline - r.now() + nsPerSec - 1) / nsPerSec
 }
 
+// stringsCtors are the string layer's two constructors. The layer is one
+// body over either index, so every TTL and eviction suite below runs
+// against both rather than keeping an ordered twin: the sorted row drives
+// the same string-keyed surface through the embedded Strings (the hashed
+// keys land across the range partition like any other uint64s).
+var stringsCtors = []struct {
+	name string
+	new  func(...Option) *Strings
+}{
+	{"hash", NewStrings},
+	{"sorted", func(opts ...Option) *Strings { return &NewSortedStrings(opts...).Strings }},
+}
+
+// eachStrings runs body once per constructor.
+func eachStrings(t *testing.T, body func(*testing.T, func(...Option) *Strings)) {
+	for _, c := range stringsCtors {
+		t.Run(c.name, func(t *testing.T) { body(t, c.new) })
+	}
+}
+
 // TestTTLProperty drives randomized TTL op sequences against the
 // reference model under the injected clock, checking every return value
 // and, periodically, full observable equivalence over the key space.
-func TestTTLProperty(t *testing.T) {
+func TestTTLProperty(t *testing.T) { eachStrings(t, testTTLProperty) }
+
+func testTTLProperty(t *testing.T, newStrings func(...Option) *Strings) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			clk := newTestClock(1_000_000_000)
-			s := NewStrings(WithClock(clk.fn()), WithShards(4), WithShardBuckets(16), WithoutMaintenance())
+			s := newStrings(WithClock(clk.fn()), WithShards(4), WithShardBuckets(16), WithoutMaintenance())
 			ref := newTTLRef(clk.fn())
 			r := rng.NewXorshift(seed)
 			const keySpace = 32
@@ -199,9 +221,11 @@ func TestTTLProperty(t *testing.T) {
 }
 
 // TestTTLSemanticsEdges pins the documented edge semantics one by one.
-func TestTTLSemanticsEdges(t *testing.T) {
+func TestTTLSemanticsEdges(t *testing.T) { eachStrings(t, testTTLSemanticsEdges) }
+
+func testTTLSemanticsEdges(t *testing.T, newStrings func(...Option) *Strings) {
 	clk := newTestClock(1_000_000_000)
-	s := NewStrings(WithClock(clk.fn()), WithShards(1), WithoutMaintenance())
+	s := newStrings(WithClock(clk.fn()), WithShards(1), WithoutMaintenance())
 
 	// Expire on a missing key reports false and creates nothing.
 	if s.Expire("missing", 10) {
@@ -287,9 +311,11 @@ func TestTTLSemanticsEdges(t *testing.T) {
 
 // TestTTLMGetBatchExpiry pins the batched read path: expired entries are
 // misses in MGet exactly as in Get, and live ones still serve.
-func TestTTLMGetBatchExpiry(t *testing.T) {
+func TestTTLMGetBatchExpiry(t *testing.T) { eachStrings(t, testTTLMGetBatchExpiry) }
+
+func testTTLMGetBatchExpiry(t *testing.T, newStrings func(...Option) *Strings) {
 	clk := newTestClock(1_000_000_000)
-	s := NewStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance())
+	s := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance())
 	keys := make([]string, 8)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
@@ -323,9 +349,11 @@ func TestTTLMGetBatchExpiry(t *testing.T) {
 // TestTTLByteAccounting pins the byte counter: exact on a quiescent
 // store, charged at put, credited at release — including releases driven
 // by expiry and by the sweep.
-func TestTTLByteAccounting(t *testing.T) {
+func TestTTLByteAccounting(t *testing.T) { eachStrings(t, testTTLByteAccounting) }
+
+func testTTLByteAccounting(t *testing.T, newStrings func(...Option) *Strings) {
 	clk := newTestClock(1_000_000_000)
-	s := NewStrings(WithClock(clk.fn()), WithShards(1), WithoutMaintenance())
+	s := newStrings(WithClock(clk.fn()), WithShards(1), WithoutMaintenance())
 	if got := s.BytesUsed(); got != 0 {
 		t.Fatalf("empty store BytesUsed = %d", got)
 	}
@@ -377,7 +405,9 @@ func TestTTLByteAccounting(t *testing.T) {
 // TestByteBudgetEviction pins the budget enforcement: exceed the budget,
 // run the governance pass, land at or under it — and prefer evicting
 // cold entries over recently touched ones.
-func TestByteBudgetEviction(t *testing.T) {
+func TestByteBudgetEviction(t *testing.T) { eachStrings(t, testByteBudgetEviction) }
+
+func testByteBudgetEviction(t *testing.T, newStrings func(...Option) *Strings) {
 	clk := newTestClock(1_000_000_000)
 	const (
 		valLen = 100
@@ -387,7 +417,7 @@ func TestByteBudgetEviction(t *testing.T) {
 		fill   = 60
 		budget = int64(perKey * 100) // room for 100 of the 150 keys
 	)
-	s := NewStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance(), WithByteBudget(budget))
+	s := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance(), WithByteBudget(budget))
 	val := make([]byte, valLen)
 	for i := range val {
 		val[i] = 'v'

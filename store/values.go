@@ -1,8 +1,9 @@
-// String values for the uint64 store, lifted out of examples/kvstore so
-// the network server and the example share one implementation: a Store
-// maps a key's 64-bit hash to a *handle* — a slot number in a chunked
-// value arena — and the arena holds one atomic pointer per slot to an
-// immutable {hash, value} pair. There is no lock anywhere on the
+// The string layer: string values over the uint64 index core, one
+// implementation under the hash-routed Strings and the range-partitioned
+// SortedStrings alike. The index maps a key (a string key's 64-bit hash,
+// or the uint64 key itself on the sorted store) to a *handle* — a slot
+// number in a chunked value arena — and the arena holds one atomic pointer
+// per slot to an immutable {hash, value} pair. There is no lock anywhere on the
 // GET/SET/DEL path; the read-under-reuse race that handle recycling
 // creates is resolved the OPTIK way, by validation instead of
 // pessimism:
@@ -22,6 +23,7 @@ package store
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/optik-go/optik/ds/stack"
 	"github.com/optik-go/optik/internal/core"
@@ -130,8 +132,8 @@ func (v *Values) put(hash uint64, val string, deadline int64, epoch uint32) uint
 }
 
 // loadPair returns the pair currently in slot (nil before the slot's
-// chunk exists). Callers validate hash — and, with TTL in play, pointer
-// identity — exactly as Load does.
+// chunk exists, or once the slot is freed). Callers validate hash — and,
+// with TTL in play, pointer identity.
 func (v *Values) loadPair(slot uint64) *pair {
 	c := v.chunks[slot>>valueChunkBits].Load()
 	if c == nil {
@@ -158,7 +160,7 @@ func (v *Values) Bytes() int64 { return v.bytes.Sum() }
 // the caller read the handle; the caller restarts through its index (the
 // OPTIK validate-and-retry, lifted to the value layer).
 func (v *Values) Load(slot, hash uint64) (string, bool) {
-	p := v.chunks[slot>>valueChunkBits].Load()[slot&(valueChunkSize-1)].Load()
+	p := v.loadPair(slot)
 	if p == nil || p.hash != hash {
 		return "", false
 	}
@@ -242,12 +244,16 @@ func clampHash(v uint64) uint64 {
 	return v
 }
 
-// Strings maps string keys to string values: a sharded OPTIK index from
-// key hashes to value handles in a Values arena. It is the string-valued
-// face of the Store — examples/kvstore runs it in-process and the server
-// package serves it over TCP. Distinct keys whose hashes collide alias to
-// one entry; with 64-bit FNV-1a that needs ~2^32 live keys to become
-// likely, far beyond the arena's capacity.
+// Strings is the string layer over an index core: string values (and,
+// through HashKey, string keys) on a sharded index from uint64 keys to
+// value handles in a Values arena, with per-entry TTL and byte-budget
+// eviction (ttl.go). The *Hashed methods are the layer itself — they take
+// the index key directly; the string-keyed forms hash first. NewStrings
+// builds it over the hash-routed Store — examples/kvstore runs that
+// in-process and the server package serves it over TCP — and
+// NewSortedStrings over an Ordered index. Distinct string keys whose
+// hashes collide alias to one entry; with 64-bit FNV-1a that needs ~2^32
+// live keys to become likely, far beyond the arena's capacity.
 type Strings struct {
 	index  *Store
 	values *Values
@@ -278,25 +284,35 @@ type Strings struct {
 	epochTick atomic.Int64
 }
 
-// NewStrings returns a string store; the options configure the underlying
-// index exactly as in New, and WithClock/WithByteBudget configure the
-// memory-governance layer (ttl.go).
+// NewStrings returns a string store over a hash-routed index; the options
+// configure the index exactly as in New, and WithClock/WithByteBudget
+// configure the memory-governance layer (ttl.go).
 func NewStrings(opts ...Option) *Strings {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	s := &Strings{
-		index:  New(opts...),
-		values: NewValues(),
-		clock:  o.clock,
-		budget: o.byteBudget,
-	}
-	s.initTTL()
+	s := new(Strings)
+	s.init(New(opts...), opts)
 	return s
 }
 
-// Index exposes the underlying sharded index for stats aggregation.
+// init wires the layer over index, in place (the scheduler keeps the
+// pointer): a fresh arena, the governance options, the sweep rng and
+// cached clock seeded, and the governance pass registered on the index's
+// shared scheduler when one exists — WithoutMaintenance stores are driven
+// via Quiesce.
+func (s *Strings) init(index *Store, opts []Option) {
+	o := newOptions(opts)
+	s.index, s.values = index, NewValues()
+	s.clock, s.budget = o.clock, o.byteBudget
+	s.sweepRng = 0x9E3779B97F4A7C15
+	s.handRng.Store(0x6A09E667F3BCC909)
+	if s.clock == nil {
+		s.cachedNow.Store(time.Now().UnixNano())
+	}
+	if index.sched != nil {
+		index.sched.Register(ttlMaintainer{s})
+	}
+}
+
+// Index exposes the underlying index core for stats aggregation.
 func (s *Strings) Index() *Store { return s.index }
 
 // Values exposes the underlying arena for stats aggregation.
@@ -311,12 +327,45 @@ func (s *Strings) Close() { s.index.Close() }
 // deterministically — tests and workload phase transitions rely on it.
 func (s *Strings) Quiesce() {
 	s.index.Quiesce()
-	s.maintain(nil)
+	s.maintainPass(nil, 0)
 }
 
 // Len returns the live key count (same non-linearizable contract as
 // Store.Len).
 func (s *Strings) Len() int { return s.index.Len() }
+
+// read is the layer's one validated read — the OPTIK shape in miniature.
+// Given an index lookup's outcome for k (slot, ok) it loads the arena pair
+// and validates it: a pair that no longer belongs to k means a concurrent
+// SET or DEL recycled the slot under us, and the read restarts through the
+// index — each lap rides on another operation's progress, the same
+// obstruction-freedom argument as the tables' own readers. The deadline is
+// validated lazily right where the hash is: an expired pair is a miss, and
+// the dead entry retires through the same conditional-delete splice the
+// sweeper uses. TTL-less pairs pay one predictable branch. Returns k's
+// slot and live pair, or a nil pair on a miss. Every accessor — scalar,
+// batched, scanned — goes through here: the scalar ones pass a fresh
+// index.Get, the batched ones the slot their index pass already fetched.
+func (s *Strings) read(k, slot uint64, ok bool) (uint64, *pair) {
+	for ; ok; slot, ok = s.index.Get(k) {
+		p := s.values.loadPair(slot)
+		if p == nil || p.hash != k {
+			continue
+		}
+		if s.expiredNow(p) {
+			s.retire(slot, p, &s.expiredLazy)
+			break
+		}
+		return slot, p
+	}
+	return 0, nil
+}
+
+// lookup is read from the top: k's slot and live pair, or a nil pair.
+func (s *Strings) lookup(k uint64) (uint64, *pair) {
+	slot, ok := s.index.Get(k)
+	return s.read(k, slot, ok)
+}
 
 // Set stores key→value, returning true if it replaced an existing value
 // and false on a fresh insert.
@@ -328,61 +377,53 @@ func (s *Strings) Set(key, value string) bool {
 // plain Set clears any TTL the key carried (the new pair's deadline is
 // zero); overwriting an already-expired entry reports a fresh insert.
 func (s *Strings) SetHashed(k uint64, value string) bool {
-	slot := s.values.put(k, value, 0, s.epoch.Load())
+	return s.set(k, value, 0)
+}
+
+// set is the scalar write under Set and SetEX: arena pair first, index
+// publish after, the displaced slot recycled, and an eviction hand lent
+// if the insert pushed the store past its watermark.
+func (s *Strings) set(k uint64, value string, deadline int64) bool {
+	slot := s.values.put(k, value, deadline, s.epoch.Load())
 	old, replaced := s.index.Set(k, slot)
-	live := replaced && !s.releaseChecked(old)
+	live := replaced && !s.displacedExpired(old)
+	if replaced {
+		s.values.Release(old)
+	}
 	s.evictHand()
 	return live
 }
 
-// releaseChecked recycles a replaced/removed slot and reports whether its
-// pair had already expired (in which case the operation that displaced it
-// observed a miss, not a hit). The caller owns the unmapped slot, so the
-// pair load cannot race a recycling Put.
-func (s *Strings) releaseChecked(slot uint64) (wasExpired bool) {
-	if p := s.values.loadPair(slot); p != nil && s.expiredNow(p) {
-		wasExpired = true
-		s.expiredLazy.Add(1)
+// displacedExpired reports whether the pair in a slot just unmapped from
+// the index (replaced or deleted) had already expired — in which case the
+// operation that displaced it observed a miss, not a hit — counting it as
+// lazily expired. The caller owns the unmapped slot until it releases it,
+// so the pair load cannot race a recycling Put.
+func (s *Strings) displacedExpired(slot uint64) bool {
+	p := s.values.loadPair(slot)
+	if p == nil || !s.expiredNow(p) {
+		return false
 	}
-	s.values.Release(slot)
-	return wasExpired
+	s.expiredLazy.Add(1)
+	return true
 }
 
-// Get returns the value stored under key. The loop is the OPTIK shape in
-// miniature: optimistic read (index lookup, then the arena load), validate
-// (does the pair still belong to this key?), retry on conflict. A retry
-// means a concurrent SET or DEL recycled the slot under us, so each lap
-// rides on another operation's progress — the same obstruction-freedom
-// argument as the tables' own readers.
+// Get returns the value stored under key.
 func (s *Strings) Get(key string) (string, bool) {
 	return s.GetHashed(HashKey(key))
 }
 
-// GetHashed is Get for a pre-hashed key. An expired pair is a miss: the
-// deadline is validated lazily right where the hash is, and the dead slot
-// retires through the same conditional-delete splice the sweeper uses
-// (confirmed by pair identity under the bucket lock, so a concurrent
-// recycle of the slot for the same hash is never mistaken for the expired
-// entry). TTL-less pairs pay one predictable branch.
+// GetHashed is Get for a pre-hashed key: the validated read, plus the
+// approx-LRU recency stamp when a byte budget is in force.
 func (s *Strings) GetHashed(k uint64) (string, bool) {
-	for {
-		slot, ok := s.index.Get(k)
-		if !ok {
-			return "", false
-		}
-		p := s.values.loadPair(slot)
-		if p == nil || p.hash != k {
-			continue
-		}
-		if s.expiredNow(p) {
-			s.retireExpired(k, slot, p)
-			return "", false
-		}
-		if s.budget != 0 {
-			p.touch(s.epoch.Load())
-		}
-		return p.val, true
+	_, p := s.lookup(k)
+	if p == nil {
+		return "", false
 	}
+	if s.budget != 0 {
+		p.touch(s.epoch.Load())
+	}
+	return p.val, true
 }
 
 // Del removes key, reporting whether it was present.
@@ -397,39 +438,35 @@ func (s *Strings) DelHashed(k uint64) bool {
 	if !ok {
 		return false
 	}
-	return !s.releaseChecked(old)
+	live := !s.displacedExpired(old)
+	s.values.Release(old)
+	return live
 }
 
-// batchStrScratch pools the per-batch hash/slot/flag slices of the
-// Strings batch operations, the same treatment the index's own batch
-// routing gets from batchScratch — a batched path that allocates per
-// call would undo it.
+// batchStrScratch pools the per-batch hash/slot slices of the batch
+// operations, the same treatment the index's own batch routing gets from
+// batchScratch — a batched path that allocates per call would undo it.
 type batchStrScratch struct {
 	hashes []uint64
 	slots  []uint64
 	old    []uint64
-	repl   []bool
 }
 
 var strScratchPool = sync.Pool{New: func() any { return new(batchStrScratch) }}
 
-// grab sizes the scratch for an n-key batch and returns it.
+// grabStrScratch sizes the scratch for an n-key batch and returns it.
 func grabStrScratch(n int) *batchStrScratch {
 	sc := strScratchPool.Get().(*batchStrScratch)
 	if cap(sc.hashes) < n {
 		sc.hashes = make([]uint64, n)
 		sc.slots = make([]uint64, n)
 		sc.old = make([]uint64, n)
-		sc.repl = make([]bool, n)
 	}
 	return sc
 }
 
 // MGet looks up every keys[i], storing the value into vals[i] and
 // presence into found[i]; vals and found must be at least len(keys) long.
-// The index pass is batched (each touched shard visited once); slots
-// whose pairs were recycled mid-read fall back to the scalar validated
-// Get.
 func (s *Strings) MGet(keys []string, vals []string, found []bool) {
 	sc := grabStrScratch(len(keys))
 	defer strScratchPool.Put(sc)
@@ -437,7 +474,7 @@ func (s *Strings) MGet(keys []string, vals []string, found []bool) {
 	for i, key := range keys {
 		hashes[i] = HashKey(key)
 	}
-	s.mgetSlots(hashes, vals, found, sc.slots[:len(keys)])
+	s.mget(hashes, vals, found, sc.slots[:len(keys)])
 }
 
 // MGetHashed is MGet for pre-hashed keys (see HashKeyBytes): protocol
@@ -446,46 +483,38 @@ func (s *Strings) MGet(keys []string, vals []string, found []bool) {
 func (s *Strings) MGetHashed(hashes []uint64, vals []string, found []bool) {
 	sc := grabStrScratch(len(hashes))
 	defer strScratchPool.Put(sc)
-	s.mgetSlots(hashes, vals, found, sc.slots[:len(hashes)])
+	s.mget(hashes, vals, found, sc.slots[:len(hashes)])
 }
 
-// mgetSlots is the shared body of MGet/MGetHashed: one batched index
-// pass, then arena loads validated against slot recycling and expiry.
-func (s *Strings) mgetSlots(hashes []uint64, vals []string, found []bool, slots []uint64) {
+// mget is the shared body of MGet/MGetHashed: one shard-batched index
+// pass, then each fetched slot through the validated read (which restarts
+// a recycled one through the scalar path and retires an expired one).
+func (s *Strings) mget(hashes []uint64, vals []string, found []bool, slots []uint64) {
 	s.index.MGet(hashes, slots, found)
 	var epoch uint32
 	if s.budget != 0 {
 		epoch = s.epoch.Load()
 	}
-	for i := range hashes {
-		if !found[i] {
-			vals[i] = ""
-			continue
-		}
-		p := s.values.loadPair(slots[i])
-		if p == nil || p.hash != hashes[i] {
-			vals[i], found[i] = s.GetHashed(hashes[i])
-			continue
-		}
-		if s.expiredNow(p) {
-			s.retireExpired(hashes[i], slots[i], p)
+	for i, k := range hashes {
+		_, p := s.read(k, slots[i], found[i])
+		if p == nil {
 			vals[i], found[i] = "", false
 			continue
 		}
 		if s.budget != 0 {
 			p.touch(epoch)
 		}
-		vals[i] = p.val
+		vals[i], found[i] = p.val, true
 	}
 }
 
 // MSetHashed stores vals[i] under every pre-hashed keys[i], recording
-// into replaced[i] whether an existing value was overwritten, and
-// returns the fresh-insert count. The arena writes happen up front (a
-// published slot always holds a fully-built pair), the index pass is
-// shard-batched, and every replaced slot recycles through one batch
-// splice onto the free list. replaced must be at least len(hashes) long.
-// Duplicate hashes apply in order, exactly as sequential SetHashed calls.
+// into replaced[i] whether a live value was overwritten, and returns the
+// fresh-insert count. The arena writes happen up front (a published slot
+// always holds a fully-built pair), the index pass is shard-batched, and
+// every replaced slot recycles through one batch splice onto the free
+// list. replaced must be at least len(hashes) long. Duplicate hashes
+// apply in order, exactly as sequential SetHashed calls.
 func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) int {
 	sc := grabStrScratch(len(hashes))
 	defer strScratchPool.Put(sc)
@@ -495,22 +524,9 @@ func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) in
 		slots[i] = s.values.put(h, vals[i], 0, epoch)
 	}
 	inserted := s.index.MSetEach(hashes, slots, old, replaced)
-	// Compact the replaced handles into the (now index-owned, no longer
-	// needed) slots scratch and recycle them in one splice. A replaced
-	// pair that had already expired counts as a fresh insert, exactly as
-	// the scalar SetHashed reports it.
-	rel := slots[:0]
-	for i := range hashes {
-		if replaced[i] {
-			if p := s.values.loadPair(old[i]); p != nil && s.expiredNow(p) {
-				replaced[i] = false
-				inserted++
-				s.expiredLazy.Add(1)
-			}
-			rel = append(rel, old[i])
-		}
-	}
-	s.values.ReleaseBatch(rel)
+	// The slots scratch is index-owned now and no longer needed here: the
+	// displaced handles compact into it for the splice.
+	inserted += s.releaseDisplaced(old, replaced, slots[:0])
 	s.evictHand()
 	return inserted
 }
@@ -524,17 +540,26 @@ func (s *Strings) MDelHashed(hashes []uint64, found []bool) int {
 	defer strScratchPool.Put(sc)
 	old := sc.old[:len(hashes)]
 	deleted := s.index.MDelEach(hashes, old, found)
-	rel := sc.slots[:0]
-	for i := range hashes {
-		if found[i] {
-			if p := s.values.loadPair(old[i]); p != nil && s.expiredNow(p) {
-				found[i] = false
-				deleted--
-				s.expiredLazy.Add(1)
-			}
-			rel = append(rel, old[i])
+	return deleted - s.releaseDisplaced(old, found, sc.slots[:0])
+}
+
+// releaseDisplaced is the batch form of the scalar paths' displaced-slot
+// handling: every old[i] with hit[i] set was just unmapped from the index
+// and recycles in one free-list splice (rel is scratch to compact them
+// into). A displaced pair that had already expired was observably absent
+// — its hit[i] flips to false, exactly as the scalar call reports it —
+// and the return value counts those.
+func (s *Strings) releaseDisplaced(old []uint64, hit []bool, rel []uint64) (expired int) {
+	for i, slot := range old {
+		if !hit[i] {
+			continue
 		}
+		if s.displacedExpired(slot) {
+			hit[i] = false
+			expired++
+		}
+		rel = append(rel, slot)
 	}
 	s.values.ReleaseBatch(rel)
-	return deleted
+	return expired
 }
