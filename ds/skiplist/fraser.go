@@ -14,12 +14,24 @@ type fRef struct {
 	marked bool
 }
 
-// fNode is a node of the lock-free skip list.
+// fNode is a node of the lock-free skip list: the header of a tower.go
+// allocation, its topLevel successor records reached through at.
 type fNode struct {
 	key      uint64
 	val      uint64
-	topLevel int
-	next     [MaxLevel]atomic.Pointer[fRef]
+	topLevel int // number of levels, in [1, MaxLevel]; immutable
+}
+
+// at returns the node's level-th successor record; level < n.topLevel.
+func (n *fNode) at(level int) *atomic.Pointer[fRef] {
+	return towerAt[fNode, fRef](n, n.topLevel, level)
+}
+
+// newFNode allocates a node with a tower of exactly topLevel levels.
+func newFNode(key, val uint64, topLevel int) *fNode {
+	n := newTower[fNode, fRef](topLevel)
+	n.key, n.val, n.topLevel = key, val, topLevel
+	return n
 }
 
 // Fraser is the lock-free skip list of Fraser [15], in the formulation of
@@ -35,19 +47,19 @@ var _ ds.Set = (*Fraser)(nil)
 
 // NewFraser returns an empty lock-free skip list.
 func NewFraser() *Fraser {
-	tail := &fNode{key: tailKey, topLevel: MaxLevel}
+	tail := newFNode(tailKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
-		tail.next[l].Store(&fRef{})
+		tail.at(l).Store(&fRef{})
 	}
-	head := &fNode{key: headKey, topLevel: MaxLevel}
+	head := newFNode(headKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
-		head.next[l].Store(&fRef{node: tail})
+		head.at(l).Store(&fRef{node: tail})
 	}
 	return &Fraser{head: head, tail: tail}
 }
 
 // find locates predecessors/successors per level, snipping marked nodes as
-// it goes. predRefs[l] is the exact record inside preds[l].next[l] that
+// it goes. predRefs[l] is the exact record inside preds[l].at(l) that
 // points at succs[l] — the comparand for the caller's CAS. Returns whether
 // an unmarked node with the key sits at level 0.
 func (s *Fraser) find(key uint64, preds, succs *[MaxLevel]*fNode, predRefs *[MaxLevel]*fRef) bool {
@@ -55,7 +67,7 @@ retry:
 	for {
 		pred := s.head
 		for level := MaxLevel - 1; level >= 0; level-- {
-			predRef := pred.next[level].Load()
+			predRef := pred.at(level).Load()
 			if predRef.marked {
 				// pred was deleted while we descended. Java's
 				// AtomicMarkableReference CAS carries the expected mark bit
@@ -66,16 +78,16 @@ retry:
 			}
 			cur := predRef.node
 			for {
-				curRef := cur.next[level].Load()
+				curRef := cur.at(level).Load()
 				for curRef.marked {
 					// cur is logically deleted at this level: snip it.
 					newRef := &fRef{node: curRef.node}
-					if !pred.next[level].CompareAndSwap(predRef, newRef) {
+					if !pred.at(level).CompareAndSwap(predRef, newRef) {
 						continue retry
 					}
 					predRef = newRef
 					cur = curRef.node
-					curRef = cur.next[level].Load()
+					curRef = cur.at(level).Load()
 				}
 				if cur.key < key {
 					pred = cur
@@ -100,12 +112,12 @@ func (s *Fraser) Search(key uint64) (uint64, bool) {
 	pred := s.head
 	var cur *fNode
 	for level := MaxLevel - 1; level >= 0; level-- {
-		cur = pred.next[level].Load().node
+		cur = pred.at(level).Load().node
 		for {
-			curRef := cur.next[level].Load()
+			curRef := cur.at(level).Load()
 			for curRef.marked {
 				cur = curRef.node
-				curRef = cur.next[level].Load()
+				curRef = cur.at(level).Load()
 			}
 			if cur.key < key {
 				pred = cur
@@ -133,28 +145,28 @@ func (s *Fraser) Insert(key, val uint64) bool {
 		if s.find(key, &preds, &succs, &predRefs) {
 			return false
 		}
-		n := &fNode{key: key, val: val, topLevel: topLevel}
+		n := newFNode(key, val, topLevel)
 		for level := 0; level < topLevel; level++ {
-			n.next[level].Store(&fRef{node: succs[level]})
+			n.at(level).Store(&fRef{node: succs[level]})
 		}
-		if !preds[0].next[0].CompareAndSwap(predRefs[0], &fRef{node: n}) {
+		if !preds[0].at(0).CompareAndSwap(predRefs[0], &fRef{node: n}) {
 			continue // lost the level-0 race; retry whole insert
 		}
 		// Link the higher levels.
 		for level := 1; level < topLevel; level++ {
 			for {
-				nRef := n.next[level].Load()
+				nRef := n.at(level).Load()
 				if nRef.marked {
 					return true // n was deleted already; stop linking
 				}
 				succ := succs[level]
 				if nRef.node != succ {
 					// Refresh n's forward pointer to the latest successor.
-					if !n.next[level].CompareAndSwap(nRef, &fRef{node: succ}) {
+					if !n.at(level).CompareAndSwap(nRef, &fRef{node: succ}) {
 						continue // marked or changed under us; re-check
 					}
 				}
-				if preds[level].next[level].CompareAndSwap(predRefs[level], &fRef{node: n}) {
+				if preds[level].at(level).CompareAndSwap(predRefs[level], &fRef{node: n}) {
 					break
 				}
 				// Re-parse to refresh preds/succs for the remaining levels.
@@ -171,7 +183,7 @@ func (s *Fraser) Insert(key, val uint64) bool {
 // when n has been logically deleted (no more linking should happen).
 func (s *Fraser) findForLink(key uint64, n *fNode, preds, succs *[MaxLevel]*fNode, predRefs *[MaxLevel]*fRef) bool {
 	s.find(key, preds, succs, predRefs)
-	return n.next[0].Load().marked
+	return n.at(0).Load().marked
 }
 
 // Delete removes key, returning its value, if present. Levels above 0 are
@@ -188,20 +200,20 @@ func (s *Fraser) Delete(key uint64) (uint64, bool) {
 	// Mark the upper levels, top-down.
 	for level := victim.topLevel - 1; level >= 1; level-- {
 		for {
-			ref := victim.next[level].Load()
+			ref := victim.at(level).Load()
 			if ref.marked {
 				break
 			}
-			victim.next[level].CompareAndSwap(ref, &fRef{node: ref.node, marked: true})
+			victim.at(level).CompareAndSwap(ref, &fRef{node: ref.node, marked: true})
 		}
 	}
 	// Level 0 decides ownership of the deletion.
 	for {
-		ref := victim.next[0].Load()
+		ref := victim.at(0).Load()
 		if ref.marked {
 			return 0, false // another deleter won
 		}
-		if victim.next[0].CompareAndSwap(ref, &fRef{node: ref.node, marked: true}) {
+		if victim.at(0).CompareAndSwap(ref, &fRef{node: ref.node, marked: true}) {
 			s.find(key, &preds, &succs, &predRefs) // snip the carcass
 			return victim.val, true
 		}
@@ -211,8 +223,8 @@ func (s *Fraser) Delete(key uint64) (uint64, bool) {
 // Len counts unmarked level-0 elements (not linearizable).
 func (s *Fraser) Len() int {
 	n := 0
-	for cur := s.head.next[0].Load().node; cur != s.tail; {
-		ref := cur.next[0].Load()
+	for cur := s.head.at(0).Load().node; cur != s.tail; {
+		ref := cur.at(0).Load()
 		if !ref.marked {
 			n++
 		}

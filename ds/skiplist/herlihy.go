@@ -11,7 +11,9 @@ import (
 
 // hNode is a node of the Herlihy optimistic skip list: per-node TAS lock,
 // logical-deletion flag, and a fullyLinked flag that marks the end of the
-// multi-level linking (the insert's linearization point).
+// multi-level linking (the insert's linearization point). It is the header
+// of a tower.go allocation; its topLevel forward pointers are reached
+// through at.
 type hNode struct {
 	key         uint64
 	val         uint64
@@ -19,7 +21,18 @@ type hNode struct {
 	marked      atomic.Bool
 	fullyLinked atomic.Bool
 	topLevel    int // number of levels, in [1, MaxLevel]; immutable
-	next        [MaxLevel]atomic.Pointer[hNode]
+}
+
+// at returns the node's level-th forward pointer; level < n.topLevel.
+func (n *hNode) at(level int) *atomic.Pointer[hNode] {
+	return towerAt[hNode, hNode](n, n.topLevel, level)
+}
+
+// newHNode allocates a node with a tower of exactly topLevel levels.
+func newHNode(key, val uint64, topLevel int) *hNode {
+	n := newTower[hNode, hNode](topLevel)
+	n.key, n.val, n.topLevel = key, val, topLevel
+	return n
 }
 
 // Herlihy is the optimistic skip list of Herlihy, Lev, Luchangco and
@@ -36,11 +49,11 @@ var _ ds.Set = (*Herlihy)(nil)
 
 // NewHerlihy returns an empty Herlihy skip list.
 func NewHerlihy() *Herlihy {
-	tail := &hNode{key: tailKey, topLevel: MaxLevel}
+	tail := newHNode(tailKey, 0, MaxLevel)
 	tail.fullyLinked.Store(true)
-	head := &hNode{key: headKey, topLevel: MaxLevel}
+	head := newHNode(headKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
-		head.next[l].Store(tail)
+		head.at(l).Store(tail)
 	}
 	head.fullyLinked.Store(true)
 	return &Herlihy{head: head, tail: tail}
@@ -52,10 +65,10 @@ func (s *Herlihy) find(key uint64, preds, succs *[MaxLevel]*hNode) int {
 	lFound := -1
 	pred := s.head
 	for level := MaxLevel - 1; level >= 0; level-- {
-		cur := pred.next[level].Load()
+		cur := pred.at(level).Load()
 		for cur.key < key {
 			pred = cur
-			cur = pred.next[level].Load()
+			cur = pred.at(level).Load()
 		}
 		if lFound == -1 && cur.key == key {
 			lFound = level
@@ -115,19 +128,19 @@ func (s *Herlihy) Insert(key, val uint64) bool {
 				highestLocked = level
 				prevPred = pred
 			}
-			valid = !pred.marked.Load() && !succ.marked.Load() && pred.next[level].Load() == succ
+			valid = !pred.marked.Load() && !succ.marked.Load() && pred.at(level).Load() == succ
 		}
 		if !valid {
 			unlockHPreds(&preds, highestLocked)
 			bo.Wait()
 			continue
 		}
-		n := &hNode{key: key, val: val, topLevel: topLevel}
+		n := newHNode(key, val, topLevel)
 		for level := 0; level < topLevel; level++ {
-			n.next[level].Store(succs[level])
+			n.at(level).Store(succs[level])
 		}
 		for level := 0; level < topLevel; level++ {
-			preds[level].next[level].Store(n)
+			preds[level].at(level).Store(n)
 		}
 		n.fullyLinked.Store(true) // linearization point
 		unlockHPreds(&preds, highestLocked)
@@ -192,7 +205,7 @@ func (s *Herlihy) Delete(key uint64) (uint64, bool) {
 				highestLocked = level
 				prevPred = pred
 			}
-			valid = !pred.marked.Load() && pred.next[level].Load() == victim
+			valid = !pred.marked.Load() && pred.at(level).Load() == victim
 		}
 		if !valid {
 			unlockHPreds(&preds, highestLocked)
@@ -200,7 +213,7 @@ func (s *Herlihy) Delete(key uint64) (uint64, bool) {
 			continue
 		}
 		for level := topLevel - 1; level >= 0; level-- {
-			preds[level].next[level].Store(victim.next[level].Load())
+			preds[level].at(level).Store(victim.at(level).Load())
 		}
 		val := victim.val
 		victim.lock.Unlock()
@@ -212,7 +225,7 @@ func (s *Herlihy) Delete(key uint64) (uint64, bool) {
 // Len counts fully linked, unmarked elements at level 0 (not linearizable).
 func (s *Herlihy) Len() int {
 	n := 0
-	for cur := s.head.next[0].Load(); cur != s.tail; cur = cur.next[0].Load() {
+	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
 		if cur.fullyLinked.Load() && !cur.marked.Load() {
 			n++
 		}

@@ -9,15 +9,28 @@ import (
 	"github.com/optik-go/optik/internal/core"
 )
 
-// hoNode is a node of the Herlihy skip list with OPTIK locks.
+// hoNode is a node of the Herlihy skip list with OPTIK locks: the header
+// of a tower.go allocation, its topLevel forward pointers reached through
+// at.
 type hoNode struct {
 	key         uint64
 	val         uint64
 	lock        core.Lock
 	marked      atomic.Bool
 	fullyLinked atomic.Bool
-	topLevel    int
-	next        [MaxLevel]atomic.Pointer[hoNode]
+	topLevel    int // number of levels, in [1, MaxLevel]; immutable
+}
+
+// at returns the node's level-th forward pointer; level < n.topLevel.
+func (n *hoNode) at(level int) *atomic.Pointer[hoNode] {
+	return towerAt[hoNode, hoNode](n, n.topLevel, level)
+}
+
+// newHONode allocates a node with a tower of exactly topLevel levels.
+func newHONode(key, val uint64, topLevel int) *hoNode {
+	n := newTower[hoNode, hoNode](topLevel)
+	n.key, n.val, n.topLevel = key, val, topLevel
+	return n
 }
 
 // HerlihyOptik is the paper's first skip-list contribution ("herl-optik"):
@@ -36,11 +49,11 @@ var _ ds.Set = (*HerlihyOptik)(nil)
 
 // NewHerlihyOptik returns an empty herl-optik skip list.
 func NewHerlihyOptik() *HerlihyOptik {
-	tail := &hoNode{key: tailKey, topLevel: MaxLevel}
+	tail := newHONode(tailKey, 0, MaxLevel)
 	tail.fullyLinked.Store(true)
-	head := &hoNode{key: headKey, topLevel: MaxLevel}
+	head := newHONode(headKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
-		head.next[l].Store(tail)
+		head.at(l).Store(tail)
 	}
 	head.fullyLinked.Store(true)
 	return &HerlihyOptik{head: head, tail: tail}
@@ -54,11 +67,11 @@ func (s *HerlihyOptik) find(key uint64, preds *[MaxLevel]*hoNode, predVs *[MaxLe
 	pred := s.head
 	predv := pred.lock.GetVersion()
 	for level := MaxLevel - 1; level >= 0; level-- {
-		cur := pred.next[level].Load()
+		cur := pred.at(level).Load()
 		for cur.key < key {
 			pred = cur
 			predv = pred.lock.GetVersion()
-			cur = pred.next[level].Load()
+			cur = pred.at(level).Load()
 		}
 		if lFound == -1 && cur.key == key {
 			lFound = level
@@ -105,10 +118,10 @@ func lockPredValid(pred, succOrVictim *hoNode, predv core.Version, level int, de
 	}
 	// Fine-grained fallback (the original [29] validation).
 	if del {
-		return !pred.marked.Load() && pred.next[level].Load() == succOrVictim
+		return !pred.marked.Load() && pred.at(level).Load() == succOrVictim
 	}
 	return !pred.marked.Load() && !succOrVictim.marked.Load() &&
-		pred.next[level].Load() == succOrVictim
+		pred.at(level).Load() == succOrVictim
 }
 
 // Insert adds key→val if absent.
@@ -144,7 +157,7 @@ func (s *HerlihyOptik) Insert(key, val uint64) bool {
 				// Same pred as the level below, already locked: only the
 				// per-level adjacency needs checking (one lock covers the
 				// whole tower — the false-conflict granularity of §5.3).
-				valid = !succ.marked.Load() && pred.next[level].Load() == succ
+				valid = !succ.marked.Load() && pred.at(level).Load() == succ
 			}
 		}
 		if !valid {
@@ -152,12 +165,12 @@ func (s *HerlihyOptik) Insert(key, val uint64) bool {
 			bo.Wait()
 			continue
 		}
-		n := &hoNode{key: key, val: val, topLevel: topLevel}
+		n := newHONode(key, val, topLevel)
 		for level := 0; level < topLevel; level++ {
-			n.next[level].Store(succs[level])
+			n.at(level).Store(succs[level])
 		}
 		for level := 0; level < topLevel; level++ {
-			preds[level].next[level].Store(n)
+			preds[level].at(level).Store(n)
 		}
 		n.fullyLinked.Store(true) // linearization point
 		unlockHOPreds(&preds, highestLocked)
@@ -232,7 +245,7 @@ func (s *HerlihyOptik) Delete(key uint64) (uint64, bool) {
 				highestLocked = level
 				prevPred = pred
 			} else {
-				valid = pred.next[level].Load() == victim
+				valid = pred.at(level).Load() == victim
 			}
 		}
 		if !valid {
@@ -241,7 +254,7 @@ func (s *HerlihyOptik) Delete(key uint64) (uint64, bool) {
 			continue
 		}
 		for level := topLevel - 1; level >= 0; level-- {
-			preds[level].next[level].Store(victim.next[level].Load())
+			preds[level].at(level).Store(victim.at(level).Load())
 		}
 		val := victim.val
 		victim.lock.Unlock()
@@ -253,7 +266,7 @@ func (s *HerlihyOptik) Delete(key uint64) (uint64, bool) {
 // Len counts fully linked, unmarked elements at level 0 (not linearizable).
 func (s *HerlihyOptik) Len() int {
 	n := 0
-	for cur := s.head.next[0].Load(); cur != s.tail; cur = cur.next[0].Load() {
+	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
 		if cur.fullyLinked.Load() && !cur.marked.Load() {
 			n++
 		}

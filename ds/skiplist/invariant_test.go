@@ -18,7 +18,7 @@ func checkHerlihyTowers(t *testing.T, head, tail *hNode) {
 	var chains [MaxLevel][]uint64
 	for l := 0; l < MaxLevel; l++ {
 		prev := uint64(0)
-		for cur := head.next[l].Load(); cur != tail; cur = cur.next[l].Load() {
+		for cur := head.at(l).Load(); cur != tail; cur = cur.at(l).Load() {
 			if cur.key <= prev {
 				t.Fatalf("level %d not strictly sorted: %d after %d", l, cur.key, prev)
 			}
@@ -48,7 +48,7 @@ func checkHerlihyTowers(t *testing.T, head, tail *hNode) {
 			count[k]++
 		}
 	}
-	for cur := head.next[0].Load(); cur != tail; cur = cur.next[0].Load() {
+	for cur := head.at(0).Load(); cur != tail; cur = cur.at(0).Load() {
 		if cur.marked.Load() {
 			continue
 		}
@@ -69,12 +69,15 @@ func checkOptikTowers(t *testing.T, s *Optik) {
 	var chains [MaxLevel][]uint64
 	for l := 0; l < MaxLevel; l++ {
 		prev := uint64(0)
-		for cur := s.head.next[l].Load(); cur != s.tail; cur = cur.next[l].Load() {
+		for cur := s.head.at(l).Load(); cur != s.tail; cur = cur.at(l).Load() {
 			if cur.key <= prev {
 				t.Fatalf("level %d not strictly sorted: %d after %d", l, cur.key, prev)
 			}
 			prev = cur.key
 			chains[l] = append(chains[l], cur.key)
+			if l >= cur.topLevel {
+				t.Fatalf("node %d linked at level %d above its top %d", cur.key, l, cur.topLevel)
+			}
 		}
 	}
 	for l := 1; l < MaxLevel; l++ {
@@ -110,8 +113,8 @@ func TestFraserChainInvariantsAfterChurn(t *testing.T) {
 	var chains [MaxLevel][]uint64
 	for l := 0; l < MaxLevel; l++ {
 		prev := uint64(0)
-		for cur := s.head.next[l].Load().node; cur != s.tail; {
-			ref := cur.next[l].Load()
+		for cur := s.head.at(l).Load().node; cur != s.tail; {
+			ref := cur.at(l).Load()
 			if !ref.marked {
 				if cur.key <= prev {
 					t.Fatalf("level %d unmarked chain not sorted: %d after %d", l, cur.key, prev)

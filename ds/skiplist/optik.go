@@ -16,10 +16,14 @@ import (
 // changed (a false conflict), in exchange for radically simpler validation.
 //
 // val is atomic because Upsert replaces it in place under the node's own
-// lock while lock-free searches read it. key and topLevel stay plain: on a
-// pool-backed list they are only rewritten during recycling, when qsbr
-// guarantees no pinned traversal can still reach the node; on a GC-backed
-// list they are written once before publication.
+// lock while lock-free searches read it. key stays plain: on a pool-backed
+// list it is only rewritten during recycling, when qsbr guarantees no
+// pinned traversal can still reach the node; on a GC-backed list it is
+// written once before publication. topLevel is written once, at the
+// allocation that sized the tower, and never again — not even by recycling.
+//
+// This is the header only; the topLevel forward pointers follow it in the
+// same allocation (tower.go) and are reached through at.
 type oNode struct {
 	key         uint64
 	val         atomic.Uint64
@@ -27,7 +31,19 @@ type oNode struct {
 	marked      atomic.Bool
 	fullyLinked atomic.Bool
 	topLevel    int
-	next        [MaxLevel]atomic.Pointer[oNode]
+}
+
+// at returns the node's level-th forward pointer; level < n.topLevel.
+func (n *oNode) at(level int) *atomic.Pointer[oNode] {
+	return towerAt[oNode, oNode](n, n.topLevel, level)
+}
+
+// newONode allocates a node with a tower of exactly topLevel levels.
+func newONode(key uint64, topLevel int) *oNode {
+	n := newTower[oNode, oNode](topLevel)
+	n.key = key
+	n.topLevel = topLevel
+	return n
 }
 
 // Optik is the paper's new skip-list algorithm (§5.3). Parsing tracks the
@@ -81,11 +97,11 @@ func NewOptik2() *Optik { return newOptik(false, nil) }
 func NewOptikPool(pool *qsbr.Pool) *Optik { return newOptik(false, pool) }
 
 func newOptik(fine bool, pool *qsbr.Pool) *Optik {
-	tail := &oNode{key: tailKey, topLevel: MaxLevel}
+	tail := newONode(tailKey, MaxLevel)
 	tail.fullyLinked.Store(true)
-	head := &oNode{key: headKey, topLevel: MaxLevel}
+	head := newONode(headKey, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
-		head.next[l].Store(tail)
+		head.at(l).Store(tail)
 	}
 	head.fullyLinked.Store(true)
 	return &Optik{head: head, tail: tail, fineValidate: fine, pool: pool}
@@ -106,20 +122,26 @@ func (s *Optik) ReclaimStats() (retired, reclaimed, reused uint64) {
 	return s.pool.Domain().Stats()
 }
 
-// allocNode returns a tower for key→val: recycled from the qsbr free list
-// when one is available, freshly allocated otherwise. A recycled tower is
-// reset field by field; its lock — left held forever by the deleter that
-// retired it — is released by advancing the version, so any parse still
-// holding a snapshot from the node's previous life keeps failing
-// validation (the version is monotone across lives, belt to the qsbr
-// suspenders). next pointers above topLevel keep stale values; no
-// traversal reads a level ≥ the node's own topLevel.
-func allocONode(rc *qsbr.Reclaimer, key, val uint64, topLevel int) *oNode {
+// allocONode returns a tower for key→val: recycled from the qsbr free list
+// when one is available, freshly allocated at a random height otherwise.
+// The caller links n.topLevel levels — the tower's height IS the insert's
+// level draw. A recycled tower keeps the height it was born with: retired
+// heights are themselves independent geometric draws (nothing about a
+// deletion depends on the victim's height, and nothing about the next
+// insert's key depends on which tower the free list hands out), so the
+// list's level distribution is preserved, the free list needs no size
+// classes, and the tower behind an address never changes capacity. The
+// rest of a recycled tower is reset field by field; its lock — left held
+// forever by the deleter that retired it — is released by advancing the
+// version, so any parse still holding a snapshot from the node's previous
+// life keeps failing validation (the version is monotone across lives,
+// belt to the qsbr suspenders). The forward pointers keep stale values
+// until the insert relinks each level.
+func allocONode(rc *qsbr.Reclaimer, key, val uint64) *oNode {
 	if v := rc.Alloc(); v != nil {
 		n := v.(*oNode)
 		n.key = key
 		n.val.Store(val)
-		n.topLevel = topLevel
 		n.marked.Store(false)
 		n.fullyLinked.Store(false)
 		if n.lock.GetVersion().IsLocked() {
@@ -127,7 +149,7 @@ func allocONode(rc *qsbr.Reclaimer, key, val uint64, topLevel int) *oNode {
 		}
 		return n
 	}
-	n := &oNode{key: key, topLevel: topLevel}
+	n := newONode(key, randomLevel())
 	n.val.Store(val)
 	return n
 }
@@ -138,11 +160,11 @@ func (s *Optik) find(key uint64, preds *[MaxLevel]*oNode, predVs *[MaxLevel]core
 	pred := s.head
 	predv := pred.lock.GetVersion()
 	for level := MaxLevel - 1; level >= 0; level-- {
-		cur := pred.next[level].Load()
+		cur := pred.at(level).Load()
 		for cur.key < key {
 			pred = cur
 			predv = pred.lock.GetVersion()
-			cur = pred.next[level].Load()
+			cur = pred.at(level).Load()
 		}
 		preds[level] = pred
 		predVs[level] = predv
@@ -164,10 +186,10 @@ func (s *Optik) search(key uint64) (uint64, bool) {
 	pred := s.head
 	var cur *oNode
 	for level := MaxLevel - 1; level >= 0; level-- {
-		cur = pred.next[level].Load()
+		cur = pred.at(level).Load()
 		for cur.key < key {
 			pred = cur
-			cur = pred.next[level].Load()
+			cur = pred.at(level).Load()
 		}
 		if cur.key == key {
 			break
@@ -199,7 +221,7 @@ func (s *Optik) acquireLevel(pred, succ *oNode, predv core.Version, level int, d
 		if v.IsLocked() || pred.marked.Load() {
 			return false
 		}
-		if pred.next[level].Load() != succ {
+		if pred.at(level).Load() != succ {
 			return false
 		}
 		if !del && succ.marked.Load() {
@@ -241,10 +263,10 @@ func (s *Optik) Upsert(key, val uint64) (uint64, bool) {
 // (fail, or replace under the node's lock), otherwise link a new tower
 // eagerly level by level. Returns (old value, replaced, inserted).
 func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64, bool, bool) {
-	topLevel := randomLevel()
 	var preds, succs [MaxLevel]*oNode
 	var predVs [MaxLevel]core.Version
 	var n *oNode
+	topLevel := 0 // n's height, once n is allocated
 	startLevel := 0
 	var bo backoff.Backoff
 	for {
@@ -283,7 +305,8 @@ func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64
 			}
 		}
 		if n == nil {
-			n = allocONode(rc, key, val, topLevel)
+			n = allocONode(rc, key, val)
+			topLevel = n.topLevel
 		}
 		restartParse := false
 		level := startLevel
@@ -310,11 +333,11 @@ func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64
 			// the remaining levels of the run under the lock.
 			linked := level
 			for l := level; l <= end; l++ {
-				if l > level && pred.next[l].Load() != succs[l] {
+				if l > level && pred.at(l).Load() != succs[l] {
 					break
 				}
-				n.next[l].Store(succs[l])
-				pred.next[l].Store(n)
+				n.at(l).Store(succs[l])
+				pred.at(l).Store(n)
 				linked = l + 1
 			}
 			pred.lock.Unlock()
@@ -439,7 +462,7 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64, cond *deleteCond) (uint64
 		for level := 0; level < topLevel; level++ {
 			pred := preds[level]
 			if pred == prevPred {
-				if pred.next[level].Load() != victim {
+				if pred.at(level).Load() != victim {
 					ok = false
 					break
 				}
@@ -450,7 +473,7 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64, cond *deleteCond) (uint64
 				break
 			}
 			// The version validated (or fine-validation passed), so
-			// pred.next[level] == victim still holds.
+			// pred.at(level) == victim still holds.
 			highestLocked = level
 			prevPred = pred
 		}
@@ -460,7 +483,7 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64, cond *deleteCond) (uint64
 			continue // the deletion is owned; retry the unlink only
 		}
 		for level := topLevel - 1; level >= 0; level-- {
-			preds[level].next[level].Store(victim.next[level].Load())
+			preds[level].at(level).Store(victim.at(level).Load())
 		}
 		unlockOPreds(&preds, highestLocked)
 		// victim.lock stays acquired until the tower is recycled; the
@@ -511,14 +534,14 @@ func (s *Optik) ScanRange(from, to uint64, keys, vals []uint64) int {
 	// Descend to the level-0 predecessor of from.
 	pred := s.head
 	for level := MaxLevel - 1; level >= 0; level-- {
-		cur := pred.next[level].Load()
+		cur := pred.at(level).Load()
 		for cur.key < from {
 			pred = cur
-			cur = pred.next[level].Load()
+			cur = pred.at(level).Load()
 		}
 	}
 	n := 0
-	for cur := pred.next[0].Load(); n < len(keys) && cur.key <= to; cur = cur.next[0].Load() {
+	for cur := pred.at(0).Load(); n < len(keys) && cur.key <= to; cur = cur.at(0).Load() {
 		// cur.key >= from is not guaranteed for the first hop (a concurrent
 		// insert can slot a smaller key behind the descent's predecessor),
 		// so filter explicitly.
@@ -537,7 +560,7 @@ func (s *Optik) Min() (key, val uint64, ok bool) {
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
-	for cur := s.head.next[0].Load(); cur != s.tail; cur = cur.next[0].Load() {
+	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
 		if !cur.marked.Load() {
 			return cur.key, cur.val.Load(), true
 		}
@@ -556,10 +579,10 @@ func (s *Optik) Max() (key, val uint64, ok bool) {
 	for {
 		pred := s.head
 		for level := MaxLevel - 1; level >= 0; level-- {
-			cur := pred.next[level].Load()
+			cur := pred.at(level).Load()
 			for cur.key < tailKey {
 				pred = cur
-				cur = pred.next[level].Load()
+				cur = pred.at(level).Load()
 			}
 		}
 		if pred == s.head {
@@ -630,7 +653,7 @@ func (s *Optik) Len() int {
 	defer rc.Release()
 	rc.Pin()
 	n := 0
-	for cur := s.head.next[0].Load(); cur != s.tail; cur = cur.next[0].Load() {
+	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
 		if !cur.marked.Load() {
 			n++
 		}

@@ -18,9 +18,10 @@
 //     check fails; Optik2 restarts immediately (and is the more scalable
 //     variant in the paper).
 //
-// All variants share MaxLevel tower height and a geometric (p = 1/2) level
-// generator. Keys live in [ds.MinKey, ds.MaxKey]; sentinels use the two
-// reserved values.
+// All variants share the MaxLevel height cap, a geometric (p = 1/2) level
+// generator and one node layout — a header followed by a tower of the
+// node's own height, in one allocation (tower.go). Keys live in
+// [ds.MinKey, ds.MaxKey]; sentinels use the two reserved values.
 package skiplist
 
 import (

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -122,15 +123,27 @@ func TestOptikLockBeatsTTASUnderContention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contention comparison skipped in -short")
 	}
+	// One 300 ms pair on a timeshared box can catch TTAS in a lucky
+	// uncontended stretch (about 1 run in 80 inverted the comparison), so
+	// the property is asserted on the median of three alternating pairs.
 	cfg := LockConfig{Threads: 8, Duration: 300 * time.Millisecond}
-	ttas := RunLock(cfg, LockTTAS)
-	optik := RunLock(cfg, LockOptikVersioned)
-	if optik.Mops <= ttas.Mops {
-		t.Logf("warning: optik %.2f Mops <= ttas %.2f Mops (timing-sensitive)", optik.Mops, ttas.Mops)
+	var ttasCAS, optikCAS, ttasMops, optikMops [3]float64
+	for i := range ttasCAS {
+		ttas := RunLock(cfg, LockTTAS)
+		optik := RunLock(cfg, LockOptikVersioned)
+		ttasCAS[i], optikCAS[i] = ttas.CASPerValidation, optik.CASPerValidation
+		ttasMops[i], optikMops[i] = ttas.Mops, optik.Mops
 	}
-	if optik.CASPerValidation > ttas.CASPerValidation {
-		t.Fatalf("optik CAS/validation %.2f > ttas %.2f",
-			optik.CASPerValidation, ttas.CASPerValidation)
+	median := func(v [3]float64) float64 {
+		sort.Float64s(v[:])
+		return v[1]
+	}
+	if median(optikMops) <= median(ttasMops) {
+		t.Logf("warning: optik %.2f Mops <= ttas %.2f Mops (timing-sensitive)", median(optikMops), median(ttasMops))
+	}
+	if median(optikCAS) > median(ttasCAS) {
+		t.Fatalf("optik CAS/validation %.2f > ttas %.2f (medians of %v and %v)",
+			median(optikCAS), median(ttasCAS), optikCAS, ttasCAS)
 	}
 }
 

@@ -60,8 +60,9 @@ type coalescer struct {
 	vals   []string // staged SET/MSET values, parallel to hashes (write runs)
 
 	// Execution scratch.
-	outVals []string
-	flags   []bool
+	outVals  []string
+	flags    []bool
+	pageKeys []uint64 // RANGE/SCAN page keys; the page's values use outVals
 }
 
 // keys returns how many keys the open run has staged.
@@ -120,6 +121,17 @@ func (co *coalescer) scratch(n int) ([]string, []bool) {
 		co.flags = make([]bool, n)
 	}
 	return co.outVals[:n], co.flags[:n]
+}
+
+// page sizes the scratch for an n-entry RANGE/SCAN page: the ordered
+// family are barriers, so the run scratch is free whenever they execute.
+// Like scratch's, the value slots must be cleared after the reply.
+func (co *coalescer) page(n int) ([]uint64, []string) {
+	if cap(co.pageKeys) < n {
+		co.pageKeys = make([]uint64, n)
+	}
+	vals, _ := co.scratch(n)
+	return co.pageKeys[:n], vals
 }
 
 // spill hands out to the writer when it outgrows the buffer budget,

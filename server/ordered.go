@@ -28,14 +28,23 @@ const (
 	maxScanCount = 4096
 )
 
-// appendBulkUint frames a uint64 as a decimal bulk string.
+// appendBulkUint frames a uint64 as a decimal bulk string, formatting the
+// digits once, straight into dst. The length prefix is one character for
+// values of up to nine digits and two beyond, so the header's size is known
+// before the digits are; the length itself is patched in after them.
 func appendBulkUint(dst []byte, v uint64) []byte {
-	var tmp [20]byte
-	b := strconv.AppendUint(tmp[:0], v, 10)
-	dst = append(dst, '$')
-	dst = strconv.AppendInt(dst, int64(len(b)), 10)
-	dst = append(dst, crlf...)
-	dst = append(dst, b...)
+	if v < 1e9 {
+		dst = append(dst, "$0\r\n"...)
+	} else {
+		dst = append(dst, "$00\r\n"...)
+	}
+	at := len(dst)
+	dst = strconv.AppendUint(dst, v, 10)
+	n := len(dst) - at
+	dst[at-3] = byte('0' + n%10)
+	if n >= 10 {
+		dst[at-4] = byte('0' + n/10)
+	}
 	return append(dst, crlf...)
 }
 
@@ -84,15 +93,26 @@ func prefixRanges(v uint64, dst [][2]uint64) [][2]uint64 {
 	return dst
 }
 
-// scanScratch sizes the reply page buffers.
-func scanScratch(n int) ([]uint64, []string) {
-	return make([]uint64, n), make([]string, n)
+// appendPage frames a gathered page as alternating key/value bulks,
+// spilling like every multi-entry reply, and clears the value slots so the
+// connection's reusable scratch pins no arena strings.
+func (s *Server) appendPage(w *bufio.Writer, out []byte, keys []uint64, vals []string) ([]byte, error) {
+	defer clear(vals)
+	var err error
+	for i, k := range keys {
+		out = appendBulkUint(out, k)
+		out = appendBulk(out, vals[i])
+		if out, err = s.spill(w, out); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // executeScan answers SCAN cursor [PREFIX p] [COUNT n]: a flat array
 // whose first element is the next cursor (0 = exhausted) followed by
 // key/value pairs.
-func (s *Server) executeScan(rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
+func (s *Server) executeScan(co *coalescer, rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
 	if len(rest) < 1 || len(rest)%2 != 1 {
 		return arity(out, "scan")
 	}
@@ -101,7 +121,10 @@ func (s *Server) executeScan(rest [][]byte, w *bufio.Writer, out []byte) ([]byte
 		return appendError(out, "ERR invalid cursor"), nil
 	}
 	count := defaultScanCount
-	var ranges [][2]uint64
+	// At most one range per digit count (prefixRanges), so the stack array
+	// always suffices and a SCAN allocates nothing.
+	var rangeBuf [20][2]uint64
+	ranges := rangeBuf[:0]
 	prefixed := false
 	for i := 1; i < len(rest); i += 2 {
 		switch {
@@ -133,11 +156,11 @@ func (s *Server) executeScan(rest [][]byte, w *bufio.Writer, out []byte) ([]byte
 		out = appendArrayHeader(out, 1)
 		return appendBulkUint(out, 0), nil
 	}
-	if ranges == nil {
+	if !prefixed {
 		ranges = append(ranges, [2]uint64{ds.MinKey, ds.MaxKey})
 	}
 
-	keys, vals := scanScratch(count)
+	keys, vals := co.page(count)
 	filled := 0
 	exhausted := true
 	for _, r := range ranges {
@@ -162,22 +185,14 @@ func (s *Server) executeScan(rest [][]byte, w *bufio.Writer, out []byte) ([]byte
 	}
 	out = appendArrayHeader(out, 1+2*filled)
 	out = appendBulkUint(out, next)
-	var err error
-	for i := 0; i < filled; i++ {
-		out = appendBulkUint(out, keys[i])
-		out = appendBulk(out, vals[i])
-		if out, err = s.spill(w, out); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return s.appendPage(w, out, keys[:filled], vals[:filled])
 }
 
 // executeRange answers RANGE min max [LIMIT n]: a flat array of key/value
 // pairs for min <= key <= max, ascending, at most n pairs (default 128,
 // cap 4096). Unlike SCAN it carries no cursor — callers page by reissuing
 // with min = lastKey+1.
-func (s *Server) executeRange(rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
+func (s *Server) executeRange(co *coalescer, rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
 	if len(rest) != 2 && len(rest) != 4 {
 		return arity(out, "range")
 	}
@@ -201,23 +216,13 @@ func (s *Server) executeRange(rest [][]byte, w *bufio.Writer, out []byte) ([]byt
 		limit = int(n)
 	}
 	lo, hi = clampKeyRange(lo, hi)
-	filled := 0
-	var keys []uint64
-	var vals []string
-	if lo <= hi {
-		keys, vals = scanScratch(limit)
-		filled = s.sorted.Scan(lo, hi, keys, vals)
+	if lo > hi {
+		return appendArrayHeader(out, 0), nil
 	}
+	keys, vals := co.page(limit)
+	filled := s.sorted.Scan(lo, hi, keys, vals)
 	out = appendArrayHeader(out, 2*filled)
-	var err error
-	for i := 0; i < filled; i++ {
-		out = appendBulkUint(out, keys[i])
-		out = appendBulk(out, vals[i])
-		if out, err = s.spill(w, out); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return s.appendPage(w, out, keys[:filled], vals[:filled])
 }
 
 // executeEndpoint answers MIN and MAX: a two-element [key, value] array,

@@ -1,0 +1,94 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+	"testing"
+
+	"github.com/optik-go/optik/ds"
+	"github.com/optik-go/optik/store"
+)
+
+// TestRangeSteadyStateAllocs pins the allocation-free scan path: on a warm
+// connection a RANGE-of-100 or a SCAN COUNT 100 — parse, dispatch, the
+// store's scan, reply framing — allocates nothing, because the page is
+// gathered in the connection's reusable scratch instead of a fresh pair of
+// slices per request. The engine is driven without a socket (the
+// BenchmarkPipeline-harness shape, minus the transport): a request parsed
+// from an in-memory stream, dispatched against the connection's coalescer,
+// the reply discarded.
+func TestRangeSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
+	}
+	st := store.NewSortedStrings(store.WithKeyMax(4096), store.WithoutMaintenance())
+	defer st.Close()
+	for k := uint64(1); k <= 4096; k++ {
+		st.Set(k, "value-of-thirty-two-bytes-exactly")
+	}
+	srv := NewOrdered(st)
+	co := getCoalescer()
+	defer putCoalescer(co)
+	w := bufio.NewWriter(io.Discard)
+	out := make([]byte, 0, 64<<10)
+
+	for _, cmd := range []string{
+		"RANGE 1000 1099\r\n",
+		"RANGE 1000 4096 LIMIT 100\r\n",
+		"SCAN 2000 COUNT 100\r\n",
+		"*4\r\n$4\r\nSCAN\r\n$1\r\n0\r\n$5\r\nCOUNT\r\n$3\r\n100\r\n",
+	} {
+		wire := []byte(cmd)
+		var src bytes.Reader
+		r := bufio.NewReader(&src)
+		var req request
+		var replyLen int
+		run := func() {
+			src.Reset(wire)
+			r.Reset(&src)
+			if err := req.readFrom(r); err != nil {
+				t.Fatalf("%q: parse: %v", cmd, err)
+			}
+			reply, err := srv.dispatch(co, &req, w, out[:0])
+			if err != nil {
+				t.Fatalf("%q: dispatch: %v", cmd, err)
+			}
+			replyLen = len(reply)
+		}
+		run() // warm: sizes the page scratch and the store's pooled scratch
+		if replyLen < 100*len("$4\r\n1000\r\n$33\r\n\r\n") {
+			t.Fatalf("%q: %d-byte reply cannot hold a 100-entry page", cmd, replyLen)
+		}
+		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+			t.Errorf("%q: %.2f allocs per request on a warm connection, want 0", cmd, allocs)
+		}
+		for i, v := range co.outVals {
+			if v != "" {
+				t.Fatalf("%q: page scratch slot %d still pins a value after the reply", cmd, i)
+			}
+		}
+	}
+}
+
+// TestAppendBulkUint pins the single-pass formatter byte for byte against
+// the obvious two-pass framing, over every digit-count boundary.
+func TestAppendBulkUint(t *testing.T) {
+	vals := []uint64{0, math.MaxUint64, ds.MaxKey}
+	for p := uint64(1); ; p *= 10 {
+		vals = append(vals, p-1, p, p+1)
+		if p > math.MaxUint64/10 {
+			break
+		}
+	}
+	for _, v := range vals {
+		digits := strconv.FormatUint(v, 10)
+		want := fmt.Sprintf("$%d\r\n%s\r\n", len(digits), digits)
+		if got := string(appendBulkUint([]byte("prefix"), v)); got != "prefix"+want {
+			t.Errorf("appendBulkUint(%d) = %q, want %q", v, got, "prefix"+want)
+		}
+	}
+}

@@ -512,7 +512,7 @@ func (s *Server) dispatch(co *coalescer, req *request, w *bufio.Writer, out []by
 		if err != nil {
 			return out, err
 		}
-		return s.execute(req, w, out)
+		return s.execute(co, req, w, out)
 	}
 	if co.kind != kind && co.kind != runNone {
 		var err error
@@ -550,8 +550,9 @@ func (s *Server) dispatch(co *coalescer, req *request, w *bufio.Writer, out []by
 // execute answers one barrier command (every command outside the three
 // coalescable families), appending its reply to out. The ordered family
 // spills through w mid-reply — a 4096-entry page can outgrow any buffer
-// budget — which is why execute takes the writer.
-func (s *Server) execute(req *request, w *bufio.Writer, out []byte) ([]byte, error) {
+// budget — which is why execute takes the writer, and gathers its page in
+// the (drained) coalescer's scratch, which is why it takes co.
+func (s *Server) execute(co *coalescer, req *request, w *bufio.Writer, out []byte) ([]byte, error) {
 	args := req.args
 	cmd, rest := args[0], args[1:]
 	switch {
@@ -561,9 +562,9 @@ func (s *Server) execute(req *request, w *bufio.Writer, out []byte) ([]byte, err
 		}
 		switch {
 		case cmdEq(cmd, "SCAN"):
-			return s.executeScan(rest, w, out)
+			return s.executeScan(co, rest, w, out)
 		case cmdEq(cmd, "RANGE"):
-			return s.executeRange(rest, w, out)
+			return s.executeRange(co, rest, w, out)
 		case cmdEq(cmd, "MIN"):
 			if len(rest) != 0 {
 				return arity(out, "min")

@@ -155,18 +155,6 @@ func (v *Values) casPair(slot uint64, old, new *pair) bool {
 // pairOverhead per live entry. Same non-linearizable contract as Len.
 func (v *Values) Bytes() int64 { return v.bytes.Sum() }
 
-// Load returns the value in slot if it still belongs to hash. A false
-// return means the slot was recycled by a concurrent delete/replace since
-// the caller read the handle; the caller restarts through its index (the
-// OPTIK validate-and-retry, lifted to the value layer).
-func (v *Values) Load(slot, hash uint64) (string, bool) {
-	p := v.loadPair(slot)
-	if p == nil || p.hash != hash {
-		return "", false
-	}
-	return p.val, true
-}
-
 // Release recycles a slot whose index entry has been removed or replaced.
 // The slot's pair pointer is cleared: stale readers observe nil, report a
 // miss and retry through their index (the same validate-and-retry they

@@ -47,28 +47,6 @@ func TestStringsBasic(t *testing.T) {
 	}
 }
 
-// TestValuesLoadValidates pins the OPTIK move at the value layer: a slot
-// recycled to another key's pair must fail hash validation for the old
-// key instead of returning the wrong value.
-func TestValuesLoadValidates(t *testing.T) {
-	v := NewValues()
-	slot := v.Put(10, "ten")
-	if got, ok := v.Load(slot, 10); !ok || got != "ten" {
-		t.Fatalf("Load = %q, %v", got, ok)
-	}
-	v.Release(slot)
-	slot2 := v.Put(99, "ninety-nine")
-	if slot2 != slot {
-		t.Fatalf("free list did not recycle: got slot %d, want %d", slot2, slot)
-	}
-	if _, ok := v.Load(slot, 10); ok {
-		t.Fatal("stale Load validated against a recycled slot")
-	}
-	if got, ok := v.Load(slot, 99); !ok || got != "ninety-nine" {
-		t.Fatalf("Load after recycle = %q, %v", got, ok)
-	}
-}
-
 // TestStringsMGet pins the batched read path, including the recycled-slot
 // fallback being invisible to callers.
 func TestStringsMGet(t *testing.T) {
@@ -97,6 +75,30 @@ func TestStringsMGet(t *testing.T) {
 func TestStringsConcurrentRecycle(t *testing.T) {
 	s := NewStrings(WithShards(2), WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
+
+	// The interleaving the hammer below hopes for, staged once by hand: a
+	// reader holding key 10's slot handle while the slot is recycled to
+	// key 99. The validated read (the OPTIK move at the value layer) must
+	// fail the hash check for the old key — restarting through the index,
+	// where 10 is gone — instead of returning the other key's value.
+	s.SetHashed(10, "ten")
+	slot, _ := s.index.Get(10)
+	if _, p := s.read(10, slot, true); p == nil || p.val != "ten" {
+		t.Fatalf("read(10) before recycling = %v", p)
+	}
+	s.DelHashed(10)
+	s.SetHashed(99, "ninety-nine")
+	if slot2, _ := s.index.Get(99); slot2 != slot {
+		t.Fatalf("free list did not recycle: got slot %d, want %d", slot2, slot)
+	}
+	if _, p := s.read(10, slot, true); p != nil {
+		t.Fatalf("stale read validated against a recycled slot: %q", p.val)
+	}
+	if _, p := s.read(99, slot, true); p == nil || p.val != "ninety-nine" {
+		t.Fatalf("read(99) after recycle = %v", p)
+	}
+	s.DelHashed(99)
+
 	const keys = 8
 	key := func(i int) string { return fmt.Sprintf("hot%d", i) }
 	val := func(i int) string { return fmt.Sprintf("val-for-%d", i) }
