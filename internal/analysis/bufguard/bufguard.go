@@ -1,6 +1,6 @@
 // Package bufguard checks tiered buffer-pool hygiene (server/bufpool.go).
-// A buffer checked out of the pools — getReader, getWriter, getBytes,
-// getCoalescer — must go back with the matching put on every path, or
+// A buffer checked out of the pools — getBytes, getCoalescer — must go
+// back with the matching put on every path, or
 // transfer ownership (stored into a struct like connState, returned,
 // sent away). A dropped checkout is not a memory leak — the GC collects
 // it — but it silently defeats the pooling that keeps the hot path at
@@ -37,8 +37,6 @@ var Analyzer = &analysis.Analyzer{
 
 // pairs maps each pool checkout function to its return function.
 var pairs = map[string]string{
-	"getReader":    "putReader",
-	"getWriter":    "putWriter",
 	"getBytes":     "putBytes",
 	"getCoalescer": "putCoalescer",
 }
@@ -86,7 +84,7 @@ func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	var outs []*checkout
 
 	// Collect checkouts: `x := getX(...)` with x a plain local. Field
-	// assignments (cs.r = getReader(...)) transfer ownership to the
+	// assignments (cs.in = getBytes(...)) transfer ownership to the
 	// struct and are not collected; closures own their checkouts
 	// separately (the fleet keeps to directly-visible control flow).
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

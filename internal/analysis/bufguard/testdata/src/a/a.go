@@ -3,15 +3,9 @@
 // the connState field-store shape that legitimately transfers ownership.
 package a
 
-type reader struct{}
-type writer struct{}
 type coalescer struct{}
 
 // The pool surface under test: name-matched stubs of server/bufpool.go.
-func getReader(size int) *reader { return &reader{} }
-func putReader(r *reader)        {}
-func getWriter(size int) *writer { return &writer{} }
-func putWriter(w *writer)        {}
 func getBytes(size int) []byte   { return make([]byte, 0, size) }
 func putBytes(b []byte)          {}
 func getCoalescer() *coalescer   { return &coalescer{} }
@@ -61,20 +55,21 @@ func neverPut(n int) {
 	work(b)
 }
 
-// wrongPut returns a reader through the bytes pool: not a release of r.
+// wrongPut returns a coalescer's slot through the bytes pool: not a
+// release of co.
 func wrongPut(n int) {
-	r := getReader(n) // want `never returns to its pool`
-	_ = r
+	co := getCoalescer() // want `never returns to its pool`
+	_ = co
 	b := getBytes(n)
 	putBytes(b)
 }
 
-// readerWriterOK pairs both checkout kinds with their own puts.
-func readerWriterOK(n int) {
-	r := getReader(n)
-	w := getWriter(n)
-	defer putReader(r)
-	defer putWriter(w)
+// bothOK pairs both checkout kinds with their own puts.
+func bothOK(n int) {
+	b := getBytes(n)
+	co := getCoalescer()
+	defer putBytes(b)
+	defer putCoalescer(co)
 }
 
 // coalescerLeak forgets the coalescer on the error path.
@@ -89,8 +84,7 @@ func coalescerLeak(fail bool) {
 // conn mirrors connState: checkouts stored into fields transfer
 // ownership to the struct, whose releaseBuffers puts them back later.
 type conn struct {
-	r   *reader
-	w   *writer
+	in  []byte
 	out []byte
 	co  *coalescer
 }
@@ -98,9 +92,8 @@ type conn struct {
 // acquireOK is the repo idiom — no diagnostic: the struct owns the
 // buffers now.
 func (c *conn) acquireOK(n int) {
-	c.r = getReader(n)
-	c.w = getWriter(n)
-	c.out = getBytes(512)
+	c.in = getBytes(n)
+	c.out = getBytes(2 * n)
 	c.co = getCoalescer()
 }
 

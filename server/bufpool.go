@@ -1,26 +1,23 @@
 // Tiered connection-buffer pools: the OPTIK "pay only on contention"
-// principle applied to memory. A connection's read/write bufio buffers,
-// reply scratch, and coalescer staging state are acquired from size-tiered
-// sync.Pools on the first readable byte and returned when the connection
-// goes idle (poller mode, after the idle grace) or closes — so an idle
-// connection costs its registration, not ~2×16 KB of buffers, and
-// connection churn stops allocating fresh buffers per accept. The server
-// charges every checkout to buffersResident, the STATS `buffers_resident`
-// RSS proxy.
+// principle applied to memory. A connection's two byte slices (read buffer
+// `in`, reply buffer `out`; conn.go) and its coalescer staging state are
+// acquired from size-tiered sync.Pools on the first readable byte and
+// returned when the connection goes idle (poller mode, after the idle
+// grace) or closes — so an idle connection costs its registration, not
+// its buffers, and connection churn stops allocating fresh buffers per
+// accept. The server charges what each connection holds to
+// buffersResident, the STATS `buffers_resident` RSS proxy.
 //
-// bufio.Reader/Writer cannot adopt an external []byte, so the pools hold
-// the bufio objects themselves (the net/http idiom), one pool per
-// power-of-two size tier. A requested size is rounded UP to its tier, so a
-// non-power-of-two WithBufferSize gets slightly larger buffers than asked
-// — never smaller.
+// One pool per power-of-two size tier, each holding slices of exactly its
+// size: a requested size is rounded UP to its tier, so a non-power-of-two
+// WithBufferSize gets slightly larger buffers than asked — never smaller.
+// A read buffer grown by doubling is again a tier size and goes back to
+// that tier; a reply buffer grown by append rarely is, and is left to the
+// GC.
 
 package server
 
-import (
-	"bufio"
-	"io"
-	"sync"
-)
+import "sync"
 
 const (
 	minTierShift = 9  // 512 B — the WithBufferSize floor
@@ -43,91 +40,30 @@ func tierFor(n int) (idx, size int, ok bool) {
 }
 
 var (
-	readerPools [numTiers]sync.Pool // *bufio.Reader of exactly the tier size
-	writerPools [numTiers]sync.Pool // *bufio.Writer of exactly the tier size
-	bytesPools  [numTiers]sync.Pool // *[]byte with cap >= the tier size
-	coalescers  sync.Pool           // *coalescer, drained
+	bytesPools [numTiers]sync.Pool // *[]byte with cap == the tier size
+	coalescers sync.Pool           // *coalescer, drained
 )
 
-// getReader returns a pooled bufio.Reader of at least size bytes reading
-// from src.
-func getReader(src io.Reader, size int) *bufio.Reader {
-	idx, tsize, ok := tierFor(size)
-	if !ok {
-		return bufio.NewReaderSize(src, size)
-	}
-	if r, _ := readerPools[idx].Get().(*bufio.Reader); r != nil {
-		r.Reset(src)
-		return r
-	}
-	return bufio.NewReaderSize(src, tsize)
-}
-
-// putReader detaches r from its source and returns it to its tier.
-// Buffered bytes are discarded — callers release only when the buffer is
-// empty (idle) or the connection is dead (teardown).
-func putReader(r *bufio.Reader) {
-	idx, tsize, ok := tierFor(r.Size())
-	if !ok || r.Size() != tsize {
-		return
-	}
-	r.Reset(nil)
-	readerPools[idx].Put(r)
-}
-
-// getWriter returns a pooled bufio.Writer of at least size bytes writing
-// to dst.
-func getWriter(dst io.Writer, size int) *bufio.Writer {
-	idx, tsize, ok := tierFor(size)
-	if !ok {
-		return bufio.NewWriterSize(dst, size)
-	}
-	if w, _ := writerPools[idx].Get().(*bufio.Writer); w != nil {
-		w.Reset(dst)
-		return w
-	}
-	return bufio.NewWriterSize(dst, tsize)
-}
-
-// putWriter detaches w and returns it to its tier, discarding anything
-// unflushed (teardown already made its best flush attempt).
-func putWriter(w *bufio.Writer) {
-	idx, tsize, ok := tierFor(w.Size())
-	if !ok || w.Size() != tsize {
-		return
-	}
-	w.Reset(nil)
-	writerPools[idx].Put(w)
-}
-
-// getBytes returns a zero-length scratch slice with at least size capacity.
+// getBytes returns a zero-length slice whose capacity is size rounded up
+// to its tier — exactly size when size is a tier, or larger than every
+// tier (those are allocated unpooled).
 func getBytes(size int) []byte {
 	idx, tsize, ok := tierFor(size)
-	if !ok {
-		return make([]byte, 0, size)
-	}
-	if p, _ := bytesPools[idx].Get().(*[]byte); p != nil {
-		return (*p)[:0]
+	if ok {
+		if p, _ := bytesPools[idx].Get().(*[]byte); p != nil {
+			return *p
+		}
 	}
 	return make([]byte, 0, tsize)
 }
 
-// putBytes returns a scratch slice to the tier its grown capacity still
-// fills (rounded down; undersized or oversized slices are dropped).
+// putBytes returns a slice to the tier whose size its capacity is; any
+// other capacity is dropped.
 func putBytes(b []byte) {
-	c := cap(b)
-	if c < 1<<minTierShift {
-		return
+	if idx, tsize, ok := tierFor(cap(b)); ok && tsize == cap(b) {
+		b = b[:0]
+		bytesPools[idx].Put(&b)
 	}
-	idx, tsize, ok := tierFor(c)
-	if !ok {
-		return
-	}
-	if tsize > c {
-		idx-- // round down: the pool promises at least the tier size
-	}
-	b = b[:0]
-	bytesPools[idx].Put(&b)
 }
 
 // getCoalescer returns a drained coalescer.

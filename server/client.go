@@ -225,6 +225,24 @@ func (c *Client) flush() {
 	}
 }
 
+// readLine reads one \r\n (or bare \n) terminated reply line, returning a
+// view into the reader's buffer with the terminator stripped. The view is
+// only valid until the next read.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != nil {
+		if err == bufio.ErrBufferFull {
+			return nil, protoErrorf("line exceeds %d bytes", r.Size())
+		}
+		return nil, err
+	}
+	line = line[:len(line)-1]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, nil
+}
+
 // readReply reads one reply, returning its type byte and, for ':' the
 // integer, for '$' the bulk payload (a view into c.bulk, valid until the
 // next read), with nil payload and n == -1 for a nil bulk.

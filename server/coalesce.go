@@ -21,14 +21,10 @@
 // Nothing staged retains parser memory: keys are hashed out of the
 // parser's []byte views at staging time (HashKeyBytes) and SET values
 // take their one unavoidable string copy then — the same copy the
-// scalar path pays — so the reader's buffer is free to shift under the
-// next request.
+// scalar path pays — so the connection's read buffer is free to move once
+// the batch's requests have been dispatched.
 
 package server
-
-import (
-	"bufio"
-)
 
 // runKind classifies a staged run by command family.
 type runKind uint8
@@ -87,15 +83,16 @@ func (co *coalescer) stage(k runKind, n int, multi bool) {
 }
 
 // drain executes the staged run, appending every reply to out in
-// arrival order (spilling to w when out outgrows the buffer budget, as
-// the scalar path does), and resets the stage. A run of one scalar
-// request takes the exact scalar store path, so coalescing never taxes
+// arrival order (spilling when out outgrows the buffer budget, as the
+// scalar path does), and resets the stage. A run of one scalar request
+// takes the exact scalar store path, so coalescing never taxes
 // request/response traffic; a run of one multi-key request is the
 // shard-batched M* handler. Only runs that merged two or more requests
 // count toward the coalescing stats.
-func (s *Server) drain(co *coalescer, w *bufio.Writer, out []byte) ([]byte, error) {
+func (cs *connState) drain() error {
+	co, s := cs.co, cs.srv
 	if co.kind == runNone {
-		return out, nil
+		return nil
 	}
 	if len(co.reqs) >= 2 {
 		s.coalescedBatches.Add(1)
@@ -104,14 +101,14 @@ func (s *Server) drain(co *coalescer, w *bufio.Writer, out []byte) ([]byte, erro
 	var err error
 	switch co.kind {
 	case runRead:
-		out, err = s.drainRead(co, w, out)
+		err = cs.drainRead()
 	case runWrite:
-		out, err = s.drainWrite(co, w, out)
+		err = cs.drainWrite()
 	case runDel:
-		out, err = s.drainDel(co, w, out)
+		err = cs.drainDel()
 	}
 	co.reset()
-	return out, err
+	return err
 }
 
 // scratch sizes the coalescer's execution slices for n keys.
@@ -134,19 +131,17 @@ func (co *coalescer) page(n int) ([]uint64, []string) {
 	return co.pageKeys[:n], vals
 }
 
-// spill hands out to the writer when it outgrows the buffer budget,
-// preserving TCP backpressure under replies much larger than requests.
-func (s *Server) spill(w *bufio.Writer, out []byte) ([]byte, error) {
-	if len(out) < s.opts.bufSize {
-		return out, nil
+// spill writes out once it outgrows the buffer budget, preserving TCP
+// backpressure under replies much larger than requests.
+func (cs *connState) spill() error {
+	if len(cs.out) < cs.srv.opts.bufSize {
+		return nil
 	}
-	if _, err := w.Write(out); err != nil {
-		return out[:0], err
-	}
-	return out[:0], nil
+	return cs.write()
 }
 
-func (s *Server) drainRead(co *coalescer, w *bufio.Writer, out []byte) ([]byte, error) {
+func (cs *connState) drainRead() error {
+	co, s := cs.co, cs.srv
 	n := co.keys()
 	vals, found := co.scratch(n)
 	if n == 1 {
@@ -155,28 +150,28 @@ func (s *Server) drainRead(co *coalescer, w *bufio.Writer, out []byte) ([]byte, 
 		s.st.MGetHashed(co.hashes, vals, found)
 	}
 	i := 0
-	var err error
 	for _, rq := range co.reqs {
 		if rq.multi {
-			out = appendArrayHeader(out, rq.n)
+			cs.out = appendArrayHeader(cs.out, rq.n)
 		}
 		for j := 0; j < rq.n; j++ {
 			if found[i] {
-				out = appendBulk(out, vals[i])
+				cs.out = appendBulk(cs.out, vals[i])
 			} else {
-				out = appendNilBulk(out)
+				cs.out = appendNilBulk(cs.out)
 			}
 			i++
-			if out, err = s.spill(w, out); err != nil {
-				return out, err
+			if err := cs.spill(); err != nil {
+				return err
 			}
 		}
 	}
 	clear(vals) // don't pin arena strings in the reusable scratch
-	return out, nil
+	return nil
 }
 
-func (s *Server) drainWrite(co *coalescer, w *bufio.Writer, out []byte) ([]byte, error) {
+func (cs *connState) drainWrite() error {
+	co, s := cs.co, cs.srv
 	n := co.keys()
 	_, replaced := co.scratch(n)
 	if n == 1 {
@@ -185,7 +180,6 @@ func (s *Server) drainWrite(co *coalescer, w *bufio.Writer, out []byte) ([]byte,
 		s.st.MSetHashed(co.hashes, co.vals, replaced)
 	}
 	i := 0
-	var err error
 	for _, rq := range co.reqs {
 		if rq.multi {
 			inserted := int64(0)
@@ -195,19 +189,20 @@ func (s *Server) drainWrite(co *coalescer, w *bufio.Writer, out []byte) ([]byte,
 				}
 				i++
 			}
-			out = appendInt(out, inserted)
+			cs.out = appendInt(cs.out, inserted)
 		} else {
-			out = appendInt(out, b2i(replaced[i]))
+			cs.out = appendInt(cs.out, b2i(replaced[i]))
 			i++
 		}
-		if out, err = s.spill(w, out); err != nil {
-			return out, err
+		if err := cs.spill(); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-func (s *Server) drainDel(co *coalescer, w *bufio.Writer, out []byte) ([]byte, error) {
+func (cs *connState) drainDel() error {
+	co, s := cs.co, cs.srv
 	n := co.keys()
 	_, found := co.scratch(n)
 	if n == 1 {
@@ -216,7 +211,6 @@ func (s *Server) drainDel(co *coalescer, w *bufio.Writer, out []byte) ([]byte, e
 		s.st.MDelHashed(co.hashes, found)
 	}
 	i := 0
-	var err error
 	for _, rq := range co.reqs {
 		if rq.multi {
 			deleted := int64(0)
@@ -226,16 +220,16 @@ func (s *Server) drainDel(co *coalescer, w *bufio.Writer, out []byte) ([]byte, e
 				}
 				i++
 			}
-			out = appendInt(out, deleted)
+			cs.out = appendInt(cs.out, deleted)
 		} else {
-			out = appendInt(out, b2i(found[i]))
+			cs.out = appendInt(cs.out, b2i(found[i]))
 			i++
 		}
-		if out, err = s.spill(w, out); err != nil {
-			return out, err
+		if err := cs.spill(); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // stageKeys maps every key view through the key codec into the run's key

@@ -1,10 +1,21 @@
 // connState is the per-connection protocol engine, shared verbatim by both
 // conn modes: goroutine-per-conn (runLoop, the portable default — one
 // goroutine blocks on the socket) and the shared poller (poller_linux.go —
-// epoll workers call the same step/flushBatch/readFailed methods whenever
-// the socket turns readable). There is exactly ONE implementation of
-// parse → coalesce → dispatch → flush; the modes differ only in who drives
-// it and when buffers are resident.
+// epoll workers call pump whenever the socket turns readable). There is
+// exactly ONE implementation of parse → coalesce → dispatch → flush; the
+// modes differ only in what "need more bytes" does — a blocking Read, or a
+// nonblocking one and a re-arm — and in when buffers are resident.
+//
+// The engine owns two byte slices. `in` holds the bytes received and not
+// yet parsed; parse (proto.go) cuts requests off its front, their arguments
+// views into it. `out` collects replies until one Write sends them. The
+// views stay valid because `in` moves in exactly one place — room, which
+// pump calls only once every parsed request has been dispatched (keys are
+// hashed and SET values copied at staging, so nothing staged points into
+// it). A frame larger than `in` grows it geometrically as the bytes arrive,
+// bounded by the parser's header checks; a reply larger than `out` grows
+// that; each returns to its pooled size once emptied, so memory follows the
+// bytes in flight, not the largest frame the connection ever saw.
 //
 // Lifecycle: a connection starts parked with no buffers — an idle conn
 // costs its registration, per the OPTIK principle of paying only when
@@ -18,9 +29,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
-	"errors"
 	"io"
 	"net"
 	"sync/atomic"
@@ -39,6 +47,15 @@ const (
 // server.Client does this itself; see docs/PROTOCOL.md "Overload").
 var busyReply = []byte("-ERR busy retry\r\n")
 
+// pollerWriteTimeout bounds every poller-mode reply write. Workers — and
+// the dispatcher when it help-drains or sheds — write replies
+// synchronously; without a deadline one stalled peer (zero TCP window,
+// dead host) would wedge them until the TCP stack itself gives up,
+// minutes later. A client that cannot accept reply bytes for this long is
+// treated as dead and torn down. Goroutine-mode conns write without one —
+// a wedged write there costs one parked goroutine, not a shared worker.
+const pollerWriteTimeout = 5 * time.Second
+
 // connPoller is what a poller-registered connection knows how to do beyond
 // the shared engine; satisfied by pollConn (linux). It keeps server.go
 // portable: non-linux builds never construct one.
@@ -48,31 +65,18 @@ type connPoller interface {
 	shed()
 }
 
-// blockableReader is a byte source that can switch between nonblocking
-// (poller workers must not stall on a half-arrived frame) and blocking
-// (frames larger than the read buffer stream through the runtime poller).
-type blockableReader interface {
-	io.Reader
-	setBlocking(bool)
-}
-
 // connState carries one connection through either conn mode.
 type connState struct {
 	srv *Server
 	nc  net.Conn
 
 	// Protocol engine state; nil/empty while buffers are not resident.
-	r       *bufio.Reader
-	w       *bufio.Writer
-	out     []byte
+	in      []byte // received and not yet parsed
+	out     []byte // replies not yet written
 	co      *coalescer
 	req     request
 	pending int
-
-	src     io.Reader // what r reads: prefixReader (goroutine) or rawReader (poller)
-	wdst    io.Writer // what w writes: nc when nil (goroutine), deadlineWriter (poller)
-	pre     prefixReader
-	charged int64 // bytes charged to Server.buffersResident while resident
+	charged int64 // bytes this conn has on Server.buffersResident
 
 	state      atomic.Int32
 	lastActive atomic.Int64 // UnixNano of the last claim; shed picks the smallest
@@ -94,20 +98,15 @@ func (cs *connState) claim() bool {
 }
 
 // acquireBuffers checks the engine's working set out of the tiered pools.
-// Caller guarantees buffers are not already resident.
-func (cs *connState) acquireBuffers(src io.Reader) {
+// Caller guarantees buffers are not already resident. out is twice the
+// spill threshold so that only a single reply larger than the threshold
+// can outgrow it.
+func (cs *connState) acquireBuffers() {
 	n := cs.srv.opts.bufSize
-	cs.src = src
-	dst := cs.wdst
-	if dst == nil {
-		dst = cs.nc
-	}
-	cs.r = getReader(src, n)
-	cs.w = getWriter(dst, n)
-	cs.out = getBytes(512)
+	cs.in = getBytes(n)
+	cs.out = getBytes(2 * n)
 	cs.co = getCoalescer()
-	cs.charged = int64(cs.r.Size() + cs.w.Size())
-	cs.srv.buffersResident.Add(cs.charged)
+	cs.charge()
 	cs.resident.Store(true)
 }
 
@@ -115,17 +114,24 @@ func (cs *connState) acquireBuffers(src io.Reader) {
 // release only when nothing is staged or buffered (idle) or the connection
 // is dead (teardown).
 func (cs *connState) releaseBuffers() {
-	if cs.r == nil {
+	if cs.in == nil {
 		return
 	}
-	putReader(cs.r)
-	putWriter(cs.w)
+	putBytes(cs.in)
 	putBytes(cs.out)
 	putCoalescer(cs.co)
-	cs.r, cs.w, cs.out, cs.co, cs.src = nil, nil, nil, nil, nil
+	cs.in, cs.out, cs.co = nil, nil, nil
 	cs.resident.Store(false)
-	cs.srv.buffersResident.Add(-cs.charged)
-	cs.charged = 0
+	cs.charge()
+}
+
+// charge squares the server's buffers_resident gauge with what the two
+// slices hold right now.
+func (cs *connState) charge() {
+	if held := int64(cap(cs.in) + cap(cs.out)); held != cs.charged {
+		cs.srv.buffersResident.Add(held - cs.charged)
+		cs.charged = held
+	}
 }
 
 // idleReleasable reports whether the engine holds nothing that would be
@@ -133,30 +139,34 @@ func (cs *connState) releaseBuffers() {
 // unflushed replies. Poller-mode idle sweep calls it under the conn's
 // processing lock.
 func (cs *connState) idleReleasable() bool {
-	return cs.r != nil && cs.r.Buffered() == 0 && cs.pending == 0 &&
-		len(cs.out) == 0 && cs.co.kind == runNone && cs.w.Buffered() == 0
+	return cs.in != nil && len(cs.in) == 0 && cs.pending == 0 &&
+		len(cs.out) == 0 && cs.co.kind == runNone
 }
 
-// flushAll hands the accumulated replies to the writer and flushes — one
-// Write per pipeline batch, as before the refactor.
-func (cs *connState) flushAll() error {
-	if len(cs.out) > 0 {
-		if _, err := cs.w.Write(cs.out); err != nil {
-			return err
-		}
-		cs.out = cs.out[:0]
+// write sends the accumulated replies in one Write and empties out; an out
+// that a large reply grew goes back for one of the pooled size.
+func (cs *connState) write() error {
+	if len(cs.out) == 0 {
+		return nil
 	}
-	return cs.w.Flush()
+	cs.charge()
+	if cs.poll != nil {
+		cs.nc.SetWriteDeadline(time.Now().Add(pollerWriteTimeout))
+	}
+	_, err := cs.nc.Write(cs.out)
+	cs.out = cs.out[:0]
+	if home := 2 * cs.srv.opts.bufSize; cap(cs.out) > home {
+		putBytes(cs.out)
+		cs.out = getBytes(home)
+		cs.charge()
+	}
+	return err
 }
 
-// flushBatch ends a pipeline batch: drain the staged run, flush every
+// flushBatch ends a pipeline batch: drain the staged run, write every
 // reply, account the commands. Reports false when the connection is dead.
 func (cs *connState) flushBatch() bool {
-	var err error
-	if cs.out, err = cs.srv.drain(cs.co, cs.w, cs.out); err != nil {
-		return false
-	}
-	if cs.flushAll() != nil {
+	if cs.drain() != nil || cs.write() != nil {
 		return false
 	}
 	cs.srv.commands.Add(uint64(cs.pending))
@@ -164,70 +174,100 @@ func (cs *connState) flushBatch() bool {
 	return true
 }
 
-// step parses and dispatches exactly one request. Reports false when the
-// connection is finished (error, QUIT, or protocol teardown — all handled
-// here, identically in both modes).
-func (cs *connState) step() bool {
+// pump parses and dispatches every whole request buffered in `in`, then
+// readies `in` for the next read. Reports false when the connection is
+// finished (error, QUIT, or protocol teardown — all handled here,
+// identically in both modes); true means it needs more bytes, and the
+// caller owes the client a flushBatch before it waits for them.
+func (cs *connState) pump() bool {
 	s := cs.srv
-	err := cs.req.readFrom(cs.r)
-	if err != nil {
-		cs.readFailed(err)
-		return false
+	rd := 0
+	for {
+		n, err := cs.req.parse(cs.in[rd:], s.opts.bufSize)
+		if err != nil {
+			cs.readFailed(err)
+			return false
+		}
+		if n == 0 {
+			cs.room(rd)
+			return true
+		}
+		rd += n
+		cs.pending++
+		if cs.dispatch() != nil {
+			// errQuit and write errors both end the connection; flush what
+			// the client is owed first (QUIT drained the stage itself).
+			cs.write()
+			s.commands.Add(uint64(cs.pending))
+			cs.pending = 0
+			return false
+		}
+		if cs.spill() != nil {
+			return false
+		}
+		if cs.pending >= s.opts.pipeline && !cs.flushBatch() {
+			return false
+		}
 	}
-	cs.out, err = s.dispatch(cs.co, &cs.req, cs.w, cs.out)
-	cs.pending++
-	if err != nil {
-		// errQuit and write errors both end the connection; flush what
-		// the client is owed first (QUIT drained the stage itself).
-		cs.flushAll()
-		s.commands.Add(uint64(cs.pending))
-		cs.pending = 0
-		return false
-	}
-	if cs.out, err = s.spill(cs.w, cs.out); err != nil {
-		return false
-	}
-	return true
 }
 
-// readFailed ends the connection after a read error. A protocol error is
-// reported on the wire: the staged run's replies are owed first, ahead of
-// the error, and the error travels on a FIN (half-close plus drain), not a
-// RST that could destroy it in flight. Every other error (EOF, deadline,
-// shed wake-up) flushes what is owed and goes quiet.
-func (cs *connState) readFailed(err error) {
-	s := cs.srv
-	s.commands.Add(uint64(cs.pending))
-	cs.pending = 0
-	var pe *protoError
-	if errors.As(err, &pe) {
-		var derr error
-		if cs.out, derr = s.drain(cs.co, cs.w, cs.out); derr != nil {
-			return
-		}
-		cs.out = appendError(cs.out, pe.Error())
-		if cs.flushAll() == nil {
-			if tc, ok := cs.nc.(*net.TCPConn); ok {
-				tc.CloseWrite()
-			}
-			cs.nc.SetReadDeadline(time.Now().Add(time.Second))
-			if br, ok := cs.src.(blockableReader); ok {
-				br.setBlocking(true)
-			}
-			io.Copy(io.Discard, cs.r)
+// room drops the rd parsed bytes (and any blank lines after them) off the
+// front of `in` and leaves space to read into. It is the one place `in`
+// moves, and pump calls it only with every parsed request dispatched, so no
+// argument view is live. A partial frame that fills the buffer doubles it —
+// the parser has already refused any frame whose headers break a limit, so
+// growth follows bytes actually received, up to maxRequest — and once what
+// is left fits the configured size again the buffer returns to it.
+func (cs *connState) room(rd int) {
+	rd += blanks(cs.in[rd:])
+	home, size, rest := cs.srv.opts.bufSize, cap(cs.in), len(cs.in)-rd
+	switch {
+	case rest == size:
+		size *= 2
+	case size > home && rest < home:
+		size = home
+	}
+	if size == cap(cs.in) {
+		if rd > 0 {
+			cs.in = cs.in[:copy(cs.in, cs.in[rd:])]
 		}
 		return
 	}
-	var derr error
-	if cs.out, derr = s.drain(cs.co, cs.w, cs.out); derr == nil {
-		cs.flushAll()
+	moved := append(getBytes(size), cs.in[rd:]...)
+	clear(cs.req.args[:cap(cs.req.args)]) // stale views would pin the old buffer
+	putBytes(cs.in)
+	cs.in = moved
+	cs.charge()
+}
+
+// readFailed ends the connection after a parse or read error. The staged
+// run's replies are owed first. A protocol error is then reported on the
+// wire, and travels on a FIN (half-close plus a bounded drain of whatever
+// the client is still sending), not a RST that could destroy it in flight.
+// Every other error (EOF, deadline, shed wake-up) goes quiet.
+func (cs *connState) readFailed(err error) {
+	cs.srv.commands.Add(uint64(cs.pending))
+	cs.pending = 0
+	if cs.drain() != nil {
+		return
+	}
+	pe, _ := err.(*protoError)
+	if pe != nil {
+		cs.out = appendError(cs.out, pe.Error())
+	}
+	if cs.write() == nil && pe != nil {
+		if tc, ok := cs.nc.(*net.TCPConn); ok {
+			tc.CloseWrite()
+		}
+		cs.nc.SetReadDeadline(time.Now().Add(time.Second))
+		io.Copy(io.Discard, cs.nc)
 	}
 }
 
 // runLoop is the goroutine-per-conn mode: one blocking loop owning the
-// connection, byte-compatible with the pre-refactor handler. Buffers are
-// acquired only once the conn speaks, so a connected-but-silent client
-// costs a goroutine and a registration, not a working set.
+// connection. Buffers are acquired only once the conn speaks, so a
+// connected-but-silent client costs a goroutine and a registration, not a
+// working set.
 func (cs *connState) runLoop() {
 	var first [1]byte
 	n, err := cs.nc.Read(first[:])
@@ -241,149 +281,31 @@ func (cs *connState) runLoop() {
 		return // shed while we parked on the first read
 	}
 	cs.touch()
-	cs.pre = prefixReader{nc: cs.nc, b: first[0], have: true}
-	cs.acquireBuffers(&cs.pre)
-	r := cs.r
+	cs.acquireBuffers()
+	cs.in = append(cs.in, first[0])
 	for {
-		skipNewlines(r)
-		if cs.pending > 0 && (r.Buffered() == 0 || cs.pending >= cs.srv.opts.pipeline) {
-			if !cs.flushBatch() {
-				return
-			}
+		// Whatever is owed goes out before blocking for more bytes, even
+		// behind a half-arrived frame: the client may be waiting on it.
+		if !cs.pump() || cs.pending > 0 && !cs.flushBatch() {
+			return
 		}
-		if r.Buffered() == 0 {
-			// About to block between batches: park so the shedder may
-			// claim the conn, then re-claim once bytes arrive.
+		idle := len(cs.in) == 0
+		if idle {
+			// Between batches: park so the shedder may claim the conn,
+			// then re-claim once bytes arrive.
 			cs.park()
-			if _, err := r.Peek(1); err != nil {
-				cs.readFailed(err)
-				return
-			}
+		}
+		n, err := cs.nc.Read(cs.in[len(cs.in):cap(cs.in)])
+		if err != nil {
+			cs.readFailed(err)
+			return
+		}
+		cs.in = cs.in[:len(cs.in)+n]
+		if idle {
 			if !cs.claim() {
 				return
 			}
 			cs.touch()
 		}
-		if !cs.step() {
-			return
-		}
 	}
-}
-
-// prefixReader replays the one byte the lazy-acquisition read consumed
-// before the bufio.Reader existed, then delegates to the socket. It lives
-// inside connState so the wrapper costs no allocation.
-type prefixReader struct {
-	nc   net.Conn
-	b    byte
-	have bool
-}
-
-func (p *prefixReader) Read(buf []byte) (int, error) {
-	if p.have {
-		if len(buf) == 0 {
-			return 0, nil
-		}
-		p.have = false
-		buf[0] = p.b
-		return 1, nil
-	}
-	return p.nc.Read(buf)
-}
-
-// frameStatus classifies the reader's buffered bytes for the poller: can
-// readFrom consume the next request without touching the socket, and if
-// not, can more bytes ever arrive into this buffer?
-type frameStatus int
-
-const (
-	// frameWait: the frame is incomplete and the buffer has room — park
-	// the partial bytes and wait for the next readiness cycle.
-	frameWait frameStatus = iota
-	// frameBuffered: one complete frame (headers, bodies, terminators) is
-	// buffered, or the buffered prefix is malformed in a way the parser
-	// rejects before needing more bytes. readFrom will not block.
-	frameBuffered
-	// frameOverflow: the frame is incomplete and the buffer is full
-	// (frames are legal up to maxBulk, far past any buffer tier) — no
-	// future readiness cycle can add bytes, so only blocking reads can
-	// finish it. A nonblocking readFrom here would hit EAGAIN mid-parse
-	// and be mistaken for a dead connection.
-	frameOverflow
-)
-
-// frameCheck reports whether the next request can be parsed entirely from
-// the reader's buffered bytes. The poller calls it so a half-arrived frame
-// parks in the bufio buffer across readiness cycles instead of stalling a
-// worker, and so a frame that outgrows the buffer (frameOverflow) is
-// finished with blocking reads instead of a nonblocking parse that cannot
-// succeed.
-func frameCheck(r *bufio.Reader) frameStatus {
-	buf, _ := r.Peek(r.Buffered())
-	i := 0
-	for i < len(buf) && (buf[i] == '\r' || buf[i] == '\n') {
-		i++
-	}
-	if i == len(buf) {
-		return frameWait // only blanks: skipNewlines discards them, no frame yet
-	}
-	incomplete := frameWait
-	if len(buf) == r.Size() {
-		incomplete = frameOverflow
-	}
-	j := lineEnd(buf[i:])
-	if j < 0 {
-		return incomplete // incomplete first line (full buffer: readLine reports overflow unread)
-	}
-	if buf[i] != '*' {
-		return frameBuffered // complete inline line
-	}
-	n, ok := parseInt(trimCR(buf[i : i+j])[1:])
-	if !ok || n < 1 || n > maxArgs {
-		return frameBuffered // malformed header: the parser rejects it from the buffer
-	}
-	pos := i + j + 1
-	for k := int64(0); k < n; k++ {
-		rest := buf[pos:]
-		j := lineEnd(rest)
-		if j < 0 {
-			return incomplete
-		}
-		line := trimCR(rest[:j])
-		if len(line) == 0 || line[0] != '$' {
-			return frameBuffered
-		}
-		blen, ok := parseInt(line[1:])
-		if !ok || blen < 0 || blen > maxBulk {
-			return frameBuffered
-		}
-		pos += j + 1
-		if int64(len(buf)-pos) < blen+1 {
-			return incomplete // body (+ at least one terminator byte) not here yet
-		}
-		pos += int(blen)
-		if buf[pos] == '\r' {
-			if pos+1 >= len(buf) {
-				return incomplete
-			}
-			pos++
-		}
-		if buf[pos] != '\n' {
-			return frameBuffered // malformed terminator: parser rejects from the buffer
-		}
-		pos++
-	}
-	return frameBuffered
-}
-
-// lineEnd returns the index of the first '\n' in b (the line spans b[:i]),
-// or -1.
-func lineEnd(b []byte) int { return bytes.IndexByte(b, '\n') }
-
-// trimCR strips a trailing '\r' from a line whose '\n' is already cut.
-func trimCR(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\r' {
-		return b[:n-1]
-	}
-	return b
 }

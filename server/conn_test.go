@@ -9,10 +9,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -68,10 +70,8 @@ func TestConnModeTranscriptProperty(t *testing.T) {
 }
 
 // TestConnModeBigFrame round-trips a frame several times larger than the
-// read buffer through both modes: the poller must fall back to blocking
-// reads for it (frameCheck reports a full buffer holding an incomplete
-// frame as frameOverflow) and still produce the goroutine mode's exact
-// bytes.
+// read buffer through both modes: the engine must grow the buffer to hold
+// it whole and produce the same bytes either way.
 func TestConnModeBigFrame(t *testing.T) {
 	val := strings.Repeat("x", 2000)
 	var pipe []byte
@@ -111,10 +111,10 @@ func TestPollerTrickledFrame(t *testing.T) {
 
 // TestPollerTrickledBigFrame streams a frame several times larger than
 // the read buffer in small bursts with pauses, so its bytes are never all
-// in the kernel receive queue at once. Once the buffer fills mid-frame,
-// frameCheck must report frameOverflow and the worker must switch to
-// blocking reads for the remainder — a nonblocking parse would hit EAGAIN
-// mid-frame and tear the connection down as dead (the bug this pins).
+// in the kernel receive queue at once. Each time the buffer fills mid-frame
+// it must grow and the frame keep waiting in it across readiness cycles —
+// an EAGAIN mid-frame is "need more", never a dead connection (the bug
+// this pins).
 func TestPollerTrickledBigFrame(t *testing.T) {
 	if !PollerSupported() {
 		t.Skip("poller conn mode not supported on this platform")
@@ -143,6 +143,89 @@ func TestPollerTrickledBigFrame(t *testing.T) {
 	want := fmt.Sprintf("$%d\r\n%s\r\n", len(val), val)
 	if got := readN(t, r, len(want)); got != want {
 		t.Fatalf("GET after trickled big SET returned wrong bytes (%d read)", len(got))
+	}
+}
+
+// TestPollerStalledBigFramesDoNotWedge pins that no poller worker — and
+// not the dispatcher, which serves inline when the workers are busy — ever
+// blocks reading a socket: more clients than there are workers each send
+// the first bufSize+1 bytes of a frame and stall, and a fresh connection
+// must still be answered. One stalled frame is then finished and must
+// execute.
+func TestPollerStalledBigFramesDoNotWedge(t *testing.T) {
+	if !PollerSupported() {
+		t.Skip("poller conn mode not supported on this platform")
+	}
+	const bufSize = 512
+	srv, _, addr := startServer(t, WithBufferSize(bufSize), WithConnMode(ConnModePoller))
+	val := strings.Repeat("z", 2000)
+	frame := fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(val), val)
+	stalled := max(2, runtime.GOMAXPROCS(0)) + 2 // every worker, the dispatcher, and one more
+	conns := make([]net.Conn, stalled)
+	readers := make([]*bufio.Reader, stalled)
+	for i := range conns {
+		conns[i], readers[i] = dialRaw(t, addr)
+		if _, err := conns[i].Write([]byte(frame[:bufSize+1])); err != nil {
+			t.Fatalf("stalled conn %d write: %v", i, err)
+		}
+	}
+	// A half-frame has been read in once its connection's read buffer has
+	// doubled to hold it: 2+2 bufSize charged instead of 1+2.
+	waitFor(t, "the half-frames to be buffered", func() bool {
+		return srv.buffersResident.Load() == int64(stalled*4*bufSize)
+	})
+	conn, r := dialRaw(t, addr)
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Write([]byte("PING\r\n")); err != nil {
+		t.Fatalf("fresh conn write: %v", err)
+	}
+	if line, err := r.ReadString('\n'); err != nil || line != "+PONG\r\n" {
+		t.Fatalf("fresh connection behind %d stalled half-frames: %q, %v", stalled, line, err)
+	}
+	if _, err := conns[0].Write([]byte(frame[bufSize+1:])); err != nil {
+		t.Fatalf("finishing the stalled frame: %v", err)
+	}
+	if got := readN(t, readers[0], 4); got != ":0\r\n" {
+		t.Fatalf("finished frame's reply: %q", got)
+	}
+}
+
+// TestBufferResidency pins that a connection's memory follows the bytes it
+// actually holds, in both modes: a bulk header announcing 8 MiB reserves
+// nothing before a body byte arrives, and the buffers a 1 MiB SET and the
+// GET of it grew are back at their pooled sizes once those are answered.
+func TestBufferResidency(t *testing.T) {
+	for _, mode := range connModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			srv, _, addr := startServer(t, WithConnMode(mode))
+			atRest := int64(3 * srv.opts.bufSize) // in + out
+			conn, r := dialRaw(t, addr)
+			if _, err := conn.Write([]byte("PING\r\n*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$8388608\r\n")); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if got := readN(t, r, 7); got != "+PONG\r\n" {
+				t.Fatalf("ping reply %q", got)
+			}
+			time.Sleep(20 * time.Millisecond) // let the engine see the header, if it had not
+			if got := srv.buffersResident.Load(); got != atRest {
+				t.Fatalf("buffers_resident = %d behind an announced 8 MiB bulk with no body, want %d", got, atRest)
+			}
+			conn.Close()
+			waitFor(t, "the closed conn's buffers to be released", func() bool { return srv.buffersResident.Load() == 0 })
+
+			conn, r = dialRaw(t, addr)
+			val := strings.Repeat("v", 1<<20)
+			if _, err := fmt.Fprintf(conn, "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$%d\r\n%s\r\nGET k\r\n", len(val), val); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			want := fmt.Sprintf(":0\r\n$%d\r\n%s\r\n", len(val), val)
+			if got := readN(t, r, len(want)); got != want {
+				t.Fatalf("1 MiB SET/GET round trip returned wrong bytes (%d read)", len(got))
+			}
+			waitFor(t, "the grown buffers to return to their pooled sizes", func() bool {
+				return srv.buffersResident.Load() == atRest
+			})
+		})
 	}
 }
 

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
-	"errors"
-	"io"
+	"fmt"
 	"testing"
 )
 
@@ -30,81 +27,137 @@ var ttlSeeds = [][]byte{
 	[]byte("*3\r\n$6\r\nEXPIRE\r\n$6\r\nuser:1\r\n$3\r\n-"),
 }
 
-// FuzzParseRequest drives the wire parser with arbitrary byte streams and
-// checks its contract: it never panics, it only ever fails with io.EOF
-// (clean close at a request boundary), io.ErrUnexpectedEOF (truncated
-// frame), or a *protoError (fatal framing violation) — the soft-vs-fatal
-// split serve() dispatches on — and every request it does accept respects
-// the protocol limits. The request struct is reused across all requests
-// of one stream, as a connection does, so slot-buffer reuse is fuzzed too.
-func FuzzParseRequest(f *testing.F) {
-	// Transcripts from the protocol tests: inline and multibulk framing,
-	// pipelining, blank-line tolerance, and each malformed-frame class.
-	seeds := [][]byte{
-		[]byte("PING\r\n"),
-		[]byte("GET user:1\r\n"),
-		[]byte("SET user:1 alice\r\n"),
-		[]byte("  GET   user:1  \r\n"),
-		[]byte(" \n"),
-		[]byte("\r\n\r\nPING\r\n"),
-		[]byte("PING\nPING\n"),
-		[]byte("*1\r\n$4\r\nPING\r\n"),
-		[]byte("*3\r\n$3\r\nSET\r\n$6\r\nuser:1\r\n$5\r\nalice\r\n"),
-		[]byte("*2\r\n$3\r\nGET\r\n$6\r\nuser:1\r\n*2\r\n$3\r\nDEL\r\n$6\r\nuser:1\r\n"),
-		[]byte("*2\r\n$4\r\nMGET\r\n$0\r\n\r\n"),
-		// Truncations and violations.
-		[]byte("*3\r\n$3\r\nSET\r\n$6\r\nuser:1\r\n"),
-		[]byte("*1\r\n$4\r\nPI"),
-		[]byte("*0\r\n"),
-		[]byte("*-1\r\n"),
-		[]byte("*abc\r\n"),
-		[]byte("*2\r\n:42\r\n$4\r\nPING\r\n"),
-		[]byte("*1\r\n$-5\r\n"),
-		[]byte("*1\r\n$9999999999999999999\r\n"),
-		[]byte("*1\r\n$4\r\nPINGx\r\n"),
-		[]byte("*1\r\n$4\r\nPING\rx"),
+// parseSeeds are transcripts from the protocol tests: inline and multibulk
+// framing, pipelining, blank-line tolerance, and each malformed-frame class.
+var parseSeeds = append([][]byte{
+	[]byte("PING\r\n"),
+	[]byte("GET user:1\r\n"),
+	[]byte("SET user:1 alice\r\n"),
+	[]byte("  GET   user:1  \r\n"),
+	[]byte(" \n"),
+	[]byte("\r\n\r\nPING\r\n"),
+	[]byte("PING\nPING\n"),
+	[]byte("*1\r\n$4\r\nPING\r\n"),
+	[]byte("*3\r\n$3\r\nSET\r\n$6\r\nuser:1\r\n$5\r\nalice\r\n"),
+	[]byte("*2\r\n$3\r\nGET\r\n$6\r\nuser:1\r\n*2\r\n$3\r\nDEL\r\n$6\r\nuser:1\r\n"),
+	[]byte("*2\r\n$4\r\nMGET\r\n$0\r\n\r\n"),
+	[]byte("*1\r\n$4\nPING\n\r\n\rPING\r\n"),
+	// Truncations and violations.
+	[]byte("*3\r\n$3\r\nSET\r\n$6\r\nuser:1\r\n"),
+	[]byte("*1\r\n$4\r\nPI"),
+	[]byte("*0\r\n"),
+	[]byte("*-1\r\n"),
+	[]byte("*abc\r\n"),
+	[]byte("*2\r\n:42\r\n$4\r\nPING\r\n"),
+	[]byte("*1\r\n$-5\r\n"),
+	[]byte("*1\r\n$9999999999999999999\r\n"),
+	[]byte("*1\r\n$4\r\nPINGx\r\n"),
+	[]byte("*1\r\n$4\r\nPING\rx"),
+	[]byte("PING\r\nGET " + "kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk"),
+}, ttlSeeds...)
+
+// fuzzLineMax is the line bound the parser tests run under: far below the
+// server's floor, so short inputs reach the line-too-long class too.
+const fuzzLineMax = 64
+
+// parseStream runs the parser over data the way a connection does — one
+// reused request, each call handed what the previous ones left — until it
+// needs more bytes or fails, and checks its contract on the way: it never
+// panics, it only ever fails with a *protoError (fatal framing violation),
+// it consumes whole frames from inside the buffer, and every request it
+// accepts respects the protocol limits. It returns each request's
+// arguments and end offset, and the error text ("" for need-more).
+func parseStream(t *testing.T, data []byte) (reqs [][]string, ends []int, errText string) {
+	t.Helper()
+	var q request
+	pos := 0
+	// A stream of len(data) bytes holds at most len(data)/2 frames (the
+	// shortest is "a\n"); the bound only guards against a parser that stops
+	// consuming input.
+	for range len(data) + 1 {
+		n, err := q.parse(data[pos:], fuzzLineMax)
+		if err != nil {
+			pe, ok := err.(*protoError)
+			if !ok {
+				t.Fatalf("unexpected error class %T: %v", err, err)
+			}
+			if pe.Error() == "" {
+				t.Fatalf("empty protocol error message")
+			}
+			return reqs, ends, pe.Error()
+		}
+		if n == 0 {
+			return reqs, ends, ""
+		}
+		if n < 0 || n > len(data)-pos {
+			t.Fatalf("consumed %d of %d buffered bytes", n, len(data)-pos)
+		}
+		pos += n
+		// Zero args is legal: a whitespace-only inline line parses as an
+		// empty request, which dispatch treats as a no-op.
+		if len(q.args) > maxArgs {
+			t.Fatalf("accepted %d args, limit %d", len(q.args), maxArgs)
+		}
+		total := 0
+		args := make([]string, len(q.args))
+		for i, a := range q.args {
+			if len(a) > maxBulk {
+				t.Fatalf("accepted %d-byte argument, limit %d", len(a), maxBulk)
+			}
+			total += len(a)
+			args[i] = string(a)
+		}
+		if total > maxRequest {
+			t.Fatalf("accepted %d-byte request, limit %d", total, maxRequest)
+		}
+		reqs = append(reqs, args)
+		ends = append(ends, pos)
 	}
-	for _, s := range append(seeds, ttlSeeds...) {
+	t.Fatalf("parser did not consume the stream in %d requests", len(data)+1)
+	return
+}
+
+// checkPrefixSafety is the property a resumable parser lives by: cut the
+// stream anywhere and the parser, shown only the prefix, yields exactly the
+// whole stream's requests that end inside it — same arguments, same
+// offsets, never a partial frame — and then either asks for more or
+// reports the very error the whole stream ends in. It never invents an
+// error that more bytes would have averted.
+func checkPrefixSafety(t *testing.T, data []byte) {
+	t.Helper()
+	reqs, ends, errText := parseStream(t, data)
+	for cut := 0; cut < len(data); cut++ {
+		preqs, pends, perr := parseStream(t, data[:cut])
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		got, want := fmt.Sprintf("%q ending %v", preqs, pends), fmt.Sprintf("%q ending %v", reqs[:whole], ends[:whole])
+		if got != want {
+			t.Fatalf("%q cut at %d: parsed %s, the whole stream has %s there", data, cut, got, want)
+		}
+		if perr != "" && (perr != errText || whole != len(reqs)) {
+			t.Fatalf("%q cut at %d: error %q after %d requests, the whole stream gives %q after %d",
+				data, cut, perr, whole, errText, len(reqs))
+		}
+	}
+}
+
+// TestParsePrefixSafety runs the property over the seed corpus.
+func TestParsePrefixSafety(t *testing.T) {
+	for _, seed := range parseSeeds {
+		checkPrefixSafety(t, seed)
+	}
+}
+
+// FuzzParseRequest drives the wire parser with arbitrary byte streams, as
+// one buffer and cut at every offset, under parseStream's contract checks
+// and the prefix-safety property.
+func FuzzParseRequest(f *testing.F) {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bufio.NewReader(bytes.NewReader(data))
-		var q request
-		// A stream of len(data) bytes holds at most len(data)/4+1 frames
-		// (the shortest is "a\n" inline after a blank line); the bound only
-		// guards against a parser that stops consuming input.
-		for reqs := 0; reqs <= len(data); reqs++ {
-			err := q.readFrom(r)
-			if err != nil {
-				var pe *protoError
-				switch {
-				case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
-					// Clean close or truncated frame.
-				case errors.As(err, &pe):
-					if pe.Error() == "" {
-						t.Fatalf("empty protocol error message")
-					}
-				default:
-					t.Fatalf("unexpected error class %T: %v", err, err)
-				}
-				return
-			}
-			// Zero args is legal: a whitespace-only inline line parses as
-			// an empty request, which dispatch treats as a no-op.
-			if len(q.args) > maxArgs {
-				t.Fatalf("accepted %d args, limit %d", len(q.args), maxArgs)
-			}
-			total := 0
-			for _, a := range q.args {
-				if len(a) > maxBulk {
-					t.Fatalf("accepted %d-byte argument, limit %d", len(a), maxBulk)
-				}
-				total += len(a)
-			}
-			if total > maxRequest+maxBulk {
-				t.Fatalf("accepted %d-byte request, limit %d", total, maxRequest)
-			}
-		}
-		t.Fatalf("parser did not consume the stream in %d requests", len(data)+1)
+		checkPrefixSafety(t, data)
 	})
 }

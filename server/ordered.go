@@ -14,7 +14,6 @@
 package server
 
 import (
-	"bufio"
 	"strconv"
 
 	"github.com/optik-go/optik/ds"
@@ -96,29 +95,28 @@ func prefixRanges(v uint64, dst [][2]uint64) [][2]uint64 {
 // appendPage frames a gathered page as alternating key/value bulks,
 // spilling like every multi-entry reply, and clears the value slots so the
 // connection's reusable scratch pins no arena strings.
-func (s *Server) appendPage(w *bufio.Writer, out []byte, keys []uint64, vals []string) ([]byte, error) {
+func (cs *connState) appendPage(keys []uint64, vals []string) error {
 	defer clear(vals)
-	var err error
 	for i, k := range keys {
-		out = appendBulkUint(out, k)
-		out = appendBulk(out, vals[i])
-		if out, err = s.spill(w, out); err != nil {
-			return out, err
+		cs.out = appendBulkUint(cs.out, k)
+		cs.out = appendBulk(cs.out, vals[i])
+		if err := cs.spill(); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // executeScan answers SCAN cursor [PREFIX p] [COUNT n]: a flat array
 // whose first element is the next cursor (0 = exhausted) followed by
 // key/value pairs.
-func (s *Server) executeScan(co *coalescer, rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
+func (cs *connState) executeScan(rest [][]byte) error {
 	if len(rest) < 1 || len(rest)%2 != 1 {
-		return arity(out, "scan")
+		return cs.arity("scan")
 	}
 	cursor, ok := parseUint(rest[0])
 	if !ok {
-		return appendError(out, "ERR invalid cursor"), nil
+		return cs.softError("ERR invalid cursor")
 	}
 	count := defaultScanCount
 	// At most one range per digit count (prefixRanges), so the stack array
@@ -131,7 +129,7 @@ func (s *Server) executeScan(co *coalescer, rest [][]byte, w *bufio.Writer, out 
 		case cmdEq(rest[i], "COUNT"):
 			n, ok := parseUint(rest[i+1])
 			if !ok || n == 0 {
-				return appendError(out, "ERR invalid COUNT"), nil
+				return cs.softError("ERR invalid COUNT")
 			}
 			if n > maxScanCount {
 				n = maxScanCount
@@ -141,26 +139,26 @@ func (s *Server) executeScan(co *coalescer, rest [][]byte, w *bufio.Writer, out 
 			p := rest[i+1]
 			v, ok := parseUint(p)
 			if !ok || len(p) > 0 && p[0] == '0' {
-				return appendError(out, "ERR invalid PREFIX"), nil
+				return cs.softError("ERR invalid PREFIX")
 			}
 			prefixed = true
 			ranges = prefixRanges(v, ranges[:0])
 		default:
-			return appendError(out, "ERR syntax error in SCAN"), nil
+			return cs.softError("ERR syntax error in SCAN")
 		}
 	}
 	if prefixed && len(ranges) == 0 {
 		// The prefix matches no representable key (e.g. a value above
 		// ds.MaxKey): an empty page with cursor 0, not the full-range
 		// default below.
-		out = appendArrayHeader(out, 1)
-		return appendBulkUint(out, 0), nil
+		cs.out = appendBulkUint(appendArrayHeader(cs.out, 1), 0)
+		return nil
 	}
 	if !prefixed {
 		ranges = append(ranges, [2]uint64{ds.MinKey, ds.MaxKey})
 	}
 
-	keys, vals := co.page(count)
+	keys, vals := cs.co.page(count)
 	filled := 0
 	exhausted := true
 	for _, r := range ranges {
@@ -171,7 +169,7 @@ func (s *Server) executeScan(co *coalescer, rest [][]byte, w *bufio.Writer, out 
 		if lo > hi {
 			continue
 		}
-		filled += s.sorted.Scan(lo, hi, keys[filled:], vals[filled:])
+		filled += cs.srv.sorted.Scan(lo, hi, keys[filled:], vals[filled:])
 		if filled == count {
 			// The page is full; unless this range (and every later one) is
 			// truly done, more may remain.
@@ -183,32 +181,31 @@ func (s *Server) executeScan(co *coalescer, rest [][]byte, w *bufio.Writer, out 
 	if filled > 0 && !exhausted && keys[filled-1] < ds.MaxKey {
 		next = keys[filled-1] + 1
 	}
-	out = appendArrayHeader(out, 1+2*filled)
-	out = appendBulkUint(out, next)
-	return s.appendPage(w, out, keys[:filled], vals[:filled])
+	cs.out = appendBulkUint(appendArrayHeader(cs.out, 1+2*filled), next)
+	return cs.appendPage(keys[:filled], vals[:filled])
 }
 
 // executeRange answers RANGE min max [LIMIT n]: a flat array of key/value
 // pairs for min <= key <= max, ascending, at most n pairs (default 128,
 // cap 4096). Unlike SCAN it carries no cursor — callers page by reissuing
 // with min = lastKey+1.
-func (s *Server) executeRange(co *coalescer, rest [][]byte, w *bufio.Writer, out []byte) ([]byte, error) {
+func (cs *connState) executeRange(rest [][]byte) error {
 	if len(rest) != 2 && len(rest) != 4 {
-		return arity(out, "range")
+		return cs.arity("range")
 	}
 	lo, ok1 := parseUint(rest[0])
 	hi, ok2 := parseUint(rest[1])
 	if !ok1 || !ok2 {
-		return appendError(out, "ERR invalid range bound"), nil
+		return cs.softError("ERR invalid range bound")
 	}
 	limit := defaultScanCount
 	if len(rest) == 4 {
 		if !cmdEq(rest[2], "LIMIT") {
-			return appendError(out, "ERR syntax error in RANGE"), nil
+			return cs.softError("ERR syntax error in RANGE")
 		}
 		n, ok := parseUint(rest[3])
 		if !ok || n == 0 {
-			return appendError(out, "ERR invalid LIMIT"), nil
+			return cs.softError("ERR invalid LIMIT")
 		}
 		if n > maxScanCount {
 			n = maxScanCount
@@ -217,12 +214,13 @@ func (s *Server) executeRange(co *coalescer, rest [][]byte, w *bufio.Writer, out
 	}
 	lo, hi = clampKeyRange(lo, hi)
 	if lo > hi {
-		return appendArrayHeader(out, 0), nil
+		cs.out = appendArrayHeader(cs.out, 0)
+		return nil
 	}
-	keys, vals := co.page(limit)
-	filled := s.sorted.Scan(lo, hi, keys, vals)
-	out = appendArrayHeader(out, 2*filled)
-	return s.appendPage(w, out, keys[:filled], vals[:filled])
+	keys, vals := cs.co.page(limit)
+	filled := cs.srv.sorted.Scan(lo, hi, keys, vals)
+	cs.out = appendArrayHeader(cs.out, 2*filled)
+	return cs.appendPage(keys[:filled], vals[:filled])
 }
 
 // executeEndpoint answers MIN and MAX: a two-element [key, value] array,

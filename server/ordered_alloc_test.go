@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"testing"
@@ -19,8 +16,7 @@ import (
 // gathered in the connection's reusable scratch instead of a fresh pair of
 // slices per request. The engine is driven without a socket (the
 // BenchmarkPipeline-harness shape, minus the transport): a request parsed
-// from an in-memory stream, dispatched against the connection's coalescer,
-// the reply discarded.
+// out of the connection's read buffer and dispatched, the reply discarded.
 func TestRangeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
@@ -30,11 +26,9 @@ func TestRangeSteadyStateAllocs(t *testing.T) {
 	for k := uint64(1); k <= 4096; k++ {
 		st.Set(k, "value-of-thirty-two-bytes-exactly")
 	}
-	srv := NewOrdered(st)
-	co := getCoalescer()
-	defer putCoalescer(co)
-	w := bufio.NewWriter(io.Discard)
-	out := make([]byte, 0, 64<<10)
+	cs := newConnState(NewOrdered(st), nil)
+	cs.acquireBuffers()
+	defer cs.releaseBuffers()
 
 	for _, cmd := range []string{
 		"RANGE 1000 1099\r\n",
@@ -42,22 +36,17 @@ func TestRangeSteadyStateAllocs(t *testing.T) {
 		"SCAN 2000 COUNT 100\r\n",
 		"*4\r\n$4\r\nSCAN\r\n$1\r\n0\r\n$5\r\nCOUNT\r\n$3\r\n100\r\n",
 	} {
-		wire := []byte(cmd)
-		var src bytes.Reader
-		r := bufio.NewReader(&src)
-		var req request
 		var replyLen int
 		run := func() {
-			src.Reset(wire)
-			r.Reset(&src)
-			if err := req.readFrom(r); err != nil {
-				t.Fatalf("%q: parse: %v", cmd, err)
+			cs.in = append(cs.in[:0], cmd...)
+			if n, err := cs.req.parse(cs.in, cap(cs.in)); n != len(cmd) || err != nil {
+				t.Fatalf("%q: parse = %d, %v", cmd, n, err)
 			}
-			reply, err := srv.dispatch(co, &req, w, out[:0])
-			if err != nil {
+			if err := cs.dispatch(); err != nil {
 				t.Fatalf("%q: dispatch: %v", cmd, err)
 			}
-			replyLen = len(reply)
+			replyLen = len(cs.out)
+			cs.out = cs.out[:0]
 		}
 		run() // warm: sizes the page scratch and the store's pooled scratch
 		if replyLen < 100*len("$4\r\n1000\r\n$33\r\n\r\n") {
@@ -66,7 +55,7 @@ func TestRangeSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 			t.Errorf("%q: %.2f allocs per request on a warm connection, want 0", cmd, allocs)
 		}
-		for i, v := range co.outVals {
+		for i, v := range cs.co.outVals {
 			if v != "" {
 				t.Fatalf("%q: page scratch slot %d still pins a value after the reply", cmd, i)
 			}

@@ -18,17 +18,16 @@
 // uses, so the load shedder in server.go is mode-agnostic.
 //
 // Reads go through rawReader: a nonblocking syscall.Read under
-// syscall.RawConn so a half-arrived frame never stalls a worker — the
-// partial bytes park in the conn's bufio buffer and the worker moves on
-// (frameCheck in conn.go decides). Two deliberate exceptions block a
-// worker: frames larger than the read buffer (legal up to maxBulk) stream
-// via blocking reads through the runtime's own netpoller, and replies use
-// blocking nc.Write — both are rare or already backpressured paths, and a
-// parked worker there is exactly the goroutine-per-conn cost, paid only
-// while it is actually needed. Reply writes additionally carry a deadline
-// (deadlineWriter): a zero-window or dead peer bounds the worker — or the
-// dispatcher's help-drain — for pollerWriteTimeout, not for the TCP
-// stack's own timeout of minutes.
+// syscall.RawConn, so no worker — and not the dispatcher when it helps —
+// ever blocks on a socket read. A half-arrived frame, however large, parks
+// in the conn's `in` buffer (which grows to hold it; conn.go) and the
+// worker moves on; a peer that stalls mid-frame costs its buffer, never a
+// worker. The one bounded exception is the protocol-error teardown, which
+// drains the peer for at most a second. Replies use blocking nc.Write —
+// an already backpressured path — under a deadline (pollerWriteTimeout): a
+// zero-window or dead peer bounds the worker — or the dispatcher's
+// help-drain — for that long, not for the TCP stack's own timeout of
+// minutes.
 
 package server
 
@@ -49,43 +48,13 @@ const pollerSupported = true
 // readiness event.
 var errWouldBlock = errors.New("server: read would block")
 
-// pollerWriteTimeout bounds every poller-mode reply write. Workers — and
-// the dispatcher when it help-drains or sheds — write replies
-// synchronously; without a deadline one stalled peer (zero TCP window,
-// dead host) would wedge them until the TCP stack itself gives up,
-// minutes later. A client that cannot accept reply bytes for this long is
-// treated as dead and torn down.
-const pollerWriteTimeout = 5 * time.Second
-
-// deadlineWriter is what a poller-mode connection's bufio.Writer flushes
-// into: it arms a write deadline ahead of every write so no reply flush
-// can outlive pollerWriteTimeout. Goroutine-mode conns write to the
-// socket directly — a wedged write there costs one parked goroutine, not
-// a shared worker.
-type deadlineWriter struct {
-	nc net.Conn
-}
-
-func (dw *deadlineWriter) Write(p []byte) (int, error) {
-	dw.nc.SetWriteDeadline(time.Now().Add(pollerWriteTimeout))
-	return dw.nc.Write(p)
-}
-
-// rawReader reads straight from the fd. Nonblocking by default: EAGAIN
-// surfaces as errWouldBlock without waiting. With setBlocking(true) an
-// EAGAIN instead parks in the runtime poller (honoring read deadlines),
-// which oversized frames and the teardown drain use.
+// rawReader reads straight from the fd without ever waiting: EAGAIN
+// surfaces as errWouldBlock.
 type rawReader struct {
-	rc    syscall.RawConn
-	block bool
+	rc syscall.RawConn
 }
-
-func (rr *rawReader) setBlocking(b bool) { rr.block = b }
 
 func (rr *rawReader) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
 	var n int
 	var rerr error
 	cerr := rr.rc.Read(func(fd uintptr) bool {
@@ -95,9 +64,6 @@ func (rr *rawReader) Read(p []byte) (int, error) {
 				continue
 			}
 			if rerr == syscall.EAGAIN {
-				if rr.block {
-					return false // wait in the runtime poller, then retry
-				}
 				n, rerr = 0, errWouldBlock
 			}
 			return true
@@ -105,7 +71,7 @@ func (rr *rawReader) Read(p []byte) (int, error) {
 	})
 	switch {
 	case cerr != nil:
-		return 0, cerr // conn closed under us / deadline exceeded
+		return 0, cerr // conn closed under us
 	case rerr != nil:
 		return 0, rerr
 	case n == 0:
@@ -120,7 +86,6 @@ type pollConn struct {
 	p   *poller
 	fd  int
 	raw rawReader
-	wdl deadlineWriter
 
 	// procMu serializes the three parties that may touch the engine state:
 	// the worker processing a readiness batch, the idle sweep releasing
@@ -217,9 +182,7 @@ func (p *poller) register(cs *connState) error {
 	}
 	pc := &pollConn{cs: cs, p: p, fd: fd}
 	pc.raw.rc = rc
-	pc.wdl.nc = cs.nc
 	cs.poll = pc
-	cs.wdst = &pc.wdl
 	p.mu.Lock()
 	p.conns[int32(fd)] = pc
 	p.mu.Unlock()
@@ -231,8 +194,7 @@ func (p *poller) register(cs *connState) error {
 		p.mu.Lock()
 		delete(p.conns, int32(fd))
 		p.mu.Unlock()
-		cs.poll = nil
-		cs.wdst = nil // the fallback goroutine writes to the socket directly
+		cs.poll = nil // the fallback goroutine writes without the poller's deadline
 		return err
 	}
 	return nil
@@ -313,7 +275,7 @@ func (p *poller) waitLoop() {
 		// per readiness cycle (which roughly halves throughput there). The
 		// queue is only drained, never waited on, so a slow connection in
 		// this loop delays dispatch by at most one conn's batch — and every
-		// reply write in that batch is deadline-bounded (deadlineWriter), so
+		// reply write in that batch is deadline-bounded (connState.write), so
 		// "one batch" is time-bounded too, not hostage to a dead peer.
 	help:
 		for {
@@ -406,82 +368,37 @@ func (pc *pollConn) serve() {
 // process drives the shared engine over everything the socket has to give
 // right now. It returns true when the connection is finished (EOF, error,
 // QUIT, protocol teardown) and false when the socket is merely dry and
-// the conn should be re-armed.
+// the conn should be re-armed; a half-arrived frame waits in `in`.
 func (pc *pollConn) process() (done bool) {
 	cs := pc.cs
-	if cs.r == nil {
-		cs.acquireBuffers(&pc.raw)
+	if cs.in == nil {
+		cs.acquireBuffers()
 	}
-	r := cs.r
 	for {
-		drained, ferr := cs.fillAvailable()
-	frames:
-		for {
-			skipNewlines(r)
-			if r.Buffered() == 0 {
-				break
-			}
-			switch frameCheck(r) {
-			case frameWait:
-				break frames // half-arrived frame: parks in the buffer until more bytes
-			case frameOverflow:
-				// Frame larger than the buffer: no readiness cycle can add
-				// bytes to a full buffer, so finish it with blocking reads
-				// through the runtime poller.
-				pc.raw.block = true
-				ok := cs.step()
-				pc.raw.block = false
-				if !ok {
-					return true
-				}
-			default: // frameBuffered: the parse cannot touch the socket
-				if !cs.step() {
-					return true
-				}
-			}
-			if cs.pending >= cs.srv.opts.pipeline {
-				if !cs.flushBatch() {
-					return true
-				}
-			}
-		}
-		switch {
-		case ferr == errWouldBlock, ferr == nil && drained:
-			// Socket dry — either the read said so (EAGAIN) or the fill
-			// came up short, which on a stream socket means the receive
-			// queue was emptied at that moment. Bytes arriving after that
-			// instant re-fire the level-triggered event once we re-arm, so
-			// skipping the EAGAIN-confirming read loses no wake-up and
-			// saves a syscall per readiness cycle.
-			if cs.pending > 0 && !cs.flushBatch() {
+		n, err := pc.raw.Read(cs.in[len(cs.in):cap(cs.in)])
+		if err == nil {
+			cs.in = cs.in[:len(cs.in)+n]
+			full := len(cs.in) == cap(cs.in)
+			if !cs.pump() {
 				return true
 			}
-			return false
-		case ferr == nil:
-			continue // filled the buffer whole; there may be more
-		default:
-			// EOF or a hard error, with every ready frame above already
+			if full {
+				continue // the read filled the buffer whole; there may be more
+			}
+		} else if err != errWouldBlock {
+			// EOF or a hard error, with every whole frame before it already
 			// consumed — same teardown the goroutine mode runs.
-			cs.readFailed(ferr)
+			cs.readFailed(err)
 			return true
 		}
+		// Socket dry — either the read said so (EAGAIN) or it came up
+		// short, which on a stream socket means the receive queue was
+		// emptied at that moment. Bytes arriving after that instant re-fire
+		// the level-triggered event once we re-arm, so skipping the
+		// EAGAIN-confirming read loses no wake-up and saves a syscall per
+		// readiness cycle. The client is owed its replies before we wait.
+		return cs.pending > 0 && !cs.flushBatch()
 	}
-}
-
-// fillAvailable tries to pull newly-arrived bytes into the read buffer
-// without blocking: nil means at least one byte arrived (or the buffer is
-// already full), errWouldBlock means the socket is dry. drained reports
-// that the fill left spare buffer space — the kernel handed over less than
-// asked, so the socket's receive queue is (momentarily) empty.
-func (cs *connState) fillAvailable() (drained bool, err error) {
-	b := cs.r.Buffered()
-	if b >= cs.r.Size() {
-		return false, nil
-	}
-	if _, err := cs.r.Peek(b + 1); err != nil {
-		return false, err
-	}
-	return cs.r.Buffered() < cs.r.Size(), nil
 }
 
 // shed implements connPoller for the mode-agnostic shedder in server.go:

@@ -2,8 +2,7 @@
 
 // Non-linux stub: ConnModePoller silently falls back to the portable
 // goroutine-per-conn mode (WithConnMode documents this; STATS `poller`
-// reports which mode is live). fillAvailable lives in poller_linux.go on
-// linux because only the poller calls it.
+// reports which mode is live).
 
 package server
 

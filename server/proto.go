@@ -1,10 +1,9 @@
 package server
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 )
 
@@ -18,11 +17,9 @@ import (
 //
 //	+OK\r\n   -ERR msg\r\n   :42\r\n   $5\r\nalice\r\n   $-1\r\n   *2\r\n...
 //
-// The parser is allocation-free in steady state: each connection owns a
-// fixed set of argument buffers that are reused request after request
-// (append into cap, never realloc once warm), because on the pipelined
-// hot path a per-argument allocation would rival the cost of the store
-// operation itself.
+// The parser copies nothing: every argument, inline or multibulk, is a view
+// into the connection's read buffer, so the steady state allocates nothing
+// and a buffered frame is parsed once.
 
 const (
 	// maxArgs bounds a single request's argument count (an MGET of
@@ -32,8 +29,8 @@ const (
 	maxBulk = 8 << 20
 	// maxRequest bounds one request's total argument bytes. Without it
 	// the two per-item limits still admit maxArgs×maxBulk = 8 GiB into
-	// per-connection buffers that live as long as the connection — one
-	// client could pin the whole box.
+	// one connection's read buffer — one client could pin the whole box.
+	// All three are checked from the headers, before a body is buffered.
 	maxRequest = 64 << 20
 )
 
@@ -50,89 +47,102 @@ func protoErrorf(format string, args ...any) error {
 	return &protoError{msg: fmt.Sprintf(format, args...)}
 }
 
-// skipNewlines discards buffered blank-line bytes (\r, \n) without ever
-// blocking. The pipelined flush decision calls it first: a trailing
-// blank line in the same TCP segment as a request must not count as
-// "more input buffered", or the reply would sit unflushed while the
-// server blocks reading — a permanent stall for the waiting client.
-func skipNewlines(r *bufio.Reader) {
-	for r.Buffered() > 0 {
-		b, _ := r.Peek(1)
-		if b[0] != '\r' && b[0] != '\n' {
-			return
-		}
-		r.Discard(1)
-	}
-}
-
-// readLine reads one \r\n (or bare \n) terminated line, returning a view
-// into the reader's buffer with the terminator stripped. The view is only
-// valid until the next read.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err != nil {
-		if err == bufio.ErrBufferFull {
-			return nil, protoErrorf("line exceeds %d bytes", r.Size())
-		}
-		return nil, err
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
-// request holds one parsed request. For inline commands the args are
-// views straight into the reader's buffer (valid until the next read —
-// the command executes before that); for multibulk frames each argument
-// is copied into a persistent per-slot buffer, since parsing the next
-// argument can shift the reader's buffer under an earlier view. Either
-// way the steady state allocates nothing.
+// request holds one parsed request: its arguments are views into the
+// buffer parse was handed, valid until the caller moves or refills it.
 type request struct {
-	args [][]byte // current request's arguments
-	bufs [][]byte // persistent per-slot backing storage (multibulk only)
+	args [][]byte
 }
 
-// grab returns the i-th persistent slot reset to length zero.
-func (q *request) grab(i int) []byte {
-	for len(q.bufs) <= i {
-		q.bufs = append(q.bufs, nil)
+// blanks counts the leading \r and \n bytes of b. Empty lines between
+// requests are ignored (so a human on netcat can hit return).
+func blanks(b []byte) int {
+	i := 0
+	for i < len(b) && (b[i] == '\r' || b[i] == '\n') {
+		i++
 	}
-	return q.bufs[i][:0]
+	return i
 }
 
-// setArg stores buf back as slot i and appends it to the current args.
-func (q *request) setArg(i int, buf []byte) {
-	q.bufs[i] = buf
-	q.args = append(q.args, buf)
+// cutLine returns the first \r\n (or bare \n) terminated line of b with the
+// terminator stripped, and the bytes it spans. n == 0 means no whole line
+// yet — or, with err set, that there never will be: a line, terminator
+// included, is at most max bytes.
+func cutLine(b []byte, max int) (line []byte, n int, err error) {
+	if len(b) > max {
+		b = b[:max]
+	}
+	i := bytes.IndexByte(b, '\n')
+	if i < 0 {
+		if len(b) == max {
+			return nil, 0, protoErrorf("line exceeds %d bytes", max)
+		}
+		return nil, 0, nil
+	}
+	line = b[:i]
+	if i > 0 && line[i-1] == '\r' {
+		line = line[:i-1]
+	}
+	return line, i + 1, nil
 }
 
-// readFrom parses the next request. Empty inline lines are skipped (so a
-// human on netcat can hit return). An io.EOF before any byte of a request
-// is a clean close; a *protoError is fatal to the connection.
-func (q *request) readFrom(r *bufio.Reader) error {
+// parse parses the request at the front of buf into q.args and returns the
+// bytes it spans, leading blank lines included. 0, nil means buf does not
+// hold a whole request yet: nothing was consumed, call again once more
+// bytes have arrived. A *protoError is fatal to the connection. Lines are
+// bounded by lineMax, frames by maxArgs/maxBulk/maxRequest — each checked
+// on the header that breaks it, so an illegal frame is refused before its
+// body is buffered.
+func (q *request) parse(buf []byte, lineMax int) (int, error) {
 	q.args = q.args[:0]
-	var line []byte
-	var err error
-	for {
-		line, err = readLine(r)
-		if err != nil {
-			return err
-		}
-		if len(line) > 0 {
-			break
-		}
+	pos := blanks(buf)
+	line, n, err := cutLine(buf[pos:], lineMax)
+	if n == 0 {
+		return 0, err
 	}
-	if line[0] == '*' {
-		return q.readArray(r, line)
+	pos += n
+	if line[0] != '*' {
+		return pos, q.splitInline(line)
 	}
-	return q.readInline(line)
+	argc, ok := parseInt(line[1:])
+	if !ok || argc < 1 || argc > maxArgs {
+		return 0, protoErrorf("invalid multibulk count %q", line[1:])
+	}
+	total := int64(0)
+	for ; argc > 0; argc-- {
+		line, n, err := cutLine(buf[pos:], lineMax)
+		if n == 0 {
+			return 0, err
+		}
+		if len(line) == 0 || line[0] != '$' {
+			return 0, protoErrorf("expected bulk string, got %q", line)
+		}
+		blen, ok := parseInt(line[1:])
+		if !ok || blen < 0 || blen > maxBulk {
+			return 0, protoErrorf("invalid bulk length %q", line[1:])
+		}
+		if total += blen; total > maxRequest {
+			return 0, protoErrorf("request exceeds %d bytes", maxRequest)
+		}
+		pos += n
+		end := pos + int(blen)
+		// The body's terminator: \r\n, tolerating a bare \n.
+		if end < len(buf) && buf[end] == '\r' {
+			end++
+		}
+		if end >= len(buf) {
+			return 0, nil
+		}
+		if buf[end] != '\n' {
+			return 0, protoErrorf("bulk string of %d bytes not followed by CRLF", blen)
+		}
+		q.args = append(q.args, buf[pos:pos+int(blen)])
+		pos = end + 1
+	}
+	return pos, nil
 }
 
-// readInline splits a space-separated command line into views of the
-// line itself — zero copies on the hot path.
-func (q *request) readInline(line []byte) error {
+// splitInline splits a space-separated command line into views of the line.
+func (q *request) splitInline(line []byte) error {
 	for i := 0; i < len(line); {
 		if line[i] == ' ' {
 			i++
@@ -147,62 +157,6 @@ func (q *request) readInline(line []byte) error {
 		}
 		q.args = append(q.args, line[i:j])
 		i = j
-	}
-	return nil
-}
-
-// readArray parses a RESP array of bulk strings: header is the already
-// consumed "*N" line.
-func (q *request) readArray(r *bufio.Reader, header []byte) error {
-	n, ok := parseInt(header[1:])
-	if !ok || n < 1 || n > maxArgs {
-		return protoErrorf("invalid multibulk count %q", header[1:])
-	}
-	total := int64(0)
-	for i := 0; i < int(n); i++ {
-		line, err := readLine(r)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		if len(line) == 0 || line[0] != '$' {
-			return protoErrorf("expected bulk string, got %q", line)
-		}
-		blen, ok := parseInt(line[1:])
-		if !ok || blen < 0 || blen > maxBulk {
-			return protoErrorf("invalid bulk length %q", line[1:])
-		}
-		if total += blen; total > maxRequest {
-			return protoErrorf("request exceeds %d bytes", maxRequest)
-		}
-		buf := q.grab(i)
-		if cap(buf) < int(blen) {
-			buf = make([]byte, 0, blen)
-		}
-		buf = buf[:blen]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		// Consume the trailing \r\n (tolerating bare \n).
-		b, err := r.ReadByte()
-		if err == nil && b == '\r' {
-			b, err = r.ReadByte()
-		}
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		if b != '\n' {
-			return protoErrorf("bulk string of %d bytes not followed by CRLF", blen)
-		}
-		q.setArg(i, buf)
 	}
 	return nil
 }
@@ -247,10 +201,8 @@ func parseUint(b []byte) (uint64, bool) {
 	return n, true
 }
 
-// Reply builders. Replies are appended into a reusable scratch buffer
-// and handed to the connection's bufio.Writer in one Write call per
-// reply: five tiny writer calls per bulk reply cost more in call
-// bookkeeping than the payload bytes themselves on a deep pipeline.
+// Reply builders append to the connection's out buffer, which goes to the
+// socket in one Write per batch.
 
 var crlf = []byte("\r\n")
 
@@ -288,10 +240,4 @@ func appendArrayHeader(dst []byte, n int) []byte {
 	dst = append(dst, '*')
 	dst = strconv.AppendInt(dst, int64(n), 10)
 	return append(dst, crlf...)
-}
-
-// writeError writes an error reply directly (cold paths: connection
-// rejection and protocol teardown).
-func writeError(w *bufio.Writer, msg string) {
-	w.Write(appendError(nil, msg))
 }

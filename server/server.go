@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -85,7 +84,7 @@ func WithConnMode(m ConnMode) Option {
 // its buffers are returned to the tiered pools (default 5s; negative keeps
 // buffers resident until close). Goroutine-mode conns always hold their
 // buffers from first byte to close — there is no safe point to take them
-// away from a goroutine blocked inside its reader.
+// away from a goroutine blocked in a read into them.
 func WithIdleGrace(d time.Duration) Option {
 	return func(o *options) { o.idleGrace = d }
 }
@@ -107,8 +106,10 @@ func WithPipeline(n int) Option {
 	return func(o *options) { o.pipeline = n }
 }
 
-// WithBufferSize sets each connection's read and write buffer size in
-// bytes (default 16384).
+// WithBufferSize sets each connection's read buffer size in bytes — also
+// the longest line accepted and the reply backlog past which a batch is
+// written early (default 16384; at least 512, rounded up to a power of two
+// up to 1 MiB).
 func WithBufferSize(n int) Option {
 	return func(o *options) { o.bufSize = n }
 }
@@ -154,8 +155,8 @@ type Server struct {
 	rejected atomic.Uint64
 	shed     atomic.Uint64
 	commands atomic.Uint64
-	// buffersResident tracks the bytes of pooled read/write buffers
-	// currently checked out by connections — the STATS RSS proxy.
+	// buffersResident tracks the capacity of the read and reply buffers
+	// connections hold right now — the STATS RSS proxy.
 	buffersResident atomic.Int64
 	// Coalescing stats: runs that merged >= 2 pipelined requests into one
 	// batched store execution, and the keys those runs carried.
@@ -187,9 +188,7 @@ func newServer(st *store.Strings, sorted *store.SortedStrings, opts []Option) *S
 	if o.pipeline < 1 {
 		o.pipeline = 1
 	}
-	if o.bufSize < 512 {
-		o.bufSize = 512
-	}
+	_, o.bufSize, _ = tierFor(o.bufSize) // rounds up to a pool tier; the floor is the smallest
 	if o.coalesce < 0 {
 		o.coalesce = 0
 	}
@@ -294,8 +293,7 @@ func (s *Server) Serve() error {
 }
 
 // reject answers an over-cap accept with the busy reply and a soft close:
-// the bytes are written straight to the socket (no throwaway bufio.Writer)
-// and travel on a FIN, with a short bounded drain of whatever the client
+// the bytes are written straight to the socket and travel on a FIN, with a short bounded drain of whatever the client
 // already pipelined so the kernel does not convert our close into a RST
 // that destroys the reply in flight. The drain runs on a short-lived
 // goroutine so the accept loop never blocks on a rejected peer.
@@ -463,61 +461,61 @@ func (s *Server) handle(cs *connState) {
 	cs.runLoop()
 }
 
-// dispatch routes one parsed request: the three coalescable families are
-// staged into the connection's run (draining first on a family switch,
-// immediately at the run bound — and always when coalescing is
-// disabled); everything else is a barrier that drains the run and then
-// executes. Replies append to out in arrival order either way.
-func (s *Server) dispatch(co *coalescer, req *request, w *bufio.Writer, out []byte) ([]byte, error) {
-	args := req.args
+// dispatch routes the request just parsed: the three coalescable families
+// are staged into the connection's run (draining first on a family switch,
+// immediately at the run bound — and always when coalescing is disabled);
+// everything else is a barrier that drains the run and then executes.
+// Replies append to out in arrival order either way. The request's
+// arguments are views into `in`: whatever outlives this call (a staged key,
+// a SET value) is hashed or copied here.
+func (cs *connState) dispatch() error {
+	s, co, args := cs.srv, cs.co, cs.req.args
 	if len(args) == 0 {
-		return out, nil
+		return nil
 	}
 	cmd, rest := args[0], args[1:]
 	kind, multi := runNone, false
 	switch {
 	case cmdEq(cmd, "GET"):
 		if len(rest) != 1 {
-			return s.barrierArity(co, w, out, "get")
+			return cs.barrierArity("get")
 		}
 		kind = runRead
 	case cmdEq(cmd, "MGET"):
 		if len(rest) == 0 {
-			return s.barrierArity(co, w, out, "mget")
+			return cs.barrierArity("mget")
 		}
 		kind, multi = runRead, true
 	case cmdEq(cmd, "SET"):
 		if len(rest) != 2 {
-			return s.barrierArity(co, w, out, "set")
+			return cs.barrierArity("set")
 		}
 		kind = runWrite
 	case cmdEq(cmd, "MSET"):
 		if len(rest) == 0 || len(rest)%2 != 0 {
-			return s.barrierArity(co, w, out, "mset")
+			return cs.barrierArity("mset")
 		}
 		kind, multi = runWrite, true
 	case cmdEq(cmd, "DEL"):
 		if len(rest) != 1 {
-			return s.barrierArity(co, w, out, "del")
+			return cs.barrierArity("del")
 		}
 		kind = runDel
 	case cmdEq(cmd, "MDEL"):
 		if len(rest) == 0 {
-			return s.barrierArity(co, w, out, "mdel")
+			return cs.barrierArity("mdel")
 		}
 		kind, multi = runDel, true
 	default:
 		// Barrier command: the staged run's replies come first.
-		out, err := s.drain(co, w, out)
-		if err != nil {
-			return out, err
+		if err := cs.drain(); err != nil {
+			return err
 		}
-		return s.execute(co, req, w, out)
+		return cs.execute(cmd, rest)
 	}
 	if co.kind != kind && co.kind != runNone {
-		var err error
-		if out, err = s.drain(co, w, out); err != nil {
-			return out, err
+		if err := cs.drain(); err != nil {
+			return err
 		}
 	}
 	n := len(rest)
@@ -534,76 +532,74 @@ func (s *Server) dispatch(co *coalescer, req *request, w *bufio.Writer, out []by
 		// run's replies drained first so arrival order holds. Nothing of
 		// this request was staged (the stage rolls back), so the
 		// connection stays fully usable.
-		out, err := s.drain(co, w, out)
-		if err != nil {
-			return out, err
+		if err := cs.drain(); err != nil {
+			return err
 		}
-		return appendError(out, "ERR invalid key"), nil
+		return cs.softError("ERR invalid key")
 	}
 	co.stage(kind, n, multi)
 	if co.keys() >= s.opts.coalesce {
-		return s.drain(co, w, out)
+		return cs.drain()
 	}
-	return out, nil
+	return nil
 }
 
 // execute answers one barrier command (every command outside the three
 // coalescable families), appending its reply to out. The ordered family
-// spills through w mid-reply — a 4096-entry page can outgrow any buffer
-// budget — which is why execute takes the writer, and gathers its page in
-// the (drained) coalescer's scratch, which is why it takes co.
-func (s *Server) execute(co *coalescer, req *request, w *bufio.Writer, out []byte) ([]byte, error) {
-	args := req.args
-	cmd, rest := args[0], args[1:]
+// spills mid-reply — a 4096-entry page can outgrow any buffer budget — and
+// gathers its page in the (drained) coalescer's scratch.
+func (cs *connState) execute(cmd []byte, rest [][]byte) error {
+	s := cs.srv
 	switch {
 	case cmdEq(cmd, "SCAN"), cmdEq(cmd, "RANGE"), cmdEq(cmd, "MIN"), cmdEq(cmd, "MAX"):
 		if s.sorted == nil {
-			return appendError(out, "ERR ordered commands require an ordered store (optik-server -ordered)"), nil
+			return cs.softError("ERR ordered commands require an ordered store (optik-server -ordered)")
 		}
 		switch {
 		case cmdEq(cmd, "SCAN"):
-			return s.executeScan(co, rest, w, out)
+			return cs.executeScan(rest)
 		case cmdEq(cmd, "RANGE"):
-			return s.executeRange(co, rest, w, out)
+			return cs.executeRange(rest)
 		case cmdEq(cmd, "MIN"):
 			if len(rest) != 0 {
-				return arity(out, "min")
+				return cs.arity("min")
 			}
 			k, v, ok := s.sorted.Min()
-			return executeEndpoint(out, k, v, ok), nil
+			cs.out = executeEndpoint(cs.out, k, v, ok)
 		default:
 			if len(rest) != 0 {
-				return arity(out, "max")
+				return cs.arity("max")
 			}
 			k, v, ok := s.sorted.Max()
-			return executeEndpoint(out, k, v, ok), nil
+			cs.out = executeEndpoint(cs.out, k, v, ok)
 		}
 	case cmdEq(cmd, "EXPIRE"), cmdEq(cmd, "SETEX"), cmdEq(cmd, "TTL"), cmdEq(cmd, "PERSIST"):
-		return s.executeTTL(cmd, rest, out)
+		return cs.executeTTL(cmd, rest)
 	case cmdEq(cmd, "LEN"):
 		if len(rest) != 0 {
-			return arity(out, "len")
+			return cs.arity("len")
 		}
-		out = appendInt(out, int64(s.st.Len()))
+		cs.out = appendInt(cs.out, int64(s.st.Len()))
 	case cmdEq(cmd, "STATS"):
 		if len(rest) != 0 {
-			return arity(out, "stats")
+			return cs.arity("stats")
 		}
-		out = appendBulk(out, s.statsText())
+		cs.out = appendBulk(cs.out, s.statsText())
 	case cmdEq(cmd, "QUIESCE"):
 		if len(rest) != 0 {
-			return arity(out, "quiesce")
+			return cs.arity("quiesce")
 		}
 		s.st.Quiesce()
-		out = appendStatus(out, "OK")
+		cs.out = appendStatus(cs.out, "OK")
 	case cmdEq(cmd, "PING"):
-		out = appendStatus(out, "PONG")
+		cs.out = appendStatus(cs.out, "PONG")
 	case cmdEq(cmd, "QUIT"):
-		return appendStatus(out, "OK"), errQuit
+		cs.out = appendStatus(cs.out, "OK")
+		return errQuit
 	default:
-		out = appendError(out, fmt.Sprintf("ERR unknown command %q", cmd))
+		return cs.softError(fmt.Sprintf("ERR unknown command %q", cmd))
 	}
-	return out, nil
+	return nil
 }
 
 // executeTTL answers the expiry family. All four are barriers (they reach
@@ -611,72 +607,79 @@ func (s *Server) execute(co *coalescer, req *request, w *bufio.Writer, out []byt
 // coalesced run — a pipelined SET k / EXPIRE k pair applies in arrival
 // order. Bad seconds (non-numeric, overflow, and SETEX's non-positive)
 // are soft errors: the frame was well-formed, the connection stays up.
-func (s *Server) executeTTL(cmd []byte, rest [][]byte, out []byte) ([]byte, error) {
+func (cs *connState) executeTTL(cmd []byte, rest [][]byte) error {
+	s := cs.srv
 	switch {
 	case cmdEq(cmd, "EXPIRE"):
 		if len(rest) != 2 {
-			return arity(out, "expire")
+			return cs.arity("expire")
 		}
 		k, ok := s.key(rest[0])
 		if !ok {
-			return appendError(out, "ERR invalid key"), nil
+			return cs.softError("ERR invalid key")
 		}
 		secs, ok := parseInt(rest[1])
 		if !ok {
-			return appendError(out, "ERR value is not an integer or out of range"), nil
+			return cs.softError("ERR value is not an integer or out of range")
 		}
-		return appendInt(out, b2i(s.st.ExpireHashed(k, secs))), nil
+		cs.out = appendInt(cs.out, b2i(s.st.ExpireHashed(k, secs)))
 	case cmdEq(cmd, "SETEX"):
 		if len(rest) != 3 {
-			return arity(out, "setex")
+			return cs.arity("setex")
 		}
 		k, ok := s.key(rest[0])
 		if !ok {
-			return appendError(out, "ERR invalid key"), nil
+			return cs.softError("ERR invalid key")
 		}
 		secs, ok := parseInt(rest[1])
 		if !ok {
-			return appendError(out, "ERR value is not an integer or out of range"), nil
+			return cs.softError("ERR value is not an integer or out of range")
 		}
 		if secs <= 0 {
-			return appendError(out, "ERR invalid expire time in 'setex' command"), nil
+			return cs.softError("ERR invalid expire time in 'setex' command")
 		}
-		return appendInt(out, b2i(s.st.SetEXHashed(k, string(rest[2]), secs))), nil
+		cs.out = appendInt(cs.out, b2i(s.st.SetEXHashed(k, string(rest[2]), secs)))
 	case cmdEq(cmd, "TTL"):
 		if len(rest) != 1 {
-			return arity(out, "ttl")
+			return cs.arity("ttl")
 		}
 		k, ok := s.key(rest[0])
 		if !ok {
-			return appendError(out, "ERR invalid key"), nil
+			return cs.softError("ERR invalid key")
 		}
-		return appendInt(out, s.st.TTLHashed(k)), nil
+		cs.out = appendInt(cs.out, s.st.TTLHashed(k))
 	default: // PERSIST
 		if len(rest) != 1 {
-			return arity(out, "persist")
+			return cs.arity("persist")
 		}
 		k, ok := s.key(rest[0])
 		if !ok {
-			return appendError(out, "ERR invalid key"), nil
+			return cs.softError("ERR invalid key")
 		}
-		return appendInt(out, b2i(s.st.PersistHashed(k))), nil
+		cs.out = appendInt(cs.out, b2i(s.st.PersistHashed(k)))
 	}
+	return nil
 }
 
-// arity reports a wrong-argument-count error for cmd; the connection
-// stays usable (the frame itself was well-formed).
-func arity(out []byte, cmd string) ([]byte, error) {
-	return appendError(out, "ERR wrong number of arguments for '"+cmd+"'"), nil
+// softError answers a well-formed frame the server will not execute; the
+// connection stays usable.
+func (cs *connState) softError(msg string) error {
+	cs.out = appendError(cs.out, msg)
+	return nil
+}
+
+// arity reports a wrong-argument-count error for cmd.
+func (cs *connState) arity(cmd string) error {
+	return cs.softError("ERR wrong number of arguments for '" + cmd + "'")
 }
 
 // barrierArity drains the staged run — its replies precede the error in
 // arrival order — then reports the wrong-argument-count error for cmd.
-func (s *Server) barrierArity(co *coalescer, w *bufio.Writer, out []byte, cmd string) ([]byte, error) {
-	out, err := s.drain(co, w, out)
-	if err != nil {
-		return out, err
+func (cs *connState) barrierArity(cmd string) error {
+	if err := cs.drain(); err != nil {
+		return err
 	}
-	return arity(out, cmd)
+	return cs.arity(cmd)
 }
 
 func b2i(b bool) int64 {

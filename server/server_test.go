@@ -187,41 +187,58 @@ func TestServerBlankLineDoesNotStallFlush(t *testing.T) {
 	}
 }
 
+// TestServerHalfFrameDoesNotStallFlush pins the flush rule on its other
+// side: replies owed go out before the engine waits for bytes, even with
+// the front half of the next frame already buffered behind them.
+func TestServerHalfFrameDoesNotStallFlush(t *testing.T) {
+	for _, mode := range connModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, _, addr := startServer(t, WithConnMode(mode))
+			conn, r := dialRaw(t, addr)
+			conn.SetDeadline(time.Now().Add(3 * time.Second))
+			if _, err := conn.Write([]byte("PING\r\n*2\r\n$3\r\nGE")); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if line, err := r.ReadString('\n'); err != nil || line != "+PONG\r\n" {
+				t.Fatalf("reply stalled behind the half-arrived frame: %q, %v", line, err)
+			}
+			if _, err := conn.Write([]byte("T\r\n$1\r\nk\r\n")); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if got := readN(t, r, 5); got != "$-1\r\n" {
+				t.Fatalf("the finished frame's reply: %q", got)
+			}
+		})
+	}
+}
+
 // TestReadArrayAggregateCap pins the whole-request size bound: per-arg
 // and per-count limits alone admit 8 GiB per request, so the aggregate
-// cap must trip once the declared bulks exceed maxRequest — before the
-// offending body is read. The bodies stream from a lazy zero reader, so
-// the test only materializes what the parser actually buffers.
+// cap must trip once the declared bulks exceed maxRequest — on the
+// offending header, before a byte of its body is buffered, and not a byte
+// earlier. The bodies are untouched zero pages (the parser steps over a
+// body, it does not read it), so the test only materializes the headers.
 func TestReadArrayAggregateCap(t *testing.T) {
-	parts := []io.Reader{strings.NewReader("*10\r\n")}
-	for i := 0; i < 9; i++ {
-		parts = append(parts,
-			strings.NewReader(fmt.Sprintf("$%d\r\n", maxBulk)),
-			&zeroReader{n: maxBulk},
-			strings.NewReader("\r\n"))
+	buf := append(make([]byte, 0, 9*(maxBulk+16)), "*10\r\n"...)
+	header := fmt.Sprintf("$%d\r\n", maxBulk)
+	for i := 0; i < 8; i++ {
+		buf = append(buf, header...)
+		buf = buf[:len(buf)+maxBulk] // the body: zeros, never written
+		buf = append(buf, "\r\n"...)
 	}
-	r := bufio.NewReader(io.MultiReader(parts...))
 	var q request
-	err := q.readFrom(r)
+	if n, err := q.parse(buf, 512); n != 0 || err != nil {
+		t.Fatalf("eight bulks of maxBulk are exactly maxRequest and incomplete: parse = %d, %v, want need-more", n, err)
+	}
+	buf = append(buf, header...)
+	if n, err := q.parse(buf[:len(buf)-1], 512); n != 0 || err != nil {
+		t.Fatalf("ninth header one byte short: parse = %d, %v, want need-more", n, err)
+	}
+	_, err := q.parse(buf, 512)
 	var pe *protoError
 	if !errors.As(err, &pe) || !strings.Contains(pe.Error(), "exceeds") {
 		t.Fatalf("aggregate cap did not trip: %v", err)
 	}
-}
-
-// zeroReader yields n zero bytes without holding them in memory.
-type zeroReader struct{ n int }
-
-func (z *zeroReader) Read(p []byte) (int, error) {
-	if z.n == 0 {
-		return 0, io.EOF
-	}
-	if len(p) > z.n {
-		p = p[:z.n]
-	}
-	clear(p)
-	z.n -= len(p)
-	return len(p), nil
 }
 
 // TestServerMaxConns pins the connection cap: the over-cap connection is
