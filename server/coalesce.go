@@ -18,13 +18,17 @@
 // client is waiting) the run executes and the replies flush, so a
 // request/response client is never delayed behind an open run.
 //
-// Nothing staged retains parser memory: keys are hashed out of the
-// parser's []byte views at staging time (HashKeyBytes) and SET values
-// take their one unavoidable string copy then — the same copy the
-// scalar path pays — so the connection's read buffer is free to move once
-// the batch's requests have been dispatched.
+// Keys are hashed out of the parser's []byte views at staging time
+// (HashKeyBytes) and retain nothing. SET values are staged as string
+// views of those same bytes: the store copies each value into its own
+// object when the run drains and keeps nothing of the argument, so the
+// one copy a value takes is wire buffer → stored object. A staged view is
+// therefore live until its run drains, and the engine drains before the
+// read buffer moves (connState.pump).
 
 package server
+
+import "unsafe"
 
 // runKind classifies a staged run by command family.
 type runKind uint8
@@ -47,13 +51,13 @@ type stagedReq struct {
 // coalescer is one connection's staging state plus the reusable
 // execution scratch. All slices grow to the run bound (WithCoalesce cap
 // plus one request's maxArgs) and are reused batch after batch, so the
-// coalesced hot path allocates nothing in steady state beyond the SET
-// values' string copies the scalar path also pays.
+// coalesced hot path allocates nothing in steady state beyond the one
+// object the store builds per value written.
 type coalescer struct {
 	kind   runKind
 	reqs   []stagedReq
 	hashes []uint64 // staged keys of the run, in arrival order
-	vals   []string // staged SET/MSET values, parallel to hashes (write runs)
+	vals   []string // staged SET/MSET values, parallel to hashes: views into the conn's read buffer
 
 	// Execution scratch.
 	outVals  []string
@@ -64,8 +68,8 @@ type coalescer struct {
 // keys returns how many keys the open run has staged.
 func (co *coalescer) keys() int { return len(co.hashes) }
 
-// reset clears the staging state after a drain. Values are cleared so a
-// large staged payload is not pinned by the reusable backing arrays.
+// reset clears the staging state after a drain. Values are cleared so no
+// stale view pins a read buffer the connection has since traded away.
 func (co *coalescer) reset() {
 	co.kind = runNone
 	co.reqs = co.reqs[:0]
@@ -250,9 +254,9 @@ func (s *Server) stageKeys(co *coalescer, keys [][]byte) bool {
 	return true
 }
 
-// stagePairs maps every even arg as a key and copies every odd arg as its
-// value (the same one string copy per value the scalar SET pays). Same
-// rollback contract as stageKeys.
+// stagePairs maps every even arg as a key and stages every odd arg as its
+// value — a view, not a copy (see view). Same rollback contract as
+// stageKeys.
 func (s *Server) stagePairs(co *coalescer, args [][]byte) bool {
 	baseH, baseV := len(co.hashes), len(co.vals)
 	for i := 0; i < len(args); i += 2 {
@@ -264,7 +268,15 @@ func (s *Server) stagePairs(co *coalescer, args [][]byte) bool {
 			return false
 		}
 		co.hashes = append(co.hashes, h)
-		co.vals = append(co.vals, string(args[i+1]))
+		co.vals = append(co.vals, view(args[i+1]))
 	}
 	return true
+}
+
+// view is a value argument as a string over the parser's bytes, with no
+// copy. It is valid only until the read buffer next moves; the store's
+// write paths copy what they are given and retain nothing, so a view may
+// be handed to them and must go nowhere else.
+func view(arg []byte) string {
+	return unsafe.String(unsafe.SliceData(arg), len(arg))
 }

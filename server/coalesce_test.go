@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -167,6 +168,39 @@ func TestCoalesceStats(t *testing.T) {
 	if stats["coalesced_batches"] != 1 || stats["coalesced_keys"] != 8 {
 		t.Fatalf("STATS coalesced_batches=%d coalesced_keys=%d, want 1/8",
 			stats["coalesced_batches"], stats["coalesced_keys"])
+	}
+}
+
+// TestCoalesceRunsSpanThePipeline pins the run lengths of a 64-deep
+// pipeline that arrives whole: four alternating 16-command SET and GET runs
+// are four coalesced batches of 64 keys in all. The engine drains the open
+// run whenever it is about to move the read buffer (staged SET values are
+// views into it); that must not cut a run short while its commands are
+// still buffered.
+func TestCoalesceRunsSpanThePipeline(t *testing.T) {
+	var pipe []byte
+	for run := 0; run < 4; run++ {
+		for i := 0; i < 16; i++ {
+			if run%2 == 0 {
+				pipe = fmt.Appendf(pipe, "*3\r\n$3\r\nSET\r\n$3\r\nk%02d\r\n$2\r\nv%d\r\n", i, run)
+			} else {
+				pipe = fmt.Appendf(pipe, "GET k%02d\r\n", i)
+			}
+		}
+	}
+	pipe = append(pipe, "QUIT\r\n"...)
+	for _, mode := range connModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			srv, _, addr := startServer(t, WithConnMode(mode))
+			want := strings.Repeat(":0\r\n", 16) + strings.Repeat("$2\r\nv0\r\n", 16) +
+				strings.Repeat(":1\r\n", 16) + strings.Repeat("$2\r\nv2\r\n", 16) + "+OK\r\n"
+			if got := roundTrip(t, addr, pipe); string(got) != want {
+				t.Fatalf("transcript:\n got %q\nwant %q", got, want)
+			}
+			if b, k := srv.coalescedBatches.Load(), srv.coalescedKeys.Load(); b != 4 || k != 64 {
+				t.Fatalf("coalesced_batches=%d coalesced_keys=%d, want 4 and 64", b, k)
+			}
+		})
 	}
 }
 

@@ -10,12 +10,13 @@
 // yet parsed; parse (proto.go) cuts requests off its front, their arguments
 // views into it. `out` collects replies until one Write sends them. The
 // views stay valid because `in` moves in exactly one place — room, which
-// pump calls only once every parsed request has been dispatched (keys are
-// hashed and SET values copied at staging, so nothing staged points into
-// it). A frame larger than `in` grows it geometrically as the bytes arrive,
-// bounded by the parser's header checks; a reply larger than `out` grows
-// that; each returns to its pooled size once emptied, so memory follows the
-// bytes in flight, not the largest frame the connection ever saw.
+// pump calls only once every parsed request has been dispatched and the
+// staged run drained (keys are hashed at staging, but a write run's values
+// are views too, live until the store copies them at the drain). A frame
+// larger than `in` grows it geometrically as the bytes arrive, bounded by
+// the parser's header checks; a reply larger than `out` grows that; each
+// returns to its pooled size once emptied, so memory follows the bytes in
+// flight, not the largest frame the connection ever saw.
 //
 // Lifecycle: a connection starts parked with no buffers — an idle conn
 // costs its registration, per the OPTIK principle of paying only when
@@ -189,6 +190,11 @@ func (cs *connState) pump() bool {
 			return false
 		}
 		if n == 0 {
+			// A staged write run holds views into `in`: no view outlives the
+			// drain of its run, so the run drains before the buffer moves.
+			if cs.drain() != nil {
+				return false
+			}
 			cs.room(rd)
 			return true
 		}
@@ -213,11 +219,12 @@ func (cs *connState) pump() bool {
 
 // room drops the rd parsed bytes (and any blank lines after them) off the
 // front of `in` and leaves space to read into. It is the one place `in`
-// moves, and pump calls it only with every parsed request dispatched, so no
-// argument view is live. A partial frame that fills the buffer doubles it —
-// the parser has already refused any frame whose headers break a limit, so
-// growth follows bytes actually received, up to maxRequest — and once what
-// is left fits the configured size again the buffer returns to it.
+// moves, and pump calls it only with every parsed request dispatched and
+// the staged run drained, so no argument or value view is live. A partial
+// frame that fills the buffer doubles it — the parser has already refused
+// any frame whose headers break a limit, so growth follows bytes actually
+// received, up to maxRequest — and once what is left fits the configured
+// size again the buffer returns to it.
 func (cs *connState) room(rd int) {
 	rd += blanks(cs.in[rd:])
 	home, size, rest := cs.srv.opts.bufSize, cap(cs.in), len(cs.in)-rd

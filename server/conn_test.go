@@ -508,3 +508,48 @@ func TestClientCloseIdempotent(t *testing.T) {
 	}()
 	cl.Ping()
 }
+
+// TestStagedSetSurvivesBufferMove pins the view-validity rule: a staged
+// SET's value is a view into the read buffer until its run drains, so the
+// run must drain before the buffer moves. An open write run is followed, in
+// the same segment, by the front of a frame several times the 512 B buffer:
+// making room for it first slides the buffer over the staged values' bytes
+// and then doubles it into a different backing array. Every value must come
+// back byte-exact.
+func TestStagedSetSurvivesBufferMove(t *testing.T) {
+	const small = 6
+	big := strings.Repeat("x", 2000)
+	frame := fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(big), big)
+	var head, gets []byte
+	want := ""
+	for i := 0; i < small; i++ {
+		head = fmt.Appendf(head, "SET k%d value-%d\r\n", i, i)
+		gets = fmt.Appendf(gets, "GET k%d\r\n", i)
+		want += fmt.Sprintf("$7\r\nvalue-%d\r\n", i)
+	}
+	head = append(head, frame[:1200]...)
+	gets = append(gets, "GET big\r\n"...)
+	want += fmt.Sprintf("$%d\r\n%s\r\n", len(big), big)
+	for _, mode := range connModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, _, addr := startServer(t, WithBufferSize(512), WithConnMode(mode))
+			conn, r := dialRaw(t, addr)
+			if _, err := conn.Write(head); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			time.Sleep(50 * time.Millisecond) // the half frame sits in a grown buffer
+			if _, err := conn.Write([]byte(frame[1200:])); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if got := readN(t, r, 4*(small+1)); got != strings.Repeat(":0\r\n", small+1) {
+				t.Fatalf("SET replies: %q", got)
+			}
+			if _, err := conn.Write(gets); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if got := readN(t, r, len(want)); got != want {
+				t.Fatalf("a staged value changed when the read buffer moved:\n got %.120q…\nwant %.120q…", got, want)
+			}
+		})
+	}
+}

@@ -34,6 +34,11 @@ const (
 	maxRequest = 64 << 20
 )
 
+// The store's value header keeps a 32-bit length and refuses anything
+// longer with a panic; this fails the build if maxBulk ever outgrows it, so
+// the wire can never reach that panic.
+const _ uint32 = maxBulk
+
 // errQuit signals a clean client-requested shutdown of one connection.
 var errQuit = errors.New("quit")
 

@@ -638,7 +638,7 @@ func (cs *connState) executeTTL(cmd []byte, rest [][]byte) error {
 		if secs <= 0 {
 			return cs.softError("ERR invalid expire time in 'setex' command")
 		}
-		cs.out = appendInt(cs.out, b2i(s.st.SetEXHashed(k, string(rest[2]), secs)))
+		cs.out = appendInt(cs.out, b2i(s.st.SetEXHashed(k, view(rest[2]), secs)))
 	case cmdEq(cmd, "TTL"):
 		if len(rest) != 1 {
 			return cs.arity("ttl")

@@ -287,7 +287,7 @@ func (s *SortedStrings) Scan(from, to uint64, keys []uint64, vals []string) int 
 		last := kbuf[n-1]
 		for i := 0; i < n; i++ {
 			if _, p := s.read(kbuf[i], slots[i], true); p != nil {
-				keys[w], vals[w] = kbuf[i], p.val
+				keys[w], vals[w] = kbuf[i], p.val()
 				w++
 			}
 		}
@@ -317,7 +317,7 @@ func (s *SortedStrings) endpoint(extreme func() (key, slot uint64, ok bool)) (ui
 			return 0, "", false
 		}
 		if _, p := s.read(k, slot, true); p != nil {
-			return k, p.val, true
+			return k, p.val(), true
 		}
 	}
 }

@@ -189,21 +189,20 @@ func (s *Strings) PersistHashed(k uint64) bool {
 // setDeadline re-arms (deadline > 0) or clears (0) k's TTL, reporting
 // whether a live pair's deadline actually changed hands — clearing a TTL
 // the pair never carried reports false. The loop is the OPTIK shape again:
-// read the live pair, build a replacement carrying the new deadline,
-// publish by pointer CAS. Pair pointers are never reused, so the CAS
-// cannot ABA; a recycled slot always fails it and the lap restarts through
-// the index. Expired pairs are never re-armed — the read retires them —
-// keeping an expired pair's identity stable for the confirm callbacks that
-// splice it out.
+// read the live pair, build a replacement carrying the new deadline (a
+// fresh object — header and bytes are one allocation, so the value is
+// copied, not shared), publish by pointer CAS. Pair pointers are never
+// reused, so the CAS cannot ABA; a recycled slot always fails it and the
+// lap restarts through the index. Expired pairs are never re-armed — the
+// read retires them — keeping an expired pair's identity stable for the
+// confirm callbacks that splice it out.
 func (s *Strings) setDeadline(k uint64, deadline int64) bool {
 	for {
 		slot, p := s.lookup(k)
 		if p == nil || (deadline == 0 && p.deadline == 0) {
 			return false
 		}
-		np := &pair{hash: k, val: p.val, deadline: deadline}
-		np.touched.Store(p.touched.Load())
-		if s.values.casPair(slot, p, np) {
+		if s.values.casPair(slot, p, newPair(k, p.val(), deadline, p.touched.Load())) {
 			return true
 		}
 	}

@@ -3,7 +3,8 @@
 // SortedStrings alike. The index maps a key (a string key's 64-bit hash,
 // or the uint64 key itself on the sorted store) to a *handle* — a slot
 // number in a chunked value arena — and the arena holds one atomic pointer
-// per slot to an immutable {hash, value} pair. There is no lock anywhere on the
+// per slot to an immutable pair: one pointer-free object holding the key
+// hash, the deadline and the value bytes. There is no lock anywhere on the
 // GET/SET/DEL path; the read-under-reuse race that handle recycling
 // creates is resolved the OPTIK way, by validation instead of
 // pessimism:
@@ -21,29 +22,74 @@
 package store
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/optik-go/optik/ds/stack"
 	"github.com/optik-go/optik/internal/core"
 )
 
-// pair is one stored value: the key hash it belongs to, the value, and an
-// optional absolute expiry deadline (0 = no TTL) in the store clock's
-// nanoseconds. Pairs are immutable once published — replacing a value (or
-// a deadline: Expire/Persist build a new pair and CAS the slot pointer)
-// never mutates one in place — except for touched, the approx-LRU epoch
-// stamp the eviction sampler reads, which is atomic and advisory.
+// pair is one stored value, header and bytes in a single allocation: the
+// key hash it belongs to, an optional absolute expiry deadline (0 = no
+// TTL) in the store clock's nanoseconds, the approx-LRU stamp, and the
+// value length — then, in the same object, the n value bytes themselves.
+// The struct is only the 24-byte header; newPair allocates it with its
+// tail and val reads the tail back. Nothing in the object is a pointer, so
+// the collector marks a value and never scans it, and a reader that holds
+// a slot's *pair is one load from the bytes instead of two.
+//
+// Pairs are immutable once published — replacing a value (or a deadline:
+// Expire/Persist build a new pair and CAS the slot pointer) never mutates
+// one in place — except for touched, which is atomic and advisory. They
+// are GC-owned and never recycled: a string val handed out stays valid
+// and unchanged for as long as anyone holds it.
 type pair struct {
 	hash     uint64
-	val      string
 	deadline int64
 	// touched is the maintenance epoch of the last Get (or the Put, for a
 	// never-read pair). Readers store it only when the epoch moved since
 	// their last visit, so a hot entry writes the line once per epoch, not
 	// once per read.
 	touched atomic.Uint32
+	n       uint32
+}
+
+const (
+	pairHeader = int(unsafe.Sizeof(pair{}))
+	pairWords  = pairHeader / 8
+)
+
+// newPair builds every pair: one pointer-free object holding the header
+// and a private copy of val, so the caller's string may be a view over
+// memory it is about to reuse. The object is a []uint64 rather than a
+// []byte because the element type is what guarantees the header's 8-byte
+// alignment. A length the 32-bit header field cannot hold is refused
+// outright, never truncated; the wire cannot produce one (server.maxBulk).
+func newPair(hash uint64, val string, deadline int64, epoch uint32) *pair {
+	if uint64(len(val)) > math.MaxUint32 {
+		panic("store: value too large")
+	}
+	obj := make([]uint64, pairWords+(len(val)+7)/8)
+	p := (*pair)(unsafe.Pointer(&obj[0]))
+	p.hash, p.deadline, p.n = hash, deadline, uint32(len(val))
+	p.touched.Store(epoch)
+	if len(val) > 0 {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&obj[pairWords])), len(val)), val)
+	}
+	return p
+}
+
+// val returns the value as a string over the pair's own tail: no copy, and
+// the string keeps the whole object alive. The empty value has no tail —
+// its object ends where the header does — so no pointer is formed for it.
+func (p *pair) val() string {
+	if p.n == 0 {
+		return ""
+	}
+	return unsafe.String((*byte)(unsafe.Add(unsafe.Pointer(p), pairHeader)), p.n)
 }
 
 // expiredAt reports whether the pair's deadline has passed at now.
@@ -59,11 +105,11 @@ func (p *pair) touch(epoch uint32) {
 }
 
 // PairOverhead is the bytes charged per live entry beyond the value
-// bytes: the pair struct, the arena's slot pointer, and a nominal share
-// of the index entry. Approximate by design — the byte budget governs
-// order of magnitude, not malloc-exact accounting. Exported so budget
-// planners (the eviction workload, capacity math in operators' tooling)
-// can convert between entry counts and budget bytes.
+// bytes: the pair's 24-byte header, the arena's 8-byte slot pointer, and a
+// nominal 24-byte share of the index entry. Approximate by design — the
+// byte budget governs order of magnitude, not malloc-exact accounting.
+// Exported so budget planners (the eviction workload, capacity math in
+// operators' tooling) can convert between entry counts and budget bytes.
 const PairOverhead = 56
 
 // pairOverhead is the internal alias the value layer charges with.
@@ -99,9 +145,10 @@ func NewValues() *Values {
 }
 
 // Put stores a fresh {hash, val} pair and returns its slot handle,
-// recycling a freed slot when one is available. The pair is visible as
-// soon as the pointer store lands — before the caller publishes the slot
-// through its index — so no reader can reach a half-built pair.
+// recycling a freed slot when one is available. val is copied into the
+// pair and not retained. The pair is visible as soon as the pointer store
+// lands — before the caller publishes the slot through its index — so no
+// reader can reach a half-built pair.
 func (v *Values) Put(hash uint64, val string) uint64 {
 	return v.put(hash, val, 0, 0)
 }
@@ -124,9 +171,7 @@ func (v *Values) put(hash uint64, val string, deadline int64, epoch uint32) uint
 		v.chunks[ci].CompareAndSwap(nil, new(valueChunk))
 		c = v.chunks[ci].Load()
 	}
-	p := &pair{hash: hash, val: val, deadline: deadline}
-	p.touched.Store(epoch)
-	c[slot&(valueChunkSize-1)].Store(p)
+	c[slot&(valueChunkSize-1)].Store(newPair(hash, val, deadline, epoch))
 	v.bytes.Add(slot, int64(len(val))+pairOverhead)
 	return slot
 }
@@ -144,7 +189,7 @@ func (v *Values) loadPair(slot uint64) *pair {
 
 // casPair swaps slot's pair pointer from old to new. Pair pointers are
 // never reused, so the compare is ABA-safe. The replacement MUST be
-// byte-for-byte equal in accounting terms (same hash, same val length):
+// equal in accounting terms (same hash, same value length):
 // Release uncharges whatever pair it finds in the slot, and a racing
 // size-changing swap would skew the byte counter.
 func (v *Values) casPair(slot uint64, old, new *pair) bool {
@@ -188,7 +233,7 @@ func (v *Values) ReleaseBatch(slots []uint64) {
 func (v *Values) uncharge(slot uint64) {
 	sp := &v.chunks[slot>>valueChunkBits].Load()[slot&(valueChunkSize-1)]
 	if p := sp.Load(); p != nil {
-		v.bytes.Add(slot, -(int64(len(p.val)) + pairOverhead))
+		v.bytes.Add(slot, -(int64(p.n) + pairOverhead))
 		sp.Store(nil)
 	}
 }
@@ -242,6 +287,15 @@ func clampHash(v uint64) uint64 {
 // NewSortedStrings over an Ordered index. Distinct string keys whose
 // hashes collide alias to one entry; with 64-bit FNV-1a that needs ~2^32
 // live keys to become likely, far beyond the arena's capacity.
+//
+// Value ownership: every write (Set, SetEX, MSetHashed) copies its value
+// into the store's own object and retains nothing of the argument, so a
+// caller may pass a view over a buffer it reuses as soon as the call
+// returns. Every read (Get, MGet, Scan, Min/Max) returns a string that
+// aliases that immutable object: it costs no copy and stays valid and
+// unchanged for as long as the caller holds it, whatever happens to the
+// key. Expire and Persist replace the pair, copying the value bytes into
+// the replacement.
 type Strings struct {
 	index  *Store
 	values *Values
@@ -411,7 +465,7 @@ func (s *Strings) GetHashed(k uint64) (string, bool) {
 	if s.budget != 0 {
 		p.touch(s.epoch.Load())
 	}
-	return p.val, true
+	return p.val(), true
 }
 
 // Del removes key, reporting whether it was present.
@@ -492,7 +546,7 @@ func (s *Strings) mget(hashes []uint64, vals []string, found []bool, slots []uin
 		if s.budget != 0 {
 			p.touch(epoch)
 		}
-		vals[i], found[i] = p.val, true
+		vals[i], found[i] = p.val(), true
 	}
 }
 

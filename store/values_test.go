@@ -2,9 +2,15 @@ package store
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestStringsBasic pins the scalar surface: set/get/del, replace
@@ -83,7 +89,7 @@ func TestStringsConcurrentRecycle(t *testing.T) {
 	// where 10 is gone — instead of returning the other key's value.
 	s.SetHashed(10, "ten")
 	slot, _ := s.index.Get(10)
-	if _, p := s.read(10, slot, true); p == nil || p.val != "ten" {
+	if _, p := s.read(10, slot, true); p == nil || p.val() != "ten" {
 		t.Fatalf("read(10) before recycling = %v", p)
 	}
 	s.DelHashed(10)
@@ -92,9 +98,9 @@ func TestStringsConcurrentRecycle(t *testing.T) {
 		t.Fatalf("free list did not recycle: got slot %d, want %d", slot2, slot)
 	}
 	if _, p := s.read(10, slot, true); p != nil {
-		t.Fatalf("stale read validated against a recycled slot: %q", p.val)
+		t.Fatalf("stale read validated against a recycled slot: %q", p.val())
 	}
-	if _, p := s.read(99, slot, true); p == nil || p.val != "ninety-nine" {
+	if _, p := s.read(99, slot, true); p == nil || p.val() != "ninety-nine" {
 		t.Fatalf("read(99) after recycle = %v", p)
 	}
 	s.DelHashed(99)
@@ -256,5 +262,192 @@ func TestStringsHashedBatchConcurrent(t *testing.T) {
 	s.Quiesce()
 	if int64(s.Len()) != net {
 		t.Fatalf("conservation: Len = %d, net = %d", s.Len(), net)
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun with the bytes as well: prep runs
+// unmeasured before each measured f, the object count is the integer mean
+// over the runs, and the byte count is the smallest any run saw (noise —
+// a table slab, a background allocation — only ever adds).
+func allocsPerRun(runs int, prep, f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	bytes = math.MaxUint64
+	for i := 0; i <= runs; i++ {
+		prep()
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		if i == 0 {
+			continue // warm-up
+		}
+		objects += m1.Mallocs - m0.Mallocs
+		bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return objects / uint64(runs), bytes
+}
+
+var allocSink []byte
+
+// TestPairOneAllocation pins the layout: a stored value is ONE pointer-free
+// object — the 24-byte header and the bytes — so writing a value into a
+// warm store (recycled slot, pooled index node) allocates exactly once,
+// and what it allocates is no larger than a 24+len byte slice's size
+// class. Re-arming a deadline builds the same single object.
+func TestPairOneAllocation(t *testing.T) {
+	if got := unsafe.Sizeof(pair{}); got != 24 {
+		t.Fatalf("pair header is %d bytes, want 24", got)
+	}
+	pt := reflect.TypeOf(pair{})
+	for i := 0; i < pt.NumField(); i++ {
+		switch k := pt.Field(i).Type.Kind(); k {
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Fatalf("pair.%s is a %v: the object must hold no pointer", pt.Field(i).Name, k)
+		}
+	}
+	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance(),
+		WithClock(func() int64 { return 1 }))
+	defer s.Close()
+	const k, runs = 7, 20
+	for _, n := range []int{0, 1, 32, 64, 128, 1000, 70_000} {
+		val := strings.Repeat("v", n)
+		_, class := allocsPerRun(runs, func() {}, func() { allocSink = make([]byte, pairHeader+n) })
+		absent := func() { s.DelHashed(k) }
+		live := func() { s.SetHashed(k, val) }
+		for _, op := range []struct {
+			name    string
+			prep, f func()
+		}{
+			{"SetHashed", absent, func() { s.SetHashed(k, val) }},
+			{"SetEXHashed", absent, func() { s.SetEXHashed(k, val, 100) }},
+			{"ExpireAt", live, func() { s.ExpireAtHashed(k, 1<<40) }},
+		} {
+			objects, bytes := allocsPerRun(runs, op.prep, op.f)
+			if v, ok := s.GetHashed(k); !ok || v != val {
+				t.Fatalf("%s len=%d: value did not survive (ok=%v, %d bytes back)", op.name, n, ok, len(v))
+			}
+			if objects != 1 || bytes > class {
+				t.Errorf("%s len=%d: %d allocations, %d bytes; want 1 allocation of at most %d bytes",
+					op.name, n, objects, bytes, class)
+			}
+		}
+	}
+}
+
+// TestSetCopiesValue pins the write half of the ownership contract: Set
+// keeps nothing of its argument. The server stages SET values as views
+// over its read buffer, so a store that aliased the argument would serve
+// whatever the connection received next.
+func TestSetCopiesValue(t *testing.T) {
+	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance(),
+		WithClock(func() int64 { return 1 }))
+	defer s.Close()
+	buf := []byte("first-value")
+	view := unsafe.String(&buf[0], len(buf))
+	s.Set("set", view)
+	s.SetEX("setex", view, 100)
+	s.MSetHashed([]uint64{HashKey("mset")}, []string{view}, make([]bool, 1))
+	s.Set("expire", view)
+	s.Expire("expire", 100)
+	copy(buf, "XXXXXXXXXXX")
+	for _, key := range []string{"set", "setex", "mset", "expire"} {
+		if v, ok := s.Get(key); !ok || v != "first-value" {
+			t.Errorf("Get(%s) = %q, %v after the caller's buffer was overwritten; want first-value", key, v, ok)
+		}
+	}
+}
+
+// TestGetStringOutlivesEntry pins the read half: a string Get returned
+// aliases an immutable, GC-owned object, so it stays valid and unchanged
+// after its key is deleted, its slot recycled a hundred thousand times
+// and the collector run — pairs are never reused in place.
+func TestGetStringOutlivesEntry(t *testing.T) {
+	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance())
+	defer s.Close()
+	want := strings.Repeat("held", 16)
+	s.Set("held", want)
+	s.Set("empty", "")
+	held, _ := s.Get("held")
+	empty, ok := s.Get("empty")
+	if !ok || empty != "" {
+		t.Fatalf("Get(empty) = %q, %v", empty, ok)
+	}
+	s.Del("held")
+	s.Del("empty")
+	junk := strings.Repeat("#", len(want))
+	for i := 0; i < 100_000; i++ {
+		s.Set("churn", junk) // each overwrite takes the slot the last one freed
+	}
+	if got := s.Values().Allocated(); got > 3 {
+		t.Fatalf("arena carved %d slots: the overwrites did not recycle", got)
+	}
+	runtime.GC()
+	runtime.GC()
+	if held != want {
+		t.Fatalf("a held Get result changed after its entry was deleted: %q", held)
+	}
+}
+
+// TestValueTooLarge pins the 32-bit length field's guard: a value the
+// header cannot describe is refused with an invariant panic, never stored
+// truncated. The length is faked in the string header — newPair must
+// refuse on the length alone, before it touches a byte.
+func TestValueTooLarge(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("no string can be this long on a 32-bit platform")
+	}
+	var huge string
+	tooLong := uint64(math.MaxUint32) + 1
+	(*struct {
+		data unsafe.Pointer
+		n    int
+	})(unsafe.Pointer(&huge)).n = int(tooLong)
+	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance())
+	defer s.Close()
+	defer func() {
+		if r := recover(); r != "store: value too large" {
+			t.Fatalf("Set of a 4 GiB value: recovered %v, want the invariant panic", r)
+		}
+		if s.Len() != 0 || s.BytesUsed() != 0 {
+			t.Fatalf("the refused value left Len=%d BytesUsed=%d behind", s.Len(), s.BytesUsed())
+		}
+	}()
+	s.Set("huge", huge)
+	t.Fatal("Set of a 4 GiB value returned")
+}
+
+// TestBytesUsedFormula pins the accounting the byte budget and the
+// cache_churn workload's sizing are built on: every live entry is charged
+// its value bytes plus PairOverhead, whatever the object layout costs the
+// allocator, and every way out of the store credits exactly that back.
+func TestBytesUsedFormula(t *testing.T) {
+	if PairOverhead != 56 {
+		t.Fatalf("PairOverhead = %d, want 56 (bench workloads size budgets from it)", PairOverhead)
+	}
+	s := NewStrings(WithShards(2), WithShardBuckets(64), WithoutMaintenance(),
+		WithClock(func() int64 { return 1 }))
+	defer s.Close()
+	const n = 1000
+	for _, vlen := range []int{0, 32, 64, 100} {
+		val := strings.Repeat("v", vlen)
+		for i := 0; i < n; i++ {
+			s.Set(fmt.Sprintf("k%d", i), val) // from the second length on, an overwrite
+		}
+		if got, want := s.BytesUsed(), int64(n*(vlen+PairOverhead)); got != want {
+			t.Fatalf("BytesUsed after %d × %d-byte values = %d, want n × (len + 56) = %d", n, vlen, got, want)
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		s.Expire(fmt.Sprintf("k%d", i), 100) // replaces the pair: same charge
+	}
+	if got, want := s.BytesUsed(), int64(n*(100+PairOverhead)); got != want {
+		t.Fatalf("BytesUsed after Expire = %d, want %d", got, want)
+	}
+	for i := 0; i < n; i++ {
+		s.Del(fmt.Sprintf("k%d", i))
+	}
+	if got := s.BytesUsed(); got != 0 {
+		t.Fatalf("BytesUsed after deleting everything = %d, want 0", got)
 	}
 }
