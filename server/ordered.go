@@ -14,7 +14,7 @@
 package server
 
 import (
-	"strconv"
+	"slices"
 
 	"github.com/optik-go/optik/ds"
 )
@@ -27,24 +27,56 @@ const (
 	maxScanCount = 4096
 )
 
-// appendBulkUint frames a uint64 as a decimal bulk string, formatting the
-// digits once, straight into dst. The length prefix is one character for
-// values of up to nine digits and two beyond, so the header's size is known
-// before the digits are; the length itself is patched in after them.
+// digitPairs is "00" through "99": the decimal formatter below writes two
+// digits per division out of it.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendBulkUint frames a uint64 as a decimal bulk string with no staging
+// buffer: the digits are counted first, so the length prefix is known, dst
+// grows once and every digit is written straight into its final place, last
+// to first.
 func appendBulkUint(dst []byte, v uint64) []byte {
-	if v < 1e9 {
-		dst = append(dst, "$0\r\n"...)
-	} else {
-		dst = append(dst, "$00\r\n"...)
+	n := 1 // decimal digits in v; the 20th is the last a uint64 can have
+	for p := uint64(10); n < 20 && v >= p; p *= 10 {
+		n++
+	}
+	hdr := len("$0\r\n")
+	if n >= 10 {
+		hdr++
 	}
 	at := len(dst)
-	dst = strconv.AppendUint(dst, v, 10)
-	n := len(dst) - at
-	dst[at-3] = byte('0' + n%10)
+	dst = slices.Grow(dst, hdr+n+len(crlf))[:at+hdr+n+len(crlf)]
+	b := dst[at:]
+	b[0] = '$'
 	if n >= 10 {
-		dst[at-4] = byte('0' + n/10)
+		b[1] = byte('0' + n/10)
 	}
-	return append(dst, crlf...)
+	b[hdr-3] = byte('0' + n%10)
+	b[hdr-2], b[hdr-1] = '\r', '\n'
+	i := hdr + n
+	b[i], b[i+1] = '\r', '\n'
+	for v >= 100 {
+		q := v / 100
+		r := (v - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
+		v = q
+	}
+	if v >= 10 {
+		b[i-2], b[i-1] = digitPairs[v*2], digitPairs[v*2+1]
+	} else {
+		b[i-1] = byte('0' + v)
+	}
+	return dst
 }
 
 // clampKeyRange pulls an arbitrary wire uint64 pair into the index key

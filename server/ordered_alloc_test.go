@@ -81,3 +81,44 @@ func TestAppendBulkUint(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRangeEngine measures one RANGE-of-100 through the engine alone —
+// parse, dispatch, the store's scan, reply framing — with no socket and no
+// client: the same harness as TestRangeSteadyStateAllocs over a store larger
+// than the CPU caches (1 M keys, every fourth key present, 33-byte values),
+// so the skip-list descent and the arena reads miss as they do in
+// ordered_scan.
+func BenchmarkRangeEngine(b *testing.B) {
+	const population, stride, page = 1 << 20, 4, 100
+	st := store.NewSortedStrings(store.WithKeyMax(population*stride), store.WithoutMaintenance())
+	defer st.Close()
+	for k := uint64(1); k <= population; k++ {
+		st.Set(k*stride, "value-of-thirty-two-bytes-exactly")
+	}
+	cs := newConnState(NewOrdered(st), nil)
+	cs.acquireBuffers()
+	defer cs.releaseBuffers()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	var k uint64
+	for i := 0; i < b.N; i++ {
+		k = k*2862933555777941757 + 3037000493 // lcg walk over the population
+		lo := (k%(population-page) + 1) * stride
+		cs.in = append(cs.in[:0], "RANGE "...)
+		cs.in = strconv.AppendUint(cs.in, lo, 10)
+		cs.in = append(cs.in, ' ')
+		cs.in = strconv.AppendUint(cs.in, lo+page*stride-1, 10)
+		cs.in = append(cs.in, crlf...)
+		if n, err := cs.req.parse(cs.in, cap(cs.in)); n != len(cs.in) || err != nil {
+			b.Fatalf("parse = %d, %v", n, err)
+		}
+		if err := cs.dispatch(); err != nil {
+			b.Fatal(err)
+		}
+		if len(cs.out) < page*len("$1\r\n4\r\n$33\r\n\r\n") {
+			b.Fatalf("%d-byte reply cannot hold a %d-entry page", len(cs.out), page)
+		}
+		cs.out = cs.out[:0]
+	}
+}

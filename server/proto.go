@@ -34,10 +34,10 @@ const (
 	maxRequest = 64 << 20
 )
 
-// The store's value header keeps a 32-bit length and refuses anything
-// longer with a panic; this fails the build if maxBulk ever outgrows it, so
-// the wire can never reach that panic.
-const _ uint32 = maxBulk
+// The store's value header keeps a 31-bit length (the top bit flags a
+// deadline) and refuses anything longer with a panic; this fails the build
+// unless maxBulk < 1<<31, so the wire can never reach that panic.
+const _ int32 = maxBulk
 
 // errQuit signals a clean client-requested shutdown of one connection.
 var errQuit = errors.New("quit")

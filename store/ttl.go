@@ -107,13 +107,14 @@ func (s *Strings) nowFresh() int64 {
 // concurrent readers of TTL'd keys must not ping-pong a shared cache
 // line for a value the next pass refreshes anyway.
 func (s *Strings) expiredNow(p *pair) bool {
-	if p.deadline == 0 {
+	d := p.deadline()
+	if d == 0 {
 		return false
 	}
 	if s.clock != nil {
-		return p.deadline <= s.clock()
+		return d <= s.clock()
 	}
-	return p.deadline <= s.cachedNow.Load() || p.deadline <= time.Now().UnixNano()
+	return d <= s.cachedNow.Load() || d <= time.Now().UnixNano()
 }
 
 // deadlineFor converts a relative TTL in seconds to an absolute clock
@@ -199,7 +200,7 @@ func (s *Strings) PersistHashed(k uint64) bool {
 func (s *Strings) setDeadline(k uint64, deadline int64) bool {
 	for {
 		slot, p := s.lookup(k)
-		if p == nil || (deadline == 0 && p.deadline == 0) {
+		if p == nil || (deadline == 0 && p.deadline() == 0) {
 			return false
 		}
 		if s.values.casPair(slot, p, newPair(k, p.val(), deadline, p.touched.Load())) {
@@ -221,13 +222,14 @@ func (s *Strings) TTL(key string) int64 {
 func (s *Strings) TTLHashed(k uint64) int64 {
 	now := s.nowFresh()
 	_, p := s.lookup(k)
-	switch {
-	case p == nil:
+	if p == nil {
 		return -2
-	case p.deadline == 0:
+	}
+	d := p.deadline()
+	if d == 0 {
 		return -1
 	}
-	return (p.deadline - now + nsPerSec - 1) / nsPerSec
+	return (d - now + nsPerSec - 1) / nsPerSec
 }
 
 // BytesUsed returns the store's approximate live footprint in bytes.

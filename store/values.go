@@ -4,10 +4,10 @@
 // or the uint64 key itself on the sorted store) to a *handle* — a slot
 // number in a chunked value arena — and the arena holds one atomic pointer
 // per slot to an immutable pair: one pointer-free object holding the key
-// hash, the deadline and the value bytes. There is no lock anywhere on the
-// GET/SET/DEL path; the read-under-reuse race that handle recycling
-// creates is resolved the OPTIK way, by validation instead of
-// pessimism:
+// hash, the deadline if the entry has one, and the value bytes. There is no
+// lock anywhere on the GET/SET/DEL path; the read-under-reuse race that
+// handle recycling creates is resolved the OPTIK way, by validation instead
+// of pessimism:
 //
 //   - SET writes the pair first and publishes the slot through the index
 //     after, so any slot a reader can reach holds a fully-built pair.
@@ -33,68 +33,105 @@ import (
 )
 
 // pair is one stored value, header and bytes in a single allocation: the
-// key hash it belongs to, an optional absolute expiry deadline (0 = no
-// TTL) in the store clock's nanoseconds, the approx-LRU stamp, and the
-// value length — then, in the same object, the n value bytes themselves.
-// The struct is only the 24-byte header; newPair allocates it with its
-// tail and val reads the tail back. Nothing in the object is a pointer, so
-// the collector marks a value and never scans it, and a reader that holds
-// a slot's *pair is one load from the bytes instead of two.
+// key hash it belongs to, the approx-LRU stamp and the value length — then,
+// in the same object, the n value bytes themselves. The struct is only the
+// 16-byte header; newPair allocates it with its tail and val reads the tail
+// back. An entry with a TTL carries one more word: the top bit of n
+// (pairTTL) says the 8 bytes directly after the header are the absolute
+// expiry deadline in the store clock's nanoseconds, and the value bytes
+// follow that word instead of the header. An entry without one — most of
+// them — pays nothing for the deadline it does not have.
+//
+//	no TTL:  | hash | touched, n        | value bytes ...
+//	TTL:     | hash | touched, n|pairTTL | deadline | value bytes ...
+//
+// Nothing in the object is a pointer, so the collector marks a value and
+// never scans it, and a reader that holds a slot's *pair is one load from
+// the bytes instead of two. newPair, size, deadline and val are the only
+// code that knows the layout.
 //
 // Pairs are immutable once published — replacing a value (or a deadline:
-// Expire/Persist build a new pair and CAS the slot pointer) never mutates
-// one in place — except for touched, which is atomic and advisory. They
-// are GC-owned and never recycled: a string val handed out stays valid
-// and unchanged for as long as anyone holds it.
+// Expire/Persist build a new pair, of the other shape if need be, and CAS
+// the slot pointer) never mutates one in place — except for touched, which
+// is atomic and advisory. A reader therefore never sees a pair change
+// shape. They are GC-owned and never recycled: a string val handed out
+// stays valid and unchanged for as long as anyone holds it.
 type pair struct {
-	hash     uint64
-	deadline int64
+	hash uint64
 	// touched is the maintenance epoch of the last Get (or the Put, for a
 	// never-read pair). Readers store it only when the epoch moved since
 	// their last visit, so a hot entry writes the line once per epoch, not
 	// once per read.
 	touched atomic.Uint32
-	n       uint32
+	// n is the value length, with pairTTL set when the deadline word is
+	// present; read it through size, deadline and val.
+	n uint32
 }
 
 const (
 	pairHeader = int(unsafe.Sizeof(pair{}))
 	pairWords  = pairHeader / 8
+	pairTTL    = 1 << 31
 )
 
-// newPair builds every pair: one pointer-free object holding the header
-// and a private copy of val, so the caller's string may be a view over
-// memory it is about to reuse. The object is a []uint64 rather than a
-// []byte because the element type is what guarantees the header's 8-byte
-// alignment. A length the 32-bit header field cannot hold is refused
-// outright, never truncated; the wire cannot produce one (server.maxBulk).
+// newPair builds every pair: one pointer-free object holding the header,
+// the deadline word when deadline is non-zero, and a private copy of val,
+// so the caller's string may be a view over memory it is about to reuse.
+// The object is a []uint64 rather than a []byte because the element type is
+// what guarantees the header's 8-byte alignment. A length the 31 bits left
+// beside the flag cannot hold is refused outright, never truncated; the
+// wire cannot produce one (server.maxBulk).
 func newPair(hash uint64, val string, deadline int64, epoch uint32) *pair {
-	if uint64(len(val)) > math.MaxUint32 {
+	if len(val) > math.MaxInt32 {
 		panic("store: value too large")
 	}
-	obj := make([]uint64, pairWords+(len(val)+7)/8)
+	words, n := pairWords, uint32(len(val))
+	if deadline != 0 {
+		words, n = pairWords+1, n|pairTTL
+	}
+	obj := make([]uint64, words+(len(val)+7)/8)
 	p := (*pair)(unsafe.Pointer(&obj[0]))
-	p.hash, p.deadline, p.n = hash, deadline, uint32(len(val))
+	p.hash, p.n = hash, n
 	p.touched.Store(epoch)
+	if deadline != 0 {
+		obj[pairWords] = uint64(deadline)
+	}
 	if len(val) > 0 {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&obj[pairWords])), len(val)), val)
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&obj[words])), len(val)), val)
 	}
 	return p
 }
 
+// size returns the value length: n without the flag.
+func (p *pair) size() int { return int(p.n &^ pairTTL) }
+
+// deadline returns the absolute expiry deadline, 0 for a pair without a
+// TTL — whose object has no such word, so none is read.
+func (p *pair) deadline() int64 {
+	if p.n&pairTTL == 0 {
+		return 0
+	}
+	return *(*int64)(unsafe.Add(unsafe.Pointer(p), pairHeader))
+}
+
 // val returns the value as a string over the pair's own tail: no copy, and
-// the string keeps the whole object alive. The empty value has no tail —
-// its object ends where the header does — so no pointer is formed for it.
+// the string keeps the whole object alive. The bytes start right after the
+// header, or one word later when the deadline sits there. The empty value
+// has no tail — its object ends where the header or the deadline does — so
+// no pointer is formed for it.
 func (p *pair) val() string {
-	if p.n == 0 {
+	size := p.size()
+	if size == 0 {
 		return ""
 	}
-	return unsafe.String((*byte)(unsafe.Add(unsafe.Pointer(p), pairHeader)), p.n)
+	off := pairHeader + int(p.n>>31)*8
+	return unsafe.String((*byte)(unsafe.Add(unsafe.Pointer(p), off)), size)
 }
 
 // expiredAt reports whether the pair's deadline has passed at now.
 func (p *pair) expiredAt(now int64) bool {
-	return p.deadline != 0 && p.deadline <= now
+	d := p.deadline()
+	return d != 0 && d <= now
 }
 
 // touch refreshes the approx-LRU stamp if the epoch moved.
@@ -105,9 +142,11 @@ func (p *pair) touch(epoch uint32) {
 }
 
 // PairOverhead is the bytes charged per live entry beyond the value
-// bytes: the pair's 24-byte header, the arena's 8-byte slot pointer, and a
-// nominal 24-byte share of the index entry. Approximate by design — the
-// byte budget governs order of magnitude, not malloc-exact accounting.
+// bytes: 24 bytes for the pair's header (what it occupies with a deadline;
+// 16 without), the arena's 8-byte slot pointer, and a nominal 24-byte share
+// of the index entry. Approximate by design — the byte budget governs order
+// of magnitude, not malloc-exact accounting — and the same for both pair
+// shapes, so Expire and Persist never move the counter.
 // Exported so budget planners (the eviction workload, capacity math in
 // operators' tooling) can convert between entry counts and budget bytes.
 const PairOverhead = 56
@@ -233,7 +272,7 @@ func (v *Values) ReleaseBatch(slots []uint64) {
 func (v *Values) uncharge(slot uint64) {
 	sp := &v.chunks[slot>>valueChunkBits].Load()[slot&(valueChunkSize-1)]
 	if p := sp.Load(); p != nil {
-		v.bytes.Add(slot, -(int64(p.n) + pairOverhead))
+		v.bytes.Add(slot, -(int64(p.size()) + pairOverhead))
 		sp.Store(nil)
 	}
 }
@@ -297,24 +336,41 @@ func clampHash(v uint64) uint64 {
 // key. Expire and Persist replace the pair, copying the value bytes into
 // the replacement.
 type Strings struct {
+	// Set once by init and read by every operation: the index, the arena,
+	// the injectable clock (nil = coarse time.Now cached in cachedNow) and
+	// the byte budget (0 = unbounded). They own their cache line — the
+	// words below are stored by writers and by governance, and a GET must
+	// not take a miss on this line for it.
 	index  *Store
 	values *Values
+	clock  func() int64
+	budget int64
 
-	// Memory governance (see ttl.go): the injectable clock (nil = coarse
-	// time.Now cached in cachedNow, refreshed once per maintenance pass
-	// and on TTL-setting ops), the byte budget (0 = unbounded), the
-	// approx-LRU epoch the sampler advances, the expiry/eviction
-	// counters, and the sweeper's cursor/rng state under maintMu.
-	clock        func() int64
-	cachedNow    atomic.Int64
-	budget       int64
+	_ core.CacheLinePad
+	governed
+	_ core.CacheLinePad
+
+	// The sweeper's cursor and rng, under maintMu (see maintainPass).
+	maintMu     sync.Mutex
+	sweepCursor uint64
+	sweepRng    uint64
+}
+
+// governed is the memory-governance state (see ttl.go) that operations
+// write while they run: packed together on lines of their own, away from
+// the read-mostly fields before them and the sweeper's state after. It is a
+// struct of its own so that the packing reads as one decision — padcheck
+// holds a padded struct to one atomic field per line, and these are one
+// field.
+type governed struct {
+	// cachedNow is the coarse clock, refreshed once per maintenance pass,
+	// by every TTL-setting op and by every eviction hand.
+	cachedNow atomic.Int64
+	// epoch is the approx-LRU epoch the sampler advances.
 	epoch        atomic.Uint32
 	expiredLazy  atomic.Uint64
 	expiredSwept atomic.Uint64
 	evicted      atomic.Uint64
-	maintMu      sync.Mutex
-	sweepCursor  uint64
-	sweepRng     uint64
 	// handRng seeds the write path's lock-free eviction hands (see
 	// evictHand): each hand derives a private xorshift state from one
 	// atomic bump, so concurrent hands probe independent slots without

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"github.com/optik-go/optik/internal/core"
 )
 
 // TestStringsBasic pins the scalar surface: set/get/del, replace
@@ -290,13 +292,14 @@ func allocsPerRun(runs int, prep, f func()) (objects, bytes uint64) {
 var allocSink []byte
 
 // TestPairOneAllocation pins the layout: a stored value is ONE pointer-free
-// object — the 24-byte header and the bytes — so writing a value into a
-// warm store (recycled slot, pooled index node) allocates exactly once,
-// and what it allocates is no larger than a 24+len byte slice's size
-// class. Re-arming a deadline builds the same single object.
+// object — the 16-byte header, the deadline word if the entry has a TTL, and
+// the bytes — so writing a value into a warm store (recycled slot, pooled
+// index node) allocates exactly once, and what it allocates is no larger
+// than a 16+len byte slice's size class, 24+len with a deadline. Re-arming
+// a deadline builds the same single object.
 func TestPairOneAllocation(t *testing.T) {
-	if got := unsafe.Sizeof(pair{}); got != 24 {
-		t.Fatalf("pair header is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(pair{}); got != 16 {
+		t.Fatalf("pair header is %d bytes, want 16", got)
 	}
 	pt := reflect.TypeOf(pair{})
 	for i := 0; i < pt.NumField(); i++ {
@@ -312,17 +315,18 @@ func TestPairOneAllocation(t *testing.T) {
 	const k, runs = 7, 20
 	for _, n := range []int{0, 1, 32, 64, 128, 1000, 70_000} {
 		val := strings.Repeat("v", n)
-		_, class := allocsPerRun(runs, func() {}, func() { allocSink = make([]byte, pairHeader+n) })
 		absent := func() { s.DelHashed(k) }
 		live := func() { s.SetHashed(k, val) }
 		for _, op := range []struct {
 			name    string
+			header  int
 			prep, f func()
 		}{
-			{"SetHashed", absent, func() { s.SetHashed(k, val) }},
-			{"SetEXHashed", absent, func() { s.SetEXHashed(k, val, 100) }},
-			{"ExpireAt", live, func() { s.ExpireAtHashed(k, 1<<40) }},
+			{"SetHashed", pairHeader, absent, func() { s.SetHashed(k, val) }},
+			{"SetEXHashed", pairHeader + 8, absent, func() { s.SetEXHashed(k, val, 100) }},
+			{"ExpireAt", pairHeader + 8, live, func() { s.ExpireAtHashed(k, 1<<40) }},
 		} {
+			_, class := allocsPerRun(runs, func() {}, func() { allocSink = make([]byte, op.header+n) })
 			objects, bytes := allocsPerRun(runs, op.prep, op.f)
 			if v, ok := s.GetHashed(k); !ok || v != val {
 				t.Fatalf("%s len=%d: value did not survive (ok=%v, %d bytes back)", op.name, n, ok, len(v))
@@ -332,6 +336,142 @@ func TestPairOneAllocation(t *testing.T) {
 					op.name, n, objects, bytes, class)
 			}
 		}
+	}
+}
+
+// TestPairDeadlineRoundTrip pins the two shapes of the object: the deadline
+// word exists only behind the flag bit, the value bytes start after whichever
+// of header and deadline comes last, and Expire/Persist move an entry from
+// one shape to the other without touching its bytes or its accounting. Under
+// -race, checkptr polices every cast the accessors make.
+func TestPairDeadlineRoundTrip(t *testing.T) {
+	const now = int64(1) << 40
+	for _, val := range []string{"", "v", "exactly8", strings.Repeat("0123456789", 7), strings.Repeat("x", 1000)} {
+		for _, d := range []int64{0, 1, now - 1, now, now + 1, math.MaxInt64} {
+			p := newPair(42, val, d, 9)
+			if got := p.val(); got != val {
+				t.Fatalf("deadline %d: val() = %q, want %q", d, got, val)
+			}
+			if p.deadline() != d || p.size() != len(val) || p.hash != 42 || p.touched.Load() != 9 {
+				t.Fatalf("len %d deadline %d: read back deadline=%d size=%d hash=%d touched=%d",
+					len(val), d, p.deadline(), p.size(), p.hash, p.touched.Load())
+			}
+			if p.expiredAt(now) != (d != 0 && d <= now) {
+				t.Fatalf("deadline %d: expiredAt(%d) = %v", d, now, p.expiredAt(now))
+			}
+		}
+	}
+	// The empty value with a TTL is header + deadline and nothing else: a
+	// 24-byte object, with no pointer formed past its end.
+	_, class := allocsPerRun(20, func() {}, func() { allocSink = make([]byte, 24) })
+	objects, bytes := allocsPerRun(20, func() {}, func() { pairSink = newPair(1, "", now, 0) })
+	if objects != 1 || bytes > class {
+		t.Fatalf("empty value with a TTL: %d allocations, %d bytes; want 1 of at most %d", objects, bytes, class)
+	}
+	if v := pairSink.val(); v != "" || unsafe.StringData(v) != nil {
+		t.Fatalf("empty value with a TTL: val() = %q over %p, want no pointer at all", v, unsafe.StringData(v))
+	}
+
+	clock := now
+	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance(),
+		WithClock(func() int64 { return clock }))
+	defer s.Close()
+	want := strings.Repeat("payload-", 9)
+	s.Set("k", want)
+	used := s.BytesUsed()
+	flagged := func() bool {
+		_, p := s.lookup(HashKey("k"))
+		return p.n&pairTTL != 0
+	}
+	for i, step := range []struct {
+		name    string
+		do      func() bool
+		changed bool
+		flag    bool
+		ttl     int64
+	}{
+		{"Set", func() bool { return true }, true, false, -1},
+		{"Persist without a TTL", func() bool { return s.Persist("k") }, false, false, -1},
+		{"Expire", func() bool { return s.Expire("k", 10) }, true, true, 10},
+		{"Expire again", func() bool { return s.Expire("k", 20) }, true, true, 20},
+		{"Persist", func() bool { return s.Persist("k") }, true, false, -1},
+		{"Expire after Persist", func() bool { return s.ExpireAt("k", math.MaxInt64) }, true, true,
+			(math.MaxInt64 - now + nsPerSec - 1) / nsPerSec},
+	} {
+		if got := step.do(); got != step.changed {
+			t.Fatalf("step %d, %s: reported %v, want %v", i, step.name, got, step.changed)
+		}
+		if v, ok := s.Get("k"); !ok || v != want {
+			t.Fatalf("step %d, %s: Get = %q, %v; the bytes must survive", i, step.name, v, ok)
+		}
+		if flagged() != step.flag {
+			t.Fatalf("step %d, %s: deadline flag = %v, want %v", i, step.name, !step.flag, step.flag)
+		}
+		if got := s.TTL("k"); got != step.ttl {
+			t.Fatalf("step %d, %s: TTL = %d, want %d", i, step.name, got, step.ttl)
+		}
+		if got := s.BytesUsed(); got != used {
+			t.Fatalf("step %d, %s: BytesUsed %d → %d; both shapes are charged alike", i, step.name, used, got)
+		}
+	}
+	clock = math.MaxInt64
+	if _, ok := s.Get("k"); ok || s.TTL("k") != -2 || s.BytesUsed() != 0 {
+		t.Fatalf("at the deadline: Get hit=%v TTL=%d BytesUsed=%d, want a retired entry", ok, s.TTL("k"), s.BytesUsed())
+	}
+}
+
+var pairSink *pair
+
+// TestStringsHotFieldsOwnTheirLine pins the field grouping of Strings: the
+// fields every GET reads and nothing writes after init sit at least a cache
+// line away from every word an operation stores to, and those in turn from
+// the sweeper's maintMu-guarded state — whatever the allocation's alignment.
+func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
+	type span struct {
+		name     string
+		off, len uintptr
+	}
+	var s Strings
+	readMostly := []span{
+		{"index", unsafe.Offsetof(s.index), unsafe.Sizeof(s.index)},
+		{"values", unsafe.Offsetof(s.values), unsafe.Sizeof(s.values)},
+		{"clock", unsafe.Offsetof(s.clock), unsafe.Sizeof(s.clock)},
+		{"budget", unsafe.Offsetof(s.budget), unsafe.Sizeof(s.budget)},
+	}
+	written := []span{
+		{"cachedNow", unsafe.Offsetof(s.cachedNow), unsafe.Sizeof(s.cachedNow)},
+		{"epoch", unsafe.Offsetof(s.epoch), unsafe.Sizeof(s.epoch)},
+		{"expiredLazy", unsafe.Offsetof(s.expiredLazy), unsafe.Sizeof(s.expiredLazy)},
+		{"expiredSwept", unsafe.Offsetof(s.expiredSwept), unsafe.Sizeof(s.expiredSwept)},
+		{"evicted", unsafe.Offsetof(s.evicted), unsafe.Sizeof(s.evicted)},
+		{"handRng", unsafe.Offsetof(s.handRng), unsafe.Sizeof(s.handRng)},
+		{"epochTick", unsafe.Offsetof(s.epochTick), unsafe.Sizeof(s.epochTick)},
+	}
+	sweeper := []span{
+		{"maintMu", unsafe.Offsetof(s.maintMu), unsafe.Sizeof(s.maintMu)},
+		{"sweepCursor", unsafe.Offsetof(s.sweepCursor), unsafe.Sizeof(s.sweepCursor)},
+		{"sweepRng", unsafe.Offsetof(s.sweepRng), unsafe.Sizeof(s.sweepRng)},
+	}
+	apart := func(as, bs []span) {
+		for _, a := range as {
+			for _, b := range bs {
+				lo, hi := a, b
+				if b.off < a.off {
+					lo, hi = b, a
+				}
+				if hi.off < lo.off+lo.len+core.CacheLineSize {
+					t.Errorf("%s [%d,%d) and %s [%d,%d) can share a %d-byte line",
+						lo.name, lo.off, lo.off+lo.len, hi.name, hi.off, hi.off+hi.len, core.CacheLineSize)
+				}
+			}
+		}
+	}
+	apart(readMostly, written)
+	apart(readMostly, sweeper)
+	apart(written, sweeper)
+	// Two pads and the embedded struct itself are the three unplaced fields.
+	if n := reflect.TypeOf(&s).Elem().NumField() + reflect.TypeOf(&s.governed).Elem().NumField(); n != len(readMostly)+len(written)+len(sweeper)+3 {
+		t.Errorf("Strings has a field this test does not place (%d counted): add it to a group", n)
 	}
 }
 
@@ -389,16 +529,17 @@ func TestGetStringOutlivesEntry(t *testing.T) {
 	}
 }
 
-// TestValueTooLarge pins the 32-bit length field's guard: a value the
-// header cannot describe is refused with an invariant panic, never stored
-// truncated. The length is faked in the string header — newPair must
-// refuse on the length alone, before it touches a byte.
+// TestValueTooLarge pins the length field's guard — 31 bits, the top one
+// being the deadline flag: a value the header cannot describe is refused
+// with an invariant panic, never stored truncated or mistaken for a TTL'd
+// one. The length is faked in the string header — newPair must refuse on the
+// length alone, before it touches a byte.
 func TestValueTooLarge(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("no string can be this long on a 32-bit platform")
 	}
 	var huge string
-	tooLong := uint64(math.MaxUint32) + 1
+	tooLong := uint64(math.MaxInt32) + 1
 	(*struct {
 		data unsafe.Pointer
 		n    int
@@ -407,14 +548,14 @@ func TestValueTooLarge(t *testing.T) {
 	defer s.Close()
 	defer func() {
 		if r := recover(); r != "store: value too large" {
-			t.Fatalf("Set of a 4 GiB value: recovered %v, want the invariant panic", r)
+			t.Fatalf("Set of a 2 GiB value: recovered %v, want the invariant panic", r)
 		}
 		if s.Len() != 0 || s.BytesUsed() != 0 {
 			t.Fatalf("the refused value left Len=%d BytesUsed=%d behind", s.Len(), s.BytesUsed())
 		}
 	}()
 	s.Set("huge", huge)
-	t.Fatal("Set of a 4 GiB value returned")
+	t.Fatal("Set of a 2 GiB value returned")
 }
 
 // TestBytesUsedFormula pins the accounting the byte budget and the
