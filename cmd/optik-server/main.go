@@ -34,8 +34,9 @@
 //	               (default: 90% of -maxconns when that is set)
 //	-byte-budget   byte budget of the store (default 0 = unbounded):
 //	               above it, maintenance passes and write-path hands
-//	               evict sampled-idle entries back to the budget; STATS
-//	               reports bytes_used and evicted
+//	               evict sampled entries, least used first, back to the
+//	               budget; STATS reports bytes_used, evicted and the
+//	               get_hits/get_misses a cache is judged by
 //	-ordered       back the server with the range-partitioned skip-list
 //	               store instead of the hash store: keys must be decimal
 //	               uint64s, and the ordered command family (SCAN, RANGE,

@@ -2,11 +2,12 @@
 // whose working set does not fit the configured byte budget. Unlike the
 // server scenario (which measures the request path), this measures the
 // governance loop — the maintenance passes and write-path hands that
-// sweep expired entries and evict sampled-idle ones — under sustained
-// churn: the questions are whether bytes_used holds at the budget while
-// the write traffic pushes past it, and how much hit rate the
-// approx-LRU victim selection gives up against an ungoverned store
-// holding everything. Misses refill their key (read-through), as a
+// sweep expired entries and evict sampled ones, least frequently used
+// first and least recently touched among equals (store/ttl.go) — under
+// sustained churn: the questions are whether bytes_used holds at the
+// budget while the write traffic pushes past it, and how much hit rate
+// that victim selection gives up against an ungoverned store holding
+// everything. Misses refill their key (read-through), as a
 // cache client would, so the store is always under insertion pressure
 // at the budget boundary.
 //

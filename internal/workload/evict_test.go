@@ -34,10 +34,13 @@ func TestEvictSmoke(t *testing.T) {
 // TestEvictSoakHoldsBudget is the tier-2 eviction soak (nightly; skipped
 // under -short): zipfian churn with a working set 4x the byte budget
 // must hold bytes_used within 10% of the budget across the whole run,
-// and the approx-LRU victim selection must keep the hit rate within 5
-// points of an ungoverned store holding the entire working set. TTL
-// traffic rides along so swept expiry and eviction share the
-// maintenance passes, as they do in production.
+// and the victim selection must keep the hit rate within 4 points of an
+// ungoverned store holding the entire working set (on a 2-vCPU box it
+// reads 2.2 points under, 0.978 three runs in three; 3.2 to 3.4 under
+// -race, which does an eighth of the operations in the same 1.5 s, so the
+// cold start weighs more; a store holding exactly the hot fifth would
+// read 1.9 under). TTL traffic rides along so swept expiry and eviction
+// share the maintenance passes, as they do in production.
 func TestEvictSoakHoldsBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eviction soak: tier-2 nightly, skipped under -short")
@@ -77,8 +80,8 @@ func TestEvictSoakHoldsBudget(t *testing.T) {
 	if base.ExpiredSwept+base.ExpiredLazy+res.ExpiredSwept+res.ExpiredLazy == 0 {
 		t.Error("TTL traffic ran but no entries expired in either run")
 	}
-	if res.HitRate < base.HitRate-0.05 {
-		t.Errorf("governed hit rate %.3f more than 5 points under baseline %.3f (evicted %d, refills %d)",
+	if res.HitRate < base.HitRate-0.04 {
+		t.Errorf("governed hit rate %.3f more than 4 points under baseline %.3f (evicted %d, refills %d)",
 			res.HitRate, base.HitRate, res.Evicted, res.Refills)
 	}
 	t.Logf("baseline: hit %.3f bytes max %d swept %d lazy %d; governed: hit %.3f bytes max/avg/final %d/%d/%d budget %d evicted %d swept %d lazy %d",

@@ -160,8 +160,10 @@ func (cs *connState) drainRead() error {
 		}
 		for j := 0; j < rq.n; j++ {
 			if found[i] {
+				cs.hits++
 				cs.out = appendBulk(cs.out, vals[i])
 			} else {
+				cs.misses++
 				cs.out = appendNilBulk(cs.out)
 			}
 			i++

@@ -76,8 +76,11 @@ type connState struct {
 	out     []byte // replies not yet written
 	co      *coalescer
 	req     request
-	pending int
 	charged int64 // bytes this conn has on Server.buffersResident
+	// What the batch in progress owes the server's counters: requests
+	// dispatched, GET/MGET keys found and not found (see account).
+	pending      int
+	hits, misses int
 
 	state      atomic.Int32
 	lastActive atomic.Int64 // UnixNano of the last claim; shed picks the smallest
@@ -170,9 +173,22 @@ func (cs *connState) flushBatch() bool {
 	if cs.drain() != nil || cs.write() != nil {
 		return false
 	}
-	cs.srv.commands.Add(uint64(cs.pending))
-	cs.pending = 0
+	cs.account()
 	return true
+}
+
+// account moves the batch's tallies onto the server's STATS counters: one
+// atomic add per counter that moved per batch, nothing per request or key.
+func (cs *connState) account() {
+	s := cs.srv
+	s.commands.Add(uint64(cs.pending))
+	if cs.hits != 0 {
+		s.getHits.Add(uint64(cs.hits))
+	}
+	if cs.misses != 0 {
+		s.getMisses.Add(uint64(cs.misses))
+	}
+	cs.pending, cs.hits, cs.misses = 0, 0, 0
 }
 
 // pump parses and dispatches every whole request buffered in `in`, then
@@ -204,8 +220,7 @@ func (cs *connState) pump() bool {
 			// errQuit and write errors both end the connection; flush what
 			// the client is owed first (QUIT drained the stage itself).
 			cs.write()
-			s.commands.Add(uint64(cs.pending))
-			cs.pending = 0
+			cs.account()
 			return false
 		}
 		if cs.spill() != nil {
@@ -253,9 +268,9 @@ func (cs *connState) room(rd int) {
 // the client is still sending), not a RST that could destroy it in flight.
 // Every other error (EOF, deadline, shed wake-up) goes quiet.
 func (cs *connState) readFailed(err error) {
-	cs.srv.commands.Add(uint64(cs.pending))
-	cs.pending = 0
-	if cs.drain() != nil {
+	drained := cs.drain()
+	cs.account()
+	if drained != nil {
 		return
 	}
 	pe, _ := err.(*protoError)

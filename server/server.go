@@ -155,6 +155,9 @@ type Server struct {
 	rejected atomic.Uint64
 	shed     atomic.Uint64
 	commands atomic.Uint64
+	// getHits and getMisses count GET/MGET keys found and not found — keys,
+	// not commands — so a governed store's hit rate reads off STATS.
+	getHits, getMisses atomic.Uint64
 	// buffersResident tracks the capacity of the read and reply buffers
 	// connections hold right now — the STATS RSS proxy.
 	buffersResident atomic.Int64
@@ -718,9 +721,11 @@ func (s *Server) statsText() string {
 		"conns:%d\naccepted:%d\ncommands:%d\n"+
 			"coalesced_batches:%d\ncoalesced_keys:%d\n"+
 			"conns_open:%d\nconns_rejected:%d\nconns_shed:%d\n"+
-			"buffers_resident:%d\npoller:%d\n",
+			"buffers_resident:%d\npoller:%d\n"+
+			"get_hits:%d\nget_misses:%d\n",
 		s.active.Load(), s.accepted.Load(), s.commands.Load(),
 		s.coalescedBatches.Load(), s.coalescedKeys.Load(),
 		s.active.Load(), s.rejected.Load(), s.shed.Load(),
-		s.buffersResident.Load(), b2i(poller))
+		s.buffersResident.Load(), b2i(poller),
+		s.getHits.Load(), s.getMisses.Load())
 }

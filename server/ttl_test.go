@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -162,54 +166,114 @@ func TestServerTTLSoftErrors(t *testing.T) {
 	}
 }
 
-// storeStatsFields is the documented store-side STATS field list
-// (docs/PROTOCOL.md), the same on both servers — an ordered one adds the
-// ordered:1 discriminator; serverStatsFields is the server-side suffix.
-var (
-	storeStatsFields = []string{
-		"len", "shards", "buckets", "resizes",
-		"nodes_retired", "nodes_reclaimed", "nodes_reused",
-		"values_allocated", "values_free",
-		"bytes_used", "expired_lazy", "expired_swept", "evicted",
+// statsFieldNames sends STATS down a raw connection and returns the reply's
+// field names in reply order — the one thing Client.Stats' map cannot tell.
+func statsFieldNames(t *testing.T, addr string) []string {
+	t.Helper()
+	conn, r := dialRaw(t, addr)
+	conn.Write([]byte("STATS\r\n"))
+	head, err := r.ReadString('\n')
+	n, convErr := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(head, "$")))
+	if err != nil || convErr != nil {
+		t.Fatalf("STATS answered %q, %v", head, err)
 	}
-	serverStatsFields = []string{
-		"conns", "accepted", "commands",
-		"coalesced_batches", "coalesced_keys",
-		"conns_open", "conns_rejected", "conns_shed",
-		"buffers_resident", "poller",
+	var names []string
+	for _, line := range strings.Split(strings.TrimSuffix(readN(t, r, n+2), "\n\r\n"), "\n") {
+		name, _, ok := strings.Cut(line, ":")
+		if !ok {
+			t.Fatalf("STATS line %q is not name:value", line)
+		}
+		names = append(names, name)
 	}
-)
+	return names
+}
 
-// TestServerStatsFields asserts every documented STATS field is present
-// (and numeric — Client.Stats panics on a non-numeric value) in both
-// store modes, including the memory-governance counters.
+// documentedStatsFields parses the backticked field list out of
+// docs/PROTOCOL.md: the paragraph that opens "`STATS` fields (…):".
+func documentedStatsFields(t *testing.T) []string {
+	t.Helper()
+	doc, err := os.ReadFile("../docs/PROTOCOL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "\n`STATS` fields (")
+	if !ok {
+		t.Fatal("docs/PROTOCOL.md has no \"`STATS` fields (\" paragraph")
+	}
+	para, _, _ := strings.Cut(rest, "\n\n")
+	_, list, _ := strings.Cut(para, ":")
+	var fields []string
+	for _, m := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(list, -1) {
+		fields = append(fields, m[1])
+	}
+	return fields
+}
+
+// TestServerStatsFields holds docs/PROTOCOL.md's STATS field list and the
+// live reply to each other: the same names in the same order on the hash
+// server, and on the ordered one the same plus its ordered:1 discriminator.
+// A field added to the reply and not the document, or the other way round,
+// fails here.
 func TestServerStatsFields(t *testing.T) {
-	t.Run("hash", func(t *testing.T) {
-		_, _, addr := startServer(t)
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		defer c.Close()
-		st := c.Stats()
-		for _, f := range append(append([]string{}, storeStatsFields...), serverStatsFields...) {
-			if _, ok := st[f]; !ok {
-				t.Errorf("hash STATS missing %q", f)
+	documented := documentedStatsFields(t)
+	if len(documented) < 20 {
+		t.Fatalf("parsed only %d fields out of docs/PROTOCOL.md: %v", len(documented), documented)
+	}
+	for _, srv := range ttlServers {
+		t.Run(srv.name, func(t *testing.T) {
+			_, addr := startTTLServer(t, srv.ordered)
+			var live []string
+			ordered := 0
+			for _, name := range statsFieldNames(t, addr) {
+				if name == "ordered" {
+					ordered++
+					continue
+				}
+				live = append(live, name)
 			}
-		}
-		if _, ok := st["ordered"]; ok {
-			t.Error("hash STATS must not report ordered:1")
-		}
-	})
-	t.Run("ordered", func(t *testing.T) {
-		_, c := startOrdered(t)
-		st := c.Stats()
-		for _, f := range append(append([]string{"ordered"}, storeStatsFields...), serverStatsFields...) {
-			if _, ok := st[f]; !ok {
-				t.Errorf("ordered STATS missing %q", f)
+			if !slices.Equal(live, documented) {
+				t.Errorf("STATS fields and docs/PROTOCOL.md disagree:\n live:       %v\n documented: %v", live, documented)
 			}
-		}
-	})
+			if want := int(b2i(srv.ordered)); ordered != want {
+				t.Errorf("STATS carries %d ordered lines, want %d", ordered, want)
+			}
+		})
+	}
+}
+
+// TestServerGetHitsMisses pins what get_hits and get_misses count: keys that
+// GET and MGET found and did not find — keys, not commands — whether they
+// came in one MGET frame, as a pipelined run the server coalesces, or one by
+// one, and nothing else (a SET's replaced flag, a DEL of an absent key). A
+// connection settles its batch before it reads the next request, so the one
+// Client — one connection — that did the GETs reads them accounted.
+func TestServerGetHitsMisses(t *testing.T) {
+	for _, srv := range ttlServers {
+		t.Run(srv.name, func(t *testing.T) {
+			_, addr := startTTLServer(t, srv.ordered)
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close()
+			c.Set(1, 10)
+			c.Set(2, 20)
+			c.Set(1, 30)
+			c.Del(9)
+			if st := c.Stats(); st["get_hits"] != 0 || st["get_misses"] != 0 {
+				t.Fatalf("before any GET: get_hits=%d get_misses=%d", st["get_hits"], st["get_misses"])
+			}
+			vals, found := make([]uint64, 3), make([]bool, 3)
+			c.SetMultibulk(true)
+			c.MGet([]uint64{1, 2, 3}, vals, found) // one frame: two present, one not
+			c.SetMultibulk(false)
+			c.MGet([]uint64{1, 4}, vals, found) // two pipelined GETs
+			c.Get(2)
+			if st := c.Stats(); st["get_hits"] != 4 || st["get_misses"] != 2 {
+				t.Fatalf("get_hits=%d get_misses=%d, want 4 and 2", st["get_hits"], st["get_misses"])
+			}
+		})
+	}
 }
 
 // TestServerTTLStatsCounters drives lazy expiry over the wire and checks

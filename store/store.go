@@ -166,8 +166,9 @@ func WithClock(now func() int64) Option {
 }
 
 // WithByteBudget bounds the string layer's approximate live footprint:
-// when bytes_used exceeds n, the maintenance pass evicts sampled-idle
-// entries until back under. 0 (the default) means unbounded. The budget
+// when bytes_used exceeds n, the maintenance pass evicts sampled entries —
+// the least often used first, the longest untouched among equals — until
+// back under. 0 (the default) means unbounded. The budget
 // governs bytes, not elements — the store sheds a few large values or
 // many small ones alike.
 func WithByteBudget(n int64) Option {

@@ -15,14 +15,14 @@
 // clock or the sweeper.
 //
 // Background governance rides the shared maintenance scheduler: each pass
-// refreshes the coarse cached clock, advances the approx-LRU epoch,
-// sweeps a cursor quantum of the arena for expired pairs, and — when a
-// byte budget is configured and exceeded — evicts sampled-idle entries
-// (best-of-K by touched-epoch age, the classic clock/approx-LRU sample)
-// until back under budget. Writers lend the same bounded hand inline
-// when an insert finds bytes past the watermark (evictHand), so the
-// budget holds even when a saturated box starves the scheduler
-// goroutine.
+// refreshes the coarse cached clock, advances the eviction epoch, sweeps a
+// cursor quantum of the arena for expired pairs, and — when a byte budget
+// is configured and exceeded — evicts sampled entries (of K random
+// residents, the one whose stamp says it is used least often, then least
+// recently: see stampRead) until back under budget. Writers lend the same
+// bounded hand inline when an insert finds bytes past the watermark
+// (evictHand), so the budget holds even when a saturated box starves the
+// scheduler goroutine.
 //
 // Everything is driven through one injectable clock (WithClock), so tests
 // advance time by hand and every expiry behavior reproduces
@@ -45,9 +45,8 @@ const (
 	// bounded-help bargain as the table's migration quanta.
 	sweepQuantum = 2048
 	// evictSampleK is the sample width of one eviction choice: evict the
-	// oldest-touched of K random live entries. K=8 tracks true LRU
-	// closely at a tiny fraction of its bookkeeping (the standard
-	// sampled-LRU result).
+	// least used of K random live entries. K = 4 costs two points of
+	// hit_rate on cache_churn (docs/ARCHITECTURE.md), so 8 stays.
 	evictSampleK = 8
 	// evictProbeMax bounds the slot probes spent collecting those K live
 	// candidates: arena slots read nil once freed, and a store evicted
@@ -63,19 +62,18 @@ const (
 	// MaintainBusy stays bounded as its contract requires. The idle pass
 	// and Quiesce run to budget (cancellable).
 	evictBusyMax = 4096
-	// epochPeriod is the target wall-clock width of one approx-LRU epoch:
+	// epochPeriod is the target wall-clock width of one eviction epoch:
 	// the write-path hands tick the epoch (CAS-gated, one winner) once
 	// this much clock has passed since the last tick, so recency keeps
 	// ~millisecond resolution even when a saturated box starves the
 	// background scheduler that used to be the only epoch source.
 	epochPeriod = int64(time.Millisecond)
-	// aggressiveMinAge is the idle threshold of the aggressive eviction
-	// mode: entries untouched for at least this many epochs go in bulk.
-	// At the ~1ms epoch cadence this reads "idle for tens of
-	// milliseconds" — long enough that a working set's warm tail (drawn
-	// every few ms) never qualifies, short enough that one-shot entries
-	// stop occupying a budgeted store within a blink.
-	aggressiveMinAge = 32
+	// aggressiveMaxFreq is the bar of the aggressive eviction mode: sampled
+	// entries touched in at most this many epochs of late go in bulk. One
+	// is what an insert is born with, so one-shot entries stop occupying a
+	// budgeted store within a blink and anything read again since does not
+	// qualify.
+	aggressiveMaxFreq = 1
 	// evictHandRounds bounds the write path's inline governance hand to
 	// this many sample rounds per insert, keeping the worst-case SET
 	// latency spike small while still reclaiming several entries' bytes
@@ -286,8 +284,8 @@ func (m ttlMaintainer) MaintainBusy() {
 }
 
 // maintainPass is one governance round: refresh the coarse clock, tick
-// the approx-LRU epoch, sweep a cursor quantum of the arena for expired
-// pairs, then — over budget — evict sampled-idle entries until under (or
+// the eviction epoch, sweep a cursor quantum of the arena for expired
+// pairs, then — over budget — evict sampled entries until under (or
 // the busy cap / fail bound / cancel hits). maxEvict 0 means "to budget".
 // maintMu serializes passes (the scheduler and a concurrent Quiesce may
 // both drive one); the pass never blocks user operations.
@@ -324,11 +322,11 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 			return
 		}
 		// Pressure-adaptive width: mildly over budget, evict the single
-		// oldest of the sample (classic best-of-K approx-LRU). More than
-		// ~6% over — insertion pressure is outrunning one-at-a-time
-		// eviction — evict every idle entry the sample turns up, trading
-		// victim precision for the ~K× throughput that keeps bytes_used
-		// pinned instead of drifting to the working-set size.
+		// least used of the sample (classic best-of-K). More than ~6% over
+		// — insertion pressure is outrunning one-at-a-time eviction — evict
+		// every barely-used entry the sample turns up, trading victim
+		// precision for the ~K× throughput that keeps bytes_used pinned
+		// instead of drifting to the working-set size.
 		aggressive := s.values.Bytes() > s.budget+s.budget/16
 		n := s.evictSample(&s.sweepRng, now, epoch, limit, aggressive)
 		if n == 0 {
@@ -337,10 +335,10 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 		}
 		done += n
 		fails = 0
-		// Long passes re-tick the epoch, so "idle" keeps meaning
-		// "untouched since recently" rather than "untouched since a pass
-		// that started a million evictions ago" — entries the traffic is
-		// actually using stay distinguishable from the razed cold mass.
+		// Long passes re-tick the epoch, so reads that arrive during a pass
+		// that started a million evictions ago still count as new touches —
+		// entries the traffic is actually using stay distinguishable from
+		// the razed cold mass.
 		if tick += n; tick >= sweepQuantum {
 			tick = 0
 			now = s.nowFresh()
@@ -355,19 +353,22 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 // read nil, Release clears them, and skipping holes instead of counting
 // them keeps the sample a genuine best-of-K over residents) and returns
 // how many entries it retired. Expired pairs met along the way retire
-// immediately as swept. In the normal mode only the least recently
-// touched pair of the sample is evicted (largest epoch age, wraparound
-// uint32 arithmetic); in aggressive mode every sampled pair idle for
-// aggressiveMinAge epochs goes, with the best-of-K single victim as the
-// fallback when the whole sample is fresh (fresh inserts must not stall
-// convergence). rng is caller-owned xorshift state — the sweeper passes
-// its maintMu-guarded field, write-path hands a private local — so
-// concurrent rounds never race; every retirement below it is a
-// thread-safe confirmed delete (retire).
+// immediately as swept. In the normal mode only the least used pair of the
+// sample is evicted: lowest decayed touch count, ties to the longest
+// untouched — where nothing is touched twice in a generation every count
+// reads 0 or 1 and the order is approx-LRU. In aggressive mode every
+// sampled pair at or under aggressiveMaxFreq goes, the round ending early
+// once the store is back at its budget (a round must not take a small store
+// further under than it was over), with the best-of-K single victim as the
+// fallback when the whole sample is in use (convergence must not stall). rng is caller-owned xorshift state — the
+// sweeper passes its maintMu-guarded field, write-path hands a private
+// local — so concurrent rounds never race; every retirement below it is a
+// thread-safe confirmed delete (retire), and the stamp only ever picks the
+// candidate.
 func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, limit uint64, aggressive bool) int {
 	var best *pair
 	var bestSlot uint64
-	var bestAge uint32
+	var bestFreq, bestAge uint32
 	evicted, live := 0, 0
 	for i := 0; i < evictProbeMax && live < evictSampleK; i++ {
 		*rng ^= *rng << 13
@@ -383,23 +384,17 @@ func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, limit uint64
 			s.retire(slot, p, &s.expiredSwept)
 			continue
 		}
-		// Wraparound guard: an entry touched after this round snapshotted
-		// the epoch reads as a "future" stamp, and raw subtraction would
-		// alias the very freshest entries to astronomical ages — razing
-		// exactly the hottest keys. Signed interpretation clamps them to
-		// age 0.
-		age := epoch - p.touched.Load()
-		if int32(age) < 0 {
-			age = 0
-		}
-		if aggressive && age >= aggressiveMinAge {
+		freq, age := stampRead(p.touched.Load(), epoch)
+		if aggressive && freq <= aggressiveMaxFreq {
 			if s.retire(slot, p, &s.evicted) {
-				evicted++
+				if evicted++; s.values.Bytes() <= s.budget {
+					break
+				}
 			}
 			continue
 		}
-		if best == nil || age > bestAge {
-			best, bestSlot, bestAge = p, slot, age
+		if best == nil || freq < bestFreq || (freq == bestFreq && age > bestAge) {
+			best, bestSlot, bestFreq, bestAge = p, slot, freq, age
 		}
 	}
 	if evicted == 0 && best != nil && s.retire(bestSlot, best, &s.evicted) {
@@ -432,11 +427,11 @@ func (s *Strings) evictHand() {
 	}
 	rng := s.handRng.Add(0x9E3779B97F4A7C15)
 	// A fresh clock, not the cached one: the hand is the component that
-	// keeps the recency epoch running when a saturated box starves the
+	// keeps the eviction epoch running when a saturated box starves the
 	// background passes, and the cached clock only moves when those very
 	// passes run — gating the tick on it would deadlock the epoch at
 	// pass cadence and collapse every resident entry into one
-	// indistinguishable age bucket (eviction degrades to random, and
+	// indistinguishable stamp (eviction degrades to random, and
 	// random eviction of a zipfian resident set is a refill storm). The
 	// clock read is noise next to the probing below, and refreshing the
 	// cache here also tightens lazy expiry while the passes are starved.

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -471,6 +472,186 @@ func testByteBudgetEviction(t *testing.T, newStrings func(...Option) *Strings) {
 	coldRate := float64(coldLive) / float64(cold)
 	if hotRate < coldRate+0.2 {
 		t.Fatalf("approx-LRU not preferring cold: hot survival %.2f, cold survival %.2f", hotRate, coldRate)
+	}
+}
+
+// TestEvictionScanResistance pins what the frequency half of the stamp buys:
+// a hot set read in several epochs survives a one-pass insert of five times
+// the budget in never-read keys. Under a recency-only order the scan is
+// always the freshest thing in the store and the hot set goes first — every
+// hot key is gone by the end.
+func TestEvictionScanResistance(t *testing.T) { eachStrings(t, testEvictionScanResistance) }
+
+func testEvictionScanResistance(t *testing.T, newStrings func(...Option) *Strings) {
+	clk := newTestClock(1_000_000_000)
+	const (
+		valLen = 100
+		hot    = 500
+		scan   = 5000
+		budget = int64((valLen + pairOverhead) * 1000)
+	)
+	s := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance(), WithByteBudget(budget))
+	val := strings.Repeat("v", valLen)
+	for i := 0; i < hot; i++ {
+		s.Set(fmt.Sprintf("hot%03d", i), val)
+	}
+	for epoch := 0; epoch < 8; epoch++ {
+		s.Quiesce() // ticks the epoch
+		for i := 0; i < hot; i++ {
+			s.Get(fmt.Sprintf("hot%03d", i))
+		}
+	}
+	for i := 0; i < scan; i++ {
+		s.Set(fmt.Sprintf("scan%04d", i), val)
+		if i%100 == 99 {
+			s.Quiesce()
+		}
+	}
+	s.Quiesce()
+	if got := s.BytesUsed(); got > budget {
+		t.Fatalf("BytesUsed = %d, want <= budget %d", got, budget)
+	}
+	live := 0
+	for i := 0; i < hot; i++ {
+		if _, ok := s.Get(fmt.Sprintf("hot%03d", i)); ok {
+			live++
+		}
+	}
+	t.Logf("%d/%d hot keys survived a %d-key scan", live, hot, scan)
+	if live < hot*9/10 {
+		t.Fatalf("%d/%d hot keys survived the scan, want at least 90%%", live, hot)
+	}
+}
+
+// TestStampDecay pins the stamp arithmetic: one count per epoch however many
+// reads, halving exactly at generation boundaries, saturation, the one
+// generation of future a reader allows for, and the 24-bit epoch's horizon:
+// a stamp reads its true age until 2^24 - 2^10 epochs (≈ 4.6 h of ~1 ms
+// epochs), fresher than it is around the wrap, never older, never panicking.
+func TestStampDecay(t *testing.T) {
+	const gen = 1 << stampGenBits
+	stamp := func(epoch, count uint32) uint32 { return epoch<<stampCountBits | count }
+	for _, c := range []struct {
+		name      string
+		stamp     uint32
+		epoch     uint32
+		freq, age uint32
+	}{
+		{"fresh insert", stampNew(7), 7, 1, 0},
+		{"same generation", stamp(gen+1, 8), 2*gen - 1, 8, gen - 2},
+		{"one boundary", stamp(gen+1, 8), 2 * gen, 4, gen - 1},
+		{"boundary one epoch on", stamp(2*gen-1, 8), 2 * gen, 4, 1},
+		{"still one boundary", stamp(gen+1, 8), 3*gen - 1, 4, 2*gen - 2},
+		{"two boundaries", stamp(gen+1, 8), 3 * gen, 2, 2*gen - 1},
+		{"written on a boundary", stamp(gen, 8), 2*gen - 1, 8, gen - 1},
+		{"odd counts round down", stamp(gen, 5), 2 * gen, 2, gen},
+		{"decays to nothing", stamp(gen, 255), 9 * gen, 0, 8 * gen},
+		{"the oldest readable stamp", stamp(0, 255), 1<<23 - 1, 0, 1<<23 - 1},
+		{"from the future", stamp(10, 3), 7, 3, 0},
+		{"a generation ahead is still the future", stamp(7+gen, 3), 7, 3, 0},
+		{"further ahead is a wrapped stamp: oldest and coldest", stamp(8+gen, 3), 7, 0, 1<<24 - gen - 1},
+		{"half the epoch field old", stamp(0, 9), 1 << 23, 0, 1 << 23},
+		{"the horizon: a generation short of a wrap reads as the future", stamp(0, 9), 1<<24 - gen, 9, 0},
+		{"a full wrap reads fresh", stamp(5, 9), 1<<24 + 5, 9, 0},
+		{"and decays again from there", stamp(5, 9), 1<<24 + 5 + 4*gen, 0, 4 * gen},
+		{"epoch past 24 bits", stamp(1<<24-2, 8), 1<<24 + 1, 4, 3},
+		{"epoch at 32 bits", stamp(1<<24-1, 8), 1<<32 - 1, 8, 0},
+	} {
+		freq, age := stampRead(c.stamp, c.epoch)
+		if freq != c.freq || age != c.age {
+			t.Errorf("%s: stampRead(%#x, %d) = freq %d age %d, want freq %d age %d",
+				c.name, c.stamp, c.epoch, freq, age, c.freq, c.age)
+		}
+		// The second touch of an epoch never moves the stamp, and touch stores
+		// only a stamp that moved: at most one store per entry per epoch.
+		once := stampTouch(c.stamp, c.epoch)
+		if twice := stampTouch(once, c.epoch); twice != once {
+			t.Errorf("%s: second touch in epoch %d moved the stamp %#x → %#x", c.name, c.epoch, once, twice)
+		}
+		if _, a := stampRead(once, c.epoch); a != 0 {
+			t.Errorf("%s: a stamp just touched reads age %d", c.name, a)
+		}
+	}
+
+	// Through a pair: many reads in an epoch count once, each new epoch counts
+	// once more, the count holds at the cap, and a reader that snapshotted an
+	// older epoch does not take the stamp backwards.
+	p := newPair(1, "v", 0, stampNew(4*gen))
+	for epoch := uint32(4 * gen); epoch < 4*gen+300; epoch++ {
+		for read := 0; read < 3; read++ {
+			p.touch(epoch)
+		}
+		want := min(epoch-4*gen+1, stampCountMax)
+		if freq, age := stampRead(p.touched.Load(), epoch); freq != want || age != 0 {
+			t.Fatalf("epoch %d: freq %d age %d after three reads, want freq %d age 0", epoch, freq, age, want)
+		}
+	}
+	before := p.touched.Load()
+	if p.touch(4 * gen); p.touched.Load() != before {
+		t.Fatalf("a stale reader moved the stamp %#x → %#x", before, p.touched.Load())
+	}
+}
+
+// TestOverwriteInheritsFrequency pins that a key's count survives its pairs:
+// every write over a live key hands the displaced pair's stamp on (as one
+// more touch when the epoch moved), Expire and Persist pass it through
+// untouched, a fresh key starts at one — and without a budget none of it
+// happens, because nothing would ever read the result.
+func TestOverwriteInheritsFrequency(t *testing.T) { eachStrings(t, testOverwriteInheritsFrequency) }
+
+func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *Strings) {
+	clk := newTestClock(1_000_000_000)
+	k := HashKey("k")
+	freq := func(s *Strings) uint32 {
+		_, p := s.lookup(k)
+		f, _ := stampRead(p.touched.Load(), s.epoch.Load())
+		return f
+	}
+	s := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance(), WithByteBudget(1<<20))
+	s.Set("k", "v0")
+	if got := freq(s); got != 1 {
+		t.Fatalf("fresh key: freq %d, want 1", got)
+	}
+	for epoch := 0; epoch < 5; epoch++ {
+		s.epoch.Add(1)
+		s.Get("k")
+	}
+	want := uint32(6)
+	for _, w := range []struct {
+		name  string
+		do    func()
+		touch uint32
+	}{
+		{"Set, same epoch", func() { s.Set("k", "v1") }, 0},
+		{"Set", func() { s.epoch.Add(1); s.Set("k", "v2") }, 1},
+		{"SetEX", func() { s.epoch.Add(1); s.SetEX("k", "v3", 100) }, 1},
+		{"MSetHashed", func() {
+			s.epoch.Add(1)
+			s.MSetHashed([]uint64{HashKey("other"), k}, []string{"o", "v4"}, make([]bool, 2))
+		}, 1},
+		{"Expire", func() { s.epoch.Add(1); s.Expire("k", 100) }, 0},
+		{"Persist", func() { s.epoch.Add(1); s.Persist("k") }, 0},
+	} {
+		w.do()
+		if want += w.touch; freq(s) != want {
+			t.Fatalf("%s over a hot key: freq %d, want %d", w.name, freq(s), want)
+		}
+	}
+	if _, p := s.lookup(HashKey("other")); p.touched.Load()&stampCountMax != 1 {
+		t.Fatalf("fresh key in a batch: stamp %#x, want a count of 1", p.touched.Load())
+	}
+
+	// No budget: the stamp is never read, so the write path neither loads the
+	// displaced pair's nor stores one — the successor keeps its birth stamp.
+	u := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance())
+	u.Set("k", "v0")
+	_, p := u.lookup(k)
+	p.touched.Store(stampNew(0) + 40)
+	u.epoch.Add(1)
+	u.Set("k", "v1")
+	u.MSetHashed([]uint64{k}, []string{"v2"}, make([]bool, 1))
+	if _, p := u.lookup(k); p.touched.Load() != stampNew(u.epoch.Load()) {
+		t.Fatalf("no budget: overwrite left stamp %#x, want the birth stamp %#x", p.touched.Load(), stampNew(u.epoch.Load()))
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 )
 
 // pair is one stored value, header and bytes in a single allocation: the
-// key hash it belongs to, the approx-LRU stamp and the value length — then,
+// key hash it belongs to, the eviction stamp and the value length — then,
 // in the same object, the n value bytes themselves. The struct is only the
 // 16-byte header; newPair allocates it with its tail and val reads the tail
 // back. An entry with a TTL carries one more word: the top bit of n
@@ -58,10 +58,10 @@ import (
 // stays valid and unchanged for as long as anyone holds it.
 type pair struct {
 	hash uint64
-	// touched is the maintenance epoch of the last Get (or the Put, for a
-	// never-read pair). Readers store it only when the epoch moved since
-	// their last visit, so a hot entry writes the line once per epoch, not
-	// once per read.
+	// touched is the eviction stamp — how often and how recently the entry
+	// was used, in one word (see stampRead). Readers store it only when the
+	// epoch moved since their last visit, so a hot entry writes the line
+	// once per epoch, not once per read.
 	touched atomic.Uint32
 	// n is the value length, with pairTTL set when the deadline word is
 	// present; read it through size, deadline and val.
@@ -81,7 +81,7 @@ const (
 // what guarantees the header's 8-byte alignment. A length the 31 bits left
 // beside the flag cannot hold is refused outright, never truncated; the
 // wire cannot produce one (server.maxBulk).
-func newPair(hash uint64, val string, deadline int64, epoch uint32) *pair {
+func newPair(hash uint64, val string, deadline int64, stamp uint32) *pair {
 	if len(val) > math.MaxInt32 {
 		panic("store: value too large")
 	}
@@ -92,7 +92,7 @@ func newPair(hash uint64, val string, deadline int64, epoch uint32) *pair {
 	obj := make([]uint64, words+(len(val)+7)/8)
 	p := (*pair)(unsafe.Pointer(&obj[0]))
 	p.hash, p.n = hash, n
-	p.touched.Store(epoch)
+	p.touched.Store(stamp)
 	if deadline != 0 {
 		obj[pairWords] = uint64(deadline)
 	}
@@ -134,10 +134,74 @@ func (p *pair) expiredAt(now int64) bool {
 	return d != 0 && d <= now
 }
 
-// touch refreshes the approx-LRU stamp if the epoch moved.
+// The eviction stamp packs frequency and recency into pair.touched:
+//
+//	| epoch of the last counted touch : 24 | count : 8 |
+//
+// count is the number of distinct epochs in which the entry was touched,
+// saturating at stampCountMax, and it decays without anyone visiting the
+// entry: whoever reads the stamp halves the count once for every generation
+// boundary (a multiple of 2^stampGenBits epochs) crossed since the stamp was
+// written. The boundaries are global, so the halvings follow from the stamp
+// and the current epoch alone — no per-entry timer, no decay sweep.
+//
+// The stamp is advisory and racy by design: readers load and store it with
+// no read-modify-write, so concurrent touches can lose a count, and nothing
+// but the choice of an eviction victim may depend on it. The 24-bit epoch is
+// compared modulo 2^24. A stamp up to one generation ahead of the reader's
+// epoch is from the future — touched after the reader snapshotted the epoch —
+// and reads as just touched; every other distance is an age, so an entry
+// idle for hours reads oldest and coldest, as it is. Only at the wrap — idle
+// for 2^24 epochs, ≈ 4.6 h at the ~1 ms epochPeriod — does a stamp alias: for
+// the generation before it the entry reads as from the future, count
+// undecayed, and for the few after it as recently touched, until the
+// halvings have taken the count to nothing again. That is some ten seconds
+// of looking used in every 4.6 h of not being, and it costs a misjudged
+// victim or two, not a hot key.
+const (
+	stampCountBits = 8
+	stampCountMax  = 1<<stampCountBits - 1
+	stampEpochMask = 1<<(32-stampCountBits) - 1
+	// stampGenBits sets the generation to 1024 epochs, about a second. On
+	// cache_churn 2^7, 2^10, 2^12 and 2^14 all land within 0.3 points of
+	// hit_rate of one another (docs/ARCHITECTURE.md), so it is a constant.
+	stampGenBits = 10
+)
+
+// stampNew is the stamp of an entry first written in epoch: one touch.
+func stampNew(epoch uint32) uint32 { return epoch<<stampCountBits | 1 }
+
+// stampRead returns what a stamp says at epoch: the decayed touch count,
+// and the epochs since the last counted touch. A stamp from the future reads
+// age 0; raw subtraction would alias exactly the freshest entries to
+// astronomical ages. A shift by the bit width or more is 0 in Go, so a
+// stamp many generations old needs no clamp to read count 0.
+func stampRead(stamp, epoch uint32) (freq, age uint32) {
+	e := stamp >> stampCountBits
+	age = (epoch - e) & stampEpochMask
+	if age > stampEpochMask-1<<stampGenBits {
+		age = 0
+	}
+	halvings := (e&(1<<stampGenBits-1) + age) >> stampGenBits
+	return (stamp & stampCountMax) >> halvings, age
+}
+
+// stampTouch returns stamp after one more touch at epoch: unchanged when
+// the stamp already counts this epoch (or a later one), so an entry's count
+// moves at most once per epoch however often it is read.
+func stampTouch(stamp, epoch uint32) uint32 {
+	freq, age := stampRead(stamp, epoch)
+	if age == 0 {
+		return stamp
+	}
+	return epoch<<stampCountBits | min(freq+1, stampCountMax)
+}
+
+// touch counts a read at epoch into the stamp, storing only if it moved.
 func (p *pair) touch(epoch uint32) {
-	if p.touched.Load() != epoch {
-		p.touched.Store(epoch)
+	old := p.touched.Load()
+	if stamp := stampTouch(old, epoch); stamp != old {
+		p.touched.Store(stamp)
 	}
 }
 
@@ -192,9 +256,9 @@ func (v *Values) Put(hash uint64, val string) uint64 {
 	return v.put(hash, val, 0, 0)
 }
 
-// put is Put with the TTL deadline (0 = none) and the approx-LRU epoch
-// stamp the pair is born with.
-func (v *Values) put(hash uint64, val string, deadline int64, epoch uint32) uint64 {
+// put is Put with the TTL deadline (0 = none) and the eviction stamp the
+// pair is born with.
+func (v *Values) put(hash uint64, val string, deadline int64, stamp uint32) uint64 {
 	slot, ok := v.free.Pop()
 	if !ok {
 		slot = v.next.Add(1) - 1
@@ -210,7 +274,7 @@ func (v *Values) put(hash uint64, val string, deadline int64, epoch uint32) uint
 		v.chunks[ci].CompareAndSwap(nil, new(valueChunk))
 		c = v.chunks[ci].Load()
 	}
-	c[slot&(valueChunkSize-1)].Store(newPair(hash, val, deadline, epoch))
+	c[slot&(valueChunkSize-1)].Store(newPair(hash, val, deadline, stamp))
 	v.bytes.Add(slot, int64(len(val))+pairOverhead)
 	return slot
 }
@@ -366,7 +430,8 @@ type governed struct {
 	// cachedNow is the coarse clock, refreshed once per maintenance pass,
 	// by every TTL-setting op and by every eviction hand.
 	cachedNow atomic.Int64
-	// epoch is the approx-LRU epoch the sampler advances.
+	// epoch is the eviction-stamp epoch: passes and hands advance it,
+	// stamps keep its low 24 bits.
 	epoch        atomic.Uint32
 	expiredLazy  atomic.Uint64
 	expiredSwept atomic.Uint64
@@ -376,7 +441,7 @@ type governed struct {
 	// atomic bump, so concurrent hands probe independent slots without
 	// sharing the sweeper's maintMu-guarded rng.
 	handRng atomic.Uint64
-	// epochTick is the clock reading of the last approx-LRU epoch tick;
+	// epochTick is the clock reading of the last epoch tick;
 	// hands CAS it forward every epochPeriod (see evictHand), passes
 	// overwrite it.
 	epochTick atomic.Int64
@@ -479,17 +544,35 @@ func (s *Strings) SetHashed(k uint64, value string) bool {
 }
 
 // set is the scalar write under Set and SetEX: arena pair first, index
-// publish after, the displaced slot recycled, and an eviction hand lent
-// if the insert pushed the store past its watermark.
+// publish after, the displaced slot recycled — its stamp handed to the
+// successor, under a budget — and an eviction hand lent if the insert
+// pushed the store past its watermark.
 func (s *Strings) set(k uint64, value string, deadline int64) bool {
-	slot := s.values.put(k, value, deadline, s.epoch.Load())
+	epoch := s.epoch.Load()
+	slot := s.values.put(k, value, deadline, stampNew(epoch))
 	old, replaced := s.index.Set(k, slot)
 	live := replaced && !s.displacedExpired(old)
 	if replaced {
+		if s.budget != 0 {
+			s.inherit(k, old, slot, epoch)
+		}
 		s.values.Release(old)
 	}
 	s.evictHand()
 	return live
+}
+
+// inherit hands the stamp of the pair a write to k just displaced to the pair
+// that replaced it, as one more touch: how often a key is used is a property
+// of the key, and a write must not reset it. The caller still owns the
+// unmapped old slot, so its pair is there. The new slot is already published
+// and may have been evicted or recycled since, hence the nil and hash checks;
+// k's own later pair is as good a recipient, and a reader's touch lost to
+// this store is a lost count.
+func (s *Strings) inherit(k, old, slot uint64, epoch uint32) {
+	if to := s.values.loadPair(slot); to != nil && to.hash == k {
+		to.touched.Store(stampTouch(s.values.loadPair(old).touched.Load(), epoch))
+	}
 }
 
 // displacedExpired reports whether the pair in a slot just unmapped from
@@ -512,7 +595,7 @@ func (s *Strings) Get(key string) (string, bool) {
 }
 
 // GetHashed is Get for a pre-hashed key: the validated read, plus the
-// approx-LRU recency stamp when a byte budget is in force.
+// eviction stamp's touch when a byte budget is in force.
 func (s *Strings) GetHashed(k uint64) (string, bool) {
 	_, p := s.lookup(k)
 	if p == nil {
@@ -619,9 +702,16 @@ func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) in
 	slots, old := sc.slots[:len(hashes)], sc.old[:len(hashes)]
 	epoch := s.epoch.Load()
 	for i, h := range hashes {
-		slots[i] = s.values.put(h, vals[i], 0, epoch)
+		slots[i] = s.values.put(h, vals[i], 0, stampNew(epoch))
 	}
 	inserted := s.index.MSetEach(hashes, slots, old, replaced)
+	if s.budget != 0 {
+		for i, h := range hashes {
+			if replaced[i] {
+				s.inherit(h, old[i], slots[i], epoch)
+			}
+		}
+	}
 	// The slots scratch is index-owned now and no longer needed here: the
 	// displaced handles compact into it for the splice.
 	inserted += s.releaseDisplaced(old, replaced, slots[:0])
