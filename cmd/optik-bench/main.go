@@ -1,12 +1,15 @@
-// optik-bench regenerates the paper's evaluation figures as text tables,
-// plus the resize-under-load scenario.
+// optik-bench regenerates the figures of internal/figures as text tables:
+// the paper's evaluation, the resize and churn scenarios, and the
+// in-process store sweeps. The served system itself — over TCP, judged
+// against BENCHMARK.json's bounds — is measured by bench/ instead.
 //
 // Usage:
 //
 //	optik-bench [flags] <figure>
 //
 // where <figure> is one of: fig5, fig7, fig9, fig10, fig11, fig12, stacks,
-// resize, churn, server, net, ordered, conns, evict, all.
+// resize, churn, server, ordered, conns, all. all runs every figure but
+// conns, whose populations need a raised ulimit -n.
 //
 // Flags:
 //
@@ -19,22 +22,11 @@
 //	          file, so the perf trajectory can be tracked across changes
 //	-churn-peak  peak element count of the churn figure (default 100000;
 //	          CI passes a small peak to keep the sweep short)
-//	-janitor  run the resizable series of the resize and churn figures
-//	          with the background janitor enabled (workload.Janitored):
-//	          the table quiesces and recycles its nodes on its own when
-//	          traffic idles, instead of relying on the workload's
-//	          phase-flip Quiesce calls
 //	-shards   comma-separated shard counts the server and ordered figures
 //	          sweep (default 1,4,16; the 1-shard row is the unsharded
 //	          baseline)
 //	-batch    percentage of the server figure's requests issued as 16-key
 //	          batches through MGet/MSet/MDel (default 20)
-//	-net      drive the net figure (or the ordered figure's net series)
-//	          against an already-running optik-server at this address;
-//	          empty (the default) starts a private loopback server per
-//	          cell (the ordered figure needs optik-server -ordered)
-//	-pipelines comma-separated wire pipeline depths the net figure sweeps
-//	          (default 1,16,64,256)
 //	-conns    comma-separated connection populations the conns figure
 //	          sweeps (default 64,1024,4096; populations above ~1k need a
 //	          raised ulimit -n — the nightly adds 10000)
@@ -44,10 +36,7 @@
 // Example:
 //
 //	optik-bench -threads 1,4,16 -duration 500ms -reps 5 -json BENCH_fig9.json fig9
-//	optik-bench -threads 16 -janitor churn
 //	optik-bench -threads 4,16 -shards 1,8 -batch 50 server
-//	optik-bench -threads 4 -pipelines 1,16,64 net
-//	optik-bench -threads 4 -net 127.0.0.1:7979 net
 //	optik-bench -threads 4,16 -shards 1,8 ordered
 //	optik-bench -duration 1s -conns 64,1024 -active 100,5 conns
 package main
@@ -69,15 +58,13 @@ func main() {
 	repsFlag := flag.Int("reps", 3, "repetitions per data point (median reported)")
 	jsonFlag := flag.String("json", "", "write machine-readable results (JSON) to this file")
 	churnPeakFlag := flag.Int("churn-peak", 0, "peak element count for the churn figure (0 = default 100000)")
-	janitorFlag := flag.Bool("janitor", false, "enable the resizable table's background janitor in the resize/churn figures")
 	shardsFlag := flag.String("shards", "1,4,16", "comma-separated shard counts for the server and ordered figures")
 	batchFlag := flag.Int("batch", 20, "percentage of server-figure requests issued as 16-key batches")
-	netFlag := flag.String("net", "", "drive the net figure against an already-running optik-server at this address (empty = private loopback server per cell)")
-	pipelinesFlag := flag.String("pipelines", "1,16,64,256", "comma-separated wire pipeline depths for the net figure")
 	connsFlag := flag.String("conns", "64,1024,4096", "comma-separated connection populations for the conns figure")
 	activeFlag := flag.String("active", "100,5", "comma-separated active-connection percentages for the conns figure")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: optik-bench [flags] <fig5|fig7|fig9|fig10|fig11|fig12|stacks|resize|churn|server|net|ordered|conns|evict|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: optik-bench [flags] <fig5|fig7|fig9|fig10|fig11|fig12|stacks|resize|churn|server|ordered|conns|all>\n")
+		fmt.Fprintf(os.Stderr, "(all runs every figure but conns, which needs a raised ulimit -n)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -96,11 +83,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "optik-bench: -shards:", err)
 		os.Exit(2)
 	}
-	pipelines, err := parseThreads(*pipelinesFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "optik-bench: -pipelines:", err)
-		os.Exit(2)
-	}
 	connCounts, err := parseThreads(*connsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "optik-bench: -conns:", err)
@@ -117,11 +99,8 @@ func main() {
 		Reps:       *repsFlag,
 		Out:        os.Stdout,
 		ChurnPeak:  *churnPeakFlag,
-		Janitor:    *janitorFlag,
 		Shards:     shards,
 		BatchPct:   *batchFlag,
-		NetAddr:    *netFlag,
-		Pipelines:  pipelines,
 		Conns:      connCounts,
 		ActivePcts: activePcts,
 	}
@@ -143,10 +122,8 @@ func main() {
 		"resize":  figures.FigResize,
 		"churn":   figures.FigChurn,
 		"server":  figures.FigServer,
-		"net":     figures.FigNet,
 		"ordered": figures.FigOrdered,
 		"conns":   figures.FigConns,
-		"evict":   figures.FigEvict,
 		"all":     figures.All,
 	}
 	run, ok := runners[figure]

@@ -68,10 +68,10 @@
 // specializes the same way. The server package puts that store on the
 // network:
 // a RESP-flavored pipelined TCP protocol served by cmd/optik-server and
-// measured by cmd/optik-bench's net figure. docs/ARCHITECTURE.md in the
-// repository walks the full stack and tabulates, layer by layer, what
-// is validated optimistically versus what is locked; docs/PROTOCOL.md
-// specifies the wire format.
+// measured end to end by the repository's bench/ module.
+// docs/ARCHITECTURE.md in the repository walks the full stack and
+// tabulates, layer by layer, what is validated optimistically versus
+// what is locked; docs/PROTOCOL.md specifies the wire format.
 // The padding and striped-counter primitives behind them are reusable:
 // Lock is complemented by cache-line-padded forms for dense lock arrays
 // (internal/core's PaddedLock and PaddedTicketLock, internal/locks'

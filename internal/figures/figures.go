@@ -1,7 +1,12 @@
-// Package figures defines every experiment of the paper's evaluation —
-// one entry per figure — and renders the same rows/series the paper
-// reports. Both the root bench_test.go targets and cmd/optik-bench drive
-// these definitions, so the benchmark surface has a single source of truth.
+// Package figures defines the experiments that bench/ (the served
+// system's judge) cannot run, one entry per figure, and renders them as
+// text tables: the paper's evaluation (Figures 5, 7, 9–12 and the
+// stacks) with the same rows/series the paper reports, the ds-level
+// resize and churn scenarios, and the in-process sweeps of the store —
+// threads × shard counts for the server and ordered figures, connection
+// populations × conn modes for conns. Both the root bench_test.go
+// targets and cmd/optik-bench drive these definitions, so the figure
+// surface has a single source of truth.
 package figures
 
 import (
@@ -36,10 +41,6 @@ type RunOpts struct {
 	// ChurnPeak overrides the churn figure's peak element count (0 keeps
 	// the default); CI uses a small peak to keep the sweep short.
 	ChurnPeak int
-	// Janitor runs the resizable series with the background janitor
-	// enabled (same series name, so trends stay comparable; the header
-	// notes the mode).
-	Janitor bool
 	// Shards are the shard counts the server figure sweeps (default
 	// 1, 4, 16 — the 1-shard row is the unsharded baseline every other
 	// row is read against).
@@ -47,13 +48,6 @@ type RunOpts struct {
 	// BatchPct is the server figure's batched-request percentage
 	// (default 20); its batch size is fixed at 16 keys.
 	BatchPct int
-	// NetAddr points the net figure at an already-running optik-server
-	// ("host:port"); empty starts a private loopback server per cell, so
-	// every row measures a cold store.
-	NetAddr string
-	// Pipelines are the wire pipeline depths the net figure sweeps
-	// (default 1, 16, 64, 256; depth d issues d-command pipelines per flush).
-	Pipelines []int
 	// Conns are the connection populations the conns figure sweeps
 	// (default 64, 1024, 4096; the nightly adds 10000 — mind ulimit -n).
 	Conns []int
@@ -86,8 +80,9 @@ type Row struct {
 	// proof steady-state churn reuses nodes instead of re-allocating.
 	NodesRetired uint64 `json:"nodes_retired,omitempty"`
 	NodesReused  uint64 `json:"nodes_reused,omitempty"`
-	// MaxProcs is set by the server/net rows: GOMAXPROCS at measurement
-	// time, so rows from differently-sized runners never join silently.
+	// MaxProcs is set by the server/ordered/conns rows: GOMAXPROCS at
+	// measurement time, so rows from differently-sized runners never join
+	// silently.
 	MaxProcs int `json:"maxprocs,omitempty"`
 	// ConnMode is set by the conns rows: which connection-driving mode the
 	// server ran ("goroutine" or "poller"). It rides in the impl name too,
@@ -98,12 +93,6 @@ type Row struct {
 	BuffersResident int64 `json:"buffers_resident,omitempty"`
 	// ConnsShed counts connections the server shed during the run.
 	ConnsShed int64 `json:"conns_shed,omitempty"`
-	// HitRate/BytesUsed/Evicted are the evict rows' governance readings:
-	// cache hit rate over the run, peak bytes_used the sampler observed,
-	// and entries evicted for the budget.
-	HitRate   float64 `json:"hit_rate,omitempty"`
-	BytesUsed int64   `json:"bytes_used,omitempty"`
-	Evicted   uint64  `json:"evicted,omitempty"`
 }
 
 // Recorder accumulates rows for machine-readable output. The figure
@@ -238,23 +227,11 @@ func HashAlgos(buckets int) []NamedSet {
 // (OptikMap is excluded: its fixed-capacity buckets reject insertions once
 // full, so it cannot absorb the ramp at all.)
 func ResizeAlgos(startBuckets int) []NamedSet {
-	return resizeAlgos(startBuckets, false)
-}
-
-// resizeAlgos is ResizeAlgos with the janitor mode of the resizable
-// series exposed. The series keeps its name either way so the bench-trend
-// JSON stays joinable across commits; the workload drivers stop the
-// janitor before reporting.
-func resizeAlgos(startBuckets int, janitor bool) []NamedSet {
-	resizable := func() ds.Set { return hashmap.NewResizable(startBuckets) }
-	if janitor {
-		resizable = func() ds.Set { return workload.Janitored(hashmap.NewResizable(startBuckets)) }
-	}
 	return []NamedSet{
 		{"lazy-gl-fixed", func() ds.Set { return hashmap.NewLazyGL(startBuckets) }},
 		{"optik-gl-fixed", func() ds.Set { return hashmap.NewOptikGL(startBuckets) }},
 		{"slab-fixed", func() ds.Set { return hashmap.NewSlab(startBuckets) }},
-		{"resizable", resizable},
+		{"resizable", func() ds.Set { return hashmap.NewResizable(startBuckets) }},
 	}
 }
 
@@ -505,10 +482,9 @@ func FigResize(o RunOpts) { figResize(o, 1000, 1_000_000) }
 // figResize is FigResize with the scale exposed for fast smoke tests.
 func figResize(o RunOpts, start, target int) {
 	o = o.Normalize()
-	algos := resizeAlgos(start, o.Janitor)
+	algos := ResizeAlgos(start)
 	wlLabel := fmt.Sprintf("ramp %d to %d", start, target)
-	fmt.Fprintf(o.Out, "# Resize — insert-heavy %s, 10%% searches (Mops/s over the whole ramp)%s\n",
-		wlLabel, janitorTag(o.Janitor))
+	fmt.Fprintf(o.Out, "# Resize — insert-heavy %s, 10%% searches (Mops/s over the whole ramp)\n", wlLabel)
 	fmt.Fprintf(o.Out, "%-8s", "threads")
 	for _, a := range algos {
 		fmt.Fprintf(o.Out, "%16s", a.Name)
@@ -568,14 +544,14 @@ func figChurn(o RunOpts, peak int) {
 		start = 1
 	}
 	trough := peak / 16
-	algos := resizeAlgos(start, o.Janitor)
+	algos := ResizeAlgos(start)
 	// The steady-op count is part of the label on purpose: rows measured
 	// under the 3-phase cycle must not join against pre-steady-phase
 	// baselines in bench-diff — the workload definition changed, not the
 	// implementations.
 	wlLabel := fmt.Sprintf("churn %d/%d steady %d", peak, trough, peak)
-	fmt.Fprintf(o.Out, "# Churn — grow to %d, steady read-only ×%d ops, drain to %d, ×2 cycles, 30%% searches (Mops/s; per-op ns tail)%s\n",
-		peak, peak, trough, janitorTag(o.Janitor))
+	fmt.Fprintf(o.Out, "# Churn — grow to %d, steady read-only ×%d ops, drain to %d, ×2 cycles, 30%% searches (Mops/s; per-op ns tail)\n",
+		peak, peak, trough)
 	fmt.Fprintf(o.Out, "%-8s", "threads")
 	for _, a := range algos {
 		fmt.Fprintf(o.Out, "%16s", a.Name)
@@ -620,15 +596,6 @@ func figChurn(o RunOpts, peak int) {
 		}
 	}
 	fmt.Fprintln(o.Out)
-}
-
-// janitorTag annotates figure headers when the resizable series runs with
-// its background janitor.
-func janitorTag(j bool) string {
-	if j {
-		return " [janitor on]"
-	}
-	return ""
 }
 
 // FigServer runs the sharded-store scenario (beyond the paper: its tables
@@ -733,179 +700,20 @@ func normalizeShards(in []int) []int {
 // storeFactory builds the server figure's store: the initial size split
 // across the shards as each one's floor, so the per-shard provisioning is
 // fair at every shard count.
-func storeFactory(shards, initial int) func() workload.Target {
+func storeFactory(shards, initial int) func() *store.Store {
 	perShard := initial / shards
 	if perShard < 64 {
 		perShard = 64
 	}
-	return func() workload.Target {
+	return func() *store.Store {
 		return store.New(store.WithShards(shards), store.WithShardBuckets(perShard))
 	}
-}
-
-// FigNet runs the server workload over the wire: the same zipfian
-// GET/SET/DEL mix as FigServer, but reaching the store through
-// optik-server's TCP protocol instead of a function call, swept across
-// thread counts × pipeline depths. Depth 1 is the request/response
-// baseline (every key pays a full round trip); deeper rows pipeline d
-// commands per flush, which is where a networked optimistic store earns
-// its throughput back — the FigServer rows are the zero-wire upper bound
-// the net rows are read against.
-func FigNet(o RunOpts) {
-	o = o.Normalize()
-	depths := o.Pipelines
-	if len(depths) == 0 {
-		depths = []int{1, 16, 64, 256}
-	}
-	const initial = 65536
-	wlLabel := fmt.Sprintf("zipf get90/set8/del2 wire init %d", initial)
-	where := "private loopback server per cell"
-	if o.NetAddr != "" {
-		where = "external server at " + o.NetAddr
-	}
-	cols := netColumns(o, depths)
-	fmt.Fprintf(o.Out, "# Net — optik-server over TCP, %s (%s; Mops/s)\n", wlLabel, where)
-	fmt.Fprintf(o.Out, "%-8s", "threads")
-	for _, c := range cols {
-		fmt.Fprintf(o.Out, "%16s", netImplName(c.depth, c.variant))
-	}
-	fmt.Fprintln(o.Out)
-	for _, th := range o.Threads {
-		fmt.Fprintf(o.Out, "%-8d", th)
-		for _, c := range cols {
-			res := runNetCell(o, netServerCfg(o, th, c.depth, initial, false), c.variant)
-			fmt.Fprintf(o.Out, "%16.3f", res.Mops)
-			o.Record.add(Row{
-				Figure: "Net", Workload: wlLabel, Impl: netImplName(c.depth, c.variant), Threads: th,
-				Mops: res.Mops, FinalBuckets: res.FinalBuckets, MaxProcs: res.MaxProcs,
-			})
-		}
-		fmt.Fprintln(o.Out)
-	}
-	fmt.Fprintln(o.Out)
-	th := o.Threads[len(o.Threads)-1]
-	fmt.Fprintf(o.Out, "# Net latency — per-key ns by pipeline depth, %d threads\n", th)
-	for _, c := range cols {
-		res := runNetCell(o, netServerCfg(o, th, c.depth, initial, true), c.variant)
-		lat := res.BatchLatency
-		if c.depth == 1 {
-			lat = res.Latency
-		}
-		fmt.Fprintf(o.Out, "%-16s %s (hit rate %.1f%%)\n", netImplName(c.depth, c.variant), lat, 100*res.HitRate)
-		o.Record.add(Row{
-			Figure: "Net latency", Workload: wlLabel, Impl: netImplName(c.depth, c.variant), Threads: th,
-			Mops: res.Mops, P50Ns: lat.P50, P99Ns: lat.P99, MaxNs: lat.Max, MaxProcs: res.MaxProcs,
-		})
-	}
-	fmt.Fprintln(o.Out)
-}
-
-// netVariant selects which server path a net cell exercises.
-type netVariant uint8
-
-const (
-	netCoalesced  netVariant = iota // scalar pipeline, server coalescing on (default)
-	netNoCoalesce                   // scalar pipeline, WithCoalesce(0) baseline
-	netMultibulk                    // true MGET/MSET/MDEL frames, coalescing on
-)
-
-// netColumn is one (depth, variant) series of the net figure.
-type netColumn struct {
-	depth   int
-	variant netVariant
-}
-
-// netColumns expands the depth sweep into the variant columns: every
-// depth runs the default coalesced cell; pipelined depths additionally
-// run the coalesce-off baseline (skipped against an external server —
-// its -coalesce knob cannot be flipped from here) and the multibulk
-// client. Depth 1 has nothing to coalesce or batch, so it stays a single
-// request/response column.
-func netColumns(o RunOpts, depths []int) []netColumn {
-	var cols []netColumn
-	for _, d := range depths {
-		cols = append(cols, netColumn{d, netCoalesced})
-		if d > 1 {
-			if o.NetAddr == "" {
-				cols = append(cols, netColumn{d, netNoCoalesce})
-			}
-			cols = append(cols, netColumn{d, netMultibulk})
-		}
-	}
-	return cols
-}
-
-// netImplName labels a pipeline-depth series; the variant suffix is part
-// of the JSON join key, so coalesced and baseline rows never compare
-// against each other silently.
-func netImplName(depth int, v netVariant) string {
-	switch v {
-	case netNoCoalesce:
-		return fmt.Sprintf("net-p%d-nc", depth)
-	case netMultibulk:
-		return fmt.Sprintf("net-p%d-mb", depth)
-	default:
-		return fmt.Sprintf("net-p%d", depth)
-	}
-}
-
-// netServerCfg is the FigNet cell configuration: depth 1 runs the scalar
-// request/response path, deeper cells run every request as a depth-sized
-// pipeline.
-func netServerCfg(o RunOpts, threads, depth, initial int, latency bool) workload.ServerConfig {
-	cfg := workload.ServerConfig{
-		Threads:       threads,
-		Duration:      o.Duration,
-		InitialSize:   initial,
-		SetPct:        8,
-		DelPct:        2,
-		BatchPct:      100,
-		BatchSize:     depth,
-		SampleLatency: latency,
-	}
-	if depth <= 1 {
-		cfg.BatchPct = 0
-	}
-	return cfg
-}
-
-// runNetCell runs one net figure cell, bringing up (and tearing down) a
-// private loopback server unless RunOpts names an external one. The
-// variant picks the server's coalescing mode and the client's framing.
-func runNetCell(o RunOpts, cfg workload.ServerConfig, v netVariant) workload.ServerResult {
-	addr := o.NetAddr
-	if addr == "" {
-		st := store.NewStrings(store.WithShardBuckets(1024))
-		var sopts []server.Option
-		if v == netNoCoalesce {
-			sopts = append(sopts, server.WithCoalesce(0))
-		}
-		srv := server.New(st, sopts...)
-		bound, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			panic("figures: loopback server: " + err.Error())
-		}
-		defer func() {
-			srv.Close()
-			st.Close()
-		}()
-		addr = bound.String()
-	}
-	newTarget := workload.NewNetTarget
-	if v == netMultibulk {
-		newTarget = workload.NewNetTargetMultibulk
-	}
-	return workload.RunServer(cfg, func() workload.Target {
-		return newTarget(addr)
-	})
 }
 
 // FigOrdered runs the ordered-index scenario (beyond the paper: its
 // skip list is the building block, the range-partitioned store is the
 // system): a zipfian GET/SET/DEL stream with a 10% fraction of range
-// scans, swept across thread counts × shard counts, plus one
-// over-the-wire series driving the same mix through optik-server's
-// ordered protocol (scans as RANGE commands). The 1-shard row is the
+// scans, swept across thread counts × shard counts. The 1-shard row is the
 // single skip list behind the store API; separation between rows is
 // what range partitioning buys when scans and point ops contend. The
 // reclamation columns are the acceptance signal: towers retire and get
@@ -929,7 +737,7 @@ func FigOrdered(o RunOpts) {
 	for _, sh := range shards {
 		fmt.Fprintf(o.Out, "%16s", orderedImplName(sh))
 	}
-	fmt.Fprintf(o.Out, "%16s\n", "ordered-net")
+	fmt.Fprintln(o.Out)
 	for _, th := range o.Threads {
 		fmt.Fprintf(o.Out, "%-8d", th)
 		for _, sh := range shards {
@@ -943,14 +751,7 @@ func FigOrdered(o RunOpts) {
 				MaxProcs: res.MaxProcs,
 			})
 		}
-		c := cfg
-		c.Threads = th
-		res := runOrderedNetCell(o, c)
-		fmt.Fprintf(o.Out, "%16.3f\n", res.Mops)
-		o.Record.add(Row{
-			Figure: "Ordered", Workload: wlLabel, Impl: "ordered-net", Threads: th,
-			Mops: res.Mops, MaxProcs: res.MaxProcs,
-		})
+		fmt.Fprintln(o.Out)
 	}
 	fmt.Fprintln(o.Out)
 	th := o.Threads[len(o.Threads)-1]
@@ -989,33 +790,10 @@ func scanDensity(res workload.OrderedResult) float64 {
 // orderedFactory builds the ordered figure's in-process store: the key
 // ceiling matches the workload's 2×initial key range, so the range
 // partition splits the populated space, not a mostly-empty one.
-func orderedFactory(shards, initial int) func() workload.OrderedTarget {
-	return func() workload.OrderedTarget {
+func orderedFactory(shards, initial int) func() *store.Ordered {
+	return func() *store.Ordered {
 		return store.NewOrdered(store.WithShards(shards), store.WithKeyMax(uint64(2*initial)))
 	}
-}
-
-// runOrderedNetCell runs one over-the-wire ordered cell, bringing up a
-// private loopback ordered server unless RunOpts names an external one
-// (which must itself be ordered: optik-server -ordered).
-func runOrderedNetCell(o RunOpts, cfg workload.OrderedConfig) workload.OrderedResult {
-	addr := o.NetAddr
-	if addr == "" {
-		st := store.NewSortedStrings(store.WithKeyMax(uint64(2 * cfg.InitialSize)))
-		srv := server.NewOrdered(st)
-		bound, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			panic("figures: ordered loopback server: " + err.Error())
-		}
-		defer func() {
-			srv.Close()
-			st.Close()
-		}()
-		addr = bound.String()
-	}
-	return workload.RunOrdered(cfg, func() workload.OrderedTarget {
-		return workload.NewOrderedNetTarget(addr)
-	})
 }
 
 // FigConns runs the connection-scaling scenario (beyond the paper: OPTIK's
@@ -1127,52 +905,11 @@ func Stacks(o RunOpts) {
 	fmt.Fprintln(o.Out)
 }
 
-// All regenerates every figure, plus the resize-under-load, churn and
-// server scenarios.
-// FigEvict measures the memory-governance loop: a hotspot cache stream
-// (read-through refills, a slice of SETEX traffic) whose working set is
-// four times the byte budget, run ungoverned and governed. The
-// ungoverned row is the baseline the governed row's hit rate is read
-// against; the governed row's peak bytes_used is the budget claim.
-func FigEvict(o RunOpts) {
-	o = o.Normalize()
-	cfg := workload.EvictConfig{
-		Duration: o.Duration,
-		Keys:     16384,
-		ValueLen: 200,
-		SetPct:   10,
-		TTLPct:   20,
-		TTLSecs:  1,
-	}
-	budget := cfg.WorkingSetBytes() / 4
-	wlLabel := fmt.Sprintf("hotspot 98/20 get90/set10 ttl20%% keys %d x %dB", cfg.Keys, cfg.ValueLen)
-	fmt.Fprintf(o.Out, "# Evict — byte-budget governance, %s, budget %d KiB (working set / 4)\n",
-		wlLabel, budget/1024)
-	fmt.Fprintf(o.Out, "%-8s %16s %8s %16s %8s %14s %10s\n",
-		"threads", "evict-nobudget", "hit", "evict-budget", "hit", "bytes max KiB", "evicted")
-	for _, th := range o.Threads {
-		c := cfg
-		c.Threads = th
-		base := workload.RunEvict(c)
-		g := c
-		g.Budget = budget
-		res := workload.RunEvict(g)
-		fmt.Fprintf(o.Out, "%-8d %16.3f %8.3f %16.3f %8.3f %14d %10d\n",
-			th, base.Mops, base.HitRate, res.Mops, res.HitRate, res.BytesMax/1024, res.Evicted)
-		o.Record.add(Row{
-			Figure: "Evict", Workload: wlLabel, Impl: "evict-nobudget", Threads: th,
-			Mops: base.Mops, HitRate: base.HitRate, BytesUsed: base.BytesMax,
-			MaxProcs: base.MaxProcs,
-		})
-		o.Record.add(Row{
-			Figure: "Evict", Workload: wlLabel, Impl: "evict-budget", Threads: th,
-			Mops: res.Mops, HitRate: res.HitRate, BytesUsed: res.BytesMax,
-			Evicted: res.Evicted, MaxProcs: res.MaxProcs,
-		})
-	}
-	fmt.Fprintln(o.Out)
-}
-
+// All regenerates every figure but conns: the paper's (5, 7, 9–12 and
+// the stacks), the resize and churn scenarios, and the server and
+// ordered shard sweeps. FigConns is left out on purpose — its
+// populations need a raised fd limit (ulimit -n), so it runs only when
+// named.
 func All(o RunOpts) {
 	Fig5(o)
 	Fig7(o)
@@ -1184,7 +921,5 @@ func All(o RunOpts) {
 	FigResize(o)
 	FigChurn(o)
 	FigServer(o)
-	FigNet(o)
 	FigOrdered(o)
-	FigEvict(o)
 }

@@ -223,42 +223,6 @@ func TestFigServerEmitsSeriesAndRecords(t *testing.T) {
 	}
 }
 
-// TestFigNetEmitsSeriesAndRecords runs the wire figure at tiny scale: a
-// private loopback server per cell, two pipeline depths, and the same
-// row-shape contract as the in-process server figure. Pipelined depths
-// fan out into the coalesced/no-coalesce/multibulk variant columns;
-// depth 1 stays a single request/response column.
-func TestFigNetEmitsSeriesAndRecords(t *testing.T) {
-	var buf bytes.Buffer
-	o := tinyOpts(&buf)
-	o.Duration = 50 * time.Millisecond
-	o.Pipelines = []int{1, 8}
-	rec := &Recorder{}
-	o.Record = rec
-	FigNet(o)
-	out := buf.String()
-	for _, want := range []string{"Net", "Net latency", "net-p1", "net-p8", "net-p8-nc", "net-p8-mb", "private loopback"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Columns: net-p1, plus three variants of depth 8; two figures each.
-	if got, want := len(rec.Rows), 2*4; got != want {
-		t.Fatalf("recorded %d rows, want %d", got, want)
-	}
-	for _, row := range rec.Rows {
-		if row.Threads != 2 || row.Mops <= 0 {
-			t.Fatalf("bad row: %+v", row)
-		}
-		if row.MaxProcs <= 0 {
-			t.Fatalf("net row without maxprocs: %+v", row)
-		}
-		if row.Figure == "Net latency" && (row.P50Ns <= 0 || row.MaxNs < row.P50Ns) {
-			t.Fatalf("latency row tail not ordered: %+v", row)
-		}
-	}
-}
-
 func TestNormalizeShards(t *testing.T) {
 	got := normalizeShards([]int{3, 4, 17, 1000})
 	want := []int{4, 32, 256}

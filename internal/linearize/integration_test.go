@@ -77,6 +77,10 @@ func TestSetsLinearizable(t *testing.T) {
 		"hashmap/lazy-gl":    func() ds.Set { return hashmap.NewLazyGL(4) },
 		"hashmap/java":       func() ds.Set { return hashmap.NewJava(4, 2) },
 		"hashmap/java-optik": func() ds.Set { return hashmap.NewJavaOptik(4, 2) },
+		"hashmap/slab":       func() ds.Set { return hashmap.NewSlab(4) },
+		// One bucket, so every history runs through live grows and shrinks
+		// (from 2 buckets only about one history in ten resizes at all).
+		"hashmap/resizable":  func() ds.Set { return hashmap.NewResizable(1) },
 		"skiplist/herlihy":   func() ds.Set { return skiplist.NewHerlihy() },
 		"skiplist/herloptik": func() ds.Set { return skiplist.NewHerlihyOptik() },
 		"skiplist/fraser":    func() ds.Set { return skiplist.NewFraser() },
@@ -86,11 +90,19 @@ func TestSetsLinearizable(t *testing.T) {
 	model := linearize.SetModel()
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {
+			resizable, resizes := false, 0
 			for round := 0; round < 3; round++ {
-				h := recordSetHistory(mk(), 6, 120, 6)
+				s := mk()
+				h := recordSetHistory(s, 6, 120, 6)
 				if !linearize.Check(model, h) {
 					t.Fatalf("round %d: history not linearizable (%d ops)", round, len(h))
 				}
+				if r, ok := s.(interface{ Resizes() int }); ok {
+					resizable, resizes = true, resizes+r.Resizes()
+				}
+			}
+			if resizable && resizes == 0 {
+				t.Fatal("the table never resized: no history ran through a live resize")
 			}
 		})
 	}

@@ -22,8 +22,6 @@ import (
 	"time"
 
 	"github.com/optik-go/optik/ds"
-	"github.com/optik-go/optik/ds/hashmap"
-	"github.com/optik-go/optik/internal/maint"
 	"github.com/optik-go/optik/internal/rng"
 	"github.com/optik-go/optik/internal/stats"
 )
@@ -47,28 +45,6 @@ type resizeCounted interface{ Resizes() int }
 type reclaimStatted interface {
 	ReclaimStats() (retired, reclaimed, reused uint64)
 }
-
-// stopper matches structures with background maintenance goroutines (a
-// Janitored table); the drivers stop them before reporting so no
-// goroutine outlives its run.
-type stopper interface{ Stop() }
-
-// Janitored returns m registered on a maintenance scheduler of its own —
-// the "janitor on" mode of the churn and resize figures — as a set whose
-// Stop halts that scheduler, which the drivers call before their final
-// accounting.
-func Janitored(m *hashmap.Resizable) ds.Set {
-	s := maint.NewScheduler(0)
-	s.Register(m)
-	return janitored{m, s}
-}
-
-type janitored struct {
-	*hashmap.Resizable
-	sched *maint.Scheduler
-}
-
-func (j janitored) Stop() { j.sched.Stop() }
 
 // phase kinds within a cycle.
 const (
@@ -111,8 +87,7 @@ type ChurnResult struct {
 	// Elapsed is the wall-clock time from first to last operation.
 	Elapsed time.Duration
 	// Net is the net number of successful inserts minus deletes; once
-	// quiescent it must equal FinalLen exactly (a conservation check the
-	// stress driver relies on).
+	// quiescent it must equal FinalLen exactly.
 	Net int
 	// FinalLen is the structure's Len() after the final quiesce.
 	FinalLen int
@@ -313,11 +288,6 @@ func RunChurn(cfg ChurnConfig, factory func() ds.Set) ChurnResult {
 	close(started)
 	wg.Wait()
 	elapsed := time.Since(begin)
-	// A background janitor must not race the final accounting below (and
-	// must not outlive the run).
-	if st, ok := s.(stopper); ok {
-		st.Stop()
-	}
 	// Stale batches may have raced the last flip; settle once more.
 	quiesce()
 

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/ds/hashmap"
@@ -93,24 +91,6 @@ func TestRunChurnSteadyPhase(t *testing.T) {
 	if res.NodesReused > res.NodesReclaimed || res.NodesReclaimed > res.NodesRetired {
 		t.Fatalf("counter inversion: %d retired, %d reclaimed, %d reused",
 			res.NodesRetired, res.NodesReclaimed, res.NodesReused)
-	}
-}
-
-func TestRunChurnJanitoredStops(t *testing.T) {
-	before := runtime.NumGoroutine()
-	res := RunChurn(ChurnConfig{
-		Threads: 2, PeakSize: 2000, Cycles: 1, SearchPct: 10,
-	}, func() ds.Set { return Janitored(hashmap.NewResizable(128)) })
-	if res.FinalLen != res.Net {
-		t.Fatalf("FinalLen = %d, Net = %d", res.FinalLen, res.Net)
-	}
-	// The driver must have stopped the janitor goroutine before returning.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
-		t.Fatalf("goroutines leaked past RunChurn: %d -> %d", before, now)
 	}
 }
 

@@ -84,8 +84,8 @@ func TestEvictSoakHoldsBudget(t *testing.T) {
 		t.Errorf("governed hit rate %.3f more than 4 points under baseline %.3f (evicted %d, refills %d)",
 			res.HitRate, base.HitRate, res.Evicted, res.Refills)
 	}
-	t.Logf("baseline: hit %.3f bytes max %d swept %d lazy %d; governed: hit %.3f bytes max/avg/final %d/%d/%d budget %d evicted %d swept %d lazy %d",
+	t.Logf("baseline: hit %.3f bytes max %d swept %d lazy %d; governed: hit %.3f bytes max/final %d/%d budget %d evicted %d swept %d lazy %d",
 		base.HitRate, base.BytesMax, base.ExpiredSwept, base.ExpiredLazy,
-		res.HitRate, res.BytesMax, res.BytesAvg, res.BytesFinal,
+		res.HitRate, res.BytesMax, res.BytesFinal,
 		budget, res.Evicted, res.ExpiredSwept, res.ExpiredLazy)
 }

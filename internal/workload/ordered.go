@@ -16,23 +16,8 @@ import (
 
 	"github.com/optik-go/optik/internal/rng"
 	"github.com/optik-go/optik/internal/stats"
+	"github.com/optik-go/optik/store"
 )
-
-// OrderedTarget is the store surface the ordered workload drives.
-// *store.Ordered satisfies it directly (in-process rows); OrderedNetTarget
-// drives a server.NewOrdered over TCP with the same driver.
-type OrderedTarget interface {
-	Get(key uint64) (uint64, bool)
-	Set(key, val uint64) (uint64, bool)
-	Del(key uint64) (uint64, bool)
-	// Scan fills keys/vals with the live entries in [from, to] ascending,
-	// returning the count (bounded by len(keys)).
-	Scan(from, to uint64, keys, vals []uint64) int
-	Len() int
-	ReclaimStats() (retired, reclaimed, reused uint64)
-	Quiesce()
-	Close()
-}
 
 // OrderedConfig describes one ordered run.
 type OrderedConfig struct {
@@ -89,10 +74,10 @@ type OrderedResult struct {
 	MaxProcs int
 }
 
-// RunOrdered drives the mixed point/scan workload against a target from
-// factory and returns the aggregate result; the factory owns shard count
-// and transport, RunOrdered closes the target after the final accounting.
-func RunOrdered(cfg OrderedConfig, factory func() OrderedTarget) OrderedResult {
+// RunOrdered drives the mixed point/scan workload against a fresh store
+// from factory and returns the aggregate result; the factory owns shard
+// count, RunOrdered closes the store after the final accounting.
+func RunOrdered(cfg OrderedConfig, factory func() *store.Ordered) OrderedResult {
 	if cfg.Threads <= 0 || cfg.InitialSize <= 0 || cfg.Duration <= 0 {
 		panic("workload: Threads, InitialSize and Duration must be positive")
 	}
@@ -264,37 +249,4 @@ func RunOrdered(cfg OrderedConfig, factory func() OrderedTarget) OrderedResult {
 		total.ScanLatency = stats.Summarize(scanS)
 	}
 	return total
-}
-
-// OrderedNetTarget adapts a pool of wire-protocol clients to
-// OrderedTarget, the ordered counterpart of NetTarget: same lazy
-// connection pool, same panic-on-error contract, with Scan riding the
-// RANGE command.
-type OrderedNetTarget struct {
-	net NetTarget
-}
-
-var _ OrderedTarget = (*OrderedNetTarget)(nil)
-
-// NewOrderedNetTarget returns an OrderedTarget speaking to the ordered
-// server at addr.
-func NewOrderedNetTarget(addr string) *OrderedNetTarget {
-	return &OrderedNetTarget{net: NetTarget{addr: addr}}
-}
-
-func (t *OrderedNetTarget) Get(key uint64) (uint64, bool)      { return t.net.Get(key) }
-func (t *OrderedNetTarget) Set(key, val uint64) (uint64, bool) { return t.net.Set(key, val) }
-func (t *OrderedNetTarget) Del(key uint64) (uint64, bool)      { return t.net.Del(key) }
-func (t *OrderedNetTarget) Len() int                           { return t.net.Len() }
-func (t *OrderedNetTarget) Quiesce()                           { t.net.Quiesce() }
-func (t *OrderedNetTarget) Close()                             { t.net.Close() }
-func (t *OrderedNetTarget) ReclaimStats() (retired, reclaimed, reused uint64) {
-	return t.net.ReclaimStats()
-}
-
-func (t *OrderedNetTarget) Scan(from, to uint64, keys, vals []uint64) int {
-	c := t.net.borrow()
-	n := c.Range(from, to, keys, vals)
-	t.net.put(c)
-	return n
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/optik-go/optik/server"
 	"github.com/optik-go/optik/store"
 )
 
@@ -23,7 +22,7 @@ func TestRunOrderedInProcess(t *testing.T) {
 		ScanWidth:     32,
 		SampleLatency: true,
 	}
-	res := RunOrdered(cfg, func() OrderedTarget {
+	res := RunOrdered(cfg, func() *store.Ordered {
 		return store.NewOrdered(store.WithShards(4), store.WithKeyMax(uint64(2*cfg.InitialSize)))
 	})
 	if res.Ops == 0 || res.Gets == 0 || res.Sets == 0 || res.Dels == 0 || res.Scans == 0 {
@@ -49,44 +48,5 @@ func TestRunOrderedInProcess(t *testing.T) {
 	// retired, and the accounting was captured before any caller quiesce.
 	if res.TowersRetired == 0 {
 		t.Fatal("no towers retired despite a delete mix")
-	}
-}
-
-// TestRunOrderedOverNet runs the same driver through the ordered wire
-// protocol: point ops on the coalesced scalar path, scans riding RANGE.
-func TestRunOrderedOverNet(t *testing.T) {
-	st := store.NewSortedStrings(store.WithShards(2), store.WithKeyMax(1<<13))
-	defer st.Close()
-	srv := server.NewOrdered(st)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	defer srv.Close()
-
-	cfg := OrderedConfig{
-		Threads:     3,
-		Duration:    200 * time.Millisecond,
-		InitialSize: 2048,
-		KeyRange:    1 << 12,
-		SetPct:      20,
-		DelPct:      10,
-		ScanPct:     10,
-		ScanWidth:   16,
-	}
-	res := RunOrdered(cfg, func() OrderedTarget { return NewOrderedNetTarget(addr.String()) })
-	if res.Ops == 0 || res.Scans == 0 || res.Scanned == 0 {
-		t.Fatalf("thin run over the wire: %+v", res)
-	}
-	if res.PrefillLen != cfg.InitialSize {
-		t.Fatalf("cold-server prefill = %d, want %d", res.PrefillLen, cfg.InitialSize)
-	}
-	if want := int64(res.PrefillLen) + res.Net; int64(res.FinalLen) != want {
-		t.Fatalf("conservation over the wire: FinalLen = %d, want prefill %d + net %d = %d",
-			res.FinalLen, res.PrefillLen, res.Net, want)
-	}
-	// The store the server fronts saw exactly what the driver accounted.
-	if st.Len() != res.FinalLen {
-		t.Fatalf("server store Len %d != reported FinalLen %d", st.Len(), res.FinalLen)
 	}
 }

@@ -125,11 +125,6 @@ func RunRamp(cfg RampConfig, factory func() ds.Set) RampResult {
 	close(started)
 	wg.Wait()
 	elapsed := time.Since(begin)
-	// Stop any background maintenance goroutine before the final
-	// accounting (no-op for structures without one).
-	if st, ok := s.(stopper); ok {
-		st.Stop()
-	}
 
 	res := RampResult{
 		Ops:      totalOps.Load(),

@@ -18,29 +18,8 @@ import (
 
 	"github.com/optik-go/optik/internal/rng"
 	"github.com/optik-go/optik/internal/stats"
+	"github.com/optik-go/optik/store"
 )
-
-// Target is the store surface the server workload drives. *store.Store
-// satisfies it directly (the in-process rows); the net client in net.go
-// satisfies it over a TCP connection pool (the loopback rows), so the
-// same zipfian mix measures the store and the network front with one
-// driver and the figures stay directly comparable.
-type Target interface {
-	// The request mix (prefill rides the MSet path).
-	Get(key uint64) (uint64, bool)
-	Set(key, val uint64) (uint64, bool)
-	Del(key uint64) (uint64, bool)
-	MGet(keys, vals []uint64, found []bool)
-	MSet(keys, vals []uint64) int
-	MDel(keys []uint64) int
-	// The final accounting.
-	Len() int
-	Buckets() int
-	Resizes() int
-	ReclaimStats() (retired, reclaimed, reused uint64)
-	Quiesce()
-	Close()
-}
 
 // ServerConfig describes one server run.
 type ServerConfig struct {
@@ -84,12 +63,10 @@ type ServerResult struct {
 	// HitRate is Hits/Gets.
 	HitRate float64
 	// Net is the measured phase's fresh inserts minus successful deletes;
-	// once quiescent, PrefillLen + Net must equal FinalLen exactly (the
-	// stress driver's conservation check).
+	// once quiescent, PrefillLen + Net must equal FinalLen exactly.
 	Net int64
-	// PrefillLen is the target's Len when the measured window opened. On
-	// a fresh target it equals InitialSize exactly; a warm external
-	// server (optik-bench -net) may start above it.
+	// PrefillLen is the store's Len when the measured window opened:
+	// exactly InitialSize.
 	PrefillLen int
 	// FinalLen is the store's Len after the final quiesce.
 	FinalLen int
@@ -114,14 +91,11 @@ type ServerResult struct {
 	MaxProcs int
 }
 
-// RunServer drives a server workload against a target from factory and
-// returns the aggregate result. The factory builds the target so shard
-// count and maintenance mode (or, for a net target, address and
-// connection policy) stay with the caller; RunServer closes it after the
-// final accounting. The target is normally fresh; a warm one (an
-// external optik-server) is topped up to InitialSize live keys and its
-// actual baseline reported as PrefillLen.
-func RunServer(cfg ServerConfig, factory func() Target) ServerResult {
+// RunServer drives a server workload against a fresh store from factory
+// and returns the aggregate result. The factory builds the store so shard
+// count and maintenance mode stay with the caller; RunServer closes it
+// after the final accounting.
+func RunServer(cfg ServerConfig, factory func() *store.Store) ServerResult {
 	if cfg.Threads <= 0 || cfg.InitialSize <= 0 || cfg.Duration <= 0 {
 		panic("workload: Threads, InitialSize and Duration must be positive")
 	}
@@ -149,15 +123,10 @@ func RunServer(cfg ServerConfig, factory func() Target) ServerResult {
 	}
 	st := factory()
 	defer st.Close()
-	// Prefill tops the target up to InitialSize live keys, in MSet
-	// batches sized to the remaining deficit: a batch can only insert
-	// fewer keys than it carries (duplicates upsert in place), never
-	// more, so a fresh target lands on exactly InitialSize — and over a
-	// net target the batches pipeline instead of paying one round trip
-	// per key. The loop goal is the live count, not a fresh-insert
-	// count: a warm external server (optik-bench -net, second cell
-	// onward) already holds most of the keyspace, and demanding
-	// InitialSize *fresh* inserts from it would never terminate.
+	// Prefill to InitialSize live keys, in MSet batches sized to the
+	// remaining deficit: a batch can only insert fewer keys than it
+	// carries (duplicates upsert in place), never more, so the store
+	// lands on exactly InitialSize.
 	pre := rng.NewXorshift(seed)
 	preKeys := make([]uint64, 0, 512)
 	preVals := make([]uint64, 512)

@@ -20,14 +20,14 @@ func TestRunServerConservation(t *testing.T) {
 		BatchSize:     8,
 		SampleLatency: true,
 	}
-	res := RunServer(cfg, func() Target {
+	res := RunServer(cfg, func() *store.Store {
 		return store.New(store.WithShards(4), store.WithShardBuckets(64))
 	})
 	if res.Ops == 0 || res.Gets == 0 || res.Sets == 0 || res.Dels == 0 {
 		t.Fatalf("thin run: %+v", res)
 	}
 	if res.PrefillLen != cfg.InitialSize {
-		t.Fatalf("cold-store prefill = %d, want exactly %d", res.PrefillLen, cfg.InitialSize)
+		t.Fatalf("prefill = %d, want exactly %d", res.PrefillLen, cfg.InitialSize)
 	}
 	if want := int64(res.PrefillLen) + res.Net; int64(res.FinalLen) != want {
 		t.Fatalf("conservation: FinalLen = %d, want prefill %d + net %d = %d",
@@ -51,7 +51,7 @@ func TestRunServerBatchOnly(t *testing.T) {
 	res := RunServer(ServerConfig{
 		Threads: 2, Duration: 100 * time.Millisecond, InitialSize: 1024,
 		SetPct: 20, DelPct: 10, BatchPct: 100, BatchSize: 4,
-	}, func() Target {
+	}, func() *store.Store {
 		return store.New(store.WithShards(2), store.WithShardBuckets(64), store.WithoutMaintenance())
 	})
 	if res.Ops == 0 {

@@ -14,8 +14,8 @@ import (
 // BenchmarkPipeline measures the wire path per key at several pipeline
 // depths: one client goroutine keeps depth GET commands in flight against
 // a loopback server on a prefilled store. This is the protocol+transport
-// overhead the net figure adds on top of the in-process store, isolated
-// from the workload driver. The default variant exercises the coalescer
+// overhead the wire adds on top of the in-process store, isolated from
+// any workload driver. The default variant exercises the coalescer
 // (pipelined scalars merged server-side); coalesce=off is the
 // one-execution-per-request baseline and multibulk replaces the scalar
 // pipeline with real MGET frames, bounding what coalescing can recover.

@@ -17,8 +17,8 @@ import (
 // strings, multi-key operations are issued as pipelines of scalar
 // commands (k commands written, one flush, k replies read in order), so a
 // batch of size k exercises exactly pipeline depth k on the server. A
-// Client is NOT safe for concurrent use; the net workload target keeps a
-// pool of them.
+// Client is NOT safe for concurrent use; concurrent callers dial one
+// each.
 //
 // Wire protocol errors are reported by panicking: the client exists for
 // the benchmark and test harnesses, where a malformed reply is a bug to
@@ -374,14 +374,6 @@ func (c *Client) Del(key uint64) (uint64, bool) {
 	return 0, present
 }
 
-// Insert emulates insert-if-absent over the upsert wire SET: it reports
-// true when the key was fresh. Unlike a true Insert it overwrites an
-// existing value, so it is only suitable for idempotent seeding.
-func (c *Client) Insert(key, val uint64) bool {
-	_, replaced := c.Set(key, val)
-	return !replaced
-}
-
 // MGet fetches a batch of keys — pipelined GETs by default, true MGET
 // frames in multibulk mode — filling vals and found like store.Store.MGet.
 func (c *Client) MGet(keys, vals []uint64, found []bool) {
@@ -517,19 +509,6 @@ func (c *Client) Ping() (ok bool) {
 		ok = kind == '+' && string(payload) == "PONG"
 	})
 	return
-}
-
-// Buckets returns the server index's current bucket total (via STATS).
-func (c *Client) Buckets() int { return int(c.Stats()["buckets"]) }
-
-// Resizes returns the server index's lifetime resize count (via STATS).
-func (c *Client) Resizes() int { return int(c.Stats()["resizes"]) }
-
-// ReclaimStats returns the server index's chain-node reclamation
-// counters (via STATS).
-func (c *Client) ReclaimStats() (retired, reclaimed, reused uint64) {
-	s := c.Stats()
-	return uint64(s["nodes_retired"]), uint64(s["nodes_reclaimed"]), uint64(s["nodes_reused"])
 }
 
 // readBulkUint reads a bulk reply that must hold a decimal uint64.

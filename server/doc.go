@@ -17,8 +17,9 @@
 // concurrency in the first place.
 //
 // The package also ships a Client: a single-connection, allocation-lean
-// load-generation client whose multi-key operations are pipelines of
-// scalar commands. cmd/optik-server wraps Server in a binary;
-// cmd/optik-bench's -net flag drives a server over loopback with the same
-// workload mix as the in-process figures.
+// client for tests and benchmarks whose multi-key operations are
+// pipelines of scalar commands (or, with SetMultibulk, true MGET/MSET/MDEL
+// frames). cmd/optik-server wraps Server in a binary; the repository's
+// bench/ module drives it over loopback to judge the served system, and
+// BenchmarkPipeline measures the wire path per key at fixed depths.
 package server

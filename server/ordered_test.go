@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -165,8 +166,9 @@ func TestOrderedServerScanPrefix(t *testing.T) {
 }
 
 // TestOrderedServerInvalidKey pins the soft-error contract: a
-// non-decimal key answers -ERR for that request only, in arrival order,
-// with the connection and any staged run intact.
+// non-decimal key, or either sentinel (0, 2^64-1 — ds.CheckKey panics on
+// both), answers -ERR for that request only, in arrival order, with the
+// connection and any staged run intact.
 func TestOrderedServerInvalidKey(t *testing.T) {
 	_, c := startOrdered(t)
 	c.Set(5, 55)
@@ -187,6 +189,26 @@ func TestOrderedServerInvalidKey(t *testing.T) {
 	}
 	if v, ok := c.readValue(); !ok || v != 55 {
 		t.Fatalf("third GET = %d,%v (connection broken by soft error?)", v, ok)
+	}
+	// The sentinels, as the key of every single-key command and inside a
+	// pipelined MGET (behind a staged read run) and MSET (behind a staged
+	// write run): each request draws its own error, its neighbors answer
+	// normally, and the rejected MSET stored nothing (7 stays absent).
+	const bad = "-ERR invalid key\r\n"
+	for i, s := range []string{"0", "18446744073709551615"} {
+		send := fmt.Sprintf("GET %[1]s\r\nSET %[1]s 1\r\nDEL %[1]s\r\nSETEX %[1]s 10 v\r\n"+
+			"EXPIRE %[1]s 10\r\nTTL %[1]s\r\nPERSIST %[1]s\r\n"+
+			"GET 5\r\nMGET 5 %[1]s\r\nGET 5\r\n"+
+			"SET 6 60\r\nMSET 7 70 %[1]s 1\r\nMGET 6 7\r\n", s)
+		want := strings.Repeat(bad, 7) +
+			"$2\r\n55\r\n" + bad + "$2\r\n55\r\n" +
+			fmt.Sprintf(":%d\r\n", i) + bad + "*2\r\n$2\r\n60\r\n$-1\r\n"
+		fmt.Fprint(c.w, send)
+		c.w.Flush()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(c.r, got); err != nil || string(got) != want {
+			t.Fatalf("sentinel %s:\n got %q, %v\nwant %q", s, got, err, want)
+		}
 	}
 	// The connection keeps working through the client helpers too.
 	if !c.Ping() {

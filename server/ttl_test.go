@@ -188,15 +188,21 @@ func statsFieldNames(t *testing.T, addr string) []string {
 	return names
 }
 
-// documentedStatsFields parses the backticked field list out of
-// docs/PROTOCOL.md: the paragraph that opens "`STATS` fields (…):".
-func documentedStatsFields(t *testing.T) []string {
+// protocolDoc returns docs/PROTOCOL.md.
+func protocolDoc(t *testing.T) string {
 	t.Helper()
 	doc, err := os.ReadFile("../docs/PROTOCOL.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rest, ok := strings.Cut(string(doc), "\n`STATS` fields (")
+	return string(doc)
+}
+
+// documentedStatsFields parses the backticked field list out of
+// docs/PROTOCOL.md: the paragraph that opens "`STATS` fields (…):".
+func documentedStatsFields(t *testing.T) []string {
+	t.Helper()
+	_, rest, ok := strings.Cut(protocolDoc(t), "\n`STATS` fields (")
 	if !ok {
 		t.Fatal("docs/PROTOCOL.md has no \"`STATS` fields (\" paragraph")
 	}
@@ -238,6 +244,72 @@ func TestServerStatsFields(t *testing.T) {
 				t.Errorf("STATS carries %d ordered lines, want %d", ordered, want)
 			}
 		})
+	}
+}
+
+// documentedCommands returns the command word of every row of the
+// docs/PROTOCOL.md table under heading, in table order.
+func documentedCommands(t *testing.T, heading string) []string {
+	t.Helper()
+	_, rest, ok := strings.Cut(protocolDoc(t), "\n"+heading+"\n")
+	if !ok {
+		t.Fatalf("docs/PROTOCOL.md has no %q heading", heading)
+	}
+	section, _, _ := strings.Cut(rest, "\n#")
+	var cmds []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([A-Z]+)").FindAllStringSubmatch(section, -1) {
+		cmds = append(cmds, m[1])
+	}
+	return cmds
+}
+
+// TestProtocolCommandTables holds docs/PROTOCOL.md's two command tables and
+// the dispatcher to each other: the commands the tables document are
+// exactly the cmdEq(cmd, …) names in server.go, and each documented command,
+// sent with no arguments to the server whose table lists it, draws
+// something other than "unknown command". A command added to or deleted
+// from either side alone fails here.
+func TestProtocolCommandTables(t *testing.T) {
+	hashCmds := documentedCommands(t, "## Commands")
+	orderedCmds := documentedCommands(t, "### Ordered commands")
+	src, err := os.ReadFile("server.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dispatched []string
+	for _, m := range regexp.MustCompile(`cmdEq\(cmd, "([A-Z]+)"\)`).FindAllStringSubmatch(string(src), -1) {
+		dispatched = append(dispatched, m[1])
+	}
+	documented := slices.Concat(hashCmds, orderedCmds)
+	slices.Sort(documented)
+	slices.Sort(dispatched)
+	if dispatched = slices.Compact(dispatched); !slices.Equal(documented, dispatched) {
+		t.Errorf("docs/PROTOCOL.md's command tables and server.go's dispatcher disagree:\n documented: %v\n dispatched: %v", documented, dispatched)
+	}
+
+	for _, srv := range []struct {
+		ordered bool
+		cmds    []string
+	}{{false, hashCmds}, {true, orderedCmds}} {
+		_, addr := startTTLServer(t, srv.ordered)
+		conn, r := dialRaw(t, addr)
+		var send strings.Builder
+		for _, cmd := range srv.cmds {
+			if cmd != "QUIT" {
+				send.WriteString(cmd + "\r\n")
+			}
+		}
+		send.WriteString("QUIT\r\n")
+		if _, err := conn.Write([]byte(send.String())); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		replies, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if strings.Contains(string(replies), "unknown command") || !strings.HasSuffix(string(replies), "+OK\r\n") {
+			t.Errorf("ordered=%v: %q drew %q", srv.ordered, send.String(), replies)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/internal/core"
 )
 
@@ -159,6 +160,22 @@ func TestHashKeyBytesMatches(t *testing.T) {
 	}
 	if HashKey("") == 0 {
 		t.Fatal("sentinel clamp missing")
+	}
+}
+
+// TestClampHashFoldsSentinels pins the hash server's key path clear of
+// ds.CheckKey's panic: a wire key whose hash lands on either sentinel
+// (0, 2^64-1) is folded to a legal key; every legal hash passes through.
+func TestClampHashFoldsSentinels(t *testing.T) {
+	for _, h := range []uint64{0, math.MaxUint64} {
+		if k := clampHash(h); k < ds.MinKey || k > ds.MaxKey {
+			t.Errorf("clampHash(%d) = %d, outside [%d, %d]", h, k, ds.MinKey, ds.MaxKey)
+		}
+	}
+	for _, h := range []uint64{ds.MinKey, 42, ds.MaxKey} {
+		if k := clampHash(h); k != h {
+			t.Errorf("clampHash(%d) = %d, want the legal key unchanged", h, k)
+		}
 	}
 }
 
