@@ -381,7 +381,7 @@ func BenchmarkStore(b *testing.B) {
 					res = workload.RunServer(workload.ServerConfig{
 						Threads: threads, Duration: benchDuration, InitialSize: initial,
 						SetPct: 8, DelPct: 2, BatchPct: mode.batchPct, BatchSize: 16,
-					}, func() *store.Store {
+					}, func() *store.Store[uint64] {
 						return store.New(store.WithShards(shards), store.WithShardBuckets(perShard))
 					})
 				}

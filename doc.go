@@ -54,21 +54,22 @@
 //
 // The store package composes the pieces into a servable system, as one
 // stack: a shard contract (point ops, per-shard batches, conditional
-// delete, maintenance) satisfied by the Resizable table and by the OPTIK
-// skip list; a router that is data (shard = min((key·mul)>>shift, last):
-// the Fibonacci multiplier hashes, mul = 1 range-partitions); one index
-// core over them (store.Store — upsert Set semantics, batched
-// MGet/MSet/MDel that visit each touched shard once through a pooled
-// scratch, aggregated statistics, the whole fleet serviced by one shared
-// Scheduler), which store.Ordered specializes only by carrying
+// delete and replace, sampling and sweeping, maintenance) satisfied by
+// the Resizable table and by the OPTIK skip list; a router that is data
+// (shard = min((key·mul)>>shift, last): the Fibonacci multiplier hashes,
+// mul = 1 range-partitions); one index core over them (store.Store —
+// upsert Set semantics, batched MGet/MSet/MDel that visit each touched
+// shard once through a pooled scratch, aggregated statistics, the whole
+// fleet serviced by one shared Scheduler), which store.Ordered
+// specializes only by carrying
 // Scan/Min/Max over sorted shards; and one string layer (store.Strings —
-// a chunked atomic-handle arena whose reads validate a pair's hash
-// against slot recycling, the OPTIK move lifted to the value layer, with
-// per-entry TTL and byte-budget eviction), which store.SortedStrings
-// specializes the same way. The server package puts that store on the
-// network:
-// a RESP-flavored pipelined TCP protocol served by cmd/optik-server and
-// measured end to end by the repository's bench/ module.
+// the index's value word is each immutable value object itself, so a
+// read is one hop from key to value and the index's own validation is
+// the only one, with per-entry TTL and byte-budget eviction), which
+// store.SortedStrings specializes the same way. The server package puts
+// that store on the network: a RESP-flavored pipelined TCP protocol
+// served by cmd/optik-server and measured end to end by the
+// repository's bench/ module.
 // docs/ARCHITECTURE.md in the repository walks the full stack and
 // tabulates, layer by layer, what is validated optimistically versus
 // what is locked; docs/PROTOCOL.md specifies the wire format.

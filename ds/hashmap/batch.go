@@ -13,7 +13,7 @@ import "github.com/optik-go/optik/ds"
 
 // SearchBatch looks up every keys[i], storing the value into vals[i] and
 // presence into found[i]. vals and found must be at least len(keys) long.
-func (r *Resizable) SearchBatch(keys, vals []uint64, found []bool) {
+func (r *Resizable[V]) SearchBatch(keys []uint64, vals []V, found []bool) {
 	for i, k := range keys {
 		vals[i], found[i] = r.Search(k)
 	}
@@ -22,7 +22,7 @@ func (r *Resizable) SearchBatch(keys, vals []uint64, found []bool) {
 // UpsertBatch applies Upsert(keys[i], vals[i]) for every i under one
 // reclamation handle and returns how many keys were newly inserted (the
 // rest replaced existing values).
-func (r *Resizable) UpsertBatch(keys, vals []uint64) int {
+func (r *Resizable[V]) UpsertBatch(keys []uint64, vals []V) int {
 	for _, k := range keys {
 		ds.CheckKey(k)
 	}
@@ -41,11 +41,11 @@ func (r *Resizable) UpsertBatch(keys, vals []uint64) int {
 // UpsertBatchEach is UpsertBatch with per-key results: old[i] receives
 // the value keys[i] replaced and replaced[i] whether one existed. The
 // sharded store's value layer needs the per-key outcomes — every
-// replaced handle is a value slot it must recycle — and the network
+// replaced value is one whose bytes it must credit back — and the network
 // server needs them to frame one reply per pipelined SET. old and
 // replaced must be at least len(keys) long. Keys are applied in order,
 // so duplicates within a batch behave exactly as sequential Upserts.
-func (r *Resizable) UpsertBatchEach(keys, vals, old []uint64, replaced []bool) int {
+func (r *Resizable[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int {
 	for _, k := range keys {
 		ds.CheckKey(k)
 	}
@@ -64,7 +64,7 @@ func (r *Resizable) UpsertBatchEach(keys, vals, old []uint64, replaced []bool) i
 
 // DeleteBatch deletes every key under one reclamation handle and returns
 // how many were present.
-func (r *Resizable) DeleteBatch(keys []uint64) int {
+func (r *Resizable[V]) DeleteBatch(keys []uint64) int {
 	for _, k := range keys {
 		ds.CheckKey(k)
 	}
@@ -72,8 +72,9 @@ func (r *Resizable) DeleteBatch(keys []uint64) int {
 	defer rc.Release()
 	r.help(&rc)
 	deleted := 0
+	var zero V
 	for _, k := range keys {
-		if _, ok := r.delete(&rc, k); ok {
+		if _, ok := r.delete(&rc, k, false, zero); ok {
 			deleted++
 		}
 	}
@@ -85,7 +86,7 @@ func (r *Resizable) DeleteBatch(keys []uint64) int {
 // reclamation handle. old and found must be at least len(keys) long.
 // Keys are applied in order, so a duplicate deletes once and then
 // misses, exactly as sequential Deletes would.
-func (r *Resizable) DeleteBatchEach(keys, old []uint64, found []bool) int {
+func (r *Resizable[V]) DeleteBatchEach(keys []uint64, old []V, found []bool) int {
 	for _, k := range keys {
 		ds.CheckKey(k)
 	}
@@ -93,8 +94,9 @@ func (r *Resizable) DeleteBatchEach(keys, old []uint64, found []bool) int {
 	defer rc.Release()
 	r.help(&rc)
 	deleted := 0
+	var zero V
 	for i, k := range keys {
-		old[i], found[i] = r.delete(&rc, k)
+		old[i], found[i] = r.delete(&rc, k, false, zero)
 		if found[i] {
 			deleted++
 		}

@@ -41,10 +41,11 @@ type reclaimer = qsbr.Reclaimer
 // one is available, freshly allocated otherwise. The caller owns the node
 // until it links it; stale readers from the node's previous life may
 // still scan it, which is why the caller must store key/val/next through
-// the atomics before linking.
-func allocNode(rc *reclaimer) *node {
+// the atomics before linking. A recycled node arrives with its value word
+// already cleared (node.Clear), so a free list pins no values.
+func allocNode[V any](rc *reclaimer) *node[V] {
 	if v := rc.Alloc(); v != nil {
-		return v.(*node)
+		return v.(*node[V])
 	}
-	return new(node)
+	return new(node[V])
 }

@@ -6,13 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"github.com/optik-go/optik/internal/core"
 	"github.com/optik-go/optik/internal/rng"
 )
 
 // chainKeys brute-forces keys that all hash into one bucket of t, in
 // ascending order (so the first inlinePairs inserted land in the inline
 // prefix and the rest spill to the overflow chain).
-func chainKeys(t *rtable, n int) []uint64 {
+func chainKeys[V any](t *rtable[V], n int) []uint64 {
 	byBucket := map[int][]uint64{}
 	for k := uint64(1); ; k++ {
 		i := t.index(k)
@@ -45,7 +46,7 @@ func TestResizableChainHitValidates(t *testing.T) {
 	}
 	target := keys[len(keys)-1] // inserted last: in the overflow chain
 	b := &rt.buckets[rt.index(target)]
-	var nd *node
+	var nd *node[uint64]
 	for cur := b.head.Load(); cur != nil; cur = cur.next.Load() {
 		if cur.key.Load() == target {
 			nd = cur
@@ -70,7 +71,7 @@ func TestResizableChainHitValidates(t *testing.T) {
 		// The recycle: what put does when the free list hands the node to
 		// an insert of a different key.
 		nd.key.Store(keys[0])
-		nd.val.Store(424242)
+		core.StoreWord(&nd.val, 424242)
 	}
 	defer func() { testHookChainHit = nil }()
 

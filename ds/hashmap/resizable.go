@@ -78,8 +78,8 @@ import (
 //
 // The size counter also changes Len from an O(n) traversal to an O(shards)
 // sum, independent of the element count.
-type Resizable struct {
-	root  atomic.Pointer[rtable]
+type Resizable[V comparable] struct {
+	root  atomic.Pointer[rtable[V]]
 	count *core.Striped
 	// pool hands out qsbr reclamation handles to whatever goroutines the
 	// writes arrive on; see reclaim.go.
@@ -91,24 +91,18 @@ type Resizable struct {
 	resizes atomic.Int64
 }
 
-var _ ds.Set = (*Resizable)(nil)
+var _ ds.Set = (*Resizable[uint64])(nil)
 
 // rtable is one slab in the resize chain. mask is len(buckets)-1 (bucket
 // counts are powers of two); cursor hands out buckets to migrate and
 // migrated counts the ones fully forwarded.
-type rtable struct {
-	buckets  []bucket
+type rtable[V any] struct {
+	buckets  []bucket[V]
 	mask     uint64
-	next     atomic.Pointer[rtable]
+	next     atomic.Pointer[rtable[V]]
 	cursor   atomic.Int64
 	migrated atomic.Int64
 }
-
-// forwarded is the sentinel a migrated bucket's head points at, forever.
-// Like the deleted-node locks of the OPTIK lists, the permanence is the
-// point: any operation that meets it knows the bucket's contents live in
-// the next slab, with no instant at which the bucket looks merely empty.
-var forwarded node
 
 // maxLoad is the load factor (elements per bucket) beyond which the table
 // doubles; 2 keeps the expected bucket population within the inline
@@ -149,9 +143,15 @@ const chainGuardMask = 16 - 1
 // validation test uses it to stage that interleaving deterministically.
 var testHookChainHit func()
 
-// NewResizable returns a growing table with at least nbuckets buckets
-// (rounded up to a power of two).
-func NewResizable(nbuckets int) *Resizable {
+// NewResizable returns a growing table of uint64 values with at least
+// nbuckets buckets (rounded up to a power of two).
+func NewResizable(nbuckets int) *Resizable[uint64] { return NewResizableOf[uint64](nbuckets) }
+
+// NewResizableOf is NewResizable for any value word V: uint64, or a
+// pointer the table then holds for the garbage collector (the string
+// layer's pairs). Any other V panics.
+func NewResizableOf[V comparable](nbuckets int) *Resizable[V] {
+	core.CheckWord[V]()
 	if nbuckets <= 0 {
 		panic("hashmap: nbuckets must be positive")
 	}
@@ -159,23 +159,23 @@ func NewResizable(nbuckets int) *Resizable {
 	for n < nbuckets {
 		n <<= 1
 	}
-	r := &Resizable{
+	r := &Resizable[V]{
 		count: core.NewStriped(0),
 		pool:  qsbr.NewPool(qsbr.NewDomain(), 0),
 		floor: n,
 	}
-	r.root.Store(newRTable(n))
+	r.root.Store(newRTable[V](n))
 	return r
 }
 
-func newRTable(nbuckets int) *rtable {
-	return &rtable{buckets: newBucketSlab(nbuckets), mask: uint64(nbuckets - 1)}
+func newRTable[V any](nbuckets int) *rtable[V] {
+	return &rtable[V]{buckets: newBucketSlab[V](nbuckets), mask: uint64(nbuckets - 1)}
 }
 
 // index spreads keys with a Fibonacci multiplicative hash. The fixed
 // tables use key mod nbuckets, mirroring the paper; a power-of-two mask
 // needs the multiply so dense key ranges don't collapse onto low bits.
-func (t *rtable) index(key uint64) int {
+func (t *rtable[V]) index(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15 >> 32) & t.mask)
 }
 
@@ -188,7 +188,7 @@ func (t *rtable) index(key uint64) int {
 // proves it was not (any retirement is a critical section on this
 // bucket). The chain walk itself re-validates every chainGuard hops so a
 // scan over recycled nodes cannot chase mutating pointers forever.
-func (r *Resizable) Search(key uint64) (uint64, bool) {
+func (r *Resizable[V]) Search(key uint64) (V, bool) {
 	ds.CheckKey(key)
 	t := r.root.Load()
 	for {
@@ -196,13 +196,13 @@ func (r *Resizable) Search(key uint64) (uint64, bool) {
 	restart:
 		vn := b.lock.GetVersionWait()
 		head := b.head.Load()
-		if head == &forwarded {
+		if head == forwardedNode[V]() {
 			t = t.next.Load()
 			continue
 		}
 		for i := range b.inline {
 			if b.inline[i].key.Load() == key {
-				val := b.inline[i].val.Load()
+				val := core.LoadWord(&b.inline[i].val)
 				if b.lock.GetVersion().Same(vn) {
 					return val, true
 				}
@@ -219,7 +219,7 @@ func (r *Resizable) Search(key uint64) (uint64, bool) {
 				if h := testHookChainHit; h != nil {
 					h()
 				}
-				val := cur.val.Load()
+				val := core.LoadWord(&cur.val)
 				if b.lock.GetVersion().Same(vn) {
 					return val, true
 				}
@@ -230,7 +230,8 @@ func (r *Resizable) Search(key uint64) (uint64, bool) {
 			}
 		}
 		if b.lock.GetVersion().Same(vn) {
-			return 0, false
+			var zero V
+			return zero, false
 		}
 		goto restart
 	}
@@ -241,7 +242,7 @@ func (r *Resizable) Search(key uint64) (uint64, bool) {
 // TryLockVersion CAS, then bumps the size counter and, when thresholds
 // say so, starts or helps a resize. Chain nodes come from the table's
 // qsbr free list when a retired one is available.
-func (r *Resizable) Insert(key, val uint64) bool {
+func (r *Resizable[V]) Insert(key uint64, val V) bool {
 	ds.CheckKey(key)
 	rc := reclaimer{Pool: r.pool}
 	defer rc.Release()
@@ -252,7 +253,7 @@ func (r *Resizable) Insert(key, val uint64) bool {
 // insert is Insert's body with the reclamation handle supplied by the
 // caller, so batch entry points (batch.go) amortize one handle over many
 // operations.
-func (r *Resizable) insert(rc *reclaimer, key, val uint64) bool {
+func (r *Resizable[V]) insert(rc *reclaimer, key uint64, val V) bool {
 	t := r.root.Load()
 	var bo backoff.Backoff
 	spilled := false
@@ -261,7 +262,7 @@ retry:
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersion()
 		head := b.head.Load()
-		if head == &forwarded {
+		if head == forwardedNode[V]() {
 			t = t.next.Load()
 			continue
 		}
@@ -280,7 +281,7 @@ retry:
 		if dup {
 			return false // infeasible: no locking at all
 		}
-		var pred *node
+		var pred *node[V]
 		cur := head
 		for hops := 0; cur != nil && cur.key.Load() < key; {
 			pred, cur = cur, cur.next.Load()
@@ -316,7 +317,7 @@ retry:
 // the old value or restart into the new one. An in-place replacement
 // moves no thresholds (the element count is unchanged) but still counts
 // as an operation for the maintenance scheduler's activity signal.
-func (r *Resizable) Upsert(key, val uint64) (uint64, bool) {
+func (r *Resizable[V]) Upsert(key uint64, val V) (V, bool) {
 	ds.CheckKey(key)
 	rc := reclaimer{Pool: r.pool}
 	defer rc.Release()
@@ -325,7 +326,7 @@ func (r *Resizable) Upsert(key, val uint64) (uint64, bool) {
 }
 
 // upsert is Upsert's body with a caller-supplied reclamation handle.
-func (r *Resizable) upsert(rc *reclaimer, key, val uint64) (uint64, bool) {
+func (r *Resizable[V]) upsert(rc *reclaimer, key uint64, val V) (V, bool) {
 	t := r.root.Load()
 	var bo backoff.Backoff
 retry:
@@ -333,89 +334,104 @@ retry:
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersion()
 		head := b.head.Load()
-		if head == &forwarded {
+		if head == forwardedNode[V]() {
 			t = t.next.Load()
 			continue
 		}
+		var w *core.Word[V] // key's value word, when key is present
 		free := -1
-		slot := -1
 		for i := range b.inline {
 			switch b.inline[i].key.Load() {
 			case key:
-				slot = i
+				w = &b.inline[i].val
 			case 0:
 				if free < 0 {
 					free = i
 				}
 			}
 		}
-		if slot >= 0 {
-			if !b.lock.TryLockVersion(vn) {
-				bo.Wait()
-				continue
+		var pred, cur *node[V]
+		if w == nil {
+			cur = head
+			for hops := 0; cur != nil && cur.key.Load() < key; {
+				pred, cur = cur, cur.next.Load()
+				if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
+					continue retry
+				}
 			}
-			// Validated: the slot still holds key, so the value is its.
-			old := b.inline[slot].val.Load()
-			b.inline[slot].val.Store(val)
-			b.lock.Unlock()
-			r.noteUpdate(key)
-			return old, true
-		}
-		var pred *node
-		cur := head
-		for hops := 0; cur != nil && cur.key.Load() < key; {
-			pred, cur = cur, cur.next.Load()
-			if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-				continue retry
+			if cur != nil && cur.key.Load() == key {
+				w = &cur.val
 			}
-		}
-		if cur != nil && cur.key.Load() == key {
-			if !b.lock.TryLockVersion(vn) {
-				bo.Wait()
-				continue
-			}
-			old := cur.val.Load()
-			cur.val.Store(val)
-			b.lock.Unlock()
-			r.noteUpdate(key)
-			return old, true
 		}
 		if !b.lock.TryLockVersion(vn) {
 			bo.Wait()
 			continue
+		}
+		if w != nil {
+			// Validated: the slot or node still holds key, so the value is its.
+			old := core.LoadWord(w)
+			core.StoreWord(w, val)
+			b.lock.Unlock()
+			r.noteUpdate(key)
+			return old, true
 		}
 		b.put(key, val, free, pred, cur, rc)
 		b.lock.Unlock()
 		if c := r.count.AddOp(key, 1); free < 0 || c&growthCheckMask == 0 {
 			r.maybeGrow()
 		}
-		return 0, false
+		var zero V
+		return zero, false
 	}
 }
 
 // Delete removes key, returning its value, if present. A validated miss
-// returns without locking; a hit validates-and-locks in one CAS. An
-// unlinked chain node is retired to the qsbr free list — its value is
-// read inside the critical section, never after, because retirement makes
-// the node eligible for recycling the moment the version bump publishes.
-func (r *Resizable) Delete(key uint64) (uint64, bool) {
+// returns without locking; a hit validates-and-locks in one CAS. The
+// entry's value word is cleared as it leaves: an inline slot's inside the
+// critical section, an unlinked chain node's when qsbr moves it to a free
+// list (its value is read inside the critical section, never after,
+// because retirement makes the node eligible for recycling the moment the
+// version bump publishes).
+func (r *Resizable[V]) Delete(key uint64) (V, bool) {
 	ds.CheckKey(key)
 	rc := reclaimer{Pool: r.pool}
 	defer rc.Release()
 	r.help(&rc)
-	return r.delete(&rc, key)
+	var zero V
+	return r.delete(&rc, key, false, zero)
 }
 
-// delete is Delete's body with a caller-supplied reclamation handle.
-func (r *Resizable) delete(rc *reclaimer, key uint64) (uint64, bool) {
+// DeleteIfValue removes key only while it still maps to exactly val,
+// reporting whether it did. The value check runs while the bucket's OPTIK
+// lock is held; a mismatch releases it with Revert (no version bump, so
+// concurrent readers' snapshots stay valid — nothing changed). This is the
+// conditional delete a layer above needs to retire an entry it sampled
+// without a lock: for a pointer word the check is identity, and a layer
+// that never stores the same pointer twice (store.Strings builds a fresh
+// pair for every write) knows a passing check means the entry is still
+// the one it judged expired or idle — a successor that replaced it, or
+// re-inserted the key after a delete, holds another pointer.
+func (r *Resizable[V]) DeleteIfValue(key uint64, val V) bool {
+	ds.CheckKey(key)
+	rc := reclaimer{Pool: r.pool}
+	defer rc.Release()
+	r.help(&rc)
+	_, ok := r.delete(&rc, key, true, val)
+	return ok
+}
+
+// delete is the body of Delete and, with match set, of DeleteIfValue: the
+// hit is removed only if its value is want.
+func (r *Resizable[V]) delete(rc *reclaimer, key uint64, match bool, want V) (V, bool) {
 	t := r.root.Load()
 	var bo backoff.Backoff
+	var zero V
 retry:
 	for {
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersionWait()
 		head := b.head.Load()
-		if head == &forwarded {
+		if head == forwardedNode[V]() {
 			t = t.next.Load()
 			continue
 		}
@@ -432,13 +448,19 @@ retry:
 				continue
 			}
 			// Validated: the slot still holds key, so the value is its.
-			val := b.inline[slot].val.Load()
-			b.inline[slot].key.Store(0)
+			s := &b.inline[slot]
+			val := core.LoadWord(&s.val)
+			if match && val != want {
+				b.lock.Revert()
+				return zero, false
+			}
+			s.key.Store(0)
+			core.ClearWord(&s.val)
 			b.lock.Unlock()
 			r.noteDelete(key)
 			return val, true
 		}
-		var pred *node
+		var pred *node[V]
 		cur := head
 		for hops := 0; cur != nil && cur.key.Load() < key; {
 			pred, cur = cur, cur.next.Load()
@@ -448,7 +470,7 @@ retry:
 		}
 		if cur == nil || cur.key.Load() != key {
 			if b.lock.GetVersion().Same(vn) {
-				return 0, false
+				return zero, false
 			}
 			continue
 		}
@@ -456,12 +478,12 @@ retry:
 			bo.Wait()
 			continue
 		}
-		val := cur.val.Load()
-		if pred == nil {
-			b.head.Store(cur.next.Load())
-		} else {
-			pred.next.Store(cur.next.Load())
+		val := core.LoadWord(&cur.val)
+		if match && val != want {
+			b.lock.Revert()
+			return zero, false
 		}
+		b.unlinkNode(pred, cur)
 		b.lock.Unlock()
 		rc.Retire(cur)
 		r.noteDelete(key)
@@ -469,29 +491,13 @@ retry:
 	}
 }
 
-// DeleteIfValue removes key only while it still maps to val, reporting
-// whether it did. confirm, when non-nil, runs while the bucket's OPTIK
-// lock is held after the value check passes; returning false aborts the
-// removal with the lock Reverted (no version bump, so concurrent readers'
-// snapshots stay valid — nothing changed). This is the conditional-delete
-// primitive a layer above needs to retire an entry it sampled without a
-// lock: the value check proves the mapping is the one it saw, and the
-// confirm hook lets it re-validate its own state (store.Strings checks
-// the value slot still holds the pair it judged expired or idle) at a
-// point where no concurrent delete/re-insert can be in flight for this
-// key — both would need this bucket's lock.
-func (r *Resizable) DeleteIfValue(key, val uint64, confirm func() bool) bool {
+// ReplaceIfValue swaps key's value from exactly old to new, reporting
+// whether it did — DeleteIfValue's sibling, under the same lock and with
+// the same identity argument: store.Strings re-arms or clears a TTL by
+// building a new pair and swapping it in only over the pair it read. A
+// mismatch or a missing key changes nothing.
+func (r *Resizable[V]) ReplaceIfValue(key uint64, old, new V) bool {
 	ds.CheckKey(key)
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
-	r.help(&rc)
-	return r.deleteIfValue(&rc, key, val, confirm)
-}
-
-// deleteIfValue is DeleteIfValue's body with a caller-supplied reclamation
-// handle; the shape is delete's, plus the value/confirm checks inside the
-// critical section.
-func (r *Resizable) deleteIfValue(rc *reclaimer, key, val uint64, confirm func() bool) bool {
 	t := r.root.Load()
 	var bo backoff.Backoff
 retry:
@@ -499,62 +505,44 @@ retry:
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersionWait()
 		head := b.head.Load()
-		if head == &forwarded {
+		if head == forwardedNode[V]() {
 			t = t.next.Load()
 			continue
 		}
-		slot := -1
+		var w *core.Word[V] // key's value word, when key is present
 		for i := range b.inline {
 			if b.inline[i].key.Load() == key {
-				slot = i
+				w = &b.inline[i].val
 				break
 			}
 		}
-		if slot >= 0 {
-			if !b.lock.TryLockVersion(vn) {
-				bo.Wait()
+		if w == nil {
+			cur := head
+			for hops := 0; cur != nil && cur.key.Load() < key; {
+				cur = cur.next.Load()
+				if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
+					continue retry
+				}
+			}
+			if cur == nil || cur.key.Load() != key {
+				if b.lock.GetVersion().Same(vn) {
+					return false
+				}
 				continue
 			}
-			// Validated: the slot still holds key, so the value is its.
-			if b.inline[slot].val.Load() != val || (confirm != nil && !confirm()) {
-				b.lock.Revert()
-				return false
-			}
-			b.inline[slot].key.Store(0)
-			b.lock.Unlock()
-			r.noteDelete(key)
-			return true
-		}
-		var pred *node
-		cur := head
-		for hops := 0; cur != nil && cur.key.Load() < key; {
-			pred, cur = cur, cur.next.Load()
-			if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-				continue retry
-			}
-		}
-		if cur == nil || cur.key.Load() != key {
-			if b.lock.GetVersion().Same(vn) {
-				return false
-			}
-			continue
+			w = &cur.val
 		}
 		if !b.lock.TryLockVersion(vn) {
 			bo.Wait()
 			continue
 		}
-		if cur.val.Load() != val || (confirm != nil && !confirm()) {
+		if core.LoadWord(w) != old {
 			b.lock.Revert()
 			return false
 		}
-		if pred == nil {
-			b.head.Store(cur.next.Load())
-		} else {
-			pred.next.Store(cur.next.Load())
-		}
+		core.StoreWord(w, new)
 		b.lock.Unlock()
-		rc.Retire(cur)
-		r.noteDelete(key)
+		r.noteUpdate(key)
 		return true
 	}
 }
@@ -564,7 +552,7 @@ retry:
 // The check fires when the cell's op count crosses a multiple of 64 —
 // deterministic progress even when inserts and deletes balance and the net
 // cell value stands still.
-func (r *Resizable) noteDelete(key uint64) {
+func (r *Resizable[V]) noteDelete(key uint64) {
 	if c := r.count.AddOp(key, -1); c&growthCheckMask == 0 {
 		r.maybeShrink()
 	}
@@ -573,7 +561,7 @@ func (r *Resizable) noteDelete(key uint64) {
 // noteUpdate records an in-place value replacement: one operation with no
 // net element effect. It exists for the maintenance scheduler's activity
 // signal — no threshold can have moved, so there is nothing to check.
-func (r *Resizable) noteUpdate(key uint64) {
+func (r *Resizable[V]) noteUpdate(key uint64) {
 	r.count.AddOp(key, 0)
 }
 
@@ -583,7 +571,7 @@ func (r *Resizable) noteUpdate(key uint64) {
 // at zero: a reader can catch a delete's decrement before the matching
 // insert's increment and see a transiently negative total, which must not
 // leak out as a negative (or, through int truncation, enormous) length.
-func (r *Resizable) Len() int {
+func (r *Resizable[V]) Len() int {
 	if n := r.count.Net(); n > 0 {
 		return int(n)
 	}
@@ -592,19 +580,19 @@ func (r *Resizable) Len() int {
 
 // Buckets returns the current root slab's bucket count (racy; for tests
 // and monitoring).
-func (r *Resizable) Buckets() int { return len(r.root.Load().buckets) }
+func (r *Resizable[V]) Buckets() int { return len(r.root.Load().buckets) }
 
 // Resizes returns how many resizes (grows and shrinks alike) the table has
 // started over its lifetime (racy; for tests and monitoring — the flapping
 // tests assert this stays bounded under threshold oscillation).
-func (r *Resizable) Resizes() int { return int(r.resizes.Load()) }
+func (r *Resizable[V]) Resizes() int { return int(r.resizes.Load()) }
 
 // ReclaimStats reports the table's lifetime chain-node reclamation
 // counters — retired (unlinked and handed to qsbr), reclaimed (moved to a
 // free list once no announcement blocked them) and reused (handed back
 // out by an allocation). Racy snapshot; for monitoring and the
 // allocation-regression tests.
-func (r *Resizable) ReclaimStats() (retired, reclaimed, reused uint64) {
+func (r *Resizable[V]) ReclaimStats() (retired, reclaimed, reused uint64) {
 	return r.pool.Domain().Stats()
 }
 
@@ -619,7 +607,7 @@ func (r *Resizable) ReclaimStats() (retired, reclaimed, reused uint64) {
 // states into a false idle verdict — safe per the Maintainer contract
 // (quiescing is merely unnecessary work) and requiring an exact 64-bit
 // collision between consecutive samples.
-func (r *Resizable) ActivitySample() uint64 {
+func (r *Resizable[V]) ActivitySample() uint64 {
 	t := r.root.Load()
 	h := uint64(uintptr(unsafe.Pointer(t)))
 	h = (h ^ uint64(t.cursor.Load())) * 0x9E3779B97F4A7C15
@@ -631,7 +619,7 @@ func (r *Resizable) ActivitySample() uint64 {
 // table nothing touched since the last sample — quiesce any migration
 // home (cancellably) and sweep the reclamation pool so retirements below
 // the release batch threshold still reach the free lists.
-func (r *Resizable) MaintainIdle(cancel <-chan struct{}) {
+func (r *Resizable[V]) MaintainIdle(cancel <-chan struct{}) {
 	r.quiesce(cancel)
 	r.pool.Sweep()
 }
@@ -639,7 +627,7 @@ func (r *Resizable) MaintainIdle(cancel <-chan struct{}) {
 // MaintainBusy implements maint.Maintainer: a busy table drives its own resizes
 // on the backs of its updates, so the scheduler only lends a bounded hand
 // when a migration is actually in flight.
-func (r *Resizable) MaintainBusy() {
+func (r *Resizable[V]) MaintainBusy() {
 	if r.root.Load().next.Load() == nil {
 		return
 	}
@@ -652,7 +640,7 @@ func (r *Resizable) MaintainBusy() {
 // is in flight. When no resize is running it costs one pointer load.
 // A claim is one bucket when growing and a bucket pair when shrinking
 // (claims(t, next) counts them).
-func (r *Resizable) help(rc *reclaimer) {
+func (r *Resizable[V]) help(rc *reclaimer) {
 	t := r.root.Load()
 	next := t.next.Load()
 	if next == nil {
@@ -681,7 +669,7 @@ func (r *Resizable) help(rc *reclaimer) {
 
 // claims returns how many cursor claims migrating t into next takes: one
 // per bucket growing, one per bucket pair shrinking.
-func claims(t, next *rtable) int64 {
+func claims[V any](t, next *rtable[V]) int64 {
 	n := int64(len(t.buckets))
 	if len(next.buckets) < len(t.buckets) {
 		return n / 2
@@ -691,7 +679,7 @@ func claims(t, next *rtable) int64 {
 
 // maybeGrow links a doubled slab behind the deepest one when the load
 // factor passes maxLoad. The CAS makes concurrent growers idempotent.
-func (r *Resizable) maybeGrow() {
+func (r *Resizable[V]) maybeGrow() {
 	t := r.root.Load()
 	for n := t.next.Load(); n != nil; n = t.next.Load() {
 		t = n
@@ -699,7 +687,7 @@ func (r *Resizable) maybeGrow() {
 	if r.count.Net() <= int64(len(t.buckets))*maxLoad {
 		return
 	}
-	if t.next.CompareAndSwap(nil, newRTable(len(t.buckets)*2)) {
+	if t.next.CompareAndSwap(nil, newRTable[V](len(t.buckets)*2)) {
 		r.resizes.Add(1)
 	}
 }
@@ -708,7 +696,7 @@ func (r *Resizable) maybeGrow() {
 // count drops below len(buckets)/shrinkLoad, never below the floor. The
 // CAS makes concurrent shrinkers (and a racing grower) link exactly one
 // successor.
-func (r *Resizable) maybeShrink() {
+func (r *Resizable[V]) maybeShrink() {
 	t := r.root.Load()
 	for n := t.next.Load(); n != nil; n = t.next.Load() {
 		t = n
@@ -717,21 +705,22 @@ func (r *Resizable) maybeShrink() {
 	if n <= r.floor || r.count.Net()*shrinkLoad >= int64(n) {
 		return
 	}
-	if t.next.CompareAndSwap(nil, newRTable(n/2)) {
+	if t.next.CompareAndSwap(nil, newRTable[V](n/2)) {
 		r.resizes.Add(1)
 	}
 }
 
 // Quiesce drives any in-flight migration to completion, then starts (and
 // completes) whatever resize the current load calls for, until the table
-// is a single slab sized within the hysteresis band. Migration otherwise
-// advances only on the backs of updates, so a table left oversized by a
-// delete storm keeps its memory until the next write burst; operators and
-// the churn workload call Quiesce between traffic phases (or register the
-// table on a maint.Scheduler, which calls it for them). Safe to call
-// concurrently with
-// operations, which proceed exactly as they do against update-driven
-// migration.
+// is a single slab sized within the hysteresis band, and sweeps the
+// reclamation pool, so retired chain nodes reach the free lists (clearing
+// their value words on the way). Migration otherwise advances only on the
+// backs of updates, so a table left oversized by a delete storm keeps its
+// memory until the next write burst; operators and the churn workload call
+// Quiesce between traffic phases (or register the table on a
+// maint.Scheduler, which does the same through MaintainIdle). Safe to
+// call concurrently with operations, which proceed exactly as they do
+// against update-driven migration.
 //
 // When every remaining claim is already handed out to concurrent updates
 // that have not finished them, there is nothing left to help with; the
@@ -739,16 +728,16 @@ func (r *Resizable) maybeShrink() {
 // instead of spinning on the root pointer, so a scheduler quiescing under
 // sustained write traffic cannot burn a core re-reading state only those
 // writers can change.
-func (r *Resizable) Quiesce() { r.quiesce(nil) }
+func (r *Resizable[V]) Quiesce() { r.MaintainIdle(nil) }
 
 // quiesce is Quiesce with an optional cancel channel, so a scheduler's
 // maintenance never outlives its Stop even when traffic keeps the table out
 // of band indefinitely.
-func (r *Resizable) quiesce(cancel <-chan struct{}) {
+func (r *Resizable[V]) quiesce(cancel <-chan struct{}) {
 	rc := reclaimer{Pool: r.pool}
 	defer rc.Release()
 	var bo backoff.Backoff
-	var last *rtable
+	var last *rtable[V]
 	helps := 0
 	for {
 		if cancel != nil {
@@ -794,11 +783,11 @@ func (r *Resizable) quiesce(cancel <-chan struct{}) {
 // OPTIK critical section on the bucket's lock: concurrent feasible updates
 // fail TryLockVersion and retry until they observe the sentinel, and the
 // version bump on unlock sends optimistic readers back around.
-func (t *rtable) migrateBucket(i int, next *rtable, rc *reclaimer) {
+func (t *rtable[V]) migrateBucket(i int, next *rtable[V], rc *reclaimer) {
 	b := &t.buckets[i]
 	b.lock.Lock()
 	b.moveAll(next, rc)
-	b.head.Store(&forwarded)
+	b.head.Store(forwardedNode[V]())
 	b.lock.Unlock()
 }
 
@@ -816,14 +805,14 @@ func (t *rtable) migrateBucket(i int, next *rtable, rc *reclaimer) {
 // form. Readers, as ever, acquire nothing: a racing scan either fails
 // version validation against the bumped source versions or meets the
 // sentinel and hops.
-func (t *rtable) migratePair(i int, next *rtable, rc *reclaimer) {
+func (t *rtable[V]) migratePair(i int, next *rtable[V], rc *reclaimer) {
 	lo, hi := &t.buckets[i], &t.buckets[i+len(t.buckets)/2]
 	lo.lock.Lock()
 	hi.lock.Lock()
 	lo.moveAll(next, rc)
 	hi.moveAll(next, rc)
-	lo.head.Store(&forwarded)
-	hi.head.Store(&forwarded)
+	lo.head.Store(forwardedNode[V]())
+	hi.head.Store(forwardedNode[V]())
 	hi.lock.Unlock()
 	lo.lock.Unlock()
 }
@@ -836,14 +825,14 @@ func (t *rtable) migratePair(i int, next *rtable, rc *reclaimer) {
 // recycling, and any reader that could still be bitten by the eventual
 // recycle necessarily fails its version validation against this critical
 // section and restarts.
-func (b *bucket) moveAll(next *rtable, rc *reclaimer) {
+func (b *bucket[V]) moveAll(next *rtable[V], rc *reclaimer) {
 	for s := range b.inline {
 		if k := b.inline[s].key.Load(); k != 0 {
-			insertMoved(next, k, b.inline[s].val.Load(), rc)
+			insertMoved(next, k, core.LoadWord(&b.inline[s].val), rc)
 		}
 	}
 	for cur := b.head.Load(); cur != nil; cur = cur.next.Load() {
-		insertMoved(next, cur.key.Load(), cur.val.Load(), rc)
+		insertMoved(next, cur.key.Load(), core.LoadWord(&cur.val), rc)
 		rc.Retire(cur)
 	}
 }
@@ -857,14 +846,14 @@ func (b *bucket) moveAll(next *rtable, rc *reclaimer) {
 // though never a node retired within this same operation: retirements
 // only reach the free list at a sweep, and sweeps run strictly between
 // operations.
-func insertMoved(t *rtable, key, val uint64, rc *reclaimer) {
+func insertMoved[V any](t *rtable[V], key uint64, val V, rc *reclaimer) {
 	var bo backoff.Backoff
 retry:
 	for {
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersion()
 		head := b.head.Load()
-		if head == &forwarded {
+		if head == forwardedNode[V]() {
 			t = t.next.Load()
 			continue
 		}
@@ -875,7 +864,7 @@ retry:
 				break
 			}
 		}
-		var pred *node
+		var pred *node[V]
 		cur := head
 		for hops := 0; cur != nil && cur.key.Load() < key; {
 			pred, cur = cur, cur.next.Load()

@@ -17,7 +17,7 @@ import (
 // it — every slab base must be 64-byte aligned, across size classes and
 // in both the fixed and the resizable table.
 func TestBucketIsOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(bucket{}); got != core.CacheLineSize {
+	if got := unsafe.Sizeof(bucket[uint64]{}); got != core.CacheLineSize {
 		t.Fatalf("bucket size = %d, want %d", got, core.CacheLineSize)
 	}
 	s := NewSlab(8)
@@ -27,7 +27,7 @@ func TestBucketIsOneCacheLine(t *testing.T) {
 	}
 	// Exercise small, odd, and large-object size classes.
 	for _, n := range []int{1, 5, 8, 13, 100, 1024, 1000, 100_000} {
-		slab := newBucketSlab(n)
+		slab := newBucketSlab[uint64](n)
 		if got := uintptr(unsafe.Pointer(&slab[0])) % core.CacheLineSize; got != 0 {
 			t.Fatalf("newBucketSlab(%d) base not 64-byte aligned (offset %d)", n, got)
 		}
@@ -117,8 +117,8 @@ func TestResizableQuickSequentialEquivalence(t *testing.T) {
 }
 
 // tables returns the root slab chain.
-func (r *Resizable) tables() []*rtable {
-	var ts []*rtable
+func (r *Resizable[V]) tables() []*rtable[V] {
+	var ts []*rtable[V]
 	for t := r.root.Load(); t != nil; t = t.next.Load() {
 		ts = append(ts, t)
 	}
@@ -127,14 +127,14 @@ func (r *Resizable) tables() []*rtable {
 
 // entries collects every live entry reachable from the root chain,
 // failing on duplicates across slabs. It assumes the table is quiescent.
-func (r *Resizable) entries(t *testing.T) map[uint64]uint64 {
+func (r *Resizable[V]) entries(t *testing.T) map[uint64]V {
 	t.Helper()
-	got := map[uint64]uint64{}
+	got := map[uint64]V{}
 	for _, rt := range r.tables() {
 		for i := range rt.buckets {
 			b := &rt.buckets[i]
 			head := b.head.Load()
-			if head == &forwarded {
+			if head == forwardedNode[V]() {
 				continue // contents live in a deeper slab
 			}
 			for s := range b.inline {
@@ -142,7 +142,7 @@ func (r *Resizable) entries(t *testing.T) map[uint64]uint64 {
 					if _, dup := got[k]; dup {
 						t.Fatalf("duplicate key %d across slabs", k)
 					}
-					got[k] = b.inline[s].val.Load()
+					got[k] = core.LoadWord(&b.inline[s].val)
 				}
 			}
 			for cur := head; cur != nil; cur = cur.next.Load() {
@@ -150,7 +150,7 @@ func (r *Resizable) entries(t *testing.T) map[uint64]uint64 {
 				if _, dup := got[k]; dup {
 					t.Fatalf("duplicate key %d across slabs", k)
 				}
-				got[k] = cur.val.Load()
+				got[k] = core.LoadWord(&cur.val)
 			}
 		}
 	}
@@ -161,12 +161,12 @@ func (r *Resizable) entries(t *testing.T) map[uint64]uint64 {
 // forwarded-bucket count of every slab matches its migrated counter (each
 // claim forwards one bucket growing, a pair shrinking), never exceeding
 // the slab size, and only slabs with a successor have forwarded buckets.
-func (r *Resizable) checkMigrationState(t *testing.T) {
+func (r *Resizable[V]) checkMigrationState(t *testing.T) {
 	t.Helper()
 	for _, rt := range r.tables() {
 		fwd := int64(0)
 		for i := range rt.buckets {
-			if rt.buckets[i].head.Load() == &forwarded {
+			if rt.buckets[i].head.Load() == forwardedNode[V]() {
 				fwd++
 			}
 		}
@@ -258,7 +258,7 @@ func TestResizableConcurrentThroughResize(t *testing.T) {
 	monWG.Add(1)
 	go func() {
 		defer monWG.Done()
-		var lastT *rtable
+		var lastT *rtable[uint64]
 		var lastM int64
 		for {
 			select {

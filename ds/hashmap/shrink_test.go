@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/optik-go/optik/internal/core"
 	"github.com/optik-go/optik/internal/rng"
 )
 
@@ -14,8 +15,8 @@ import (
 // nothing duplicated, and the chain still sorted, and both sources must be
 // forwarded.
 func TestMigratePairMergesChains(t *testing.T) {
-	old := newRTable(8)
-	next := newRTable(4)
+	old := newRTable[uint64](8)
+	next := newRTable[uint64](4)
 	old.next.Store(next)
 
 	// Brute-force keys that hash to the pair (2, 6) of the 8-bucket slab;
@@ -37,14 +38,14 @@ func TestMigratePairMergesChains(t *testing.T) {
 
 	old.migratePair(2, next, nil)
 
-	if old.buckets[2].head.Load() != &forwarded || old.buckets[6].head.Load() != &forwarded {
+	if old.buckets[2].head.Load() != forwardedNode[uint64]() || old.buckets[6].head.Load() != forwardedNode[uint64]() {
 		t.Fatal("pair not forwarded after migratePair")
 	}
 	got := map[uint64]uint64{}
 	b := &next.buckets[2]
 	for s := range b.inline {
 		if k := b.inline[s].key.Load(); k != 0 {
-			got[k] = b.inline[s].val.Load()
+			got[k] = core.LoadWord(&b.inline[s].val)
 		}
 	}
 	prev := uint64(0)
@@ -57,7 +58,7 @@ func TestMigratePairMergesChains(t *testing.T) {
 		if _, dup := got[k]; dup {
 			t.Fatalf("key %d duplicated across inline and chain", k)
 		}
-		got[k] = cur.val.Load()
+		got[k] = core.LoadWord(&cur.val)
 	}
 	if len(got) != len(keys) {
 		t.Fatalf("target bucket holds %d entries, want %d", len(got), len(keys))

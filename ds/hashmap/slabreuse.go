@@ -3,6 +3,7 @@ package hashmap
 import (
 	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/internal/backoff"
+	"github.com/optik-go/optik/internal/core"
 	"github.com/optik-go/optik/internal/qsbr"
 )
 
@@ -30,7 +31,7 @@ import (
 // at the paper's load factor the common operation still completes inside
 // one cache line with Slab's exact cost.
 type SlabReuse struct {
-	buckets []bucket
+	buckets []bucket[uint64]
 	pool    *qsbr.Pool
 }
 
@@ -43,12 +44,12 @@ func NewSlabReuse(nbuckets int) *SlabReuse {
 		panic("hashmap: nbuckets must be positive")
 	}
 	return &SlabReuse{
-		buckets: newBucketSlab(nbuckets),
+		buckets: newBucketSlab[uint64](nbuckets),
 		pool:    qsbr.NewPool(qsbr.NewDomain(), 0),
 	}
 }
 
-func (t *SlabReuse) bucket(key uint64) *bucket {
+func (t *SlabReuse) bucket(key uint64) *bucket[uint64] {
 	return &t.buckets[bucketIndex(key, len(t.buckets))]
 }
 
@@ -62,7 +63,7 @@ restart:
 	vn := b.lock.GetVersionWait()
 	for i := range b.inline {
 		if b.inline[i].key.Load() == key {
-			val := b.inline[i].val.Load()
+			val := core.LoadWord(&b.inline[i].val)
 			if b.lock.GetVersion().Same(vn) {
 				return val, true
 			}
@@ -76,7 +77,7 @@ restart:
 			break
 		}
 		if k == key {
-			val := cur.val.Load()
+			val := core.LoadWord(&cur.val)
 			if b.lock.GetVersion().Same(vn) {
 				return val, true
 			}
@@ -120,7 +121,7 @@ retry:
 		if dup {
 			return false // infeasible: no locking at all
 		}
-		var pred *node
+		var pred *node[uint64]
 		cur := b.head.Load()
 		for hops := 0; cur != nil && cur.key.Load() < key; {
 			pred, cur = cur, cur.next.Load()
@@ -172,12 +173,12 @@ retry:
 				continue
 			}
 			// Validated: the slot still holds key, so the value is its.
-			val := b.inline[slot].val.Load()
+			val := core.LoadWord(&b.inline[slot].val)
 			b.inline[slot].key.Store(0)
 			b.lock.Unlock()
 			return val, true
 		}
-		var pred *node
+		var pred *node[uint64]
 		cur := b.head.Load()
 		for hops := 0; cur != nil && cur.key.Load() < key; {
 			pred, cur = cur, cur.next.Load()
@@ -195,12 +196,8 @@ retry:
 			bo.Wait()
 			continue
 		}
-		val := cur.val.Load()
-		if pred == nil {
-			b.head.Store(cur.next.Load())
-		} else {
-			pred.next.Store(cur.next.Load())
-		}
+		val := core.LoadWord(&cur.val)
+		b.unlinkNode(pred, cur)
 		b.lock.Unlock()
 		rc.Retire(cur)
 		return val, true

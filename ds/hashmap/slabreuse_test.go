@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/optik-go/optik/internal/core"
 	"github.com/optik-go/optik/internal/rng"
 )
 
@@ -87,7 +88,7 @@ func TestSlabReuseChainHitValidates(t *testing.T) {
 	}
 	target := keys[len(keys)-1]
 	b := &m.buckets[0]
-	var nd *node
+	var nd *node[uint64]
 	for cur := b.head.Load(); cur != nil; cur = cur.next.Load() {
 		if cur.key.Load() == target {
 			nd = cur
@@ -104,7 +105,7 @@ func TestSlabReuseChainHitValidates(t *testing.T) {
 		t.Fatalf("Delete(%d) failed", target)
 	}
 	nd.key.Store(keys[0])
-	nd.val.Store(424242)
+	core.StoreWord(&nd.val, 424242)
 	if v, ok := m.Search(target); ok {
 		t.Fatalf("Search(%d) = %d,true after retire+recycle; want miss", target, v)
 	}

@@ -10,65 +10,59 @@ import (
 )
 
 // TestOptikDeleteIfValueWindow is the white-box test of the conditional
-// delete. Its caller (the store's value layer) samples "key maps to slot,
-// and slot holds pair p0" with no lock, judges p0 dead, and asks the list
-// to splice the entry out; the entry must go only if that is still what
-// key maps to. Each case stages, deterministically, what a concurrent
-// writer can do between the sample and the victim's lock — either before
-// the call's parse, or through testHookDeleteWindow inside the parse →
-// lock window — and pins the outcome. "resident" stands in for the arena
-// cell of the slot; confirm is the caller's pair-identity check.
+// delete. Its caller (the store's value layer) samples "key maps to pair
+// p0" with no lock, judges p0 dead, and asks the list to splice the entry
+// out; the entry must go only if key still maps to exactly p0. Each case
+// stages, deterministically, what a concurrent writer can do between the
+// sample and the victim's lock — either before the call's parse, or
+// through testHookDeleteWindow inside the parse → lock window — and pins
+// the outcome. Every write of the value layer builds a new pair, so a
+// successor is always another pointer; the one case that puts p0 itself
+// back pins that the check is identity of the word, nothing more.
 //
-// With the confirm check removed the two same-slot cases that reach the
-// lock delete the live successor; with the value check removed the
-// other-slot case does. The in-window delete+reinsert is caught earlier —
+// With the value check removed the three cases whose successor reaches
+// the lock delete it. The in-window delete+reinsert is caught earlier —
 // the parsed victim is already marked — and is here to pin exactly that.
 func TestOptikDeleteIfValueWindow(t *testing.T) {
-	const key, slot, otherSlot = 50, 7, 8
+	const key = 50
 	type pair struct{ gen int }
-	var resident atomic.Pointer[pair]
-
-	reinsert := func(l *Optik) { // DEL key; SET key → the arena hands out the same slot again
+	p0 := &pair{}
+	reinsert := func(l *Optik[*pair]) { // DEL key; SET key → a new pair
 		if _, ok := l.Delete(key); !ok {
 			t.Error("staged Delete failed")
 		}
-		resident.Store(&pair{gen: 1})
-		if !l.Insert(key, slot) {
+		if !l.Insert(key, &pair{gen: 1}) {
 			t.Error("staged Insert failed")
 		}
 	}
 	cases := []struct {
-		name      string
-		inWindow  bool // stage through the hook instead of before the call
-		stage     func(l *Optik)
-		noConfirm bool
-		want      bool   // DeleteIfValue's result
-		wantVal   uint64 // what key maps to afterwards (when !want)
+		name     string
+		inWindow bool // stage through the hook instead of before the call
+		stage    func(l *Optik[*pair])
+		want     bool // DeleteIfValue's result
 	}{
-		{name: "undisturbed", stage: func(*Optik) {}, want: true},
-		{name: "delete+reinsert onto the same slot, before the parse", stage: reinsert, wantVal: slot},
-		{name: "delete+reinsert onto the same slot, in the window", inWindow: true, stage: reinsert, wantVal: slot},
-		{name: "replaced away and back onto the same slot, in the window", inWindow: true,
-			stage: func(l *Optik) {
-				l.Upsert(key, otherSlot)
-				resident.Store(&pair{gen: 1})
-				l.Upsert(key, slot)
-			}, wantVal: slot},
-		{name: "replaced onto another slot, in the window", inWindow: true, noConfirm: true,
-			stage: func(l *Optik) { l.Upsert(key, otherSlot) }, wantVal: otherSlot},
+		{name: "undisturbed", stage: func(*Optik[*pair]) {}, want: true},
+		{name: "delete+reinsert of the key, before the parse", stage: reinsert},
+		{name: "delete+reinsert of the key, in the window", inWindow: true, stage: reinsert},
+		{name: "replaced away and back to a new pair, in the window", inWindow: true,
+			stage: func(l *Optik[*pair]) {
+				l.Upsert(key, &pair{gen: 1})
+				l.Upsert(key, &pair{gen: 2})
+			}},
+		{name: "replaced by another pair, in the window", inWindow: true,
+			stage: func(l *Optik[*pair]) { l.Upsert(key, &pair{gen: 1}) }},
+		{name: "replaced away and back to the same word, in the window", inWindow: true, want: true,
+			stage: func(l *Optik[*pair]) {
+				l.Upsert(key, &pair{gen: 1})
+				l.Upsert(key, p0)
+			}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			l := NewOptik2()
-			l.Insert(key-1, 1)
-			l.Insert(key, slot)
-			l.Insert(key+1, 1)
-			p0 := &pair{}
-			resident.Store(p0)
-			confirm := func() bool { return resident.Load() == p0 }
-			if c.noConfirm {
-				confirm = nil
-			}
+			l := NewOptikPool[*pair](nil)
+			l.Insert(key-1, &pair{})
+			l.Insert(key, p0)
+			l.Insert(key+1, &pair{})
 
 			fired := false
 			if c.inWindow {
@@ -82,7 +76,11 @@ func TestOptikDeleteIfValueWindow(t *testing.T) {
 			} else {
 				c.stage(l)
 			}
-			if got := l.DeleteIfValue(key, slot, confirm); got != c.want {
+			survivor, _ := l.Search(key)
+			if c.inWindow {
+				survivor = nil // staged inside the call: read it afterwards
+			}
+			if got := l.DeleteIfValue(key, p0); got != c.want {
 				t.Fatalf("DeleteIfValue = %v, want %v", got, c.want)
 			}
 			if c.inWindow && !fired {
@@ -91,19 +89,20 @@ func TestOptikDeleteIfValueWindow(t *testing.T) {
 			v, ok := l.Search(key)
 			if c.want {
 				if ok {
-					t.Fatalf("key still maps to %d after a successful conditional delete", v)
+					t.Fatalf("key still maps to %+v after a successful conditional delete", *v)
 				}
-			} else if !ok || v != c.wantVal {
-				t.Fatalf("Search(key) = %d,%v after a vetoed delete, want %d,true", v, ok, c.wantVal)
+			} else if !ok || v == p0 || (survivor != nil && v != survivor) {
+				t.Fatalf("Search(key) = %p,%v after a vetoed delete, want the successor", v, ok)
 			}
 			// A veto must release the victim's lock and leave no mark: the
 			// survivor stays replaceable and deletable.
 			if !c.want {
-				if _, replaced := l.Upsert(key, 99); !replaced {
+				next := &pair{gen: 99}
+				if !l.ReplaceIfValue(key, v, next) {
 					t.Fatal("survivor not replaceable after veto")
 				}
-				if v, ok := l.Delete(key); !ok || v != 99 {
-					t.Fatalf("Delete(survivor) = %d,%v", v, ok)
+				if got, ok := l.Delete(key); !ok || got != next {
+					t.Fatalf("Delete(survivor) = %p,%v", got, ok)
 				}
 			}
 			if got := l.Len(); got != 2 {
@@ -114,18 +113,21 @@ func TestOptikDeleteIfValueWindow(t *testing.T) {
 	}
 }
 
-// TestOptikDeleteIfValueConcurrent races conditional deletes against
-// upserts and plain deletes on a pool-backed list: every successful
-// removal — conditional or not — must be counted exactly once, and a
-// conditional delete may only ever remove the value it named.
+// TestOptikDeleteIfValueConcurrent races conditional deletes and replaces
+// against upserts and plain deletes on a pool-backed list: every
+// successful removal — conditional or not — must be counted exactly once,
+// and a conditional update may only ever act on the value it named: every
+// word written is unique, so a deleted or replaced word must be the one
+// the caller read.
 func TestOptikDeleteIfValueConcurrent(t *testing.T) {
-	l := NewOptikPool(qsbr.NewPool(qsbr.NewDomain(), 0))
+	l := NewOptikPool[uint64](qsbr.NewPool(qsbr.NewDomain(), 0))
 	const keys = 64
 	iters := 20000
 	if testing.Short() {
 		iters = 4000
 	}
 	var net atomic.Int64
+	var words atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -134,22 +136,23 @@ func TestOptikDeleteIfValueConcurrent(t *testing.T) {
 			r := rng.NewXorshift(seed)
 			for i := 0; i < iters; i++ {
 				k := r.Intn(keys) + 1
-				switch r.Intn(3) {
+				switch r.Intn(4) {
 				case 0:
-					if _, replaced := l.Upsert(k, r.Intn(4)); !replaced {
+					if _, replaced := l.Upsert(k, words.Add(1)); !replaced {
 						net.Add(1)
 					}
 				case 1:
 					if _, ok := l.Delete(k); ok {
 						net.Add(-1)
 					}
+				case 2:
+					if v, ok := l.Search(k); ok && l.ReplaceIfValue(k, v, words.Add(1)) {
+						if got, ok := l.Search(k); ok && got == v {
+							t.Errorf("key %d still maps to %d after replacing it", k, v)
+						}
+					}
 				default:
-					want := r.Intn(4)
-					if l.DeleteIfValue(k, want, func() bool {
-						// Under the victim's lock the value cannot move.
-						v, ok := l.Search(k)
-						return ok && v == want
-					}) {
+					if v, ok := l.Search(k); ok && l.DeleteIfValue(k, v) {
 						net.Add(-1)
 					}
 				}

@@ -64,7 +64,7 @@ func TestHerlihyTowerInvariantsAfterChurn(t *testing.T) {
 	checkHerlihyTowers(t, s.head, s.tail)
 }
 
-func checkOptikTowers(t *testing.T, s *Optik) {
+func checkOptikTowers[V comparable](t *testing.T, s *Optik[V]) {
 	t.Helper()
 	var chains [MaxLevel][]uint64
 	for l := 0; l < MaxLevel; l++ {
@@ -94,7 +94,7 @@ func checkOptikTowers(t *testing.T, s *Optik) {
 }
 
 func TestOptikTowerInvariantsAfterChurn(t *testing.T) {
-	for name, mk := range map[string]func() *Optik{
+	for name, mk := range map[string]func() *Optik[uint64]{
 		"optik1": NewOptik1,
 		"optik2": NewOptik2,
 	} {

@@ -3,6 +3,7 @@ package skiplist
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/internal/backoff"
@@ -15,36 +16,49 @@ import (
 // validation can fail because an *unrelated* level of the same predecessor
 // changed (a false conflict), in exchange for radically simpler validation.
 //
-// val is atomic because Upsert replaces it in place under the node's own
-// lock while lock-free searches read it. key stays plain: on a pool-backed
-// list it is only rewritten during recycling, when qsbr guarantees no
-// pinned traversal can still reach the node; on a GC-backed list it is
-// written once before publication. topLevel is written once, at the
+// val is the value word (core.Word: a uint64, or a pointer the list holds
+// for a layer above), atomic because Upsert replaces it in place under the
+// node's own lock while lock-free searches read it. key stays plain: on a
+// pool-backed list it is only rewritten during recycling, when qsbr
+// guarantees no pinned traversal can still reach the node; on a GC-backed
+// list it is written once before publication. topLevel is written once, at the
 // allocation that sized the tower, and never again — not even by recycling.
 //
 // This is the header only; the topLevel forward pointers follow it in the
 // same allocation (tower.go) and are reached through at.
-type oNode struct {
+type oNode[V any] struct {
 	key         uint64
-	val         atomic.Uint64
+	val         core.Word[V]
 	lock        core.Lock
 	marked      atomic.Bool
 	fullyLinked atomic.Bool
 	topLevel    int
 }
 
-// at returns the node's level-th forward pointer; level < n.topLevel.
-func (n *oNode) at(level int) *atomic.Pointer[oNode] {
-	return towerAt[oNode, oNode](n, n.topLevel, level)
+// at returns the node's level-th forward pointer; level < n.topLevel. It
+// is towerAt written out for the one generic node type: calling the
+// generic helper from here would pass it a dictionary looked up on every
+// hop of every traversal.
+func (n *oNode[V]) at(level int) *atomic.Pointer[oNode[V]] {
+	checkLevel(level, n.topLevel)
+	t := (*towerNode[oNode[V], [1]atomic.Pointer[oNode[V]]])(unsafe.Pointer(n))
+	return (*atomic.Pointer[oNode[V]])(unsafe.Add(unsafe.Pointer(&t.tower), uintptr(level)*unsafe.Sizeof(t.tower[0])))
 }
 
 // newONode allocates a node with a tower of exactly topLevel levels.
-func newONode(key uint64, topLevel int) *oNode {
-	n := newTower[oNode, oNode](topLevel)
+func newONode[V any](key uint64, topLevel int) *oNode[V] {
+	n := newTower[oNode[V], oNode[V]](topLevel)
 	n.key = key
 	n.topLevel = topLevel
 	return n
 }
+
+// Clear implements qsbr.Clearer: a tower reclaimed onto a free list drops
+// its value word, so a list's free towers pin nothing. Only reclamation
+// may clear it — a search that passed the marked check before the delete
+// still reads the word, and qsbr hands the tower over only once no pinned
+// traversal can reach it.
+func (n *oNode[V]) Clear() { core.ClearWord(&n.val) }
 
 // Optik is the paper's new skip-list algorithm (§5.3). Parsing tracks the
 // version of every predecessor; insertions link *eagerly* — each level is
@@ -70,52 +84,53 @@ func newONode(key uint64, topLevel int) *oNode {
 // anything the traversal can reach. The paper variants (NewOptik1/2) keep
 // a nil pool, where every pin is a no-op and unlinked towers drop to the
 // garbage collector — identical code path, zero behavior change.
-type Optik struct {
-	head         *oNode
-	tail         *oNode
+type Optik[V comparable] struct {
+	head         *oNode[V]
+	tail         *oNode[V]
 	fineValidate bool
 	// pool hands out qsbr handles for tower recycling; nil means
 	// GC-reclaimed (the paper variants).
 	pool *qsbr.Pool
 }
 
-var _ ds.Set = (*Optik)(nil)
+var _ ds.Set = (*Optik[uint64])(nil)
 
 // NewOptik1 returns the variant that performs fine-grained validation when
 // a version check fails ("optik1" in Figure 11).
-func NewOptik1() *Optik { return newOptik(true, nil) }
+func NewOptik1() *Optik[uint64] { return newOptik[uint64](true, nil) }
 
 // NewOptik2 returns the variant that restarts immediately on a version
 // check failure ("optik2" in Figure 11).
-func NewOptik2() *Optik { return newOptik(false, nil) }
+func NewOptik2() *Optik[uint64] { return newOptik[uint64](false, nil) }
 
-// NewOptikPool returns an optik2-variant list whose towers are recycled
-// through pool's quiescent-state domain — the ordered-index counterpart of
-// the resizable hash table's chain-node recycling. Several lists may share
-// one pool (store.Ordered runs all its shards on one domain); pass nil for
-// GC reclamation.
-func NewOptikPool(pool *qsbr.Pool) *Optik { return newOptik(false, pool) }
+// NewOptikPool returns an optik2-variant list of value word V (uint64, or
+// a pointer the list then holds for the garbage collector) whose towers
+// are recycled through pool's quiescent-state domain — the ordered-index
+// counterpart of the resizable hash table's chain-node recycling. Several
+// lists may share one pool; pass nil for GC reclamation.
+func NewOptikPool[V comparable](pool *qsbr.Pool) *Optik[V] { return newOptik[V](false, pool) }
 
-func newOptik(fine bool, pool *qsbr.Pool) *Optik {
-	tail := newONode(tailKey, MaxLevel)
+func newOptik[V comparable](fine bool, pool *qsbr.Pool) *Optik[V] {
+	core.CheckWord[V]()
+	tail := newONode[V](tailKey, MaxLevel)
 	tail.fullyLinked.Store(true)
-	head := newONode(headKey, MaxLevel)
+	head := newONode[V](headKey, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		head.at(l).Store(tail)
 	}
 	head.fullyLinked.Store(true)
-	return &Optik{head: head, tail: tail, fineValidate: fine, pool: pool}
+	return &Optik[V]{head: head, tail: tail, fineValidate: fine, pool: pool}
 }
 
 // Pool returns the reclamation pool backing the list (nil for the
 // GC-reclaimed paper variants). store.Ordered uses it to sweep shards from
 // the shared maintenance scheduler.
-func (s *Optik) Pool() *qsbr.Pool { return s.pool }
+func (s *Optik[V]) Pool() *qsbr.Pool { return s.pool }
 
 // ReclaimStats reports the lifetime tower reclamation counters of the
 // list's qsbr domain (all zero for GC-backed lists). Racy snapshot; for
 // monitoring and the recycling tests.
-func (s *Optik) ReclaimStats() (retired, reclaimed, reused uint64) {
+func (s *Optik[V]) ReclaimStats() (retired, reclaimed, reused uint64) {
 	if s.pool == nil {
 		return 0, 0, 0
 	}
@@ -137,11 +152,11 @@ func (s *Optik) ReclaimStats() (retired, reclaimed, reused uint64) {
 // life keeps failing validation (the version is monotone across lives,
 // belt to the qsbr suspenders). The forward pointers keep stale values
 // until the insert relinks each level.
-func allocONode(rc *qsbr.Reclaimer, key, val uint64) *oNode {
+func allocONode[V any](rc *qsbr.Reclaimer, key uint64, val V) *oNode[V] {
 	if v := rc.Alloc(); v != nil {
-		n := v.(*oNode)
+		n := v.(*oNode[V])
 		n.key = key
-		n.val.Store(val)
+		core.StoreWord(&n.val, val)
 		n.marked.Store(false)
 		n.fullyLinked.Store(false)
 		if n.lock.GetVersion().IsLocked() {
@@ -149,14 +164,14 @@ func allocONode(rc *qsbr.Reclaimer, key, val uint64) *oNode {
 		}
 		return n
 	}
-	n := newONode(key, randomLevel())
-	n.val.Store(val)
+	n := newONode[V](key, randomLevel())
+	core.StoreWord(&n.val, val)
 	return n
 }
 
 // find parses the list, recording per level the predecessor, its version
 // (read before following its next pointer) and the successor.
-func (s *Optik) find(key uint64, preds *[MaxLevel]*oNode, predVs *[MaxLevel]core.Version, succs *[MaxLevel]*oNode) {
+func (s *Optik[V]) find(key uint64, preds *[MaxLevel]*oNode[V], predVs *[MaxLevel]core.Version, succs *[MaxLevel]*oNode[V]) {
 	pred := s.head
 	predv := pred.lock.GetVersion()
 	for level := MaxLevel - 1; level >= 0; level-- {
@@ -174,7 +189,7 @@ func (s *Optik) find(key uint64, preds *[MaxLevel]*oNode, predVs *[MaxLevel]core
 
 // Search returns the value stored under key, if present. Traversal is
 // plain reads; a node is present iff reached at level 0 and not marked.
-func (s *Optik) Search(key uint64) (uint64, bool) {
+func (s *Optik[V]) Search(key uint64) (V, bool) {
 	ds.CheckKey(key)
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
@@ -182,9 +197,9 @@ func (s *Optik) Search(key uint64) (uint64, bool) {
 	return s.search(key)
 }
 
-func (s *Optik) search(key uint64) (uint64, bool) {
+func (s *Optik[V]) search(key uint64) (V, bool) {
 	pred := s.head
-	var cur *oNode
+	var cur *oNode[V]
 	for level := MaxLevel - 1; level >= 0; level-- {
 		cur = pred.at(level).Load()
 		for cur.key < key {
@@ -196,9 +211,10 @@ func (s *Optik) search(key uint64) (uint64, bool) {
 		}
 	}
 	if cur.key == key && !cur.marked.Load() {
-		return cur.val.Load(), true
+		return core.LoadWord(&cur.val), true
 	}
-	return 0, false
+	var zero V
+	return zero, false
 }
 
 // acquireLevel validates-and-locks pred for one level. Under optik1, a
@@ -206,7 +222,7 @@ func (s *Optik) search(key uint64) (uint64, bool) {
 // version; under optik2 it fails immediately. For deletions succ is the
 // (already marked) victim, so the successor-liveness check only applies to
 // insertions.
-func (s *Optik) acquireLevel(pred, succ *oNode, predv core.Version, level int, del bool) bool {
+func (s *Optik[V]) acquireLevel(pred, succ *oNode[V], predv core.Version, level int, del bool) bool {
 	if pred.lock.TryLockVersion(predv) {
 		return true
 	}
@@ -237,7 +253,7 @@ func (s *Optik) acquireLevel(pred, succ *oNode, predv core.Version, level int, d
 // Insert adds key→val if absent, linking eagerly level by level. The
 // level-0 link is the linearization point; the fullyLinked flag keeps a
 // partially inserted node from being deleted mid-linking.
-func (s *Optik) Insert(key, val uint64) bool {
+func (s *Optik[V]) Insert(key uint64, val V) bool {
 	ds.CheckKey(key)
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
@@ -250,7 +266,7 @@ func (s *Optik) Insert(key, val uint64) bool {
 // one critical section on the node's own tower lock, no delete/re-insert
 // round trip. Returns the previous value and whether a replacement
 // happened.
-func (s *Optik) Upsert(key, val uint64) (uint64, bool) {
+func (s *Optik[V]) Upsert(key uint64, val V) (V, bool) {
 	ds.CheckKey(key)
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
@@ -262,10 +278,11 @@ func (s *Optik) Upsert(key, val uint64) (uint64, bool) {
 // insert is the shared Insert/Upsert loop: parse, handle a present key
 // (fail, or replace under the node's lock), otherwise link a new tower
 // eagerly level by level. Returns (old value, replaced, inserted).
-func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64, bool, bool) {
-	var preds, succs [MaxLevel]*oNode
+func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V, bool, bool) {
+	var preds, succs [MaxLevel]*oNode[V]
 	var predVs [MaxLevel]core.Version
-	var n *oNode
+	var n *oNode[V]
+	var zero V
 	topLevel := 0 // n's height, once n is allocated
 	startLevel := 0
 	var bo backoff.Backoff
@@ -284,7 +301,7 @@ func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64
 						// published: straight back to the free list.
 						rc.Free(n)
 					}
-					return 0, false, false
+					return zero, false, false
 				}
 				v := found.lock.GetVersion()
 				if v.IsLocked() || !found.lock.TryLockVersion(v) {
@@ -295,8 +312,8 @@ func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64
 					continue
 				}
 				// Lockable implies unmarked: deleters hold the lock forever.
-				old := found.val.Load()
-				found.val.Store(val)
+				old := core.LoadWord(&found.val)
+				core.StoreWord(&found.val, val)
 				found.lock.Unlock()
 				if n != nil {
 					rc.Free(n)
@@ -305,7 +322,7 @@ func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64
 			}
 		}
 		if n == nil {
-			n = allocONode(rc, key, val)
+			n = allocONode[V](rc, key, val)
 			topLevel = n.topLevel
 		}
 		restartParse := false
@@ -353,7 +370,7 @@ func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64
 			continue
 		}
 		n.fullyLinked.Store(true)
-		return 0, false, true
+		return zero, false, true
 	}
 }
 
@@ -364,39 +381,70 @@ func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64
 // (and the recycling reset keeps the version monotone, so even then no
 // stale snapshot can validate). All predecessor levels are locked before
 // the top-down unlink; setting the marked flag is the linearization point.
-func (s *Optik) Delete(key uint64) (uint64, bool) {
+func (s *Optik[V]) Delete(key uint64) (V, bool) {
 	ds.CheckKey(key)
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
-	return s.delete(&rc, key, nil)
+	var zero V
+	return s.delete(&rc, key, false, zero)
 }
 
-// DeleteIfValue removes key only while it still maps to val, reporting
-// whether it did — the skip list's form of hashmap.Resizable's primitive
-// of the same name, with the victim's tower lock in the role of the bucket
-// lock. The value check and confirm (when non-nil) run under the victim's
-// lock BEFORE the node is marked: in-place replacement needs that same
-// lock, and a delete+re-insert of the key produces a different node, so a
-// passing check proves the mapping is still the one the caller sampled. A
-// failed check or a confirm veto releases the lock with Revert — no
-// version bump, nothing changed — and leaves the entry in place. A layer
-// above uses this to retire an entry it judged dead without a lock
-// (store.Strings: an expired or evicted value slot, confirmed by pair
-// identity so a slot recycled for the same key is never mistaken for it).
-func (s *Optik) DeleteIfValue(key, val uint64, confirm func() bool) bool {
+// DeleteIfValue removes key only while it still maps to exactly val,
+// reporting whether it did — the skip list's form of hashmap.Resizable's
+// primitive of the same name, with the victim's tower lock in the role of
+// the bucket lock. The value check runs under the victim's lock BEFORE the
+// node is marked: in-place replacement needs that same lock, and a
+// delete+re-insert of the key produces a different node, so a passing
+// check proves the key still maps to the value the caller sampled. A
+// failed check releases the lock with Revert — no version bump, nothing
+// changed — and leaves the entry in place. For a pointer word the check is
+// identity, which is exact for a layer that never stores one pointer twice
+// (store.Strings: a fresh pair for every write).
+func (s *Optik[V]) DeleteIfValue(key uint64, val V) bool {
 	ds.CheckKey(key)
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
-	_, ok := s.delete(&rc, key, &deleteCond{val: val, confirm: confirm})
+	_, ok := s.delete(&rc, key, true, val)
 	return ok
 }
 
-// deleteCond is DeleteIfValue's condition, checked under the victim's lock.
-type deleteCond struct {
-	val     uint64
-	confirm func() bool
+// ReplaceIfValue swaps key's value from exactly old to new under the
+// node's own lock, reporting whether it did; a missing key, a node being
+// deleted or another value changes nothing. It is DeleteIfValue's sibling,
+// for a layer that replaces a value it read (store.Strings re-arming a
+// TTL) and must not overwrite a successor.
+func (s *Optik[V]) ReplaceIfValue(key uint64, old, new V) bool {
+	ds.CheckKey(key)
+	rc := qsbr.Reclaimer{Pool: s.pool}
+	defer rc.Release()
+	rc.Pin()
+	var preds, succs [MaxLevel]*oNode[V]
+	var predVs [MaxLevel]core.Version
+	var bo backoff.Backoff
+	for {
+		s.find(key, &preds, &predVs, &succs)
+		n := succs[0]
+		if n.key != key || n.marked.Load() {
+			return false
+		}
+		v := n.lock.GetVersion()
+		if v.IsLocked() || !n.lock.TryLockVersion(v) {
+			// An inserter is using the node as predecessor, or a deleter
+			// owns it (and the next parse sees it marked).
+			bo.Wait()
+			continue
+		}
+		// Lockable implies unmarked: deleters hold the lock forever.
+		if core.LoadWord(&n.val) != old {
+			n.lock.Revert()
+			return false
+		}
+		core.StoreWord(&n.val, new)
+		n.lock.Unlock()
+		return true
+	}
 }
 
 // testHookDeleteWindow, when non-nil, runs inside a conditional delete
@@ -405,13 +453,13 @@ type deleteCond struct {
 // the key maps to. The white-box test stages that interleaving through it.
 var testHookDeleteWindow func()
 
-// delete is the shared Delete/DeleteIfValue loop; cond is nil for the
-// unconditional form.
-func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64, cond *deleteCond) (uint64, bool) {
-	var preds, succs [MaxLevel]*oNode
+// delete is the shared Delete/DeleteIfValue loop; with match set the
+// victim goes only if its value is want.
+func (s *Optik[V]) delete(rc *qsbr.Reclaimer, key uint64, match bool, want V) (V, bool) {
+	var preds, succs [MaxLevel]*oNode[V]
 	var predVs [MaxLevel]core.Version
-	var victim *oNode
-	var val uint64
+	var victim *oNode[V]
+	var val, zero V
 	owned := false
 	var bo backoff.Backoff
 	for {
@@ -419,14 +467,14 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64, cond *deleteCond) (uint64
 		if !owned {
 			victim = succs[0]
 			if victim.key != key || victim.marked.Load() {
-				return 0, false
+				return zero, false
 			}
 			if !victim.fullyLinked.Load() {
 				// Partially inserted: wait for the inserter to finish.
 				runtime.Gosched()
 				continue
 			}
-			if h := testHookDeleteWindow; cond != nil && h != nil {
+			if h := testHookDeleteWindow; match && h != nil {
 				h()
 			}
 			v := victim.lock.GetVersion()
@@ -434,30 +482,30 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64, cond *deleteCond) (uint64
 				// A concurrent insert is using the victim as predecessor,
 				// or another delete owns it; re-examine.
 				if victim.marked.Load() {
-					return 0, false
+					return zero, false
 				}
 				bo.Wait()
 				continue
 			}
 			if victim.marked.Load() {
 				// Cannot happen: markers hold the lock forever. Defensive.
-				return 0, false
+				return zero, false
 			}
-			if cond != nil && (victim.val.Load() != cond.val || (cond.confirm != nil && !cond.confirm())) {
+			// The victim's lock is held (forever, once marked) from here on,
+			// so its value is frozen: read it once at acquisition.
+			val = core.LoadWord(&victim.val)
+			if match && val != want {
 				victim.lock.Revert()
-				return 0, false
+				return zero, false
 			}
 			victim.marked.Store(true) // linearization point
-			// The victim's lock is held (forever) from here on, so its
-			// value is frozen: read it once at acquisition.
-			val = victim.val.Load()
 			owned = true
 		}
 		// Lock every predecessor level (distinct nodes once), descending
 		// key order overall, so concurrent deletes cannot deadlock.
 		topLevel := victim.topLevel
 		highestLocked := -1
-		var prevPred *oNode
+		var prevPred *oNode[V]
 		ok := true
 		for level := 0; level < topLevel; level++ {
 			pred := preds[level]
@@ -487,14 +535,15 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64, cond *deleteCond) (uint64
 		}
 		unlockOPreds(&preds, highestLocked)
 		// victim.lock stays acquired until the tower is recycled; the
-		// retirement hands it to qsbr (or the GC, without a pool).
+		// retirement hands it to qsbr (or the GC, without a pool), and
+		// qsbr clears its value word as it reclaims it (oNode.Clear).
 		rc.Retire(victim)
 		return val, true
 	}
 }
 
-func unlockOPreds(preds *[MaxLevel]*oNode, highestLocked int) {
-	var prev *oNode
+func unlockOPreds[V any](preds *[MaxLevel]*oNode[V], highestLocked int) {
+	var prev *oNode[V]
 	for level := 0; level <= highestLocked; level++ {
 		if preds[level] != prev {
 			preds[level].lock.Unlock()
@@ -503,8 +552,8 @@ func unlockOPreds(preds *[MaxLevel]*oNode, highestLocked int) {
 	}
 }
 
-func revertOPreds(preds *[MaxLevel]*oNode, highestLocked int) {
-	var prev *oNode
+func revertOPreds[V any](preds *[MaxLevel]*oNode[V], highestLocked int) {
+	var prev *oNode[V]
 	for level := 0; level <= highestLocked; level++ {
 		if preds[level] != prev {
 			preds[level].lock.Revert()
@@ -522,7 +571,7 @@ func revertOPreds(preds *[MaxLevel]*oNode, highestLocked int) {
 // cursor neither skip nor repeat keys that stay present throughout (the
 // iterator invariant test pins this); accepted keys are strictly
 // ascending by construction.
-func (s *Optik) ScanRange(from, to uint64, keys, vals []uint64) int {
+func (s *Optik[V]) ScanRange(from, to uint64, keys []uint64, vals []V) int {
 	ds.CheckKey(from)
 	ds.CheckKey(to)
 	if len(keys) == 0 || from > to {
@@ -547,7 +596,7 @@ func (s *Optik) ScanRange(from, to uint64, keys, vals []uint64) int {
 		// so filter explicitly.
 		if cur.key >= from && !cur.marked.Load() {
 			keys[n] = cur.key
-			vals[n] = cur.val.Load()
+			vals[n] = core.LoadWord(&cur.val)
 			n++
 		}
 	}
@@ -556,22 +605,22 @@ func (s *Optik) ScanRange(from, to uint64, keys, vals []uint64) int {
 
 // Min returns the smallest live key and its value. ok is false on an
 // empty list.
-func (s *Optik) Min() (key, val uint64, ok bool) {
+func (s *Optik[V]) Min() (key uint64, val V, ok bool) {
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
 	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
 		if !cur.marked.Load() {
-			return cur.key, cur.val.Load(), true
+			return cur.key, core.LoadWord(&cur.val), true
 		}
 	}
-	return 0, 0, false
+	return 0, val, false
 }
 
 // Max returns the largest live key and its value. ok is false on an empty
 // list. The descent rides the top levels to the last tower, so Max is a
 // parse, not a level-0 walk; a marked last node (mid-unlink) retries.
-func (s *Optik) Max() (key, val uint64, ok bool) {
+func (s *Optik[V]) Max() (key uint64, val V, ok bool) {
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
@@ -586,10 +635,10 @@ func (s *Optik) Max() (key, val uint64, ok bool) {
 			}
 		}
 		if pred == s.head {
-			return 0, 0, false
+			return 0, val, false
 		}
 		if !pred.marked.Load() {
-			return pred.key, pred.val.Load(), true
+			return pred.key, core.LoadWord(&pred.val), true
 		}
 		// The last tower is mid-unlink; its predecessor takes over as the
 		// maximum the moment the unlink lands.
@@ -600,7 +649,7 @@ func (s *Optik) Max() (key, val uint64, ok bool) {
 // SearchBatch looks up keys[i] into vals[i]/found[i], pinning one qsbr
 // handle for the whole batch instead of one per key — the batched-store
 // shape (store.Ordered routes shard batches here).
-func (s *Optik) SearchBatch(keys, vals []uint64, found []bool) {
+func (s *Optik[V]) SearchBatch(keys []uint64, vals []V, found []bool) {
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
@@ -613,7 +662,7 @@ func (s *Optik) SearchBatch(keys, vals []uint64, found []bool) {
 // UpsertBatchEach upserts keys[i]→vals[i], recording the replaced value
 // and whether a replacement happened per key, and returns how many keys
 // were newly inserted. One qsbr pin covers the whole batch.
-func (s *Optik) UpsertBatchEach(keys, vals, old []uint64, replaced []bool) int {
+func (s *Optik[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int {
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
@@ -632,14 +681,15 @@ func (s *Optik) UpsertBatchEach(keys, vals, old []uint64, replaced []bool) int {
 // DeleteBatchEach deletes keys[i], recording the removed value and whether
 // the key was present, and returns how many were removed. One qsbr pin
 // covers the whole batch.
-func (s *Optik) DeleteBatchEach(keys, old []uint64, found []bool) int {
+func (s *Optik[V]) DeleteBatchEach(keys []uint64, old []V, found []bool) int {
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()
 	removed := 0
+	var zero V
 	for i, k := range keys {
 		ds.CheckKey(k)
-		old[i], found[i] = s.delete(&rc, k, nil)
+		old[i], found[i] = s.delete(&rc, k, false, zero)
 		if found[i] {
 			removed++
 		}
@@ -648,7 +698,7 @@ func (s *Optik) DeleteBatchEach(keys, old []uint64, found []bool) int {
 }
 
 // Len counts unmarked elements at level 0 (not linearizable).
-func (s *Optik) Len() int {
+func (s *Optik[V]) Len() int {
 	rc := qsbr.Reclaimer{Pool: s.pool}
 	defer rc.Release()
 	rc.Pin()

@@ -144,7 +144,7 @@ func TestOptikBatchOps(t *testing.T) {
 func TestOptikPoolRecycles(t *testing.T) {
 	d := qsbr.NewDomain()
 	p := qsbr.NewPool(d, 8)
-	s := NewOptikPool(p)
+	s := NewOptikPool[uint64](p)
 	if s.Pool() != p {
 		t.Fatal("Pool accessor broken")
 	}
@@ -176,7 +176,7 @@ func TestOptikPoolRecycles(t *testing.T) {
 func TestOptikPoolConcurrent(t *testing.T) {
 	d := qsbr.NewDomain()
 	p := qsbr.NewPool(d, 64)
-	s := NewOptikPool(p)
+	s := NewOptikPool[uint64](p)
 	const keyRange = 512
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

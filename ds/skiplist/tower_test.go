@@ -55,7 +55,7 @@ func TestTowerAllocSize(t *testing.T) {
 		header uintptr
 		alloc  func(h int) any
 	}{
-		{"oNode", unsafe.Sizeof(oNode{}), func(h int) any { return newONode(1, h) }},
+		{"oNode", unsafe.Sizeof(oNode[uint64]{}), func(h int) any { return newONode[uint64](1, h) }},
 		{"hoNode", unsafe.Sizeof(hoNode{}), func(h int) any { return newHONode(1, 1, h) }},
 		{"hNode", unsafe.Sizeof(hNode{}), func(h int) any { return newHNode(1, 1, h) }},
 		{"fNode", unsafe.Sizeof(fNode{}), func(h int) any { return newFNode(1, 1, h) }},
@@ -229,7 +229,7 @@ func TestTowerRecycledHeightsStayGeometric(t *testing.T) {
 		t.Skip("1M-operation churn")
 	}
 	const n, churn = 1 << 18, 1_000_000
-	s := NewOptikPool(qsbr.NewPool(qsbr.NewDomain(), 0))
+	s := NewOptikPool[uint64](qsbr.NewPool(qsbr.NewDomain(), 0))
 	r := rng.NewXorshift(42)
 	live := make([]uint64, 0, n)
 	insert := func() {

@@ -108,8 +108,8 @@ func (s *Optik) Push(val uint64) {
 // scalar Pushes would produce, at one lock acquisition instead of n.
 // The chain is linked outside the critical section (the OPTIK prepare
 // phase), so the locked window is two stores regardless of batch size;
-// batch producers such as a value arena releasing a request's worth of
-// recycled slots amortize the stack's single point of contention the
+// a batch producer — a free list taking back a request's worth of
+// handles, say — amortizes the stack's single point of contention the
 // same way the tables' batch operations amortize their per-op costs.
 func (s *Optik) PushAll(vals []uint64) {
 	if len(vals) == 0 {

@@ -7,14 +7,12 @@
 // maintenance counters.
 //
 // The machinery lives in the library now: store.Strings maps string keys
-// to string values through a sharded OPTIK index and a chunked
-// atomic-handle value arena with an OPTIK-stack free list (it started
-// life in this example and was lifted into store/values.go when the
-// network server needed it too — the server package serves the same type
-// over TCP). There is no lock anywhere on the GET/SET/DEL path: index
-// reads validate bucket versions, value loads validate the pair's hash
-// against slot recycling and retry through the index — the OPTIK move at
-// the value layer.
+// to string values through a sharded OPTIK index whose value word is the
+// immutable value object itself (the layer started life in this example
+// and was lifted into store/values.go when the network server needed it
+// too — the server package serves the same type over TCP). There is no
+// lock anywhere on the GET/SET/DEL path: an index read validates its
+// bucket version and hands back the value, one hop from key to bytes.
 //
 // Run with:
 //
@@ -117,6 +115,5 @@ func main() {
 	retired, _, reused := st.Index().ReclaimStats()
 	fmt.Printf("  index: %d keys in %d buckets, %d resizes, %d/%d chain nodes retired/reused\n",
 		st.Len(), st.Index().Buckets(), st.Index().Resizes(), retired, reused)
-	fmt.Printf("  arena: %d slots allocated, %d on the free list\n",
-		st.Values().Allocated(), st.Values().FreeLen())
+	fmt.Printf("  bytes: %d used\n", st.BytesUsed())
 }

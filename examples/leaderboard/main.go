@@ -65,7 +65,7 @@ type scoreIndex interface {
 
 // localIndex ranks through the in-process optik2 skip list.
 type localIndex struct {
-	list *skiplist.Optik
+	list *skiplist.Optik[uint64]
 }
 
 func (ix *localIndex) insert(key, player uint64) { ix.list.Insert(key, player) }

@@ -9,9 +9,10 @@
 //     validate, as the hand-over-hand traversals do) is a dead snapshot:
 //     the optimistic read it opened is trusted unvalidated;
 //
-//  2. returning data read from protected state (an atomic .Load, or a
-//     local derived from one) without an intervening validation and
-//     outside any critical section. This is exactly the chain-hit bug
+//  2. returning data read from protected state (an atomic .Load, a
+//     LoadWord of an index's value word, or a local derived from either)
+//     without an intervening validation and outside any critical
+//     section. This is exactly the chain-hit bug
 //     this repo once shipped: the hashmap's chain walk returned
 //     cur.val.Load() on a key match without re-checking the bucket
 //     version, so a racing migration could hand back a value from a
@@ -25,8 +26,11 @@
 // deliberately non-validating reads (mark-bit designs, monitoring
 // Len()s) have no snapshot and are out of scope. Pointer-typed results
 // are exempt: handing a node pointer plus its version to the caller for
-// validation is the traversal idiom, not a bug. *_test.go files are
-// skipped (tests stage deliberate violations).
+// validation is the traversal idiom, not a bug. A result of a type
+// parameter's type is checked like a basic one: in the generic tables
+// that is the value word, a uint64 or a pointer the caller trusts as the
+// value itself. *_test.go files are skipped (tests stage deliberate
+// violations).
 package optikvalidate
 
 import (
@@ -440,7 +444,8 @@ func (s *vscan) clearTaints() {
 }
 
 // hasAtomicLoad reports whether the expression performs a .Load() on a
-// typed atomic (sync/atomic value type).
+// typed atomic (sync/atomic value type), or loads a value word through a
+// package-level LoadWord (core.LoadWord, matched by name like the rest).
 func (s *vscan) hasAtomicLoad(e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
@@ -453,6 +458,12 @@ func (s *vscan) hasAtomicLoad(e ast.Expr) bool {
 		}
 		recv, name, ok := analysis.MethodCall(s.info, call)
 		if ok && name == "Load" && analysis.IsAtomicType(analysis.Deref(s.info.TypeOf(recv))) {
+			found = true
+		}
+		if _, name, ok := analysis.PkgFuncCall(s.info, call); ok && name == "LoadWord" {
+			found = true
+		}
+		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "LoadWord" {
 			found = true
 		}
 		return !found
@@ -476,12 +487,16 @@ func (s *vscan) refsTainted(e ast.Expr) bool {
 }
 
 // isBasicValue reports whether the expression's type is a value type
-// (basic-kinded). Pointer results are the traversal hand-off idiom and
-// are validated by the caller.
+// (basic-kinded, or a type parameter: a generic table's value word).
+// Pointer results are the traversal hand-off idiom and are validated by
+// the caller.
 func (s *vscan) isBasicValue(e ast.Expr) bool {
 	t := s.info.TypeOf(e)
 	if t == nil {
 		return false
+	}
+	if _, ok := t.(*types.TypeParam); ok {
+		return true
 	}
 	_, ok := t.Underlying().(*types.Basic)
 	return ok

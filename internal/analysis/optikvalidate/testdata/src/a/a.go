@@ -163,3 +163,69 @@ func searchNoSnap(b *bucket, key uint64) (uint64, bool) {
 	}
 	return 0, false
 }
+
+// Word stubs core.Word: a generic table's value word, loaded through a
+// package-level LoadWord (matched by name).
+type Word[V any] struct{ v atomic.Pointer[V] }
+
+// LoadWord stubs core.LoadWord.
+func LoadWord[V any](w *Word[V]) V { return *w.v.Load() }
+
+type gnode[V any] struct {
+	key  uint64
+	val  Word[V]
+	next atomic.Pointer[gnode[V]]
+}
+
+type gbucket[V any] struct {
+	lock Lock
+	head atomic.Pointer[gnode[V]]
+}
+
+// goodGeneric validates before trusting the value word it read.
+func goodGeneric[V any](b *gbucket[V], key uint64) (V, bool) {
+	vn := b.lock.GetVersionWait()
+	for cur := b.head.Load(); cur != nil; cur = cur.next.Load() {
+		if cur.key == key {
+			val := LoadWord(&cur.val)
+			if b.lock.GetVersion().Same(vn) {
+				return val, true
+			}
+			break
+		}
+	}
+	var zero V
+	return zero, false
+}
+
+// buggyGeneric is the chain-hit bug on a generic table: the value word is
+// returned straight from the optimistic read.
+func buggyGeneric[V any](b *gbucket[V], key uint64) (V, bool) {
+	vn := b.lock.GetVersionWait()
+	for cur := b.head.Load(); cur != nil; cur = cur.next.Load() {
+		if cur.key == key {
+			return LoadWord(&cur.val), true // want `atomic read returned without re-validating the version snapshot`
+		}
+	}
+	if b.lock.GetVersion().Same(vn) {
+		var zero V
+		return zero, false
+	}
+	var zero V
+	return zero, false
+}
+
+// buggyGenericTainted returns a value word read before the only
+// validation that could have covered it was skipped.
+func buggyGenericTainted[V any](b *gbucket[V]) (V, bool) {
+	vn := b.lock.GetVersionWait()
+	val := LoadWord(&b.head.Load().val)
+	if vn.IsLocked() {
+		return val, false // want `value read optimistically is returned without re-validating`
+	}
+	if !b.lock.GetVersion().Same(vn) {
+		var zero V
+		return zero, false
+	}
+	return val, true
+}

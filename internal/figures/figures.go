@@ -700,12 +700,12 @@ func normalizeShards(in []int) []int {
 // storeFactory builds the server figure's store: the initial size split
 // across the shards as each one's floor, so the per-shard provisioning is
 // fair at every shard count.
-func storeFactory(shards, initial int) func() *store.Store {
+func storeFactory(shards, initial int) func() *store.Store[uint64] {
 	perShard := initial / shards
 	if perShard < 64 {
 		perShard = 64
 	}
-	return func() *store.Store {
+	return func() *store.Store[uint64] {
 		return store.New(store.WithShards(shards), store.WithShardBuckets(perShard))
 	}
 }
@@ -790,8 +790,8 @@ func scanDensity(res workload.OrderedResult) float64 {
 // orderedFactory builds the ordered figure's in-process store: the key
 // ceiling matches the workload's 2×initial key range, so the range
 // partition splits the populated space, not a mostly-empty one.
-func orderedFactory(shards, initial int) func() *store.Ordered {
-	return func() *store.Ordered {
+func orderedFactory(shards, initial int) func() *store.Ordered[uint64] {
+	return func() *store.Ordered[uint64] {
 		return store.NewOrdered(store.WithShards(shards), store.WithKeyMax(uint64(2*initial)))
 	}
 }

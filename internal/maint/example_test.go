@@ -16,7 +16,7 @@ func ExampleScheduler() {
 	sched := maint.NewScheduler(time.Millisecond)
 	defer sched.Stop()
 
-	tables := []*hashmap.Resizable{hashmap.NewResizable(64), hashmap.NewResizable(64)}
+	tables := []*hashmap.Resizable[uint64]{hashmap.NewResizable(64), hashmap.NewResizable(64)}
 	for _, m := range tables {
 		sched.Register(m)
 	}

@@ -125,7 +125,7 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := NewScheduler(time.Millisecond)
 	defer s.Stop()
-	ms := make([]*hashmap.Resizable, tables)
+	ms := make([]*hashmap.Resizable[uint64], tables)
 	for i := range ms {
 		ms[i] = hashmap.NewResizable(floor)
 		s.Register(ms[i])
@@ -142,7 +142,7 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := range ms {
 		wg.Add(1)
-		go func(m *hashmap.Resizable, seed uint64) {
+		go func(m *hashmap.Resizable[uint64], seed uint64) {
 			defer wg.Done()
 			for k := uint64(1); k <= uint64(n); k++ {
 				m.Insert(k, k+seed)

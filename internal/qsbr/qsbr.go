@@ -216,7 +216,23 @@ func (t *Thread) Alloc() any {
 // shared structure (no reader can hold a reference): the allocate-then-
 // lose-the-race path of optimistic inserts.
 func (t *Thread) Free(obj any) {
+	clearFree(obj)
 	t.free = append(t.free, obj)
+}
+
+// Clearer is implemented by recycled objects that hold a reference of
+// their own — an index node's value word — which must not outlive the
+// object's place in the structure. Every way onto a free list (Free, and
+// reclamation in Quiescent) calls Clear first, when no reader can reach
+// the object any more, so a node waiting for reuse keeps nothing alive
+// and memory the structure gave up returns to the collector.
+type Clearer interface{ Clear() }
+
+// clearFree clears obj on its way onto a free list, if it asks to be.
+func clearFree(obj any) {
+	if c, ok := obj.(Clearer); ok {
+		c.Clear()
+	}
 }
 
 // Retire marks obj unreachable from the shared structure as of the current
@@ -249,6 +265,7 @@ func (t *Thread) Quiescent() {
 	// O(1) instead of rescanning everything it must keep.
 	n := 0
 	for n < len(t.retired) && t.retired[n].epoch < safe {
+		clearFree(t.retired[n].obj)
 		t.free = append(t.free, t.retired[n].obj)
 		n++
 	}

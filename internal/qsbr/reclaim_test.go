@@ -163,3 +163,57 @@ func TestReclaimerPinRetirementsSurviveUnregister(t *testing.T) {
 		}
 	}
 }
+
+// clearable records the Clear qsbr owes an object on its way to a free
+// list.
+type clearable struct{ cleared bool }
+
+func (c *clearable) Clear() { c.cleared = true }
+
+// TestExhaustedPoolStillServes pins the fallback the limits table
+// promises for a pool whose every slot is borrowed: the lazy borrow gets
+// no handle — its caller allocates from the heap and its retirements drop
+// to the collector — and Pin still hands out a working handle, freshly
+// registered, which retires and reclaims like a pooled one (clearing what
+// it reclaims) and unregisters on Release, leaving the domain as it was.
+func TestExhaustedPoolStillServes(t *testing.T) {
+	d := NewDomain()
+	p := NewPool(d, 1)
+	held := p.Acquire()
+	if held == nil || p.Acquire() != nil {
+		t.Fatal("could not exhaust a 1-slot pool")
+	}
+	lazy := Reclaimer{Pool: p}
+	if lazy.Handle() != nil || lazy.Alloc() != nil {
+		t.Fatal("the lazy borrow got a handle from an exhausted pool")
+	}
+	lazy.Retire(new(int))
+	lazy.Release()
+	for i := 0; i < 100; i++ {
+		rc := Reclaimer{Pool: p}
+		if rc.Pin() == nil {
+			t.Fatalf("Pin %d on an exhausted pool returned no handle", i)
+		}
+		rc.Retire(new(int))
+		rc.Release()
+	}
+	p.Release(held)
+	// With the borrowed slot back, a pinned handle's retirement reclaims
+	// at its own release — and is cleared on the way.
+	held = p.Acquire()
+	c := &clearable{}
+	rc := Reclaimer{Pool: p}
+	rc.Pin()
+	rc.Retire(c)
+	p.Release(held)
+	rc.Release()
+	if !c.cleared {
+		t.Fatal("an object reclaimed through a fallback handle was not cleared")
+	}
+	d.mu.Lock()
+	threads := len(d.threads)
+	d.mu.Unlock()
+	if threads != 1 {
+		t.Fatalf("domain holds %d threads after the fallbacks released, want the pool's 1", threads)
+	}
+}

@@ -22,7 +22,7 @@ func TestRunOrderedInProcess(t *testing.T) {
 		ScanWidth:     32,
 		SampleLatency: true,
 	}
-	res := RunOrdered(cfg, func() *store.Ordered {
+	res := RunOrdered(cfg, func() *store.Ordered[uint64] {
 		return store.NewOrdered(store.WithShards(4), store.WithKeyMax(uint64(2*cfg.InitialSize)))
 	})
 	if res.Ops == 0 || res.Gets == 0 || res.Sets == 0 || res.Dels == 0 || res.Scans == 0 {

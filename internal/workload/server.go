@@ -95,7 +95,7 @@ type ServerResult struct {
 // and returns the aggregate result. The factory builds the store so shard
 // count and maintenance mode stay with the caller; RunServer closes it
 // after the final accounting.
-func RunServer(cfg ServerConfig, factory func() *store.Store) ServerResult {
+func RunServer(cfg ServerConfig, factory func() *store.Store[uint64]) ServerResult {
 	if cfg.Threads <= 0 || cfg.InitialSize <= 0 || cfg.Duration <= 0 {
 		panic("workload: Threads, InitialSize and Duration must be positive")
 	}

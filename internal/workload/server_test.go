@@ -20,7 +20,7 @@ func TestRunServerConservation(t *testing.T) {
 		BatchSize:     8,
 		SampleLatency: true,
 	}
-	res := RunServer(cfg, func() *store.Store {
+	res := RunServer(cfg, func() *store.Store[uint64] {
 		return store.New(store.WithShards(4), store.WithShardBuckets(64))
 	})
 	if res.Ops == 0 || res.Gets == 0 || res.Sets == 0 || res.Dels == 0 {
@@ -51,7 +51,7 @@ func TestRunServerBatchOnly(t *testing.T) {
 	res := RunServer(ServerConfig{
 		Threads: 2, Duration: 100 * time.Millisecond, InitialSize: 1024,
 		SetPct: 20, DelPct: 10, BatchPct: 100, BatchSize: 4,
-	}, func() *store.Store {
+	}, func() *store.Store[uint64] {
 		return store.New(store.WithShards(2), store.WithShardBuckets(64), store.WithoutMaintenance())
 	})
 	if res.Ops == 0 {

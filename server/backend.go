@@ -57,17 +57,15 @@ func decimalKey(arg []byte) (uint64, bool) {
 // towers of the skip lists), buckets/resizes read 0 where shards do not
 // resize, and an ordered server adds the ordered:1 discriminator.
 func (s *Server) statsPrefix() string {
-	idx, vals := s.st.Index(), s.st.Values()
+	idx := s.st.Index()
 	retired, reclaimed, reused := idx.ReclaimStats()
 	lazy, swept, evicted := s.st.TTLStats()
 	prefix := fmt.Sprintf(
 		"len:%d\nshards:%d\nbuckets:%d\nresizes:%d\n"+
 			"nodes_retired:%d\nnodes_reclaimed:%d\nnodes_reused:%d\n"+
-			"values_allocated:%d\nvalues_free:%d\n"+
 			"bytes_used:%d\nexpired_lazy:%d\nexpired_swept:%d\nevicted:%d\n",
 		idx.Len(), idx.Shards(), idx.Buckets(), idx.Resizes(),
 		retired, reclaimed, reused,
-		vals.Allocated(), vals.FreeLen(),
 		s.st.BytesUsed(), lazy, swept, evicted)
 	if s.sorted != nil {
 		prefix += "ordered:1\n"

@@ -76,7 +76,7 @@ func benchPipeline(b *testing.B, depth int, opts []Option, multibulk bool) {
 // store on loopback. With the page gathered in the connection's reusable
 // scratch the server side allocates nothing per request
 // (TestRangeSteadyStateAllocs pins that without the socket); what remains
-// here is the skip-list walk, the arena reads and the reply framing.
+// here is the skip-list walk, the value reads and the reply framing.
 func BenchmarkRange(b *testing.B) {
 	st := store.NewSortedStrings(store.WithKeyMax(1<<16), store.WithoutMaintenance())
 	defer st.Close()
@@ -111,15 +111,20 @@ func BenchmarkRange(b *testing.B) {
 }
 
 // BenchmarkPipelineSet measures the write path per key: one client keeps
-// 64 SETs of 64-byte values in flight against a loopback server. Every
-// timed SET is a fresh insert — the keys are deleted again with the timer
-// stopped — so allocs/op counts exactly what storing a value costs: the
-// one object the store builds for it, header and bytes together. The
-// parser hands the store a view, the warm index and arena reuse what the
-// deletes gave back, and the client side (a prebuilt buffer out, fixed-size
-// replies in) allocates nothing. An overwriting SET pays one more small
-// object, the free-list node its displaced slot is pushed on.
+// 64 SETs of 64-byte values in flight against a loopback server, so
+// allocs/op counts exactly what storing a value costs — the one object the
+// store builds for it, header and bytes together. The parser hands the
+// store a view, the warm index reuses its slots and nodes, and the client
+// side (a prebuilt buffer out, fixed-size replies in) allocates nothing.
+// fresh times inserts — the keys are deleted again with the timer stopped
+// — and overwrite times SETs over keys already present: the displaced
+// value leaves the index and costs nothing more.
 func BenchmarkPipelineSet(b *testing.B) {
+	b.Run("fresh", func(b *testing.B) { benchPipelineSet(b, false) })
+	b.Run("overwrite", func(b *testing.B) { benchPipelineSet(b, true) })
+}
+
+func benchPipelineSet(b *testing.B, overwrite bool) {
 	st := store.NewStrings(store.WithShardBuckets(1024), store.WithoutMaintenance())
 	defer st.Close()
 	srv := New(st)
@@ -154,16 +159,20 @@ func BenchmarkPipelineSet(b *testing.B) {
 		}
 	}
 	for i := range sets {
-		roundTrip(sets[i]) // warm the index and the arena
-		roundTrip(dels[i])
+		roundTrip(sets[i]) // warm the index
+		if !overwrite {
+			roundTrip(dels[i])
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += depth {
 		k := i / depth % len(sets)
 		roundTrip(sets[k])
-		b.StopTimer()
-		roundTrip(dels[k])
-		b.StartTimer()
+		if !overwrite {
+			b.StopTimer()
+			roundTrip(dels[k])
+			b.StartTimer()
+		}
 	}
 }

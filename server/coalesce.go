@@ -172,7 +172,7 @@ func (cs *connState) drainRead() error {
 			}
 		}
 	}
-	clear(vals) // don't pin arena strings in the reusable scratch
+	clear(vals) // don't pin values in the reusable scratch
 	return nil
 }
 

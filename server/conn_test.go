@@ -12,8 +12,10 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"log"
 	"math/rand"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -552,4 +554,77 @@ func TestStagedSetSurvivesBufferMove(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConnPanicContained pins the containment backstop in both conn
+// modes: a request whose handling panics (staged through the dispatch
+// hook, above every lock) ends its own connection without a reply and is
+// logged, a second connection's PING is still answered, and STATS counts
+// the panic.
+func TestConnPanicContained(t *testing.T) {
+	testHookDispatch = func(cmd []byte) {
+		if cmdEq(cmd, "LEN") {
+			panic("injected dispatch panic")
+		}
+	}
+	var logged syncBuffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() {
+		testHookDispatch = nil
+		log.SetOutput(os.Stderr)
+	})
+	for _, mode := range connModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, _, addr := startServer(t, WithConnMode(mode))
+			other, otherR := dialRaw(t, addr)
+			ping := func() {
+				t.Helper()
+				if _, err := other.Write([]byte("PING\r\n")); err != nil {
+					t.Fatalf("write PING: %v", err)
+				}
+				if got := readN(t, otherR, len("+PONG\r\n")); got != "+PONG\r\n" {
+					t.Fatalf("PING on the other connection = %q", got)
+				}
+			}
+			ping()
+			victim, victimR := dialRaw(t, addr)
+			if _, err := victim.Write([]byte("LEN\r\n")); err != nil {
+				t.Fatalf("write LEN: %v", err)
+			}
+			if b, err := victimR.ReadByte(); err == nil {
+				t.Fatalf("the panicking connection answered %q; want it closed", b)
+			}
+			ping()
+			cl, err := Dial(addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer cl.Close()
+			if got := cl.Stats()["conn_panics"]; got != 1 {
+				t.Fatalf("conn_panics = %d, want 1", got)
+			}
+			if !strings.Contains(logged.String(), "injected dispatch panic") {
+				t.Fatalf("the panic was not logged; log reads %q", logged.String())
+			}
+		})
+	}
+}
+
+// syncBuffer is a bytes.Buffer the log package may write from server
+// goroutines while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

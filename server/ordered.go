@@ -126,7 +126,7 @@ func prefixRanges(v uint64, dst [][2]uint64) [][2]uint64 {
 
 // appendPage frames a gathered page as alternating key/value bulks,
 // spilling like every multi-entry reply, and clears the value slots so the
-// connection's reusable scratch pins no arena strings.
+// connection's reusable scratch pins no values.
 func (cs *connState) appendPage(keys []uint64, vals []string) error {
 	defer clear(vals)
 	for i, k := range keys {

@@ -86,7 +86,7 @@ func TestAppendBulkUint(t *testing.T) {
 // parse, dispatch, the store's scan, reply framing — with no socket and no
 // client: the same harness as TestRangeSteadyStateAllocs over a store larger
 // than the CPU caches (1 M keys, every fourth key present, 33-byte values),
-// so the skip-list descent and the arena reads miss as they do in
+// so the skip-list descent and the value reads miss as they do in
 // ordered_scan.
 func BenchmarkRangeEngine(b *testing.B) {
 	const population, stride, page = 1 << 20, 4, 100

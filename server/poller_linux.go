@@ -367,10 +367,12 @@ func (pc *pollConn) serve() {
 
 // process drives the shared engine over everything the socket has to give
 // right now. It returns true when the connection is finished (EOF, error,
-// QUIT, protocol teardown) and false when the socket is merely dry and
-// the conn should be re-armed; a half-arrived frame waits in `in`.
+// QUIT, protocol teardown, or a panic the containment backstop caught)
+// and false when the socket is merely dry and the conn should be re-armed;
+// a half-arrived frame waits in `in`.
 func (pc *pollConn) process() (done bool) {
 	cs := pc.cs
+	defer cs.srv.contain(&done)
 	if cs.in == nil {
 		cs.acquireBuffers()
 	}

@@ -3,7 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -165,7 +167,10 @@ type Server struct {
 	// batched store execution, and the keys those runs carried.
 	coalescedBatches atomic.Uint64
 	coalescedKeys    atomic.Uint64
-	wg               sync.WaitGroup
+	// connPanics counts connections closed by the containment backstop
+	// (contain): a request whose handling panicked.
+	connPanics atomic.Uint64
+	wg         sync.WaitGroup
 }
 
 // New returns a server for st. The server does not own the store: Close
@@ -461,8 +466,37 @@ func (s *Server) handle(cs *connState) {
 	defer s.track(cs, false)
 	defer cs.nc.Close()
 	defer cs.releaseBuffers()
+	defer s.contain(nil)
 	cs.runLoop()
 }
+
+// contain is the per-connection containment backstop, deferred around each
+// connection's protocol engine (handle; pollConn.process): a panic while
+// serving one connection is logged with its stack, counted on
+// conn_panics, and ends that connection — its caller tears it down as it
+// would after an error, setting *done where there is a caller to tell —
+// while every other connection and the process carry on. It is the one
+// recover in the server. Below it nothing recovers: an invariant the store
+// or the structures check still panics, and ends up here. A panic inside
+// a structure's critical section would leave its lock held, which no
+// backstop can undo; a panic above every lock — a bad request reaching an
+// unchecked path of the engine — is what this contains.
+func (s *Server) contain(done *bool) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	s.connPanics.Add(1)
+	log.Printf("server: connection closed after a panic: %v\n%s", r, debug.Stack())
+	if done != nil {
+		*done = true
+	}
+}
+
+// testHookDispatch, when non-nil, runs at the top of dispatch with the
+// request's command, above every lock: the containment tests panic from it
+// to stand for a request whose handling panics.
+var testHookDispatch func(cmd []byte)
 
 // dispatch routes the request just parsed: the three coalescable families
 // are staged into the connection's run (draining first on a family switch,
@@ -477,6 +511,9 @@ func (cs *connState) dispatch() error {
 		return nil
 	}
 	cmd, rest := args[0], args[1:]
+	if h := testHookDispatch; h != nil {
+		h(cmd)
+	}
 	kind, multi := runNone, false
 	switch {
 	case cmdEq(cmd, "GET"):
@@ -722,10 +759,10 @@ func (s *Server) statsText() string {
 			"coalesced_batches:%d\ncoalesced_keys:%d\n"+
 			"conns_open:%d\nconns_rejected:%d\nconns_shed:%d\n"+
 			"buffers_resident:%d\npoller:%d\n"+
-			"get_hits:%d\nget_misses:%d\n",
+			"get_hits:%d\nget_misses:%d\nconn_panics:%d\n",
 		s.active.Load(), s.accepted.Load(), s.commands.Load(),
 		s.coalescedBatches.Load(), s.coalescedKeys.Load(),
 		s.active.Load(), s.rejected.Load(), s.shed.Load(),
 		s.buffersResident.Load(), b2i(poller),
-		s.getHits.Load(), s.getMisses.Load())
+		s.getHits.Load(), s.getMisses.Load(), s.connPanics.Load())
 }

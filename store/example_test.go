@@ -37,7 +37,7 @@ func ExampleStore() {
 }
 
 // ExampleStrings shows the string-valued store the network server
-// serves: same sharded OPTIK index, values through the handle arena.
+// serves: same sharded OPTIK index, each value held by the index itself.
 func ExampleStrings() {
 	st := store.NewStrings(store.WithShards(2))
 	defer st.Close()

@@ -18,6 +18,7 @@ package store
 
 import (
 	"github.com/optik-go/optik/ds"
+	"github.com/optik-go/optik/ds/hashmap"
 	"github.com/optik-go/optik/ds/skiplist"
 	"github.com/optik-go/optik/internal/core"
 	"github.com/optik-go/optik/internal/qsbr"
@@ -39,20 +40,20 @@ func WithKeyMax(max uint64) Option {
 // ReclaimStats); every mutator is overridden below to record its outcome
 // on the counter, whose net half is a cheap Len (the list's own is an
 // O(n) walk) and whose op half is the scheduler's activity signal.
-type orderedShard struct {
-	*skiplist.Optik
+type orderedShard[V comparable] struct {
+	*skiplist.Optik[V]
 	count *core.Striped
 }
 
-func newOrderedShard() shard {
-	return &orderedShard{
-		Optik: skiplist.NewOptikPool(qsbr.NewPool(qsbr.NewDomain(), 0)),
+func newOrderedShard[V comparable]() shard[V] {
+	return &orderedShard[V]{
+		Optik: skiplist.NewOptikPool[V](qsbr.NewPool(qsbr.NewDomain(), 0)),
 		count: core.NewStriped(0),
 	}
 }
 
 // noteUpsert records one upsert: +1 element unless it replaced in place.
-func (sh *orderedShard) noteUpsert(key uint64, replaced bool) {
+func (sh *orderedShard[V]) noteUpsert(key uint64, replaced bool) {
 	if replaced {
 		sh.count.AddOp(key, 0)
 	} else {
@@ -60,7 +61,7 @@ func (sh *orderedShard) noteUpsert(key uint64, replaced bool) {
 	}
 }
 
-func (sh *orderedShard) Insert(key, val uint64) bool {
+func (sh *orderedShard[V]) Insert(key uint64, val V) bool {
 	ok := sh.Optik.Insert(key, val)
 	if ok {
 		sh.count.AddOp(key, 1)
@@ -68,13 +69,13 @@ func (sh *orderedShard) Insert(key, val uint64) bool {
 	return ok
 }
 
-func (sh *orderedShard) Upsert(key, val uint64) (uint64, bool) {
+func (sh *orderedShard[V]) Upsert(key uint64, val V) (V, bool) {
 	old, replaced := sh.Optik.Upsert(key, val)
 	sh.noteUpsert(key, replaced)
 	return old, replaced
 }
 
-func (sh *orderedShard) Delete(key uint64) (uint64, bool) {
+func (sh *orderedShard[V]) Delete(key uint64) (V, bool) {
 	val, ok := sh.Optik.Delete(key)
 	if ok {
 		sh.count.AddOp(key, -1)
@@ -82,15 +83,23 @@ func (sh *orderedShard) Delete(key uint64) (uint64, bool) {
 	return val, ok
 }
 
-func (sh *orderedShard) DeleteIfValue(key, val uint64, confirm func() bool) bool {
-	ok := sh.Optik.DeleteIfValue(key, val, confirm)
+func (sh *orderedShard[V]) DeleteIfValue(key uint64, val V) bool {
+	ok := sh.Optik.DeleteIfValue(key, val)
 	if ok {
 		sh.count.AddOp(key, -1)
 	}
 	return ok
 }
 
-func (sh *orderedShard) UpsertBatchEach(keys, vals, old []uint64, replaced []bool) int {
+func (sh *orderedShard[V]) ReplaceIfValue(key uint64, old, new V) bool {
+	ok := sh.Optik.ReplaceIfValue(key, old, new)
+	if ok {
+		sh.count.AddOp(key, 0)
+	}
+	return ok
+}
+
+func (sh *orderedShard[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int {
 	inserted := sh.Optik.UpsertBatchEach(keys, vals, old, replaced)
 	for i, k := range keys {
 		sh.noteUpsert(k, replaced[i])
@@ -98,7 +107,7 @@ func (sh *orderedShard) UpsertBatchEach(keys, vals, old []uint64, replaced []boo
 	return inserted
 }
 
-func (sh *orderedShard) DeleteBatchEach(keys, old []uint64, found []bool) int {
+func (sh *orderedShard[V]) DeleteBatchEach(keys []uint64, old []V, found []bool) int {
 	removed := sh.Optik.DeleteBatchEach(keys, old, found)
 	for i, k := range keys {
 		if found[i] {
@@ -108,10 +117,48 @@ func (sh *orderedShard) DeleteBatchEach(keys, old []uint64, found []bool) int {
 	return removed
 }
 
+// Sample reports the successor of a key drawn uniformly between the
+// shard's smallest and largest key: the first entry at or after it. The
+// draw is uniform over the key space, not over the entries — an entry is
+// drawn as often as the gap below it is wide (the smallest entry, one key
+// wide) — so it favours the first entry after every empty stretch of the
+// key space, and can leave most entries of a clustered key set undrawn at
+// any one moment (docs/ARCHITECTURE.md measures both). Two things keep
+// that from steering eviction. A gap says nothing about how its entry is
+// used, so the bias adds noise to the sample, never a preference. And it
+// moves: an entry the draw cannot see becomes visible as soon as the
+// entries before it go, because their gaps become its own. One probe
+// reports one entry: a run of successors would be a run of keys alike
+// wherever keys cluster (the hashes of similar strings do), and a sample
+// of them would be one draw K times.
+func (sh *orderedShard[V]) Sample(rnd uint64) (keys [hashmap.SampleWidth]uint64, vals [hashmap.SampleWidth]V, n int) {
+	lo, _, ok := sh.Min()
+	if !ok {
+		return keys, vals, 0
+	}
+	hi, _, ok := sh.Max()
+	if !ok || hi < lo {
+		return keys, vals, 0
+	}
+	return keys, vals, sh.ScanRange(lo+rnd%(hi-lo+1), hi, keys[:1], vals[:1])
+}
+
+// Sweep walks level 0 from the cursor key: one ScanRange page, and the
+// key after its last entry to resume from (0 once the shard is exhausted).
+// A position that is a key, not a node, survives any churn, so every key
+// present for the whole lap is visited exactly once.
+func (sh *orderedShard[V]) Sweep(cursor uint64, keys []uint64, vals []V) (n int, next uint64) {
+	n = sh.ScanRange(max(cursor, ds.MinKey), ds.MaxKey, keys, vals)
+	if n < len(keys) || keys[n-1] == ds.MaxKey {
+		return n, 0
+	}
+	return n, keys[n-1] + 1
+}
+
 // Len reads the counter's net half, clamped at zero like the tables' (a
 // reader can catch a delete's decrement before the matching insert's
 // increment).
-func (sh *orderedShard) Len() int {
+func (sh *orderedShard[V]) Len() int {
 	return int(max(sh.count.Net(), 0))
 }
 
@@ -119,7 +166,7 @@ func (sh *orderedShard) Len() int {
 // every retired tower is on the free list when it returns. Bounded, so it
 // terminates under concurrent traffic too (where "fully drained" is a
 // moving target).
-func (sh *orderedShard) Quiesce() {
+func (sh *orderedShard[V]) Quiesce() {
 	for i := 0; i < 4; i++ {
 		if retired, reclaimed, _ := sh.ReclaimStats(); retired == reclaimed {
 			return
@@ -131,39 +178,41 @@ func (sh *orderedShard) Quiesce() {
 // ActivitySample implements maint.Maintainer: the monotone op count moves
 // on every successful update, so an unchanged sample means the shard was
 // untouched since the last poll.
-func (sh *orderedShard) ActivitySample() uint64 { return uint64(sh.count.Ops()) }
+func (sh *orderedShard[V]) ActivitySample() uint64 { return uint64(sh.count.Ops()) }
 
 // MaintainIdle implements maint.Maintainer: with the shard idle, sweep its
 // pool so retired towers reclaim even if no future operation ever borrows
 // a handle. Cheap when nothing is pending.
-func (sh *orderedShard) MaintainIdle(<-chan struct{}) { sh.Pool().Sweep() }
+func (sh *orderedShard[V]) MaintainIdle(<-chan struct{}) { sh.Pool().Sweep() }
 
 // MaintainBusy implements maint.Maintainer: a busy skip-list shard needs
 // no help — there is no migration to advance, and the operations' own
 // handle borrows drive the reclamation epoch.
-func (sh *orderedShard) MaintainBusy() {}
+func (sh *orderedShard[V]) MaintainBusy() {}
 
 // Ordered is the index core over sorted shards: every method of Store,
 // plus the ordered family — Scan, Min, Max — that a hash-routed store
 // cannot serve.
-type Ordered struct{ Store }
+type Ordered[V comparable] struct{ Store[V] }
 
 // NewOrdered returns a range-partitioned store over OPTIK skip lists.
 // WithShards, WithMaintenanceInterval and WithoutMaintenance mean what
 // they do for New; WithKeyMax bounds the partition; WithShardBuckets does
 // not apply.
-func NewOrdered(opts ...Option) *Ordered {
-	o := newOptions(opts)
+func NewOrdered(opts ...Option) *Ordered[uint64] { return newOrdered[uint64](newOptions(opts)) }
+
+// newOrdered is NewOrdered over any value word.
+func newOrdered[V comparable](o options) *Ordered[V] {
 	var shift uint
 	for shift < 64 && o.keyMax>>shift >= uint64(o.shards) {
 		shift++
 	}
-	return &Ordered{newStore(o, 1, shift, newOrderedShard)}
+	return &Ordered[V]{newStore(o, 1, shift, newOrderedShard[V])}
 }
 
 // sorted recovers the sorted shard behind the contract; an Ordered holds
 // no other kind.
-func sorted(sh shard) *orderedShard { return sh.(*orderedShard) }
+func sorted[V comparable](sh shard[V]) *orderedShard[V] { return sh.(*orderedShard[V]) }
 
 // Scan copies the live entries with from <= key <= to, ascending, into
 // keys/vals (same length), returning how many were filled. The range
@@ -173,7 +222,7 @@ func sorted(sh shard) *orderedShard { return sh.(*orderedShard) }
 // from = lastKey+1 — which survives any amount of concurrent churn
 // because the position is a key, not an index (see the skip list's
 // ScanRange for the no-skip/no-repeat argument).
-func (s *Ordered) Scan(from, to uint64, keys, vals []uint64) int {
+func (s *Ordered[V]) Scan(from, to uint64, keys []uint64, vals []V) int {
 	ds.CheckKey(from)
 	ds.CheckKey(to)
 	if from > to {
@@ -189,31 +238,31 @@ func (s *Ordered) Scan(from, to uint64, keys, vals []uint64) int {
 // Min returns the smallest live key and its value; ok is false on an
 // empty store. Shards are probed in partition order, so the first hit is
 // the global minimum.
-func (s *Ordered) Min() (key, val uint64, ok bool) {
+func (s *Ordered[V]) Min() (key uint64, val V, ok bool) {
 	for _, sh := range s.shards {
 		if k, v, ok := sorted(sh).Min(); ok {
 			return k, v, true
 		}
 	}
-	return 0, 0, false
+	return 0, val, false
 }
 
 // Max returns the largest live key and its value; ok is false on an
 // empty store.
-func (s *Ordered) Max() (key, val uint64, ok bool) {
+func (s *Ordered[V]) Max() (key uint64, val V, ok bool) {
 	for i := len(s.shards) - 1; i >= 0; i-- {
 		if k, v, ok := sorted(s.shards[i]).Max(); ok {
 			return k, v, true
 		}
 	}
-	return 0, 0, false
+	return 0, val, false
 }
 
 // SortedStrings maps uint64 keys to string values with range queries: the
 // string layer (Strings, embedded — TTL, byte budget, eviction and the
 // whole *Hashed family included) over an Ordered index. Here the "hash" a
 // *Hashed method takes IS the key: keys already live in
-// [ds.MinKey, ds.MaxKey], clear of the arena's sentinels, and the short
+// [ds.MinKey, ds.MaxKey], clear of the index's sentinels, and the short
 // names below are the same calls without the misnomer.
 //
 // Arbitrary string KEYS are deliberately not the point: the embedded
@@ -224,14 +273,15 @@ func (s *Ordered) Max() (key, val uint64, ok bool) {
 // everything else belongs in a plain Strings.
 type SortedStrings struct {
 	Strings
-	sorted *Ordered
+	sorted *Ordered[*pair]
 }
 
 // NewSortedStrings returns an ordered string store; the options configure
 // the index exactly as in NewOrdered and the value layer as in NewStrings.
 func NewSortedStrings(opts ...Option) *SortedStrings {
-	s := &SortedStrings{sorted: NewOrdered(opts...)}
-	s.init(&s.sorted.Store, opts)
+	o := newOptions(opts)
+	s := &SortedStrings{sorted: newOrdered[*pair](o)}
+	s.init(&s.sorted.Store, o)
 	return s
 }
 
@@ -264,29 +314,27 @@ func (s *SortedStrings) MDel(keys []uint64, found []bool) int {
 
 // Scan copies live entries with from <= key <= to, ascending, into
 // keys/vals (same length), returning how many were filled. An index entry
-// that resolves to no live value — deleted between the index scan and the
-// arena load, or expired (in which case it is retired on the spot) — is
-// dropped, and the index scan resumes past the last visited key to refill
-// the freed positions. A short return therefore always means the range is
-// exhausted, never that churn or expiry shrank the page — paging callers
-// (the server's SCAN cursor) treat a short page as end-of-range, so a
-// shrunk page would silently skip every key between the lost entries and
-// the range end.
+// whose pair has expired is retired on the spot and dropped, and the index
+// scan resumes past the last visited key to refill the freed positions. A
+// short return therefore always means the range is exhausted, never that
+// expiry shrank the page — paging callers (the server's SCAN cursor) treat
+// a short page as end-of-range, so a shrunk page would silently skip every
+// key between the lost entries and the range end.
 func (s *SortedStrings) Scan(from, to uint64, keys []uint64, vals []string) int {
 	sc := grabStrScratch(len(keys))
-	defer strScratchPool.Put(sc)
+	defer sc.release(len(keys))
 	w := 0
 	for w < len(keys) {
 		kbuf := keys[w:]
-		slots := sc.slots[:len(kbuf)]
-		n := s.sorted.Scan(from, to, kbuf, slots)
+		pairs := sc.pairs[:len(kbuf)]
+		n := s.sorted.Scan(from, to, kbuf, pairs)
 		if n == 0 {
 			break
 		}
 		// Read before compaction below may overwrite kbuf[n-1] in place.
 		last := kbuf[n-1]
 		for i := 0; i < n; i++ {
-			if _, p := s.read(kbuf[i], slots[i], true); p != nil {
+			if p := s.live(kbuf[i], pairs[i], true); p != nil {
 				keys[w], vals[w] = kbuf[i], p.val()
 				w++
 			}
@@ -308,15 +356,15 @@ func (s *SortedStrings) Min() (uint64, string, bool) { return s.endpoint(s.sorte
 func (s *SortedStrings) Max() (uint64, string, bool) { return s.endpoint(s.sorted.Max) }
 
 // endpoint resolves the index's current extreme entry to a live value. An
-// entry that vanished or expired under the read (read retires the expired
-// one) leaves a different extreme behind, so the loop asks the index again.
-func (s *SortedStrings) endpoint(extreme func() (key, slot uint64, ok bool)) (uint64, string, bool) {
+// entry that expired under the read (live retires it) leaves a different
+// extreme behind, so the loop asks the index again.
+func (s *SortedStrings) endpoint(extreme func() (uint64, *pair, bool)) (uint64, string, bool) {
 	for {
-		k, slot, ok := extreme()
+		k, p, ok := extreme()
 		if !ok {
 			return 0, "", false
 		}
-		if _, p := s.read(k, slot, true); p != nil {
+		if p = s.live(k, p, true); p != nil {
 			return k, p.val(), true
 		}
 	}

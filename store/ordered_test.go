@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -441,10 +443,10 @@ func TestSortedStringsConcurrent(t *testing.T) {
 
 // TestSortedStringsScanShortPageMeansExhausted pins the refill contract
 // paging callers depend on: a Scan page shorter than the buffer means the
-// range is exhausted, even when entries vanish between the index scan and
-// the arena load. The pager below interprets a short page exactly as the
-// server's SCAN does — stop — so a churn-shrunk page would skip every
-// stable key behind it and fail the seen-exactly-once check.
+// range is exhausted, even when entries vanish under the scan. The pager
+// below interprets a short page exactly as the server's SCAN does — stop —
+// so a churn-shrunk page would skip every stable key behind it and fail
+// the seen-exactly-once check.
 func TestSortedStringsScanShortPageMeansExhausted(t *testing.T) {
 	s := NewSortedStrings(WithShards(4), WithKeyMax(1<<16))
 	defer s.Close()
@@ -570,7 +572,7 @@ func TestSortedStringsExpiredAreAbsent(t *testing.T) {
 		t.Fatalf("paged Scan saw %d live keys, want %d", seen, live)
 	}
 	// The readers retired what they stepped over: the index holds only
-	// the live keys and the arena gave the dead pairs' bytes back.
+	// the live keys, and the dead pairs' bytes were credited back.
 	if got := s.Len(); got != live {
 		t.Fatalf("Len = %d after the scans, want %d", got, live)
 	}
@@ -596,5 +598,144 @@ func TestSortedStringsExpiredAreAbsent(t *testing.T) {
 	}
 	if n := s.Scan(1, 1<<10, keys, vals); n != 0 {
 		t.Fatalf("Scan of an all-expired store = %d", n)
+	}
+}
+
+// TestShardSweepLapUnderChurn pins the sweep's lap promise on both shard
+// kinds while writers insert and delete other keys around it — growing the
+// hash shard under the cursor: every key present for the whole lap is
+// returned at least once, and by the sorted shard, whose cursor is a key,
+// exactly once. Each cursor step waits for the writers to make progress,
+// so the lap and the churn interleave on any number of cores.
+func TestShardSweepLapUnderChurn(t *testing.T) {
+	const stable = 1000
+	for _, kind := range []struct {
+		name  string
+		new   func(options) *Store[uint64]
+		exact bool
+	}{
+		{"hash", newHashed[uint64], false},
+		{"sorted", func(o options) *Store[uint64] { return &newOrdered[uint64](o).Store }, true},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			st := kind.new(newOptions([]Option{WithShards(1), WithShardBuckets(8), WithoutMaintenance()}))
+			sh := st.shards[0]
+			for k := uint64(1); k <= stable; k++ {
+				sh.Insert(2*k, k) // stable keys are even, churn keys odd
+			}
+			resizes := st.Resizes()
+			var ops atomic.Int64
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					r := rng.NewXorshift(seed)
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						// Insert-heavy until the table has doubled twice,
+						// balanced after, so the lap sees growth and churn.
+						k := 2*r.Intn(4*stable) + 1
+						if i%4 < 3 || sh.Len() > 4*stable {
+							sh.Delete(k)
+						}
+						if i%4 < 3 {
+							sh.Insert(k, k)
+						}
+						ops.Add(1)
+					}
+				}(uint64(w + 1))
+			}
+			seen := map[uint64]int{}
+			keys, vals := make([]uint64, 16), make([]uint64, 16)
+			for cursor, laps := uint64(0), 0; laps == 0; {
+				for target := ops.Load() + 8; ops.Load() < target; {
+					runtime.Gosched()
+				}
+				n, next := sh.Sweep(cursor, keys, vals)
+				for i := 0; i < n; i++ {
+					if keys[i]%2 == 0 {
+						seen[keys[i]]++
+					}
+				}
+				if cursor = next; cursor == 0 {
+					laps++
+				}
+			}
+			close(stop)
+			wg.Wait()
+			for k := uint64(1); k <= stable; k++ {
+				if c := seen[2*k]; c == 0 || (kind.exact && c != 1) {
+					t.Fatalf("stable key %d returned %d times by one lap", 2*k, c)
+				}
+			}
+			if kind.name == "hash" && st.Resizes() == resizes {
+				t.Fatal("the table never resized under the lap")
+			}
+		})
+	}
+}
+
+// TestOrderedSampleBias measures the sorted shard's eviction sample, the
+// successor of a key drawn from the shard's key range, on a key set with
+// one large gap — 500 dense keys, then 500 more a trillion keys on — and
+// on the clustered hashes of short similar strings the eviction tests use,
+// and pins the bias it documents: an entry is drawn as often as the gap
+// below it is wide, and the gap moves to the next entry when the one
+// before it goes. docs/ARCHITECTURE.md quotes the logged numbers.
+func TestOrderedSampleBias(t *testing.T) {
+	const draws = 100
+	gapped := make([]uint64, 0, 1000)
+	for k := uint64(1); k <= 500; k++ {
+		gapped = append(gapped, k, 1e12+k)
+	}
+	hashed := make([]uint64, 0, 1000)
+	for i := 0; i < 1000; i++ {
+		hashed = append(hashed, HashKey(fmt.Sprintf("k%d", i)))
+	}
+	for _, set := range []struct {
+		name string
+		keys []uint64
+	}{{"gapped", gapped}, {"hashed", hashed}} {
+		sh := newOrderedShard[uint64]().(*orderedShard[uint64])
+		for _, k := range set.keys {
+			sh.Insert(k, k)
+		}
+		count := map[uint64]int{}
+		r := rng.NewXorshift(11)
+		for got := 0; got < draws*len(set.keys); {
+			if k, _, n := sh.Sample(r.Next()); n == 1 {
+				count[k[0]]++
+				got++
+			}
+		}
+		most := 0
+		for _, c := range count {
+			most = max(most, c)
+		}
+		t.Logf("%s keys: %d of %d keys never drawn in %d draws each on average; the most drawn %.1f× its share",
+			set.name, len(set.keys)-len(count), len(set.keys), draws, float64(most)/draws)
+		if set.name != "gapped" {
+			continue
+		}
+		if share := float64(count[1e12+1]) / (draws * 1000); share < 0.99 {
+			t.Errorf("the key after the gap drew %.3f of the draws; want nearly all", share)
+		}
+		// Its successor inherits the gap once it is gone.
+		sh.Delete(1e12 + 1)
+		next := 0
+		for i := 0; i < 1000; i++ {
+			if k, _, n := sh.Sample(r.Next()); n == 1 && k[0] == 1e12+2 {
+				next++
+			}
+		}
+		if next < 990 {
+			t.Errorf("after the key past the gap went, its successor drew %d of 1000, want nearly all", next)
+		}
 	}
 }

@@ -2,10 +2,13 @@
 // subsystem, as one stack with one body per behaviour:
 //
 //	shard contract   what a shard must do: point ops, per-shard batches,
-//	                 conditional delete, maintenance. Two structures
-//	                 satisfy it — the resizable OPTIK hash table as is,
-//	                 and the OPTIK skip list plus a striped counter
-//	                 (ordered.go), which additionally scans in key order.
+//	                 conditional delete and replace, sampling and
+//	                 sweeping, maintenance. Two structures satisfy it —
+//	                 the resizable OPTIK hash table as is, and the OPTIK
+//	                 skip list plus a striped counter (ordered.go), which
+//	                 additionally scans in key order. Both are generic
+//	                 over the value word: uint64 for the index stores,
+//	                 *pair for the string layer.
 //	router           data, not code: shard = min((key·mul)>>shift, last).
 //	                 The Fibonacci multiplier gives the hash router, mul=1
 //	                 the range partition.
@@ -14,10 +17,11 @@
 //	                 call, store-wide aggregation, one shared maintenance
 //	                 scheduler. Ordered is the same core over sorted
 //	                 shards, and is the type that carries Scan/Min/Max.
-//	string layer     Strings (values.go, ttl.go): a value arena behind the
-//	                 index with the optimistic validate-and-retry read,
-//	                 per-entry TTL and byte-budget eviction. SortedStrings
-//	                 is the same layer over an Ordered index.
+//	string layer     Strings (values.go, ttl.go): immutable value pairs
+//	                 held by the index itself — a read is one hop from
+//	                 key to value — with per-entry TTL and byte-budget
+//	                 eviction. SortedStrings is the same layer over an
+//	                 Ordered index.
 //
 // Sharding is the classic route from a fast structure to a served system
 // (lock striping over optimistic structures — the design behind the
@@ -52,29 +56,42 @@ import (
 	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/ds/hashmap"
 	"github.com/optik-go/optik/internal/maint"
+	"github.com/optik-go/optik/internal/rng"
 )
 
-// shard is the contract one partition of the index satisfies. Everything
-// above it — routing, batching, the value layer's expiry and eviction — is
-// written once against this surface; *hashmap.Resizable implements it as
-// is, *orderedShard wraps the skip list to do so. Both are pointer-shaped, so a
-// shard visit costs one itab call and the per-key work behind it is the
-// structure's own.
-type shard interface {
+// shard is the contract one partition of the index satisfies, over value
+// word V. Everything above it — routing, batching, the value layer's
+// expiry and eviction — is written once against this surface;
+// *hashmap.Resizable implements it as is, *orderedShard wraps the skip
+// list to do so. Both are pointer-shaped, so a shard visit costs one itab
+// call and the per-key work behind it is the structure's own.
+type shard[V comparable] interface {
 	maint.Maintainer
-	Search(key uint64) (uint64, bool)
-	Insert(key, val uint64) bool
-	Upsert(key, val uint64) (old uint64, replaced bool)
-	Delete(key uint64) (uint64, bool)
-	// DeleteIfValue removes key only while it maps to val; confirm, when
-	// non-nil, runs under the lock that owns the entry and can veto.
-	DeleteIfValue(key, val uint64, confirm func() bool) bool
+	Search(key uint64) (V, bool)
+	Insert(key uint64, val V) bool
+	Upsert(key uint64, val V) (old V, replaced bool)
+	Delete(key uint64) (V, bool)
+	// DeleteIfValue removes key only while it maps to exactly val, and
+	// ReplaceIfValue swaps its value from exactly old to new: the
+	// conditional updates of a caller that sampled the entry without a
+	// lock, checked under the lock that owns it.
+	DeleteIfValue(key uint64, val V) bool
+	ReplaceIfValue(key uint64, old, new V) bool
 	// The batch forms apply the scalar operation to every key in order
 	// under one reclamation handle; the result slices are at least
 	// len(keys) long, the int is the fresh-insert / hit count.
-	SearchBatch(keys, vals []uint64, found []bool)
-	UpsertBatchEach(keys, vals, old []uint64, replaced []bool) int
-	DeleteBatchEach(keys, old []uint64, found []bool) int
+	SearchBatch(keys []uint64, vals []V, found []bool)
+	UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int
+	DeleteBatchEach(keys []uint64, old []V, found []bool) int
+	// Sample reports up to hashmap.SampleWidth entries around a position
+	// rnd chooses (none, for a probe that found nothing), by value: a
+	// caller's sampling loop allocates nothing. Sweep copies the entries
+	// from cursor on into keys/vals and returns the cursor to resume from,
+	// 0 at the end of a lap that visits every entry present throughout at
+	// least once. The string layer's eviction and expiry sweep enumerate
+	// the index with these two.
+	Sample(rnd uint64) (keys [hashmap.SampleWidth]uint64, vals [hashmap.SampleWidth]V, n int)
+	Sweep(cursor uint64, keys []uint64, vals []V) (n int, next uint64)
 	Len() int
 	ReclaimStats() (retired, reclaimed, reused uint64)
 	Quiesce()
@@ -84,8 +101,10 @@ type shard interface {
 // hash-routed form New builds, and the core every other type in the
 // package is made of. All methods are safe for concurrent use. Keys follow
 // the library's range ([ds.MinKey, ds.MaxKey]); values are unrestricted.
-type Store struct {
-	shards []shard
+// The value word V is uint64 for every store a caller builds; the string
+// layer builds its own index over *pair.
+type Store[V comparable] struct {
+	shards []shard[V]
 	// The router: shard = min((key*mul)>>shift, last). With the Fibonacci
 	// multiplier it consumes the hash's top bits (the shard tables place
 	// buckets by bits 32 and up of the same product, so a route and a
@@ -97,9 +116,11 @@ type Store struct {
 	shift uint
 	last  uint64
 	sched *maint.Scheduler
+	// scratch pools the batch routing state (see batchScratch).
+	scratch *sync.Pool
 }
 
-var _ ds.Set = (*Store)(nil)
+var _ ds.Set = (*Store[uint64])(nil)
 
 // maxShards bounds the shard count (and so the batch router's boundary
 // table).
@@ -195,12 +216,13 @@ func newOptions(opts []Option) options {
 // newStore assembles the index core: o.shards shards from newShard behind
 // the (mul, shift) router, every shard registered on one shared
 // maintenance scheduler unless o says otherwise.
-func newStore(o options, mul uint64, shift uint, newShard func() shard) Store {
-	s := Store{
-		shards: make([]shard, o.shards),
-		mul:    mul,
-		shift:  shift,
-		last:   uint64(o.shards - 1),
+func newStore[V comparable](o options, mul uint64, shift uint, newShard func() shard[V]) Store[V] {
+	s := Store[V]{
+		shards:  make([]shard[V], o.shards),
+		mul:     mul,
+		shift:   shift,
+		last:    uint64(o.shards - 1),
+		scratch: &sync.Pool{New: func() any { return new(batchScratch[V]) }},
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard()
@@ -217,71 +239,85 @@ func newStore(o options, mul uint64, shift uint, newShard func() shard) Store {
 // New returns a hash-routed Store over resizable OPTIK hash tables, every
 // shard registered on one shared maintenance scheduler (unless
 // WithoutMaintenance). Close releases the scheduler goroutine.
-func New(opts ...Option) *Store {
-	o := newOptions(opts)
+func New(opts ...Option) *Store[uint64] { return newHashed[uint64](newOptions(opts)) }
+
+// newHashed is New over any value word.
+func newHashed[V comparable](o options) *Store[V] {
 	s := newStore(o, fibMul, uint(64-bits.TrailingZeros(uint(o.shards))),
-		func() shard { return hashmap.NewResizable(o.shardBuckets) })
+		func() shard[V] { return hashmap.NewResizableOf[V](o.shardBuckets) })
 	return &s
 }
 
 // Close stops the shared maintenance scheduler. The shards stay usable —
 // migration still advances on updates and Quiesce still works — they just
 // get no background attention. Idempotent.
-func (s *Store) Close() {
+func (s *Store[V]) Close() {
 	if s.sched != nil {
 		s.sched.Stop()
 	}
 }
 
 // shardID routes a key to its shard.
-func (s *Store) shardID(key uint64) uint64 {
+func (s *Store[V]) shardID(key uint64) uint64 {
 	return min(key*s.mul>>s.shift, s.last)
 }
 
 // Get returns the value stored under key, if present. Lock-free, like the
 // shard's Search.
-func (s *Store) Get(key uint64) (uint64, bool) {
+func (s *Store[V]) Get(key uint64) (V, bool) {
 	return s.shards[s.shardID(key)].Search(key)
 }
 
 // Set stores key→val, inserting or replacing in place, and returns the
 // previous value and whether one was replaced — the upsert a serving store
 // needs (contrast Insert, the paper's set semantics).
-func (s *Store) Set(key, val uint64) (uint64, bool) {
+func (s *Store[V]) Set(key uint64, val V) (V, bool) {
 	return s.shards[s.shardID(key)].Upsert(key, val)
 }
 
 // Del removes key, returning its value, if present.
-func (s *Store) Del(key uint64) (uint64, bool) {
+func (s *Store[V]) Del(key uint64) (V, bool) {
 	return s.shards[s.shardID(key)].Delete(key)
 }
 
-// DelIfValue removes key only while it still maps to val; confirm, when
-// non-nil, runs under the lock owning the entry (the table's bucket lock,
-// the skip list's tower lock) after the value check and can veto the
-// removal. The value layer's expiry/eviction retirement uses it to splice
-// out exactly the slot it judged dead, never a recycled successor that
-// reused the same slot for the same key.
-func (s *Store) DelIfValue(key, val uint64, confirm func() bool) bool {
-	return s.shards[s.shardID(key)].DeleteIfValue(key, val, confirm)
+// DelIfValue removes key only while it still maps to exactly val, checked
+// under the lock owning the entry (the table's bucket lock, the skip
+// list's tower lock). The value layer's expiry/eviction retirement uses it
+// to splice out exactly the pair it judged dead, never a successor.
+func (s *Store[V]) DelIfValue(key uint64, val V) bool {
+	return s.shards[s.shardID(key)].DeleteIfValue(key, val)
+}
+
+// ReplaceIfValue swaps key's value from exactly old to new under the same
+// lock, reporting whether it did: the value layer's Expire and Persist
+// install a re-armed pair only over the one they read.
+func (s *Store[V]) ReplaceIfValue(key uint64, old, new V) bool {
+	return s.shards[s.shardID(key)].ReplaceIfValue(key, old, new)
+}
+
+// sample probes the shard rnd's top bits choose (see shard.Sample) at a
+// position drawn from rnd remixed, so that the bits that chose the shard
+// do not also fix part of the position within it.
+func (s *Store[V]) sample(rnd uint64) ([hashmap.SampleWidth]uint64, [hashmap.SampleWidth]V, int) {
+	return s.shards[rnd>>56&s.last].Sample(rng.Mix(rnd))
 }
 
 // Search implements ds.Set (alias of Get), so the workload drivers and
 // stress harness run against a Store unchanged.
-func (s *Store) Search(key uint64) (uint64, bool) { return s.Get(key) }
+func (s *Store[V]) Search(key uint64) (V, bool) { return s.Get(key) }
 
 // Insert implements ds.Set: strict insert-if-absent.
-func (s *Store) Insert(key, val uint64) bool {
+func (s *Store[V]) Insert(key uint64, val V) bool {
 	return s.shards[s.shardID(key)].Insert(key, val)
 }
 
 // Delete implements ds.Set (alias of Del).
-func (s *Store) Delete(key uint64) (uint64, bool) { return s.Del(key) }
+func (s *Store[V]) Delete(key uint64) (V, bool) { return s.Del(key) }
 
 // Len sums the shard counts: O(shards × counter stripes), independent of
 // the element count. Same non-linearizable contract as every Len in the
 // library.
-func (s *Store) Len() int {
+func (s *Store[V]) Len() int {
 	n := 0
 	for _, sh := range s.shards {
 		n += sh.Len()
@@ -290,7 +326,7 @@ func (s *Store) Len() int {
 }
 
 // Shards returns the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
+func (s *Store[V]) Shards() int { return len(s.shards) }
 
 // resizer is the monitoring surface of shards that resize (the hash
 // tables); a store of sorted shards reads 0 for both.
@@ -300,7 +336,7 @@ type resizer interface {
 }
 
 // Buckets sums the shards' current bucket counts (racy; for monitoring).
-func (s *Store) Buckets() int {
+func (s *Store[V]) Buckets() int {
 	n := 0
 	for _, sh := range s.shards {
 		if r, ok := sh.(resizer); ok {
@@ -311,7 +347,7 @@ func (s *Store) Buckets() int {
 }
 
 // Resizes sums the shards' lifetime resize counts (racy; for monitoring).
-func (s *Store) Resizes() int {
+func (s *Store[V]) Resizes() int {
 	n := 0
 	for _, sh := range s.shards {
 		if r, ok := sh.(resizer); ok {
@@ -324,7 +360,7 @@ func (s *Store) Resizes() int {
 // ReclaimStats sums the shards' index-node reclamation counters — chain
 // nodes of the tables, towers of the skip lists (racy snapshot; for
 // monitoring).
-func (s *Store) ReclaimStats() (retired, reclaimed, reused uint64) {
+func (s *Store[V]) ReclaimStats() (retired, reclaimed, reused uint64) {
 	for _, sh := range s.shards {
 		a, b, c := sh.ReclaimStats()
 		retired += a
@@ -338,7 +374,7 @@ func (s *Store) ReclaimStats() (retired, reclaimed, reused uint64) {
 // completed, pending resizes settled, retired nodes swept onto the free
 // lists. Operators normally never call it — the shared scheduler does —
 // but workload phase transitions and tests want the determinism.
-func (s *Store) Quiesce() {
+func (s *Store[V]) Quiesce() {
 	for _, sh := range s.shards {
 		sh.Quiesce()
 	}
@@ -354,7 +390,7 @@ const (
 )
 
 // run applies op to one shard: the single itab call of a shard visit.
-func (op batchOp) run(sh shard, keys, in, out []uint64, flags []bool) int {
+func run[V comparable](op batchOp, sh shard[V], keys []uint64, in, out []V, flags []bool) int {
 	switch op {
 	case opSearch:
 		sh.SearchBatch(keys, out, flags)
@@ -369,17 +405,18 @@ func (op batchOp) run(sh shard, keys, in, out []uint64, flags []bool) int {
 // batchScratch is the reusable routing state of one batched call: the
 // keys (and inputs) regrouped by shard, the shard batches' results in the
 // same grouped order, each key's position in that order, and the shard
-// boundaries. Batches borrow one from a pool keyed by nothing — under a
-// steady per-goroutine batch rate the same goroutine gets its scratch back
-// (sync.Pool is per-P) — so large batches route allocation-free.
-type batchScratch struct {
-	keys, in, out []uint64
-	flags         []bool
-	pos           []int32
-	bound         [maxShards + 1]int32
+// boundaries. Batches borrow one from the store's pool — under a steady
+// per-goroutine batch rate the same goroutine gets its scratch back
+// (sync.Pool is per-P) — so large batches route allocation-free. The value
+// slots are cleared before the scratch goes back, so a pooled scratch
+// holds no pointer word alive.
+type batchScratch[V any] struct {
+	keys    []uint64
+	in, out []V
+	flags   []bool
+	pos     []int32
+	bound   [maxShards + 1]int32
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // batch is the one body under every multi-key call: op applied to every
 // key, each touched shard visited exactly once. in carries the per-key
@@ -395,20 +432,20 @@ var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // sort is stable and a duplicate key always routes to the same shard, so
 // within a shard keys apply in arrival order and duplicates behave exactly
 // as the sequential scalar calls would.
-func (s *Store) batch(op batchOp, keys, in, out []uint64, flags []bool) int {
+func (s *Store[V]) batch(op batchOp, keys []uint64, in, out []V, flags []bool) int {
 	single := len(s.shards) == 1
 	if single && out != nil {
-		return op.run(s.shards[0], keys, in, out, flags)
+		return run(op, s.shards[0], keys, in, out, flags)
 	}
 	n := len(keys)
-	sc := scratchPool.Get().(*batchScratch)
-	defer scratchPool.Put(sc)
+	sc := s.scratch.Get().(*batchScratch[V])
+	defer s.putScratch(sc, n)
 	if cap(sc.keys) < n {
-		sc.keys, sc.in, sc.out = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		sc.keys, sc.in, sc.out = make([]uint64, n), make([]V, n), make([]V, n)
 		sc.flags, sc.pos = make([]bool, n), make([]int32, n)
 	}
 	if single {
-		return op.run(s.shards[0], keys, in, sc.out[:n], sc.flags[:n])
+		return run(op, s.shards[0], keys, in, sc.out[:n], sc.flags[:n])
 	}
 	// bound[id] counts up from shard id's first position to its end as the
 	// keys are placed; bound[len(shards)] absorbs the counting pass's +1
@@ -435,7 +472,7 @@ func (s *Store) batch(op batchOp, keys, in, out []uint64, flags []bool) int {
 	total, lo := 0, int32(0)
 	for id, sh := range s.shards {
 		if hi := bound[id]; hi > lo {
-			total += op.run(sh, sc.keys[lo:hi], sc.in[lo:hi], sc.out[lo:hi], sc.flags[lo:hi])
+			total += run(op, sh, sc.keys[lo:hi], sc.in[lo:hi], sc.out[lo:hi], sc.flags[lo:hi])
 			lo = hi
 		}
 	}
@@ -447,15 +484,23 @@ func (s *Store) batch(op batchOp, keys, in, out []uint64, flags []bool) int {
 	return total
 }
 
+// putScratch returns a batch's scratch to the pool with its first n value
+// slots cleared.
+func (s *Store[V]) putScratch(sc *batchScratch[V], n int) {
+	clear(sc.in[:n])
+	clear(sc.out[:n])
+	s.scratch.Put(sc)
+}
+
 // MGet looks up every keys[i], storing the value into vals[i] and
 // presence into found[i]; vals and found must be at least len(keys) long.
-func (s *Store) MGet(keys, vals []uint64, found []bool) {
+func (s *Store[V]) MGet(keys []uint64, vals []V, found []bool) {
 	s.batch(opSearch, keys, nil, vals, found)
 }
 
 // MSet applies Set(keys[i], vals[i]) for every i, returning how many keys
 // were newly inserted.
-func (s *Store) MSet(keys, vals []uint64) int {
+func (s *Store[V]) MSet(keys []uint64, vals []V) int {
 	return s.batch(opUpsert, keys, vals, nil, nil)
 }
 
@@ -464,18 +509,18 @@ func (s *Store) MSet(keys, vals []uint64) int {
 // still counts fresh inserts. old and replaced must be at least
 // len(keys) long. The value layer and the server's pipelined SET replies
 // both need the per-key outcomes, which plain MSet folds away.
-func (s *Store) MSetEach(keys, vals, old []uint64, replaced []bool) int {
+func (s *Store[V]) MSetEach(keys []uint64, vals, old []V, replaced []bool) int {
 	return s.batch(opUpsert, keys, vals, old, replaced)
 }
 
 // MDel deletes every key, returning how many were present.
-func (s *Store) MDel(keys []uint64) int {
+func (s *Store[V]) MDel(keys []uint64) int {
 	return s.batch(opDelete, keys, nil, nil, nil)
 }
 
 // MDelEach is MDel with per-key results: old[i] receives the removed
 // value and found[i] whether keys[i] was present; the return value still
 // counts hits. old and found must be at least len(keys) long.
-func (s *Store) MDelEach(keys, old []uint64, found []bool) int {
+func (s *Store[V]) MDelEach(keys []uint64, old []V, found []bool) int {
 	return s.batch(opDelete, keys, nil, old, found)
 }

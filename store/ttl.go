@@ -3,26 +3,25 @@
 //
 // The design extends OPTIK's decoupling of validation from reclamation to
 // expiry. A TTL is an absolute deadline carried in the immutable value
-// pair, and a reader validates it lazily exactly where it already
-// validates the pair's hash against slot recycling — an expired pair is a
-// miss, and the dead slot retires through the index's conditional-delete
-// splice (DelIfValue, confirmed by pair identity under the lock owning the
-// index entry, so a recycled slot that reuses the same handle for the same
-// key is never mistaken for the entry that expired). The index core makes
-// that splice available on every shard kind, so nothing here knows whether
-// the store is hash-routed or sorted. Readers of TTL-less entries
-// pay one predictable branch; nothing on the hot path ever blocks on the
-// clock or the sweeper.
+// pair, and a reader judges it lazily right after the index hands the pair
+// over — an expired pair is a miss, and the dead entry retires through the
+// index's conditional-delete splice (DelIfValue, exact on the pair's
+// identity under the lock owning the index entry, so a successor written
+// since — always a different pair — is never mistaken for the entry that
+// expired). The index core makes that splice available on every shard
+// kind, so nothing here knows whether the store is hash-routed or sorted.
+// Readers of TTL-less entries pay one predictable branch; nothing on the
+// hot path ever blocks on the clock or the sweeper.
 //
 // Background governance rides the shared maintenance scheduler: each pass
 // refreshes the coarse cached clock, advances the eviction epoch, sweeps a
-// cursor quantum of the arena for expired pairs, and — when a byte budget
-// is configured and exceeded — evicts sampled entries (of K random
-// residents, the one whose stamp says it is used least often, then least
-// recently: see stampRead) until back under budget. Writers lend the same
-// bounded hand inline when an insert finds bytes past the watermark
-// (evictHand), so the budget holds even when a saturated box starves the
-// scheduler goroutine.
+// cursor quantum of the index for expired pairs (shard.Sweep), and — when
+// a byte budget is configured and exceeded — evicts sampled entries (of K
+// random residents drawn with shard.Sample, the one whose stamp says it is
+// used least often, then least recently: see stampRead) until back under
+// budget. Writers lend the same bounded hand inline when an insert finds
+// bytes past the watermark (evictHand), so the budget holds even when a
+// saturated box starves the scheduler goroutine.
 //
 // Everything is driven through one injectable clock (WithClock), so tests
 // advance time by hand and every expiry behavior reproduces
@@ -40,23 +39,34 @@ import (
 const (
 	// nsPerSec converts the TTL commands' seconds to the clock's ns.
 	nsPerSec = int64(time.Second)
-	// sweepQuantum bounds how many arena slots one maintenance pass
-	// examines for expiry: the sweep is incremental by design, the same
-	// bounded-help bargain as the table's migration quanta.
+	// sweepQuantum bounds how many entries one maintenance pass examines
+	// for expiry, and how many index positions (hash buckets, or entries
+	// of a sorted shard) it walks to find them: the sweep is incremental by
+	// design, the same bounded-help bargain as the table's migration
+	// quanta.
 	sweepQuantum = 2048
+	// sweepPage is how many entries one shard.Sweep call hands over.
+	sweepPage = 64
 	// evictSampleK is the sample width of one eviction choice: evict the
 	// least used of K random live entries. K = 4 costs two points of
 	// hit_rate on cache_churn (docs/ARCHITECTURE.md), so 8 stays.
 	evictSampleK = 8
-	// evictProbeMax bounds the slot probes spent collecting those K live
-	// candidates: arena slots read nil once freed, and a store evicted
-	// well under its allocated high-water mark would otherwise sample
-	// mostly holes — best-of-2-live is barely better than random, and
-	// random eviction of a zipfian resident set is what churns the warm
-	// tail into a refill storm.
-	evictProbeMax = 4 * evictSampleK
-	// evictMaxFails bounds consecutive fruitless eviction attempts (free
-	// or vanished slots) before a pass gives up; the next pass resumes.
+	// evictProbeMax bounds the index probes spent collecting those K
+	// live candidates. A hash probe reports one bucket — as many entries
+	// as the load factor, on average — and skipping the empty ones instead
+	// of counting them keeps the sample a genuine best-of-K over residents:
+	// best-of-2 is barely better than random, and random eviction of a
+	// zipfian resident set is what churns the warm tail into a refill
+	// storm. A table resizes to keep its load above 1/4, but not below its
+	// floor size, and a small store in a floor-sized table is far emptier
+	// than that (150 entries in 2048 buckets in TestByteBudgetEviction);
+	// 16·K probes still find K entries at a load of 1/16, and such a table
+	// is small enough that an empty probe is a cache hit. A loaded table
+	// stops at K after a handful of probes and never spends the rest.
+	evictProbeMax = 16 * evictSampleK
+	// evictMaxFails bounds consecutive fruitless eviction attempts (empty
+	// probes or vanished entries) before a pass gives up; the next pass
+	// resumes.
 	evictMaxFails = 64
 	// evictBusyMax caps successful evictions in one busy-pass hand, so
 	// MaintainBusy stays bounded as its contract requires. The idle pass
@@ -190,18 +200,17 @@ func (s *Strings) PersistHashed(k uint64) bool {
 // the pair never carried reports false. The loop is the OPTIK shape again:
 // read the live pair, build a replacement carrying the new deadline (a
 // fresh object — header and bytes are one allocation, so the value is
-// copied, not shared), publish by pointer CAS. Pair pointers are never
-// reused, so the CAS cannot ABA; a recycled slot always fails it and the
-// lap restarts through the index. Expired pairs are never re-armed — the
-// read retires them — keeping an expired pair's identity stable for the
-// confirm callbacks that splice it out.
+// copied, not shared), publish it only over the pair it read
+// (ReplaceIfValue, exact on identity under the entry's lock). A lap that
+// loses to a concurrent write restarts through the index. Expired pairs
+// are never re-armed — the read retires them.
 func (s *Strings) setDeadline(k uint64, deadline int64) bool {
 	for {
-		slot, p := s.lookup(k)
+		p := s.lookup(k)
 		if p == nil || (deadline == 0 && p.deadline() == 0) {
 			return false
 		}
-		if s.values.casPair(slot, p, newPair(k, p.val(), deadline, p.touched.Load())) {
+		if s.index.ReplaceIfValue(k, p, newPair(p.val(), deadline, p.touched.Load())) {
 			return true
 		}
 	}
@@ -219,7 +228,7 @@ func (s *Strings) TTL(key string) int64 {
 // (later) lookup judges live always has time left at that reading.
 func (s *Strings) TTLHashed(k uint64) int64 {
 	now := s.nowFresh()
-	_, p := s.lookup(k)
+	p := s.lookup(k)
 	if p == nil {
 		return -2
 	}
@@ -231,7 +240,7 @@ func (s *Strings) TTLHashed(k uint64) int64 {
 }
 
 // BytesUsed returns the store's approximate live footprint in bytes.
-func (s *Strings) BytesUsed() int64 { return s.values.Bytes() }
+func (s *Strings) BytesUsed() int64 { return s.bytes.Sum() }
 
 // ByteBudget returns the configured budget (0 = unbounded).
 func (s *Strings) ByteBudget() int64 { return s.budget }
@@ -243,17 +252,16 @@ func (s *Strings) TTLStats() (expiredLazy, expiredSwept, evicted uint64) {
 }
 
 // retire splices out an entry judged dead — expired, or sampled for
-// eviction — counting it on counter: remove the pair's key from the index
-// only if it still maps to slot AND slot still holds exactly this pair
-// (confirmed under the lock owning the index entry — a concurrent
-// delete+insert can recycle the slot for the same key, and an
-// unconditional delete here would kill that live successor). Losing the
-// race means someone else already retired or replaced it.
-func (s *Strings) retire(slot uint64, p *pair, counter *atomic.Uint64) bool {
-	if !s.index.DelIfValue(p.hash, slot, func() bool { return s.values.loadPair(slot) == p }) {
+// eviction — counting it on counter: remove k from the index only while it
+// still maps to exactly p (checked under the lock owning the entry; any
+// write since built a new pair, so an unconditional delete here could
+// kill a live successor). Losing the race means someone else already
+// retired or replaced it, and credited its bytes.
+func (s *Strings) retire(k uint64, p *pair, counter *atomic.Uint64) bool {
+	if !s.index.DelIfValue(k, p) {
 		return false
 	}
-	s.values.Release(slot)
+	s.credit(k, p)
 	counter.Add(1)
 	return true
 }
@@ -262,13 +270,12 @@ func (s *Strings) retire(slot uint64, p *pair, counter *atomic.Uint64) bool {
 // scheduler's Maintainer contract.
 type ttlMaintainer struct{ s *Strings }
 
-// ActivitySample hashes the write-visible arena state: the byte counter
-// moves on any insert, delete, or size-changing overwrite. A same-size
-// overwrite can alias to an unchanged sample; that only upgrades the next
-// pass from busy to idle, which does strictly more maintenance — safe by
-// the Maintainer contract.
+// ActivitySample is the byte counter, which moves on any insert, delete,
+// or size-changing overwrite. A same-size overwrite leaves it unchanged;
+// that only upgrades the next pass from busy to idle, which does strictly
+// more maintenance — safe by the Maintainer contract.
 func (m ttlMaintainer) ActivitySample() uint64 {
-	return uint64(m.s.values.Bytes()) ^ m.s.values.Allocated()<<48
+	return uint64(m.s.BytesUsed())
 }
 
 // MaintainIdle runs the full governance pass, cancellable, evicting all
@@ -284,7 +291,7 @@ func (m ttlMaintainer) MaintainBusy() {
 }
 
 // maintainPass is one governance round: refresh the coarse clock, tick
-// the eviction epoch, sweep a cursor quantum of the arena for expired
+// the eviction epoch, sweep a cursor quantum of the index for expired
 // pairs, then — over budget — evict sampled entries until under (or
 // the busy cap / fail bound / cancel hits). maxEvict 0 means "to budget".
 // maintMu serializes passes (the scheduler and a concurrent Quiesce may
@@ -295,29 +302,11 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 	now := s.nowFresh()
 	epoch := s.epoch.Add(1)
 	s.epochTick.Store(now)
-	limit := s.values.Allocated()
-	if limit == 0 {
-		return
-	}
-	quantum := uint64(sweepQuantum)
-	if quantum > limit {
-		quantum = limit
-	}
-	for i := uint64(0); i < quantum; i++ {
-		if canceled(cancel) {
-			return
-		}
-		slot := s.sweepCursor % limit
-		s.sweepCursor++
-		if p := s.values.loadPair(slot); p != nil && p.expiredAt(now) {
-			s.retire(slot, p, &s.expiredSwept)
-		}
-	}
-	if s.budget == 0 {
+	if !s.sweep(cancel, now) || s.budget == 0 {
 		return
 	}
 	fails, done, tick := 0, 0, 0
-	for s.values.Bytes() > s.budget && fails < evictMaxFails {
+	for s.BytesUsed() > s.budget && fails < evictMaxFails {
 		if canceled(cancel) || (maxEvict > 0 && done >= maxEvict) {
 			return
 		}
@@ -327,8 +316,8 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 		// every barely-used entry the sample turns up, trading victim
 		// precision for the ~K× throughput that keeps bytes_used pinned
 		// instead of drifting to the working-set size.
-		aggressive := s.values.Bytes() > s.budget+s.budget/16
-		n := s.evictSample(&s.sweepRng, now, epoch, limit, aggressive)
+		aggressive := s.BytesUsed() > s.budget+s.budget/16
+		n := s.evictSample(&s.sweepRng, now, epoch, aggressive)
 		if n == 0 {
 			fails++
 			continue
@@ -348,56 +337,85 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 	}
 }
 
-// evictSample runs one eviction round over up to K random live entries
-// (probing at most evictProbeMax arena slots to find them — free slots
-// read nil, Release clears them, and skipping holes instead of counting
-// them keeps the sample a genuine best-of-K over residents) and returns
-// how many entries it retired. Expired pairs met along the way retire
-// immediately as swept. In the normal mode only the least used pair of the
-// sample is evicted: lowest decayed touch count, ties to the longest
-// untouched — where nothing is touched twice in a generation every count
-// reads 0 or 1 and the order is approx-LRU. In aggressive mode every
-// sampled pair at or under aggressiveMaxFreq goes, the round ending early
-// once the store is back at its budget (a round must not take a small store
-// further under than it was over), with the best-of-K single victim as the
-// fallback when the whole sample is in use (convergence must not stall). rng is caller-owned xorshift state — the
-// sweeper passes its maintMu-guarded field, write-path hands a private
-// local — so concurrent rounds never race; every retirement below it is a
-// thread-safe confirmed delete (retire), and the stamp only ever picks the
-// candidate.
-func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, limit uint64, aggressive bool) int {
+// sweep examines a cursor quantum of the index for expired pairs and
+// retires them, reporting false if cancel cut it short. The cursor is a
+// shard and that shard's Sweep cursor, and a lap moves through the shards
+// in order; the quantum bounds the entries examined and, through the page
+// size, the positions walked, so an empty store costs a pass no more than
+// a full one. The page's pair slots are cleared after each call: the
+// sweeper keeps no value alive.
+func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
+	shards := s.index.shards
+	defer clear(s.sweepPairs[:])
+	for calls := 0; calls < sweepQuantum/sweepPage; calls++ {
+		if canceled(cancel) {
+			return false
+		}
+		n, next := shards[s.sweepShard].Sweep(s.sweepCursor, s.sweepKeys[:], s.sweepPairs[:])
+		for i, p := range s.sweepPairs[:n] {
+			if p.expiredAt(now) {
+				s.retire(s.sweepKeys[i], p, &s.expiredSwept)
+			}
+		}
+		if s.sweepCursor = next; next == 0 {
+			s.sweepShard = (s.sweepShard + 1) % uint64(len(shards))
+		}
+	}
+	return true
+}
+
+// evictSample runs one eviction round over K or more random live entries
+// (spending at most evictProbeMax index probes to find them — a probe
+// reports every entry of a random bucket, or the run after a random key,
+// and one that lands on nothing is skipped, not counted, which keeps the
+// sample a genuine best-of-K over residents) and returns how many entries
+// it retired. Expired pairs met along the way retire immediately as
+// swept. In the normal mode only the least used pair of the sample is
+// evicted: lowest decayed touch count, ties to the longest untouched —
+// where nothing is touched twice in a generation every count reads 0 or 1
+// and the order is approx-LRU. In aggressive mode every sampled pair at or
+// under aggressiveMaxFreq goes, the round ending early once the store is
+// back at its budget (a round must not take a small store further under
+// than it was over), with the best-of-K single victim as the fallback
+// when the whole sample is in use (convergence must not stall). rng is
+// caller-owned xorshift state — the sweeper passes its maintMu-guarded
+// field, write-path hands a private local — so concurrent rounds never
+// race; every retirement below it is a thread-safe conditional delete
+// (retire), and the stamp only ever picks the candidate. The round
+// allocates nothing: the shards hand each probe's entries back by value.
+func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, aggressive bool) int {
 	var best *pair
-	var bestSlot uint64
+	var bestKey uint64
 	var bestFreq, bestAge uint32
 	evicted, live := 0, 0
+probes:
 	for i := 0; i < evictProbeMax && live < evictSampleK; i++ {
 		*rng ^= *rng << 13
 		*rng ^= *rng >> 7
 		*rng ^= *rng << 17
-		slot := *rng % limit
-		p := s.values.loadPair(slot)
-		if p == nil {
-			continue
-		}
-		live++
-		if p.expiredAt(now) {
-			s.retire(slot, p, &s.expiredSwept)
-			continue
-		}
-		freq, age := stampRead(p.touched.Load(), epoch)
-		if aggressive && freq <= aggressiveMaxFreq {
-			if s.retire(slot, p, &s.evicted) {
-				if evicted++; s.values.Bytes() <= s.budget {
-					break
-				}
+		keys, pairs, n := s.index.sample(*rng)
+		live += n
+		for j, p := range pairs[:n] {
+			k := keys[j]
+			if p.expiredAt(now) {
+				s.retire(k, p, &s.expiredSwept)
+				continue
 			}
-			continue
-		}
-		if best == nil || freq < bestFreq || (freq == bestFreq && age > bestAge) {
-			best, bestSlot, bestFreq, bestAge = p, slot, freq, age
+			freq, age := stampRead(p.touched.Load(), epoch)
+			if aggressive && freq <= aggressiveMaxFreq {
+				if s.retire(k, p, &s.evicted) {
+					if evicted++; s.BytesUsed() <= s.budget {
+						break probes
+					}
+				}
+				continue
+			}
+			if best == nil || freq < bestFreq || (freq == bestFreq && age > bestAge) {
+				best, bestKey, bestFreq, bestAge = p, k, freq, age
+			}
 		}
 	}
-	if evicted == 0 && best != nil && s.retire(bestSlot, best, &s.evicted) {
+	if evicted == 0 && best != nil && s.retire(bestKey, best, &s.evicted) {
 		evicted = 1
 	}
 	return evicted
@@ -418,11 +436,7 @@ func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, limit uint64
 // exactly when the writers' help is needed; each hand derives a private
 // rng from one atomic bump and races the confirmed deletes safely.
 func (s *Strings) evictHand() {
-	if s.budget == 0 || s.values.Bytes() <= s.budget+s.budget/16 {
-		return
-	}
-	limit := s.values.Allocated()
-	if limit == 0 {
+	if s.budget == 0 || s.BytesUsed() <= s.budget+s.budget/16 {
 		return
 	}
 	rng := s.handRng.Add(0x9E3779B97F4A7C15)
@@ -440,8 +454,8 @@ func (s *Strings) evictHand() {
 		s.epoch.Add(1)
 	}
 	epoch := s.epoch.Load()
-	for i := 0; i < evictHandRounds && s.values.Bytes() > s.budget; i++ {
-		s.evictSample(&rng, now, epoch, limit, true)
+	for i := 0; i < evictHandRounds && s.BytesUsed() > s.budget; i++ {
+		s.evictSample(&rng, now, epoch, true)
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -576,7 +577,7 @@ func TestStampDecay(t *testing.T) {
 	// Through a pair: many reads in an epoch count once, each new epoch counts
 	// once more, the count holds at the cap, and a reader that snapshotted an
 	// older epoch does not take the stamp backwards.
-	p := newPair(1, "v", 0, stampNew(4*gen))
+	p := newPair("v", 0, stampNew(4*gen))
 	for epoch := uint32(4 * gen); epoch < 4*gen+300; epoch++ {
 		for read := 0; read < 3; read++ {
 			p.touch(epoch)
@@ -603,7 +604,7 @@ func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *St
 	clk := newTestClock(1_000_000_000)
 	k := HashKey("k")
 	freq := func(s *Strings) uint32 {
-		_, p := s.lookup(k)
+		p := s.lookup(k)
 		f, _ := stampRead(p.touched.Load(), s.epoch.Load())
 		return f
 	}
@@ -637,7 +638,7 @@ func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *St
 			t.Fatalf("%s over a hot key: freq %d, want %d", w.name, freq(s), want)
 		}
 	}
-	if _, p := s.lookup(HashKey("other")); p.touched.Load()&stampCountMax != 1 {
+	if p := s.lookup(HashKey("other")); p.touched.Load()&stampCountMax != 1 {
 		t.Fatalf("fresh key in a batch: stamp %#x, want a count of 1", p.touched.Load())
 	}
 
@@ -645,12 +646,12 @@ func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *St
 	// displaced pair's nor stores one — the successor keeps its birth stamp.
 	u := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance())
 	u.Set("k", "v0")
-	_, p := u.lookup(k)
+	p := u.lookup(k)
 	p.touched.Store(stampNew(0) + 40)
 	u.epoch.Add(1)
 	u.Set("k", "v1")
 	u.MSetHashed([]uint64{k}, []string{"v2"}, make([]bool, 1))
-	if _, p := u.lookup(k); p.touched.Load() != stampNew(u.epoch.Load()) {
+	if p := u.lookup(k); p.touched.Load() != stampNew(u.epoch.Load()) {
 		t.Fatalf("no budget: overwrite left stamp %#x, want the birth stamp %#x", p.touched.Load(), stampNew(u.epoch.Load()))
 	}
 }
@@ -672,5 +673,80 @@ func TestTTLDefaultClock(t *testing.T) {
 	}
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("key survived Expire(-1)")
+	}
+}
+
+// TestMemoryReturnsToFloor pins aim 3's "memory returns to floor" for the
+// values: a store that held 20,000 values of 4 KiB and gave them all up —
+// by DEL, by the expiry sweep, or by eviction after its budget was cut —
+// holds, after a collection, no more than 10% over the empty store plus
+// the index's own floor (nodes and towers the qsbr free lists keep for
+// reuse, bounded here by 128 bytes per entry the store held). The hash
+// shards are provisioned so the table never resizes: a delete must clear
+// the inline slot's value word itself, because no shrink will throw the
+// slab away. A value word that survives its entry — an inline slot left
+// set, a node or tower on a free list still pointing at its pair — pins
+// 4 KiB per entry, and the heap ends tens of megabytes over.
+func TestMemoryReturnsToFloor(t *testing.T) { eachStrings(t, testMemoryReturnsToFloor) }
+
+func testMemoryReturnsToFloor(t *testing.T, newStrings func(...Option) *Strings) {
+	const n, size, indexFloor = 20_000, 4096, 128
+	val := strings.Repeat("v", size)
+	key := func(i uint64) uint64 { return i*0x9E3779B97F4A7C15>>1 + 1 } // spread over the key range
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	drain := func(s *Strings) {
+		for i := 0; i < 1000 && s.Len() > 0; i++ {
+			s.Quiesce()
+		}
+	}
+	for _, way := range []struct {
+		name   string
+		fill   func(s *Strings, k uint64)
+		remove func(s *Strings, clk *testClock)
+	}{
+		{"DEL", func(s *Strings, k uint64) { s.SetHashed(k, val) }, func(s *Strings, _ *testClock) {
+			for i := uint64(1); i <= n; i++ {
+				s.DelHashed(key(i))
+			}
+		}},
+		{"expiry sweep", func(s *Strings, k uint64) { s.SetEXHashed(k, val, 1) }, func(s *Strings, clk *testClock) {
+			clk.advance(2 * nsPerSec)
+			drain(s)
+		}},
+		{"eviction", func(s *Strings, k uint64) { s.SetHashed(k, val) }, func(s *Strings, _ *testClock) {
+			s.budget = 1
+			drain(s)
+		}},
+	} {
+		t.Run(way.name, func(t *testing.T) {
+			clk := newTestClock(1_000_000_000)
+			s := newStrings(WithClock(clk.fn()), WithShards(2), WithShardBuckets(1<<14),
+				WithoutMaintenance(), WithByteBudget(1<<40))
+			empty := heap()
+			for i := uint64(1); i <= n; i++ {
+				way.fill(s, key(i))
+			}
+			full := heap()
+			way.remove(s, clk)
+			if s.Len() != 0 || s.BytesUsed() != 0 {
+				t.Fatalf("removal left Len %d, BytesUsed %d", s.Len(), s.BytesUsed())
+			}
+			s.Quiesce()
+			floor := empty + n*indexFloor
+			after := heap()
+			t.Logf("heap: empty %.1f MB, full %.1f MB, after %.1f MB (floor %.1f MB)",
+				float64(empty)/1e6, float64(full)/1e6, float64(after)/1e6, float64(floor)/1e6)
+			if after > floor+floor/10 {
+				t.Fatalf("heap %.1f MB after removing every value, want at most %.1f MB: %.0f values' worth still held",
+					float64(after)/1e6, float64(floor+floor/10)/1e6, float64(after-floor)/size)
+			}
+			runtime.KeepAlive(s)
+		})
 	}
 }

@@ -1,24 +1,21 @@
-// The string layer: string values over the uint64 index core, one
-// implementation under the hash-routed Strings and the range-partitioned
-// SortedStrings alike. The index maps a key (a string key's 64-bit hash,
-// or the uint64 key itself on the sorted store) to a *handle* — a slot
-// number in a chunked value arena — and the arena holds one atomic pointer
-// per slot to an immutable pair: one pointer-free object holding the key
-// hash, the deadline if the entry has one, and the value bytes. There is no
-// lock anywhere on the GET/SET/DEL path; the read-under-reuse race that
-// handle recycling creates is resolved the OPTIK way, by validation instead
-// of pessimism:
+// The string layer: string values over the index core, one implementation
+// under the hash-routed Strings and the range-partitioned SortedStrings
+// alike. The index maps a key (a string key's 64-bit hash, or the uint64
+// key itself on the sorted store) straight to its value: the index's value
+// word is a *pair, one immutable, pointer-free object holding the
+// eviction stamp, the deadline if the entry has one, and the value bytes.
+// A read is one hop from key to value and takes no lock, and nothing has
+// to be validated beyond what the index already validates:
 //
-//   - SET writes the pair first and publishes the slot through the index
-//     after, so any slot a reader can reach holds a fully-built pair.
-//   - Freed slots recycle through a lock-free OPTIK stack, so a GET can
-//     hold a slot number while a concurrent DEL frees it and another SET
-//     re-points it at a different key's pair.
-//   - The GET therefore validates optimistically — does the pair's hash
-//     still match the key I looked up? — and restarts through the index
-//     when it does not, exactly how the tables' own readers validate
-//     bucket versions instead of locking.
-
+//   - SET builds the pair first and publishes it through the index after,
+//     so any pair a reader can reach is fully built.
+//   - A pair is never mutated (but for its advisory stamp) and never
+//     reused: replacing a value or a deadline publishes a new pair. A
+//     reader holding a pair holds exactly the value the key mapped to at
+//     its read, for as long as it likes.
+//   - A pair leaves the index exactly once, by whichever call unmapped it
+//     — an overwrite, a delete, or governance's conditional delete, which
+//     compares pointers and so can never remove a successor.
 package store
 
 import (
@@ -28,36 +25,37 @@ import (
 	"time"
 	"unsafe"
 
-	"github.com/optik-go/optik/ds/stack"
 	"github.com/optik-go/optik/internal/core"
 )
 
 // pair is one stored value, header and bytes in a single allocation: the
-// key hash it belongs to, the eviction stamp and the value length — then,
-// in the same object, the n value bytes themselves. The struct is only the
-// 16-byte header; newPair allocates it with its tail and val reads the tail
-// back. An entry with a TTL carries one more word: the top bit of n
-// (pairTTL) says the 8 bytes directly after the header are the absolute
-// expiry deadline in the store clock's nanoseconds, and the value bytes
-// follow that word instead of the header. An entry without one — most of
-// them — pays nothing for the deadline it does not have.
+// eviction stamp and the value length — then, in the same object, the n
+// value bytes themselves. The struct is only the 8-byte header; newPair
+// allocates it with its tail and val reads the tail back. An entry with a
+// TTL carries one more word: the top bit of n (pairTTL) says the 8 bytes
+// directly after the header are the absolute expiry deadline in the store
+// clock's nanoseconds, and the value bytes follow that word instead of the
+// header. An entry without one — most of them — pays nothing for the
+// deadline it does not have.
 //
-//	no TTL:  | hash | touched, n        | value bytes ...
-//	TTL:     | hash | touched, n|pairTTL | deadline | value bytes ...
+//	no TTL:  | touched, n         | value bytes ...
+//	TTL:     | touched, n|pairTTL | deadline | value bytes ...
 //
-// Nothing in the object is a pointer, so the collector marks a value and
-// never scans it, and a reader that holds a slot's *pair is one load from
-// the bytes instead of two. newPair, size, deadline and val are the only
-// code that knows the layout.
+// The pair does not say which key it belongs to: it is reached only
+// through its key's index entry, or alongside the key by the sampler and
+// the sweep. Nothing in the object is a pointer, so the collector marks a
+// value and never scans it, and a reader that holds a *pair is one load
+// from the bytes. newPair, size, deadline and val are the only code that
+// knows the layout.
 //
 // Pairs are immutable once published — replacing a value (or a deadline:
-// Expire/Persist build a new pair, of the other shape if need be, and CAS
-// the slot pointer) never mutates one in place — except for touched, which
-// is atomic and advisory. A reader therefore never sees a pair change
-// shape. They are GC-owned and never recycled: a string val handed out
-// stays valid and unchanged for as long as anyone holds it.
+// Expire/Persist build a new pair, of the other shape if need be, and swap
+// it in with the index's ReplaceIfValue) never mutates one in place —
+// except for touched, which is atomic and advisory. A reader therefore
+// never sees a pair change shape. They are GC-owned and never recycled: a
+// string val handed out stays valid and unchanged for as long as anyone
+// holds it, and a pair's address names one value for its whole life.
 type pair struct {
-	hash uint64
 	// touched is the eviction stamp — how often and how recently the entry
 	// was used, in one word (see stampRead). Readers store it only when the
 	// epoch moved since their last visit, so a hot entry writes the line
@@ -81,7 +79,7 @@ const (
 // what guarantees the header's 8-byte alignment. A length the 31 bits left
 // beside the flag cannot hold is refused outright, never truncated; the
 // wire cannot produce one (server.maxBulk).
-func newPair(hash uint64, val string, deadline int64, stamp uint32) *pair {
+func newPair(val string, deadline int64, stamp uint32) *pair {
 	if len(val) > math.MaxInt32 {
 		panic("store: value too large")
 	}
@@ -91,7 +89,7 @@ func newPair(hash uint64, val string, deadline int64, stamp uint32) *pair {
 	}
 	obj := make([]uint64, words+(len(val)+7)/8)
 	p := (*pair)(unsafe.Pointer(&obj[0]))
-	p.hash, p.n = hash, n
+	p.n = n
 	p.touched.Store(stamp)
 	if deadline != 0 {
 		obj[pairWords] = uint64(deadline)
@@ -206,147 +204,22 @@ func (p *pair) touch(epoch uint32) {
 }
 
 // PairOverhead is the bytes charged per live entry beyond the value
-// bytes: 24 bytes for the pair's header (what it occupies with a deadline;
-// 16 without), the arena's 8-byte slot pointer, and a nominal 24-byte share
-// of the index entry. Approximate by design — the byte budget governs order
-// of magnitude, not malloc-exact accounting — and the same for both pair
-// shapes, so Expire and Persist never move the counter.
-// Exported so budget planners (the eviction workload, capacity math in
-// operators' tooling) can convert between entry counts and budget bytes.
+// bytes. It is accounting, not a layout: what an entry really costs beside
+// its bytes is the pair's 8-byte header (16 with a deadline), the
+// allocator's rounding of it to a size class, and its share of the index —
+// a 16-byte slot of a 64-byte bucket at a load of a quarter to two entries
+// per bucket, a 24-byte chain node, or a skip-list tower of 48 bytes and
+// up. 56 was sized when a value also cost an 8-byte arena slot; that slot
+// is gone, and the charge is not lowered with it, because the byte budget
+// governs order of magnitude, not malloc-exact bytes, and every budget
+// already written against 56 — the eviction workload's, cache_churn's in
+// bench/workloads.go, operators' capacity math — keeps meaning the number
+// of entries it meant. It is the same for both pair shapes, so Expire and
+// Persist never move the counter.
 const PairOverhead = 56
 
 // pairOverhead is the internal alias the value layer charges with.
 const pairOverhead = PairOverhead
-
-// Values is a growable arena of value slots addressed by the uint64
-// handle the index stores. Slots are chunked so growth never moves
-// published slots (a reader holding a slot number must be able to load
-// its pointer with no coordination), and the chunk directory is fixed so
-// reaching a slot is two indexed loads. Freed slots recycle through a
-// lock-free OPTIK stack. All methods are safe for concurrent use.
-type Values struct {
-	chunks [valueDirSize]atomic.Pointer[valueChunk]
-	next   atomic.Uint64
-	free   *stack.Optik
-	// bytes tracks the live footprint (value bytes + pairOverhead per
-	// entry), charged at Put and released with the slot. Striped so the
-	// hot Put/Release paths never serialize on one counter line.
-	bytes *core.Striped
-}
-
-const (
-	valueChunkBits = 12 // 4096 slots per chunk
-	valueChunkSize = 1 << valueChunkBits
-	valueDirSize   = 4096 // 16.7M live values
-)
-
-type valueChunk [valueChunkSize]atomic.Pointer[pair]
-
-// NewValues returns an empty arena.
-func NewValues() *Values {
-	return &Values{free: stack.NewOptik(), bytes: core.NewStriped(0)}
-}
-
-// Put stores a fresh {hash, val} pair and returns its slot handle,
-// recycling a freed slot when one is available. val is copied into the
-// pair and not retained. The pair is visible as soon as the pointer store
-// lands — before the caller publishes the slot through its index — so no
-// reader can reach a half-built pair.
-func (v *Values) Put(hash uint64, val string) uint64 {
-	return v.put(hash, val, 0, 0)
-}
-
-// put is Put with the TTL deadline (0 = none) and the eviction stamp the
-// pair is born with.
-func (v *Values) put(hash uint64, val string, deadline int64, stamp uint32) uint64 {
-	slot, ok := v.free.Pop()
-	if !ok {
-		slot = v.next.Add(1) - 1
-		if slot >= valueDirSize*valueChunkSize {
-			panic("store: value arena exhausted")
-		}
-	}
-	ci := slot >> valueChunkBits
-	c := v.chunks[ci].Load()
-	for c == nil {
-		// First touch of this chunk: one allocation, racing allocators
-		// settle by CAS.
-		v.chunks[ci].CompareAndSwap(nil, new(valueChunk))
-		c = v.chunks[ci].Load()
-	}
-	c[slot&(valueChunkSize-1)].Store(newPair(hash, val, deadline, stamp))
-	v.bytes.Add(slot, int64(len(val))+pairOverhead)
-	return slot
-}
-
-// loadPair returns the pair currently in slot (nil before the slot's
-// chunk exists, or once the slot is freed). Callers validate hash — and,
-// with TTL in play, pointer identity.
-func (v *Values) loadPair(slot uint64) *pair {
-	c := v.chunks[slot>>valueChunkBits].Load()
-	if c == nil {
-		return nil
-	}
-	return c[slot&(valueChunkSize-1)].Load()
-}
-
-// casPair swaps slot's pair pointer from old to new. Pair pointers are
-// never reused, so the compare is ABA-safe. The replacement MUST be
-// equal in accounting terms (same hash, same value length):
-// Release uncharges whatever pair it finds in the slot, and a racing
-// size-changing swap would skew the byte counter.
-func (v *Values) casPair(slot uint64, old, new *pair) bool {
-	return v.chunks[slot>>valueChunkBits].Load()[slot&(valueChunkSize-1)].CompareAndSwap(old, new)
-}
-
-// Bytes returns the approximate live footprint in bytes: value bytes plus
-// pairOverhead per live entry. Same non-linearizable contract as Len.
-func (v *Values) Bytes() int64 { return v.bytes.Sum() }
-
-// Release recycles a slot whose index entry has been removed or replaced.
-// The slot's pair pointer is cleared: stale readers observe nil, report a
-// miss and retry through their index (the same validate-and-retry they
-// already run for a recycled hash), and — critically — the eviction
-// sampler can tell a free slot from a live one. Leaving the dead pair in
-// place would make every freed slot look like a perfect eviction victim
-// (old epoch, never expiring) whose conditional delete can only fail,
-// and the victim search would starve on its own leftovers. The releasing
-// caller owns the unmapped slot, so the load-uncharge-clear sequence
-// cannot race a recycling Put; the only concurrent swap possible is
-// Expire/Persist's size-invariant casPair, which leaves the uncharge
-// amount unchanged.
-func (v *Values) Release(slot uint64) {
-	v.uncharge(slot)
-	v.free.Push(slot)
-}
-
-// ReleaseBatch recycles every slot in one splice onto the free list —
-// the stack's single validate-and-lock commit covers the whole batch, so
-// a pipelined burst of deletes pays one contended CAS instead of one per
-// slot. Same visibility contract as Release.
-func (v *Values) ReleaseBatch(slots []uint64) {
-	for _, slot := range slots {
-		v.uncharge(slot)
-	}
-	v.free.PushAll(slots)
-}
-
-// uncharge credits back the bytes a slot's resident pair was charged and
-// clears the pair pointer (see Release for why freed slots must read nil).
-func (v *Values) uncharge(slot uint64) {
-	sp := &v.chunks[slot>>valueChunkBits].Load()[slot&(valueChunkSize-1)]
-	if p := sp.Load(); p != nil {
-		v.bytes.Add(slot, -(int64(p.size()) + pairOverhead))
-		sp.Store(nil)
-	}
-}
-
-// Allocated returns how many slots have ever been carved from the arena
-// (monotone; recycled slots are not subtracted).
-func (v *Values) Allocated() uint64 { return v.next.Load() }
-
-// FreeLen returns the current free-list length (racy; for monitoring).
-func (v *Values) FreeLen() int { return v.free.Len() }
 
 // fnv64a is FNV-1a inlined: hash/fnv's Write is allocation-free, but
 // constructing its hash.Hash64 costs an interface allocation per call,
@@ -382,14 +255,13 @@ func clampHash(v uint64) uint64 {
 
 // Strings is the string layer over an index core: string values (and,
 // through HashKey, string keys) on a sharded index from uint64 keys to
-// value handles in a Values arena, with per-entry TTL and byte-budget
-// eviction (ttl.go). The *Hashed methods are the layer itself — they take
-// the index key directly; the string-keyed forms hash first. NewStrings
-// builds it over the hash-routed Store — examples/kvstore runs that
-// in-process and the server package serves it over TCP — and
-// NewSortedStrings over an Ordered index. Distinct string keys whose
-// hashes collide alias to one entry; with 64-bit FNV-1a that needs ~2^32
-// live keys to become likely, far beyond the arena's capacity.
+// *pair values, with per-entry TTL and byte-budget eviction (ttl.go). The
+// *Hashed methods are the layer itself — they take the index key directly;
+// the string-keyed forms hash first. NewStrings builds it over a
+// hash-routed index — examples/kvstore runs that in-process and the
+// server package serves it over TCP — and NewSortedStrings over a sorted
+// one. Distinct string keys whose hashes collide alias to one entry; with
+// 64-bit FNV-1a that needs ~2^32 live keys to become likely.
 //
 // Value ownership: every write (Set, SetEX, MSetHashed) copies its value
 // into the store's own object and retains nothing of the argument, so a
@@ -400,13 +272,13 @@ func clampHash(v uint64) uint64 {
 // key. Expire and Persist replace the pair, copying the value bytes into
 // the replacement.
 type Strings struct {
-	// Set once by init and read by every operation: the index, the arena,
-	// the injectable clock (nil = coarse time.Now cached in cachedNow) and
-	// the byte budget (0 = unbounded). They own their cache line — the
-	// words below are stored by writers and by governance, and a GET must
-	// not take a miss on this line for it.
-	index  *Store
-	values *Values
+	// Set once by init and read by every operation: the index, the byte
+	// counter, the injectable clock (nil = coarse time.Now cached in
+	// cachedNow) and the byte budget (0 = unbounded). They own their cache
+	// line — the words below are stored by writers and by governance, and a
+	// GET must not take a miss on this line for it.
+	index  *Store[*pair]
+	bytes  *core.Striped
 	clock  func() int64
 	budget int64
 
@@ -414,10 +286,15 @@ type Strings struct {
 	governed
 	_ core.CacheLinePad
 
-	// The sweeper's cursor and rng, under maintMu (see maintainPass).
+	// The sweeper's state, under maintMu (see maintainPass): its position
+	// — a shard and that shard's cursor — its rng, and the page the sweep
+	// reads entries into.
 	maintMu     sync.Mutex
+	sweepShard  uint64
 	sweepCursor uint64
 	sweepRng    uint64
+	sweepKeys   [sweepPage]uint64
+	sweepPairs  [sweepPage]*pair
 }
 
 // governed is the memory-governance state (see ttl.go) that operations
@@ -438,7 +315,7 @@ type governed struct {
 	evicted      atomic.Uint64
 	// handRng seeds the write path's lock-free eviction hands (see
 	// evictHand): each hand derives a private xorshift state from one
-	// atomic bump, so concurrent hands probe independent slots without
+	// atomic bump, so concurrent hands probe independent entries without
 	// sharing the sweeper's maintMu-guarded rng.
 	handRng atomic.Uint64
 	// epochTick is the clock reading of the last epoch tick;
@@ -451,19 +328,19 @@ type governed struct {
 // configure the index exactly as in New, and WithClock/WithByteBudget
 // configure the memory-governance layer (ttl.go).
 func NewStrings(opts ...Option) *Strings {
+	o := newOptions(opts)
 	s := new(Strings)
-	s.init(New(opts...), opts)
+	s.init(newHashed[*pair](o), o)
 	return s
 }
 
 // init wires the layer over index, in place (the scheduler keeps the
-// pointer): a fresh arena, the governance options, the sweep rng and
+// pointer): the byte counter, the governance options, the sweep rng and
 // cached clock seeded, and the governance pass registered on the index's
 // shared scheduler when one exists — WithoutMaintenance stores are driven
 // via Quiesce.
-func (s *Strings) init(index *Store, opts []Option) {
-	o := newOptions(opts)
-	s.index, s.values = index, NewValues()
+func (s *Strings) init(index *Store[*pair], o options) {
+	s.index, s.bytes = index, core.NewStriped(0)
 	s.clock, s.budget = o.clock, o.byteBudget
 	s.sweepRng = 0x9E3779B97F4A7C15
 	s.handRng.Store(0x6A09E667F3BCC909)
@@ -476,10 +353,7 @@ func (s *Strings) init(index *Store, opts []Option) {
 }
 
 // Index exposes the underlying index core for stats aggregation.
-func (s *Strings) Index() *Store { return s.index }
-
-// Values exposes the underlying arena for stats aggregation.
-func (s *Strings) Values() *Values { return s.values }
+func (s *Strings) Index() *Store[*pair] { return s.index }
 
 // Close stops the index's maintenance scheduler.
 func (s *Strings) Close() { s.index.Close() }
@@ -497,37 +371,32 @@ func (s *Strings) Quiesce() {
 // Store.Len).
 func (s *Strings) Len() int { return s.index.Len() }
 
-// read is the layer's one validated read — the OPTIK shape in miniature.
-// Given an index lookup's outcome for k (slot, ok) it loads the arena pair
-// and validates it: a pair that no longer belongs to k means a concurrent
-// SET or DEL recycled the slot under us, and the read restarts through the
-// index — each lap rides on another operation's progress, the same
-// obstruction-freedom argument as the tables' own readers. The deadline is
-// validated lazily right where the hash is: an expired pair is a miss, and
-// the dead entry retires through the same conditional-delete splice the
-// sweeper uses. TTL-less pairs pay one predictable branch. Returns k's
-// slot and live pair, or a nil pair on a miss. Every accessor — scalar,
-// batched, scanned — goes through here: the scalar ones pass a fresh
-// index.Get, the batched ones the slot their index pass already fetched.
-func (s *Strings) read(k, slot uint64, ok bool) (uint64, *pair) {
-	for ; ok; slot, ok = s.index.Get(k) {
-		p := s.values.loadPair(slot)
-		if p == nil || p.hash != k {
-			continue
-		}
-		if s.expiredNow(p) {
-			s.retire(slot, p, &s.expiredLazy)
-			break
-		}
-		return slot, p
+// charge adds a pair's footprint to the byte counter — value bytes plus
+// pairOverhead — as the pair is published under k; credit takes it off
+// again, in whichever call unmapped the pair.
+func (s *Strings) charge(k uint64, p *pair) { s.bytes.Add(k, int64(p.size())+pairOverhead) }
+func (s *Strings) credit(k uint64, p *pair) { s.bytes.Add(k, -int64(p.size())-pairOverhead) }
+
+// live is the read path's one judgment over what the index returned for k:
+// a pair whose deadline has passed is a miss, and retires through the same
+// conditional-delete splice the sweeper uses. TTL-less pairs pay one
+// predictable branch. Every accessor — scalar, batched, scanned — goes
+// through here.
+func (s *Strings) live(k uint64, p *pair, ok bool) *pair {
+	if !ok {
+		return nil
 	}
-	return 0, nil
+	if s.expiredNow(p) {
+		s.retire(k, p, &s.expiredLazy)
+		return nil
+	}
+	return p
 }
 
-// lookup is read from the top: k's slot and live pair, or a nil pair.
-func (s *Strings) lookup(k uint64) (uint64, *pair) {
-	slot, ok := s.index.Get(k)
-	return s.read(k, slot, ok)
+// lookup is the scalar read: k's live pair, or nil.
+func (s *Strings) lookup(k uint64) *pair {
+	p, ok := s.index.Get(k)
+	return s.live(k, p, ok)
 }
 
 // Set stores key→value, returning true if it replaced an existing value
@@ -543,49 +412,42 @@ func (s *Strings) SetHashed(k uint64, value string) bool {
 	return s.set(k, value, 0)
 }
 
-// set is the scalar write under Set and SetEX: arena pair first, index
-// publish after, the displaced slot recycled — its stamp handed to the
+// set is the scalar write under Set and SetEX: pair first, index publish
+// after, the displaced pair credited back — its stamp handed to the
 // successor, under a budget — and an eviction hand lent if the insert
 // pushed the store past its watermark.
 func (s *Strings) set(k uint64, value string, deadline int64) bool {
 	epoch := s.epoch.Load()
-	slot := s.values.put(k, value, deadline, stampNew(epoch))
-	old, replaced := s.index.Set(k, slot)
-	live := replaced && !s.displacedExpired(old)
-	if replaced {
-		if s.budget != 0 {
-			s.inherit(k, old, slot, epoch)
-		}
-		s.values.Release(old)
-	}
+	p := newPair(value, deadline, stampNew(epoch))
+	s.charge(k, p)
+	old, replaced := s.index.Set(k, p)
+	live := replaced && s.displaced(k, p, old, epoch)
 	s.evictHand()
 	return live
 }
 
-// inherit hands the stamp of the pair a write to k just displaced to the pair
-// that replaced it, as one more touch: how often a key is used is a property
-// of the key, and a write must not reset it. The caller still owns the
-// unmapped old slot, so its pair is there. The new slot is already published
-// and may have been evicted or recycled since, hence the nil and hash checks;
-// k's own later pair is as good a recipient, and a reader's touch lost to
-// this store is a lost count.
-func (s *Strings) inherit(k, old, slot uint64, epoch uint32) {
-	if to := s.values.loadPair(slot); to != nil && to.hash == k {
-		to.touched.Store(stampTouch(s.values.loadPair(old).touched.Load(), epoch))
+// displaced settles a pair a write of p under k just unmapped: its bytes
+// are credited back and, under a budget, its stamp is handed to p as one
+// more touch — how often a key is used is a property of the key, and a
+// write must not reset it (a reader's touch lost to this store is a lost
+// count). It reports whether old was live; one that had already expired
+// made the write a fresh insert, and counts as lazily expired.
+func (s *Strings) displaced(k uint64, p, old *pair, epoch uint32) bool {
+	if s.budget != 0 {
+		p.touched.Store(stampTouch(old.touched.Load(), epoch))
 	}
+	return s.unmapped(k, old)
 }
 
-// displacedExpired reports whether the pair in a slot just unmapped from
-// the index (replaced or deleted) had already expired — in which case the
-// operation that displaced it observed a miss, not a hit — counting it as
-// lazily expired. The caller owns the unmapped slot until it releases it,
-// so the pair load cannot race a recycling Put.
-func (s *Strings) displacedExpired(slot uint64) bool {
-	p := s.values.loadPair(slot)
-	if p == nil || !s.expiredNow(p) {
+// unmapped credits back a pair just unmapped from the index — replaced or
+// deleted — and reports whether it was live: an expired one was already
+// observably absent, and counts as lazily expired.
+func (s *Strings) unmapped(k uint64, old *pair) bool {
+	s.credit(k, old)
+	if s.expiredNow(old) {
+		s.expiredLazy.Add(1)
 		return false
 	}
-	s.expiredLazy.Add(1)
 	return true
 }
 
@@ -594,10 +456,10 @@ func (s *Strings) Get(key string) (string, bool) {
 	return s.GetHashed(HashKey(key))
 }
 
-// GetHashed is Get for a pre-hashed key: the validated read, plus the
-// eviction stamp's touch when a byte budget is in force.
+// GetHashed is Get for a pre-hashed key: index → pair, plus the eviction
+// stamp's touch when a byte budget is in force.
 func (s *Strings) GetHashed(k uint64) (string, bool) {
-	_, p := s.lookup(k)
+	p := s.lookup(k)
 	if p == nil {
 		return "", false
 	}
@@ -616,21 +478,15 @@ func (s *Strings) Del(key string) bool {
 // already passed reports false — the key was observably absent.
 func (s *Strings) DelHashed(k uint64) bool {
 	old, ok := s.index.Del(k)
-	if !ok {
-		return false
-	}
-	live := !s.displacedExpired(old)
-	s.values.Release(old)
-	return live
+	return ok && s.unmapped(k, old)
 }
 
-// batchStrScratch pools the per-batch hash/slot slices of the batch
-// operations, the same treatment the index's own batch routing gets from
-// batchScratch — a batched path that allocates per call would undo it.
+// batchStrScratch pools the per-batch slices of the batch operations, the
+// same treatment the index's own batch routing gets from batchScratch — a
+// batched path that allocates per call would undo it.
 type batchStrScratch struct {
-	hashes []uint64
-	slots  []uint64
-	old    []uint64
+	hashes     []uint64
+	pairs, old []*pair
 }
 
 var strScratchPool = sync.Pool{New: func() any { return new(batchStrScratch) }}
@@ -640,22 +496,30 @@ func grabStrScratch(n int) *batchStrScratch {
 	sc := strScratchPool.Get().(*batchStrScratch)
 	if cap(sc.hashes) < n {
 		sc.hashes = make([]uint64, n)
-		sc.slots = make([]uint64, n)
-		sc.old = make([]uint64, n)
+		sc.pairs = make([]*pair, n)
+		sc.old = make([]*pair, n)
 	}
 	return sc
+}
+
+// release returns the scratch of an n-key batch to the pool, its pair
+// slots cleared: a pooled scratch must not keep a value alive.
+func (sc *batchStrScratch) release(n int) {
+	clear(sc.pairs[:n])
+	clear(sc.old[:n])
+	strScratchPool.Put(sc)
 }
 
 // MGet looks up every keys[i], storing the value into vals[i] and
 // presence into found[i]; vals and found must be at least len(keys) long.
 func (s *Strings) MGet(keys []string, vals []string, found []bool) {
 	sc := grabStrScratch(len(keys))
-	defer strScratchPool.Put(sc)
+	defer sc.release(len(keys))
 	hashes := sc.hashes[:len(keys)]
 	for i, key := range keys {
 		hashes[i] = HashKey(key)
 	}
-	s.mget(hashes, vals, found, sc.slots[:len(keys)])
+	s.mget(hashes, vals, found, sc.pairs[:len(keys)])
 }
 
 // MGetHashed is MGet for pre-hashed keys (see HashKeyBytes): protocol
@@ -663,21 +527,21 @@ func (s *Strings) MGet(keys []string, vals []string, found []bool) {
 // here, so key bytes never escape the parser's views.
 func (s *Strings) MGetHashed(hashes []uint64, vals []string, found []bool) {
 	sc := grabStrScratch(len(hashes))
-	defer strScratchPool.Put(sc)
-	s.mget(hashes, vals, found, sc.slots[:len(hashes)])
+	defer sc.release(len(hashes))
+	s.mget(hashes, vals, found, sc.pairs[:len(hashes)])
 }
 
 // mget is the shared body of MGet/MGetHashed: one shard-batched index
-// pass, then each fetched slot through the validated read (which restarts
-// a recycled one through the scalar path and retires an expired one).
-func (s *Strings) mget(hashes []uint64, vals []string, found []bool, slots []uint64) {
-	s.index.MGet(hashes, slots, found)
+// pass, then each fetched pair through the read judgment (which retires an
+// expired one).
+func (s *Strings) mget(hashes []uint64, vals []string, found []bool, pairs []*pair) {
+	s.index.MGet(hashes, pairs, found)
 	var epoch uint32
 	if s.budget != 0 {
 		epoch = s.epoch.Load()
 	}
 	for i, k := range hashes {
-		_, p := s.read(k, slots[i], found[i])
+		p := s.live(k, pairs[i], found[i])
 		if p == nil {
 			vals[i], found[i] = "", false
 			continue
@@ -691,63 +555,43 @@ func (s *Strings) mget(hashes []uint64, vals []string, found []bool, slots []uin
 
 // MSetHashed stores vals[i] under every pre-hashed keys[i], recording
 // into replaced[i] whether a live value was overwritten, and returns the
-// fresh-insert count. The arena writes happen up front (a published slot
-// always holds a fully-built pair), the index pass is shard-batched, and
-// every replaced slot recycles through one batch splice onto the free
-// list. replaced must be at least len(hashes) long. Duplicate hashes
-// apply in order, exactly as sequential SetHashed calls.
+// fresh-insert count. The pairs are built up front (a published pair is
+// always a fully built one) and the index pass is shard-batched. replaced
+// must be at least len(hashes) long. Duplicate hashes apply in order,
+// exactly as sequential SetHashed calls.
 func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) int {
 	sc := grabStrScratch(len(hashes))
-	defer strScratchPool.Put(sc)
-	slots, old := sc.slots[:len(hashes)], sc.old[:len(hashes)]
+	defer sc.release(len(hashes))
+	pairs, old := sc.pairs[:len(hashes)], sc.old[:len(hashes)]
 	epoch := s.epoch.Load()
-	for i, h := range hashes {
-		slots[i] = s.values.put(h, vals[i], 0, stampNew(epoch))
+	for i, k := range hashes {
+		pairs[i] = newPair(vals[i], 0, stampNew(epoch))
+		s.charge(k, pairs[i])
 	}
-	inserted := s.index.MSetEach(hashes, slots, old, replaced)
-	if s.budget != 0 {
-		for i, h := range hashes {
-			if replaced[i] {
-				s.inherit(h, old[i], slots[i], epoch)
-			}
+	inserted := s.index.MSetEach(hashes, pairs, old, replaced)
+	for i, k := range hashes {
+		if replaced[i] && !s.displaced(k, pairs[i], old[i], epoch) {
+			replaced[i] = false
+			inserted++
 		}
 	}
-	// The slots scratch is index-owned now and no longer needed here: the
-	// displaced handles compact into it for the splice.
-	inserted += s.releaseDisplaced(old, replaced, slots[:0])
 	s.evictHand()
 	return inserted
 }
 
 // MDelHashed removes every pre-hashed keys[i], recording presence into
 // found[i], and returns the hit count; found must be at least len(hashes)
-// long. The index pass is shard-batched and the freed value slots recycle
-// in one batch splice.
+// long. The index pass is shard-batched.
 func (s *Strings) MDelHashed(hashes []uint64, found []bool) int {
 	sc := grabStrScratch(len(hashes))
-	defer strScratchPool.Put(sc)
+	defer sc.release(len(hashes))
 	old := sc.old[:len(hashes)]
 	deleted := s.index.MDelEach(hashes, old, found)
-	return deleted - s.releaseDisplaced(old, found, sc.slots[:0])
-}
-
-// releaseDisplaced is the batch form of the scalar paths' displaced-slot
-// handling: every old[i] with hit[i] set was just unmapped from the index
-// and recycles in one free-list splice (rel is scratch to compact them
-// into). A displaced pair that had already expired was observably absent
-// — its hit[i] flips to false, exactly as the scalar call reports it —
-// and the return value counts those.
-func (s *Strings) releaseDisplaced(old []uint64, hit []bool, rel []uint64) (expired int) {
-	for i, slot := range old {
-		if !hit[i] {
-			continue
+	for i, k := range hashes {
+		if found[i] && !s.unmapped(k, old[i]) {
+			found[i] = false
+			deleted--
 		}
-		if s.displacedExpired(slot) {
-			hit[i] = false
-			expired++
-		}
-		rel = append(rel, slot)
 	}
-	s.values.ReleaseBatch(rel)
-	return expired
+	return deleted
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // TestStringsBasic pins the scalar surface: set/get/del, replace
-// semantics, and the arena recycling a released slot.
+// semantics, and the byte counter following the live entries.
 func TestStringsBasic(t *testing.T) {
 	s := NewStrings(WithShards(2), WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
@@ -43,21 +43,18 @@ func TestStringsBasic(t *testing.T) {
 	if s.Del("a") {
 		t.Fatal("second Del(a) hit")
 	}
-	// The replace and the delete each released a slot; the next two Puts
-	// must recycle instead of growing the arena.
-	allocated := s.Values().Allocated()
-	if free := s.Values().FreeLen(); free != 2 {
-		t.Fatalf("free list = %d, want 2", free)
+	// The replace and the delete each credited the pair they unmapped.
+	if got := s.BytesUsed(); got != 0 {
+		t.Fatalf("BytesUsed = %d with no entry left, want 0", got)
 	}
 	s.Set("b", "3")
-	s.Set("c", "4")
-	if got := s.Values().Allocated(); got != allocated {
-		t.Fatalf("arena grew %d → %d with slots on the free list", allocated, got)
+	s.Set("c", "45")
+	if got, want := s.BytesUsed(), int64(3+2*PairOverhead); got != want {
+		t.Fatalf("BytesUsed = %d, want %d", got, want)
 	}
 }
 
-// TestStringsMGet pins the batched read path, including the recycled-slot
-// fallback being invisible to callers.
+// TestStringsMGet pins the batched read path.
 func TestStringsMGet(t *testing.T) {
 	s := NewStrings(WithShards(4), WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
@@ -78,35 +75,31 @@ func TestStringsMGet(t *testing.T) {
 }
 
 // TestStringsConcurrentRecycle hammers one hot key set with readers and
-// recycling writers: a reader must only ever observe a value that was
-// written for the key it asked about, never another key's pair through a
-// recycled slot.
+// writers that delete and re-store it: a reader must only ever observe a
+// value that was written for the key it asked about.
 func TestStringsConcurrentRecycle(t *testing.T) {
 	s := NewStrings(WithShards(2), WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
 
-	// The interleaving the hammer below hopes for, staged once by hand: a
-	// reader holding key 10's slot handle while the slot is recycled to
-	// key 99. The validated read (the OPTIK move at the value layer) must
-	// fail the hash check for the old key — restarting through the index,
-	// where 10 is gone — instead of returning the other key's value.
+	// The interleaving the governance splice must survive, staged once by
+	// hand: a pair of key 10 sampled before the key was deleted and stored
+	// again. The successor is a new pair, so the conditional delete —
+	// exact on identity — must refuse it, and the stale pair still reads
+	// the value it held.
 	s.SetHashed(10, "ten")
-	slot, _ := s.index.Get(10)
-	if _, p := s.read(10, slot, true); p == nil || p.val() != "ten" {
-		t.Fatalf("read(10) before recycling = %v", p)
+	p0, _ := s.index.Get(10)
+	s.DelHashed(10)
+	s.SetHashed(10, "ten again")
+	if s.retire(10, p0, &s.evicted) {
+		t.Fatal("a stale pair retired its key's successor")
+	}
+	if v, ok := s.GetHashed(10); !ok || v != "ten again" {
+		t.Fatalf("Get(10) = %q, %v after the refused retirement", v, ok)
+	}
+	if p0.val() != "ten" {
+		t.Fatalf("the stale pair reads %q, want its own value", p0.val())
 	}
 	s.DelHashed(10)
-	s.SetHashed(99, "ninety-nine")
-	if slot2, _ := s.index.Get(99); slot2 != slot {
-		t.Fatalf("free list did not recycle: got slot %d, want %d", slot2, slot)
-	}
-	if _, p := s.read(10, slot, true); p != nil {
-		t.Fatalf("stale read validated against a recycled slot: %q", p.val())
-	}
-	if _, p := s.read(99, slot, true); p == nil || p.val() != "ninety-nine" {
-		t.Fatalf("read(99) after recycle = %v", p)
-	}
-	s.DelHashed(99)
 
 	const keys = 8
 	key := func(i int) string { return fmt.Sprintf("hot%d", i) }
@@ -180,9 +173,9 @@ func TestClampHashFoldsSentinels(t *testing.T) {
 }
 
 // TestStringsHashedBatches drives the hash-level batch APIs end to end
-// against the scalar surface: same outcomes, value-slot conservation
-// (every replaced/deleted slot recycles through the free list), and
-// duplicate hashes applying in order.
+// against the scalar surface: same outcomes, byte conservation (every
+// replaced or deleted pair is credited back), and duplicate hashes
+// applying in order.
 func TestStringsHashedBatches(t *testing.T) {
 	s := NewStrings(WithShards(4), WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
@@ -199,9 +192,9 @@ func TestStringsHashedBatches(t *testing.T) {
 	if replaced[0] || replaced[1] || !replaced[2] || replaced[3] {
 		t.Fatalf("MSetHashed replaced = %v", replaced)
 	}
-	// The duplicate's first slot must have recycled.
-	if got := s.Values().FreeLen(); got != 1 {
-		t.Fatalf("FreeLen = %d after duplicate overwrite, want 1", got)
+	// The duplicate's first pair must have been credited back.
+	if got, want := s.BytesUsed(), int64(3*(1+PairOverhead)); got != want {
+		t.Fatalf("BytesUsed = %d after duplicate overwrite, want %d", got, want)
 	}
 	if v, ok := s.Get("a"); !ok || v != "3" {
 		t.Fatalf(`Get("a") = %q,%v; want "3" (last duplicate wins)`, v, ok)
@@ -226,20 +219,16 @@ func TestStringsHashedBatches(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
 	}
-	// 4 puts, 3 live slots released (1 dup overwrite + 2 deletes): the
-	// free list carries all of them for the next Put to recycle.
-	if got := s.Values().FreeLen(); got != 3 {
-		t.Fatalf("FreeLen = %d, want 3", got)
-	}
-	if s.Set("e", "9"); s.Values().Allocated() != 4 {
-		t.Fatalf("Allocated = %d: Set did not recycle a batch-released slot", s.Values().Allocated())
+	// 4 puts, 3 pairs unmapped (1 dup overwrite + 2 deletes): one left.
+	if got, want := s.BytesUsed(), int64(1+PairOverhead); got != want {
+		t.Fatalf("BytesUsed = %d, want %d", got, want)
 	}
 }
 
 // TestStringsHashedBatchConcurrent races hashed batch writers/deleters
 // with scalar readers on an overlapping keyspace; under -race this is
-// the data-race coverage for the batch release path, and the final Len
-// must match the model of net inserts.
+// the data-race coverage for the batch paths, and the final Len must
+// match the model of net inserts — and BytesUsed the live entries.
 func TestStringsHashedBatchConcurrent(t *testing.T) {
 	s := NewStrings(WithShards(4), WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
@@ -282,6 +271,9 @@ func TestStringsHashedBatchConcurrent(t *testing.T) {
 	if int64(s.Len()) != net {
 		t.Fatalf("conservation: Len = %d, net = %d", s.Len(), net)
 	}
+	if got, want := s.BytesUsed(), net*(1+PairOverhead); got != want {
+		t.Fatalf("conservation: BytesUsed = %d, want %d for %d one-byte values", got, want, net)
+	}
 }
 
 // allocsPerRun is testing.AllocsPerRun with the bytes as well: prep runs
@@ -309,14 +301,17 @@ func allocsPerRun(runs int, prep, f func()) (objects, bytes uint64) {
 var allocSink []byte
 
 // TestPairOneAllocation pins the layout: a stored value is ONE pointer-free
-// object — the 16-byte header, the deadline word if the entry has a TTL, and
-// the bytes — so writing a value into a warm store (recycled slot, pooled
-// index node) allocates exactly once, and what it allocates is no larger
-// than a 16+len byte slice's size class, 24+len with a deadline. Re-arming
-// a deadline builds the same single object.
+// object — the 8-byte header, the deadline word if the entry has a TTL, and
+// the bytes — so writing a value into a warm store (an index slot, or a
+// pooled index node) allocates exactly once, and what it allocates is no
+// larger than an 8+len byte slice's size class, 16+len with a deadline.
+// Re-arming a deadline builds the same single object. Dropping the key
+// hash took 8 bytes off every pair, and no common value size — 32, 64 or
+// 128 bytes — lands in a larger size class than it had with it (a TTL'd
+// one now lands a class lower).
 func TestPairOneAllocation(t *testing.T) {
-	if got := unsafe.Sizeof(pair{}); got != 16 {
-		t.Fatalf("pair header is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(pair{}); got != 8 {
+		t.Fatalf("pair header is %d bytes, want 8", got)
 	}
 	pt := reflect.TypeOf(pair{})
 	for i := 0; i < pt.NumField(); i++ {
@@ -344,6 +339,11 @@ func TestPairOneAllocation(t *testing.T) {
 			{"ExpireAt", pairHeader + 8, live, func() { s.ExpireAtHashed(k, 1<<40) }},
 		} {
 			_, class := allocsPerRun(runs, func() {}, func() { allocSink = make([]byte, op.header+n) })
+			if n == 32 || n == 64 || n == 128 {
+				if _, was := allocsPerRun(runs, func() {}, func() { allocSink = make([]byte, op.header+8+n) }); class > was {
+					t.Errorf("%s len=%d: the pair's size class moved up, %d → %d", op.name, n, was, class)
+				}
+			}
 			objects, bytes := allocsPerRun(runs, op.prep, op.f)
 			if v, ok := s.GetHashed(k); !ok || v != val {
 				t.Fatalf("%s len=%d: value did not survive (ok=%v, %d bytes back)", op.name, n, ok, len(v))
@@ -365,13 +365,13 @@ func TestPairDeadlineRoundTrip(t *testing.T) {
 	const now = int64(1) << 40
 	for _, val := range []string{"", "v", "exactly8", strings.Repeat("0123456789", 7), strings.Repeat("x", 1000)} {
 		for _, d := range []int64{0, 1, now - 1, now, now + 1, math.MaxInt64} {
-			p := newPair(42, val, d, 9)
+			p := newPair(val, d, 9)
 			if got := p.val(); got != val {
 				t.Fatalf("deadline %d: val() = %q, want %q", d, got, val)
 			}
-			if p.deadline() != d || p.size() != len(val) || p.hash != 42 || p.touched.Load() != 9 {
-				t.Fatalf("len %d deadline %d: read back deadline=%d size=%d hash=%d touched=%d",
-					len(val), d, p.deadline(), p.size(), p.hash, p.touched.Load())
+			if p.deadline() != d || p.size() != len(val) || p.touched.Load() != 9 {
+				t.Fatalf("len %d deadline %d: read back deadline=%d size=%d touched=%d",
+					len(val), d, p.deadline(), p.size(), p.touched.Load())
 			}
 			if p.expiredAt(now) != (d != 0 && d <= now) {
 				t.Fatalf("deadline %d: expiredAt(%d) = %v", d, now, p.expiredAt(now))
@@ -379,9 +379,9 @@ func TestPairDeadlineRoundTrip(t *testing.T) {
 		}
 	}
 	// The empty value with a TTL is header + deadline and nothing else: a
-	// 24-byte object, with no pointer formed past its end.
-	_, class := allocsPerRun(20, func() {}, func() { allocSink = make([]byte, 24) })
-	objects, bytes := allocsPerRun(20, func() {}, func() { pairSink = newPair(1, "", now, 0) })
+	// 16-byte object, with no pointer formed past its end.
+	_, class := allocsPerRun(20, func() {}, func() { allocSink = make([]byte, 16) })
+	objects, bytes := allocsPerRun(20, func() {}, func() { pairSink = newPair("", now, 0) })
 	if objects != 1 || bytes > class {
 		t.Fatalf("empty value with a TTL: %d allocations, %d bytes; want 1 of at most %d", objects, bytes, class)
 	}
@@ -397,8 +397,7 @@ func TestPairDeadlineRoundTrip(t *testing.T) {
 	s.Set("k", want)
 	used := s.BytesUsed()
 	flagged := func() bool {
-		_, p := s.lookup(HashKey("k"))
-		return p.n&pairTTL != 0
+		return s.lookup(HashKey("k")).n&pairTTL != 0
 	}
 	for i, step := range []struct {
 		name    string
@@ -451,7 +450,7 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 	var s Strings
 	readMostly := []span{
 		{"index", unsafe.Offsetof(s.index), unsafe.Sizeof(s.index)},
-		{"values", unsafe.Offsetof(s.values), unsafe.Sizeof(s.values)},
+		{"bytes", unsafe.Offsetof(s.bytes), unsafe.Sizeof(s.bytes)},
 		{"clock", unsafe.Offsetof(s.clock), unsafe.Sizeof(s.clock)},
 		{"budget", unsafe.Offsetof(s.budget), unsafe.Sizeof(s.budget)},
 	}
@@ -466,8 +465,11 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 	}
 	sweeper := []span{
 		{"maintMu", unsafe.Offsetof(s.maintMu), unsafe.Sizeof(s.maintMu)},
+		{"sweepShard", unsafe.Offsetof(s.sweepShard), unsafe.Sizeof(s.sweepShard)},
 		{"sweepCursor", unsafe.Offsetof(s.sweepCursor), unsafe.Sizeof(s.sweepCursor)},
 		{"sweepRng", unsafe.Offsetof(s.sweepRng), unsafe.Sizeof(s.sweepRng)},
+		{"sweepKeys", unsafe.Offsetof(s.sweepKeys), unsafe.Sizeof(s.sweepKeys)},
+		{"sweepPairs", unsafe.Offsetof(s.sweepPairs), unsafe.Sizeof(s.sweepPairs)},
 	}
 	apart := func(as, bs []span) {
 		for _, a := range as {
@@ -517,8 +519,8 @@ func TestSetCopiesValue(t *testing.T) {
 
 // TestGetStringOutlivesEntry pins the read half: a string Get returned
 // aliases an immutable, GC-owned object, so it stays valid and unchanged
-// after its key is deleted, its slot recycled a hundred thousand times
-// and the collector run — pairs are never reused in place.
+// after its key is deleted, its index slot rewritten a hundred thousand
+// times and the collector run — pairs are never reused in place.
 func TestGetStringOutlivesEntry(t *testing.T) {
 	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
@@ -534,10 +536,7 @@ func TestGetStringOutlivesEntry(t *testing.T) {
 	s.Del("empty")
 	junk := strings.Repeat("#", len(want))
 	for i := 0; i < 100_000; i++ {
-		s.Set("churn", junk) // each overwrite takes the slot the last one freed
-	}
-	if got := s.Values().Allocated(); got > 3 {
-		t.Fatalf("arena carved %d slots: the overwrites did not recycle", got)
+		s.Set("churn", junk)
 	}
 	runtime.GC()
 	runtime.GC()
@@ -607,5 +606,52 @@ func TestBytesUsedFormula(t *testing.T) {
 	}
 	if got := s.BytesUsed(); got != 0 {
 		t.Fatalf("BytesUsed after deleting everything = %d, want 0", got)
+	}
+}
+
+// TestEvictingSetIsOneAllocation pins the write path's allocation contract
+// under a full byte budget: a SetHashed whose eviction hand retires
+// entries is exactly one allocation — the pair — however many entries the
+// hand retires, because a retirement is a conditional delete on the index
+// and nothing else: no free-list node, no closure. And an eviction round
+// on its own allocates nothing on either spine: the shards hand their
+// samples back by value, so no scratch escapes through the shard
+// interface.
+func TestEvictingSetIsOneAllocation(t *testing.T) {
+	const valLen, keep = 64, 100
+	budget := int64(keep * (valLen + PairOverhead))
+	val := strings.Repeat("v", valLen)
+	for _, c := range stringsCtors {
+		s := c.new(WithShards(1), WithShardBuckets(1024), WithoutMaintenance(),
+			WithClock(func() int64 { return 1 }), WithByteBudget(budget))
+		next := uint64(0)
+		// overfill pushes the store past the hands' watermark behind the
+		// layer's back, so the next write finds work for its hand.
+		overfill := func() {
+			for s.BytesUsed() <= budget+budget/16 {
+				next++
+				p := newPair(val, 0, stampNew(s.epoch.Load()))
+				s.charge(next, p)
+				s.index.Set(next, p)
+			}
+		}
+		if c.name == "hash" {
+			evicted := s.evicted.Load()
+			objects, _ := allocsPerRun(100, overfill, func() {
+				next++
+				s.SetHashed(next, val)
+			})
+			if got := s.evicted.Load() - evicted; objects != 1 || got < 100 {
+				t.Errorf("SetHashed over budget: %d allocations and %d evictions in 100 writes; want 1 per write and at least one eviction each",
+					objects, got)
+			}
+		}
+		rng := uint64(0x9E3779B97F4A7C15)
+		evicted := s.evicted.Load()
+		objects, _ := allocsPerRun(100, overfill, func() { s.evictSample(&rng, 1, s.epoch.Load(), true) })
+		if got := s.evicted.Load() - evicted; objects != 0 || got == 0 {
+			t.Errorf("%s: an eviction round made %d allocations (%d evictions over 100 rounds); want none", c.name, objects, got)
+		}
+		s.Close()
 	}
 }
