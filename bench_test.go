@@ -1,11 +1,11 @@
-// Benchmarks regenerating the paper's evaluation, one bench tree per table
-// or figure. Each sub-benchmark runs the corresponding workload for a fixed
-// short duration per iteration and reports throughput as Mops/s (the
-// paper's metric), so shapes are comparable directly against the figures.
+// Benchmarks regenerating the paper's evaluation and the ablations around
+// it. Each sub-benchmark runs its workload for a fixed short duration per
+// iteration and reports throughput as Mops/s (the paper's metric), so
+// shapes are comparable directly against the figures.
 //
 // Paper-scale runs (5 s × 11 repetitions × a full thread sweep) are driven
-// by cmd/optik-bench; these testing.B targets are the quick, scriptable
-// view of the same experiment definitions in internal/figures.
+// by cmd/optik-bench; BenchmarkFigures is the quick, scriptable view of
+// the same cells in internal/figures.
 package optik_test
 
 import (
@@ -41,157 +41,34 @@ func reportSet(b *testing.B, cfg workload.Config, factory func() ds.Set) {
 	b.ReportMetric(0, "ns/op") // wall-clock per op is not the figure's metric
 }
 
-// BenchmarkFig05Lock regenerates Figure 5: validated lock-acquisition
-// throughput and CAS-per-validation for ttas/optik-ticket/optik-versioned.
-func BenchmarkFig05Lock(b *testing.B) {
-	for _, impl := range workload.LockImpls {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", impl, th), func(b *testing.B) {
-				var res workload.LockResult
-				for i := 0; i < b.N; i++ {
-					res = workload.RunLock(workload.LockConfig{
-						Threads: th, Duration: benchDuration,
-					}, impl)
+// BenchmarkFigures regenerates the paper's evaluation — Figures 5, 7,
+// 9–12 and the §5.5 stacks — from the cells optik-bench prints: one
+// sub-benchmark per figure, panel, series and thread count, each
+// iteration one run of the cell, reported as Mops/s (the paper's metric;
+// Figure 5 adds CAS per validation). The latency sections are
+// optik-bench's alone.
+func BenchmarkFigures(b *testing.B) {
+	o := figures.RunOpts{Threads: benchThreads, Duration: benchDuration}
+	for _, f := range figures.Paper {
+		for _, p := range f.Panels(o) {
+			if p.Cell == nil {
+				continue
+			}
+			for s, series := range p.Series {
+				for _, th := range benchThreads {
+					b.Run(fmt.Sprintf("%s/%s/%s/threads=%d", f.Name, p.Workload, series, th), func(b *testing.B) {
+						var row figures.Row
+						for i := 0; i < b.N; i++ {
+							row = p.Cell(s, th)
+						}
+						b.ReportMetric(row.Mops, "Mops/s")
+						if row.CASPerValidation > 0 {
+							b.ReportMetric(row.CASPerValidation, "CAS/validation")
+						}
+						b.ReportMetric(0, "ns/op") // wall-clock per op is not the figure's metric
+					})
 				}
-				b.ReportMetric(res.Mops, "Mops/s")
-				b.ReportMetric(res.CASPerValidation, "CAS/validation")
-				b.ReportMetric(0, "ns/op")
-			})
-		}
-	}
-}
-
-// BenchmarkFig07ArrayMap regenerates Figure 7: mcs vs optik array maps on
-// the small (4 slots) and large (1024 slots) configurations, 10% updates.
-func BenchmarkFig07ArrayMap(b *testing.B) {
-	sizes := []struct {
-		label string
-		size  int
-	}{{"small-4", 4}, {"large-1024", 1024}}
-	for _, sz := range sizes {
-		for _, algo := range figures.MapAlgos(sz.size) {
-			for _, th := range benchThreads {
-				name := fmt.Sprintf("%s/%s/threads=%d", sz.label, algo.Name, th)
-				b.Run(name, func(b *testing.B) {
-					reportSet(b, workload.Config{
-						Threads: th, Duration: benchDuration,
-						InitialSize: sz.size, UpdatePct: 10,
-					}, algo.New)
-				})
 			}
-		}
-	}
-}
-
-// BenchmarkFig09List regenerates Figure 9: seven list algorithms over the
-// five workloads (large/medium/small × uniform, large/small × zipfian).
-func BenchmarkFig09List(b *testing.B) {
-	workloads := []figures.SetWorkload{
-		{Label: "large", InitialSize: 8192, UpdatePct: 20},
-		{Label: "medium", InitialSize: 1024, UpdatePct: 20},
-		{Label: "small", InitialSize: 64, UpdatePct: 20},
-		{Label: "large-skewed", InitialSize: 8192, UpdatePct: 20, Zipf: true},
-		{Label: "small-skewed", InitialSize: 64, UpdatePct: 20, Zipf: true},
-	}
-	for _, wl := range workloads {
-		for _, algo := range figures.Fig9ListAlgos() {
-			for _, th := range benchThreads {
-				name := fmt.Sprintf("%s/%s/threads=%d", wl.Label, algo.Name, th)
-				b.Run(name, func(b *testing.B) {
-					reportSet(b, workload.Config{
-						Threads: th, Duration: benchDuration,
-						InitialSize: wl.InitialSize, UpdatePct: wl.UpdatePct, Zipf: wl.Zipf,
-					}, algo.New)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig10HashTable regenerates Figure 10: six hash tables on the
-// medium and small-skewed workloads (buckets = initial size).
-func BenchmarkFig10HashTable(b *testing.B) {
-	workloads := []figures.SetWorkload{
-		{Label: "medium", InitialSize: 8192, UpdatePct: 20, Buckets: 8192},
-		{Label: "small-skewed", InitialSize: 512, UpdatePct: 20, Zipf: true, Buckets: 512},
-	}
-	for _, wl := range workloads {
-		for _, algo := range figures.HashAlgos(wl.Buckets) {
-			for _, th := range benchThreads {
-				name := fmt.Sprintf("%s/%s/threads=%d", wl.Label, algo.Name, th)
-				b.Run(name, func(b *testing.B) {
-					reportSet(b, workload.Config{
-						Threads: th, Duration: benchDuration,
-						InitialSize: wl.InitialSize, UpdatePct: wl.UpdatePct, Zipf: wl.Zipf,
-					}, algo.New)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig11SkipList regenerates Figure 11: five skip lists on the
-// large-skewed and small-skewed workloads.
-func BenchmarkFig11SkipList(b *testing.B) {
-	workloads := []figures.SetWorkload{
-		{Label: "large-skewed", InitialSize: 65536, UpdatePct: 20, Zipf: true},
-		{Label: "small-skewed", InitialSize: 1024, UpdatePct: 20, Zipf: true},
-	}
-	for _, wl := range workloads {
-		for _, algo := range figures.SkiplistAlgos() {
-			for _, th := range benchThreads {
-				name := fmt.Sprintf("%s/%s/threads=%d", wl.Label, algo.Name, th)
-				b.Run(name, func(b *testing.B) {
-					reportSet(b, workload.Config{
-						Threads: th, Duration: benchDuration,
-						InitialSize: wl.InitialSize, UpdatePct: wl.UpdatePct, Zipf: wl.Zipf,
-					}, algo.New)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig12Queue regenerates Figure 12: six queues over the three
-// enqueue/dequeue mixes, initialized with 65536 elements.
-func BenchmarkFig12Queue(b *testing.B) {
-	mixes := []struct {
-		label string
-		enq   int
-	}{{"decreasing-40enq", 40}, {"stable-50enq", 50}, {"increasing-60enq", 60}}
-	for _, mix := range mixes {
-		for _, algo := range figures.QueueAlgos() {
-			for _, th := range benchThreads {
-				name := fmt.Sprintf("%s/%s/threads=%d", mix.label, algo.Name, th)
-				b.Run(name, func(b *testing.B) {
-					var res workload.QueueResult
-					for i := 0; i < b.N; i++ {
-						res = workload.RunQueue(workload.QueueConfig{
-							Threads: th, Duration: benchDuration,
-							InitialSize: 65536, EnqueuePct: mix.enq,
-						}, algo.New)
-					}
-					b.ReportMetric(res.Mops, "Mops/s")
-					b.ReportMetric(0, "ns/op")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkStacks regenerates the §5.5 stack comparison (treiber vs optik,
-// reported in the text as behaving similarly).
-func BenchmarkStacks(b *testing.B) {
-	for _, algo := range figures.StackAlgos() {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", algo.Name, th), func(b *testing.B) {
-				var mops float64
-				for i := 0; i < b.N; i++ {
-					mops = workload.RunStack(th, benchDuration, algo.New)
-				}
-				b.ReportMetric(mops, "Mops/s")
-				b.ReportMetric(0, "ns/op")
-			})
 		}
 	}
 }

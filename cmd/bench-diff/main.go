@@ -1,7 +1,7 @@
 // bench-diff compares two machine-readable benchmark documents written by
-// optik-bench -json and reports throughput regressions, closing the loop
-// on the bench-trend CI job: the job archives BENCH_*.json per commit, and
-// this tool diffs the current run against the previous one.
+// optik-bench -json and reports throughput regressions: the nightly job
+// archives its BENCH_*.json, and this tool diffs each run against the
+// previous one.
 //
 // Usage:
 //

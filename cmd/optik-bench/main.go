@@ -16,7 +16,8 @@
 //	-threads  comma-separated thread counts to sweep (default 1,2,4,8,16)
 //	-duration duration of each measured run (default 100ms; the paper
 //	          uses 5s — pass -duration 5s -reps 11 for paper-scale runs)
-//	-reps     repetitions per point, median reported (default 3)
+//	-reps     runs per throughput cell, the median reported (default 3);
+//	          latency sections are one sampled run
 //	-json     also write every measured point (impl, threads, Mops/s,
 //	          CAS/validation, latency tail) as a JSON document to the given
 //	          file, so the perf trajectory can be tracked across changes
@@ -25,8 +26,6 @@
 //	-shards   comma-separated shard counts the server and ordered figures
 //	          sweep (default 1,4,16; the 1-shard row is the unsharded
 //	          baseline)
-//	-batch    percentage of the server figure's requests issued as 16-key
-//	          batches through MGet/MSet/MDel (default 20)
 //	-conns    comma-separated connection populations the conns figure
 //	          sweeps (default 64,1024,4096; populations above ~1k need a
 //	          raised ulimit -n — the nightly adds 10000)
@@ -36,7 +35,7 @@
 // Example:
 //
 //	optik-bench -threads 1,4,16 -duration 500ms -reps 5 -json BENCH_fig9.json fig9
-//	optik-bench -threads 4,16 -shards 1,8 -batch 50 server
+//	optik-bench -threads 4,16 -shards 1,8 server
 //	optik-bench -threads 4,16 -shards 1,8 ordered
 //	optik-bench -duration 1s -conns 64,1024 -active 100,5 conns
 package main
@@ -55,11 +54,10 @@ import (
 func main() {
 	threadsFlag := flag.String("threads", "1,2,4,8,16", "comma-separated thread counts")
 	durationFlag := flag.Duration("duration", 100*time.Millisecond, "duration per measured run")
-	repsFlag := flag.Int("reps", 3, "repetitions per data point (median reported)")
+	repsFlag := flag.Int("reps", 3, "runs per throughput cell (median reported)")
 	jsonFlag := flag.String("json", "", "write machine-readable results (JSON) to this file")
 	churnPeakFlag := flag.Int("churn-peak", 0, "peak element count for the churn figure (0 = default 100000)")
 	shardsFlag := flag.String("shards", "1,4,16", "comma-separated shard counts for the server and ordered figures")
-	batchFlag := flag.Int("batch", 20, "percentage of server-figure requests issued as 16-key batches")
 	connsFlag := flag.String("conns", "64,1024,4096", "comma-separated connection populations for the conns figure")
 	activeFlag := flag.String("active", "100,5", "comma-separated active-connection percentages for the conns figure")
 	flag.Usage = func() {
@@ -100,7 +98,6 @@ func main() {
 		Out:        os.Stdout,
 		ChurnPeak:  *churnPeakFlag,
 		Shards:     shards,
-		BatchPct:   *batchFlag,
 		Conns:      connCounts,
 		ActivePcts: activePcts,
 	}
@@ -111,28 +108,15 @@ func main() {
 	}
 
 	figure := strings.ToLower(flag.Arg(0))
-	runners := map[string]func(figures.RunOpts){
-		"fig5":    figures.Fig5,
-		"fig7":    figures.Fig7,
-		"fig9":    figures.Fig9,
-		"fig10":   figures.Fig10,
-		"fig11":   figures.Fig11,
-		"fig12":   figures.Fig12,
-		"stacks":  figures.Stacks,
-		"resize":  figures.FigResize,
-		"churn":   figures.FigChurn,
-		"server":  figures.FigServer,
-		"ordered": figures.FigOrdered,
-		"conns":   figures.FigConns,
-		"all":     figures.All,
-	}
-	run, ok := runners[figure]
-	if !ok {
+	figs := figures.Select(figure)
+	if len(figs) == 0 {
 		fmt.Fprintf(os.Stderr, "optik-bench: unknown figure %q\n", figure)
 		flag.Usage()
 		os.Exit(2)
 	}
-	run(opts)
+	for _, f := range figs {
+		f.Run(opts)
+	}
 
 	if rec != nil {
 		f, err := os.Create(*jsonFlag)

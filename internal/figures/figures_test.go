@@ -3,11 +3,13 @@ package figures
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/optik-go/optik/ds"
+	"github.com/optik-go/optik/server"
 )
 
 // tinyOpts keeps the smoke runs fast.
@@ -20,6 +22,20 @@ func tinyOpts(buf *bytes.Buffer) RunOpts {
 	}
 }
 
+// figure returns the named figure; resize at a tiny ramp that still
+// doubles the resizable table several times.
+func figure(t *testing.T, name string) Figure {
+	t.Helper()
+	if name == "resize" {
+		return Figure{"resize", figResize(64, 2000)}
+	}
+	figs := Select(name)
+	if len(figs) != 1 {
+		t.Fatalf("Select(%q) = %d figures", name, len(figs))
+	}
+	return figs[0]
+}
+
 func TestNormalizeDefaults(t *testing.T) {
 	o := RunOpts{}.Normalize()
 	if len(o.Threads) == 0 || o.Duration <= 0 || o.Reps <= 0 {
@@ -27,35 +43,136 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
+// joinKeys pins the (figure, workload, impl) keys of every figure's rows
+// at tinyOpts' scale (churn peak 4000, a 64→2000 ramp, 8 connections at
+// 100% and 25% active): bench-diff joins a run against its baseline on
+// them, so a key that changes silently drops that row from the nightly
+// gate. Each figure's keys are the product of its three lists.
+var joinKeys = map[string]struct{ figures, workloads, impls []string }{
+	"fig5": {[]string{"Figure 5"}, []string{"locks"},
+		[]string{"ttas", "optik-ticket", "optik-versioned"}},
+	"fig7": {[]string{"Figure 7"}, []string{"Small map", "Large map"},
+		[]string{"mcs", "optik"}},
+	"fig9": {[]string{"Figure 9"}, []string{"Large", "Medium", "Small", "Large skewed", "Small skewed"},
+		[]string{"harris", "lazy", "mcs-gl-opt", "optik-gl", "optik", "optik-cache", "lazy-cache"}},
+	"fig10": {[]string{"Figure 10"}, []string{"Medium", "Small skewed"},
+		[]string{"lazy-gl", "java", "java-optik", "optik", "optik-gl", "optik-map"}},
+	"fig11": {[]string{"Figure 11"}, []string{"Large skewed", "Small skewed"},
+		[]string{"fraser", "herlihy", "herl-optik", "optik1", "optik2"}},
+	"fig12": {[]string{"Figure 12"}, []string{"Decreasing size (40% enq)", "Stable size (50% enq)", "Increasing size (60% enq)"},
+		[]string{"ms-lf", "ms-lb", "optik0", "optik1", "optik2", "optik3"}},
+	"stacks": {[]string{"Stacks"}, []string{"50/50"},
+		[]string{"treiber", "optik"}},
+	"resize": {[]string{"Resize", "Resize latency"}, []string{"ramp 64 to 2000"},
+		[]string{"lazy-gl-fixed", "optik-gl-fixed", "slab-fixed", "resizable"}},
+	"churn": {[]string{"Churn"}, []string{"churn 4000/250 steady 4000"},
+		[]string{"lazy-gl-fixed", "optik-gl-fixed", "slab-fixed", "resizable"}},
+	"server": {[]string{"Server", "Server latency"}, []string{"zipf get90/set8/del2 batch20%x16 init 65536"},
+		[]string{"store-1sh", "store-4sh", "store-16sh"}},
+	"ordered": {[]string{"Ordered", "Ordered latency"}, []string{"zipf get80/set8/del2/scan10x64 init 65536"},
+		[]string{"ordered-1sh", "ordered-4sh", "ordered-16sh"}},
+	"conns": {[]string{"Conns"}, []string{"conns 8 active 100%", "conns 8 active 25%"},
+		[]string{"conns-goroutine", "conns-poller"}},
+}
+
+// TestEveryFigureEmitsItsSeries runs every figure at tiny scale: each
+// must print its sections and record exactly its pinned join keys.
 func TestEveryFigureEmitsItsSeries(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(RunOpts)
-		want []string
-	}{
-		{"fig5", Fig5, []string{"Figure 5", "ttas", "optik-versioned", "optik-ticket"}},
-		{"fig7", Fig7, []string{"Figure 7", "mcs", "optik", "srch-suc", "delt-fal"}},
-		{"fig9", Fig9, []string{"Figure 9", "harris", "lazy", "mcs-gl-opt", "optik-gl", "optik-cache", "lazy-cache", "Small skewed"}},
-		{"fig10", Fig10, []string{"Figure 10", "lazy-gl", "java", "java-optik", "optik-map"}},
-		{"fig11", Fig11, []string{"Figure 11", "fraser", "herlihy", "herl-optik", "optik1", "optik2"}},
-		{"fig12", Fig12, []string{"Figure 12", "ms-lf", "ms-lb", "optik0", "optik3", "enqueue", "dequeue"}},
-		{"stacks", Stacks, []string{"stacks", "treiber", "optik"}},
+	want := map[string][]string{
+		"fig7":    {"Figure 7 (right)", "srch-suc", "delt-fal"},
+		"fig12":   {"Figure 12 (right)", "enqueue", "dequeue"},
+		"stacks":  {"stacks"},
+		"resize":  {"Resize latency", "p99="},
+		"churn":   {"Churn latency", "grow", "drain", "search", "steady", "final buckets"},
+		"server":  {"Server latency", "batch", "hit rate"},
+		"ordered": {"Ordered latency", "scan", "entries/scan"},
+		"conns":   {"resident KiB"},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if c.name == "fig11" || c.name == "fig12" {
-				// These prefill 65536 elements; keep but don't parallelize.
-				t.Parallel()
-			}
+	var all []string
+	for _, figs := range [][]Figure{Paper, Sweeps} {
+		for _, f := range figs {
+			all = append(all, f.Name)
+		}
+	}
+	if len(all) != len(joinKeys) {
+		t.Fatalf("%d figures, %d pinned", len(all), len(joinKeys))
+	}
+	for _, name := range all {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			var buf bytes.Buffer
-			c.run(tinyOpts(&buf))
+			o := tinyOpts(&buf)
+			rec := &Recorder{}
+			o.Record = rec
+			o.ChurnPeak = 4000
+			o.Conns, o.ActivePcts = []int{8}, []int{100, 25}
+			figure(t, name).Run(o)
 			out := buf.String()
-			for _, want := range c.want {
-				if !strings.Contains(out, want) {
-					t.Fatalf("output missing %q:\n%s", want, out)
+			for _, w := range want[name] {
+				if !strings.Contains(out, w) {
+					t.Fatalf("output missing %q:\n%s", w, out)
 				}
 			}
+
+			pin := joinKeys[name]
+			var wantKeys []string
+			for _, f := range pin.figures {
+				for _, w := range pin.workloads {
+					for _, impl := range pin.impls {
+						if impl == "conns-poller" && !server.PollerSupported() {
+							continue
+						}
+						wantKeys = append(wantKeys, f+"|"+w+"|"+impl)
+					}
+				}
+			}
+			var gotKeys []string
+			for _, r := range rec.Rows {
+				if r.Mops <= 0 {
+					t.Errorf("row without throughput: %+v", r)
+				}
+				gotKeys = append(gotKeys, r.Figure+"|"+r.Workload+"|"+r.Impl)
+			}
+			slices.Sort(wantKeys)
+			slices.Sort(gotKeys)
+			if !slices.Equal(gotKeys, wantKeys) {
+				t.Fatalf("join keys:\n got %q\nwant %q", gotKeys, wantKeys)
+			}
 		})
+	}
+}
+
+// TestTableTakesMedianOfReps pins what -reps means: each throughput cell
+// runs Reps times, and the run with the median Mops/s is the one printed
+// and recorded.
+func TestTableTakesMedianOfReps(t *testing.T) {
+	var buf bytes.Buffer
+	o := tinyOpts(&buf)
+	o.Reps = 3
+	rec := &Recorder{}
+	o.Record = rec
+	runs := []float64{3, 1, 2}
+	calls := 0
+	Figure{"median", func(RunOpts) []Panel {
+		return []Panel{{
+			Figure: "Median", Workload: "reps", Title: "median of reps", Series: []string{"only"},
+			Cell: func(_, th int) Row {
+				calls++
+				return Row{Mops: runs[calls-1], MaxProcs: calls}
+			},
+		}}
+	}}.Run(o)
+	if calls != 3 {
+		t.Fatalf("cell ran %d times, want 3", calls)
+	}
+	if len(rec.Rows) != 1 {
+		t.Fatalf("recorded %d rows, want 1", len(rec.Rows))
+	}
+	if got := rec.Rows[0]; got.Mops != 2 || got.MaxProcs != 3 || got.Impl != "only" || got.Threads != 2 {
+		t.Fatalf("recorded %+v, want the third run (2 Mops/s), keyed only/2 threads", got)
+	}
+	if !strings.Contains(buf.String(), "2.000") {
+		t.Fatalf("printed table lacks the median cell:\n%s", buf.String())
 	}
 }
 
@@ -64,7 +181,7 @@ func TestFigResizeEmitsSeriesAndRecords(t *testing.T) {
 	o := tinyOpts(&buf)
 	rec := &Recorder{}
 	o.Record = rec
-	figResize(o, 64, 2000) // tiny ramp: still several doublings for resizable
+	figure(t, "resize").Run(o)
 	out := buf.String()
 	for _, want := range []string{"Resize", "Resize latency", "lazy-gl-fixed", "optik-gl-fixed", "slab-fixed", "resizable", "p99="} {
 		if !strings.Contains(out, want) {
@@ -111,7 +228,8 @@ func TestFigChurnEmitsSeriesAndRecords(t *testing.T) {
 	o := tinyOpts(&buf)
 	rec := &Recorder{}
 	o.Record = rec
-	figChurn(o, 4000) // tiny churn: still grows and shrinks the resizable table
+	o.ChurnPeak = 4000 // tiny churn: still grows and shrinks the resizable table
+	figure(t, "churn").Run(o)
 	out := buf.String()
 	for _, want := range []string{"Churn", "Churn latency", "resizable", "slab-fixed", "grow", "drain", "search", "final buckets"} {
 		if !strings.Contains(out, want) {
@@ -148,9 +266,9 @@ func TestFigChurnEmitsSeriesAndRecords(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf) // Record left nil
-	Fig5(o)
+	figure(t, "fig5").Run(o)
 	if !strings.Contains(buf.String(), "Figure 5") {
-		t.Fatal("Fig5 with nil recorder produced no output")
+		t.Fatal("fig5 with nil recorder produced no output")
 	}
 }
 
@@ -189,12 +307,11 @@ func TestFigServerEmitsSeriesAndRecords(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
 	o.Shards = []int{1, 2}
-	o.BatchPct = 25
 	rec := &Recorder{}
 	o.Record = rec
-	FigServer(o)
+	figure(t, "server").Run(o)
 	out := buf.String()
-	for _, want := range []string{"Server", "Server latency", "store-1sh", "store-2sh", "batch25%", "get", "set", "del", "batch", "hit rate"} {
+	for _, want := range []string{"Server", "Server latency", "store-1sh", "store-2sh", "batch20%", "get", "set", "del", "batch", "hit rate"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

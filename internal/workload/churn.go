@@ -16,7 +16,6 @@
 package workload
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,11 +45,15 @@ type reclaimStatted interface {
 	ReclaimStats() (retired, reclaimed, reused uint64)
 }
 
-// phase kinds within a cycle.
+// phase kinds within a cycle, each also the index of its latency ring;
+// churnAll and churnSearch ring every sample and the update phases'
+// searches.
 const (
 	phaseGrow = iota
 	phaseSteady
 	phaseDrain
+	churnAll
+	churnSearch
 )
 
 // ChurnConfig describes one churn run.
@@ -72,8 +75,6 @@ type ChurnConfig struct {
 	// measure of scan cost against a table sized for the traffic that
 	// just stopped.
 	SteadyOps int
-	// Seed makes runs reproducible; 0 picks a fixed default.
-	Seed uint64
 	// SampleLatency enables the per-thread, per-phase latency rings.
 	SampleLatency bool
 }
@@ -142,13 +143,9 @@ func RunChurn(cfg ChurnConfig, factory func() ds.Set) ChurnResult {
 	if cfg.Cycles == 0 {
 		cfg.Cycles = 1
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x4348524E // "CHRN"
-	}
+	const seed = 0x4348524E // "CHRN"
 	s := factory()
 	keyRange := uint64(2 * cfg.PeakSize)
-	runtime.GC()
 
 	perCycle := int64(2)
 	if cfg.SteadyOps > 0 {
@@ -164,19 +161,11 @@ func RunChurn(cfg ChurnConfig, factory func() ds.Set) ChurnResult {
 	}
 
 	var (
-		wg        sync.WaitGroup
 		phase     atomic.Int64 // index into the cycle schedule
 		live      atomic.Int64 // net successful inserts - deletes
 		steadyOps atomic.Int64 // operations performed in steady phases
-		totalOps  atomic.Uint64
 		mu        sync.Mutex
-		all       []float64
-		grow      []float64
-		drain     []float64
-		searches  []float64
-		steady    []float64
 		quiesces  []float64
-		started   = make(chan struct{})
 	)
 	phases := perCycle * int64(cfg.Cycles)
 	peak, trough := int64(cfg.PeakSize), int64(cfg.TroughSize)
@@ -196,108 +185,81 @@ func RunChurn(cfg ChurnConfig, factory func() ds.Set) ChurnResult {
 		mu.Unlock()
 	}
 
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			view := ds.HandleFor(s)
-			keys := rng.NewXorshift(seed + id*0x9E3779B9)
-			opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
-			var ops uint64
-			var allR, growR, drainR, searchR, steadyR ring
-			<-started
-			for {
-				p := phase.Load()
-				if p >= phases {
-					break
+	m := window{threads: cfg.Threads}.run(func(id uint64, w *worker) uint64 {
+		view := ds.HandleFor(s)
+		keys := rng.NewXorshift(seed + id*0x9E3779B9)
+		opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
+		var ops uint64
+		for w.next() {
+			p := phase.Load()
+			if p >= phases {
+				break
+			}
+			kind := kindOf(p)
+			delta := int64(0)
+			for i := 0; i < churnBatch; i++ {
+				key := keys.Intn(keyRange) + 1
+				isSearch := kind == phaseSteady || int(opr.Next()%100) < cfg.SearchPct
+				var begin time.Time
+				if cfg.SampleLatency {
+					begin = time.Now()
 				}
-				kind := kindOf(p)
-				delta := int64(0)
-				for i := 0; i < churnBatch; i++ {
-					key := keys.Intn(keyRange) + 1
-					isSearch := kind == phaseSteady || int(opr.Next()%100) < cfg.SearchPct
-					var begin time.Time
-					if cfg.SampleLatency {
-						begin = time.Now()
+				switch {
+				case isSearch:
+					view.Search(key)
+				case kind == phaseGrow:
+					if view.Insert(key, key) {
+						delta++
 					}
-					switch {
-					case isSearch:
-						view.Search(key)
-					case kind == phaseGrow:
-						if view.Insert(key, key) {
-							delta++
-						}
-					default:
-						if _, ok := view.Delete(key); ok {
-							delta--
-						}
-					}
-					if cfg.SampleLatency {
-						ns := float64(time.Since(begin).Nanoseconds())
-						allR.add(ns)
-						switch kind {
-						case phaseSteady:
-							steadyR.add(ns)
-						case phaseGrow:
-							growR.add(ns)
-							if isSearch {
-								searchR.add(ns)
-							}
-						default:
-							drainR.add(ns)
-							if isSearch {
-								searchR.add(ns)
-							}
-						}
+				default:
+					if _, ok := view.Delete(key); ok {
+						delta--
 					}
 				}
-				ops += churnBatch
-				l := live.Add(delta)
-				flip := false
-				switch kind {
-				case phaseGrow:
-					flip = l >= peak
-				case phaseDrain:
-					flip = l <= trough
-				case phaseSteady:
-					// Work-bound: the phase ends after SteadyOps operations
-					// across all threads (stale batches from an already
-					// flipped phase only overshoot the count, harmlessly).
-					done := steadyOps.Add(churnBatch)
-					flip = done >= (p/perCycle+1)*int64(cfg.SteadyOps)
-				}
-				if flip {
-					// Exactly one worker flips each phase; it pays the
-					// quiesce while the others churn on.
-					if phase.CompareAndSwap(p, p+1) {
-						quiesce()
+				if cfg.SampleLatency {
+					ns := float64(time.Since(begin).Nanoseconds())
+					w.lat[churnAll].add(ns)
+					w.lat[kind].add(ns)
+					if isSearch && kind != phaseSteady {
+						w.lat[churnSearch].add(ns)
 					}
 				}
 			}
-			totalOps.Add(ops)
-			mu.Lock()
-			all = append(all, allR.buf...)
-			grow = append(grow, growR.buf...)
-			drain = append(drain, drainR.buf...)
-			searches = append(searches, searchR.buf...)
-			steady = append(steady, steadyR.buf...)
-			mu.Unlock()
-		}(uint64(t))
-	}
-	begin := time.Now()
-	close(started)
-	wg.Wait()
-	elapsed := time.Since(begin)
+			ops += churnBatch
+			l := live.Add(delta)
+			flip := false
+			switch kind {
+			case phaseGrow:
+				flip = l >= peak
+			case phaseDrain:
+				flip = l <= trough
+			case phaseSteady:
+				// Work-bound: the phase ends after SteadyOps operations
+				// across all threads (stale batches from an already
+				// flipped phase only overshoot the count, harmlessly).
+				done := steadyOps.Add(churnBatch)
+				flip = done >= (p/perCycle+1)*int64(cfg.SteadyOps)
+			}
+			if flip {
+				// Exactly one worker flips each phase; it pays the
+				// quiesce while the others churn on.
+				if phase.CompareAndSwap(p, p+1) {
+					quiesce()
+				}
+			}
+		}
+		return ops
+	})
 	// Stale batches may have raced the last flip; settle once more.
 	quiesce()
 
 	res := ChurnResult{
-		Ops:      totalOps.Load(),
-		Elapsed:  elapsed,
+		Ops:      m.ops,
+		Mops:     m.mops,
+		Elapsed:  m.elapsed,
 		Net:      int(live.Load()),
 		FinalLen: s.Len(),
 	}
-	res.Mops = float64(res.Ops) / elapsed.Seconds() / 1e6
 	if b, ok := s.(bucketed); ok {
 		res.FinalBuckets = b.Buckets()
 	}
@@ -308,11 +270,11 @@ func RunChurn(cfg ChurnConfig, factory func() ds.Set) ChurnResult {
 		res.NodesRetired, res.NodesReclaimed, res.NodesReused = rs.ReclaimStats()
 	}
 	if cfg.SampleLatency {
-		res.Latency = stats.Summarize(all)
-		res.GrowLatency = stats.Summarize(grow)
-		res.DrainLatency = stats.Summarize(drain)
-		res.SearchLatency = stats.Summarize(searches)
-		res.SteadyLatency = stats.Summarize(steady)
+		res.Latency = stats.Summarize(m.lat[churnAll])
+		res.GrowLatency = stats.Summarize(m.lat[phaseGrow])
+		res.DrainLatency = stats.Summarize(m.lat[phaseDrain])
+		res.SearchLatency = stats.Summarize(m.lat[churnSearch])
+		res.SteadyLatency = stats.Summarize(m.lat[phaseSteady])
 	}
 	res.Quiesces = stats.Summarize(quiesces)
 	return res

@@ -2,7 +2,7 @@
 // the C10K shape the shared-poller conn mode exists for. RunConns opens a
 // large connection population against a wire server, drives a configurable
 // active fraction with pipelined request bursts, and samples the server's
-// STATS just before the window closes, so a figure row carries both the
+// STATS at the window's deadline, so a figure row carries both the
 // throughput/latency of the active conns and the memory the idle ones
 // pinned (buffers_resident, the RSS proxy) under that exact load.
 
@@ -26,38 +26,36 @@ type ConnsConfig struct {
 	Addr string
 	// Conns is the total connection population.
 	Conns int
-	// ActivePct is the percentage of connections actively issuing requests;
-	// the rest sit connected and silent. At least one conn is always active.
+	// ActivePct is the percentage of connections actively issuing requests
+	// (pipelined bursts of 16 keys, one MGet or MSet each, a tenth of them
+	// writes); the rest sit connected and silent.
 	ActivePct int
-	// Depth is the pipeline depth of each active burst (default 16): a
-	// burst is one MGet or MSet of Depth keys — Depth commands, one flush.
-	Depth int
 	// Duration of the measured window.
 	Duration time.Duration
-	// KeyRange bounds the key space (default 4096; writes populate it).
-	KeyRange uint64
-	// SetPct is the percentage of bursts that write (default 10).
-	SetPct int
-	// Seed makes runs reproducible; 0 picks a fixed default.
-	Seed uint64
 	// SampleLatency enables the per-conn burst latency rings.
 	SampleLatency bool
+}
+
+// Active is the number of connections a run drives: ActivePct of the
+// population, at least one and at most all of it.
+func (c ConnsConfig) Active() int {
+	return min(max(c.Conns*c.ActivePct/100, 1), c.Conns)
 }
 
 // ConnsResult aggregates one connection-scaling run.
 type ConnsResult struct {
 	// Conns and Active are the realized population split.
 	Conns, Active int
-	// Ops counts key operations completed by active conns (a Depth-16
+	// Ops counts key operations completed by active conns (a 16-key
 	// burst counts 16); Mops is that over the measured window.
 	Ops     uint64
 	Mops    float64
 	Elapsed time.Duration
 	// Latency summarizes per-key burst latency in ns (burst round-trip
-	// divided by Depth); zero without SampleLatency.
+	// divided by its 16 keys); zero without SampleLatency.
 	Latency stats.Summary
-	// Server-side STATS sampled just before the window closed, with the
-	// population still connected: ConnsOpen is conns_open,
+	// Server-side STATS sampled at the deadline, with the population
+	// still connected: ConnsOpen is conns_open,
 	// BuffersResident is the buffers_resident RSS proxy (idle conns past
 	// the grace hold no buffers in poller mode), Shed and Rejected count
 	// overload actions, Poller reports the live conn mode.
@@ -81,26 +79,13 @@ func RunConns(cfg ConnsConfig) ConnsResult {
 	if cfg.Conns <= 0 || cfg.Duration <= 0 || cfg.Addr == "" {
 		panic("workload: Addr, Conns and Duration must be set")
 	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 16
-	}
-	if cfg.KeyRange == 0 {
-		cfg.KeyRange = 4096
-	}
-	if cfg.SetPct == 0 {
-		cfg.SetPct = 10
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x434F4E4E // "CONN"
-	}
-	active := cfg.Conns * cfg.ActivePct / 100
-	if active < 1 {
-		active = 1
-	}
-	if active > cfg.Conns {
-		active = cfg.Conns
-	}
+	const (
+		seed     = 0x434F4E4E // "CONN"
+		depth    = 16         // keys per burst: one MGet or MSet, one flush
+		keyRange = 4096       // writes populate it
+		setPct   = 10         // percentage of bursts that write
+	)
+	active := cfg.Active()
 
 	// Establish the population: bounded parallel dial, one PING each.
 	clients := make([]*server.Client, cfg.Conns)
@@ -139,79 +124,53 @@ func RunConns(cfg ConnsConfig) ConnsResult {
 		panic("workload: conns dial: " + err.(error).Error())
 	}
 
-	var (
-		stop    atomic.Bool
-		ready   sync.WaitGroup
-		mu      sync.Mutex
-		total   ConnsResult
-		samples []float64
-		started = make(chan struct{})
-	)
-	total.Conns, total.Active = cfg.Conns, active
-	for w := 0; w < active; w++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func(id uint64, cl *server.Client) {
-			defer wg.Done()
-			opr := rng.NewXorshift(seed ^ (id+1)*0x9E3779B97F4A7C15)
-			keys := make([]uint64, cfg.Depth)
-			vals := make([]uint64, cfg.Depth)
-			found := make([]bool, cfg.Depth)
-			var ops uint64
-			var r ring
-			ready.Done()
-			<-started
-			for it := 0; ; it++ {
-				if it&7 == 0 && stop.Load() {
-					break
-				}
-				for i := range keys {
-					keys[i] = opr.Next()%cfg.KeyRange + 1
-				}
-				var begin time.Time
-				if cfg.SampleLatency {
-					begin = time.Now()
-				}
-				if int(opr.Next()%100) < cfg.SetPct {
-					for i := range vals {
-						vals[i] = id + 1
-					}
-					cl.MSet(keys, vals)
-				} else {
-					cl.MGet(keys, vals, found)
-				}
-				ops += uint64(cfg.Depth)
-				if cfg.SampleLatency {
-					r.add(float64(time.Since(begin).Nanoseconds()) / float64(cfg.Depth))
-				}
-			}
-			mu.Lock()
-			total.Ops += ops
-			samples = append(samples, r.buf...)
-			mu.Unlock()
-		}(uint64(w), clients[w])
-	}
-	ready.Wait()
-	begin := time.Now()
-	close(started)
-	time.Sleep(cfg.Duration)
-
-	// Sample the server's view while the population is still fully
-	// connected and the idle fraction has had the whole window to go past
+	total := ConnsResult{Conns: cfg.Conns, Active: active}
+	// Sample the server's view at the deadline, while the population is
+	// still fully connected, the active conns are finishing their last
+	// bursts and the idle fraction has had the whole window to go past
 	// its grace: this is the row's memory story.
-	if st, err := server.Dial(cfg.Addr); err == nil {
-		s := st.Stats()
-		total.ConnsOpen = s["conns_open"]
-		total.BuffersResident = s["buffers_resident"]
-		total.Shed = s["conns_shed"]
-		total.Rejected = s["conns_rejected"]
-		total.Poller = s["poller"] == 1
-		st.Close()
+	atDeadline := func() {
+		if st, err := server.Dial(cfg.Addr); err == nil {
+			s := st.Stats()
+			total.ConnsOpen = s["conns_open"]
+			total.BuffersResident = s["buffers_resident"]
+			total.Shed = s["conns_shed"]
+			total.Rejected = s["conns_rejected"]
+			total.Poller = s["poller"] == 1
+			st.Close()
+		}
 	}
-	stop.Store(true)
-	wg.Wait()
-	total.Elapsed = time.Since(begin)
-	total.Mops = float64(total.Ops) / total.Elapsed.Seconds() / 1e6
+	m := window{threads: active, duration: cfg.Duration, atDeadline: atDeadline}.run(func(id uint64, w *worker) uint64 {
+		cl := clients[id]
+		opr := rng.NewXorshift(seed ^ (id+1)*0x9E3779B97F4A7C15)
+		keys := make([]uint64, depth)
+		vals := make([]uint64, depth)
+		found := make([]bool, depth)
+		var ops uint64
+		for w.next() {
+			for i := range keys {
+				keys[i] = opr.Next()%keyRange + 1
+			}
+			var begin time.Time
+			if cfg.SampleLatency {
+				begin = time.Now()
+			}
+			if opr.Next()%100 < setPct {
+				for i := range vals {
+					vals[i] = id + 1
+				}
+				cl.MSet(keys, vals)
+			} else {
+				cl.MGet(keys, vals, found)
+			}
+			ops += depth
+			if cfg.SampleLatency {
+				w.lat[0].add(float64(time.Since(begin).Nanoseconds()) / depth)
+			}
+		}
+		return ops
+	})
+	total.Ops, total.Mops, total.Elapsed = m.ops, m.mops, m.elapsed
 	for _, c := range clients {
 		if c != nil {
 			total.Retries += c.Retries()
@@ -219,7 +178,7 @@ func RunConns(cfg ConnsConfig) ConnsResult {
 	}
 	total.MaxProcs = runtime.GOMAXPROCS(0)
 	if cfg.SampleLatency {
-		total.Latency = stats.Summarize(samples)
+		total.Latency = stats.Summarize(m.lat[0])
 	}
 	return total
 }

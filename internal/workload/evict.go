@@ -28,7 +28,6 @@
 package workload
 
 import (
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,26 +147,19 @@ func RunEvict(cfg EvictConfig) EvictResult {
 		s.SetHashed(mixKey(k), val)
 	}
 	s.Quiesce()
-	runtime.GC()
-
-	var (
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		ready    sync.WaitGroup
-		mu       sync.Mutex
-		total    EvictResult
-		gets     uint64
-		hits     uint64
-		sampleWg sync.WaitGroup
-	)
 
 	// The bytes_used sampler: the governance claim lives in its max, not
 	// in any single end-of-run reading.
-	var bytesMax atomic.Int64
-	sampleWg.Add(1)
+	var (
+		bytesMax atomic.Int64
+		sampling atomic.Bool
+		sampler  sync.WaitGroup
+	)
+	sampling.Store(true)
+	sampler.Add(1)
 	go func() {
-		defer sampleWg.Done()
-		for !stop.Load() {
+		defer sampler.Done()
+		for sampling.Load() {
 			if b := s.BytesUsed(); b > bytesMax.Load() {
 				bytesMax.Store(b)
 			}
@@ -175,7 +167,11 @@ func RunEvict(cfg EvictConfig) EvictResult {
 		}
 	}()
 
-	started := make(chan struct{})
+	var (
+		mu         sync.Mutex
+		total      EvictResult
+		gets, hits uint64
+	)
 	setCut := uint64(cfg.SetPct)
 	hotKeys := cfg.Keys * hotKeyPct / 100
 	if hotKeys == 0 {
@@ -185,64 +181,51 @@ func RunEvict(cfg EvictConfig) EvictResult {
 	if coldKeys == 0 {
 		coldKeys = 1
 	}
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			keyr := rng.NewXorshift(seed + id*0x9E3779B9)
-			opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
-			var myGets, myHits, refills, ops uint64
-			ready.Done()
-			<-started
-			for it := 0; ; it++ {
-				if it&31 == 0 && stop.Load() {
-					break
-				}
-				// Hotspot draw: hot keys are 1..hotKeys, cold keys the
-				// remainder, both uniform within their set.
-				k := keyr.Next()
-				if k%100 < hotOpPct {
-					k = 1 + (k/100)%hotKeys
-				} else {
-					k = 1 + hotKeys + (k/100)%coldKeys
-				}
-				key := mixKey(k)
-				if opr.Next()%100 < setCut {
-					if cfg.TTLPct > 0 && int(opr.Next()%100) < cfg.TTLPct {
-						s.SetEXHashed(key, val, cfg.TTLSecs)
-					} else {
-						s.SetHashed(key, val)
-					}
-				} else {
-					myGets++
-					if _, ok := s.GetHashed(key); ok {
-						myHits++
-					} else {
-						// Read-through refill: a cache miss is a fetch
-						// plus a store, which is exactly the insertion
-						// pressure that makes the budget loop work.
-						s.SetHashed(key, val)
-						refills++
-					}
-				}
-				ops++
+	m := window{threads: cfg.Threads, duration: cfg.Duration}.run(func(id uint64, w *worker) uint64 {
+		keyr := rng.NewXorshift(seed + id*0x9E3779B9)
+		opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
+		var myGets, myHits, refills, ops uint64
+		for w.next() {
+			// Hotspot draw: hot keys are 1..hotKeys, cold keys the
+			// remainder, both uniform within their set.
+			k := keyr.Next()
+			if k%100 < hotOpPct {
+				k = 1 + (k/100)%hotKeys
+			} else {
+				k = 1 + hotKeys + (k/100)%coldKeys
 			}
-			mu.Lock()
-			total.Ops += ops
-			gets += myGets
-			hits += myHits
-			total.Refills += refills
-			mu.Unlock()
-		}(uint64(t))
-	}
-	ready.Wait()
-	close(started)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	sampleWg.Wait()
+			key := mixKey(k)
+			if opr.Next()%100 < setCut {
+				if cfg.TTLPct > 0 && int(opr.Next()%100) < cfg.TTLPct {
+					s.SetEXHashed(key, val, cfg.TTLSecs)
+				} else {
+					s.SetHashed(key, val)
+				}
+			} else {
+				myGets++
+				if _, ok := s.GetHashed(key); ok {
+					myHits++
+				} else {
+					// Read-through refill: a cache miss is a fetch
+					// plus a store, which is exactly the insertion
+					// pressure that makes the budget loop work.
+					s.SetHashed(key, val)
+					refills++
+				}
+			}
+			ops++
+		}
+		mu.Lock()
+		gets += myGets
+		hits += myHits
+		total.Refills += refills
+		mu.Unlock()
+		return ops
+	})
+	sampling.Store(false)
+	sampler.Wait()
 
+	total.Ops = m.ops
 	s.Quiesce()
 	if gets > 0 {
 		total.HitRate = float64(hits) / float64(gets)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 type LockConfig struct {
 	Threads  int
 	Duration time.Duration
-	Seed     uint64
 }
 
 // LockImpl names the Figure-5 contenders.
@@ -50,23 +48,15 @@ func RunLock(cfg LockConfig, impl LockImpl) LockResult {
 		panic("workload: Threads and Duration must be positive")
 	}
 	var (
-		stop       atomic.Bool
-		wg         sync.WaitGroup
-		validated  atomic.Uint64
 		casCount   atomic.Uint64
 		sharedWord atomic.Uint64 // the "protected data"
-		started    = make(chan struct{})
+		ttas       locks.VersionedTTAS
+		vlock      core.Lock
+		tlock      core.TicketLock
 	)
-
-	var ttas locks.VersionedTTAS
-	var vlock core.Lock
-	var tlock core.TicketLock
-
-	worker := func() {
-		defer wg.Done()
-		var local, cas uint64
-		<-started
-		for !stop.Load() {
+	m := window{threads: cfg.Threads, duration: cfg.Duration}.run(func(_ uint64, w *worker) uint64 {
+		var validated, cas uint64
+		for w.next() {
 			switch impl {
 			case LockTTAS:
 				v := ttas.GetVersion()
@@ -74,7 +64,7 @@ func RunLock(cfg LockConfig, impl LockImpl) LockResult {
 				if ttas.LockAndValidate(v) {
 					sharedWord.Add(1)
 					ttas.UnlockCommit()
-					local++
+					validated++
 				}
 			case LockOptikVersioned:
 				v := vlock.GetVersionWait()
@@ -83,7 +73,7 @@ func RunLock(cfg LockConfig, impl LockImpl) LockResult {
 				if vlock.TryLockVersion(v) {
 					sharedWord.Add(1)
 					vlock.Unlock()
-					local++
+					validated++
 				}
 			case LockOptikTicket:
 				v := tlock.GetVersionWait()
@@ -92,30 +82,15 @@ func RunLock(cfg LockConfig, impl LockImpl) LockResult {
 				if tlock.TryLockVersion(v) {
 					sharedWord.Add(1)
 					tlock.Unlock()
-					local++
+					validated++
 				}
 			}
 		}
-		validated.Add(local)
 		casCount.Add(cas)
-	}
+		return validated
+	})
 
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		go worker()
-	}
-	begin := time.Now()
-	close(started)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(begin)
-
-	res := LockResult{
-		Validations: validated.Load(),
-		Elapsed:     elapsed,
-	}
-	res.Mops = float64(res.Validations) / elapsed.Seconds() / 1e6
+	res := LockResult{Validations: m.ops, Mops: m.mops, Elapsed: m.elapsed}
 	totalCAS := casCount.Load()
 	if impl == LockTTAS {
 		totalCAS = ttas.CASCount()

@@ -11,7 +11,6 @@ package workload
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/optik-go/optik/internal/rng"
@@ -24,26 +23,30 @@ type OrderedConfig struct {
 	Threads int
 	// Duration of the measured run.
 	Duration time.Duration
-	// InitialSize is the prefilled element count; the key range defaults
-	// to twice this.
+	// InitialSize is the prefilled element count; keys are drawn from
+	// twice this range.
 	InitialSize int
-	// KeyRange overrides the default 2×InitialSize range when positive.
-	KeyRange uint64
 	// SetPct and DelPct are the percentages of SET and DEL requests;
 	// ScanPct the percentage of range scans; the rest are GETs. Defaults
 	// (all three 0): 8% SET, 2% DEL, 10% SCAN.
 	SetPct, DelPct, ScanPct int
 	// ScanWidth is the page size of each scan (default 64): the scan
-	// covers [k, k+2·ScanWidth·KeyRange/InitialSize] — about twice the
-	// span that holds ScanWidth live keys — capped at ScanWidth entries.
+	// covers [k, k+4·ScanWidth] — about twice the span that holds
+	// ScanWidth live keys at the prefill's density of one key in two —
+	// capped at ScanWidth entries.
 	ScanWidth int
-	// Uniform selects uniform keys; the default is the paper's zipfian.
-	Uniform bool
-	// Seed makes runs reproducible; 0 picks a fixed default.
-	Seed uint64
 	// SampleLatency enables the per-thread latency rings.
 	SampleLatency bool
 }
+
+// The ordered run's latency rings; a DEL is sampled into ordAll alone.
+const (
+	ordAll = iota
+	ordGet
+	ordSet
+	ordScan
+	ordDel
+)
 
 // OrderedResult aggregates one ordered run.
 type OrderedResult struct {
@@ -90,23 +93,11 @@ func RunOrdered(cfg OrderedConfig, factory func() *store.Ordered[uint64]) Ordere
 	if cfg.ScanWidth <= 0 {
 		cfg.ScanWidth = 64
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x4F524452 // "ORDR"
-	}
-	keyRange := cfg.KeyRange
-	if keyRange == 0 {
-		keyRange = uint64(2 * cfg.InitialSize)
-	}
-	if keyRange < uint64(cfg.InitialSize) {
-		panic("workload: KeyRange must be >= InitialSize")
-	}
+	const seed = 0x4F524452 // "ORDR"
+	keyRange := uint64(2 * cfg.InitialSize)
 	// Span that covers ~2×ScanWidth live keys at prefill density, so a
 	// typical scan fills its page but a sparse region legitimately may not.
-	scanSpan := 2 * uint64(cfg.ScanWidth) * keyRange / uint64(cfg.InitialSize)
-	if scanSpan == 0 {
-		scanSpan = uint64(cfg.ScanWidth)
-	}
+	scanSpan := 4 * uint64(cfg.ScanWidth)
 
 	st := factory()
 	defer st.Close()
@@ -119,116 +110,78 @@ func RunOrdered(cfg OrderedConfig, factory func() *store.Ordered[uint64]) Ordere
 			base++
 		}
 	}
-	runtime.GC()
 
 	var (
-		stop    atomic.Bool
-		wg      sync.WaitGroup
-		ready   sync.WaitGroup
-		mu      sync.Mutex
-		total   OrderedResult
-		allS    []float64
-		getS    []float64
-		setS    []float64
-		scanS   []float64
-		started = make(chan struct{})
+		mu    sync.Mutex
+		total OrderedResult
 	)
 	setCut := uint64(cfg.SetPct)
 	delCut := uint64(cfg.SetPct + cfg.DelPct)
 	scanCut := uint64(cfg.SetPct + cfg.DelPct + cfg.ScanPct)
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			var dist rng.Distribution
-			if cfg.Uniform {
-				dist = rng.NewUniform(keyRange, seed+id*0x9E3779B9)
-			} else {
-				dist = rng.NewZipf(keyRange, rng.DefaultZipfTheta, true, seed+id*0x9E3779B9)
+	m := window{threads: cfg.Threads, duration: cfg.Duration}.run(func(id uint64, w *worker) uint64 {
+		dist := newDist(keyRange, true, seed+id*0x9E3779B9)
+		opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
+		pageK := make([]uint64, cfg.ScanWidth)
+		pageV := make([]uint64, cfg.ScanWidth)
+		var my OrderedResult
+		for w.next() {
+			roll := opr.Next() % 100
+			key := dist.NextKey()
+			var begin time.Time
+			if cfg.SampleLatency {
+				begin = time.Now()
 			}
-			opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
-			pageK := make([]uint64, cfg.ScanWidth)
-			pageV := make([]uint64, cfg.ScanWidth)
-			var gets, sets, dels, scans, hits, scanned, ops uint64
-			var net int64
-			var allR, getR, setR, scanR ring
-			ready.Done()
-			<-started
-			for it := 0; ; it++ {
-				if it&31 == 0 && stop.Load() {
-					break
+			kind := ordGet
+			switch {
+			case roll < setCut:
+				kind = ordSet
+				if _, replaced := st.Set(key, id); !replaced {
+					my.Net++
 				}
-				roll := opr.Next() % 100
-				key := dist.NextKey()
-				var begin time.Time
-				if cfg.SampleLatency {
-					begin = time.Now()
+				my.Sets++
+			case roll < delCut:
+				kind = ordDel
+				if _, ok := st.Del(key); ok {
+					my.Net--
 				}
-				switch {
-				case roll < setCut:
-					if _, replaced := st.Set(key, id); !replaced {
-						net++
-					}
-					sets++
-				case roll < delCut:
-					if _, ok := st.Del(key); ok {
-						net--
-					}
-					dels++
-				case roll < scanCut:
-					to := key + scanSpan
-					if to < key || to == ^uint64(0) {
-						// Wrapped (or landed on the tail sentinel): clamp to
-						// the largest legal key.
-						to = ^uint64(0) - 1
-					}
-					scanned += uint64(st.Scan(key, to, pageK, pageV))
-					scans++
-				default:
-					if _, ok := st.Get(key); ok {
-						hits++
-					}
-					gets++
+				my.Dels++
+			case roll < scanCut:
+				kind = ordScan
+				to := key + scanSpan
+				if to < key || to == ^uint64(0) {
+					// Wrapped (or landed on the tail sentinel): clamp to
+					// the largest legal key.
+					to = ^uint64(0) - 1
 				}
-				ops++
-				if cfg.SampleLatency {
-					ns := float64(time.Since(begin).Nanoseconds())
-					allR.add(ns)
-					switch {
-					case roll < setCut:
-						setR.add(ns)
-					case roll < delCut:
-					case roll < scanCut:
-						scanR.add(ns)
-					default:
-						getR.add(ns)
-					}
+				my.Scanned += uint64(st.Scan(key, to, pageK, pageV))
+				my.Scans++
+			default:
+				if _, ok := st.Get(key); ok {
+					my.Hits++
+				}
+				my.Gets++
+			}
+			my.Ops++
+			if cfg.SampleLatency {
+				ns := float64(time.Since(begin).Nanoseconds())
+				w.lat[ordAll].add(ns)
+				if kind != ordDel {
+					w.lat[kind].add(ns)
 				}
 			}
-			mu.Lock()
-			total.Ops += ops
-			total.Gets += gets
-			total.Sets += sets
-			total.Dels += dels
-			total.Scans += scans
-			total.Hits += hits
-			total.Scanned += scanned
-			total.Net += net
-			allS = append(allS, allR.buf...)
-			getS = append(getS, getR.buf...)
-			setS = append(setS, setR.buf...)
-			scanS = append(scanS, scanR.buf...)
-			mu.Unlock()
-		}(uint64(t))
-	}
-	ready.Wait()
-	begin := time.Now()
-	close(started)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	total.Elapsed = time.Since(begin)
+		}
+		mu.Lock()
+		total.Gets += my.Gets
+		total.Sets += my.Sets
+		total.Dels += my.Dels
+		total.Scans += my.Scans
+		total.Hits += my.Hits
+		total.Scanned += my.Scanned
+		total.Net += my.Net
+		mu.Unlock()
+		return my.Ops
+	})
+	total.Ops, total.Mops, total.Elapsed = m.ops, m.mops, m.elapsed
 
 	// Accounting BEFORE any quiesce: the acceptance bar is that reuse
 	// happens with zero caller-side quiescing — the operations' own handle
@@ -236,17 +189,16 @@ func RunOrdered(cfg OrderedConfig, factory func() *store.Ordered[uint64]) Ordere
 	total.TowersRetired, total.TowersReclaimed, total.TowersReused = st.ReclaimStats()
 	st.Quiesce()
 	total.MaxProcs = runtime.GOMAXPROCS(0)
-	total.Mops = float64(total.Ops) / total.Elapsed.Seconds() / 1e6
 	if total.Gets > 0 {
 		total.HitRate = float64(total.Hits) / float64(total.Gets)
 	}
 	total.PrefillLen = base
 	total.FinalLen = st.Len()
 	if cfg.SampleLatency {
-		total.Latency = stats.Summarize(allS)
-		total.GetLatency = stats.Summarize(getS)
-		total.SetLatency = stats.Summarize(setS)
-		total.ScanLatency = stats.Summarize(scanS)
+		total.Latency = stats.Summarize(m.lat[ordAll])
+		total.GetLatency = stats.Summarize(m.lat[ordGet])
+		total.SetLatency = stats.Summarize(m.lat[ordSet])
+		total.ScanLatency = stats.Summarize(m.lat[ordScan])
 	}
 	return total
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,15 +20,13 @@ type QueueConfig struct {
 	// EnqueuePct is the percentage of enqueue operations (the rest are
 	// dequeues).
 	EnqueuePct    int
-	Seed          uint64
 	SampleLatency bool
 }
 
-// Queue operation classes for latency reporting.
+// Queue operation classes: the latency ring each one samples into.
 const (
 	qEnq = iota
 	qDeq
-	numQueueKinds
 )
 
 // QueueResult aggregates one queue run.
@@ -52,108 +48,51 @@ func RunQueue(cfg QueueConfig, factory func() ds.Queue) QueueResult {
 	if cfg.Threads <= 0 || cfg.Duration <= 0 {
 		panic("workload: Threads and Duration must be positive")
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0xC0FFEE
-	}
+	const seed = 0xC0FFEE
 	q := factory()
 	for i := 0; i < cfg.InitialSize; i++ {
 		q.Enqueue(uint64(i + 1))
 	}
-	runtime.GC() // see RunSet: keep predecessors' garbage out of the window
 
-	var (
-		stop    atomic.Bool
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		res     QueueResult
-		enqLat  []float64
-		deqLat  []float64
-		started = make(chan struct{})
-	)
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			opr := rng.NewXorshift(seed ^ (id+1)*0x9E3779B97F4A7C15)
-			var localEnq, localDeq, localEmpty uint64
-			var enqS, deqS *sampler
+	var enqs, empties atomic.Uint64
+	m := window{threads: cfg.Threads, duration: cfg.Duration}.run(func(id uint64, w *worker) uint64 {
+		opr := rng.NewXorshift(seed ^ (id+1)*0x9E3779B97F4A7C15)
+		var ops, enq, empty uint64
+		for w.next() {
+			roll := opr.Next() % 100
+			var begin time.Time
 			if cfg.SampleLatency {
-				enqS, deqS = newSampler(), newSampler()
+				begin = time.Now()
 			}
-			<-started
-			// Check the stop flag every 32 operations: a per-op atomic
-			// load of the shared flag costs ~20% of the harness CPU.
-			for it := 0; ; it++ {
-				if it&31 == 0 && stop.Load() {
-					break
+			kind := qEnq
+			if roll < uint64(cfg.EnqueuePct) {
+				q.Enqueue(opr.Next())
+				enq++
+			} else {
+				kind = qDeq
+				if _, ok := q.Dequeue(); !ok {
+					empty++
 				}
-				roll := opr.Next() % 100
-				var begin time.Time
-				if cfg.SampleLatency {
-					begin = time.Now()
-				}
-				if roll < uint64(cfg.EnqueuePct) {
-					q.Enqueue(opr.Next())
-					localEnq++
-					if enqS != nil {
-						enqS.add(0, float64(time.Since(begin).Nanoseconds()))
-					}
-				} else {
-					if _, ok := q.Dequeue(); !ok {
-						localEmpty++
-					}
-					localDeq++
-					if deqS != nil {
-						deqS.add(0, float64(time.Since(begin).Nanoseconds()))
-					}
-				}
-				pause(opr)
 			}
-			mu.Lock()
-			res.Enqueues += localEnq
-			res.Dequeues += localDeq
-			res.EmptyDequeues += localEmpty
 			if cfg.SampleLatency {
-				enqLat = append(enqLat, enqS.rings[0].buf...)
-				deqLat = append(deqLat, deqS.rings[0].buf...)
+				w.lat[kind].add(float64(time.Since(begin).Nanoseconds()))
 			}
-			mu.Unlock()
-		}(uint64(t))
+			ops++
+			pause(opr)
+		}
+		enqs.Add(enq)
+		empties.Add(empty)
+		return ops
+	})
+
+	res := QueueResult{
+		Ops: m.ops, Mops: m.mops, Elapsed: m.elapsed,
+		Enqueues: enqs.Load(), EmptyDequeues: empties.Load(),
 	}
-	begin := time.Now()
-	close(started)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	res.Elapsed = time.Since(begin)
-	res.Ops = res.Enqueues + res.Dequeues
-	res.Mops = float64(res.Ops) / res.Elapsed.Seconds() / 1e6
+	res.Dequeues = res.Ops - res.Enqueues
 	if cfg.SampleLatency {
-		res.EnqLatency = stats.Summarize(enqLat)
-		res.DeqLatency = stats.Summarize(deqLat)
+		res.EnqLatency = stats.Summarize(m.lat[qEnq])
+		res.DeqLatency = stats.Summarize(m.lat[qDeq])
 	}
 	return res
-}
-
-// MedianOfQueue is MedianOf for queue runs.
-func MedianOfQueue(reps int, fn func() QueueResult) QueueResult {
-	if reps <= 0 {
-		panic("workload: reps must be positive")
-	}
-	results := make([]QueueResult, reps)
-	mops := make([]float64, reps)
-	for i := range results {
-		results[i] = fn()
-		mops[i] = results[i].Mops
-	}
-	med := stats.Median(mops)
-	best := 0
-	bestDiff := diffAbs(results[0].Mops, med)
-	for i, r := range results {
-		if d := diffAbs(r.Mops, med); d < bestDiff {
-			best, bestDiff = i, d
-		}
-	}
-	return results[best]
 }

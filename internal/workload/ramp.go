@@ -9,8 +9,6 @@
 package workload
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,8 +28,6 @@ type RampConfig struct {
 	// SearchPct is the percentage of non-insert traffic mixed in (searches
 	// over the already-inserted range); the rest are insert attempts.
 	SearchPct int
-	// Seed makes runs reproducible; 0 picks a fixed default.
-	Seed uint64
 	// SampleLatency enables the per-thread latency rings, so migration
 	// stalls during the ramp show up in the p99/max tail.
 	SampleLatency bool
@@ -64,76 +60,47 @@ func RunRamp(cfg RampConfig, factory func() ds.Set) RampResult {
 	if cfg.Threads <= 0 || cfg.StartSize <= 0 || cfg.TargetSize <= cfg.StartSize {
 		panic("workload: Threads and StartSize must be positive, TargetSize > StartSize")
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x52414D50 // "RAMP"
-	}
+	const seed = 0x52414D50 // "RAMP"
 	s := factory()
 	keyRange := uint64(2 * cfg.TargetSize)
 	prefill(s, cfg.StartSize, keyRange, seed)
-	runtime.GC()
 
-	var (
-		wg       sync.WaitGroup
-		inserted atomic.Int64
-		totalOps atomic.Uint64
-		mu       sync.Mutex
-		samples  []float64
-		started  = make(chan struct{})
-	)
+	var inserted atomic.Int64
 	inserted.Store(int64(cfg.StartSize))
 	target := int64(cfg.TargetSize)
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			view := ds.HandleFor(s)
-			keys := rng.NewXorshift(seed + id*0x9E3779B9)
-			opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
-			var ops uint64
-			var smp ring
-			<-started
-			for inserted.Load() < target {
-				batchInserted := int64(0)
-				for i := 0; i < rampBatch; i++ {
-					key := keys.Intn(keyRange) + 1
-					var begin time.Time
-					if cfg.SampleLatency {
-						begin = time.Now()
-					}
-					if int(opr.Next()%100) < cfg.SearchPct {
-						view.Search(key)
-					} else if view.Insert(key, key) {
-						batchInserted++
-					}
-					if cfg.SampleLatency {
-						smp.add(float64(time.Since(begin).Nanoseconds()))
-					}
+	m := window{threads: cfg.Threads}.run(func(id uint64, w *worker) uint64 {
+		view := ds.HandleFor(s)
+		keys := rng.NewXorshift(seed + id*0x9E3779B9)
+		opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
+		var ops uint64
+		for w.next() && inserted.Load() < target {
+			batchInserted := int64(0)
+			for i := 0; i < rampBatch; i++ {
+				key := keys.Intn(keyRange) + 1
+				var begin time.Time
+				if cfg.SampleLatency {
+					begin = time.Now()
 				}
-				ops += rampBatch
-				if batchInserted > 0 {
-					inserted.Add(batchInserted)
+				if int(opr.Next()%100) < cfg.SearchPct {
+					view.Search(key)
+				} else if view.Insert(key, key) {
+					batchInserted++
+				}
+				if cfg.SampleLatency {
+					w.lat[0].add(float64(time.Since(begin).Nanoseconds()))
 				}
 			}
-			totalOps.Add(ops)
-			mu.Lock()
-			samples = append(samples, smp.buf...)
-			mu.Unlock()
-		}(uint64(t))
-	}
-	begin := time.Now()
-	close(started)
-	wg.Wait()
-	elapsed := time.Since(begin)
+			ops += rampBatch
+			if batchInserted > 0 {
+				inserted.Add(batchInserted)
+			}
+		}
+		return ops
+	})
 
-	res := RampResult{
-		Ops:      totalOps.Load(),
-		Elapsed:  elapsed,
-		FinalLen: s.Len(),
-	}
-	res.Mops = float64(res.Ops) / elapsed.Seconds() / 1e6
+	res := RampResult{Ops: m.ops, Mops: m.mops, Elapsed: m.elapsed, FinalLen: s.Len()}
 	if cfg.SampleLatency {
-		res.Latency = stats.Summarize(samples)
+		res.Latency = stats.Summarize(m.lat[0])
 	}
 	return res
 }

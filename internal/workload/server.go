@@ -13,7 +13,6 @@ package workload
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/optik-go/optik/internal/rng"
@@ -26,12 +25,11 @@ type ServerConfig struct {
 	Threads int
 	// Duration of the measured run.
 	Duration time.Duration
-	// InitialSize is the prefilled element count; the key range defaults
-	// to twice this, so roughly half the GETs miss and SETs split between
-	// fresh inserts and replacements — sustained churn, not a frozen set.
+	// InitialSize is the prefilled element count; keys are drawn from
+	// twice this range, so roughly half the GETs miss and SETs split
+	// between fresh inserts and replacements — sustained churn, not a
+	// frozen set.
 	InitialSize int
-	// KeyRange overrides the default 2×InitialSize range when positive.
-	KeyRange uint64
 	// SetPct and DelPct are the percentages of SET and DEL requests; the
 	// rest are GETs. Defaults (when both are 0): 8% SET, 2% DEL.
 	SetPct, DelPct int
@@ -40,14 +38,18 @@ type ServerConfig struct {
 	BatchPct int
 	// BatchSize is the keys per batch (default 16).
 	BatchSize int
-	// Uniform selects uniform keys; the default is the paper's zipfian
-	// (a = 0.9) — a served cache sees skew, not uniformity.
-	Uniform bool
-	// Seed makes runs reproducible; 0 picks a fixed default.
-	Seed uint64
 	// SampleLatency enables the per-thread latency rings.
 	SampleLatency bool
 }
+
+// The server run's latency rings.
+const (
+	srvAll = iota
+	srvGet
+	srvSet
+	srvDel
+	srvBatch
+)
 
 // ServerResult aggregates one server run.
 type ServerResult struct {
@@ -108,19 +110,8 @@ func RunServer(cfg ServerConfig, factory func() *store.Store[uint64]) ServerResu
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x53455256 // "SERV"
-	}
-	keyRange := cfg.KeyRange
-	if keyRange == 0 {
-		keyRange = uint64(2 * cfg.InitialSize)
-	}
-	if keyRange < uint64(cfg.InitialSize) {
-		// The prefill inserts InitialSize distinct keys; a smaller range
-		// would spin forever instead of failing loudly.
-		panic("workload: KeyRange must be >= InitialSize")
-	}
+	const seed = 0x53455256 // "SERV"
+	keyRange := uint64(2 * cfg.InitialSize)
 	st := factory()
 	defer st.Close()
 	// Prefill to InitialSize live keys, in MSet batches sized to the
@@ -145,148 +136,99 @@ func RunServer(cfg ServerConfig, factory func() *store.Store[uint64]) ServerResu
 		}
 		base += st.MSet(preKeys, preVals[:n])
 	}
-	runtime.GC()
 
 	var (
-		stop    atomic.Bool
-		wg      sync.WaitGroup
-		ready   sync.WaitGroup
-		mu      sync.Mutex
-		total   ServerResult
-		allS    []float64
-		getS    []float64
-		setS    []float64
-		delS    []float64
-		batchS  []float64
-		started = make(chan struct{})
+		mu    sync.Mutex
+		total ServerResult
 	)
 	setCut := uint64(cfg.SetPct)
 	delCut := uint64(cfg.SetPct + cfg.DelPct)
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			// Per-thread setup stays outside the measured window: a zipfian
-			// generator's zeta precomputation over a large key range can
-			// rival a short run's whole duration (particularly under the
-			// race detector), and a window that opens before the workers
-			// exist measures nothing.
-			var dist rng.Distribution
-			if cfg.Uniform {
-				dist = rng.NewUniform(keyRange, seed+id*0x9E3779B9)
-			} else {
-				dist = rng.NewZipf(keyRange, rng.DefaultZipfTheta, true, seed+id*0x9E3779B9)
+	m := window{threads: cfg.Threads, duration: cfg.Duration}.run(func(id uint64, w *worker) uint64 {
+		dist := newDist(keyRange, true, seed+id*0x9E3779B9)
+		opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
+		keys := make([]uint64, cfg.BatchSize)
+		vals := make([]uint64, cfg.BatchSize)
+		found := make([]bool, cfg.BatchSize)
+		var my ServerResult
+		for w.next() {
+			roll := opr.Next() % 100
+			batched := int(opr.Next()%100) < cfg.BatchPct
+			var begin time.Time
+			if cfg.SampleLatency {
+				begin = time.Now()
 			}
-			opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
-			keys := make([]uint64, cfg.BatchSize)
-			vals := make([]uint64, cfg.BatchSize)
-			found := make([]bool, cfg.BatchSize)
-			var gets, sets, dels, hits, ops uint64
-			var net int64
-			var allR, getR, setR, delR, batchR ring
-			ready.Done()
-			<-started
-			for it := 0; ; it++ {
-				if it&31 == 0 && stop.Load() {
-					break
+			if batched {
+				for i := range keys {
+					keys[i] = dist.NextKey()
 				}
-				roll := opr.Next() % 100
-				batched := int(opr.Next()%100) < cfg.BatchPct
-				var begin time.Time
-				if cfg.SampleLatency {
-					begin = time.Now()
-				}
-				if batched {
-					for i := range keys {
-						keys[i] = dist.NextKey()
-					}
-					switch {
-					case roll < setCut:
-						for i := range vals {
-							vals[i] = id
-						}
-						ins := st.MSet(keys, vals)
-						net += int64(ins)
-						sets += uint64(len(keys))
-					case roll < delCut:
-						net -= int64(st.MDel(keys))
-						dels += uint64(len(keys))
-					default:
-						st.MGet(keys, vals, found)
-						for i := range found {
-							if found[i] {
-								hits++
-							}
-						}
-						gets += uint64(len(keys))
-					}
-					ops += uint64(len(keys))
-					if cfg.SampleLatency {
-						perKey := float64(time.Since(begin).Nanoseconds()) / float64(len(keys))
-						batchR.add(perKey)
-						allR.add(perKey)
-					}
-					continue
-				}
-				key := dist.NextKey()
 				switch {
 				case roll < setCut:
-					if _, replaced := st.Set(key, id); !replaced {
-						net++
+					for i := range vals {
+						vals[i] = id
 					}
-					sets++
+					my.Net += int64(st.MSet(keys, vals))
+					my.Sets += uint64(len(keys))
 				case roll < delCut:
-					if _, ok := st.Del(key); ok {
-						net--
-					}
-					dels++
+					my.Net -= int64(st.MDel(keys))
+					my.Dels += uint64(len(keys))
 				default:
-					if _, ok := st.Get(key); ok {
-						hits++
+					st.MGet(keys, vals, found)
+					for i := range found {
+						if found[i] {
+							my.Hits++
+						}
 					}
-					gets++
+					my.Gets += uint64(len(keys))
 				}
-				ops++
+				my.Ops += uint64(len(keys))
 				if cfg.SampleLatency {
-					ns := float64(time.Since(begin).Nanoseconds())
-					allR.add(ns)
-					switch {
-					case roll < setCut:
-						setR.add(ns)
-					case roll < delCut:
-						delR.add(ns)
-					default:
-						getR.add(ns)
-					}
+					perKey := float64(time.Since(begin).Nanoseconds()) / float64(len(keys))
+					w.lat[srvBatch].add(perKey)
+					w.lat[srvAll].add(perKey)
 				}
+				continue
 			}
-			mu.Lock()
-			total.Ops += ops
-			total.Gets += gets
-			total.Sets += sets
-			total.Dels += dels
-			total.Hits += hits
-			total.Net += net
-			allS = append(allS, allR.buf...)
-			getS = append(getS, getR.buf...)
-			setS = append(setS, setR.buf...)
-			delS = append(delS, delR.buf...)
-			batchS = append(batchS, batchR.buf...)
-			mu.Unlock()
-		}(uint64(t))
-	}
-	ready.Wait()
-	begin := time.Now()
-	close(started)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	total.Elapsed = time.Since(begin)
+			key := dist.NextKey()
+			kind := srvGet
+			switch {
+			case roll < setCut:
+				kind = srvSet
+				if _, replaced := st.Set(key, id); !replaced {
+					my.Net++
+				}
+				my.Sets++
+			case roll < delCut:
+				kind = srvDel
+				if _, ok := st.Del(key); ok {
+					my.Net--
+				}
+				my.Dels++
+			default:
+				if _, ok := st.Get(key); ok {
+					my.Hits++
+				}
+				my.Gets++
+			}
+			my.Ops++
+			if cfg.SampleLatency {
+				ns := float64(time.Since(begin).Nanoseconds())
+				w.lat[srvAll].add(ns)
+				w.lat[kind].add(ns)
+			}
+		}
+		mu.Lock()
+		total.Gets += my.Gets
+		total.Sets += my.Sets
+		total.Dels += my.Dels
+		total.Hits += my.Hits
+		total.Net += my.Net
+		mu.Unlock()
+		return my.Ops
+	})
+	total.Ops, total.Mops, total.Elapsed = m.ops, m.mops, m.elapsed
 
 	st.Quiesce()
 	total.MaxProcs = runtime.GOMAXPROCS(0)
-	total.Mops = float64(total.Ops) / total.Elapsed.Seconds() / 1e6
 	if total.Gets > 0 {
 		total.HitRate = float64(total.Hits) / float64(total.Gets)
 	}
@@ -296,11 +238,11 @@ func RunServer(cfg ServerConfig, factory func() *store.Store[uint64]) ServerResu
 	total.Resizes = st.Resizes()
 	total.NodesRetired, total.NodesReclaimed, total.NodesReused = st.ReclaimStats()
 	if cfg.SampleLatency {
-		total.Latency = stats.Summarize(allS)
-		total.GetLatency = stats.Summarize(getS)
-		total.SetLatency = stats.Summarize(setS)
-		total.DelLatency = stats.Summarize(delS)
-		total.BatchLatency = stats.Summarize(batchS)
+		total.Latency = stats.Summarize(m.lat[srvAll])
+		total.GetLatency = stats.Summarize(m.lat[srvGet])
+		total.SetLatency = stats.Summarize(m.lat[srvSet])
+		total.DelLatency = stats.Summarize(m.lat[srvDel])
+		total.BatchLatency = stats.Summarize(m.lat[srvBatch])
 	}
 	return total
 }

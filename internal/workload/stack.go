@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/optik-go/optik/ds"
@@ -19,40 +17,18 @@ func RunStack(threads int, duration time.Duration, factory func() ds.Stack) floa
 	for i := 0; i < 1024; i++ {
 		s.Push(uint64(i + 1))
 	}
-	var (
-		stop    atomic.Bool
-		ops     atomic.Uint64
-		wg      sync.WaitGroup
-		started = make(chan struct{})
-	)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			r := rng.NewXorshift(id + 1)
-			var local uint64
-			<-started
-			// Check the stop flag every 32 operations: a per-op atomic
-			// load of the shared flag costs ~20% of the harness CPU.
-			for it := 0; ; it++ {
-				if it&31 == 0 && stop.Load() {
-					break
-				}
-				if r.Next()%2 == 0 {
-					s.Push(r.Next())
-				} else {
-					s.Pop()
-				}
-				local++
-				pause(r)
+	return window{threads: threads, duration: duration}.run(func(id uint64, w *worker) uint64 {
+		r := rng.NewXorshift(id + 1)
+		var ops uint64
+		for w.next() {
+			if r.Next()%2 == 0 {
+				s.Push(r.Next())
+			} else {
+				s.Pop()
 			}
-			ops.Add(local)
-		}(uint64(t))
-	}
-	begin := time.Now()
-	close(started)
-	time.Sleep(duration)
-	stop.Store(true)
-	wg.Wait()
-	return float64(ops.Load()) / time.Since(begin).Seconds() / 1e6
+			ops++
+			pause(r)
+		}
+		return ops
+	}).mops
 }

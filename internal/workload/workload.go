@@ -8,16 +8,18 @@
 //   - Keys are drawn per-thread, uniformly or zipfian with a = 0.9 (largest
 //     keys most popular).
 //   - All structures share the same backoff policy (internal/backoff).
+//   - Every Run* function measures through one window (run.go): the
+//     workers build their per-thread state, meet at a ready barrier, and
+//     only then does the fixed-duration window open. The resize ramp and
+//     the churn cycles are work-bound instead: their window closes when
+//     the work is done. A Run* function contributes only its op mix.
 //   - Latency is sampled into a fixed 16K-entry ring per thread and
 //     reported as the paper's five-percentile boxplots, per operation kind
 //     and success/failure (srch/insr/delt × suc/fal).
-//   - Results across repetitions are aggregated by median.
+//   - Results across repetitions are aggregated by median (MedianOf).
 package workload
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/optik-go/optik/ds"
@@ -55,10 +57,8 @@ type Config struct {
 	// Duration of the measured run.
 	Duration time.Duration
 	// InitialSize is the structure's initial (and approximately sustained)
-	// element count. The key range defaults to twice this.
+	// element count; keys are drawn from twice this range.
 	InitialSize int
-	// KeyRange overrides the default 2×InitialSize range when positive.
-	KeyRange uint64
 	// UpdatePct is the *effective* update percentage as reported by the
 	// paper's graphs. The driver issues 2×UpdatePct attempted updates
 	// (half insertions, half deletions); with the doubled key range about
@@ -67,17 +67,8 @@ type Config struct {
 	// Zipf selects the skewed key distribution (a = 0.9, largest keys most
 	// popular).
 	Zipf bool
-	// Seed makes runs reproducible; 0 picks a fixed default.
-	Seed uint64
 	// SampleLatency enables the per-thread latency rings.
 	SampleLatency bool
-}
-
-func (c Config) keyRange() uint64 {
-	if c.KeyRange > 0 {
-		return c.KeyRange
-	}
-	return uint64(2 * c.InitialSize)
 }
 
 // Result aggregates one run.
@@ -97,36 +88,8 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// ring is a fixed-capacity latency sample ring (the paper's per-thread
-// 16K arrays): append until full, then overwrite oldest. Shared by the
-// per-kind sampler below and the ramp/churn drivers.
-type ring struct {
-	buf []float64
-	pos int
-}
-
-func (r *ring) add(ns float64) {
-	if r.buf == nil {
-		// Pre-size up front: growth reallocations inside the measured
-		// window would pollute the very tail the rings exist to capture.
-		r.buf = make([]float64, 0, SampleRingSize)
-	}
-	if len(r.buf) < SampleRingSize {
-		r.buf = append(r.buf, ns)
-		return
-	}
-	r.buf[r.pos] = ns
-	r.pos = (r.pos + 1) % SampleRingSize
-}
-
-// worker state: per-kind sample rings.
-type sampler struct {
-	rings [numOpKinds]ring
-}
-
-func newSampler() *sampler { return &sampler{} }
-
-func (s *sampler) add(k OpKind, ns float64) { s.rings[k].add(ns) }
+// setSeed seeds RunSet's prefill and per-thread generators.
+const setSeed = 0xD1CEB00C
 
 // RunSet drives a search-structure workload and returns its result.
 // factory is invoked once per run to build a fresh structure.
@@ -134,111 +97,77 @@ func RunSet(cfg Config, factory func() ds.Set) Result {
 	if cfg.Threads <= 0 || cfg.InitialSize <= 0 || cfg.Duration <= 0 {
 		panic("workload: Threads, InitialSize and Duration must be positive")
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0xD1CEB00C
-	}
+	keyRange := uint64(2 * cfg.InitialSize)
 	s := factory()
-	prefill(s, cfg.InitialSize, cfg.keyRange(), seed)
-	// Collect garbage from previous runs (earlier algorithms' structures)
-	// before the measured window, so the last series in a sweep is not
-	// taxed with its predecessors' dead heap.
-	runtime.GC()
+	prefill(s, cfg.InitialSize, keyRange, setSeed)
 
-	var (
-		stop    atomic.Bool
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		total   Result
-		rings   [numOpKinds][]float64
-		started = make(chan struct{})
-	)
 	updateCut := uint64(2 * cfg.UpdatePct) // attempted updates out of 100
 	if updateCut > 100 {
 		updateCut = 100
 	}
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			view := ds.HandleFor(s)
-			dist := newDist(cfg, seed+id*0x9E3779B9)
-			opr := rng.NewXorshift(seed ^ (id+1)*0xBF58476D1CE4E5B9)
-			var smp *sampler
+	counts := make([][numOpKinds]uint64, cfg.Threads)
+	m := window{threads: cfg.Threads, duration: cfg.Duration}.run(func(id uint64, w *worker) uint64 {
+		view := ds.HandleFor(s)
+		dist := newDist(keyRange, cfg.Zipf, setSeed+id*0x9E3779B9)
+		opr := rng.NewXorshift(setSeed ^ (id+1)*0xBF58476D1CE4E5B9)
+		var c [numOpKinds]uint64
+		for w.next() {
+			key := dist.NextKey()
+			roll := opr.Next() % 100
+			var kind OpKind
+			var begin time.Time
 			if cfg.SampleLatency {
-				smp = newSampler()
+				begin = time.Now()
 			}
-			var counts [numOpKinds]uint64
-			<-started
-			// Check the stop flag every 32 operations: a per-op atomic
-			// load of the shared flag costs ~20% of the harness CPU.
-			for it := 0; ; it++ {
-				if it&31 == 0 && stop.Load() {
-					break
+			switch {
+			case roll < updateCut/2: // insertion attempt
+				if view.Insert(key, key) {
+					kind = InsertSuc
+				} else {
+					kind = InsertFal
 				}
-				key := dist.NextKey()
-				roll := opr.Next() % 100
-				var kind OpKind
-				var begin time.Time
-				if smp != nil {
-					begin = time.Now()
+			case roll < updateCut: // deletion attempt
+				if _, ok := view.Delete(key); ok {
+					kind = DeleteSuc
+				} else {
+					kind = DeleteFal
 				}
-				switch {
-				case roll < updateCut/2: // insertion attempt
-					if view.Insert(key, key) {
-						kind = InsertSuc
-					} else {
-						kind = InsertFal
-					}
-				case roll < updateCut: // deletion attempt
-					if _, ok := view.Delete(key); ok {
-						kind = DeleteSuc
-					} else {
-						kind = DeleteFal
-					}
-				default:
-					if _, ok := view.Search(key); ok {
-						kind = SearchSuc
-					} else {
-						kind = SearchFal
-					}
-				}
-				if smp != nil {
-					smp.add(kind, float64(time.Since(begin).Nanoseconds()))
-				}
-				counts[kind]++
-				pause(opr)
-			}
-			mu.Lock()
-			for k := range counts {
-				total.Counts[k] += counts[k]
-				if smp != nil {
-					rings[k] = append(rings[k], smp.rings[k].buf...)
+			default:
+				if _, ok := view.Search(key); ok {
+					kind = SearchSuc
+				} else {
+					kind = SearchFal
 				}
 			}
-			mu.Unlock()
-		}(uint64(t))
-	}
-	begin := time.Now()
-	close(started)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-	total.Elapsed = time.Since(begin)
+			if cfg.SampleLatency {
+				w.lat[kind].add(float64(time.Since(begin).Nanoseconds()))
+			}
+			c[kind]++
+			pause(opr)
+		}
+		counts[id] = c
+		var ops uint64
+		for _, n := range c {
+			ops += n
+		}
+		return ops
+	})
 
-	for k := range total.Counts {
-		total.Ops += total.Counts[k]
-	}
-	total.Mops = float64(total.Ops) / total.Elapsed.Seconds() / 1e6
-	if total.Ops > 0 {
-		total.EffectiveUpdates = float64(total.Counts[InsertSuc]+total.Counts[DeleteSuc]) / float64(total.Ops)
-	}
-	if cfg.SampleLatency {
-		for k := range rings {
-			total.Latency[k] = stats.Summarize(rings[k])
+	res := Result{Ops: m.ops, Mops: m.mops, Elapsed: m.elapsed}
+	for _, c := range counts {
+		for k, n := range c {
+			res.Counts[k] += n
 		}
 	}
-	return total
+	if res.Ops > 0 {
+		res.EffectiveUpdates = float64(res.Counts[InsertSuc]+res.Counts[DeleteSuc]) / float64(res.Ops)
+	}
+	if cfg.SampleLatency {
+		for k := range res.Latency {
+			res.Latency[k] = stats.Summarize(m.lat[k])
+		}
+	}
+	return res
 }
 
 // prefill inserts random distinct keys until the structure holds size
@@ -254,12 +183,13 @@ func prefill(s ds.Set, size int, keyRange uint64, seed uint64) {
 	}
 }
 
-// newDist builds the per-thread key distribution.
-func newDist(cfg Config, seed uint64) rng.Distribution {
-	if cfg.Zipf {
-		return rng.NewZipf(cfg.keyRange(), rng.DefaultZipfTheta, true, seed)
+// newDist builds a per-thread key distribution over [1, keyRange]:
+// zipfian (a = 0.9, largest keys most popular) or uniform.
+func newDist(keyRange uint64, zipf bool, seed uint64) rng.Distribution {
+	if zipf {
+		return rng.NewZipf(keyRange, rng.DefaultZipfTheta, true, seed)
 	}
-	return rng.NewUniform(cfg.keyRange(), seed)
+	return rng.NewUniform(keyRange, seed)
 }
 
 // pause waits briefly between iterations ("after every iteration, threads
@@ -272,23 +202,23 @@ func pause(r *rng.Xorshift) {
 }
 
 // MedianOf runs fn reps times and returns the run with median throughput
-// (the paper reports "the median value of 11 repetitions").
-func MedianOf(reps int, fn func() Result) Result {
+// (the paper reports "the median value of 11 repetitions"); mops reads a
+// run's throughput.
+func MedianOf[R any](reps int, fn func() R, mops func(R) float64) R {
 	if reps <= 0 {
 		panic("workload: reps must be positive")
 	}
-	results := make([]Result, reps)
-	mops := make([]float64, reps)
+	results := make([]R, reps)
+	tput := make([]float64, reps)
 	for i := range results {
 		results[i] = fn()
-		mops[i] = results[i].Mops
+		tput[i] = mops(results[i])
 	}
-	med := stats.Median(mops)
+	med := stats.Median(tput)
 	best := 0
-	bestDiff := diffAbs(results[0].Mops, med)
-	for i, r := range results {
-		if d := diffAbs(r.Mops, med); d < bestDiff {
-			best, bestDiff = i, d
+	for i := range results {
+		if diffAbs(tput[i], med) < diffAbs(tput[best], med) {
+			best = i
 		}
 	}
 	return results[best]

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -149,22 +150,40 @@ func TestOptikLockBeatsTTASUnderContention(t *testing.T) {
 
 func TestMedianOf(t *testing.T) {
 	i := 0
-	res := MedianOf(3, func() Result {
+	res := MedianOf(3, func() QueueResult {
 		i++
-		return Result{Mops: float64(i)}
-	})
+		return QueueResult{Mops: float64(i)}
+	}, func(r QueueResult) float64 { return r.Mops })
 	if res.Mops != 2 {
 		t.Fatalf("median run = %v, want the middle one", res.Mops)
 	}
 }
 
-func TestMedianOfQueue(t *testing.T) {
-	i := 0
-	res := MedianOfQueue(3, func() QueueResult {
-		i++
-		return QueueResult{Mops: float64(i)}
+// TestWindowOpensAfterSetup pins the ready barrier: workers whose setup
+// outlasts the window (a zipfian generator's zeta over a large key
+// range) must not eat into it. Without the barrier the window opens at
+// spawn, closes before any worker is ready, and reports the setup as
+// elapsed time with nothing run.
+func TestWindowOpensAfterSetup(t *testing.T) {
+	const threads = 4
+	ran := make([]uint64, threads)
+	m := window{threads: threads, duration: 10 * time.Millisecond}.run(func(id uint64, w *worker) uint64 {
+		time.Sleep(200 * time.Millisecond) // per-thread setup
+		for w.next() {
+			ran[id]++
+			runtime.Gosched() // more workers than cores: let each one in
+		}
+		return ran[id]
 	})
-	if res.Mops != 2 {
-		t.Fatalf("median run = %v", res.Mops)
+	if m.elapsed >= 100*time.Millisecond {
+		t.Fatalf("elapsed %v for a 10ms window: the window opened before setup finished", m.elapsed)
+	}
+	for id, n := range ran {
+		if n == 0 {
+			t.Fatalf("worker %d ran no operations", id)
+		}
+	}
+	if sum := ran[0] + ran[1] + ran[2] + ran[3]; m.ops != sum {
+		t.Fatalf("ops = %d, want the bodies' sum %d", m.ops, sum)
 	}
 }
