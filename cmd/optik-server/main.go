@@ -7,7 +7,7 @@
 //
 //	optik-server [-addr :7979] [-shards 0] [-shard-buckets 1024]
 //	             [-batch 512] [-coalesce 256] [-maxconns 0]
-//	             [-connmode goroutine] [-idle-grace 5s] [-shed-water 0]
+//	             [-idle-grace 5s] [-shed-water 0]
 //	             [-byte-budget 0] [-ordered]
 //
 // Flags:
@@ -22,13 +22,11 @@
 //	-coalesce      max keys per coalesced run of pipelined same-kind
 //	               scalar commands (default 256, 0 disables)
 //	-maxconns      concurrent connection cap (default 0 = unlimited)
-//	-connmode      connection mode: goroutine (default; one goroutine
-//	               per conn) or poller (a shared epoll poller plus a
-//	               small worker pool serves every conn — linux only,
-//	               falls back to goroutine elsewhere)
 //	-idle-grace    how long a conn may sit idle before its buffers are
 //	               returned to the pool (default 5s; buffers come back
-//	               on the next readable byte)
+//	               on the next readable byte). Each conn is served by
+//	               its own goroutine; an idle one keeps only that
+//	               goroutine's stack and its registration
 //	-shed-water    population high-water mark above which the server
 //	               sheds idle-longest conns with -ERR busy retry
 //	               (default: 90% of -maxconns when that is set)
@@ -74,7 +72,6 @@ func main() {
 	coalesce := flag.Int("coalesce", server.DefaultCoalesce,
 		"max keys per coalesced run of pipelined same-kind scalar commands (0 disables)")
 	maxConns := flag.Int("maxconns", 0, "concurrent connection cap (0 = unlimited)")
-	connMode := flag.String("connmode", "goroutine", "connection mode: goroutine (one goroutine per conn) or poller (shared epoll poller; linux only)")
 	idleGrace := flag.Duration("idle-grace", 0, "idle grace before a conn's buffers return to the pool (0 = default 5s)")
 	shedWater := flag.Int("shed-water", 0, "shed idle conns above this population (0 = default: 90% of -maxconns)")
 	byteBudget := flag.Int64("byte-budget", 0, "byte budget of the store, 0 = unbounded")
@@ -87,18 +84,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	mode, err := server.ParseConnMode(*connMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "optik-server:", err)
-		os.Exit(2)
-	}
-	if mode == server.ConnModePoller && !server.PollerSupported() {
-		fmt.Fprintln(os.Stderr, "optik-server: -connmode poller is not supported on this platform; falling back to goroutine")
-		mode = server.ConnModeGoroutine
-	}
-
 	sopts := []server.Option{server.WithPipeline(*batch), server.WithCoalesce(*coalesce),
-		server.WithMaxConns(*maxConns), server.WithConnMode(mode)}
+		server.WithMaxConns(*maxConns)}
 	if *idleGrace > 0 {
 		sopts = append(sopts, server.WithIdleGrace(*idleGrace))
 	}
@@ -126,8 +113,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "optik-server:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("optik-server: serving %d %s shards on %s (batch %d, coalesce %d, maxconns %d, connmode %s)\n",
-		st.Index().Shards(), storeKind(*ordered), bound, *batch, *coalesce, *maxConns, mode)
+	fmt.Printf("optik-server: serving %d %s shards on %s (batch %d, coalesce %d, maxconns %d)\n",
+		st.Index().Shards(), storeKind(*ordered), bound, *batch, *coalesce, *maxConns)
 
 	// SIGINT/SIGTERM drain the server before the store's scheduler stops.
 	sig := make(chan os.Signal, 1)

@@ -4,7 +4,7 @@
 // the same rows and series the paper reports, and the sweeps beyond it
 // (sweeps.go) — the ds-level resize and churn scenarios, threads × shard
 // counts for the server and ordered stores, connection populations ×
-// conn modes for conns.
+// active fractions for conns.
 //
 // A figure is data: a list of panels, each a table of cells — one per
 // series and thread count — where a cell measures one Row. One printer
@@ -82,12 +82,9 @@ type Row struct {
 	// measurement time, so rows from differently-sized runners never join
 	// silently.
 	MaxProcs int `json:"maxprocs,omitempty"`
-	// ConnMode is set by the conns rows: which connection-driving mode the
-	// server ran ("goroutine" or "poller"). It rides in the impl name too,
-	// so the bench-diff join never compares across modes.
-	ConnMode string `json:"connmode,omitempty"`
 	// BuffersResident is the conns rows' RSS proxy: bytes of pooled
-	// connection buffers checked out server-side at the sample point.
+	// connection buffers checked out server-side at the sample point,
+	// the sampling connection's own among them.
 	BuffersResident int64 `json:"buffers_resident,omitempty"`
 	// ConnsShed counts connections the server shed during the run.
 	ConnsShed int64 `json:"conns_shed,omitempty"`
@@ -259,7 +256,7 @@ func cellText(r Row) string {
 	switch {
 	case r.CASPerValidation > 0:
 		return fmt.Sprintf("%.3f / %.2f", r.Mops, r.CASPerValidation)
-	case r.ConnMode != "":
+	case r.BuffersResident > 0:
 		return fmt.Sprintf("%.3f / %d", r.Mops, r.BuffersResident/1024)
 	}
 	return fmt.Sprintf("%.3f", r.Mops)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/optik-go/optik/ds"
-	"github.com/optik-go/optik/server"
 )
 
 // tinyOpts keeps the smoke runs fast.
@@ -72,7 +71,7 @@ var joinKeys = map[string]struct{ figures, workloads, impls []string }{
 	"ordered": {[]string{"Ordered", "Ordered latency"}, []string{"zipf get80/set8/del2/scan10x64 init 65536"},
 		[]string{"ordered-1sh", "ordered-4sh", "ordered-16sh"}},
 	"conns": {[]string{"Conns"}, []string{"conns 8 active 100%", "conns 8 active 25%"},
-		[]string{"conns-goroutine", "conns-poller"}},
+		[]string{"conns"}},
 }
 
 // TestEveryFigureEmitsItsSeries runs every figure at tiny scale: each
@@ -119,9 +118,6 @@ func TestEveryFigureEmitsItsSeries(t *testing.T) {
 			for _, f := range pin.figures {
 				for _, w := range pin.workloads {
 					for _, impl := range pin.impls {
-						if impl == "conns-poller" && !server.PollerSupported() {
-							continue
-						}
 						wantKeys = append(wantKeys, f+"|"+w+"|"+impl)
 					}
 				}

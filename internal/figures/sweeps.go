@@ -309,14 +309,13 @@ func orderedFactory(shards, initial int) func() *store.Ordered[uint64] {
 // figConns runs the connection-scaling scenario (beyond the paper:
 // OPTIK's pay-only-on-contention principle applied to connections): a
 // population of N connections with an active fraction issuing pipelined
-// bursts, one panel per N × active%, each cell under one conn mode. The
-// all-active panels are the throughput parity check (the poller must not
-// tax busy connections); the mostly-idle panels are the C10K story —
-// buffers_resident is the memory the idle population pins, and the
-// poller's idle-grace release should hold it near the active fraction's
-// working set while goroutine mode pays for every conn that ever spoke.
-// A panel's one thread count is its active connections, one goroutine
-// each. Populations above ~1k need a raised ulimit -n.
+// bursts, one panel per N × active%. The all-active panels are the
+// throughput of busy connections; the mostly-idle panels are the C10K
+// story — buffers_resident is the memory the idle population pins, and
+// the idle-grace release should hold it near the active fraction's
+// working set however many idle conns once spoke. A panel's one thread
+// count is its active connections, one goroutine each. Populations above
+// ~1k need a raised ulimit -n.
 func figConns(o RunOpts) []Panel {
 	conns := o.Conns
 	if len(conns) == 0 {
@@ -325,16 +324,6 @@ func figConns(o RunOpts) []Panel {
 	pcts := o.ActivePcts
 	if len(pcts) == 0 {
 		pcts = []int{100, 5}
-	}
-	modes := []server.ConnMode{server.ConnModeGoroutine}
-	if server.PollerSupported() {
-		modes = append(modes, server.ConnModePoller)
-	}
-	series := make([]string, len(modes))
-	for i, m := range modes {
-		// The mode is part of the JSON join key so bench-diff never
-		// compares the poller against goroutine rows.
-		series[i] = "conns-" + m.String()
 	}
 	// The idle grace must fit inside the measured window for the idle
 	// release to be observable at the sample point.
@@ -347,12 +336,12 @@ func figConns(o RunOpts) []Panel {
 				Figure: "Conns", Workload: fmt.Sprintf("conns %d active %d%%", n, pct),
 				Title: fmt.Sprintf("Conns — %d connections, %d%% active, pipelined MGET/MSET bursts, idle grace %s (Mops/s / resident KiB)",
 					n, pct, grace),
-				Series:  series,
+				Series:  []string{"conns"},
 				Threads: []int{cfg.Active()},
-				Cell: func(s, _ int) Row {
-					res := runConnsCell(modes[s], grace, cfg)
+				Cell: func(_, _ int) Row {
+					res := runConnsCell(grace, cfg)
 					row := latencyRow(res.Mops, res.Latency)
-					row.MaxProcs, row.ConnMode = res.MaxProcs, modes[s].String()
+					row.MaxProcs = res.MaxProcs
 					row.BuffersResident, row.ConnsShed = res.BuffersResident, res.Shed
 					return row
 				},
@@ -362,11 +351,11 @@ func figConns(o RunOpts) []Panel {
 	return panels
 }
 
-// runConnsCell runs one conns cell against a private loopback server
-// configured for the mode under test.
-func runConnsCell(mode server.ConnMode, grace time.Duration, cfg workload.ConnsConfig) workload.ConnsResult {
+// runConnsCell runs one conns cell against a private loopback server with
+// the given idle grace.
+func runConnsCell(grace time.Duration, cfg workload.ConnsConfig) workload.ConnsResult {
 	st := store.NewStrings(store.WithShardBuckets(1024))
-	srv := server.New(st, server.WithConnMode(mode), server.WithIdleGrace(grace))
+	srv := server.New(st, server.WithIdleGrace(grace))
 	bound, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		panic("figures: conns loopback server: " + err.Error())

@@ -1,10 +1,11 @@
 // The connection-scaling scenario: many connections, few of them active —
-// the C10K shape the shared-poller conn mode exists for. RunConns opens a
-// large connection population against a wire server, drives a configurable
-// active fraction with pipelined request bursts, and samples the server's
-// STATS at the window's deadline, so a figure row carries both the
-// throughput/latency of the active conns and the memory the idle ones
-// pinned (buffers_resident, the RSS proxy) under that exact load.
+// the C10K shape the server's idle-grace buffer release exists for.
+// RunConns opens a large connection population against a wire server,
+// drives a configurable active fraction with pipelined request bursts, and
+// samples the server's STATS at the window's deadline, so a figure row
+// carries both the throughput/latency of the active conns and the memory
+// the idle ones pinned (buffers_resident, the RSS proxy) under that exact
+// load.
 
 package workload
 
@@ -22,7 +23,7 @@ import (
 // ConnsConfig describes one connection-scaling run.
 type ConnsConfig struct {
 	// Addr is the server to drive (the caller owns the server and its
-	// conn-mode/idle-grace configuration — that is the variable under test).
+	// idle-grace configuration — that is the variable under test).
 	Addr string
 	// Conns is the total connection population.
 	Conns int
@@ -57,13 +58,12 @@ type ConnsResult struct {
 	// Server-side STATS sampled at the deadline, with the population
 	// still connected: ConnsOpen is conns_open,
 	// BuffersResident is the buffers_resident RSS proxy (idle conns past
-	// the grace hold no buffers in poller mode), Shed and Rejected count
-	// overload actions, Poller reports the live conn mode.
+	// the grace hold no buffers), Shed and Rejected count overload
+	// actions.
 	ConnsOpen       int64
 	BuffersResident int64
 	Shed            int64
 	Rejected        int64
-	Poller          bool
 	// Retries counts client-side transient-failure retries (busy replies
 	// honored, redials) across the whole population.
 	Retries  uint64
@@ -136,7 +136,6 @@ func RunConns(cfg ConnsConfig) ConnsResult {
 			total.BuffersResident = s["buffers_resident"]
 			total.Shed = s["conns_shed"]
 			total.Rejected = s["conns_rejected"]
-			total.Poller = s["poller"] == 1
 			st.Close()
 		}
 	}

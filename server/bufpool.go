@@ -2,8 +2,8 @@
 // principle applied to memory. A connection's two byte slices (read buffer
 // `in`, reply buffer `out`; conn.go) and its coalescer staging state are
 // acquired from size-tiered sync.Pools on the first readable byte and
-// returned when the connection goes idle (poller mode, after the idle
-// grace) or closes — so an idle connection costs its registration, not
+// returned when the connection has sat idle past the grace or closes — so
+// an idle connection costs its registration and its handler's stack, not
 // its buffers, and connection churn stops allocating fresh buffers per
 // accept. The server charges what each connection holds to
 // buffersResident, the STATS `buffers_resident` RSS proxy.

@@ -177,7 +177,9 @@ func TestCoalesceStats(t *testing.T) {
 // run whenever it is about to move the read buffer (staged SET values are
 // views into it); that must not cut a run short while its commands are
 // still buffered.
-func TestCoalesceRunsSpanThePipeline(t *testing.T) {
+func TestCoalesceRunsSpanThePipeline(t *testing.T) { onConnDriver(t, testCoalesceRunsSpanThePipeline) }
+
+func testCoalesceRunsSpanThePipeline(t *testing.T) {
 	var pipe []byte
 	for run := 0; run < 4; run++ {
 		for i := 0; i < 16; i++ {
@@ -189,18 +191,14 @@ func TestCoalesceRunsSpanThePipeline(t *testing.T) {
 		}
 	}
 	pipe = append(pipe, "QUIT\r\n"...)
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			srv, _, addr := startServer(t, WithConnMode(mode))
-			want := strings.Repeat(":0\r\n", 16) + strings.Repeat("$2\r\nv0\r\n", 16) +
-				strings.Repeat(":1\r\n", 16) + strings.Repeat("$2\r\nv2\r\n", 16) + "+OK\r\n"
-			if got := roundTrip(t, addr, pipe); string(got) != want {
-				t.Fatalf("transcript:\n got %q\nwant %q", got, want)
-			}
-			if b, k := srv.coalescedBatches.Load(), srv.coalescedKeys.Load(); b != 4 || k != 64 {
-				t.Fatalf("coalesced_batches=%d coalesced_keys=%d, want 4 and 64", b, k)
-			}
-		})
+	srv, _, addr := startServer(t)
+	want := strings.Repeat(":0\r\n", 16) + strings.Repeat("$2\r\nv0\r\n", 16) +
+		strings.Repeat(":1\r\n", 16) + strings.Repeat("$2\r\nv2\r\n", 16) + "+OK\r\n"
+	if got := roundTrip(t, addr, pipe); string(got) != want {
+		t.Fatalf("transcript:\n got %q\nwant %q", got, want)
+	}
+	if b, k := srv.coalescedBatches.Load(), srv.coalescedKeys.Load(); b != 4 || k != 64 {
+		t.Fatalf("coalesced_batches=%d coalesced_keys=%d, want 4 and 64", b, k)
 	}
 }
 

@@ -1,10 +1,6 @@
-// connState is the per-connection protocol engine, shared verbatim by both
-// conn modes: goroutine-per-conn (runLoop, the portable default — one
-// goroutine blocks on the socket) and the shared poller (poller_linux.go —
-// epoll workers call pump whenever the socket turns readable). There is
-// exactly ONE implementation of parse → coalesce → dispatch → flush; the
-// modes differ only in what "need more bytes" does — a blocking Read, or a
-// nonblocking one and a re-arm — and in when buffers are resident.
+// connState is the per-connection protocol engine — parse → coalesce →
+// dispatch → flush — driven by one goroutine per connection (runLoop) that
+// blocks on the socket whenever it needs more bytes.
 //
 // The engine owns two byte slices. `in` holds the bytes received and not
 // yet parsed; parse (proto.go) cuts requests off its front, their arguments
@@ -19,19 +15,24 @@
 // flight, not the largest frame the connection ever saw.
 //
 // Lifecycle: a connection starts parked with no buffers — an idle conn
-// costs its registration, per the OPTIK principle of paying only when
-// there is work. Buffers are acquired from the tiered pools (bufpool.go)
-// on the first readable byte and released at teardown (goroutine mode) or
-// additionally after an idle grace period (poller mode). The parked/busy/
-// shed state word coordinates the owner (handler goroutine or poller
-// worker) with the load shedder: the shedder may claim only a parked conn,
-// so it never writes concurrently with the protocol engine.
+// costs its registration and a parked goroutine, per the OPTIK principle
+// of paying only when there is work. Buffers are acquired from the tiered
+// pools (bufpool.go) on the first readable byte and released at teardown
+// or once the connection has sat idle past the grace (WithIdleGrace): the
+// handler arms a read deadline when it parks and, when it fires on a conn
+// nobody used since, hands the buffers back and waits for a first byte
+// again. The parked/busy/shed state word coordinates the handler with the
+// load shedder: the shedder may claim only a parked conn, so it never
+// writes concurrently with the protocol engine, and once it has, the
+// connection is the shedder's to close.
 
 package server
 
 import (
+	"errors"
 	"io"
 	"net"
+	"os"
 	"sync/atomic"
 	"time"
 )
@@ -39,8 +40,8 @@ import (
 // Connection lifecycle states (connState.state).
 const (
 	connParked int32 = iota // no request in flight; the shedder may claim it
-	connBusy                // the handler/worker owns the conn
-	connShed                // the shedder claimed it; the owner exits quietly
+	connBusy                // the handler owns the conn
+	connShed                // the shedder claimed it and closes it; the handler exits quietly
 )
 
 // busyReply is the overload reply: written to a rejected accept or into a
@@ -48,25 +49,7 @@ const (
 // server.Client does this itself; see docs/PROTOCOL.md "Overload").
 var busyReply = []byte("-ERR busy retry\r\n")
 
-// pollerWriteTimeout bounds every poller-mode reply write. Workers — and
-// the dispatcher when it help-drains or sheds — write replies
-// synchronously; without a deadline one stalled peer (zero TCP window,
-// dead host) would wedge them until the TCP stack itself gives up,
-// minutes later. A client that cannot accept reply bytes for this long is
-// treated as dead and torn down. Goroutine-mode conns write without one —
-// a wedged write there costs one parked goroutine, not a shared worker.
-const pollerWriteTimeout = 5 * time.Second
-
-// connPoller is what a poller-registered connection knows how to do beyond
-// the shared engine; satisfied by pollConn (linux). It keeps server.go
-// portable: non-linux builds never construct one.
-type connPoller interface {
-	// shed tears the connection down after the shedder claimed it (the
-	// state is already connShed): busy reply, FIN, unregister, close.
-	shed()
-}
-
-// connState carries one connection through either conn mode.
+// connState carries one connection from accept to close.
 type connState struct {
 	srv *Server
 	nc  net.Conn
@@ -83,10 +66,7 @@ type connState struct {
 	hits, misses int
 
 	state      atomic.Int32
-	lastActive atomic.Int64 // UnixNano of the last claim; shed picks the smallest
-	resident   atomic.Bool  // buffers held (lock-free pre-filter for the idle sweep)
-
-	poll connPoller // nil in goroutine mode
+	lastActive atomic.Int64 // UnixNano of the last claim; shed picks the smallest, the grace counts from it
 }
 
 func newConnState(s *Server, nc net.Conn) *connState {
@@ -111,12 +91,13 @@ func (cs *connState) acquireBuffers() {
 	cs.out = getBytes(2 * n)
 	cs.co = getCoalescer()
 	cs.charge()
-	cs.resident.Store(true)
 }
 
 // releaseBuffers returns the working set to the pools. Idempotent. Callers
 // release only when nothing is staged or buffered (idle) or the connection
-// is dead (teardown).
+// is dead (teardown). The last request's argument views go too: left in
+// place, they would keep `in` reachable from an idle conn long after the
+// pool let it go.
 func (cs *connState) releaseBuffers() {
 	if cs.in == nil {
 		return
@@ -125,7 +106,7 @@ func (cs *connState) releaseBuffers() {
 	putBytes(cs.out)
 	putCoalescer(cs.co)
 	cs.in, cs.out, cs.co = nil, nil, nil
-	cs.resident.Store(false)
+	clear(cs.req.args[:cap(cs.req.args)])
 	cs.charge()
 }
 
@@ -138,15 +119,6 @@ func (cs *connState) charge() {
 	}
 }
 
-// idleReleasable reports whether the engine holds nothing that would be
-// lost by releasing the buffers: no partial frame, no staged run, no
-// unflushed replies. Poller-mode idle sweep calls it under the conn's
-// processing lock.
-func (cs *connState) idleReleasable() bool {
-	return cs.in != nil && len(cs.in) == 0 && cs.pending == 0 &&
-		len(cs.out) == 0 && cs.co.kind == runNone
-}
-
 // write sends the accumulated replies in one Write and empties out; an out
 // that a large reply grew goes back for one of the pooled size.
 func (cs *connState) write() error {
@@ -154,9 +126,6 @@ func (cs *connState) write() error {
 		return nil
 	}
 	cs.charge()
-	if cs.poll != nil {
-		cs.nc.SetWriteDeadline(time.Now().Add(pollerWriteTimeout))
-	}
 	_, err := cs.nc.Write(cs.out)
 	cs.out = cs.out[:0]
 	if home := 2 * cs.srv.opts.bufSize; cap(cs.out) > home {
@@ -193,9 +162,9 @@ func (cs *connState) account() {
 
 // pump parses and dispatches every whole request buffered in `in`, then
 // readies `in` for the next read. Reports false when the connection is
-// finished (error, QUIT, or protocol teardown — all handled here,
-// identically in both modes); true means it needs more bytes, and the
-// caller owes the client a flushBatch before it waits for them.
+// finished (error, QUIT, or protocol teardown — all handled here); true
+// means it needs more bytes, and the caller owes the client a flushBatch
+// before it waits for them.
 func (cs *connState) pump() bool {
 	s := cs.srv
 	rd := 0
@@ -266,7 +235,7 @@ func (cs *connState) room(rd int) {
 // run's replies are owed first. A protocol error is then reported on the
 // wire, and travels on a FIN (half-close plus a bounded drain of whatever
 // the client is still sending), not a RST that could destroy it in flight.
-// Every other error (EOF, deadline, shed wake-up) goes quiet.
+// Every other error (EOF, reset, a close by Server.Close) goes quiet.
 func (cs *connState) readFailed(err error) {
 	drained := cs.drain()
 	cs.account()
@@ -286,48 +255,93 @@ func (cs *connState) readFailed(err error) {
 	}
 }
 
-// runLoop is the goroutine-per-conn mode: one blocking loop owning the
-// connection. Buffers are acquired only once the conn speaks, so a
-// connected-but-silent client costs a goroutine and a registration, not a
-// working set.
+// runLoop is the connection's one blocking loop. Buffers are acquired only
+// once the conn speaks, so a connected-but-silent client costs a goroutine
+// and a registration, not a working set; when serve hands them back after
+// the idle grace, the loop waits for a first byte again.
 func (cs *connState) runLoop() {
-	var first [1]byte
-	n, err := cs.nc.Read(first[:])
-	for err == nil && n == 0 {
-		n, err = cs.nc.Read(first[:])
+	for {
+		var first [1]byte
+		n, err := cs.nc.Read(first[:])
+		for err == nil && n == 0 {
+			n, err = cs.nc.Read(first[:])
+		}
+		if err != nil || !cs.claim() {
+			return // closed, or shed while we parked on the first read
+		}
+		cs.touch()
+		cs.acquireBuffers()
+		cs.in = append(cs.in, first[0])
+		if !cs.serve() {
+			return
+		}
 	}
-	if err != nil {
-		return
-	}
-	if !cs.claim() {
-		return // shed while we parked on the first read
-	}
-	cs.touch()
-	cs.acquireBuffers()
-	cs.in = append(cs.in, first[0])
+}
+
+// serve runs batches until the connection finishes (false) or sits idle
+// past the grace (true: buffers released, no deadline, parked).
+//
+// One read deadline paces the grace. It is armed when the handler parks
+// with none pending, not per batch: the claim that ends every park already
+// stamps lastActive. Firing on a parked conn used within the grace, it is
+// re-armed for the rest of it; on one idle past it, the buffers go back to
+// the pools. Firing mid-frame, it is cleared and the read resumes, so a
+// half-arrived frame keeps its buffer.
+func (cs *connState) serve() bool {
+	grace := cs.srv.opts.idleGrace
+	armed := false
 	for {
 		// Whatever is owed goes out before blocking for more bytes, even
 		// behind a half-arrived frame: the client may be waiting on it.
 		if !cs.pump() || cs.pending > 0 && !cs.flushBatch() {
-			return
+			return false
 		}
 		idle := len(cs.in) == 0
 		if idle {
 			// Between batches: park so the shedder may claim the conn,
-			// then re-claim once bytes arrive.
+			// then re-claim once the read returns.
+			if !armed && grace > 0 {
+				cs.nc.SetReadDeadline(time.Now().Add(grace))
+				armed = true
+			}
 			cs.park()
 		}
 		n, err := cs.nc.Read(cs.in[len(cs.in):cap(cs.in)])
+		if idle && !cs.claim() {
+			return false // shed: the shedder owns the close
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			if !idle {
+				cs.nc.SetReadDeadline(time.Time{})
+				armed = false
+				continue
+			}
+			if until := time.Unix(0, cs.lastActive.Load()).Add(grace); time.Now().Before(until) {
+				cs.nc.SetReadDeadline(until)
+				continue
+			}
+			cs.releaseBuffers()
+			cs.nc.SetReadDeadline(time.Time{})
+			cs.park()
+			return true
+		}
 		if err != nil {
 			cs.readFailed(err)
-			return
+			return false
 		}
 		cs.in = cs.in[:len(cs.in)+n]
 		if idle {
-			if !cs.claim() {
-				return
-			}
 			cs.touch()
 		}
+	}
+}
+
+// close closes the socket unless the shedder claimed the connection, in
+// which case the shed path (busy reply, FIN, close) owns it. A conn the
+// handler holds busy can no longer be shed.
+func (cs *connState) close() {
+	cs.claim()
+	if cs.state.Load() != connShed {
+		cs.nc.Close()
 	}
 }

@@ -1,10 +1,8 @@
-// Connection-lifecycle tests for the two conn modes: byte-identical
-// transcripts between goroutine-per-conn and the shared poller, buffer
-// pool accounting returning to its floor under churn, idle-grace buffer
-// release, idle-longest-first load shedding, and client recovery from
-// overload via backoff. The transcript property mirrors
-// TestCoalesceReplyOrderProperty: the conn mode, like coalescing, must be
-// invisible on the wire.
+// Connection-lifecycle tests: frames larger than the read buffer, whole or
+// trickled across idle-grace deadline wake-ups, buffer pool accounting
+// returning to its floor under churn, idle-grace buffer release,
+// idle-longest-first load shedding, and client recovery from overload via
+// backoff.
 
 package server
 
@@ -13,26 +11,13 @@ import (
 	"bytes"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-// connModes lists the modes to exercise on this platform. ConnModePoller
-// is included only where it actually runs (elsewhere it would silently
-// fall back and re-test goroutine mode).
-func connModes() []ConnMode {
-	modes := []ConnMode{ConnModeGoroutine}
-	if PollerSupported() {
-		modes = append(modes, ConnModePoller)
-	}
-	return modes
-}
 
 // waitFor polls cond until it holds or the deadline lapses.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -47,89 +32,74 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestConnModeTranscriptProperty is the conn-mode counterpart of the
-// coalescing property: for random mixed pipelines, a poller-mode server
-// must produce a reply stream byte-identical to a goroutine-mode server
-// fed the same bytes. A small read buffer forces pipelines to span many
-// readiness cycles, exercising the poller's partial-frame parking.
-func TestConnModeTranscriptProperty(t *testing.T) {
-	if !PollerSupported() {
-		t.Skip("poller conn mode not supported on this platform")
-	}
-	_, _, refAddr := startServer(t, WithBufferSize(512), WithPipeline(4))
-	_, _, polAddr := startServer(t, WithBufferSize(512), WithPipeline(4),
-		WithConnMode(ConnModePoller))
-	rng := rand.New(rand.NewSource(0x90111e4))
-	for round := 0; round < 8; round++ {
-		pipe := randomPipeline(rng, 120)
-		ref := roundTrip(t, refAddr, pipe)
-		got := roundTrip(t, polAddr, pipe)
-		if !bytes.Equal(ref, got) {
-			t.Fatalf("round %d: reply stream diverged between conn modes\npipeline: %q\n ref: %q\n got: %q",
-				round, pipe, ref, got)
-		}
-	}
+// onConnDriver runs body as the "goroutine" subtest, named for the server's
+// connection driver: one goroutine per connection.
+func onConnDriver(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	t.Run("goroutine", body)
 }
 
 // TestConnModeBigFrame round-trips a frame several times larger than the
-// read buffer through both modes: the engine must grow the buffer to hold
-// it whole and produce the same bytes either way.
-func TestConnModeBigFrame(t *testing.T) {
+// read buffer: the engine must grow the buffer to hold it whole.
+func TestConnModeBigFrame(t *testing.T) { onConnDriver(t, testBigFrame) }
+
+func testBigFrame(t *testing.T) {
 	val := strings.Repeat("x", 2000)
 	var pipe []byte
 	pipe = append(pipe, fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(val), val)...)
 	pipe = append(pipe, "GET big\r\nQUIT\r\n"...)
 	want := fmt.Sprintf(":0\r\n$%d\r\n%s\r\n+OK\r\n", len(val), val)
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			_, _, addr := startServer(t, WithBufferSize(512), WithConnMode(mode))
-			if got := roundTrip(t, addr, pipe); string(got) != want {
-				t.Fatalf("big-frame transcript:\n got %q\nwant %q", got, want)
-			}
-		})
+	_, _, addr := startServer(t, WithBufferSize(512))
+	if got := roundTrip(t, addr, pipe); string(got) != want {
+		t.Fatalf("big-frame transcript:\n got %q\nwant %q", got, want)
 	}
 }
 
-// TestPollerTrickledFrame feeds one command a few bytes at a time with
-// pauses longer than the idle grace: the half-arrived frame must park in
-// the connection's buffer across readiness cycles — and the idle sweep
-// must not steal the buffers out from under it.
-func TestPollerTrickledFrame(t *testing.T) {
-	if !PollerSupported() {
-		t.Skip("poller conn mode not supported on this platform")
+// pingRaw round-trips one PING on a raw connection.
+func pingRaw(t *testing.T, conn net.Conn, r *bufio.Reader) {
+	t.Helper()
+	if _, err := conn.Write([]byte("PING\r\n")); err != nil {
+		t.Fatalf("write PING: %v", err)
 	}
-	_, _, addr := startServer(t, WithConnMode(ConnModePoller), WithIdleGrace(20*time.Millisecond))
+	if got := readN(t, r, 7); got != "+PONG\r\n" {
+		t.Fatalf("ping reply %q", got)
+	}
+}
+
+// TestTrickledFrame feeds one command a few bytes at a time with pauses
+// longer than the idle grace, on a connection that has already parked once
+// and so has the grace deadline armed: the deadline fires mid-frame, and
+// the half-arrived frame must stay in the connection's buffer across every
+// wake-up — the grace must not take the buffers out from under it.
+func TestTrickledFrame(t *testing.T) {
+	_, _, addr := startServer(t, WithIdleGrace(20*time.Millisecond))
 	conn, r := dialRaw(t, addr)
+	pingRaw(t, conn, r)
 	for _, part := range []string{"GE", "T k", "1\r\n"} {
 		if _, err := conn.Write([]byte(part)); err != nil {
 			t.Fatalf("write %q: %v", part, err)
 		}
-		time.Sleep(60 * time.Millisecond) // several sweep ticks per pause
+		time.Sleep(60 * time.Millisecond) // several graces per pause
 	}
 	if got := readN(t, r, 5); got != "$-1\r\n" {
 		t.Fatalf("trickled GET reply: %q", got)
 	}
 }
 
-// TestPollerTrickledBigFrame streams a frame several times larger than
-// the read buffer in small bursts with pauses, so its bytes are never all
-// in the kernel receive queue at once. Each time the buffer fills mid-frame
-// it must grow and the frame keep waiting in it across readiness cycles —
-// an EAGAIN mid-frame is "need more", never a dead connection (the bug
-// this pins).
-func TestPollerTrickledBigFrame(t *testing.T) {
-	if !PollerSupported() {
-		t.Skip("poller conn mode not supported on this platform")
-	}
+// TestTrickledBigFrame streams a frame several times larger than the read
+// buffer in small bursts with pauses longer than the idle grace, so its
+// bytes are never all in the kernel receive queue at once. Each time the
+// buffer fills mid-frame it must grow, and the frame keep waiting in it
+// across the deadline wake-ups: a deadline mid-frame is "read on", never
+// an idle connection or a dead one.
+func TestTrickledBigFrame(t *testing.T) {
 	val := strings.Repeat("y", 2000) // ~4x the 512B read buffer
 	frame := fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(val), val)
-	_, _, addr := startServer(t, WithBufferSize(512), WithConnMode(ConnModePoller))
+	_, _, addr := startServer(t, WithBufferSize(512), WithIdleGrace(3*time.Millisecond))
 	conn, r := dialRaw(t, addr)
+	pingRaw(t, conn, r)
 	for len(frame) > 0 {
-		n := 300
-		if n > len(frame) {
-			n = len(frame)
-		}
+		n := min(300, len(frame))
 		if _, err := conn.Write([]byte(frame[:n])); err != nil {
 			t.Fatalf("burst write: %v", err)
 		}
@@ -148,130 +118,82 @@ func TestPollerTrickledBigFrame(t *testing.T) {
 	}
 }
 
-// TestPollerStalledBigFramesDoNotWedge pins that no poller worker — and
-// not the dispatcher, which serves inline when the workers are busy — ever
-// blocks reading a socket: more clients than there are workers each send
-// the first bufSize+1 bytes of a frame and stall, and a fresh connection
-// must still be answered. One stalled frame is then finished and must
-// execute.
-func TestPollerStalledBigFramesDoNotWedge(t *testing.T) {
-	if !PollerSupported() {
-		t.Skip("poller conn mode not supported on this platform")
-	}
-	const bufSize = 512
-	srv, _, addr := startServer(t, WithBufferSize(bufSize), WithConnMode(ConnModePoller))
-	val := strings.Repeat("z", 2000)
-	frame := fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(val), val)
-	stalled := max(2, runtime.GOMAXPROCS(0)) + 2 // every worker, the dispatcher, and one more
-	conns := make([]net.Conn, stalled)
-	readers := make([]*bufio.Reader, stalled)
-	for i := range conns {
-		conns[i], readers[i] = dialRaw(t, addr)
-		if _, err := conns[i].Write([]byte(frame[:bufSize+1])); err != nil {
-			t.Fatalf("stalled conn %d write: %v", i, err)
-		}
-	}
-	// A half-frame has been read in once its connection's read buffer has
-	// doubled to hold it: 2+2 bufSize charged instead of 1+2.
-	waitFor(t, "the half-frames to be buffered", func() bool {
-		return srv.buffersResident.Load() == int64(stalled*4*bufSize)
-	})
-	conn, r := dialRaw(t, addr)
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Write([]byte("PING\r\n")); err != nil {
-		t.Fatalf("fresh conn write: %v", err)
-	}
-	if line, err := r.ReadString('\n'); err != nil || line != "+PONG\r\n" {
-		t.Fatalf("fresh connection behind %d stalled half-frames: %q, %v", stalled, line, err)
-	}
-	if _, err := conns[0].Write([]byte(frame[bufSize+1:])); err != nil {
-		t.Fatalf("finishing the stalled frame: %v", err)
-	}
-	if got := readN(t, readers[0], 4); got != ":0\r\n" {
-		t.Fatalf("finished frame's reply: %q", got)
-	}
-}
-
 // TestBufferResidency pins that a connection's memory follows the bytes it
-// actually holds, in both modes: a bulk header announcing 8 MiB reserves
-// nothing before a body byte arrives, and the buffers a 1 MiB SET and the
-// GET of it grew are back at their pooled sizes once those are answered.
-func TestBufferResidency(t *testing.T) {
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			srv, _, addr := startServer(t, WithConnMode(mode))
-			atRest := int64(3 * srv.opts.bufSize) // in + out
-			conn, r := dialRaw(t, addr)
-			if _, err := conn.Write([]byte("PING\r\n*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$8388608\r\n")); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			if got := readN(t, r, 7); got != "+PONG\r\n" {
-				t.Fatalf("ping reply %q", got)
-			}
-			time.Sleep(20 * time.Millisecond) // let the engine see the header, if it had not
-			if got := srv.buffersResident.Load(); got != atRest {
-				t.Fatalf("buffers_resident = %d behind an announced 8 MiB bulk with no body, want %d", got, atRest)
-			}
-			conn.Close()
-			waitFor(t, "the closed conn's buffers to be released", func() bool { return srv.buffersResident.Load() == 0 })
+// actually holds: a bulk header announcing 8 MiB reserves nothing before a
+// body byte arrives, and the buffers a 1 MiB SET and the GET of it grew
+// are back at their pooled sizes once those are answered.
+func TestBufferResidency(t *testing.T) { onConnDriver(t, testBufferResidency) }
 
-			conn, r = dialRaw(t, addr)
-			val := strings.Repeat("v", 1<<20)
-			if _, err := fmt.Fprintf(conn, "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$%d\r\n%s\r\nGET k\r\n", len(val), val); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			want := fmt.Sprintf(":0\r\n$%d\r\n%s\r\n", len(val), val)
-			if got := readN(t, r, len(want)); got != want {
-				t.Fatalf("1 MiB SET/GET round trip returned wrong bytes (%d read)", len(got))
-			}
-			waitFor(t, "the grown buffers to return to their pooled sizes", func() bool {
-				return srv.buffersResident.Load() == atRest
-			})
-		})
+func testBufferResidency(t *testing.T) {
+	srv, _, addr := startServer(t)
+	atRest := int64(3 * srv.opts.bufSize) // in + out
+	conn, r := dialRaw(t, addr)
+	if _, err := conn.Write([]byte("PING\r\n*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$8388608\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
 	}
+	if got := readN(t, r, 7); got != "+PONG\r\n" {
+		t.Fatalf("ping reply %q", got)
+	}
+	time.Sleep(20 * time.Millisecond) // let the engine see the header, if it had not
+	if got := srv.buffersResident.Load(); got != atRest {
+		t.Fatalf("buffers_resident = %d behind an announced 8 MiB bulk with no body, want %d", got, atRest)
+	}
+	conn.Close()
+	waitFor(t, "the closed conn's buffers to be released", func() bool { return srv.buffersResident.Load() == 0 })
+
+	conn, r = dialRaw(t, addr)
+	val := strings.Repeat("v", 1<<20)
+	if _, err := fmt.Fprintf(conn, "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$%d\r\n%s\r\nGET k\r\n", len(val), val); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	want := fmt.Sprintf(":0\r\n$%d\r\n%s\r\n", len(val), val)
+	if got := readN(t, r, len(want)); got != want {
+		t.Fatalf("1 MiB SET/GET round trip returned wrong bytes (%d read)", len(got))
+	}
+	waitFor(t, "the grown buffers to return to their pooled sizes", func() bool {
+		return srv.buffersResident.Load() == atRest
+	})
 }
 
-// TestConnChurn churns a few thousand connections through each mode and
+// TestConnChurn churns a few thousand connections through the server and
 // checks the lifecycle bookkeeping returns to its floor: no connections
 // open, no pooled buffers still charged.
-func TestConnChurn(t *testing.T) {
+func TestConnChurn(t *testing.T) { onConnDriver(t, testConnChurn) }
+
+func testConnChurn(t *testing.T) {
 	total := 2000
 	if testing.Short() {
 		total = 256
 	}
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			srv, _, addr := startServer(t, WithConnMode(mode))
-			const workers = 32
-			var wg sync.WaitGroup
-			errs := make(chan error, workers)
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				n := total / workers
-				if w < total%workers {
-					n++
+	srv, _, addr := startServer(t)
+	const workers = 32
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		n := total / workers
+		if w < total%workers {
+			n++
+		}
+		go func(n int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := pingOnce(addr); err != nil {
+					errs <- err
+					return
 				}
-				go func(n int) {
-					defer wg.Done()
-					for i := 0; i < n; i++ {
-						if err := pingOnce(addr); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(n)
 			}
-			wg.Wait()
-			close(errs)
-			if err := <-errs; err != nil {
-				t.Fatalf("churn worker: %v", err)
-			}
-			waitFor(t, "open conns to drain", func() bool { return srv.active.Load() == 0 })
-			waitFor(t, "buffer charge to return to 0", func() bool { return srv.buffersResident.Load() == 0 })
-			if got := srv.accepted.Load(); got < uint64(total) {
-				t.Fatalf("accepted %d conns, want >= %d", got, total)
-			}
-		})
+		}(n)
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatalf("churn worker: %v", err)
+	}
+	waitFor(t, "open conns to drain", func() bool { return srv.active.Load() == 0 })
+	waitFor(t, "buffer charge to return to 0", func() bool { return srv.buffersResident.Load() == 0 })
+	if got := srv.accepted.Load(); got < uint64(total) {
+		t.Fatalf("accepted %d conns, want >= %d", got, total)
 	}
 }
 
@@ -300,34 +222,42 @@ func pingOnce(addr string) error {
 	return nil
 }
 
-// TestPollerIdleRelease checks the tiered-buffer lifecycle on an idle
-// poller connection: buffers are charged while it talks, released after
-// the idle grace while the connection stays open, and transparently
-// re-acquired when it speaks again.
-func TestPollerIdleRelease(t *testing.T) {
-	if !PollerSupported() {
-		t.Skip("poller conn mode not supported on this platform")
-	}
-	srv, _, addr := startServer(t, WithConnMode(ConnModePoller), WithIdleGrace(30*time.Millisecond))
+// TestIdleRelease checks the tiered-buffer lifecycle on one connection:
+// buffers stay charged while it talks — across grace deadlines that fire
+// between its requests — are released once it sits idle past the grace
+// while the connection stays open, and are transparently re-acquired when
+// it speaks again.
+func TestIdleRelease(t *testing.T) {
+	const grace = 100 * time.Millisecond
+	srv, _, addr := startServer(t, WithIdleGrace(grace))
 	conn, r := dialRaw(t, addr)
-	ping := func() {
-		t.Helper()
-		if _, err := conn.Write([]byte("PING\r\n")); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if got := readN(t, r, 7); got != "+PONG\r\n" {
-			t.Fatalf("ping reply %q", got)
-		}
-	}
-	ping()
+	pingRaw(t, conn, r)
 	if srv.buffersResident.Load() == 0 {
 		t.Fatal("no buffer charge while the connection is active")
+	}
+	// Used well within the grace, the conn keeps its buffers through the
+	// deadlines that fire between its requests.
+	for end := time.Now().Add(3 * grace); time.Now().Before(end); {
+		last := time.Now()
+		time.Sleep(grace / 10)
+		if srv.buffersResident.Load() == 0 && time.Since(last) < grace/2 {
+			t.Fatalf("buffers released %v after the conn last spoke, inside the %v grace", time.Since(last), grace)
+		}
+		pingRaw(t, conn, r)
 	}
 	waitFor(t, "idle buffers to be released", func() bool { return srv.buffersResident.Load() == 0 })
 	if got := srv.active.Load(); got != 1 {
 		t.Fatalf("conn count after idle release: %d, want 1 (release must not close)", got)
 	}
-	ping() // buffers silently re-acquired
+	// Released means unreachable: no argument view of the last request
+	// may keep the read buffer alive once the pool lets it go.
+	args := serverSide(srv, conn).req.args
+	for _, arg := range args[:cap(args)] {
+		if arg != nil {
+			t.Fatalf("an idle conn's request still holds a view %q into its released read buffer", arg)
+		}
+	}
+	pingRaw(t, conn, r) // buffers silently re-acquired
 	if srv.buffersResident.Load() == 0 {
 		t.Fatal("no buffer charge after the connection resumed")
 	}
@@ -336,16 +266,30 @@ func TestPollerIdleRelease(t *testing.T) {
 // TestShedIdleLongest checks the shedding order: pushing the population
 // past the high-water mark sheds the connection idle the longest, with the
 // busy reply readable ahead of the FIN, while younger connections stay
-// usable.
+// usable. The conns are either silent (parked on their first byte with no
+// buffers) or have spoken under a 1 ms grace, so their handlers have been
+// woken by grace deadlines and have released their buffers by the shed;
+// either way the shedder owns the close and the busy reply must arrive.
 func TestShedIdleLongest(t *testing.T) {
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			srv, _, addr := startServer(t, WithConnMode(mode), WithShedWater(2))
-			connA, rA := dialRaw(t, addr)
-			_ = connA
+	for _, spoken := range []bool{false, true} {
+		name := "silent"
+		if spoken {
+			name = "spoken"
+		}
+		t.Run(name, func(t *testing.T) {
+			srv, _, addr := startServer(t, WithShedWater(2), WithIdleGrace(time.Millisecond))
+			dial := func() (net.Conn, *bufio.Reader) {
+				conn, r := dialRaw(t, addr)
+				if spoken {
+					pingRaw(t, conn, r)
+				}
+				return conn, r
+			}
+			connA, rA := dial()
 			waitFor(t, "conn A accepted", func() bool { return srv.active.Load() == 1 })
+			serverA := serverSide(srv, connA)
 			time.Sleep(20 * time.Millisecond) // make A measurably idle-longer
-			connB, rB := dialRaw(t, addr)
+			connB, rB := dial()
 			waitFor(t, "conn B accepted", func() bool { return srv.active.Load() == 2 })
 			time.Sleep(20 * time.Millisecond)
 			connC, rC := dialRaw(t, addr) // pushes past the water mark: A is shed
@@ -355,135 +299,133 @@ func TestShedIdleLongest(t *testing.T) {
 			if _, err := rA.ReadByte(); err == nil {
 				t.Fatal("shed conn A still open after busy reply, want EOF")
 			}
+			// The EOF is the FIN; the socket itself must be closed too, by
+			// the shedder, since the handler leaves a shed conn alone.
+			waitFor(t, "conn A's server side to be closed", func() bool { return closed(serverA.nc) })
 			if got := srv.shed.Load(); got != 1 {
 				t.Fatalf("conns_shed = %d, want 1", got)
 			}
-			for i, cr := range []struct {
-				c net.Conn
-				r interface{ ReadByte() (byte, error) }
-			}{{connB, rB}, {connC, rC}} {
-				if _, err := cr.c.Write([]byte("PING\r\n")); err != nil {
-					t.Fatalf("surviving conn %d write: %v", i, err)
-				}
-				buf := make([]byte, 7)
-				for read := 0; read < len(buf); read++ {
-					b, err := cr.r.ReadByte()
-					if err != nil {
-						t.Fatalf("surviving conn %d read: %v", i, err)
-					}
-					buf[read] = b
-				}
-				if string(buf) != "+PONG\r\n" {
-					t.Fatalf("surviving conn %d reply %q", i, buf)
-				}
-			}
+			pingRaw(t, connB, rB)
+			pingRaw(t, connC, rC)
 		})
 	}
+}
+
+// serverSide returns the server's state for a client connection.
+func serverSide(srv *Server, c net.Conn) *connState {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for nc, cs := range srv.conns {
+		if nc.RemoteAddr().String() == c.LocalAddr().String() {
+			return cs
+		}
+	}
+	panic("no server side for " + c.LocalAddr().String())
+}
+
+// closed reports whether nc's socket has been closed, without touching
+// its deadlines or reading from it.
+func closed(nc net.Conn) bool {
+	rc, err := nc.(*net.TCPConn).SyscallConn()
+	return err != nil || rc.Control(func(uintptr) {}) != nil
 }
 
 // TestOverloadClientRecovery runs the acceptance scenario: client load at
 // twice -maxconns. In-budget connections must stay responsive the whole
 // time; over-budget clients are rejected with the busy reply and must
 // recover on their own — backoff, redial, replay — once capacity frees up.
-func TestOverloadClientRecovery(t *testing.T) {
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			const budget = 4
-			srv, _, addr := startServer(t, WithConnMode(mode), WithMaxConns(budget), WithShedWater(0))
-			inBudget := make([]*Client, budget)
-			for i := range inBudget {
-				cl, err := Dial(addr)
-				if err != nil {
-					t.Fatalf("dial in-budget %d: %v", i, err)
-				}
-				t.Cleanup(cl.Close)
-				if !cl.Ping() {
-					t.Fatalf("in-budget client %d ping failed", i)
-				}
-				inBudget[i] = cl
-			}
-			waitFor(t, "budget to fill", func() bool { return srv.active.Load() == budget })
+func TestOverloadClientRecovery(t *testing.T) { onConnDriver(t, testOverloadClientRecovery) }
 
-			type result struct {
-				ok      bool
-				retries uint64
-			}
-			results := make(chan result, budget)
-			for i := 0; i < budget; i++ { // 2× maxconns total offered load
-				go func() {
-					cl, err := Dial(addr)
-					if err != nil {
-						results <- result{}
-						return
-					}
-					defer cl.Close()
-					cl.SetRetry(200)
-					results <- result{ok: cl.Ping(), retries: cl.Retries()}
-				}()
-			}
+func testOverloadClientRecovery(t *testing.T) {
+	const budget = 4
+	srv, _, addr := startServer(t, WithMaxConns(budget), WithShedWater(0))
+	inBudget := make([]*Client, budget)
+	for i := range inBudget {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("dial in-budget %d: %v", i, err)
+		}
+		t.Cleanup(cl.Close)
+		if !cl.Ping() {
+			t.Fatalf("in-budget client %d ping failed", i)
+		}
+		inBudget[i] = cl
+	}
+	waitFor(t, "budget to fill", func() bool { return srv.active.Load() == budget })
 
-			// The in-budget connections must answer while the server is
-			// bouncing the overload.
-			waitFor(t, "over-budget conns to be rejected", func() bool { return srv.rejected.Load() > 0 })
-			for round := 0; round < 3; round++ {
-				for i, cl := range inBudget {
-					if !cl.Ping() {
-						t.Fatalf("in-budget client %d unresponsive during overload", i)
-					}
-				}
+	type result struct {
+		ok      bool
+		retries uint64
+	}
+	results := make(chan result, budget)
+	for i := 0; i < budget; i++ { // 2× maxconns total offered load
+		go func() {
+			cl, err := Dial(addr)
+			if err != nil {
+				results <- result{}
+				return
 			}
-			for _, cl := range inBudget {
-				cl.Close()
+			defer cl.Close()
+			cl.SetRetry(200)
+			results <- result{ok: cl.Ping(), retries: cl.Retries()}
+		}()
+	}
+
+	// The in-budget connections must answer while the server is
+	// bouncing the overload.
+	waitFor(t, "over-budget conns to be rejected", func() bool { return srv.rejected.Load() > 0 })
+	for round := 0; round < 3; round++ {
+		for i, cl := range inBudget {
+			if !cl.Ping() {
+				t.Fatalf("in-budget client %d unresponsive during overload", i)
 			}
-			var retries uint64
-			for i := 0; i < budget; i++ {
-				r := <-results
-				if !r.ok {
-					t.Fatalf("over-budget client %d never recovered", i)
-				}
-				retries += r.retries
-			}
-			if retries == 0 {
-				t.Fatal("over-budget clients recovered without retrying — rejection never happened?")
-			}
-			if srv.rejected.Load() == 0 {
-				t.Fatal("conns_rejected stayed 0 under 2x overload")
-			}
-		})
+		}
+	}
+	for _, cl := range inBudget {
+		cl.Close()
+	}
+	var retries uint64
+	for i := 0; i < budget; i++ {
+		r := <-results
+		if !r.ok {
+			t.Fatalf("over-budget client %d never recovered", i)
+		}
+		retries += r.retries
+	}
+	if retries == 0 {
+		t.Fatal("over-budget clients recovered without retrying — rejection never happened?")
+	}
+	if srv.rejected.Load() == 0 {
+		t.Fatal("conns_rejected stayed 0 under 2x overload")
 	}
 }
 
-// TestStatsConnFields checks the new STATS fields exist, are numeric (the
-// Client.Stats contract) and report the live conn mode.
-func TestStatsConnFields(t *testing.T) {
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			_, _, addr := startServer(t, WithConnMode(mode))
-			cl, err := Dial(addr)
-			if err != nil {
-				t.Fatalf("dial: %v", err)
-			}
-			defer cl.Close()
-			stats := cl.Stats()
-			for _, field := range []string{"conns_open", "conns_rejected", "conns_shed", "buffers_resident", "poller"} {
-				if _, ok := stats[field]; !ok {
-					t.Errorf("STATS missing %q", field)
-				}
-			}
-			if got := stats["conns_open"]; got != 1 {
-				t.Errorf("conns_open = %d, want 1", got)
-			}
-			wantPoller := int64(0)
-			if mode == ConnModePoller && PollerSupported() {
-				wantPoller = 1
-			}
-			if got := stats["poller"]; got != wantPoller {
-				t.Errorf("poller = %d, want %d", got, wantPoller)
-			}
-			if stats["buffers_resident"] <= 0 {
-				t.Errorf("buffers_resident = %d while a conn is mid-request, want > 0", stats["buffers_resident"])
-			}
-		})
+// TestStatsConnFields checks the connection STATS fields exist and are
+// numeric (the Client.Stats contract), and that `poller`, removed with
+// the second connection driver, is gone.
+func TestStatsConnFields(t *testing.T) { onConnDriver(t, testStatsConnFields) }
+
+func testStatsConnFields(t *testing.T) {
+	_, _, addr := startServer(t)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	stats := cl.Stats()
+	for _, field := range []string{"conns_open", "conns_rejected", "conns_shed", "buffers_resident"} {
+		if _, ok := stats[field]; !ok {
+			t.Errorf("STATS missing %q", field)
+		}
+	}
+	if _, ok := stats["poller"]; ok {
+		t.Error("STATS still carries the removed poller field")
+	}
+	if got := stats["conns_open"]; got != 1 {
+		t.Errorf("conns_open = %d, want 1", got)
+	}
+	if stats["buffers_resident"] <= 0 {
+		t.Errorf("buffers_resident = %d while a conn is mid-request, want > 0", stats["buffers_resident"])
 	}
 }
 
@@ -518,7 +460,9 @@ func TestClientCloseIdempotent(t *testing.T) {
 // making room for it first slides the buffer over the staged values' bytes
 // and then doubles it into a different backing array. Every value must come
 // back byte-exact.
-func TestStagedSetSurvivesBufferMove(t *testing.T) {
+func TestStagedSetSurvivesBufferMove(t *testing.T) { onConnDriver(t, testStagedSetSurvivesBufferMove) }
+
+func testStagedSetSurvivesBufferMove(t *testing.T) {
 	const small = 6
 	big := strings.Repeat("x", 2000)
 	frame := fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(big), big)
@@ -532,36 +476,33 @@ func TestStagedSetSurvivesBufferMove(t *testing.T) {
 	head = append(head, frame[:1200]...)
 	gets = append(gets, "GET big\r\n"...)
 	want += fmt.Sprintf("$%d\r\n%s\r\n", len(big), big)
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			_, _, addr := startServer(t, WithBufferSize(512), WithConnMode(mode))
-			conn, r := dialRaw(t, addr)
-			if _, err := conn.Write(head); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			time.Sleep(50 * time.Millisecond) // the half frame sits in a grown buffer
-			if _, err := conn.Write([]byte(frame[1200:])); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			if got := readN(t, r, 4*(small+1)); got != strings.Repeat(":0\r\n", small+1) {
-				t.Fatalf("SET replies: %q", got)
-			}
-			if _, err := conn.Write(gets); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			if got := readN(t, r, len(want)); got != want {
-				t.Fatalf("a staged value changed when the read buffer moved:\n got %.120q…\nwant %.120q…", got, want)
-			}
-		})
+	_, _, addr := startServer(t, WithBufferSize(512))
+	conn, r := dialRaw(t, addr)
+	if _, err := conn.Write(head); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond) // the half frame sits in a grown buffer
+	if _, err := conn.Write([]byte(frame[1200:])); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if got := readN(t, r, 4*(small+1)); got != strings.Repeat(":0\r\n", small+1) {
+		t.Fatalf("SET replies: %q", got)
+	}
+	if _, err := conn.Write(gets); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if got := readN(t, r, len(want)); got != want {
+		t.Fatalf("a staged value changed when the read buffer moved:\n got %.120q…\nwant %.120q…", got, want)
 	}
 }
 
-// TestConnPanicContained pins the containment backstop in both conn
-// modes: a request whose handling panics (staged through the dispatch
-// hook, above every lock) ends its own connection without a reply and is
-// logged, a second connection's PING is still answered, and STATS counts
-// the panic.
-func TestConnPanicContained(t *testing.T) {
+// TestConnPanicContained pins the containment backstop: a request whose
+// handling panics (staged through the dispatch hook, above every lock)
+// ends its own connection without a reply and is logged, a second
+// connection's PING is still answered, and STATS counts the panic.
+func TestConnPanicContained(t *testing.T) { onConnDriver(t, testConnPanicContained) }
+
+func testConnPanicContained(t *testing.T) {
 	testHookDispatch = func(cmd []byte) {
 		if cmdEq(cmd, "LEN") {
 			panic("injected dispatch panic")
@@ -573,40 +514,27 @@ func TestConnPanicContained(t *testing.T) {
 		testHookDispatch = nil
 		log.SetOutput(os.Stderr)
 	})
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			_, _, addr := startServer(t, WithConnMode(mode))
-			other, otherR := dialRaw(t, addr)
-			ping := func() {
-				t.Helper()
-				if _, err := other.Write([]byte("PING\r\n")); err != nil {
-					t.Fatalf("write PING: %v", err)
-				}
-				if got := readN(t, otherR, len("+PONG\r\n")); got != "+PONG\r\n" {
-					t.Fatalf("PING on the other connection = %q", got)
-				}
-			}
-			ping()
-			victim, victimR := dialRaw(t, addr)
-			if _, err := victim.Write([]byte("LEN\r\n")); err != nil {
-				t.Fatalf("write LEN: %v", err)
-			}
-			if b, err := victimR.ReadByte(); err == nil {
-				t.Fatalf("the panicking connection answered %q; want it closed", b)
-			}
-			ping()
-			cl, err := Dial(addr)
-			if err != nil {
-				t.Fatalf("dial: %v", err)
-			}
-			defer cl.Close()
-			if got := cl.Stats()["conn_panics"]; got != 1 {
-				t.Fatalf("conn_panics = %d, want 1", got)
-			}
-			if !strings.Contains(logged.String(), "injected dispatch panic") {
-				t.Fatalf("the panic was not logged; log reads %q", logged.String())
-			}
-		})
+	_, _, addr := startServer(t)
+	other, otherR := dialRaw(t, addr)
+	pingRaw(t, other, otherR)
+	victim, victimR := dialRaw(t, addr)
+	if _, err := victim.Write([]byte("LEN\r\n")); err != nil {
+		t.Fatalf("write LEN: %v", err)
+	}
+	if b, err := victimR.ReadByte(); err == nil {
+		t.Fatalf("the panicking connection answered %q; want it closed", b)
+	}
+	pingRaw(t, other, otherR)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	if got := cl.Stats()["conn_panics"]; got != 1 {
+		t.Fatalf("conn_panics = %d, want 1", got)
+	}
+	if !strings.Contains(logged.String(), "injected dispatch panic") {
+		t.Fatalf("the panic was not logged; log reads %q", logged.String())
 	}
 }
 

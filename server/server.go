@@ -20,7 +20,6 @@ type options struct {
 	pipeline  int
 	bufSize   int
 	coalesce  int
-	connMode  ConnMode
 	idleGrace time.Duration
 	shedWater int
 	shedSet   bool
@@ -37,56 +36,9 @@ func WithMaxConns(n int) Option {
 	return func(o *options) { o.maxConns = n }
 }
 
-// ConnMode selects how connections are driven; see WithConnMode.
-type ConnMode int
-
-const (
-	// ConnModeGoroutine is the portable default: one goroutine blocks on
-	// each connection.
-	ConnModeGoroutine ConnMode = iota
-	// ConnModePoller multiplexes every connection onto one epoll instance
-	// drained by a small worker pool (linux; elsewhere it silently falls
-	// back to ConnModeGoroutine). Idle connections hold a registration and
-	// a small state struct instead of a goroutine and buffers.
-	ConnModePoller
-)
-
-// String renders the mode the way the -connmode flag spells it.
-func (m ConnMode) String() string {
-	if m == ConnModePoller {
-		return "poller"
-	}
-	return "goroutine"
-}
-
-// ParseConnMode parses the -connmode flag values "goroutine" and "poller".
-func ParseConnMode(s string) (ConnMode, error) {
-	switch s {
-	case "", "goroutine":
-		return ConnModeGoroutine, nil
-	case "poller":
-		return ConnModePoller, nil
-	}
-	return 0, fmt.Errorf("server: unknown conn mode %q (want goroutine or poller)", s)
-}
-
-// PollerSupported reports whether this platform can run ConnModePoller.
-func PollerSupported() bool { return pollerSupported }
-
-// WithConnMode selects the connection-driving mode. Both modes run the
-// same protocol engine (connState) and produce byte-identical transcripts;
-// they differ in idle cost: a parked goroutine per conn versus an epoll
-// registration. An unsupported poller request falls back to goroutine mode
-// (STATS `poller` tells which one is live).
-func WithConnMode(m ConnMode) Option {
-	return func(o *options) { o.connMode = m }
-}
-
-// WithIdleGrace sets how long a poller-mode connection may sit idle before
-// its buffers are returned to the tiered pools (default 5s; negative keeps
-// buffers resident until close). Goroutine-mode conns always hold their
-// buffers from first byte to close — there is no safe point to take them
-// away from a goroutine blocked in a read into them.
+// WithIdleGrace sets how long a connection may sit idle before its buffers
+// are returned to the tiered pools (default 5s; negative keeps buffers
+// resident until close). They come back on the next byte it sends.
 func WithIdleGrace(d time.Duration) Option {
 	return func(o *options) { o.idleGrace = d }
 }
@@ -149,7 +101,6 @@ type Server struct {
 	mu    sync.Mutex
 	ln    net.Listener
 	conns map[net.Conn]*connState
-	pl    *poller // non-nil when the poller conn mode is live
 
 	closed   atomic.Bool
 	active   atomic.Int64
@@ -213,27 +164,15 @@ func newServer(st *store.Strings, sorted *store.SortedStrings, opts []Option) *S
 }
 
 // Listen binds addr ("host:port"; ":0" picks a free port) without serving
-// yet, so callers can learn the bound address before the first accept. In
-// poller conn mode this also spins up the epoll instance and its workers
-// (falling back to goroutine mode if the platform refuses).
+// yet, so callers can learn the bound address before the first accept.
 func (s *Server) Listen(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	var pl *poller
-	if s.opts.connMode == ConnModePoller && pollerSupported {
-		if pl, err = newPoller(s); err != nil {
-			pl = nil // fall back to goroutine-per-conn
-		}
-	}
 	s.mu.Lock()
 	s.ln = ln
-	s.pl = pl
 	s.mu.Unlock()
-	if pl != nil {
-		pl.start()
-	}
 	return ln.Addr(), nil
 }
 
@@ -288,13 +227,6 @@ func (s *Server) Serve() error {
 			return nil
 		}
 		s.active.Add(1)
-		if s.pl != nil {
-			if s.pl.register(cs) == nil {
-				continue
-			}
-			// Registration failed (not a TCPConn, fd pressure): fall back
-			// to a goroutine for this one connection.
-		}
 		s.wg.Add(1)
 		go s.handle(cs)
 	}
@@ -355,35 +287,30 @@ func (s *Server) shedIdle(n int) {
 	}
 }
 
-// shedConn claims one parked connection for shedding. On success the busy
-// reply is written (no engine can be writing concurrently: the CAS out of
-// parked excludes it) followed by a FIN; a goroutine-mode conn is then
-// woken out of its blocking read via an expired deadline, a poller-mode
-// conn is torn down in place. The goroutine-mode write runs on a
-// short-lived goroutine with a write deadline, like reject(): shedConn is
-// called from the accept loop, and a shed target whose send buffer is
-// full (dead peer) must not stall new accepts — the opposite of what
-// shedding under overload is for. The read deadline that wakes the parked
-// handler is set only after the reply and FIN, so the handler cannot
-// close the conn under the in-flight write.
+// shedConn claims one parked connection for shedding. On success the
+// shedder owns the socket: it writes the busy reply (no engine can be
+// writing concurrently: the CAS out of parked excludes it), a FIN, and
+// closes it, which wakes the parked handler; a handler that finds its conn
+// shed exits without closing it, so no wake-up — the close or an idle-grace
+// deadline — can cut the reply off. The write runs on a short-lived
+// goroutine with a write deadline, like reject(): shedConn is called from
+// the accept loop, and a shed target whose send buffer is full (dead peer)
+// must not stall new accepts — the opposite of what shedding under
+// overload is for.
 func (s *Server) shedConn(cs *connState) bool {
 	if !cs.state.CompareAndSwap(connParked, connShed) {
 		return false
 	}
 	s.shed.Add(1)
-	if cs.poll != nil {
-		cs.poll.shed()
-		return true
-	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		defer cs.nc.Close()
 		cs.nc.SetWriteDeadline(time.Now().Add(time.Second))
 		cs.nc.Write(busyReply)
 		if tc, ok := cs.nc.(*net.TCPConn); ok {
 			tc.CloseWrite()
 		}
-		cs.nc.SetReadDeadline(time.Now())
 	}()
 	return true
 }
@@ -412,8 +339,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 }
 
 // Close stops accepting, closes every live connection and waits for the
-// handlers (and, in poller mode, the epoll workers) to finish. Idempotent.
-// The store is not touched.
+// handlers to finish. Idempotent. The store is not touched.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -425,15 +351,8 @@ func (s *Server) Close() error {
 	for nc := range s.conns {
 		nc.Close()
 	}
-	pl := s.pl
 	s.mu.Unlock()
-	if pl != nil {
-		pl.stop()
-	}
 	s.wg.Wait()
-	if pl != nil {
-		pl.destroy()
-	}
 	return nil
 }
 
@@ -456,41 +375,37 @@ func (s *Server) track(cs *connState, add bool) bool {
 	return true
 }
 
-// handle drives one connection in goroutine-per-conn mode. The protocol
-// engine itself — parse pipelined requests, stage or execute in arrival
-// order, flush once per batch — lives in connState (conn.go), shared with
-// the poller mode; this wrapper owns only the goroutine-mode lifecycle.
+// handle is one connection's goroutine. The protocol engine itself — parse
+// pipelined requests, stage or execute in arrival order, flush once per
+// batch — and its idle-grace buffer release live in connState (conn.go);
+// this wrapper owns the teardown.
 func (s *Server) handle(cs *connState) {
 	defer s.wg.Done()
 	defer s.active.Add(-1)
 	defer s.track(cs, false)
-	defer cs.nc.Close()
+	defer cs.close()
 	defer cs.releaseBuffers()
-	defer s.contain(nil)
+	defer s.contain()
 	cs.runLoop()
 }
 
 // contain is the per-connection containment backstop, deferred around each
-// connection's protocol engine (handle; pollConn.process): a panic while
-// serving one connection is logged with its stack, counted on
-// conn_panics, and ends that connection — its caller tears it down as it
-// would after an error, setting *done where there is a caller to tell —
+// connection's protocol engine (handle): a panic while serving one
+// connection is logged with its stack, counted on conn_panics, and ends
+// that connection — handle tears it down as it would after an error —
 // while every other connection and the process carry on. It is the one
 // recover in the server. Below it nothing recovers: an invariant the store
 // or the structures check still panics, and ends up here. A panic inside
 // a structure's critical section would leave its lock held, which no
 // backstop can undo; a panic above every lock — a bad request reaching an
 // unchecked path of the engine — is what this contains.
-func (s *Server) contain(done *bool) {
+func (s *Server) contain() {
 	r := recover()
 	if r == nil {
 		return
 	}
 	s.connPanics.Add(1)
 	log.Printf("server: connection closed after a panic: %v\n%s", r, debug.Stack())
-	if done != nil {
-		*done = true
-	}
 }
 
 // testHookDispatch, when non-nil, runs at the top of dispatch with the
@@ -751,18 +666,15 @@ func cmdEq(b []byte, upper string) bool {
 // server's connection and command counters. See docs/PROTOCOL.md for
 // the field list and stability contract.
 func (s *Server) statsText() string {
-	s.mu.Lock()
-	poller := s.pl != nil
-	s.mu.Unlock()
 	return s.statsPrefix() + fmt.Sprintf(
 		"conns:%d\naccepted:%d\ncommands:%d\n"+
 			"coalesced_batches:%d\ncoalesced_keys:%d\n"+
 			"conns_open:%d\nconns_rejected:%d\nconns_shed:%d\n"+
-			"buffers_resident:%d\npoller:%d\n"+
+			"buffers_resident:%d\n"+
 			"get_hits:%d\nget_misses:%d\nconn_panics:%d\n",
 		s.active.Load(), s.accepted.Load(), s.commands.Load(),
 		s.coalescedBatches.Load(), s.coalescedKeys.Load(),
 		s.active.Load(), s.rejected.Load(), s.shed.Load(),
-		s.buffersResident.Load(), b2i(poller),
+		s.buffersResident.Load(),
 		s.getHits.Load(), s.getMisses.Load(), s.connPanics.Load())
 }

@@ -191,24 +191,24 @@ func TestServerBlankLineDoesNotStallFlush(t *testing.T) {
 // side: replies owed go out before the engine waits for bytes, even with
 // the front half of the next frame already buffered behind them.
 func TestServerHalfFrameDoesNotStallFlush(t *testing.T) {
-	for _, mode := range connModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			_, _, addr := startServer(t, WithConnMode(mode))
-			conn, r := dialRaw(t, addr)
-			conn.SetDeadline(time.Now().Add(3 * time.Second))
-			if _, err := conn.Write([]byte("PING\r\n*2\r\n$3\r\nGE")); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			if line, err := r.ReadString('\n'); err != nil || line != "+PONG\r\n" {
-				t.Fatalf("reply stalled behind the half-arrived frame: %q, %v", line, err)
-			}
-			if _, err := conn.Write([]byte("T\r\n$1\r\nk\r\n")); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			if got := readN(t, r, 5); got != "$-1\r\n" {
-				t.Fatalf("the finished frame's reply: %q", got)
-			}
-		})
+	onConnDriver(t, testServerHalfFrameDoesNotStallFlush)
+}
+
+func testServerHalfFrameDoesNotStallFlush(t *testing.T) {
+	_, _, addr := startServer(t)
+	conn, r := dialRaw(t, addr)
+	conn.SetDeadline(time.Now().Add(3 * time.Second))
+	if _, err := conn.Write([]byte("PING\r\n*2\r\n$3\r\nGE")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if line, err := r.ReadString('\n'); err != nil || line != "+PONG\r\n" {
+		t.Fatalf("reply stalled behind the half-arrived frame: %q, %v", line, err)
+	}
+	if _, err := conn.Write([]byte("T\r\n$1\r\nk\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if got := readN(t, r, 5); got != "$-1\r\n" {
+		t.Fatalf("the finished frame's reply: %q", got)
 	}
 }
 
