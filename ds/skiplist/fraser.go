@@ -24,7 +24,10 @@ type fNode struct {
 
 // at returns the node's level-th successor record; level < n.topLevel.
 func (n *fNode) at(level int) *atomic.Pointer[fRef] {
-	return towerAt[fNode, fRef](n, n.topLevel, level)
+	if checkedBuild {
+		checkLevel(level, n.topLevel)
+	}
+	return towerAt[fNode, fRef](n, level)
 }
 
 // newFNode allocates a node with a tower of exactly topLevel levels.

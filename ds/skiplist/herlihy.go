@@ -12,26 +12,48 @@ import (
 // hNode is a node of the Herlihy optimistic skip list: per-node TAS lock,
 // logical-deletion flag, and a fullyLinked flag that marks the end of the
 // multi-level linking (the insert's linearization point). It is the header
-// of a tower.go allocation; its topLevel forward pointers are reached
-// through at.
+// of a tower.go allocation; its forward pointers are reached through at.
+// The flags and the height share one 32-bit word beside the 4-byte lock
+// (hMarked, hLinked, hHeightShift), so the header is 24 bytes like the
+// OPTIK nodes' and Figure 11 compares like with like.
 type hNode struct {
-	key         uint64
-	val         uint64
-	lock        locks.TAS
-	marked      atomic.Bool
-	fullyLinked atomic.Bool
-	topLevel    int // number of levels, in [1, MaxLevel]; immutable
+	key   uint64
+	val   uint64
+	lock  locks.TAS
+	state atomic.Uint32
 }
 
-// at returns the node's level-th forward pointer; level < n.topLevel.
+// hNode's state word: the two flags, and the height (in [1, MaxLevel],
+// written before publication and never again) above them.
+const (
+	hMarked      = 1 << 0
+	hLinked      = 1 << 1
+	hHeightShift = 2
+)
+
+// at returns the node's level-th forward pointer; level < n.height().
 func (n *hNode) at(level int) *atomic.Pointer[hNode] {
-	return towerAt[hNode, hNode](n, n.topLevel, level)
+	if checkedBuild {
+		checkLevel(level, n.height())
+	}
+	return towerAt[hNode, hNode](n, level)
 }
+
+// height returns the number of levels in the node's tower.
+func (n *hNode) height() int { return int(n.state.Load() >> hHeightShift) }
+
+// isMarked reports whether the node is logically deleted.
+func (n *hNode) isMarked() bool { return n.state.Load()&hMarked != 0 }
+
+// present reports whether the node is fully linked and not marked — in
+// the set — from one load of its state.
+func (n *hNode) present() bool { return n.state.Load()&(hMarked|hLinked) == hLinked }
 
 // newHNode allocates a node with a tower of exactly topLevel levels.
 func newHNode(key, val uint64, topLevel int) *hNode {
 	n := newTower[hNode, hNode](topLevel)
-	n.key, n.val, n.topLevel = key, val, topLevel
+	n.key, n.val = key, val
+	n.state.Store(uint32(topLevel) << hHeightShift)
 	return n
 }
 
@@ -50,12 +72,12 @@ var _ ds.Set = (*Herlihy)(nil)
 // NewHerlihy returns an empty Herlihy skip list.
 func NewHerlihy() *Herlihy {
 	tail := newHNode(tailKey, 0, MaxLevel)
-	tail.fullyLinked.Store(true)
+	tail.state.Or(hLinked)
 	head := newHNode(headKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		head.at(l).Store(tail)
 	}
-	head.fullyLinked.Store(true)
+	head.state.Or(hLinked)
 	return &Herlihy{head: head, tail: tail}
 }
 
@@ -89,7 +111,7 @@ func (s *Herlihy) Search(key uint64) (uint64, bool) {
 		return 0, false
 	}
 	n := succs[lFound]
-	if n.fullyLinked.Load() && !n.marked.Load() {
+	if n.present() {
 		return n.val, true
 	}
 	return 0, false
@@ -105,10 +127,10 @@ func (s *Herlihy) Insert(key, val uint64) bool {
 		lFound := s.find(key, &preds, &succs)
 		if lFound != -1 {
 			found := succs[lFound]
-			if !found.marked.Load() {
+			if !found.isMarked() {
 				// Wait out a concurrent insert of the same key: returning
 				// false is only linearizable once the node is fully linked.
-				for !found.fullyLinked.Load() {
+				for found.state.Load()&hLinked == 0 {
 					runtime.Gosched()
 				}
 				return false
@@ -128,7 +150,7 @@ func (s *Herlihy) Insert(key, val uint64) bool {
 				highestLocked = level
 				prevPred = pred
 			}
-			valid = !pred.marked.Load() && !succ.marked.Load() && pred.at(level).Load() == succ
+			valid = !pred.isMarked() && !succ.isMarked() && pred.at(level).Load() == succ
 		}
 		if !valid {
 			unlockHPreds(&preds, highestLocked)
@@ -142,7 +164,7 @@ func (s *Herlihy) Insert(key, val uint64) bool {
 		for level := 0; level < topLevel; level++ {
 			preds[level].at(level).Store(n)
 		}
-		n.fullyLinked.Store(true) // linearization point
+		n.state.Or(hLinked) // linearization point
 		unlockHPreds(&preds, highestLocked)
 		return true
 	}
@@ -177,21 +199,21 @@ func (s *Herlihy) Delete(key uint64) (uint64, bool) {
 				return 0, false
 			}
 			victim = succs[lFound]
-			if !victim.fullyLinked.Load() || victim.marked.Load() || victim.topLevel-1 != lFound {
-				if victim.marked.Load() {
+			if !victim.present() || victim.height()-1 != lFound {
+				if victim.isMarked() {
 					return 0, false
 				}
 				// Not yet fully linked (or found below its top): retry.
 				bo.Wait()
 				continue
 			}
-			topLevel = victim.topLevel
+			topLevel = victim.height()
 			victim.lock.Lock()
-			if victim.marked.Load() {
+			if victim.isMarked() {
 				victim.lock.Unlock()
 				return 0, false
 			}
-			victim.marked.Store(true) // linearization point
+			victim.state.Or(hMarked) // linearization point
 			isMarked = true
 		}
 		// Lock predecessors and validate adjacency to the victim.
@@ -205,7 +227,7 @@ func (s *Herlihy) Delete(key uint64) (uint64, bool) {
 				highestLocked = level
 				prevPred = pred
 			}
-			valid = !pred.marked.Load() && pred.at(level).Load() == victim
+			valid = !pred.isMarked() && pred.at(level).Load() == victim
 		}
 		if !valid {
 			unlockHPreds(&preds, highestLocked)
@@ -226,7 +248,7 @@ func (s *Herlihy) Delete(key uint64) (uint64, bool) {
 func (s *Herlihy) Len() int {
 	n := 0
 	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
-		if cur.fullyLinked.Load() && !cur.marked.Load() {
+		if cur.present() {
 			n++
 		}
 	}

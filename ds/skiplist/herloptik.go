@@ -10,26 +10,38 @@ import (
 )
 
 // hoNode is a node of the Herlihy skip list with OPTIK locks: the header
-// of a tower.go allocation, its topLevel forward pointers reached through
-// at.
+// of a tower.go allocation, its forward pointers reached through at. Its
+// marked and fullyLinked flags and its height (immutable, in [1,
+// MaxLevel]) live in the lock word's tag byte, like oNode's.
 type hoNode struct {
-	key         uint64
-	val         uint64
-	lock        core.Lock
-	marked      atomic.Bool
-	fullyLinked atomic.Bool
-	topLevel    int // number of levels, in [1, MaxLevel]; immutable
+	key  uint64
+	val  uint64
+	lock core.Lock
 }
 
-// at returns the node's level-th forward pointer; level < n.topLevel.
+// at returns the node's level-th forward pointer; level < n.height().
 func (n *hoNode) at(level int) *atomic.Pointer[hoNode] {
-	return towerAt[hoNode, hoNode](n, n.topLevel, level)
+	if checkedBuild {
+		checkLevel(level, n.height())
+	}
+	return towerAt[hoNode, hoNode](n, level)
 }
+
+// height returns the number of levels in the node's tower.
+func (n *hoNode) height() int { return int(n.lock.Tags() >> heightShift) }
+
+// isMarked reports whether the node is logically deleted.
+func (n *hoNode) isMarked() bool { return n.lock.Tags()&markedTag != 0 }
+
+// present reports whether the node is fully linked and not marked — in
+// the set — from one load of its tags.
+func (n *hoNode) present() bool { return n.lock.Tags()&(markedTag|linkedTag) == linkedTag }
 
 // newHONode allocates a node with a tower of exactly topLevel levels.
 func newHONode(key, val uint64, topLevel int) *hoNode {
 	n := newTower[hoNode, hoNode](topLevel)
-	n.key, n.val, n.topLevel = key, val, topLevel
+	n.key, n.val = key, val
+	n.lock.SetTags(heightTag(topLevel))
 	return n
 }
 
@@ -50,12 +62,12 @@ var _ ds.Set = (*HerlihyOptik)(nil)
 // NewHerlihyOptik returns an empty herl-optik skip list.
 func NewHerlihyOptik() *HerlihyOptik {
 	tail := newHONode(tailKey, 0, MaxLevel)
-	tail.fullyLinked.Store(true)
+	tail.lock.SetTags(linkedTag)
 	head := newHONode(headKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		head.at(l).Store(tail)
 	}
-	head.fullyLinked.Store(true)
+	head.lock.SetTags(linkedTag)
 	return &HerlihyOptik{head: head, tail: tail}
 }
 
@@ -93,7 +105,7 @@ func (s *HerlihyOptik) Search(key uint64) (uint64, bool) {
 		return 0, false
 	}
 	n := succs[lFound]
-	if n.fullyLinked.Load() && !n.marked.Load() {
+	if n.present() {
 		return n.val, true
 	}
 	return 0, false
@@ -112,15 +124,15 @@ func lockPredValid(pred, succOrVictim *hoNode, predv core.Version, level int, de
 		// already-unlinked node observes a *stable* (released) version that
 		// would validate here even though the node is dead — linking
 		// through it would lose the update. A dead node is always marked,
-		// and marked is set before its deleter releases the lock, so this
-		// single load decides liveness definitively under the lock.
-		return !pred.marked.Load()
+		// and marked is a tag of the very version just validated, so predv
+		// itself decides liveness definitively: no second load.
+		return predv.Tags()&markedTag == 0
 	}
 	// Fine-grained fallback (the original [29] validation).
 	if del {
-		return !pred.marked.Load() && pred.at(level).Load() == succOrVictim
+		return !pred.isMarked() && pred.at(level).Load() == succOrVictim
 	}
-	return !pred.marked.Load() && !succOrVictim.marked.Load() &&
+	return !pred.isMarked() && !succOrVictim.isMarked() &&
 		pred.at(level).Load() == succOrVictim
 }
 
@@ -135,8 +147,8 @@ func (s *HerlihyOptik) Insert(key, val uint64) bool {
 		lFound := s.find(key, &preds, &predVs, &succs)
 		if lFound != -1 {
 			found := succs[lFound]
-			if !found.marked.Load() {
-				for !found.fullyLinked.Load() {
+			if !found.isMarked() {
+				for found.lock.Tags()&linkedTag == 0 {
 					runtime.Gosched()
 				}
 				return false
@@ -157,7 +169,7 @@ func (s *HerlihyOptik) Insert(key, val uint64) bool {
 				// Same pred as the level below, already locked: only the
 				// per-level adjacency needs checking (one lock covers the
 				// whole tower — the false-conflict granularity of §5.3).
-				valid = !succ.marked.Load() && pred.at(level).Load() == succ
+				valid = !succ.isMarked() && pred.at(level).Load() == succ
 			}
 		}
 		if !valid {
@@ -172,7 +184,7 @@ func (s *HerlihyOptik) Insert(key, val uint64) bool {
 		for level := 0; level < topLevel; level++ {
 			preds[level].at(level).Store(n)
 		}
-		n.fullyLinked.Store(true) // linearization point
+		n.lock.SetTags(linkedTag) // linearization point
 		unlockHOPreds(&preds, highestLocked)
 		return true
 	}
@@ -219,20 +231,20 @@ func (s *HerlihyOptik) Delete(key uint64) (uint64, bool) {
 				return 0, false
 			}
 			victim = succs[lFound]
-			if !victim.fullyLinked.Load() || victim.marked.Load() || victim.topLevel-1 != lFound {
-				if victim.marked.Load() {
+			if !victim.present() || victim.height()-1 != lFound {
+				if victim.isMarked() {
 					return 0, false
 				}
 				bo.Wait()
 				continue
 			}
-			topLevel = victim.topLevel
+			topLevel = victim.height()
 			victim.lock.Lock()
-			if victim.marked.Load() {
+			if victim.isMarked() {
 				victim.lock.Revert()
 				return 0, false
 			}
-			victim.marked.Store(true) // linearization point
+			victim.lock.SetTags(markedTag) // linearization point
 			isMarked = true
 		}
 		highestLocked := -1
@@ -267,7 +279,7 @@ func (s *HerlihyOptik) Delete(key uint64) (uint64, bool) {
 func (s *HerlihyOptik) Len() int {
 	n := 0
 	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
-		if cur.fullyLinked.Load() && !cur.marked.Load() {
+		if cur.present() {
 			n++
 		}
 	}

@@ -24,8 +24,8 @@ func checkHerlihyTowers(t *testing.T, head, tail *hNode) {
 			}
 			prev = cur.key
 			chains[l] = append(chains[l], cur.key)
-			if l >= cur.topLevel {
-				t.Fatalf("node %d linked at level %d above its top %d", cur.key, l, cur.topLevel)
+			if l >= cur.height() {
+				t.Fatalf("node %d linked at level %d above its top %d", cur.key, l, cur.height())
 			}
 		}
 	}
@@ -49,11 +49,11 @@ func checkHerlihyTowers(t *testing.T, head, tail *hNode) {
 		}
 	}
 	for cur := head.at(0).Load(); cur != tail; cur = cur.at(0).Load() {
-		if cur.marked.Load() {
+		if cur.isMarked() {
 			continue
 		}
-		if count[cur.key] != cur.topLevel {
-			t.Fatalf("node %d linked at %d levels, top is %d", cur.key, count[cur.key], cur.topLevel)
+		if count[cur.key] != cur.height() {
+			t.Fatalf("node %d linked at %d levels, top is %d", cur.key, count[cur.key], cur.height())
 		}
 	}
 }
@@ -75,8 +75,8 @@ func checkOptikTowers[V comparable](t *testing.T, s *Optik[V]) {
 			}
 			prev = cur.key
 			chains[l] = append(chains[l], cur.key)
-			if l >= cur.topLevel {
-				t.Fatalf("node %d linked at level %d above its top %d", cur.key, l, cur.topLevel)
+			if l >= cur.height() {
+				t.Fatalf("node %d linked at level %d above its top %d", cur.key, l, cur.height())
 			}
 		}
 	}

@@ -21,35 +21,43 @@ import (
 // node's own lock while lock-free searches read it. key stays plain: on a
 // pool-backed list it is only rewritten during recycling, when qsbr
 // guarantees no pinned traversal can still reach the node; on a GC-backed
-// list it is written once before publication. topLevel is written once, at the
-// allocation that sized the tower, and never again — not even by recycling.
+// list it is written once before publication. The marked and linked flags
+// and the height live in the lock word's tag byte (tower.go), so the
+// header is 24 bytes and a flag change is a version change. The height is
+// written once, at the allocation that sized the tower, and never again —
+// not even by recycling.
 //
-// This is the header only; the topLevel forward pointers follow it in the
-// same allocation (tower.go) and are reached through at.
+// This is the header only; the forward pointers follow it in the same
+// allocation (tower.go) and are reached through at.
 type oNode[V any] struct {
-	key         uint64
-	val         core.Word[V]
-	lock        core.Lock
-	marked      atomic.Bool
-	fullyLinked atomic.Bool
-	topLevel    int
+	key  uint64
+	val  core.Word[V]
+	lock core.Lock
 }
 
-// at returns the node's level-th forward pointer; level < n.topLevel. It
+// at returns the node's level-th forward pointer; level < n.height(). It
 // is towerAt written out for the one generic node type: calling the
 // generic helper from here would pass it a dictionary looked up on every
 // hop of every traversal.
 func (n *oNode[V]) at(level int) *atomic.Pointer[oNode[V]] {
-	checkLevel(level, n.topLevel)
+	if checkedBuild {
+		checkLevel(level, n.height())
+	}
 	t := (*towerNode[oNode[V], [1]atomic.Pointer[oNode[V]]])(unsafe.Pointer(n))
 	return (*atomic.Pointer[oNode[V]])(unsafe.Add(unsafe.Pointer(&t.tower), uintptr(level)*unsafe.Sizeof(t.tower[0])))
 }
+
+// height returns the number of levels in the node's tower.
+func (n *oNode[V]) height() int { return int(n.lock.Tags() >> heightShift) }
+
+// isMarked reports whether the node is logically deleted.
+func (n *oNode[V]) isMarked() bool { return n.lock.Tags()&markedTag != 0 }
 
 // newONode allocates a node with a tower of exactly topLevel levels.
 func newONode[V any](key uint64, topLevel int) *oNode[V] {
 	n := newTower[oNode[V], oNode[V]](topLevel)
 	n.key = key
-	n.topLevel = topLevel
+	n.lock.SetTags(heightTag(topLevel))
 	return n
 }
 
@@ -79,9 +87,9 @@ func (n *oNode[V]) Clear() { core.ClearWord(&n.val) }
 // once no pinned operation can reach them, and handed back out by the next
 // insert. Unlike the hash table — whose readers are protected by version
 // validation alone — the skip list's traversals dereference plain fields
-// (key, topLevel), so on a pool-backed list EVERY operation pins a qsbr
-// handle for its duration: the pin's announced epoch blocks reclamation of
-// anything the traversal can reach. The paper variants (NewOptik1/2) keep
+// (key, the forward slots), so on a pool-backed list EVERY operation pins
+// a qsbr handle for its duration: the pin's announced epoch blocks
+// reclamation of anything the traversal can reach. The paper variants (NewOptik1/2) keep
 // a nil pool, where every pin is a no-op and unlinked towers drop to the
 // garbage collector — identical code path, zero behavior change.
 type Optik[V comparable] struct {
@@ -113,12 +121,12 @@ func NewOptikPool[V comparable](pool *qsbr.Pool) *Optik[V] { return newOptik[V](
 func newOptik[V comparable](fine bool, pool *qsbr.Pool) *Optik[V] {
 	core.CheckWord[V]()
 	tail := newONode[V](tailKey, MaxLevel)
-	tail.fullyLinked.Store(true)
+	tail.lock.SetTags(linkedTag)
 	head := newONode[V](headKey, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		head.at(l).Store(tail)
 	}
-	head.fullyLinked.Store(true)
+	head.lock.SetTags(linkedTag)
 	return &Optik[V]{head: head, tail: tail, fineValidate: fine, pool: pool}
 }
 
@@ -139,29 +147,26 @@ func (s *Optik[V]) ReclaimStats() (retired, reclaimed, reused uint64) {
 
 // allocONode returns a tower for key→val: recycled from the qsbr free list
 // when one is available, freshly allocated at a random height otherwise.
-// The caller links n.topLevel levels — the tower's height IS the insert's
+// The caller links n.height() levels — the tower's height IS the insert's
 // level draw. A recycled tower keeps the height it was born with: retired
 // heights are themselves independent geometric draws (nothing about a
 // deletion depends on the victim's height, and nothing about the next
 // insert's key depends on which tower the free list hands out), so the
 // list's level distribution is preserved, the free list needs no size
 // classes, and the tower behind an address never changes capacity. The
-// rest of a recycled tower is reset field by field; its lock — left held
-// forever by the deleter that retired it — is released by advancing the
-// version, so any parse still holding a snapshot from the node's previous
-// life keeps failing validation (the version is monotone across lives,
-// belt to the qsbr suspenders). The forward pointers keep stale values
-// until the insert relinks each level.
+// rest of a recycled tower is reset: key and value, then its lock — left
+// held forever by the deleter that retired it — is reissued in one store
+// that releases it with the version advanced, clears marked and linked and
+// keeps the height, so any parse still holding a snapshot from the node's
+// previous life keeps failing validation (the version is monotone across
+// lives, belt to the qsbr suspenders). The forward pointers keep stale
+// values until the insert relinks each level.
 func allocONode[V any](rc *qsbr.Reclaimer, key uint64, val V) *oNode[V] {
 	if v := rc.Alloc(); v != nil {
 		n := v.(*oNode[V])
 		n.key = key
 		core.StoreWord(&n.val, val)
-		n.marked.Store(false)
-		n.fullyLinked.Store(false)
-		if n.lock.GetVersion().IsLocked() {
-			n.lock.Unlock()
-		}
+		n.lock.Reissue(heightTag(n.height()))
 		return n
 	}
 	n := newONode[V](key, randomLevel())
@@ -210,7 +215,7 @@ func (s *Optik[V]) search(key uint64) (V, bool) {
 			break
 		}
 	}
-	if cur.key == key && !cur.marked.Load() {
+	if cur.key == key && !cur.isMarked() {
 		return core.LoadWord(&cur.val), true
 	}
 	var zero V
@@ -234,13 +239,13 @@ func (s *Optik[V]) acquireLevel(pred, succ *oNode[V], predv core.Version, level 
 	// version and lock it with one more CAS.
 	for i := 0; i < 4; i++ { // bounded: fall back to restart under churn
 		v := pred.lock.GetVersion()
-		if v.IsLocked() || pred.marked.Load() {
+		if v.IsLocked() || v.Tags()&markedTag != 0 {
 			return false
 		}
 		if pred.at(level).Load() != succ {
 			return false
 		}
-		if !del && succ.marked.Load() {
+		if !del && succ.isMarked() {
 			return false
 		}
 		if pred.lock.TryLockVersion(v) {
@@ -251,7 +256,7 @@ func (s *Optik[V]) acquireLevel(pred, succ *oNode[V], predv core.Version, level 
 }
 
 // Insert adds key→val if absent, linking eagerly level by level. The
-// level-0 link is the linearization point; the fullyLinked flag keeps a
+// level-0 link is the linearization point; the linked tag keeps a
 // partially inserted node from being deleted mid-linking.
 func (s *Optik[V]) Insert(key uint64, val V) bool {
 	ds.CheckKey(key)
@@ -290,7 +295,8 @@ func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V
 		s.find(key, &preds, &predVs, &succs)
 		if startLevel == 0 {
 			if found := succs[0]; found.key == key {
-				if found.marked.Load() {
+				v := found.lock.GetVersion()
+				if v.Tags()&markedTag != 0 {
 					// Deletion in flight; its unlink is imminent.
 					bo.Wait()
 					continue
@@ -303,7 +309,6 @@ func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V
 					}
 					return zero, false, false
 				}
-				v := found.lock.GetVersion()
 				if v.IsLocked() || !found.lock.TryLockVersion(v) {
 					// An inserter is using the node as predecessor, or a
 					// deleter owns it (in which case marked flips and the
@@ -323,7 +328,7 @@ func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V
 		}
 		if n == nil {
 			n = allocONode[V](rc, key, val)
-			topLevel = n.topLevel
+			topLevel = n.height()
 		}
 		restartParse := false
 		level := startLevel
@@ -369,7 +374,9 @@ func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V
 			bo.Wait()
 			continue
 		}
-		n.fullyLinked.Store(true)
+		// A parse that snapshot n since its level-0 link now fails its
+		// validation of n and restarts: the tag is a version change.
+		n.lock.SetTags(linkedTag)
 		return zero, false, true
 	}
 }
@@ -426,10 +433,13 @@ func (s *Optik[V]) ReplaceIfValue(key uint64, old, new V) bool {
 	for {
 		s.find(key, &preds, &predVs, &succs)
 		n := succs[0]
-		if n.key != key || n.marked.Load() {
+		if n.key != key {
 			return false
 		}
 		v := n.lock.GetVersion()
+		if v.Tags()&markedTag != 0 {
+			return false
+		}
 		if v.IsLocked() || !n.lock.TryLockVersion(v) {
 			// An inserter is using the node as predecessor, or a deleter
 			// owns it (and the next parse sees it marked).
@@ -466,10 +476,14 @@ func (s *Optik[V]) delete(rc *qsbr.Reclaimer, key uint64, match bool, want V) (V
 		s.find(key, &preds, &predVs, &succs)
 		if !owned {
 			victim = succs[0]
-			if victim.key != key || victim.marked.Load() {
+			if victim.key != key {
 				return zero, false
 			}
-			if !victim.fullyLinked.Load() {
+			v := victim.lock.GetVersion()
+			if v.Tags()&markedTag != 0 {
+				return zero, false
+			}
+			if v.Tags()&linkedTag == 0 {
 				// Partially inserted: wait for the inserter to finish.
 				runtime.Gosched()
 				continue
@@ -477,33 +491,29 @@ func (s *Optik[V]) delete(rc *qsbr.Reclaimer, key uint64, match bool, want V) (V
 			if h := testHookDeleteWindow; match && h != nil {
 				h()
 			}
-			v := victim.lock.GetVersion()
 			if v.IsLocked() || !victim.lock.TryLockVersion(v) {
 				// A concurrent insert is using the victim as predecessor,
 				// or another delete owns it; re-examine.
-				if victim.marked.Load() {
+				if victim.isMarked() {
 					return zero, false
 				}
 				bo.Wait()
 				continue
 			}
-			if victim.marked.Load() {
-				// Cannot happen: markers hold the lock forever. Defensive.
-				return zero, false
-			}
-			// The victim's lock is held (forever, once marked) from here on,
-			// so its value is frozen: read it once at acquisition.
+			// The validated snapshot had the victim linked and unmarked. Its
+			// lock is held (forever, once marked) from here on, so its value
+			// is frozen: read it once at acquisition.
 			val = core.LoadWord(&victim.val)
 			if match && val != want {
 				victim.lock.Revert()
 				return zero, false
 			}
-			victim.marked.Store(true) // linearization point
+			victim.lock.SetTags(markedTag) // linearization point
 			owned = true
 		}
 		// Lock every predecessor level (distinct nodes once), descending
 		// key order overall, so concurrent deletes cannot deadlock.
-		topLevel := victim.topLevel
+		topLevel := victim.height()
 		highestLocked := -1
 		var prevPred *oNode[V]
 		ok := true
@@ -594,7 +604,7 @@ func (s *Optik[V]) ScanRange(from, to uint64, keys []uint64, vals []V) int {
 		// cur.key >= from is not guaranteed for the first hop (a concurrent
 		// insert can slot a smaller key behind the descent's predecessor),
 		// so filter explicitly.
-		if cur.key >= from && !cur.marked.Load() {
+		if cur.key >= from && !cur.isMarked() {
 			keys[n] = cur.key
 			vals[n] = core.LoadWord(&cur.val)
 			n++
@@ -610,7 +620,7 @@ func (s *Optik[V]) Min() (key uint64, val V, ok bool) {
 	defer rc.Release()
 	rc.Pin()
 	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
-		if !cur.marked.Load() {
+		if !cur.isMarked() {
 			return cur.key, core.LoadWord(&cur.val), true
 		}
 	}
@@ -637,7 +647,7 @@ func (s *Optik[V]) Max() (key uint64, val V, ok bool) {
 		if pred == s.head {
 			return 0, val, false
 		}
-		if !pred.marked.Load() {
+		if !pred.isMarked() {
 			return pred.key, core.LoadWord(&pred.val), true
 		}
 		// The last tower is mid-unlink; its predecessor takes over as the
@@ -704,7 +714,7 @@ func (s *Optik[V]) Len() int {
 	rc.Pin()
 	n := 0
 	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
-		if !cur.marked.Load() {
+		if !cur.isMarked() {
 			n++
 		}
 	}

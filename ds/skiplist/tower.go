@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -11,8 +12,10 @@ import (
 // as many forward slots as the node has levels. A geometric p = 1/2 tower
 // is two levels tall on average, so embedding a [MaxLevel] array in every
 // node (the previous layout: 296 bytes, a 320-byte size class) spent ~250
-// bytes per key on slots no traversal ever reads; sized to the node, the
-// mean allocation is under 64 bytes. Only head and tail are MaxLevel tall.
+// bytes per key on slots no traversal ever reads; sized to the node behind
+// a 24-byte header, a height-1 tower (half of them) is one 32-byte object
+// and the mean allocation is ~43 bytes. Only head and tail are MaxLevel
+// tall.
 //
 // The allocation is an exact Go type — towerNode[header, [h]slot] — rather
 // than a header plus raw bytes, so the collector's pointer map covers every
@@ -75,12 +78,57 @@ func newTower[H, P any](h int) *H {
 	panic("skiplist: tower height out of range")
 }
 
-// towerAt returns forward slot level of the node whose header is n and
-// whose height is height. The slot's address comes from the allocated type
-// itself (towerNode's field offset), not from an assumption about header
-// padding.
-func towerAt[H, P any](n *H, height, level int) *atomic.Pointer[P] {
-	checkLevel(level, height)
+// towerAt returns forward slot level of the node whose header is n. The
+// slot's address comes from the allocated type itself (towerNode's field
+// offset), not from an assumption about header padding. The caller checks
+// the level against the node's height in the checked build.
+func towerAt[H, P any](n *H, level int) *atomic.Pointer[P] {
 	t := (*towerNode[H, [1]atomic.Pointer[P]])(unsafe.Pointer(n))
 	return (*atomic.Pointer[P])(unsafe.Add(unsafe.Pointer(&t.tower), uintptr(level)*unsafe.Sizeof(t.tower[0])))
 }
+
+// checkLevel is the checked build's tower bounds check: every at(level)
+// the suites make under `go test -race` (or the skiplistdebug tag) panics
+// on a level outside the node's tower instead of reading past it. Each at
+// calls it under `if checkedBuild`, so the other builds neither call it nor
+// load the height it needs.
+func checkLevel(level, height int) {
+	if uint(level) >= uint(height) {
+		panic(fmt.Sprintf("skiplist: tower access at level %d of a %d-level node", level, height))
+	}
+}
+
+// The OPTIK nodes' (oNode, hoNode) tag byte: the top byte of the tower
+// lock's word (core.TagMask) holds the node's flags and height, so a node's
+// header is key, value word and lock word — 24 bytes — and any flag change
+// is a version change of the lock that guards the tower.
+const (
+	// markedTag: logically deleted. Set by the deleter, holding the
+	// tower's lock.
+	markedTag uint64 = 1 << 56
+	// linkedTag: every level is linked (herlihy's fullyLinked). Set once,
+	// by the tower's inserter, after its last level.
+	linkedTag uint64 = 1 << 57
+	// heightShift: bits 58–63 hold the height, in [1, MaxLevel]. Written
+	// before publication and never again, recycling included.
+	heightShift = 58
+)
+
+// heightTag encodes a tower height for the tag byte.
+func heightTag(h int) uint64 { return uint64(h) << heightShift }
+
+// Compile-time pins: the height fits its six bits, and each node header is
+// exactly 24 bytes — the size the node layout and its allocation contract
+// (TestTowerAllocSize) are built around.
+const _ uint = 1<<(64-heightShift) - 1 - MaxLevel
+
+var (
+	_ [24 - unsafe.Sizeof(oNode[uint64]{})]struct{}
+	_ [unsafe.Sizeof(oNode[uint64]{}) - 24]struct{}
+	_ [24 - unsafe.Sizeof(hoNode{})]struct{}
+	_ [unsafe.Sizeof(hoNode{}) - 24]struct{}
+	_ [24 - unsafe.Sizeof(hNode{})]struct{}
+	_ [unsafe.Sizeof(hNode{}) - 24]struct{}
+	_ [24 - unsafe.Sizeof(fNode{})]struct{}
+	_ [unsafe.Sizeof(fNode{}) - 24]struct{}
+)

@@ -36,6 +36,25 @@ const Init Version = 0
 // lockedBit marks a versioned lock as held: odd values are locked.
 const lockedBit = 1
 
+// TagMask is a Lock word's owner tag byte, bits 56–63: state the guarded
+// object keeps beside "locked" and "version" in the same word (the skip
+// list's marked, linked and height bits). The counter below it never
+// carries into it — Lock, Unlock, Revert and the validate-and-lock CAS
+// change only bits 0–55 — so the tags change only through SetTags and
+// Reissue, and, being part of the version, every tag change is a version
+// change: a snapshot taken before it fails TryLockVersion.
+const TagMask uint64 = 0xFF << 56
+
+// counterMask is the rest of the word: the version counter, odd = locked.
+const counterMask = ^TagMask
+
+// checkTags panics unless bits lies within the tag byte.
+func checkTags(bits uint64) {
+	if bits&^TagMask != 0 {
+		panic("core: lock tag bits outside bits 56-63")
+	}
+}
+
 // IsLocked reports whether a versioned-lock version value corresponds to a
 // held lock (odd values are locked).
 func (v Version) IsLocked() bool { return v&lockedBit != 0 }
@@ -44,13 +63,18 @@ func (v Version) IsLocked() bool { return v&lockedBit != 0 }
 // (optik_is_same_version).
 func (v Version) Same(o Version) bool { return v == o }
 
+// Tags returns v's tag bits, in place (bits 56–63; see TagMask).
+func (v Version) Tags() uint64 { return uint64(v) & TagMask }
+
 // Lock is an OPTIK lock built on a versioned lock: a single 64-bit counter.
 // Even values mean unlocked; odd values mean locked. Acquisition CASes the
 // current even value v to v+1; release increments again to v+2, so every
 // completed critical section advances the version by exactly 2 and the
 // version doubles as a count of completed critical sections (Figure 3).
+// The counter is 56 bits wide; the word's top byte holds the owner's tags
+// (TagMask), which are part of every version snapshot.
 //
-// The zero value is an unlocked lock with version Init.
+// The zero value is an unlocked lock with version Init and no tags.
 type Lock struct {
 	word atomic.Uint64
 }
@@ -108,13 +132,50 @@ func (l *Lock) Lock() { l.LockVersion(^Version(0)) }
 
 // Unlock increments the version and releases the lock. Only the lock holder
 // may call it. The increment is the publication point: a changed version is
-// how concurrent optimistic readers detect the modification.
-func (l *Lock) Unlock() { l.word.Add(1) }
+// how concurrent optimistic readers detect the modification. It is a CAS
+// rather than an add so the counter wraps inside its 56 bits instead of
+// carrying into the tags, and so a tag a concurrent SetTags wrote while the
+// lock was held survives the release.
+func (l *Lock) Unlock() {
+	w := l.word.Load()
+	for !l.word.CompareAndSwap(w, w&TagMask|(w+1)&counterMask) {
+		w = l.word.Load()
+	}
+}
 
 // Revert releases the lock restoring the version it had before acquisition,
 // signalling that the critical section modified nothing (optik_revert).
 // Only the lock holder may call it.
 func (l *Lock) Revert() { l.word.Add(^uint64(0)) } // decrement by 1
+
+// Tags returns the lock's tag bits at this instant, in place (bits 56–63):
+// one atomic load, and no snapshot to validate — for a reader that needs a
+// tag, not a version.
+func (l *Lock) Tags() uint64 { return l.word.Load() & TagMask }
+
+// SetTags sets the tag bits in tags, which must lie within TagMask, in one
+// atomic OR that leaves the counter and the locked bit as they are. Any
+// thread may call it, holder or not, and it composes with concurrent
+// lockers and releases: each of them is an atomic read-modify-write of
+// the whole word. Tags are cleared only by Reissue. Which thread may set
+// which tag is the owning structure's protocol (docs/INVARIANTS.md).
+func (l *Lock) SetTags(tags uint64) {
+	checkTags(tags)
+	l.word.Or(tags)
+}
+
+// Reissue hands the lock to a new life of the object it guards — a
+// recycled node whose last holder never released it — in one step: the
+// lock comes back free, its counter advanced past every version of the
+// previous life (an odd counter by one, as Unlock would, an even one by
+// two), and its tag byte replaced by tags. No snapshot taken in the
+// previous life can validate against it. Only an owner with no concurrent
+// user — a reclaimer handed the node by qsbr — may call it.
+func (l *Lock) Reissue(tags uint64) {
+	checkTags(tags)
+	w := l.word.Load()
+	l.word.Store(tags | ((w|lockedBit)+1)&counterMask)
+}
 
 // IsLockedNow reports whether the lock is held at this instant (racy; for
 // monitoring and tests).

@@ -195,15 +195,26 @@ func (s *Scheduler) run() {
 			continue
 		case <-timer.C:
 		}
-		if s.pass() {
+		active := s.pass()
+		if active {
 			interval = s.base
 		} else if interval < s.base*idleBackoffMax {
 			interval *= 2
 		}
 		s.interval.Store(int64(interval))
+		if h := testHookPass; h != nil {
+			h(active, interval)
+		}
 		timer.Reset(interval)
 	}
 }
+
+// testHookPass, when non-nil, runs on the scheduler goroutine after every
+// timed pass with the pass's verdict and the interval the loop stored
+// after it. The backoff test follows the cadence pass by pass through it
+// instead of polling Interval, whose base-rate window after a Register is
+// only a few milliseconds wide.
+var testHookPass func(active bool, interval time.Duration)
 
 // pass runs one maintenance round over every registered table and reports
 // whether any of them showed activity. The entry list is snapshotted so

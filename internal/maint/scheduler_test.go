@@ -82,32 +82,63 @@ func TestSchedulerValueUpdatesReadActive(t *testing.T) {
 }
 
 // TestSchedulerIdleBackoffWidens proves the poll interval actually backs
-// off: an idle scheduler must widen its interval to the cap, and a
-// registration must snap it back to the base.
+// off: an idle scheduler must widen its interval pass by pass to the cap,
+// and a registration must snap it back to the base. It reads each pass's
+// verdict and stored interval through testHookPass: polling Interval would
+// have to land in the ~2 ms the interval stays at base after Register,
+// before idle backoff widens it again.
 func TestSchedulerIdleBackoffWidens(t *testing.T) {
 	base := time.Millisecond
+	type passEvent struct {
+		active   bool
+		interval time.Duration
+	}
+	events := make(chan passEvent)
+	quit := make(chan struct{})
+	testHookPass = func(active bool, interval time.Duration) {
+		select {
+		case events <- passEvent{active, interval}:
+		case <-quit:
+		}
+	}
 	s := NewScheduler(base)
-	defer s.Stop()
+	defer func() {
+		close(quit)
+		s.Stop()
+		testHookPass = nil
+	}()
+	next := func() passEvent {
+		select {
+		case e := <-events:
+			return e
+		case <-time.After(30 * time.Second):
+			t.Fatal("no scheduler pass in 30 s")
+			return passEvent{}
+		}
+	}
 	if got := s.Interval(); got != base {
 		t.Fatalf("fresh scheduler interval = %v, want %v", got, base)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Interval() < idleBackoffMax*base && time.Now().Before(deadline) {
-		time.Sleep(base)
+	// An empty fleet is idle: every pass doubles the interval, up to the cap.
+	for want := 2 * base; want <= idleBackoffMax*base; want *= 2 {
+		if e := next(); e.active || e.interval != want {
+			t.Fatalf("idle pass: active %v, interval %v; want idle, %v", e.active, e.interval, want)
+		}
 	}
-	if got := s.Interval(); got != idleBackoffMax*base {
-		t.Fatalf("idle interval = %v, want the %v cap", got, idleBackoffMax*base)
+	if e := next(); e.active || e.interval != idleBackoffMax*base {
+		t.Fatalf("idle pass at the cap: active %v, interval %v; want idle, %v", e.active, e.interval, idleBackoffMax*base)
 	}
-	// A registration is activity: the cadence restarts at the base so the
-	// new table's first sample lands promptly.
+	// A registration is activity: the pass that first services the new
+	// table reads it active and leaves the cadence at the base. (A pass
+	// already past its snapshot when Register ran may report idle first.)
 	m := hashmap.NewResizable(8)
 	s.Register(m)
-	deadline = time.Now().Add(30 * time.Second)
-	for s.Interval() != base && time.Now().Before(deadline) {
-		time.Sleep(base / 2)
+	e := next()
+	if !e.active {
+		e = next()
 	}
-	if got := s.Interval(); got != base {
-		t.Fatalf("interval after Register = %v, want %v", got, base)
+	if !e.active || e.interval != base {
+		t.Fatalf("pass after Register: active %v, interval %v; want active, %v", e.active, e.interval, base)
 	}
 }
 
