@@ -79,67 +79,28 @@ func BenchmarkFigures(b *testing.B) {
 // the same per-bucket OPTIK locking discipline. Update-heavy so the lock
 // lines stay hot: at 1 thread the layouts should be at parity (one miss vs
 // two on a cold bucket), at 16 the packed arrays additionally pay
-// false-sharing invalidations on every neighbor-bucket CAS. The
-// padded-slab-reuse row adds qsbr chain-node recycling to the same layout
-// (ReportAllocs makes the allocation win visible; the nodes-reused metric
-// proves the free lists are live), isolating the reclamation ablation
-// from both the layout and the resize machinery.
+// false-sharing invalidations on every neighbor-bucket CAS. The chained
+// rows run the slab at load 8 (16384 elements in 2048 buckets, 50%
+// updates): at the paper's load of 1 every element sits inline, so these
+// are the rows where overflow-chain churn, node allocation included, is
+// the workload.
 func BenchmarkBucketLayout(b *testing.B) {
-	impls := []figures.NamedSet{
-		{Name: "packed-arrays", New: func() ds.Set { return hashmap.NewOptikGL(4096) }},
-		{Name: "padded-slab", New: func() ds.Set { return hashmap.NewSlab(4096) }},
-		{Name: "padded-slab-reuse", New: func() ds.Set { return hashmap.NewSlabReuse(4096) }},
-	}
-	for _, impl := range impls {
+	for _, impl := range []struct {
+		name    string
+		initial int
+		new     func() ds.Set
+	}{
+		{"packed-arrays", 4096, func() ds.Set { return hashmap.NewOptikGL(4096) }},
+		{"padded-slab", 4096, func() ds.Set { return hashmap.NewSlab(4096) }},
+		{"chained/slab-fixed", 16384, func() ds.Set { return hashmap.NewSlab(2048) }},
+	} {
 		for _, th := range []int{1, 16} {
-			b.Run(fmt.Sprintf("%s/threads=%d", impl.Name, th), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/threads=%d", impl.name, th), func(b *testing.B) {
 				b.ReportAllocs()
-				factory := impl.New
-				var last ds.Set
 				reportSet(b, workload.Config{
 					Threads: th, Duration: benchDuration,
-					InitialSize: 4096, UpdatePct: 50,
-				}, func() ds.Set { last = factory(); return last })
-				reused := float64(0)
-				if rs, ok := last.(interface {
-					ReclaimStats() (retired, reclaimed, reused uint64)
-				}); ok {
-					_, _, r := rs.ReclaimStats()
-					reused = float64(r)
-				}
-				b.ReportMetric(reused, "nodes-reused")
-			})
-		}
-	}
-	// The reuse ablation needs overflow chains to recycle: at the paper's
-	// load factor 1 every element sits inline and no node is ever
-	// allocated, so the recycling rows run at load 8 (16384 elements in
-	// 2048 buckets, 50% updates) where the chain churn is the workload.
-	// slab-fixed drops every unlinked node to the GC; slab-reuse feeds
-	// them back through qsbr — the allocs/op and nodes-reused columns are
-	// the isolated win, the Mops/s delta its validation price.
-	chained := []figures.NamedSet{
-		{Name: "slab-fixed", New: func() ds.Set { return hashmap.NewSlab(2048) }},
-		{Name: "slab-reuse", New: func() ds.Set { return hashmap.NewSlabReuse(2048) }},
-	}
-	for _, impl := range chained {
-		for _, th := range []int{1, 16} {
-			b.Run(fmt.Sprintf("chained/%s/threads=%d", impl.Name, th), func(b *testing.B) {
-				b.ReportAllocs()
-				factory := impl.New
-				var last ds.Set
-				reportSet(b, workload.Config{
-					Threads: th, Duration: benchDuration,
-					InitialSize: 16384, UpdatePct: 50,
-				}, func() ds.Set { last = factory(); return last })
-				reused := float64(0)
-				if rs, ok := last.(interface {
-					ReclaimStats() (retired, reclaimed, reused uint64)
-				}); ok {
-					_, _, r := rs.ReclaimStats()
-					reused = float64(r)
-				}
-				b.ReportMetric(reused, "nodes-reused")
+					InitialSize: impl.initial, UpdatePct: 50,
+				}, impl.new)
 			})
 		}
 	}
@@ -165,11 +126,9 @@ func BenchmarkResizeRamp(b *testing.B) {
 
 // BenchmarkChurn drives the delete-heavy churn scenario: two grow/drain
 // cycles between 100k elements and 100k/16, with searches mixed in. The
-// resizable table must shrink back between cycles (final-buckets metric)
-// and recycle its chain nodes through the qsbr free lists instead of
-// re-allocating (allocs/op via ReportAllocs, plus the nodes-reused
-// metric — the fixed slab, which never retires a node, is the foil for
-// both). The read-heavy variant (90% searches) checks that readers stay
+// resizable table must shrink back between cycles (final-buckets metric;
+// allocs/op via ReportAllocs, with the fixed slab as the foil). The
+// read-heavy variant (90% searches) checks that readers stay
 // lock-free through the shrink: its search p50/p99 against the fixed slab
 // is the regression guard for the migration protocol's read path.
 func BenchmarkChurn(b *testing.B) {
@@ -198,7 +157,6 @@ func BenchmarkChurn(b *testing.B) {
 					b.ReportMetric(res.SearchLatency.P99, "search-p99-ns")
 					b.ReportMetric(res.Latency.Max, "max-ns")
 					b.ReportMetric(float64(res.FinalBuckets), "final-buckets")
-					b.ReportMetric(float64(res.NodesReused), "nodes-reused")
 					b.ReportMetric(0, "ns/op")
 				})
 			}
@@ -226,7 +184,6 @@ func BenchmarkChurnSteady(b *testing.B) {
 			b.ReportMetric(res.Mops, "Mops/s")
 			b.ReportMetric(res.SteadyLatency.P50, "steady-p50-ns")
 			b.ReportMetric(res.SteadyLatency.P99, "steady-p99-ns")
-			b.ReportMetric(float64(res.NodesReused), "nodes-reused")
 			b.ReportMetric(0, "ns/op")
 		})
 	}
@@ -238,7 +195,7 @@ func BenchmarkChurnSteady(b *testing.B) {
 // request a 16-key MGet/MSet/MDel). The shards=1 rows are the unsharded
 // table behind the same API — the baseline the scaling axis is read
 // against; the batch rows measure what hoisting the per-op fixed costs
-// (router, reclamation handle) buys per key. Shard-count
+// (router, shard call) buys per key. Shard-count
 // scaling is a parallelism win, so its full size shows on multi-core
 // hardware; batching pays on any machine.
 func BenchmarkStore(b *testing.B) {
@@ -264,7 +221,6 @@ func BenchmarkStore(b *testing.B) {
 				}
 				b.ReportMetric(res.Mops, "Mops/s")
 				b.ReportMetric(100*res.HitRate, "hit-%")
-				b.ReportMetric(float64(res.NodesReused), "nodes-reused")
 				b.ReportMetric(0, "ns/op")
 			})
 		}

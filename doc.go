@@ -35,27 +35,25 @@
 // when deletes drain it — with lock-free reads across the old/new slab
 // pair and per-bucket OPTIK-validated incremental migration either way: a
 // grow migrates one bucket at a time, a shrink merges each old bucket pair
-// into its single half-table target under both buckets' OPTIK locks.
-// Resizable also carries a full node-lifecycle subsystem in the spirit of
-// the paper's ssmem: overflow-chain nodes are retired to a quiescent-state
-// domain (internal/qsbr) on delete and migration and recycled by later
-// inserts, with the OPTIK version validation — not reader announcements —
-// keeping the lock-free readers safe against reuse (hashmap.SlabReuse
-// isolates that ablation on the fixed table). Background maintenance is a
-// shared subsystem (internal/maint): one Scheduler goroutine services any
-// number of registered structures — a table joins by implementing the
-// three-method Maintainer contract — watching each one's monotone
+// into its single half-table target under both buckets' OPTIK locks. No
+// index node is ever reused: an unlinked chain node or skip-list tower is
+// frozen, and the garbage collector frees it once no lock-free reader can
+// still reach it — the role the paper's ssmem plays in C, with nothing for
+// a reader to announce. Background maintenance is a shared subsystem
+// (internal/maint): one Scheduler goroutine services any number of
+// registered structures — a table joins by implementing the three-method
+// Maintainer contract — watching each one's monotone
 // operation counter for idleness (balanced insert/delete traffic still
-// reads as active), quiescing the idle ones — migrations driven home,
-// retired nodes swept — and backing its poll interval off exponentially
-// while everything sleeps, so an abandoned oversized table registered on
-// a scheduler returns to its floor and recycles its nodes with no caller
+// reads as active), quiescing the idle ones — migrations driven home —
+// and backing its poll interval off exponentially while everything
+// sleeps, so an abandoned oversized table registered on a scheduler
+// returns to its floor, and hands its memory back, with no caller
 // involvement.
 //
 // The store package composes the pieces into a servable system, as one
 // stack: a shard contract (point ops, per-shard batches, conditional
-// delete and replace, sampling and sweeping, maintenance) satisfied by
-// the Resizable table and by the OPTIK skip list; a router that is data
+// delete and replace, sampling and sweeping) satisfied by the Resizable
+// table, which adds maintenance, and by the OPTIK skip list; a router that is data
 // (shard = min((key·mul)>>shift, last): the Fibonacci multiplier hashes,
 // mul = 1 range-partitions); one index core over them (store.Store —
 // upsert Set semantics, batched MGet/MSet/MDel that visit each touched

@@ -2,13 +2,14 @@ package hashmap
 
 import "github.com/optik-go/optik/ds"
 
-// Batch entry points: the same per-key operations as Search/Upsert/Delete
-// under one borrowed qsbr handle instead of one per key. Migration help
-// stays per key: every update claims its migrateQuantum, so a batched bulk
-// load keeps a resize ahead of the inserts exactly as scalar updates do. The
-// sharded store's MGet/MSet/MDel route a request's keys to their shards and
-// drive these per shard. Each key remains its own linearizable operation —
-// a batch is a loop, not a transaction.
+// Batch entry points: the same per-key operations as Search/Upsert/Delete,
+// one call per shard visit instead of one per key, with every key checked
+// before any is applied. Migration help stays per key: every update claims
+// its migrateQuantum, so a batched bulk load keeps a resize ahead of the
+// inserts exactly as scalar updates do. The sharded store's MGet/MSet/MDel
+// route a request's keys to their shards and drive these per shard. Each
+// key remains its own linearizable operation — a batch is a loop, not a
+// transaction.
 
 // SearchBatch looks up every keys[i], storing the value into vals[i] and
 // presence into found[i]. vals and found must be at least len(keys) long.
@@ -18,18 +19,15 @@ func (r *Resizable[V]) SearchBatch(keys []uint64, vals []V, found []bool) {
 	}
 }
 
-// UpsertBatch applies Upsert(keys[i], vals[i]) for every i under one
-// reclamation handle and returns how many keys were newly inserted (the
-// rest replaced existing values).
+// UpsertBatch applies Upsert(keys[i], vals[i]) for every i and returns how
+// many keys were newly inserted (the rest replaced existing values).
 func (r *Resizable[V]) UpsertBatch(keys []uint64, vals []V) int {
 	for _, k := range keys {
 		ds.CheckKey(k)
 	}
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
 	inserted := 0
 	for i, k := range keys {
-		if _, replaced := r.upsert(&rc, k, vals[i]); !replaced {
+		if _, replaced := r.upsert(k, vals[i]); !replaced {
 			inserted++
 		}
 	}
@@ -47,11 +45,9 @@ func (r *Resizable[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []
 	for _, k := range keys {
 		ds.CheckKey(k)
 	}
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
 	inserted := 0
 	for i, k := range keys {
-		old[i], replaced[i] = r.upsert(&rc, k, vals[i])
+		old[i], replaced[i] = r.upsert(k, vals[i])
 		if !replaced[i] {
 			inserted++
 		}
@@ -59,18 +55,15 @@ func (r *Resizable[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []
 	return inserted
 }
 
-// DeleteBatch deletes every key under one reclamation handle and returns
-// how many were present.
+// DeleteBatch deletes every key and returns how many were present.
 func (r *Resizable[V]) DeleteBatch(keys []uint64) int {
 	for _, k := range keys {
 		ds.CheckKey(k)
 	}
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
 	deleted := 0
 	var zero V
 	for _, k := range keys {
-		if _, ok := r.delete(&rc, k, false, zero); ok {
+		if _, ok := r.delete(k, false, zero); ok {
 			deleted++
 		}
 	}
@@ -78,20 +71,18 @@ func (r *Resizable[V]) DeleteBatch(keys []uint64) int {
 }
 
 // DeleteBatchEach is DeleteBatch with per-key results: old[i] receives
-// the removed value and found[i] whether keys[i] was present, under one
-// reclamation handle. old and found must be at least len(keys) long.
+// the removed value and found[i] whether keys[i] was present. old and
+// found must be at least len(keys) long.
 // Keys are applied in order, so a duplicate deletes once and then
 // misses, exactly as sequential Deletes would.
 func (r *Resizable[V]) DeleteBatchEach(keys []uint64, old []V, found []bool) int {
 	for _, k := range keys {
 		ds.CheckKey(k)
 	}
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
 	deleted := 0
 	var zero V
 	for i, k := range keys {
-		old[i], found[i] = r.delete(&rc, k, false, zero)
+		old[i], found[i] = r.delete(k, false, zero)
 		if found[i] {
 			deleted++
 		}

@@ -47,9 +47,7 @@ func (r *Resizable[V]) Sample(rnd uint64) (keys [SampleWidth]uint64, vals [Sampl
 		}
 	}
 	for cur := head; cur != nil; cur = cur.next.Load() {
-		if total++; total&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-			return keys, vals, 0
-		}
+		total++
 	}
 	if total == 0 {
 		return keys, vals, 0
@@ -137,7 +135,6 @@ restart:
 			n++
 		}
 	}
-	hops := 0
 	for cur := head; whole && cur != nil; cur = cur.next.Load() {
 		if n == len(keys) {
 			whole = false
@@ -145,9 +142,6 @@ restart:
 		}
 		keys[n], vals[n] = cur.key.Load(), core.LoadWord(&cur.val)
 		n++
-		if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-			goto restart
-		}
 	}
 	if !b.lock.GetVersion().Same(vn) {
 		goto restart

@@ -34,12 +34,11 @@
 //     bucket-pair merges under both OPTIK locks shrinking), and a striped
 //     size counter whose hysteresis band (double past load 2, halve below
 //     load 1/4, never below the initial floor) triggers the resizes and
-//     makes Len O(shards) instead of O(n). Chain nodes live on a
-//     quiescent-state reclamation domain (internal/qsbr) and are recycled
-//     across deletes and migrations, and the table implements the
-//     maintenance scheduler's Maintainer contract (internal/maint), so a
-//     registered table is quiesced when traffic idles. See resizable.go
-//     for the design and reclaim.go for the reuse-safety argument.
+//     makes Len O(shards) instead of O(n). Chain nodes are never reused:
+//     an unlinked or migrated node is frozen until the collector frees it.
+//     The table implements the maintenance scheduler's Maintainer
+//     contract (internal/maint), so a registered table is quiesced when
+//     traffic idles. See resizable.go for the design.
 package hashmap
 
 import (

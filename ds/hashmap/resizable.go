@@ -7,7 +7,6 @@ import (
 	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/internal/backoff"
 	"github.com/optik-go/optik/internal/core"
-	"github.com/optik-go/optik/internal/qsbr"
 )
 
 // Resizable is a hash table on the cache-line bucket slab that resizes in
@@ -49,11 +48,10 @@ import (
 //     validation and re-run — reads cross a shrink exactly as they cross
 //     a grow, without acquiring anything.
 //   - When the last claim completes, the root pointer advances and the
-//     old slab is garbage — but its overflow-chain nodes are not: the
-//     migration retires them to a qsbr free list (reclaim.go) and the
-//     copies in the new slab are built from recycled nodes, so churn
-//     reuses memory instead of re-allocating it, as the paper's
-//     structures do on ssmem.
+//     old slab, with its overflow-chain nodes, is garbage: the collector
+//     frees it once no stale reader still holds a pointer into it. No
+//     node is ever reused, so a node's key never changes once it is
+//     linked and a node a stale reader reaches stays readable.
 //
 // Grow and shrink thresholds are deliberately far apart (load > 2 grows,
 // load < 1/4 shrinks, and the post-resize load lands at 1 and just under
@@ -69,11 +67,11 @@ import (
 // Unlike the fixed tables, every path of Search and Delete must
 // re-validate the bucket version — the miss paths because migration moves
 // a key from the old slab to the new one without an instant of absence,
-// and (with node reuse) the chain-hit path too: a node observed with the
-// right key may have been retired and recycled under the scan, its value
-// already rewritten by its next owner. Any retirement is a critical
-// section on the bucket the node came from, so the validation catches it;
-// on a quiescent bucket it is one extra load of the line the scan already
+// and the chain-hit path too: a node matched in a bucket that migrated
+// under the scan is the frozen copy the key has left, whose value the new
+// slab may already have replaced. The migration is a critical section on
+// the bucket the node came from, so the validation catches it; on a
+// quiescent bucket it is one extra load of the line the scan already
 // owns.
 //
 // The size counter also changes Len from an O(n) traversal to an O(shards)
@@ -81,9 +79,6 @@ import (
 type Resizable[V comparable] struct {
 	root  atomic.Pointer[rtable[V]]
 	count *core.Striped
-	// pool hands out qsbr reclamation handles to whatever goroutines the
-	// writes arrive on; see reclaim.go.
-	pool *qsbr.Pool
 	// floor is the initial bucket count; shrinking never goes below it.
 	floor int
 	// resizes counts linked resize slabs, grows and shrinks alike (racy
@@ -127,19 +122,9 @@ const migrateQuantum = 2
 // overfull).
 const growthCheckMask = 64 - 1
 
-// chainGuardMask paces the version re-validation of an optimistic chain
-// walk: one check every 16 hops (counter & mask == 0). Without reuse a
-// stale walk is merely wasted work over a frozen, finite chain; with
-// recycled nodes the pointers under a walk can keep changing, so the walk
-// must periodically prove the bucket untouched (in which case the
-// remaining chain is the live, sorted, finite one) or restart. Chains are
-// short — at maxLoad almost every bucket fits its inline prefix — so the
-// guard is off the common path.
-const chainGuardMask = 16 - 1
-
 // testHookChainHit, when non-nil, runs after Search's chain scan matches
-// its key and before it reads the value — exactly the window in which a
-// concurrent retire-and-recycle can rewrite the node. The white-box
+// its key and before it reads the value — the window in which the bucket
+// can migrate and the key be overwritten in the new slab. The white-box
 // validation test uses it to stage that interleaving deterministically.
 var testHookChainHit func()
 
@@ -161,7 +146,6 @@ func NewResizableOf[V comparable](nbuckets int) *Resizable[V] {
 	}
 	r := &Resizable[V]{
 		count: core.NewStriped(0),
-		pool:  qsbr.NewPool(qsbr.NewDomain(), 0),
 		floor: n,
 	}
 	r.root.Store(newRTable[V](n))
@@ -182,12 +166,12 @@ func (t *rtable[V]) index(key uint64) int {
 // Search returns the value stored under key, if present. It never locks:
 // forwarded buckets are followed into the next slab, and every outcome is
 // version-validated — inline hits for pair atomicity, misses against a
-// migration moving the key under the scan, and chain hits against node
-// reuse: the matched node may have been retired and recycled between the
-// key load and the value load, and only an unchanged bucket version
-// proves it was not (any retirement is a critical section on this
-// bucket). The chain walk itself re-validates every chainGuard hops so a
-// scan over recycled nodes cannot chase mutating pointers forever.
+// migration moving the key under the scan, and chain hits against a
+// migration between the key load and the value load, which leaves the
+// matched node a frozen copy whose value the new slab may have replaced.
+// The chain walk itself needs no guard: a node's key never changes once
+// it is linked and every next pointer leads to a larger key, so any walk,
+// stale or not, ends (docs/INVARIANTS.md, "No node is reused").
 func (r *Resizable[V]) Search(key uint64) (V, bool) {
 	ds.CheckKey(key)
 	t := r.root.Load()
@@ -209,7 +193,6 @@ func (r *Resizable[V]) Search(key uint64) (V, bool) {
 				goto restart
 			}
 		}
-		hops := 0
 		for cur := head; cur != nil; cur = cur.next.Load() {
 			k := cur.key.Load()
 			if k > key {
@@ -225,9 +208,6 @@ func (r *Resizable[V]) Search(key uint64) (V, bool) {
 				}
 				goto restart
 			}
-			if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-				goto restart
-			}
 		}
 		if b.lock.GetVersion().Same(vn) {
 			var zero V
@@ -240,25 +220,15 @@ func (r *Resizable[V]) Search(key uint64) (V, bool) {
 // Insert adds key→val if absent. A duplicate returns false without any
 // synchronization; a feasible insert validates its scan with one
 // TryLockVersion CAS, then bumps the size counter and, when thresholds
-// say so, starts or helps a resize. Chain nodes come from the table's
-// qsbr free list when a retired one is available.
+// say so, starts or helps a resize. Migration help is part of every
+// update's body, so every key an update touches claims its quantum,
+// however it was batched (batch.go).
 func (r *Resizable[V]) Insert(key uint64, val V) bool {
 	ds.CheckKey(key)
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
-	return r.insert(&rc, key, val)
-}
-
-// insert is Insert's body with the reclamation handle supplied by the
-// caller, so batch entry points (batch.go) amortize one handle over many
-// operations. Migration help is part of the body, not of the entry point:
-// every key an update touches claims its quantum, however it was batched.
-func (r *Resizable[V]) insert(rc *reclaimer, key uint64, val V) bool {
-	r.help(rc)
+	r.help()
 	t := r.root.Load()
 	var bo backoff.Backoff
 	spilled := false
-retry:
 	for {
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersion()
@@ -284,11 +254,8 @@ retry:
 		}
 		var pred *node[V]
 		cur := head
-		for hops := 0; cur != nil && cur.key.Load() < key; {
+		for cur != nil && cur.key.Load() < key {
 			pred, cur = cur, cur.next.Load()
-			if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-				continue retry
-			}
 		}
 		if cur != nil && cur.key.Load() == key {
 			return false // infeasible: no locking at all
@@ -297,7 +264,7 @@ retry:
 			bo.Wait()
 			continue
 		}
-		b.put(key, val, free, pred, cur, rc)
+		b.put(key, val, free, pred, cur)
 		b.lock.Unlock()
 		spilled = free < 0
 		break
@@ -320,17 +287,14 @@ retry:
 // as an operation for the maintenance scheduler's activity signal.
 func (r *Resizable[V]) Upsert(key uint64, val V) (V, bool) {
 	ds.CheckKey(key)
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
-	return r.upsert(&rc, key, val)
+	return r.upsert(key, val)
 }
 
-// upsert is Upsert's body with a caller-supplied reclamation handle.
-func (r *Resizable[V]) upsert(rc *reclaimer, key uint64, val V) (V, bool) {
-	r.help(rc)
+// upsert is Upsert's body, for batch entry points that checked their keys.
+func (r *Resizable[V]) upsert(key uint64, val V) (V, bool) {
+	r.help()
 	t := r.root.Load()
 	var bo backoff.Backoff
-retry:
 	for {
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersion()
@@ -354,11 +318,8 @@ retry:
 		var pred, cur *node[V]
 		if w == nil {
 			cur = head
-			for hops := 0; cur != nil && cur.key.Load() < key; {
+			for cur != nil && cur.key.Load() < key {
 				pred, cur = cur, cur.next.Load()
-				if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-					continue retry
-				}
 			}
 			if cur != nil && cur.key.Load() == key {
 				w = &cur.val
@@ -376,7 +337,7 @@ retry:
 			r.noteUpdate(key)
 			return old, true
 		}
-		b.put(key, val, free, pred, cur, rc)
+		b.put(key, val, free, pred, cur)
 		b.lock.Unlock()
 		if c := r.count.AddOp(key, 1); free < 0 || c&growthCheckMask == 0 {
 			r.maybeGrow()
@@ -387,18 +348,15 @@ retry:
 }
 
 // Delete removes key, returning its value, if present. A validated miss
-// returns without locking; a hit validates-and-locks in one CAS. The
-// entry's value word is cleared as it leaves: an inline slot's inside the
-// critical section, an unlinked chain node's when qsbr moves it to a free
-// list (its value is read inside the critical section, never after,
-// because retirement makes the node eligible for recycling the moment the
-// version bump publishes).
+// returns without locking; a hit validates-and-locks in one CAS. An
+// inline slot's value word is cleared inside the critical section; an
+// unlinked chain node keeps its word, frozen, until the collector frees
+// the node, so a stale reader that still reaches it reads a value the key
+// held while the reader ran.
 func (r *Resizable[V]) Delete(key uint64) (V, bool) {
 	ds.CheckKey(key)
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
 	var zero V
-	return r.delete(&rc, key, false, zero)
+	return r.delete(key, false, zero)
 }
 
 // DeleteIfValue removes key only while it still maps to exactly val,
@@ -413,20 +371,17 @@ func (r *Resizable[V]) Delete(key uint64) (V, bool) {
 // re-inserted the key after a delete, holds another pointer.
 func (r *Resizable[V]) DeleteIfValue(key uint64, val V) bool {
 	ds.CheckKey(key)
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
-	_, ok := r.delete(&rc, key, true, val)
+	_, ok := r.delete(key, true, val)
 	return ok
 }
 
 // delete is the body of Delete and, with match set, of DeleteIfValue: the
 // hit is removed only if its value is want.
-func (r *Resizable[V]) delete(rc *reclaimer, key uint64, match bool, want V) (V, bool) {
-	r.help(rc)
+func (r *Resizable[V]) delete(key uint64, match bool, want V) (V, bool) {
+	r.help()
 	t := r.root.Load()
 	var bo backoff.Backoff
 	var zero V
-retry:
 	for {
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersionWait()
@@ -462,11 +417,8 @@ retry:
 		}
 		var pred *node[V]
 		cur := head
-		for hops := 0; cur != nil && cur.key.Load() < key; {
+		for cur != nil && cur.key.Load() < key {
 			pred, cur = cur, cur.next.Load()
-			if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-				continue retry
-			}
 		}
 		if cur == nil || cur.key.Load() != key {
 			if b.lock.GetVersion().Same(vn) {
@@ -485,7 +437,6 @@ retry:
 		}
 		b.unlinkNode(pred, cur)
 		b.lock.Unlock()
-		rc.Retire(cur)
 		r.noteDelete(key)
 		return val, true
 	}
@@ -500,7 +451,6 @@ func (r *Resizable[V]) ReplaceIfValue(key uint64, old, new V) bool {
 	ds.CheckKey(key)
 	t := r.root.Load()
 	var bo backoff.Backoff
-retry:
 	for {
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersionWait()
@@ -518,11 +468,8 @@ retry:
 		}
 		if w == nil {
 			cur := head
-			for hops := 0; cur != nil && cur.key.Load() < key; {
+			for cur != nil && cur.key.Load() < key {
 				cur = cur.next.Load()
-				if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-					continue retry
-				}
 			}
 			if cur == nil || cur.key.Load() != key {
 				if b.lock.GetVersion().Same(vn) {
@@ -587,15 +534,6 @@ func (r *Resizable[V]) Buckets() int { return len(r.root.Load().buckets) }
 // tests assert this stays bounded under threshold oscillation).
 func (r *Resizable[V]) Resizes() int { return int(r.resizes.Load()) }
 
-// ReclaimStats reports the table's lifetime chain-node reclamation
-// counters — retired (unlinked and handed to qsbr), reclaimed (moved to a
-// free list once no announcement blocked them) and reused (handed back
-// out by an allocation). Racy snapshot; for monitoring and the
-// allocation-regression tests.
-func (r *Resizable[V]) ReclaimStats() (retired, reclaimed, reused uint64) {
-	return r.pool.Domain().Stats()
-}
-
 // ActivitySample implements maint.Maintainer: a hash of the root slab pointer,
 // the migration cursor and the monotone op count, so any update — an
 // insert, a delete, a value replacement, or migration progress — changes
@@ -617,30 +555,19 @@ func (r *Resizable[V]) ActivitySample() uint64 {
 
 // MaintainIdle implements maint.Maintainer: the full maintenance pass for a
 // table nothing touched since the last sample — quiesce any migration
-// home (cancellably) and sweep the reclamation pool so retirements below
-// the release batch threshold still reach the free lists.
-func (r *Resizable[V]) MaintainIdle(cancel <-chan struct{}) {
-	r.quiesce(cancel)
-	r.pool.Sweep()
-}
+// home, cancellably.
+func (r *Resizable[V]) MaintainIdle(cancel <-chan struct{}) { r.quiesce(cancel) }
 
 // MaintainBusy implements maint.Maintainer: a busy table drives its own resizes
 // on the backs of its updates, so the scheduler only lends a bounded hand
 // when a migration is actually in flight.
-func (r *Resizable[V]) MaintainBusy() {
-	if r.root.Load().next.Load() == nil {
-		return
-	}
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
-	r.help(&rc)
-}
+func (r *Resizable[V]) MaintainBusy() { r.help() }
 
 // help migrates up to migrateQuantum claims of the root slab if a resize
 // is in flight. When no resize is running it costs one pointer load.
 // A claim is one bucket when growing and a bucket pair when shrinking
 // (claims(t, next) counts them).
-func (r *Resizable[V]) help(rc *reclaimer) {
+func (r *Resizable[V]) help() {
 	t := r.root.Load()
 	next := t.next.Load()
 	if next == nil {
@@ -654,9 +581,9 @@ func (r *Resizable[V]) help(rc *reclaimer) {
 			return
 		}
 		if shrink {
-			t.migratePair(int(idx), next, rc)
+			t.migratePair(int(idx), next)
 		} else {
-			t.migrateBucket(int(idx), next, rc)
+			t.migrateBucket(int(idx), next)
 		}
 		if t.migrated.Add(1) == total {
 			// Every bucket is forwarded: retire the old slab. Exactly one
@@ -712,11 +639,10 @@ func (r *Resizable[V]) maybeShrink() {
 
 // Quiesce drives any in-flight migration to completion, then starts (and
 // completes) whatever resize the current load calls for, until the table
-// is a single slab sized within the hysteresis band, and sweeps the
-// reclamation pool, so retired chain nodes reach the free lists (clearing
-// their value words on the way). Migration otherwise advances only on the
-// backs of updates, so a table left oversized by a delete storm keeps its
-// memory until the next write burst; operators and the churn workload call
+// is a single slab sized within the hysteresis band. Migration otherwise
+// advances only on the backs of updates, so a table left oversized by a
+// delete storm keeps its memory until the next write burst; operators and
+// the churn workload call
 // Quiesce between traffic phases (or register the table on a
 // maint.Scheduler, which does the same through MaintainIdle). Safe to
 // call concurrently with operations, which proceed exactly as they do
@@ -734,11 +660,8 @@ func (r *Resizable[V]) Quiesce() { r.MaintainIdle(nil) }
 // maintenance never outlives its Stop even when traffic keeps the table out
 // of band indefinitely.
 func (r *Resizable[V]) quiesce(cancel <-chan struct{}) {
-	rc := reclaimer{Pool: r.pool}
-	defer rc.Release()
 	var bo backoff.Backoff
 	var last *rtable[V]
-	helps := 0
 	for {
 		if cancel != nil {
 			select {
@@ -754,15 +677,8 @@ func (r *Resizable[V]) quiesce(cancel <-chan struct{}) {
 		}
 		if next := t.next.Load(); next != nil {
 			if t.cursor.Load() < claims(t, next) {
-				r.help(&rc)
+				r.help()
 				bo.Reset()
-				// A long migration retires whole chains per claim; cycling
-				// the handle at op-boundaries lets the amortized sweep run,
-				// so nodes retired early in the drain feed the allocations
-				// later in it instead of piling up unreclaimed.
-				if helps++; helps%64 == 0 {
-					rc.Release()
-				}
 			} else {
 				bo.Wait()
 			}
@@ -783,10 +699,10 @@ func (r *Resizable[V]) quiesce(cancel <-chan struct{}) {
 // OPTIK critical section on the bucket's lock: concurrent feasible updates
 // fail TryLockVersion and retry until they observe the sentinel, and the
 // version bump on unlock sends optimistic readers back around.
-func (t *rtable[V]) migrateBucket(i int, next *rtable[V], rc *reclaimer) {
+func (t *rtable[V]) migrateBucket(i int, next *rtable[V]) {
 	b := &t.buckets[i]
 	b.lock.Lock()
-	b.moveAll(next, rc)
+	b.moveAll(next)
 	b.head.Store(forwardedNode[V]())
 	b.lock.Unlock()
 }
@@ -805,12 +721,12 @@ func (t *rtable[V]) migrateBucket(i int, next *rtable[V], rc *reclaimer) {
 // form. Readers, as ever, acquire nothing: a racing scan either fails
 // version validation against the bumped source versions or meets the
 // sentinel and hops.
-func (t *rtable[V]) migratePair(i int, next *rtable[V], rc *reclaimer) {
+func (t *rtable[V]) migratePair(i int, next *rtable[V]) {
 	lo, hi := &t.buckets[i], &t.buckets[i+len(t.buckets)/2]
 	lo.lock.Lock()
 	hi.lock.Lock()
-	lo.moveAll(next, rc)
-	hi.moveAll(next, rc)
+	lo.moveAll(next)
+	hi.moveAll(next)
 	lo.head.Store(forwardedNode[V]())
 	hi.head.Store(forwardedNode[V]())
 	hi.lock.Unlock()
@@ -818,22 +734,19 @@ func (t *rtable[V]) migratePair(i int, next *rtable[V], rc *reclaimer) {
 }
 
 // moveAll copies every live entry of b (inline prefix and overflow chain)
-// into next, retiring the source chain nodes as it goes. The caller holds
-// b's lock; the old slots and node contents are left untouched, so
-// readers that entered before forwarding finish against a consistent (if
-// stale) snapshot — retirement only makes the nodes *eligible* for
-// recycling, and any reader that could still be bitten by the eventual
-// recycle necessarily fails its version validation against this critical
+// into next. The caller holds b's lock; the old slots and node contents
+// are left untouched, so readers that entered before forwarding finish
+// against a consistent (if stale) snapshot, and any reader that would
+// return what it read fails its version validation against this critical
 // section and restarts.
-func (b *bucket[V]) moveAll(next *rtable[V], rc *reclaimer) {
+func (b *bucket[V]) moveAll(next *rtable[V]) {
 	for s := range b.inline {
 		if k := b.inline[s].key.Load(); k != 0 {
-			insertMoved(next, k, core.LoadWord(&b.inline[s].val), rc)
+			insertMoved(next, k, core.LoadWord(&b.inline[s].val))
 		}
 	}
 	for cur := b.head.Load(); cur != nil; cur = cur.next.Load() {
-		insertMoved(next, cur.key.Load(), core.LoadWord(&cur.val), rc)
-		rc.Retire(cur)
+		insertMoved(next, cur.key.Load(), core.LoadWord(&cur.val))
 	}
 }
 
@@ -841,14 +754,9 @@ func (b *bucket[V]) moveAll(next *rtable[V], rc *reclaimer) {
 // into deeper slabs (a cascaded resize may already have forwarded the
 // destination). No duplicate check: the key's source bucket is locked by
 // the caller, so the key cannot exist anywhere ahead. No counting either —
-// migration moves entries, it does not create them. Destination chain
-// nodes come from the same reclaimer that is retiring the source chain,
-// though never a node retired within this same operation: retirements
-// only reach the free list at a sweep, and sweeps run strictly between
-// operations.
-func insertMoved[V any](t *rtable[V], key uint64, val V, rc *reclaimer) {
+// migration moves entries, it does not create them.
+func insertMoved[V any](t *rtable[V], key uint64, val V) {
 	var bo backoff.Backoff
-retry:
 	for {
 		b := &t.buckets[t.index(key)]
 		vn := b.lock.GetVersion()
@@ -866,17 +774,14 @@ retry:
 		}
 		var pred *node[V]
 		cur := head
-		for hops := 0; cur != nil && cur.key.Load() < key; {
+		for cur != nil && cur.key.Load() < key {
 			pred, cur = cur, cur.next.Load()
-			if hops++; hops&chainGuardMask == 0 && !b.lock.GetVersion().Same(vn) {
-				continue retry
-			}
 		}
 		if !b.lock.TryLockVersion(vn) {
 			bo.Wait()
 			continue
 		}
-		b.put(key, val, free, pred, cur, rc)
+		b.put(key, val, free, pred, cur)
 		b.lock.Unlock()
 		return
 	}

@@ -36,7 +36,7 @@ func TestMigratePairMergesChains(t *testing.T) {
 		}
 	}
 
-	old.migratePair(2, next, nil)
+	old.migratePair(2, next)
 
 	if old.buckets[2].head.Load() != forwardedNode[uint64]() || old.buckets[6].head.Load() != forwardedNode[uint64]() {
 		t.Fatal("pair not forwarded after migratePair")

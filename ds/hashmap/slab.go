@@ -33,30 +33,23 @@ const inlinePairs = 3
 // The value a table stores beside each key is one 8-byte word, V: a
 // uint64 for the paper's tables and the benchmarks, a pointer where the
 // index holds a layer's values itself (store.Strings keeps each *pair
-// there, and nowhere else). core.Word moves it atomically either way, and
-// a word that leaves the table is cleared, so an entry the table no longer
-// maps keeps nothing alive: a delete zeroes the inline slot's word, and a
-// chain node zeroes its own on its way to a free list (Clear).
+// there, and nowhere else). core.Word moves it atomically either way. An
+// entry the table no longer maps keeps nothing alive for long: a delete
+// zeroes the inline slot's word, and an unlinked chain node, with the
+// word it froze, is the collector's once no stale reader holds it.
 
 // node is one overflow-chain node of a slab bucket. It mirrors the
-// chainNode layout of the baseline tables (24 bytes: key, value, next) but
-// every field is atomic: Resizable recycles nodes through the qsbr free
-// lists (reclaim.go), so a reader whose optimistic scan straddled a
-// retirement can race the node's next owner rewriting it. The scan's
-// version validation discards whatever such a reader saw; the atomics make
-// the race well-defined for the memory model instead of undefined
-// behavior. The fixed Slab table never retires nodes and pays nothing for
-// the shared layout.
+// chainNode layout of the baseline tables (24 bytes: key, value, next).
+// val and next are atomic because locked writers replace them under
+// lock-free readers; key is written once, before the node is linked, and
+// is atomic only so that slots and nodes read alike. A node is never
+// reused: once unlinked, or left behind by a migration, it is frozen, and
+// the collector frees it when no reader can reach it.
 type node[V any] struct {
 	key  atomic.Uint64
 	val  core.Word[V]
 	next atomic.Pointer[node[V]]
 }
-
-// Clear implements qsbr.Clearer: a node entering a free list drops its
-// value word. Readers that still reach it fail their version validation,
-// as they do against any recycled node.
-func (n *node[V]) Clear() { core.ClearWord(&n.val) }
 
 // pairSlot is one inline slot. Key 0 marks the slot free (user keys are in
 // [ds.MinKey, ds.MaxKey], as in arraymap). The fields are atomics so
@@ -159,7 +152,8 @@ func paddedBucketSlab[V any](n int) []bucket[V] {
 // without validation, which is linearizable because a key can only change
 // buckets through a delete→insert pair, i.e. through an absence instant).
 // Hits validate the version: inline so the key/value pair is read
-// atomically, chain so the value cannot come from a recycled node.
+// atomically (a slot is reused by the next insert), chain as every
+// optimistic read that returns must be validated (optikvalidate).
 func (b *bucket[V]) search(key uint64) (V, bool) {
 restart:
 	vn := b.lock.GetVersionWait()
@@ -178,11 +172,11 @@ restart:
 			break
 		}
 		if k == key {
-			// Validated chain hit, as in Resizable's search: only the fixed
-			// Slab table calls this today, where the node could not have been
-			// recycled, but the bucket type is shared with tables that do
-			// recycle (see node's doc) and an unvalidated hit here is exactly
-			// the chain-hit bug optikvalidate exists to catch.
+			// Validated chain hit, as in Resizable's search. A fixed table
+			// never migrates or reuses a node, so an unvalidated hit would
+			// read a frozen value the key held during the scan; the check
+			// stays because optikvalidate requires it of every read an
+			// optimistic section returns, at one load of the line.
 			val := core.LoadWord(&cur.val)
 			if b.lock.GetVersion().Same(vn) {
 				return val, true
@@ -224,7 +218,7 @@ func (b *bucket[V]) insert(key uint64, val V) bool {
 			bo.Wait()
 			continue
 		}
-		b.put(key, val, free, pred, cur, nil)
+		b.put(key, val, free, pred, cur)
 		b.lock.Unlock()
 		return true
 	}
@@ -234,16 +228,16 @@ func (b *bucket[V]) insert(key uint64, val V) bool {
 // observed, otherwise linked into the sorted chain between pred and cur.
 // The caller holds the bucket lock with the scan's version validated, so
 // the slot is still free and the chain position still current. A chain
-// node comes from rc (recycled when possible; nil rc means plain heap),
-// and its fields are stored before the linking store publishes it, so a
-// reader that observes the link observes the fields.
-func (b *bucket[V]) put(key uint64, val V, free int, pred, cur *node[V], rc *reclaimer) {
+// node is fresh from the heap, and its fields are stored before the
+// linking store publishes it, so a reader that observes the link observes
+// the fields.
+func (b *bucket[V]) put(key uint64, val V, free int, pred, cur *node[V]) {
 	if free >= 0 {
 		core.StoreWord(&b.inline[free].val, val)
 		b.inline[free].key.Store(key)
 		return
 	}
-	n := allocNode[V](rc)
+	n := new(node[V])
 	n.key.Store(key)
 	core.StoreWord(&n.val, val)
 	n.next.Store(cur)
@@ -255,9 +249,9 @@ func (b *bucket[V]) put(key uint64, val V, free int, pred, cur *node[V], rc *rec
 }
 
 // unlinkNode splices chain node cur, preceded by pred (nil: cur is the
-// head), out of b. The caller holds the bucket lock, has read cur's value,
-// and retires cur if it wants it recycled: a retired node clears its own
-// value word on its way to a free list (Clear).
+// head), out of b. The caller holds the bucket lock and has read cur's
+// value. cur keeps its key, value and next pointer, so a stale walk that
+// reaches it still moves to larger keys and ends.
 func (b *bucket[V]) unlinkNode(pred, cur *node[V]) {
 	if pred == nil {
 		b.head.Store(cur.next.Load())

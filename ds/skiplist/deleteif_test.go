@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/optik-go/optik/internal/qsbr"
 	"github.com/optik-go/optik/internal/rng"
 )
 
@@ -59,7 +58,7 @@ func TestOptikDeleteIfValueWindow(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			l := NewOptikPool[*pair](nil)
+			l := NewOptikOf[*pair]()
 			l.Insert(key-1, &pair{})
 			l.Insert(key, p0)
 			l.Insert(key+1, &pair{})
@@ -114,13 +113,13 @@ func TestOptikDeleteIfValueWindow(t *testing.T) {
 }
 
 // TestOptikDeleteIfValueConcurrent races conditional deletes and replaces
-// against upserts and plain deletes on a pool-backed list: every
+// against upserts and plain deletes: every
 // successful removal — conditional or not — must be counted exactly once,
 // and a conditional update may only ever act on the value it named: every
 // word written is unique, so a deleted or replaced word must be the one
 // the caller read.
 func TestOptikDeleteIfValueConcurrent(t *testing.T) {
-	l := NewOptikPool[uint64](qsbr.NewPool(qsbr.NewDomain(), 0))
+	l := NewOptik2()
 	const keys = 64
 	iters := 20000
 	if testing.Short() {

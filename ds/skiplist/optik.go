@@ -8,7 +8,6 @@ import (
 	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/internal/backoff"
 	"github.com/optik-go/optik/internal/core"
-	"github.com/optik-go/optik/internal/qsbr"
 )
 
 // oNode is a node of the OPTIK-based skip list. One OPTIK lock protects
@@ -18,14 +17,12 @@ import (
 //
 // val is the value word (core.Word: a uint64, or a pointer the list holds
 // for a layer above), atomic because Upsert replaces it in place under the
-// node's own lock while lock-free searches read it. key stays plain: on a
-// pool-backed list it is only rewritten during recycling, when qsbr
-// guarantees no pinned traversal can still reach the node; on a GC-backed
-// list it is written once before publication. The marked and linked flags
-// and the height live in the lock word's tag byte (tower.go), so the
-// header is 24 bytes and a flag change is a version change. The height is
-// written once, at the allocation that sized the tower, and never again —
-// not even by recycling.
+// node's own lock while lock-free searches read it. key stays plain: it is
+// written once, before publication, and a tower is never reused — an
+// unlinked tower is frozen until the collector frees it. The marked and
+// linked flags and the height live in the lock word's tag byte (tower.go),
+// so the header is 24 bytes and a flag change is a version change. The
+// height is written once, at the allocation that sized the tower.
 //
 // This is the header only; the forward pointers follow it in the same
 // allocation (tower.go) and are reached through at.
@@ -61,13 +58,6 @@ func newONode[V any](key uint64, topLevel int) *oNode[V] {
 	return n
 }
 
-// Clear implements qsbr.Clearer: a tower reclaimed onto a free list drops
-// its value word, so a list's free towers pin nothing. Only reclamation
-// may clear it — a search that passed the marked check before the delete
-// still reads the word, and qsbr hands the tower over only once no pinned
-// traversal can reach it.
-func (n *oNode[V]) Clear() { core.ClearWord(&n.val) }
-
 // Optik is the paper's new skip-list algorithm (§5.3). Parsing tracks the
 // version of every predecessor; insertions link *eagerly* — each level is
 // physically linked immediately after its predecessor's single-CAS
@@ -81,44 +71,32 @@ func (n *oNode[V]) Clear() { core.ClearWord(&n.val) }
 // check before giving up on it; "optik2" restarts immediately and is the
 // more scalable variant under contention.
 //
-// A list built with NewOptikPool additionally recycles its towers through
-// the shared qsbr lifecycle (the same qsbr.Reclaimer carrier the resizable
-// hash table's chain nodes use): deleted towers are retired, reclaimed
-// once no pinned operation can reach them, and handed back out by the next
-// insert. Unlike the hash table — whose readers are protected by version
-// validation alone — the skip list's traversals dereference plain fields
-// (key, the forward slots), so on a pool-backed list EVERY operation pins
-// a qsbr handle for its duration: the pin's announced epoch blocks
-// reclamation of anything the traversal can reach. The paper variants (NewOptik1/2) keep
-// a nil pool, where every pin is a no-op and unlinked towers drop to the
-// garbage collector — identical code path, zero behavior change.
+// Unlinked towers go to the garbage collector, which frees one only once
+// no traversal can still reach it, so a traversal may dereference plain
+// fields (key, the forward slots) of any tower it reaches without pinning
+// anything.
 type Optik[V comparable] struct {
 	head         *oNode[V]
 	tail         *oNode[V]
 	fineValidate bool
-	// pool hands out qsbr handles for tower recycling; nil means
-	// GC-reclaimed (the paper variants).
-	pool *qsbr.Pool
 }
 
 var _ ds.Set = (*Optik[uint64])(nil)
 
 // NewOptik1 returns the variant that performs fine-grained validation when
 // a version check fails ("optik1" in Figure 11).
-func NewOptik1() *Optik[uint64] { return newOptik[uint64](true, nil) }
+func NewOptik1() *Optik[uint64] { return newOptik[uint64](true) }
 
 // NewOptik2 returns the variant that restarts immediately on a version
 // check failure ("optik2" in Figure 11).
-func NewOptik2() *Optik[uint64] { return newOptik[uint64](false, nil) }
+func NewOptik2() *Optik[uint64] { return newOptik[uint64](false) }
 
-// NewOptikPool returns an optik2-variant list of value word V (uint64, or
-// a pointer the list then holds for the garbage collector) whose towers
-// are recycled through pool's quiescent-state domain — the ordered-index
-// counterpart of the resizable hash table's chain-node recycling. Several
-// lists may share one pool; pass nil for GC reclamation.
-func NewOptikPool[V comparable](pool *qsbr.Pool) *Optik[V] { return newOptik[V](false, pool) }
+// NewOptikOf returns an optik2-variant list of value word V: uint64, or a
+// pointer the list then holds for the garbage collector (the string
+// layer's pairs). Any other V panics.
+func NewOptikOf[V comparable]() *Optik[V] { return newOptik[V](false) }
 
-func newOptik[V comparable](fine bool, pool *qsbr.Pool) *Optik[V] {
+func newOptik[V comparable](fine bool) *Optik[V] {
 	core.CheckWord[V]()
 	tail := newONode[V](tailKey, MaxLevel)
 	tail.lock.SetTags(linkedTag)
@@ -127,51 +105,7 @@ func newOptik[V comparable](fine bool, pool *qsbr.Pool) *Optik[V] {
 		head.at(l).Store(tail)
 	}
 	head.lock.SetTags(linkedTag)
-	return &Optik[V]{head: head, tail: tail, fineValidate: fine, pool: pool}
-}
-
-// Pool returns the reclamation pool backing the list (nil for the
-// GC-reclaimed paper variants). store.Ordered uses it to sweep shards from
-// the shared maintenance scheduler.
-func (s *Optik[V]) Pool() *qsbr.Pool { return s.pool }
-
-// ReclaimStats reports the lifetime tower reclamation counters of the
-// list's qsbr domain (all zero for GC-backed lists). Racy snapshot; for
-// monitoring and the recycling tests.
-func (s *Optik[V]) ReclaimStats() (retired, reclaimed, reused uint64) {
-	if s.pool == nil {
-		return 0, 0, 0
-	}
-	return s.pool.Domain().Stats()
-}
-
-// allocONode returns a tower for key→val: recycled from the qsbr free list
-// when one is available, freshly allocated at a random height otherwise.
-// The caller links n.height() levels — the tower's height IS the insert's
-// level draw. A recycled tower keeps the height it was born with: retired
-// heights are themselves independent geometric draws (nothing about a
-// deletion depends on the victim's height, and nothing about the next
-// insert's key depends on which tower the free list hands out), so the
-// list's level distribution is preserved, the free list needs no size
-// classes, and the tower behind an address never changes capacity. The
-// rest of a recycled tower is reset: key and value, then its lock — left
-// held forever by the deleter that retired it — is reissued in one store
-// that releases it with the version advanced, clears marked and linked and
-// keeps the height, so any parse still holding a snapshot from the node's
-// previous life keeps failing validation (the version is monotone across
-// lives, belt to the qsbr suspenders). The forward pointers keep stale
-// values until the insert relinks each level.
-func allocONode[V any](rc *qsbr.Reclaimer, key uint64, val V) *oNode[V] {
-	if v := rc.Alloc(); v != nil {
-		n := v.(*oNode[V])
-		n.key = key
-		core.StoreWord(&n.val, val)
-		n.lock.Reissue(heightTag(n.height()))
-		return n
-	}
-	n := newONode[V](key, randomLevel())
-	core.StoreWord(&n.val, val)
-	return n
+	return &Optik[V]{head: head, tail: tail, fineValidate: fine}
 }
 
 // find parses the list, recording per level the predecessor, its version
@@ -196,12 +130,10 @@ func (s *Optik[V]) find(key uint64, preds *[MaxLevel]*oNode[V], predVs *[MaxLeve
 // plain reads; a node is present iff reached at level 0 and not marked.
 func (s *Optik[V]) Search(key uint64) (V, bool) {
 	ds.CheckKey(key)
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	return s.search(key)
 }
 
+// search is Search without the key check, for SearchBatch.
 func (s *Optik[V]) search(key uint64) (V, bool) {
 	pred := s.head
 	var cur *oNode[V]
@@ -260,10 +192,7 @@ func (s *Optik[V]) acquireLevel(pred, succ *oNode[V], predv core.Version, level 
 // partially inserted node from being deleted mid-linking.
 func (s *Optik[V]) Insert(key uint64, val V) bool {
 	ds.CheckKey(key)
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
-	_, _, inserted := s.insert(&rc, key, val, false)
+	_, _, inserted := s.insert(key, val, false)
 	return inserted
 }
 
@@ -273,17 +202,14 @@ func (s *Optik[V]) Insert(key uint64, val V) bool {
 // happened.
 func (s *Optik[V]) Upsert(key uint64, val V) (V, bool) {
 	ds.CheckKey(key)
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
-	old, replaced, _ := s.insert(&rc, key, val, true)
+	old, replaced, _ := s.insert(key, val, true)
 	return old, replaced
 }
 
 // insert is the shared Insert/Upsert loop: parse, handle a present key
 // (fail, or replace under the node's lock), otherwise link a new tower
 // eagerly level by level. Returns (old value, replaced, inserted).
-func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V, bool, bool) {
+func (s *Optik[V]) insert(key uint64, val V, upsert bool) (V, bool, bool) {
 	var preds, succs [MaxLevel]*oNode[V]
 	var predVs [MaxLevel]core.Version
 	var n *oNode[V]
@@ -302,11 +228,6 @@ func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V
 					continue
 				}
 				if !upsert {
-					if n != nil {
-						// Allocated on an earlier iteration but never
-						// published: straight back to the free list.
-						rc.Free(n)
-					}
 					return zero, false, false
 				}
 				if v.IsLocked() || !found.lock.TryLockVersion(v) {
@@ -320,14 +241,12 @@ func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V
 				old := core.LoadWord(&found.val)
 				core.StoreWord(&found.val, val)
 				found.lock.Unlock()
-				if n != nil {
-					rc.Free(n)
-				}
 				return old, true, false
 			}
 		}
 		if n == nil {
-			n = allocONode[V](rc, key, val)
+			n = newONode[V](key, randomLevel())
+			core.StoreWord(&n.val, val)
 			topLevel = n.height()
 		}
 		restartParse := false
@@ -383,18 +302,14 @@ func (s *Optik[V]) insert(rc *qsbr.Reclaimer, key uint64, val V, upsert bool) (V
 
 // Delete removes key, returning its value, if present. The victim's OPTIK
 // lock is acquired with a single validate-and-lock CAS and never released
-// while the node remains in circulation — any parse that cached the dead
-// node as a predecessor fails its validation until the tower is recycled
-// (and the recycling reset keeps the version monotone, so even then no
-// stale snapshot can validate). All predecessor levels are locked before
-// the top-down unlink; setting the marked flag is the linearization point.
+// — any parse that cached the dead node as a predecessor fails its
+// validation for as long as it can reach the tower. All predecessor levels
+// are locked before the top-down unlink; setting the marked flag is the
+// linearization point.
 func (s *Optik[V]) Delete(key uint64) (V, bool) {
 	ds.CheckKey(key)
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	var zero V
-	return s.delete(&rc, key, false, zero)
+	return s.delete(key, false, zero)
 }
 
 // DeleteIfValue removes key only while it still maps to exactly val,
@@ -410,10 +325,7 @@ func (s *Optik[V]) Delete(key uint64) (V, bool) {
 // (store.Strings: a fresh pair for every write).
 func (s *Optik[V]) DeleteIfValue(key uint64, val V) bool {
 	ds.CheckKey(key)
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
-	_, ok := s.delete(&rc, key, true, val)
+	_, ok := s.delete(key, true, val)
 	return ok
 }
 
@@ -424,9 +336,6 @@ func (s *Optik[V]) DeleteIfValue(key uint64, val V) bool {
 // TTL) and must not overwrite a successor.
 func (s *Optik[V]) ReplaceIfValue(key uint64, old, new V) bool {
 	ds.CheckKey(key)
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	var preds, succs [MaxLevel]*oNode[V]
 	var predVs [MaxLevel]core.Version
 	var bo backoff.Backoff
@@ -465,7 +374,7 @@ var testHookDeleteWindow func()
 
 // delete is the shared Delete/DeleteIfValue loop; with match set the
 // victim goes only if its value is want.
-func (s *Optik[V]) delete(rc *qsbr.Reclaimer, key uint64, match bool, want V) (V, bool) {
+func (s *Optik[V]) delete(key uint64, match bool, want V) (V, bool) {
 	var preds, succs [MaxLevel]*oNode[V]
 	var predVs [MaxLevel]core.Version
 	var victim *oNode[V]
@@ -544,10 +453,8 @@ func (s *Optik[V]) delete(rc *qsbr.Reclaimer, key uint64, match bool, want V) (V
 			preds[level].at(level).Store(victim.at(level).Load())
 		}
 		unlockOPreds(&preds, highestLocked)
-		// victim.lock stays acquired until the tower is recycled; the
-		// retirement hands it to qsbr (or the GC, without a pool), and
-		// qsbr clears its value word as it reclaims it (oNode.Clear).
-		rc.Retire(victim)
+		// victim.lock stays acquired, and the tower goes to the collector
+		// with its value word as the delete left it.
 		return val, true
 	}
 }
@@ -587,9 +494,6 @@ func (s *Optik[V]) ScanRange(from, to uint64, keys []uint64, vals []V) int {
 	if len(keys) == 0 || from > to {
 		return 0
 	}
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	// Descend to the level-0 predecessor of from.
 	pred := s.head
 	for level := MaxLevel - 1; level >= 0; level-- {
@@ -616,9 +520,6 @@ func (s *Optik[V]) ScanRange(from, to uint64, keys []uint64, vals []V) int {
 // Min returns the smallest live key and its value. ok is false on an
 // empty list.
 func (s *Optik[V]) Min() (key uint64, val V, ok bool) {
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
 		if !cur.isMarked() {
 			return cur.key, core.LoadWord(&cur.val), true
@@ -631,9 +532,6 @@ func (s *Optik[V]) Min() (key uint64, val V, ok bool) {
 // list. The descent rides the top levels to the last tower, so Max is a
 // parse, not a level-0 walk; a marked last node (mid-unlink) retries.
 func (s *Optik[V]) Max() (key uint64, val V, ok bool) {
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	var bo backoff.Backoff
 	for {
 		pred := s.head
@@ -656,13 +554,9 @@ func (s *Optik[V]) Max() (key uint64, val V, ok bool) {
 	}
 }
 
-// SearchBatch looks up keys[i] into vals[i]/found[i], pinning one qsbr
-// handle for the whole batch instead of one per key — the batched-store
+// SearchBatch looks up keys[i] into vals[i]/found[i] — the batched-store
 // shape (store.Ordered routes shard batches here).
 func (s *Optik[V]) SearchBatch(keys []uint64, vals []V, found []bool) {
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	for i, k := range keys {
 		ds.CheckKey(k)
 		vals[i], found[i] = s.search(k)
@@ -671,16 +565,13 @@ func (s *Optik[V]) SearchBatch(keys []uint64, vals []V, found []bool) {
 
 // UpsertBatchEach upserts keys[i]→vals[i], recording the replaced value
 // and whether a replacement happened per key, and returns how many keys
-// were newly inserted. One qsbr pin covers the whole batch.
+// were newly inserted.
 func (s *Optik[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int {
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	inserted := 0
 	for i, k := range keys {
 		ds.CheckKey(k)
 		var ins bool
-		old[i], replaced[i], ins = s.insert(&rc, k, vals[i], true)
+		old[i], replaced[i], ins = s.insert(k, vals[i], true)
 		if ins {
 			inserted++
 		}
@@ -689,17 +580,13 @@ func (s *Optik[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool
 }
 
 // DeleteBatchEach deletes keys[i], recording the removed value and whether
-// the key was present, and returns how many were removed. One qsbr pin
-// covers the whole batch.
+// the key was present, and returns how many were removed.
 func (s *Optik[V]) DeleteBatchEach(keys []uint64, old []V, found []bool) int {
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	removed := 0
 	var zero V
 	for i, k := range keys {
 		ds.CheckKey(k)
-		old[i], found[i] = s.delete(&rc, k, false, zero)
+		old[i], found[i] = s.delete(k, false, zero)
 		if found[i] {
 			removed++
 		}
@@ -709,9 +596,6 @@ func (s *Optik[V]) DeleteBatchEach(keys []uint64, old []V, found []bool) int {
 
 // Len counts unmarked elements at level 0 (not linearizable).
 func (s *Optik[V]) Len() int {
-	rc := qsbr.Reclaimer{Pool: s.pool}
-	defer rc.Release()
-	rc.Pin()
 	n := 0
 	for cur := s.head.at(0).Load(); cur != s.tail; cur = cur.at(0).Load() {
 		if !cur.isMarked() {

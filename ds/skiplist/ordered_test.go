@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/optik-go/optik/internal/qsbr"
 	"github.com/optik-go/optik/internal/rng"
 )
 
@@ -136,47 +135,12 @@ func TestOptikBatchOps(t *testing.T) {
 	}
 }
 
-// TestOptikPoolRecycles is the ordered-index half of the recycling
-// acceptance bar: with a pool-backed list, deleted towers must come back
-// out of Alloc after quiescent passes — ReclaimStats showing reuse — with
-// the callers never invoking a quiesce themselves (here the test drives
-// the epoch via a scheduler-shaped sweep: release/re-acquire cycles).
-func TestOptikPoolRecycles(t *testing.T) {
-	d := qsbr.NewDomain()
-	p := qsbr.NewPool(d, 8)
-	s := NewOptikPool[uint64](p)
-	if s.Pool() != p {
-		t.Fatal("Pool accessor broken")
-	}
-
-	// Churn one key: every delete retires a tower, and because each op
-	// borrows and releases a pool slot (which runs a quiescent sweep on
-	// release), retired towers become allocatable for later inserts.
-	for i := 0; i < 2000; i++ {
-		k := uint64(1 + i%16)
-		s.Insert(k, k)
-		s.Delete(k)
-	}
-	retired, reclaimed, reused := s.ReclaimStats()
-	if retired == 0 {
-		t.Fatal("no towers retired under churn")
-	}
-	if reclaimed == 0 {
-		t.Fatal("no towers reclaimed: epoch never advanced")
-	}
-	if reused == 0 {
-		t.Fatalf("no towers reused (retired %d, reclaimed %d)", retired, reclaimed)
-	}
-}
-
-// TestOptikPoolConcurrent hammers a pool-backed list from writers and
-// scanners at once: recycled towers must never corrupt the order or leak
-// marked nodes into scan pages. Run under -race this also exercises the
-// epoch protection story (pinned traversals vs recycling resets).
-func TestOptikPoolConcurrent(t *testing.T) {
-	d := qsbr.NewDomain()
-	p := qsbr.NewPool(d, 64)
-	s := NewOptikPool[uint64](p)
+// TestOptikChurnWithScanners hammers a list from writers and scanners at
+// once: churn must never corrupt the order or leak marked nodes into scan
+// pages. Run under -race this also exercises plain-field traversals over
+// towers that writers are unlinking.
+func TestOptikChurnWithScanners(t *testing.T) {
+	s := NewOptik2()
 	const keyRange = 512
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

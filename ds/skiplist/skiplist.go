@@ -48,10 +48,9 @@ type levelCell struct {
 // routes every draw through runtime locking plus a fallback path;
 // enhancements.md of the related skiplist repo diagnoses exactly this —
 // a shared RNG on the insert path — as the first scaling sin. Instead each
-// draw steps a cell picked by the same stack-address probe qsbr.Pool uses
-// for handle affinity: stable within a goroutine (8 KiB granularity, so
-// differing call depths hash alike), spread across goroutines, no shared
-// hot word. Two goroutines that do land on one cell race the
+// draw steps a cell picked by a stack-address probe: stable within a
+// goroutine (8 KiB granularity, so differing call depths hash alike),
+// spread across goroutines, no shared hot word. Two goroutines that do land on one cell race the
 // load-step-store benignly: a lost update repeats a state, which skews
 // nothing the geometric draw cares about, and the atomics keep it
 // race-detector-clean.

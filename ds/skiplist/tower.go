@@ -31,9 +31,8 @@ import (
 // traversal reaches a node at level l only through a level-l link. The
 // checked build (-race, or the skiplistdebug tag) enforces it on every
 // access: at panics on an out-of-tower level instead of reading the next
-// object in the span. On the pooled list a recycled tower keeps the height
-// it was born with (see allocONode), so the tower behind an address never
-// changes size across lives either.
+// object in the span. A tower is never reused, so the height behind an
+// address is the one it was allocated with for as long as it is reachable.
 
 // towerNode is the allocated shape of a node: header H, then tower T (an
 // array of forward slots).
@@ -110,7 +109,7 @@ const (
 	// by the tower's inserter, after its last level.
 	linkedTag uint64 = 1 << 57
 	// heightShift: bits 58–63 hold the height, in [1, MaxLevel]. Written
-	// before publication and never again, recycling included.
+	// before publication and never again.
 	heightShift = 58
 )
 

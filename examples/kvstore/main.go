@@ -112,8 +112,7 @@ func main() {
 		float64(gets.Load())/elapsed/1e3, 100*float64(hits.Load())/float64(max(gets.Load(), 1)))
 	fmt.Printf("  SET: %8.2f Kops/s\n", float64(sets.Load())/elapsed/1e3)
 	fmt.Printf("  DEL: %8.2f Kops/s\n", float64(dels.Load())/elapsed/1e3)
-	retired, _, reused := st.Index().ReclaimStats()
-	fmt.Printf("  index: %d keys in %d buckets, %d resizes, %d/%d chain nodes retired/reused\n",
-		st.Len(), st.Index().Buckets(), st.Index().Resizes(), retired, reused)
+	fmt.Printf("  index: %d keys in %d buckets, %d resizes\n",
+		st.Len(), st.Index().Buckets(), st.Index().Resizes())
 	fmt.Printf("  bytes: %d used\n", st.BytesUsed())
 }

@@ -1,6 +1,6 @@
 // Package analysis is a self-contained, stdlib-only miniature of
 // golang.org/x/tools/go/analysis, shaped so the OPTIK invariant analyzers
-// (atomicfield, qsbrguard, optikvalidate, padcheck) read exactly like
+// (atomicfield, bufguard, optikvalidate, padcheck) read exactly like
 // upstream analyzers and could be ported to the real framework by swapping
 // one import. The container this repo builds in carries no module
 // dependencies, so the framework re-implements the three pieces it needs:
@@ -78,10 +78,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// IsTestFile reports whether pos lies in a *_test.go file. The qsbrguard
-// and optikvalidate analyzers skip test files: tests stage deliberate
-// protocol violations (staged retire/recycle windows, handles held across
-// synchronization to provoke races) that are the point of the test.
+// IsTestFile reports whether pos lies in a *_test.go file. The
+// optikvalidate and bufguard analyzers skip test files: tests stage
+// deliberate protocol violations (unvalidated reads in staged windows,
+// buffers held across synchronization to provoke races) that are the
+// point of the test.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
@@ -96,8 +97,8 @@ func (p *Pass) Preorder(fn func(ast.Node) bool) {
 
 // Shared type-interrogation helpers. The analyzers match types structurally
 // and by name rather than by import path identity, so their analysistest
-// suites can use small stub packages (a local package named qsbr, a local
-// CacheLinePad type) instead of importing the real module.
+// suites can use small stub types (a local Lock and Version, a local
+// CacheLinePad) instead of importing the real module.
 
 // Deref returns the element type of a pointer, or t itself.
 func Deref(t types.Type) types.Type {

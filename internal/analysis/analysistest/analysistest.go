@@ -5,7 +5,7 @@
 //
 // Layout: testdata/src/<pkg>/*.go is one package, imported by its
 // directory name (GOPATH-style). A testdata package may import a sibling
-// testdata package (stub types, e.g. a local package named qsbr) or
+// testdata package (a package of shared stub types) or
 // anything in the standard library; the loader source-checks siblings and
 // resolves std imports from compiled export data.
 //

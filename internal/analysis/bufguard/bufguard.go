@@ -13,7 +13,7 @@
 // ownership transfer; what it polices is the other shape — a local
 // scratch checkout (`b := getBytes(n)`) that an early return forgets to
 // put back. Matching is name-based (getX/putX pairs) so analysistest
-// stubs work, mirroring qsbrguard.
+// stubs work.
 //
 // Functions in *_test.go files and the pool implementation itself
 // (server/bufpool.go's own functions) are exempt.

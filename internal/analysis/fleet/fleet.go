@@ -10,7 +10,6 @@ import (
 	"github.com/optik-go/optik/internal/analysis/bufguard"
 	"github.com/optik-go/optik/internal/analysis/optikvalidate"
 	"github.com/optik-go/optik/internal/analysis/padcheck"
-	"github.com/optik-go/optik/internal/analysis/qsbrguard"
 )
 
 // Analyzers is the full fleet, in reporting order.
@@ -19,5 +18,4 @@ var Analyzers = []*analysis.Analyzer{
 	bufguard.Analyzer,
 	optikvalidate.Analyzer,
 	padcheck.Analyzer,
-	qsbrguard.Analyzer,
 }

@@ -15,8 +15,8 @@
 //     section. This is exactly the chain-hit bug
 //     this repo once shipped: the hashmap's chain walk returned
 //     cur.val.Load() on a key match without re-checking the bucket
-//     version, so a racing migration could hand back a value from a
-//     node that was already unlinked and recycled.
+//     version, so a racing migration or recycle could hand back a value
+//     from a node the key had already left.
 //
 // A successful validation (TryLockVersion, LockVersion, a Same/==
 // version compare) clears the taint: reads made before it are proven

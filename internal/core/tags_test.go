@@ -103,7 +103,6 @@ func TestLockTagsRefuseOtherBits(t *testing.T) {
 	for name, f := range map[string]func(l *Lock){
 		"SetTags locked bit": func(l *Lock) { l.SetTags(1) },
 		"SetTags bit 55":     func(l *Lock) { l.SetTags(TagMask | 1<<55) },
-		"Reissue counter":    func(l *Lock) { l.Reissue(TagMask | 2) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			var l Lock
@@ -117,42 +116,6 @@ func TestLockTagsRefuseOtherBits(t *testing.T) {
 			}()
 			f(&l)
 		})
-	}
-}
-
-// TestLockReissueAdvances pins the recycling step: a lock held forever by
-// its last owner comes back free with new tags, and its counter past every
-// version of the previous life, so no snapshot from that life validates.
-func TestLockReissueAdvances(t *testing.T) {
-	var l Lock
-	l.SetTags(0x07 << 56)
-	l.Lock()
-	l.Unlock()
-	old := l.GetVersion() // a snapshot from the previous life
-	if !l.TryLockVersion(old) {
-		t.Fatal("TryLockVersion on a quiescent lock failed")
-	}
-	l.SetTags(0x08 << 56) // the last owner's tag, set under the lock it never releases
-	l.Reissue(0x03 << 56)
-	got := l.GetVersion()
-	if got.IsLocked() || got.Tags() != 0x03<<56 {
-		t.Fatalf("reissued word %#x, want free with tags %#x", uint64(got), uint64(0x03<<56))
-	}
-	if counterOf(got) != counterOf(old)+2 {
-		t.Fatalf("reissue moved the counter %d -> %d, want +2", counterOf(old), counterOf(got))
-	}
-	l.SetTags(old.Tags()) // the new life rebuilds the old tags
-	if got := l.GetVersion(); got.Tags() != old.Tags() {
-		t.Fatalf("setup: tags %#x, want the old %#x", got.Tags(), old.Tags())
-	}
-	if l.TryLockVersion(old) {
-		t.Fatal("a snapshot from the previous life validated after Reissue")
-	}
-	// A free lock is reissued past its last critical section too.
-	v := l.GetVersion()
-	l.Reissue(0)
-	if got := l.GetVersion(); got.IsLocked() || counterOf(got) != counterOf(v)+2 {
-		t.Fatalf("reissue of a free lock: counter %d -> %d, want +2 and free", counterOf(v), counterOf(got))
 	}
 }
 

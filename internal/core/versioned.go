@@ -40,9 +40,9 @@ const lockedBit = 1
 // object keeps beside "locked" and "version" in the same word (the skip
 // list's marked, linked and height bits). The counter below it never
 // carries into it — Lock, Unlock, Revert and the validate-and-lock CAS
-// change only bits 0–55 — so the tags change only through SetTags and
-// Reissue, and, being part of the version, every tag change is a version
-// change: a snapshot taken before it fails TryLockVersion.
+// change only bits 0–55 — so the tags change only through SetTags, and,
+// being part of the version, every tag change is a version change: a
+// snapshot taken before it fails TryLockVersion.
 const TagMask uint64 = 0xFF << 56
 
 // counterMask is the rest of the word: the version counter, odd = locked.
@@ -157,24 +157,11 @@ func (l *Lock) Tags() uint64 { return l.word.Load() & TagMask }
 // atomic OR that leaves the counter and the locked bit as they are. Any
 // thread may call it, holder or not, and it composes with concurrent
 // lockers and releases: each of them is an atomic read-modify-write of
-// the whole word. Tags are cleared only by Reissue. Which thread may set
+// the whole word. Tags are never cleared. Which thread may set
 // which tag is the owning structure's protocol (docs/INVARIANTS.md).
 func (l *Lock) SetTags(tags uint64) {
 	checkTags(tags)
 	l.word.Or(tags)
-}
-
-// Reissue hands the lock to a new life of the object it guards — a
-// recycled node whose last holder never released it — in one step: the
-// lock comes back free, its counter advanced past every version of the
-// previous life (an odd counter by one, as Unlock would, an even one by
-// two), and its tag byte replaced by tags. No snapshot taken in the
-// previous life can validate against it. Only an owner with no concurrent
-// user — a reclaimer handed the node by qsbr — may call it.
-func (l *Lock) Reissue(tags uint64) {
-	checkTags(tags)
-	w := l.word.Load()
-	l.word.Store(tags | ((w|lockedBit)+1)&counterMask)
 }
 
 // IsLockedNow reports whether the lock is held at this instant (racy; for

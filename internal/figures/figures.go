@@ -73,11 +73,6 @@ type Row struct {
 	// FinalBuckets is set by the churn figure for resizable structures:
 	// proof the table handed its memory back.
 	FinalBuckets int `json:"final_buckets,omitempty"`
-	// NodesRetired/NodesReused are the churn figure's chain-node
-	// reclamation counters for structures that recycle through qsbr:
-	// proof steady-state churn reuses nodes instead of re-allocating.
-	NodesRetired uint64 `json:"nodes_retired,omitempty"`
-	NodesReused  uint64 `json:"nodes_reused,omitempty"`
 	// MaxProcs is set by the server/ordered/conns rows: GOMAXPROCS at
 	// measurement time, so rows from differently-sized runners never join
 	// silently.

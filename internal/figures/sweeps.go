@@ -113,7 +113,6 @@ func figChurn(o RunOpts) []Panel {
 			res := churn(s, th)
 			row := latencyRow(res.Mops, res.Latency)
 			row.FinalBuckets = res.FinalBuckets
-			row.NodesRetired, row.NodesReused = res.NodesRetired, res.NodesReused
 			return row
 		},
 	}, {
@@ -132,10 +131,6 @@ func figChurn(o RunOpts) []Panel {
 			if res.FinalBuckets > 0 {
 				lines = append(lines, fmt.Sprintf("final buckets %d after %d resizes, quiesce %s",
 					res.FinalBuckets, res.Resizes, res.Quiesces))
-			}
-			if res.NodesRetired > 0 {
-				lines = append(lines, fmt.Sprintf("nodes retired %d reclaimed %d reused %d",
-					res.NodesRetired, res.NodesReclaimed, res.NodesReused))
 			}
 			return Row{}, lines
 		},
@@ -180,11 +175,7 @@ func figServer(o RunOpts) []Panel {
 		Series: series,
 		Cell: func(s, th int) Row {
 			res := run(s, th, false)
-			return Row{
-				Mops: res.Mops, FinalBuckets: res.FinalBuckets,
-				NodesRetired: res.NodesRetired, NodesReused: res.NodesReused,
-				MaxProcs: res.MaxProcs,
-			}
+			return Row{Mops: res.Mops, FinalBuckets: res.FinalBuckets, MaxProcs: res.MaxProcs}
 		},
 	}, {
 		Figure: "Server latency", Workload: wl,
@@ -201,8 +192,8 @@ func figServer(o RunOpts) []Panel {
 				kindLine("set", res.SetLatency),
 				kindLine("del", res.DelLatency),
 				kindLine("batch", res.BatchLatency),
-				fmt.Sprintf("hit rate %.1f%%, %d buckets across %d shards, %d resizes, %d/%d nodes retired/reused",
-					100*res.HitRate, res.FinalBuckets, shards[s], res.Resizes, res.NodesRetired, res.NodesReused),
+				fmt.Sprintf("hit rate %.1f%%, %d buckets across %d shards, %d resizes",
+					100*res.HitRate, res.FinalBuckets, shards[s], res.Resizes),
 			}
 		},
 	}}
@@ -247,10 +238,7 @@ func storeFactory(shards, initial int) func() *store.Store[uint64] {
 // a zipfian GET/SET/DEL stream with a 10% fraction of range scans, swept
 // across thread counts × shard counts. The 1-shard column is the single
 // skip list behind the store API; separation between columns is what
-// range partitioning buys when scans and point ops contend. The
-// reclamation counters are the acceptance signal: towers retire and get
-// reused with zero caller-side quiescing — the scheduler's idle sweeps
-// alone drain them.
+// range partitioning buys when scans and point ops contend.
 func figOrdered(o RunOpts) []Panel {
 	shards := normalizeShards(o.Shards)
 	series := shardSeries("ordered", shards)
@@ -267,10 +255,7 @@ func figOrdered(o RunOpts) []Panel {
 		Series: series,
 		Cell: func(s, th int) Row {
 			res := run(s, th, false)
-			return Row{
-				Mops: res.Mops, NodesRetired: res.TowersRetired, NodesReused: res.TowersReused,
-				MaxProcs: res.MaxProcs,
-			}
+			return Row{Mops: res.Mops, MaxProcs: res.MaxProcs}
 		},
 	}, {
 		Figure: "Ordered latency", Workload: wl,
@@ -290,8 +275,7 @@ func figOrdered(o RunOpts) []Panel {
 				kindLine("get", res.GetLatency),
 				kindLine("set", res.SetLatency),
 				kindLine("scan", res.ScanLatency),
-				fmt.Sprintf("hit rate %.1f%%, %.1f entries/scan, towers retired %d reclaimed %d reused %d (no caller quiesce)",
-					100*res.HitRate, density, res.TowersRetired, res.TowersReclaimed, res.TowersReused),
+				fmt.Sprintf("hit rate %.1f%%, %.1f entries/scan", 100*res.HitRate, density),
 			}
 		},
 	}}

@@ -1,7 +1,7 @@
 // Package maint is the shared maintenance goroutine behind every structure
 // that needs background attention: one Scheduler services any number of
-// registered Maintainers — hashmap.Resizable tables, the skip-list shards
-// of an ordered store, a string store's expiry/eviction pass — so a
+// registered Maintainers — hashmap.Resizable tables, a string store's
+// expiry/eviction pass — so a
 // sharded deployment pays one timer and one goroutine for its whole fleet
 // instead of one per shard. It lives outside ds/hashmap because nothing in
 // it is table-specific: a structure joins by implementing three methods,
@@ -24,9 +24,9 @@ const DefaultInterval = 10 * time.Millisecond
 // Scheduler is one maintenance goroutine over a set of registered
 // structures. Each poll it samples every structure's activity; one idle
 // for two consecutive samples gets the full maintenance pass (a table
-// quiesces its resize chain home and sweeps its reclamation pool), one
-// with traffic gets a bounded hand and is otherwise left to drive its own
-// maintenance on the backs of its updates.
+// quiesces its resize chain home), one with traffic gets a bounded hand
+// and is otherwise left to drive its own maintenance on the backs of its
+// updates.
 //
 // Two properties make one goroutine enough for a fleet:
 //
@@ -74,9 +74,9 @@ type Maintainer interface {
 	// hash several fields together accept a collision-induced false idle
 	// on those terms.
 	ActivitySample() uint64
-	// MaintainIdle runs the full maintenance pass — quiesce migrations
-	// home, sweep the reclamation pool — aborting promptly when cancel
-	// closes, so maintenance never outlives a Stop.
+	// MaintainIdle runs the full maintenance pass — for the hash table,
+	// quiesce migrations home — aborting promptly when cancel closes, so
+	// maintenance never outlives a Stop.
 	MaintainIdle(cancel <-chan struct{})
 	// MaintainBusy lends a bounded hand to a structure with traffic (for
 	// the hash table: advance an in-flight migration by one quantum). It

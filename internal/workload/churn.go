@@ -10,8 +10,7 @@
 // averages — shows up in the p99/max tail, and the phase transitions
 // drive structures that support it (hashmap.Resizable) to quiescence, so
 // a table that can shrink must actually have shrunk by the time the run
-// reports its final bucket count. Structures that recycle nodes report
-// their reclamation counters alongside.
+// reports its final bucket count.
 
 package workload
 
@@ -38,12 +37,6 @@ type Quiescer interface {
 // tables without widening ds.Set.
 type bucketed interface{ Buckets() int }
 type resizeCounted interface{ Resizes() int }
-
-// reclaimStatted exposes node-reclamation counters (hashmap.Resizable's
-// qsbr domain) without widening ds.Set.
-type reclaimStatted interface {
-	ReclaimStats() (retired, reclaimed, reused uint64)
-}
 
 // phase kinds within a cycle, each also the index of its latency ring;
 // churnAll and churnSearch ring every sample and the update phases'
@@ -99,11 +92,6 @@ type ChurnResult struct {
 	// Resizes is the lifetime resize count, for structures that expose
 	// one (0 otherwise).
 	Resizes int
-	// NodesRetired/NodesReclaimed/NodesReused are the chain-node
-	// reclamation counters for structures that expose them (0 otherwise).
-	// Steady-state churn on a recycling table shows NodesReused tracking
-	// NodesRetired; a copy-always table would show zeros.
-	NodesRetired, NodesReclaimed, NodesReused uint64
 	// Latency summarizes every sampled operation (ns); zero without
 	// SampleLatency. Migration stalls live in P99/Max.
 	Latency stats.Summary
@@ -265,9 +253,6 @@ func RunChurn(cfg ChurnConfig, factory func() ds.Set) ChurnResult {
 	}
 	if rc, ok := s.(resizeCounted); ok {
 		res.Resizes = rc.Resizes()
-	}
-	if rs, ok := s.(reclaimStatted); ok {
-		res.NodesRetired, res.NodesReclaimed, res.NodesReused = rs.ReclaimStats()
 	}
 	if cfg.SampleLatency {
 		res.Latency = stats.Summarize(m.lat[churnAll])

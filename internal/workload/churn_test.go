@@ -84,14 +84,6 @@ func TestRunChurnSteadyPhase(t *testing.T) {
 	if res.Quiesces.Count < 6 {
 		t.Fatalf("Quiesces.Count = %d with steady phases, want >= 6", res.Quiesces.Count)
 	}
-	// The recycling table reports its reclamation counters.
-	if res.NodesRetired == 0 || res.NodesReused == 0 {
-		t.Fatalf("reclamation counters empty: retired %d, reused %d", res.NodesRetired, res.NodesReused)
-	}
-	if res.NodesReused > res.NodesReclaimed || res.NodesReclaimed > res.NodesRetired {
-		t.Fatalf("counter inversion: %d retired, %d reclaimed, %d reused",
-			res.NodesRetired, res.NodesReclaimed, res.NodesReused)
-	}
 }
 
 func TestRunChurnFixedTable(t *testing.T) {

@@ -66,10 +66,6 @@ type OrderedResult struct {
 	// PrefillLen and FinalLen bracket the run (FinalLen after the final
 	// quiesce).
 	PrefillLen, FinalLen int
-	// TowersRetired/Reclaimed/Reused are the shared domain's tower
-	// reclamation counters — nonzero Reused with no caller Quiesce is the
-	// recycling acceptance signal.
-	TowersRetired, TowersReclaimed, TowersReused uint64
 	// Latency summarizes every sampled request (ns); Scan latency rides
 	// its own summary (whole-page, not per-entry).
 	Latency, GetLatency, SetLatency, ScanLatency stats.Summary
@@ -182,11 +178,6 @@ func RunOrdered(cfg OrderedConfig, factory func() *store.Ordered[uint64]) Ordere
 		return my.Ops
 	})
 	total.Ops, total.Mops, total.Elapsed = m.ops, m.mops, m.elapsed
-
-	// Accounting BEFORE any quiesce: the acceptance bar is that reuse
-	// happens with zero caller-side quiescing — the operations' own handle
-	// borrows and the scheduler's idle sweeps must have done it.
-	total.TowersRetired, total.TowersReclaimed, total.TowersReused = st.ReclaimStats()
 	st.Quiesce()
 	total.MaxProcs = runtime.GOMAXPROCS(0)
 	if total.Gets > 0 {

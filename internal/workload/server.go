@@ -74,9 +74,6 @@ type ServerResult struct {
 	FinalLen int
 	// FinalBuckets and Resizes aggregate the shards after the run.
 	FinalBuckets, Resizes int
-	// NodesRetired/NodesReclaimed/NodesReused are the fleet's chain-node
-	// reclamation counters.
-	NodesRetired, NodesReclaimed, NodesReused uint64
 	// Latency summarizes every sampled key operation (ns); zero without
 	// SampleLatency.
 	Latency stats.Summary
@@ -236,7 +233,6 @@ func RunServer(cfg ServerConfig, factory func() *store.Store[uint64]) ServerResu
 	total.FinalLen = st.Len()
 	total.FinalBuckets = st.Buckets()
 	total.Resizes = st.Resizes()
-	total.NodesRetired, total.NodesReclaimed, total.NodesReused = st.ReclaimStats()
 	if cfg.SampleLatency {
 		total.Latency = stats.Summarize(m.lat[srvAll])
 		total.GetLatency = stats.Summarize(m.lat[srvGet])

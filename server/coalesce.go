@@ -3,8 +3,8 @@
 // lookup at a time, recognizes runs of same-kind scalar commands
 // (GET/MGET, SET/MSET, DEL/MDEL), and drives each run through the
 // store's hash-level batch APIs — so a burst of 64 pipelined GETs pays
-// the shard-batched MGet's amortized costs (one routing pass, one
-// reclamation handle per touched shard, per-shard bucket locality)
+// the shard-batched MGet's amortized costs (one routing pass, one shard
+// call per touched shard, per-shard bucket locality)
 // exactly as if the client had sent one 64-key MGET frame. This is the
 // paper's amortize-the-synchronization move applied one layer above the
 // table: the requests were going to happen anyway; the coalescer merely

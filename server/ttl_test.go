@@ -219,10 +219,11 @@ func documentedStatsFields(t *testing.T) []string {
 // live reply to each other: the same names in the same order on the hash
 // server, and on the ordered one the same plus its ordered:1 discriminator.
 // A field added to the reply and not the document, or the other way round,
-// fails here.
+// fails here, and so does a field the document lists as removed.
 func TestServerStatsFields(t *testing.T) {
+	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused"}
 	documented := documentedStatsFields(t)
-	if len(documented) < 20 {
+	if len(documented) < 15 {
 		t.Fatalf("parsed only %d fields out of docs/PROTOCOL.md: %v", len(documented), documented)
 	}
 	for _, srv := range ttlServers {
@@ -239,6 +240,11 @@ func TestServerStatsFields(t *testing.T) {
 			}
 			if !slices.Equal(live, documented) {
 				t.Errorf("STATS fields and docs/PROTOCOL.md disagree:\n live:       %v\n documented: %v", live, documented)
+			}
+			for _, name := range removed {
+				if slices.Contains(live, name) {
+					t.Errorf("STATS carries %s, which docs/PROTOCOL.md lists as removed", name)
+				}
 			}
 			if want := int(b2i(srv.ordered)); ordered != want {
 				t.Errorf("STATS carries %d ordered lines, want %d", ordered, want)

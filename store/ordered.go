@@ -21,7 +21,6 @@ import (
 	"github.com/optik-go/optik/ds/hashmap"
 	"github.com/optik-go/optik/ds/skiplist"
 	"github.com/optik-go/optik/internal/core"
-	"github.com/optik-go/optik/internal/qsbr"
 )
 
 // WithKeyMax declares the largest key an ordered store will hold (default
@@ -34,12 +33,13 @@ func WithKeyMax(max uint64) Option {
 }
 
 // orderedShard is the sorted implementation of the shard contract: an
-// OPTIK skip list (§5.3) recycling its towers through its own qsbr pool,
-// plus the striped counter the list itself does not keep. The embedded
-// list supplies the read side (Search, SearchBatch, ScanRange, Min, Max,
-// ReclaimStats); every mutator is overridden below to record its outcome
-// on the counter, whose net half is a cheap Len (the list's own is an
-// O(n) walk) and whose op half is the scheduler's activity signal.
+// OPTIK skip list (§5.3) plus the striped counter the list itself does not
+// keep. The embedded list supplies every method that leaves the element
+// count alone (Search, SearchBatch, ScanRange, Min, Max, ReplaceIfValue);
+// every mutator that changes the count is overridden below to record it
+// on the counter, a cheap Len (the list's own is an O(n) walk). A skip
+// list never resizes and its unlinked towers go to the collector, so the
+// shard has no maintenance and is not registered on the scheduler.
 type orderedShard[V comparable] struct {
 	*skiplist.Optik[V]
 	count *core.Striped
@@ -47,38 +47,31 @@ type orderedShard[V comparable] struct {
 
 func newOrderedShard[V comparable]() shard[V] {
 	return &orderedShard[V]{
-		Optik: skiplist.NewOptikPool[V](qsbr.NewPool(qsbr.NewDomain(), 0)),
+		Optik: skiplist.NewOptikOf[V](),
 		count: core.NewStriped(0),
-	}
-}
-
-// noteUpsert records one upsert: +1 element unless it replaced in place.
-func (sh *orderedShard[V]) noteUpsert(key uint64, replaced bool) {
-	if replaced {
-		sh.count.AddOp(key, 0)
-	} else {
-		sh.count.AddOp(key, 1)
 	}
 }
 
 func (sh *orderedShard[V]) Insert(key uint64, val V) bool {
 	ok := sh.Optik.Insert(key, val)
 	if ok {
-		sh.count.AddOp(key, 1)
+		sh.count.Add(key, 1)
 	}
 	return ok
 }
 
 func (sh *orderedShard[V]) Upsert(key uint64, val V) (V, bool) {
 	old, replaced := sh.Optik.Upsert(key, val)
-	sh.noteUpsert(key, replaced)
+	if !replaced {
+		sh.count.Add(key, 1)
+	}
 	return old, replaced
 }
 
 func (sh *orderedShard[V]) Delete(key uint64) (V, bool) {
 	val, ok := sh.Optik.Delete(key)
 	if ok {
-		sh.count.AddOp(key, -1)
+		sh.count.Add(key, -1)
 	}
 	return val, ok
 }
@@ -86,15 +79,7 @@ func (sh *orderedShard[V]) Delete(key uint64) (V, bool) {
 func (sh *orderedShard[V]) DeleteIfValue(key uint64, val V) bool {
 	ok := sh.Optik.DeleteIfValue(key, val)
 	if ok {
-		sh.count.AddOp(key, -1)
-	}
-	return ok
-}
-
-func (sh *orderedShard[V]) ReplaceIfValue(key uint64, old, new V) bool {
-	ok := sh.Optik.ReplaceIfValue(key, old, new)
-	if ok {
-		sh.count.AddOp(key, 0)
+		sh.count.Add(key, -1)
 	}
 	return ok
 }
@@ -102,7 +87,9 @@ func (sh *orderedShard[V]) ReplaceIfValue(key uint64, old, new V) bool {
 func (sh *orderedShard[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int {
 	inserted := sh.Optik.UpsertBatchEach(keys, vals, old, replaced)
 	for i, k := range keys {
-		sh.noteUpsert(k, replaced[i])
+		if !replaced[i] {
+			sh.count.Add(k, 1)
+		}
 	}
 	return inserted
 }
@@ -111,7 +98,7 @@ func (sh *orderedShard[V]) DeleteBatchEach(keys []uint64, old []V, found []bool)
 	removed := sh.Optik.DeleteBatchEach(keys, old, found)
 	for i, k := range keys {
 		if found[i] {
-			sh.count.AddOp(k, -1)
+			sh.count.Add(k, -1)
 		}
 	}
 	return removed
@@ -155,40 +142,11 @@ func (sh *orderedShard[V]) Sweep(cursor uint64, keys []uint64, vals []V) (n int,
 	return n, keys[n-1] + 1
 }
 
-// Len reads the counter's net half, clamped at zero like the tables' (a
-// reader can catch a delete's decrement before the matching insert's
-// increment).
+// Len reads the counter, clamped at zero like the tables' (a reader can
+// catch a delete's decrement before the matching insert's increment).
 func (sh *orderedShard[V]) Len() int {
-	return int(max(sh.count.Net(), 0))
+	return int(max(sh.count.Sum(), 0))
 }
-
-// Quiesce drains pending tower retirements: with no concurrent operations,
-// every retired tower is on the free list when it returns. Bounded, so it
-// terminates under concurrent traffic too (where "fully drained" is a
-// moving target).
-func (sh *orderedShard[V]) Quiesce() {
-	for i := 0; i < 4; i++ {
-		if retired, reclaimed, _ := sh.ReclaimStats(); retired == reclaimed {
-			return
-		}
-		sh.Pool().Sweep()
-	}
-}
-
-// ActivitySample implements maint.Maintainer: the monotone op count moves
-// on every successful update, so an unchanged sample means the shard was
-// untouched since the last poll.
-func (sh *orderedShard[V]) ActivitySample() uint64 { return uint64(sh.count.Ops()) }
-
-// MaintainIdle implements maint.Maintainer: with the shard idle, sweep its
-// pool so retired towers reclaim even if no future operation ever borrows
-// a handle. Cheap when nothing is pending.
-func (sh *orderedShard[V]) MaintainIdle(<-chan struct{}) { sh.Pool().Sweep() }
-
-// MaintainBusy implements maint.Maintainer: a busy skip-list shard needs
-// no help — there is no migration to advance, and the operations' own
-// handle borrows drive the reclamation epoch.
-func (sh *orderedShard[V]) MaintainBusy() {}
 
 // Ordered is the index core over sorted shards: every method of Store,
 // plus the ordered family — Scan, Min, Max — that a hash-routed store

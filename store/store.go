@@ -26,24 +26,22 @@
 // Sharding is the classic route from a fast structure to a served system
 // (lock striping over optimistic structures — the design behind the
 // paper's ConcurrentHashMap baseline, scaled out): each shard owns its
-// locks, its striped counter and its qsbr reclamation pool (and, for the
-// tables, its incremental resize machinery), so shards never contend on
-// anything — no shared counter cell, no shared migration cursor, no
-// shared free list. A resize migrates one shard's buckets while the other
-// shards serve traffic untouched, which bounds the tail a resize can
-// inflict on the store as a whole.
+// locks and its striped counter (and, for the tables, its incremental
+// resize machinery), so shards never contend on anything — no shared
+// counter cell, no shared migration cursor. A resize migrates one shard's
+// buckets while the other shards serve traffic untouched, which bounds the
+// tail a resize can inflict on the store as a whole.
 //
 // The fleet shares exactly one piece of infrastructure: the maintenance
-// scheduler (internal/maint). One goroutine samples every shard's
+// scheduler (internal/maint). One goroutine samples every table shard's
 // activity, quiesces the idle ones, and backs its poll interval off
 // exponentially while the whole fleet sleeps — the store costs one
 // goroutine and one timer at any shard count.
 //
 // Batched operations (MGet, MSet, MDel) route each key to its shard and
-// then visit each touched shard once, so the shard's reclamation handle is
-// borrowed per shard visit instead of per key. Migration help is not
-// hoisted: every key a batch writes pays its share of a resize, as a scalar
-// write does. Each key remains an independent linearizable operation; a
+// then visit each touched shard once, so a shard visit costs one interface
+// call instead of one per key. Migration help is not hoisted: every key a
+// batch writes pays its share of a resize, as a scalar write does. Each key remains an independent linearizable operation; a
 // batch is a loop, not a transaction.
 package store
 
@@ -66,7 +64,6 @@ import (
 // list to do so. Both are pointer-shaped, so a shard visit costs one itab
 // call and the per-key work behind it is the structure's own.
 type shard[V comparable] interface {
-	maint.Maintainer
 	Search(key uint64) (V, bool)
 	Insert(key uint64, val V) bool
 	Upsert(key uint64, val V) (old V, replaced bool)
@@ -77,9 +74,9 @@ type shard[V comparable] interface {
 	// lock, checked under the lock that owns it.
 	DeleteIfValue(key uint64, val V) bool
 	ReplaceIfValue(key uint64, old, new V) bool
-	// The batch forms apply the scalar operation to every key in order
-	// under one reclamation handle; the result slices are at least
-	// len(keys) long, the int is the fresh-insert / hit count.
+	// The batch forms apply the scalar operation to every key in order;
+	// the result slices are at least len(keys) long, the int is the
+	// fresh-insert / hit count.
 	SearchBatch(keys []uint64, vals []V, found []bool)
 	UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int
 	DeleteBatchEach(keys []uint64, old []V, found []bool) int
@@ -93,8 +90,6 @@ type shard[V comparable] interface {
 	Sample(rnd uint64) (keys [hashmap.SampleWidth]uint64, vals [hashmap.SampleWidth]V, n int)
 	Sweep(cursor uint64, keys []uint64, vals []V) (n int, next uint64)
 	Len() int
-	ReclaimStats() (retired, reclaimed, reused uint64)
-	Quiesce()
 }
 
 // Store is a sharded key-value index over uint64 keys and values: the
@@ -214,8 +209,8 @@ func newOptions(opts []Option) options {
 }
 
 // newStore assembles the index core: o.shards shards from newShard behind
-// the (mul, shift) router, every shard registered on one shared
-// maintenance scheduler unless o says otherwise.
+// the (mul, shift) router, every shard that resizes registered on one
+// shared maintenance scheduler unless o says otherwise.
 func newStore[V comparable](o options, mul uint64, shift uint, newShard func() shard[V]) Store[V] {
 	s := Store[V]{
 		shards:  make([]shard[V], o.shards),
@@ -230,7 +225,9 @@ func newStore[V comparable](o options, mul uint64, shift uint, newShard func() s
 	if o.maintenance {
 		s.sched = maint.NewScheduler(o.interval)
 		for _, sh := range s.shards {
-			s.sched.Register(sh)
+			if r, ok := sh.(resizer); ok {
+				s.sched.Register(r)
+			}
 		}
 	}
 	return s
@@ -328,11 +325,15 @@ func (s *Store[V]) Len() int {
 // Shards returns the shard count.
 func (s *Store[V]) Shards() int { return len(s.shards) }
 
-// resizer is the monitoring surface of shards that resize (the hash
-// tables); a store of sorted shards reads 0 for both.
+// resizer is the surface of shards that resize (the hash tables): their
+// monitoring counts, and the maintenance a resize needs — the scheduler's
+// Maintainer contract and Quiesce. A store of sorted shards reads 0 for
+// both counts and has nothing to maintain.
 type resizer interface {
+	maint.Maintainer
 	Buckets() int
 	Resizes() int
+	Quiesce()
 }
 
 // Buckets sums the shards' current bucket counts (racy; for monitoring).
@@ -357,26 +358,15 @@ func (s *Store[V]) Resizes() int {
 	return n
 }
 
-// ReclaimStats sums the shards' index-node reclamation counters — chain
-// nodes of the tables, towers of the skip lists (racy snapshot; for
-// monitoring).
-func (s *Store[V]) ReclaimStats() (retired, reclaimed, reused uint64) {
-	for _, sh := range s.shards {
-		a, b, c := sh.ReclaimStats()
-		retired += a
-		reclaimed += b
-		reused += c
-	}
-	return retired, reclaimed, reused
-}
-
-// Quiesce drives every shard's maintenance home: in-flight migrations
-// completed, pending resizes settled, retired nodes swept onto the free
-// lists. Operators normally never call it — the shared scheduler does —
-// but workload phase transitions and tests want the determinism.
+// Quiesce drives every table shard's maintenance home: in-flight
+// migrations completed, pending resizes settled. Operators normally never
+// call it — the shared scheduler does — but workload phase transitions
+// and tests want the determinism.
 func (s *Store[V]) Quiesce() {
 	for _, sh := range s.shards {
-		sh.Quiesce()
+		if r, ok := sh.(resizer); ok {
+			r.Quiesce()
+		}
 	}
 }
 

@@ -680,17 +680,17 @@ func TestTTLDefaultClock(t *testing.T) {
 // values: a store that held 20,000 values of 4 KiB and gave them all up —
 // by DEL, by the expiry sweep, or by eviction after its budget was cut —
 // holds, after a collection, no more than 10% over the empty store plus
-// the index's own floor (nodes and towers the qsbr free lists keep for
-// reuse, bounded here by 128 bytes per entry the store held). The hash
-// shards are provisioned so the table never resizes: a delete must clear
-// the inline slot's value word itself, because no shrink will throw the
-// slab away. A value word that survives its entry — an inline slot left
-// set, a node or tower on a free list still pointing at its pair — pins
-// 4 KiB per entry, and the heap ends tens of megabytes over.
+// 16 bytes per entry it held — less than any index node, so a node or
+// tower kept reachable after its delete (on a free list, say) shows. The
+// hash shards are provisioned so the table never resizes: a delete must
+// clear the inline slot's value word itself, because no shrink will throw
+// the slab away. A value word that survives its entry — an inline slot
+// left set, a node or tower still reachable and pointing at its pair —
+// pins 4 KiB per entry, and the heap ends tens of megabytes over.
 func TestMemoryReturnsToFloor(t *testing.T) { eachStrings(t, testMemoryReturnsToFloor) }
 
 func testMemoryReturnsToFloor(t *testing.T, newStrings func(...Option) *Strings) {
-	const n, size, indexFloor = 20_000, 4096, 128
+	const n, size, indexFloor = 20_000, 4096, 16
 	val := strings.Repeat("v", size)
 	key := func(i uint64) uint64 { return i*0x9E3779B97F4A7C15>>1 + 1 } // spread over the key range
 	heap := func() uint64 {
