@@ -194,10 +194,10 @@ func BenchmarkChurnSteady(b *testing.B) {
 // across shard counts, in a single-key variant and a batched one (every
 // request a 16-key MGet/MSet/MDel). The shards=1 rows are the unsharded
 // table behind the same API — the baseline the scaling axis is read
-// against; the batch rows measure what hoisting the per-op fixed costs
-// (router, shard call) buys per key. Shard-count
-// scaling is a parallelism win, so its full size shows on multi-core
-// hardware; batching pays on any machine.
+// against. A batch is a loop over the point ops, so the batch rows save
+// only the workload loop's per-request overhead and should read close to
+// the single rows. Shard-count scaling is a parallelism win, so its full
+// size shows on multi-core hardware.
 func BenchmarkStore(b *testing.B) {
 	const initial = 65536
 	threads := 16

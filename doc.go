@@ -51,14 +51,14 @@
 // involvement.
 //
 // The store package composes the pieces into a servable system, as one
-// stack: a shard contract (point ops, per-shard batches, conditional
-// delete and replace, sampling and sweeping) satisfied by the Resizable
-// table, which adds maintenance, and by the OPTIK skip list; a router that is data
+// stack: a shard contract (point ops, conditional delete and replace,
+// sampling and sweeping) satisfied by the Resizable table, which adds
+// maintenance, and by the OPTIK skip list; a router that is data
 // (shard = min((key·mul)>>shift, last): the Fibonacci multiplier hashes,
 // mul = 1 range-partitions); one index core over them (store.Store —
-// upsert Set semantics, batched MGet/MSet/MDel that visit each touched
-// shard once through a pooled scratch, aggregated statistics, the whole
-// fleet serviced by one shared Scheduler), which store.Ordered
+// upsert Set semantics, MGet/MSet/MDel as loops over the point ops,
+// aggregated statistics, the whole fleet serviced by one shared
+// Scheduler), which store.Ordered
 // specializes only by carrying
 // Scan/Min/Max over sorted shards; and one string layer (store.Strings —
 // the index's value word is each immutable value object itself, so a

@@ -221,8 +221,7 @@ func (r *Resizable[V]) Search(key uint64) (V, bool) {
 // synchronization; a feasible insert validates its scan with one
 // TryLockVersion CAS, then bumps the size counter and, when thresholds
 // say so, starts or helps a resize. Migration help is part of every
-// update's body, so every key an update touches claims its quantum,
-// however it was batched (batch.go).
+// update's body: each one claims its quantum.
 func (r *Resizable[V]) Insert(key uint64, val V) bool {
 	ds.CheckKey(key)
 	r.help()
@@ -287,11 +286,6 @@ func (r *Resizable[V]) Insert(key uint64, val V) bool {
 // as an operation for the maintenance scheduler's activity signal.
 func (r *Resizable[V]) Upsert(key uint64, val V) (V, bool) {
 	ds.CheckKey(key)
-	return r.upsert(key, val)
-}
-
-// upsert is Upsert's body, for batch entry points that checked their keys.
-func (r *Resizable[V]) upsert(key uint64, val V) (V, bool) {
 	r.help()
 	t := r.root.Load()
 	var bo backoff.Backoff

@@ -114,89 +114,3 @@ func TestUpsertConcurrentConservation(t *testing.T) {
 	}
 	m.checkMigrationState(t)
 }
-
-// TestBatchOps pins the batch entry points against their scalar
-// equivalents: same results, one key at a time, and the batch insert
-// count matches the fresh-key count.
-func TestBatchOps(t *testing.T) {
-	m := NewResizable(16)
-	keys := make([]uint64, 500)
-	vals := make([]uint64, 500)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		vals[i] = uint64(i+1) * 3
-	}
-	if got := m.UpsertBatch(keys, vals); got != len(keys) {
-		t.Fatalf("UpsertBatch fresh = %d, want %d", got, len(keys))
-	}
-	if got := m.UpsertBatch(keys, vals); got != 0 {
-		t.Fatalf("UpsertBatch repeat = %d, want 0", got)
-	}
-	outVals := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	m.SearchBatch(keys, outVals, found)
-	for i := range keys {
-		if !found[i] || outVals[i] != vals[i] {
-			t.Fatalf("SearchBatch[%d] = %d,%v; want %d,true", i, outVals[i], found[i], vals[i])
-		}
-	}
-	if got := m.DeleteBatch(keys[:250]); got != 250 {
-		t.Fatalf("DeleteBatch = %d, want 250", got)
-	}
-	if got := m.DeleteBatch(keys[:250]); got != 0 {
-		t.Fatalf("DeleteBatch repeat = %d, want 0", got)
-	}
-	if got := m.Len(); got != 250 {
-		t.Fatalf("Len = %d, want 250", got)
-	}
-	m.SearchBatch(keys, outVals, found)
-	for i := range keys {
-		if found[i] != (i >= 250) {
-			t.Fatalf("SearchBatch[%d] found = %v after deletes", i, found[i])
-		}
-	}
-}
-
-// TestBatchOpsEach pins the per-key-result batch variants: outcomes must
-// match what the same sequence of scalar Upserts/Deletes would report,
-// including duplicate keys inside one batch (applied in order: the first
-// occurrence inserts or deletes, the rest see its effect).
-func TestBatchOpsEach(t *testing.T) {
-	m := NewResizable(16)
-	keys := []uint64{10, 20, 10, 30, 20, 10}
-	vals := []uint64{1, 2, 3, 4, 5, 6}
-	old := make([]uint64, len(keys))
-	replaced := make([]bool, len(keys))
-	if got := m.UpsertBatchEach(keys, vals, old, replaced); got != 3 {
-		t.Fatalf("UpsertBatchEach fresh = %d, want 3 (distinct keys)", got)
-	}
-	wantRepl := []bool{false, false, true, false, true, true}
-	wantOld := []uint64{0, 0, 1, 0, 2, 3}
-	for i := range keys {
-		if replaced[i] != wantRepl[i] || (replaced[i] && old[i] != wantOld[i]) {
-			t.Fatalf("UpsertBatchEach[%d] = old %d replaced %v; want %d %v",
-				i, old[i], replaced[i], wantOld[i], wantRepl[i])
-		}
-	}
-	if v, ok := m.Search(10); !ok || v != 6 {
-		t.Fatalf("Search(10) = %d,%v; want 6 (last duplicate wins)", v, ok)
-	}
-	delKeys := []uint64{10, 99, 10, 20}
-	delOld := make([]uint64, len(delKeys))
-	delFound := make([]bool, len(delKeys))
-	if got := m.DeleteBatchEach(delKeys, delOld, delFound); got != 2 {
-		t.Fatalf("DeleteBatchEach = %d, want 2", got)
-	}
-	wantDel := []bool{true, false, false, true}
-	for i := range delKeys {
-		if delFound[i] != wantDel[i] {
-			t.Fatalf("DeleteBatchEach[%d] found = %v, want %v", i, delFound[i], wantDel[i])
-		}
-	}
-	if delOld[0] != 6 || delOld[3] != 5 {
-		t.Fatalf("DeleteBatchEach old = %v", delOld)
-	}
-	if got := m.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1 (only key 30 left)", got)
-	}
-}

@@ -130,11 +130,6 @@ func (s *Optik[V]) find(key uint64, preds *[MaxLevel]*oNode[V], predVs *[MaxLeve
 // plain reads; a node is present iff reached at level 0 and not marked.
 func (s *Optik[V]) Search(key uint64) (V, bool) {
 	ds.CheckKey(key)
-	return s.search(key)
-}
-
-// search is Search without the key check, for SearchBatch.
-func (s *Optik[V]) search(key uint64) (V, bool) {
 	pred := s.head
 	var cur *oNode[V]
 	for level := MaxLevel - 1; level >= 0; level-- {
@@ -552,46 +547,6 @@ func (s *Optik[V]) Max() (key uint64, val V, ok bool) {
 		// maximum the moment the unlink lands.
 		bo.Wait()
 	}
-}
-
-// SearchBatch looks up keys[i] into vals[i]/found[i] — the batched-store
-// shape (store.Ordered routes shard batches here).
-func (s *Optik[V]) SearchBatch(keys []uint64, vals []V, found []bool) {
-	for i, k := range keys {
-		ds.CheckKey(k)
-		vals[i], found[i] = s.search(k)
-	}
-}
-
-// UpsertBatchEach upserts keys[i]→vals[i], recording the replaced value
-// and whether a replacement happened per key, and returns how many keys
-// were newly inserted.
-func (s *Optik[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int {
-	inserted := 0
-	for i, k := range keys {
-		ds.CheckKey(k)
-		var ins bool
-		old[i], replaced[i], ins = s.insert(k, vals[i], true)
-		if ins {
-			inserted++
-		}
-	}
-	return inserted
-}
-
-// DeleteBatchEach deletes keys[i], recording the removed value and whether
-// the key was present, and returns how many were removed.
-func (s *Optik[V]) DeleteBatchEach(keys []uint64, old []V, found []bool) int {
-	removed := 0
-	var zero V
-	for i, k := range keys {
-		ds.CheckKey(k)
-		old[i], found[i] = s.delete(k, false, zero)
-		if found[i] {
-			removed++
-		}
-	}
-	return removed
 }
 
 // Len counts unmarked elements at level 0 (not linearizable).

@@ -98,43 +98,6 @@ func TestOptikMinMax(t *testing.T) {
 	}
 }
 
-func TestOptikBatchOps(t *testing.T) {
-	s := NewOptik2()
-	keys := []uint64{3, 1, 4, 1, 5}
-	vals := []uint64{30, 10, 40, 11, 50}
-	old := make([]uint64, len(keys))
-	replaced := make([]bool, len(keys))
-
-	if ins := s.UpsertBatchEach(keys, vals, old, replaced); ins != 4 {
-		t.Fatalf("UpsertBatchEach inserted %d, want 4", ins)
-	}
-	if !replaced[3] || old[3] != 10 {
-		t.Fatalf("duplicate key in batch: replaced=%v old=%d", replaced[3], old[3])
-	}
-
-	got := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	s.SearchBatch(keys, got, found)
-	for i := range keys {
-		if !found[i] {
-			t.Fatalf("key %d not found after batch upsert", keys[i])
-		}
-	}
-	if got[1] != 11 {
-		t.Fatalf("key 1 = %d, want the later batch value 11", got[1])
-	}
-
-	if rem := s.DeleteBatchEach([]uint64{1, 2, 3}, old[:3], found[:3]); rem != 2 {
-		t.Fatalf("DeleteBatchEach removed %d, want 2", rem)
-	}
-	if found[1] {
-		t.Fatal("absent key 2 reported found by batch delete")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d after batch delete, want 2", s.Len())
-	}
-}
-
 // TestOptikChurnWithScanners hammers a list from writers and scanners at
 // once: churn must never corrupt the order or leak marked nodes into scan
 // pages. Run under -race this also exercises plain-field traversals over

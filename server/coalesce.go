@@ -1,14 +1,13 @@
 // Server-side request coalescing: the ingest path stages the parsed
-// requests of a pipeline batch instead of executing them one index
-// lookup at a time, recognizes runs of same-kind scalar commands
-// (GET/MGET, SET/MSET, DEL/MDEL), and drives each run through the
-// store's hash-level batch APIs — so a burst of 64 pipelined GETs pays
-// the shard-batched MGet's amortized costs (one routing pass, one shard
-// call per touched shard, per-shard bucket locality)
-// exactly as if the client had sent one 64-key MGET frame. This is the
-// paper's amortize-the-synchronization move applied one layer above the
-// table: the requests were going to happen anyway; the coalescer merely
-// refuses to pay the per-operation fixed costs once per request.
+// requests of a pipeline batch instead of executing them one at a time,
+// recognizes runs of same-kind commands (GET/MGET, SET/MSET, DEL/MDEL),
+// and drives each run through one call of the store's hash-level
+// multi-key APIs — so a burst of 64 pipelined GETs executes exactly as if
+// the client had sent one 64-key MGET frame. The store runs a multi-key
+// call as a loop over its point ops, so what a run saves is the per-request
+// dispatch around the store (one call per run instead of one per request,
+// and the eviction hand lent once per write run), not any per-key cost
+// inside it.
 //
 // Coalescing is invisible on the wire. Replies are emitted in exact
 // arrival order with byte-identical framing to the scalar path; commands
@@ -88,11 +87,10 @@ func (co *coalescer) stage(k runKind, n int, multi bool) {
 
 // drain executes the staged run, appending every reply to out in
 // arrival order (spilling when out outgrows the buffer budget, as the
-// scalar path does), and resets the stage. A run of one scalar request
-// takes the exact scalar store path, so coalescing never taxes
-// request/response traffic; a run of one multi-key request is the
-// shard-batched M* handler. Only runs that merged two or more requests
-// count toward the coalescing stats.
+// scalar path does), and resets the stage. A one-key M* call is exactly
+// the scalar store call, so a run of one request costs what executing it
+// alone would. Only runs that merged two or more requests count toward
+// the coalescing stats.
 func (cs *connState) drain() error {
 	co, s := cs.co, cs.srv
 	if co.kind == runNone {
@@ -146,13 +144,8 @@ func (cs *connState) spill() error {
 
 func (cs *connState) drainRead() error {
 	co, s := cs.co, cs.srv
-	n := co.keys()
-	vals, found := co.scratch(n)
-	if n == 1 {
-		vals[0], found[0] = s.st.GetHashed(co.hashes[0])
-	} else {
-		s.st.MGetHashed(co.hashes, vals, found)
-	}
+	vals, found := co.scratch(co.keys())
+	s.st.MGetHashed(co.hashes, vals, found)
 	i := 0
 	for _, rq := range co.reqs {
 		if rq.multi {
@@ -178,13 +171,8 @@ func (cs *connState) drainRead() error {
 
 func (cs *connState) drainWrite() error {
 	co, s := cs.co, cs.srv
-	n := co.keys()
-	_, replaced := co.scratch(n)
-	if n == 1 {
-		replaced[0] = s.st.SetHashed(co.hashes[0], co.vals[0])
-	} else {
-		s.st.MSetHashed(co.hashes, co.vals, replaced)
-	}
+	_, replaced := co.scratch(co.keys())
+	s.st.MSetHashed(co.hashes, co.vals, replaced)
 	i := 0
 	for _, rq := range co.reqs {
 		if rq.multi {
@@ -209,13 +197,8 @@ func (cs *connState) drainWrite() error {
 
 func (cs *connState) drainDel() error {
 	co, s := cs.co, cs.srv
-	n := co.keys()
-	_, found := co.scratch(n)
-	if n == 1 {
-		found[0] = s.st.DelHashed(co.hashes[0])
-	} else {
-		s.st.MDelHashed(co.hashes, found)
-	}
+	_, found := co.scratch(co.keys())
+	s.st.MDelHashed(co.hashes, found)
 	i := 0
 	for _, rq := range co.reqs {
 		if rq.multi {

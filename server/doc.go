@@ -1,11 +1,14 @@
 // Package server is the network front for the sharded OPTIK store: it
 // exposes a store.Strings over a RESP-flavored (redis/memcached-style)
-// TCP protocol — GET/SET/DEL, batched MGET/MSET/MDEL, LEN, STATS,
+// TCP protocol — GET/SET/DEL, multi-key MGET/MSET/MDEL, LEN, STATS,
 // QUIESCE, PING, QUIT — with per-connection read/write buffering and
 // pipelining: a connection parses and executes requests back to back
 // while input is buffered and flushes all their replies in one write, so
 // a client that keeps k requests in flight pays the per-request syscall
-// and scheduling costs once per batch instead of once per key.
+// and scheduling costs once per batch instead of once per key. Pipelined
+// runs of same-kind commands are coalesced into one multi-key store call
+// (coalesce.go); the store runs it as a loop over its point ops, so each
+// key still costs one lookup or update of its own.
 //
 // The full wire format — framing, command grammar, reply types, error
 // handling and the pipelining contract — is specified in docs/PROTOCOL.md

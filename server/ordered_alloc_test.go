@@ -48,7 +48,7 @@ func TestRangeSteadyStateAllocs(t *testing.T) {
 			replyLen = len(cs.out)
 			cs.out = cs.out[:0]
 		}
-		run() // warm: sizes the page scratch and the store's pooled scratch
+		run() // warm: sizes the page scratch and the store's pooled scan page
 		if replyLen < 100*len("$4\r\n1000\r\n$33\r\n\r\n") {
 			t.Fatalf("%q: %d-byte reply cannot hold a 100-entry page", cmd, replyLen)
 		}

@@ -69,15 +69,15 @@ func WithBufferSize(n int) Option {
 }
 
 // WithCoalesce bounds server-side request coalescing: runs of same-kind
-// pipelined scalar commands (GET/MGET, SET/MSET, DEL/MDEL) are staged up
-// to n keys and driven through the store's shard-batched path in one
-// execution (default 256). Coalescing is invisible on the wire — replies
-// keep exact arrival order and byte-identical framing — and never delays
-// a request/response client (the run drains whenever the read buffer
-// does). 0 disables staging entirely, restoring one-execution-per-request
-// (multi-key MGET/MSET/MDEL frames still take the shard-batched path). A
-// run may overshoot n by the final request's keys: requests are never
-// split across runs.
+// pipelined commands (GET/MGET, SET/MSET, DEL/MDEL) are staged up to n
+// keys and driven through one call of the store's multi-key path
+// (default 256), which loops over the point ops. Coalescing is invisible
+// on the wire — replies keep exact arrival order and byte-identical
+// framing — and never delays a request/response client (the run drains
+// whenever the read buffer does). 0 disables staging entirely, restoring
+// one-execution-per-request (a multi-key MGET/MSET/MDEL frame is still one
+// multi-key call). A run may overshoot n by the final request's keys:
+// requests are never split across runs.
 func WithCoalesce(n int) Option {
 	return func(o *options) { o.coalesce = n }
 }
@@ -115,7 +115,7 @@ type Server struct {
 	// connections hold right now — the STATS RSS proxy.
 	buffersResident atomic.Int64
 	// Coalescing stats: runs that merged >= 2 pipelined requests into one
-	// batched store execution, and the keys those runs carried.
+	// multi-key store call, and the keys those runs carried.
 	coalescedBatches atomic.Uint64
 	coalescedKeys    atomic.Uint64
 	// connPanics counts connections closed by the containment backstop

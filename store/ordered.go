@@ -17,6 +17,8 @@
 package store
 
 import (
+	"sync"
+
 	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/ds/hashmap"
 	"github.com/optik-go/optik/ds/skiplist"
@@ -35,7 +37,7 @@ func WithKeyMax(max uint64) Option {
 // orderedShard is the sorted implementation of the shard contract: an
 // OPTIK skip list (§5.3) plus the striped counter the list itself does not
 // keep. The embedded list supplies every method that leaves the element
-// count alone (Search, SearchBatch, ScanRange, Min, Max, ReplaceIfValue);
+// count alone (Search, ScanRange, Min, Max, ReplaceIfValue);
 // every mutator that changes the count is overridden below to record it
 // on the counter, a cheap Len (the list's own is an O(n) walk). A skip
 // list never resizes and its unlinked towers go to the collector, so the
@@ -82,26 +84,6 @@ func (sh *orderedShard[V]) DeleteIfValue(key uint64, val V) bool {
 		sh.count.Add(key, -1)
 	}
 	return ok
-}
-
-func (sh *orderedShard[V]) UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int {
-	inserted := sh.Optik.UpsertBatchEach(keys, vals, old, replaced)
-	for i, k := range keys {
-		if !replaced[i] {
-			sh.count.Add(k, 1)
-		}
-	}
-	return inserted
-}
-
-func (sh *orderedShard[V]) DeleteBatchEach(keys []uint64, old []V, found []bool) int {
-	removed := sh.Optik.DeleteBatchEach(keys, old, found)
-	for i, k := range keys {
-		if found[i] {
-			sh.count.Add(k, -1)
-		}
-	}
-	return removed
 }
 
 // Sample reports the successor of a key drawn uniformly between the
@@ -279,12 +261,18 @@ func (s *SortedStrings) MDel(keys []uint64, found []bool) int {
 // a short page as end-of-range, so a shrunk page would silently skip every
 // key between the lost entries and the range end.
 func (s *SortedStrings) Scan(from, to uint64, keys []uint64, vals []string) int {
-	sc := grabStrScratch(len(keys))
-	defer sc.release(len(keys))
+	page := scanPages.Get().(*[]*pair)
+	if cap(*page) < len(keys) {
+		*page = make([]*pair, len(keys))
+	}
+	defer func() {
+		clear((*page)[:len(keys)])
+		scanPages.Put(page)
+	}()
 	w := 0
 	for w < len(keys) {
 		kbuf := keys[w:]
-		pairs := sc.pairs[:len(kbuf)]
+		pairs := (*page)[:len(kbuf)]
 		n := s.sorted.Scan(from, to, kbuf, pairs)
 		if n == 0 {
 			break
@@ -304,6 +292,11 @@ func (s *SortedStrings) Scan(from, to uint64, keys []uint64, vals []string) int 
 	}
 	return w
 }
+
+// scanPages pools the page of pairs SortedStrings.Scan reads the index
+// into, so a warm scan allocates nothing. A page's slots are cleared
+// before it goes back: a pooled page must not keep a value alive.
+var scanPages = sync.Pool{New: func() any { return new([]*pair) }}
 
 // Min returns the smallest live key and its value; ok is false on an
 // empty store.

@@ -81,25 +81,22 @@ func TestOrderedRangePartition(t *testing.T) {
 	}
 }
 
+// TestOrderedBatchOps pins the multi-key calls over range-partitioned
+// shards: per-key outcomes, duplicates applied in arrival order, and keys
+// spread over several shards or piled on one.
 func TestOrderedBatchOps(t *testing.T) {
-	for _, shards := range []int{1, 8} {
+	for _, shards := range []int{1, 2, 4, 8, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s := NewOrdered(WithShards(shards), WithKeyMax(1<<16), WithoutMaintenance())
 			keys := []uint64{100, 5000, 60000, 5000, 1}
-			vals := []uint64{1, 2, 3, 4, 5}
-			old := make([]uint64, len(keys))
-			repl := make([]bool, len(keys))
-			if ins := s.MSetEach(keys, vals, old, repl); ins != 4 {
-				t.Fatalf("MSetEach inserted %d, want 4", ins)
-			}
-			if !repl[3] || old[3] != 2 {
-				t.Fatalf("duplicate key: repl=%v old=%d (in-order apply broken)", repl[3], old[3])
+			if ins := s.MSet(keys, []uint64{1, 2, 3, 4, 5}); ins != 4 {
+				t.Fatalf("MSet inserted %d, want 4", ins)
 			}
 			got := make([]uint64, len(keys))
 			found := make([]bool, len(keys))
 			s.MGet(keys, got, found)
-			if !found[1] || got[1] != 4 {
-				t.Fatalf("MGet[5000] = %d,%v want 4", got[1], found[1])
+			if !found[1] || got[1] != 4 || !found[3] || got[3] != 4 {
+				t.Fatalf("MGet[5000] = %d,%v want the later write 4 (in-order apply broken)", got[1], found[1])
 			}
 			if s.Len() != 4 {
 				t.Fatalf("Len = %d, want 4", s.Len())
@@ -107,17 +104,41 @@ func TestOrderedBatchOps(t *testing.T) {
 			if ins := s.MSet(keys[:2], []uint64{9, 9}); ins != 0 {
 				t.Fatalf("MSet over present keys inserted %d", ins)
 			}
-			if del := s.MDelEach([]uint64{100, 77, 60000}, old[:3], found[:3]); del != 2 {
-				t.Fatalf("MDelEach removed %d, want 2", del)
-			}
-			if found[1] {
-				t.Fatal("absent key reported found")
+			if del := s.MDel([]uint64{100, 77, 60000}); del != 2 {
+				t.Fatalf("MDel removed %d, want 2", del)
 			}
 			if del := s.MDel([]uint64{5000, 1, 5000}); del != 2 {
 				t.Fatalf("MDel removed %d, want 2", del)
 			}
 			if s.Len() != 0 {
 				t.Fatalf("Len = %d after deleting everything", s.Len())
+			}
+
+			st := NewSortedStrings(WithShards(shards), WithKeyMax(1<<16), WithoutMaintenance())
+			replaced := make([]bool, len(keys))
+			if ins := st.MSet(keys, []string{"a", "b", "c", "d", "e"}, replaced); ins != 4 {
+				t.Fatalf("SortedStrings.MSet inserted %d, want 4", ins)
+			}
+			if !replaced[3] || replaced[0] || replaced[1] || replaced[2] || replaced[4] {
+				t.Fatalf("SortedStrings.MSet replaced = %v, want only the duplicate", replaced)
+			}
+			vals := make([]string, len(keys))
+			st.MGet(keys, vals, found)
+			for i, want := range []string{"a", "d", "c", "d", "e"} {
+				if !found[i] || vals[i] != want {
+					t.Fatalf("SortedStrings.MGet[%d] = %q,%v; want %q", i, vals[i], found[i], want)
+				}
+			}
+			delFound := make([]bool, 4)
+			if del := st.MDel([]uint64{100, 77, 5000, 5000}, delFound); del != 2 {
+				t.Fatalf("SortedStrings.MDel removed %d, want 2", del)
+			}
+			if !delFound[0] || delFound[1] || !delFound[2] || delFound[3] {
+				t.Fatalf("SortedStrings.MDel found = %v, want [true false true false]", delFound)
+			}
+			scanKeys := make([]uint64, 4)
+			if n := st.Scan(ds.MinKey, ds.MaxKey, scanKeys, vals[:4]); n != 2 || scanKeys[0] != 1 || scanKeys[1] != 60000 {
+				t.Fatalf("Scan after MDel = %v (%d entries), want [1 60000]", scanKeys[:n], n)
 			}
 		})
 	}

@@ -1,10 +1,10 @@
 // Package store lifts the library's concurrent structures into a servable
 // subsystem, as one stack with one body per behaviour:
 //
-//	shard contract   what a shard must do: point ops, per-shard batches,
-//	                 conditional delete and replace, sampling and
-//	                 sweeping, maintenance. Two structures satisfy it —
-//	                 the resizable OPTIK hash table as is, and the OPTIK
+//	shard contract   what a shard must do: point ops, conditional
+//	                 delete and replace, sampling and sweeping,
+//	                 maintenance. Two structures satisfy it — the
+//	                 resizable OPTIK hash table as is, and the OPTIK
 //	                 skip list plus a striped counter (ordered.go), which
 //	                 additionally scans in key order. Both are generic
 //	                 over the value word: uint64 for the index stores,
@@ -12,11 +12,11 @@
 //	router           data, not code: shard = min((key·mul)>>shift, last).
 //	                 The Fibonacci multiplier gives the hash router, mul=1
 //	                 the range partition.
-//	index core       Store: shards behind the router, one route → gather →
-//	                 shard-batch → scatter helper under every multi-key
-//	                 call, store-wide aggregation, one shared maintenance
-//	                 scheduler. Ordered is the same core over sorted
-//	                 shards, and is the type that carries Scan/Min/Max.
+//	index core       Store: shards behind the router, multi-key calls
+//	                 that loop over the point ops, store-wide
+//	                 aggregation, one shared maintenance scheduler.
+//	                 Ordered is the same core over sorted shards, and is
+//	                 the type that carries Scan/Min/Max.
 //	string layer     Strings (values.go, ttl.go): immutable value pairs
 //	                 held by the index itself — a read is one hop from
 //	                 key to value — with per-entry TTL and byte-budget
@@ -38,17 +38,17 @@
 // exponentially while the whole fleet sleeps — the store costs one
 // goroutine and one timer at any shard count.
 //
-// Batched operations (MGet, MSet, MDel) route each key to its shard and
-// then visit each touched shard once, so a shard visit costs one interface
-// call instead of one per key. Migration help is not hoisted: every key a
-// batch writes pays its share of a resize, as a scalar write does. Each key remains an independent linearizable operation; a
-// batch is a loop, not a transaction.
+// Batched operations (MGet, MSet, MDel) are loops over Get, Set and Del:
+// each key is routed and applied on its own, one indirect shard call per
+// key, in arrival order, so duplicates behave exactly as the sequential
+// scalar calls would. The writes check every key before they apply any.
+// Each key remains an independent linearizable operation; a batch is a
+// loop, not a transaction.
 package store
 
 import (
 	"math/bits"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/optik-go/optik/ds"
@@ -58,11 +58,11 @@ import (
 )
 
 // shard is the contract one partition of the index satisfies, over value
-// word V. Everything above it — routing, batching, the value layer's
-// expiry and eviction — is written once against this surface;
-// *hashmap.Resizable implements it as is, *orderedShard wraps the skip
-// list to do so. Both are pointer-shaped, so a shard visit costs one itab
-// call and the per-key work behind it is the structure's own.
+// word V. Everything above it — routing, the value layer's expiry and
+// eviction — is written once against this surface; *hashmap.Resizable
+// implements it as is, *orderedShard wraps the skip list to do so. Both
+// are pointer-shaped, so a key's visit costs one itab call and the work
+// behind it is the structure's own.
 type shard[V comparable] interface {
 	Search(key uint64) (V, bool)
 	Insert(key uint64, val V) bool
@@ -74,12 +74,6 @@ type shard[V comparable] interface {
 	// lock, checked under the lock that owns it.
 	DeleteIfValue(key uint64, val V) bool
 	ReplaceIfValue(key uint64, old, new V) bool
-	// The batch forms apply the scalar operation to every key in order;
-	// the result slices are at least len(keys) long, the int is the
-	// fresh-insert / hit count.
-	SearchBatch(keys []uint64, vals []V, found []bool)
-	UpsertBatchEach(keys []uint64, vals, old []V, replaced []bool) int
-	DeleteBatchEach(keys []uint64, old []V, found []bool) int
 	// Sample reports up to hashmap.SampleWidth entries around a position
 	// rnd chooses (none, for a probe that found nothing), by value: a
 	// caller's sampling loop allocates nothing. Sweep copies the entries
@@ -111,14 +105,11 @@ type Store[V comparable] struct {
 	shift uint
 	last  uint64
 	sched *maint.Scheduler
-	// scratch pools the batch routing state (see batchScratch).
-	scratch *sync.Pool
 }
 
 var _ ds.Set = (*Store[uint64])(nil)
 
-// maxShards bounds the shard count (and so the batch router's boundary
-// table).
+// maxShards bounds the shard count.
 const maxShards = 256
 
 // fibMul is the Fibonacci multiplicative hash constant the hash router
@@ -213,11 +204,10 @@ func newOptions(opts []Option) options {
 // shared maintenance scheduler unless o says otherwise.
 func newStore[V comparable](o options, mul uint64, shift uint, newShard func() shard[V]) Store[V] {
 	s := Store[V]{
-		shards:  make([]shard[V], o.shards),
-		mul:     mul,
-		shift:   shift,
-		last:    uint64(o.shards - 1),
-		scratch: &sync.Pool{New: func() any { return new(batchScratch[V]) }},
+		shards: make([]shard[V], o.shards),
+		mul:    mul,
+		shift:  shift,
+		last:   uint64(o.shards - 1),
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard()
@@ -370,147 +360,44 @@ func (s *Store[V]) Quiesce() {
 	}
 }
 
-// batchOp names the shard batch a multi-key call drives.
-type batchOp uint8
-
-const (
-	opSearch batchOp = iota
-	opUpsert
-	opDelete
-)
-
-// run applies op to one shard: the single itab call of a shard visit.
-func run[V comparable](op batchOp, sh shard[V], keys []uint64, in, out []V, flags []bool) int {
-	switch op {
-	case opSearch:
-		sh.SearchBatch(keys, out, flags)
-		return 0
-	case opUpsert:
-		return sh.UpsertBatchEach(keys, in, out, flags)
-	default:
-		return sh.DeleteBatchEach(keys, out, flags)
-	}
-}
-
-// batchScratch is the reusable routing state of one batched call: the
-// keys (and inputs) regrouped by shard, the shard batches' results in the
-// same grouped order, each key's position in that order, and the shard
-// boundaries. Batches borrow one from the store's pool — under a steady
-// per-goroutine batch rate the same goroutine gets its scratch back
-// (sync.Pool is per-P) — so large batches route allocation-free. The value
-// slots are cleared before the scratch goes back, so a pooled scratch
-// holds no pointer word alive.
-type batchScratch[V any] struct {
-	keys    []uint64
-	in, out []V
-	flags   []bool
-	pos     []int32
-	bound   [maxShards + 1]int32
-}
-
-// batch is the one body under every multi-key call: op applied to every
-// key, each touched shard visited exactly once. in carries the per-key
-// input (values to store; nil otherwise); out and flags receive the
-// per-key results (value found / replaced / removed, and whether there was
-// one) and may both be nil when the caller wants only the returned count
-// of fresh inserts or hits. With one shard — and a caller-supplied result
-// space — the call goes straight to the shard batch. Otherwise the keys
-// are regrouped by shard with a counting sort (route and count, prefix-sum
-// the shard boundaries, route again and place), each non-empty group runs
-// as one shard batch, and the results scatter back through the recorded
-// positions: O(len(keys) + shards), no data-dependent branch per key. The
-// sort is stable and a duplicate key always routes to the same shard, so
-// within a shard keys apply in arrival order and duplicates behave exactly
-// as the sequential scalar calls would.
-func (s *Store[V]) batch(op batchOp, keys []uint64, in, out []V, flags []bool) int {
-	single := len(s.shards) == 1
-	if single && out != nil {
-		return run(op, s.shards[0], keys, in, out, flags)
-	}
-	n := len(keys)
-	sc := s.scratch.Get().(*batchScratch[V])
-	defer s.putScratch(sc, n)
-	if cap(sc.keys) < n {
-		sc.keys, sc.in, sc.out = make([]uint64, n), make([]V, n), make([]V, n)
-		sc.flags, sc.pos = make([]bool, n), make([]int32, n)
-	}
-	if single {
-		return run(op, s.shards[0], keys, in, sc.out[:n], sc.flags[:n])
-	}
-	// bound[id] counts up from shard id's first position to its end as the
-	// keys are placed; bound[len(shards)] absorbs the counting pass's +1
-	// offset.
-	bound := sc.bound[:len(s.shards)+1]
-	clear(bound)
+// checkKeys panics, like every point op, on the first key outside the
+// library's range: the multi-key writes call it before they apply any key,
+// so a batch holding a bad key changes nothing.
+func checkKeys(keys []uint64) {
 	for _, k := range keys {
-		bound[s.shardID(k)+1]++
+		ds.CheckKey(k)
 	}
-	for id := 1; id < len(bound); id++ {
-		bound[id] += bound[id-1]
-	}
-	pos := sc.pos[:n]
-	for i, k := range keys {
-		id := s.shardID(k)
-		p := bound[id]
-		bound[id] = p + 1
-		pos[i] = p
-		sc.keys[p] = k
-		if in != nil {
-			sc.in[p] = in[i]
-		}
-	}
-	total, lo := 0, int32(0)
-	for id, sh := range s.shards {
-		if hi := bound[id]; hi > lo {
-			total += run(op, sh, sc.keys[lo:hi], sc.in[lo:hi], sc.out[lo:hi], sc.flags[lo:hi])
-			lo = hi
-		}
-	}
-	if out != nil {
-		for i, p := range pos {
-			out[i], flags[i] = sc.out[p], sc.flags[p]
-		}
-	}
-	return total
-}
-
-// putScratch returns a batch's scratch to the pool with its first n value
-// slots cleared.
-func (s *Store[V]) putScratch(sc *batchScratch[V], n int) {
-	clear(sc.in[:n])
-	clear(sc.out[:n])
-	s.scratch.Put(sc)
 }
 
 // MGet looks up every keys[i], storing the value into vals[i] and
 // presence into found[i]; vals and found must be at least len(keys) long.
 func (s *Store[V]) MGet(keys []uint64, vals []V, found []bool) {
-	s.batch(opSearch, keys, nil, vals, found)
+	for i, k := range keys {
+		vals[i], found[i] = s.Get(k)
+	}
 }
 
 // MSet applies Set(keys[i], vals[i]) for every i, returning how many keys
 // were newly inserted.
 func (s *Store[V]) MSet(keys []uint64, vals []V) int {
-	return s.batch(opUpsert, keys, vals, nil, nil)
-}
-
-// MSetEach is MSet with per-key results: old[i] receives the value
-// keys[i] replaced and replaced[i] whether one existed; the return value
-// still counts fresh inserts. old and replaced must be at least
-// len(keys) long. The value layer and the server's pipelined SET replies
-// both need the per-key outcomes, which plain MSet folds away.
-func (s *Store[V]) MSetEach(keys []uint64, vals, old []V, replaced []bool) int {
-	return s.batch(opUpsert, keys, vals, old, replaced)
+	checkKeys(keys)
+	inserted := 0
+	for i, k := range keys {
+		if _, replaced := s.Set(k, vals[i]); !replaced {
+			inserted++
+		}
+	}
+	return inserted
 }
 
 // MDel deletes every key, returning how many were present.
 func (s *Store[V]) MDel(keys []uint64) int {
-	return s.batch(opDelete, keys, nil, nil, nil)
-}
-
-// MDelEach is MDel with per-key results: old[i] receives the removed
-// value and found[i] whether keys[i] was present; the return value still
-// counts hits. old and found must be at least len(keys) long.
-func (s *Store[V]) MDelEach(keys []uint64, old []V, found []bool) int {
-	return s.batch(opDelete, keys, nil, old, found)
+	checkKeys(keys)
+	deleted := 0
+	for _, k := range keys {
+		if _, ok := s.Del(k); ok {
+			deleted++
+		}
+	}
+	return deleted
 }

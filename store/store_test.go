@@ -1,7 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,103 +315,256 @@ func TestStoreCloseLeavesShardsUsable(t *testing.T) {
 	s.Quiesce() // manual maintenance still available
 }
 
-// TestStoreEachVariants pins MSetEach/MDelEach against the scalar ops:
-// per-key outcomes and old values must match what the same sequence of
-// Set/Del calls reports, at shard counts on both sides of the 1-shard
-// fast path, including duplicate keys inside one batch.
+// TestStoreEachVariants pins each key's outcome inside one batch against
+// the scalar ops, on both sides of one shard, duplicate keys included: the
+// index's MSet/MDel counts and MGet's per-key reads, and the string layer's
+// per-key replaced/found flags. A duplicate applies in arrival order — the
+// second write replaces the first, the second delete misses.
 func TestStoreEachVariants(t *testing.T) {
-	for _, shards := range []int{1, 8} {
+	keys := []uint64{5, 6, 5, 7, 6}
+	vals := []uint64{50, 60, 51, 70, 61}
+	delKeys := []uint64{5, 9, 5, 6}
+	for _, shards := range []int{1, 2, 4, 16} {
 		s := New(WithShards(shards), WithShardBuckets(64), WithoutMaintenance())
-		keys := []uint64{5, 6, 5, 7, 6}
-		vals := []uint64{50, 60, 51, 70, 61}
-		old := make([]uint64, len(keys))
-		replaced := make([]bool, len(keys))
-		if got := s.MSetEach(keys, vals, old, replaced); got != 3 {
-			t.Fatalf("shards=%d: MSetEach fresh = %d, want 3", shards, got)
+		if got := s.MSet(keys, vals); got != 3 {
+			t.Fatalf("shards=%d: MSet fresh = %d, want 3", shards, got)
 		}
-		wantRepl := []bool{false, false, true, false, true}
-		for i := range keys {
-			if replaced[i] != wantRepl[i] {
-				t.Fatalf("shards=%d: replaced[%d] = %v, want %v", shards, i, replaced[i], wantRepl[i])
+		got := make([]uint64, len(keys))
+		found := make([]bool, len(keys))
+		s.MGet(keys, got, found)
+		for i, want := range []uint64{51, 61, 51, 70, 61} {
+			if !found[i] || got[i] != want {
+				t.Fatalf("shards=%d: MGet[%d] = %d,%v; want the last write %d", shards, i, got[i], found[i], want)
 			}
 		}
-		if old[2] != 50 || old[4] != 60 {
-			t.Fatalf("shards=%d: old = %v", shards, old)
+		if got := s.MDel(delKeys); got != 2 {
+			t.Fatalf("shards=%d: MDel = %d, want 2", shards, got)
 		}
-		if v, _ := s.Get(5); v != 51 {
-			t.Fatalf("shards=%d: Get(5) = %d, want last write 51", shards, v)
+		s.MGet(keys, got, found)
+		if found[0] || found[1] || !found[3] || got[3] != 70 {
+			t.Fatalf("shards=%d: MGet after MDel = %v %v", shards, got, found)
 		}
-		delKeys := []uint64{5, 9, 5, 6}
-		found := make([]bool, len(delKeys))
-		if got := s.MDelEach(delKeys, old[:len(delKeys)], found); got != 2 {
-			t.Fatalf("shards=%d: MDelEach = %d, want 2", shards, got)
+
+		st := NewStrings(WithShards(shards), WithShardBuckets(64), WithoutMaintenance())
+		svals := []string{"50", "60", "51", "70", "61"}
+		replaced := make([]bool, len(keys))
+		if got := st.MSetHashed(keys, svals, replaced); got != 3 {
+			t.Fatalf("shards=%d: MSetHashed fresh = %d, want 3", shards, got)
 		}
-		if !found[0] || found[1] || found[2] || !found[3] {
-			t.Fatalf("shards=%d: MDelEach found = %v", shards, found)
+		for i, want := range []bool{false, false, true, false, true} {
+			if replaced[i] != want {
+				t.Fatalf("shards=%d: replaced[%d] = %v, want %v", shards, i, replaced[i], want)
+			}
 		}
-		if old[0] != 51 || old[3] != 61 {
-			t.Fatalf("shards=%d: MDelEach old = %v", shards, old[:len(delKeys)])
+		sgot := make([]string, len(keys))
+		st.MGetHashed(keys, sgot, found)
+		for i, want := range []string{"51", "61", "51", "70", "61"} {
+			if !found[i] || sgot[i] != want {
+				t.Fatalf("shards=%d: MGetHashed[%d] = %q,%v; want %q", shards, i, sgot[i], found[i], want)
+			}
 		}
-		if got := s.Len(); got != 1 {
-			t.Fatalf("shards=%d: Len = %d, want 1", shards, got)
+		delFound := make([]bool, len(delKeys))
+		if got := st.MDelHashed(delKeys, delFound); got != 2 {
+			t.Fatalf("shards=%d: MDelHashed = %d, want 2", shards, got)
+		}
+		for i, want := range []bool{true, false, false, true} {
+			if delFound[i] != want {
+				t.Fatalf("shards=%d: MDelHashed found = %v", shards, delFound)
+			}
+		}
+		if s.Len() != 1 || st.Len() != 1 {
+			t.Fatalf("shards=%d: Len = %d index, %d strings; want 1", shards, s.Len(), st.Len())
+		}
+		if got, want := st.BytesUsed(), int64(2+PairOverhead); got != want {
+			t.Fatalf("shards=%d: BytesUsed = %d, want %d", shards, got, want)
 		}
 	}
 }
 
-// TestStoreEachMatchesScalar cross-checks the Each variants against a
-// model map over a larger randomized batch, so the scatter/gather
-// bookkeeping is exercised across many shards.
+// TestStoreEachMatchesScalar cross-checks every key of large randomized
+// batches against a model map applied one key at a time, so duplicates
+// and keys spread over many shards are both exercised: the index's
+// counts and reads, and the string layer's per-key flags.
 func TestStoreEachMatchesScalar(t *testing.T) {
-	s := New(WithShards(16), WithShardBuckets(64), WithoutMaintenance())
-	model := map[uint64]uint64{}
-	const n = 2000
+	for _, shards := range []int{1, 2, 4, 16} {
+		s := New(WithShards(shards), WithShardBuckets(64), WithoutMaintenance())
+		st := NewStrings(WithShards(shards), WithShardBuckets(64), WithoutMaintenance())
+		model := map[uint64]uint64{}
+		const n = 2000
+		keys := make([]uint64, n)
+		vals := make([]uint64, n)
+		svals := make([]string, n)
+		got := make([]uint64, n)
+		sgot := make([]string, n)
+		flags := make([]bool, n)
+		found := make([]bool, n)
+		// check reads every key back through both layers against the model.
+		check := func(round int, when string) {
+			s.MGet(keys, got, found)
+			st.MGetHashed(keys, sgot, flags)
+			for i, k := range keys {
+				v, ok := model[k]
+				if found[i] != ok || flags[i] != ok || (ok && (got[i] != v || sgot[i] != strconv.FormatUint(v, 10))) {
+					t.Fatalf("shards=%d round %d %s: key %d reads %d,%v / %q,%v; model %d,%v",
+						shards, round, when, k, got[i], found[i], sgot[i], flags[i], v, ok)
+				}
+			}
+			if s.Len() != len(model) || st.Len() != len(model) {
+				t.Fatalf("shards=%d round %d %s: Len = %d index, %d strings; model %d",
+					shards, round, when, s.Len(), st.Len(), len(model))
+			}
+		}
+		r := rng.NewXorshift(42)
+		for round := 0; round < 3; round++ {
+			for i := range keys {
+				keys[i] = r.Intn(512) + 1
+				vals[i] = r.Next()
+				svals[i] = strconv.FormatUint(vals[i], 10)
+			}
+			ins := s.MSet(keys, vals)
+			sins := st.MSetHashed(keys, svals, flags)
+			wantIns := 0
+			for i, k := range keys {
+				_, ok := model[k]
+				if flags[i] != ok {
+					t.Fatalf("shards=%d round %d: MSetHashed replaced[%d] (key %d) = %v, model %v",
+						shards, round, i, k, flags[i], ok)
+				}
+				if !ok {
+					wantIns++
+				}
+				model[k] = vals[i]
+			}
+			if ins != wantIns || sins != wantIns {
+				t.Fatalf("shards=%d round %d: inserted = %d index, %d strings; want %d", shards, round, ins, sins, wantIns)
+			}
+			check(round, "after MSet")
+			// Delete the first half: every key there is present, some twice.
+			delKeys := keys[:n/2]
+			del := s.MDel(delKeys)
+			sdel := st.MDelHashed(delKeys, flags)
+			wantDel := 0
+			for i, k := range delKeys {
+				_, ok := model[k]
+				if flags[i] != ok {
+					t.Fatalf("shards=%d round %d: MDelHashed found[%d] (key %d) = %v, model %v",
+						shards, round, i, k, flags[i], ok)
+				}
+				if ok {
+					wantDel++
+					delete(model, k)
+				}
+			}
+			if del != wantDel || sdel != wantDel {
+				t.Fatalf("shards=%d round %d: deleted = %d index, %d strings; want %d", shards, round, del, sdel, wantDel)
+			}
+			check(round, "after MDel")
+		}
+	}
+}
+
+// TestBatchRejectsBadKeyWhole pins the multi-key writes' key check: every
+// key is checked before any is charged or applied, so a batch holding one
+// key outside the library's range panics and leaves the store — its
+// entries and its byte counter — exactly as it was. The scalar writes
+// check before they charge too.
+func TestBatchRejectsBadKeyWhole(t *testing.T) {
+	mustPanic := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s with an out-of-range key did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, shards := range []int{1, 2} {
+		for _, bad := range []uint64{0, ^uint64(0)} {
+			t.Run(fmt.Sprintf("shards=%d/key=%#x", shards, bad), func(t *testing.T) {
+				keys := []uint64{5, bad, 7}
+				s := New(WithShards(shards), WithoutMaintenance())
+				s.Set(5, 50)
+				mustPanic(t, "MSet", func() { s.MSet(keys, []uint64{1, 2, 3}) })
+				mustPanic(t, "MDel", func() { s.MDel(keys) })
+				if v, ok := s.Get(5); !ok || v != 50 || s.Len() != 1 {
+					t.Fatalf("index after the refused batches: Get(5) = %d,%v, Len = %d; want 50,true, 1", v, ok, s.Len())
+				}
+				for _, c := range stringsCtors {
+					st := c.new(WithShards(shards), WithoutMaintenance())
+					st.SetHashed(5, "v")
+					used := st.BytesUsed()
+					found := make([]bool, len(keys))
+					mustPanic(t, c.name+" MSetHashed", func() { st.MSetHashed(keys, []string{"a", "b", "c"}, found) })
+					mustPanic(t, c.name+" MDelHashed", func() { st.MDelHashed(keys, found) })
+					mustPanic(t, c.name+" SetHashed", func() { st.SetHashed(bad, "x") })
+					mustPanic(t, c.name+" SetEXHashed", func() { st.SetEXHashed(bad, "x", 100) })
+					if v, ok := st.GetHashed(5); !ok || v != "v" || st.Len() != 1 || st.BytesUsed() != used {
+						t.Fatalf("%s after the refused writes: Get(5) = %q,%v, Len = %d, BytesUsed = %d; want \"v\",true, 1, %d",
+							c.name, v, ok, st.Len(), st.BytesUsed(), used)
+					}
+					st.Close()
+				}
+			})
+		}
+	}
+}
+
+// TestBatchAllocations pins the multi-key calls' allocation contract: a
+// batch is a loop over the point ops and allocates nothing of its own. On
+// 1 and 4 shards, the string layer's MGetHashed and MDelHashed of 64
+// present keys allocate nothing and MSetHashed exactly one object per key
+// (its pair); the index's MGet, MSet and MDel allocate nothing.
+func TestBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation makes allocation counts meaningless")
+	}
+	const n = 64
 	keys := make([]uint64, n)
-	vals := make([]uint64, n)
-	rnd := uint64(42)
-	next := func() uint64 { rnd ^= rnd << 13; rnd ^= rnd >> 7; rnd ^= rnd << 17; return rnd }
-	for round := 0; round < 3; round++ {
-		for i := range keys {
-			keys[i] = next()%512 + 1
-			vals[i] = next()
-		}
-		old := make([]uint64, n)
-		replaced := make([]bool, n)
-		ins := s.MSetEach(keys, vals, old, replaced)
-		wantIns := 0
-		for i := range keys {
-			prev, ok := model[keys[i]]
-			if ok != replaced[i] || (ok && prev != old[i]) {
-				t.Fatalf("round %d key %d: got old %d replaced %v, model %d %v",
-					round, keys[i], old[i], replaced[i], prev, ok)
+	ivals := make([]uint64, n)
+	vals := make([]string, n)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+		ivals[i] = uint64(i)
+		vals[i] = strings.Repeat("v", 32)
+	}
+	out := make([]uint64, n)
+	sout := make([]string, n)
+	flags := make([]bool, n)
+	for _, shards := range []int{1, 4} {
+		for _, c := range stringsCtors {
+			st := c.new(WithShards(shards), WithShardBuckets(1024), WithoutMaintenance())
+			fill := func() { st.MSetHashed(keys, vals, flags) }
+			fill()
+			for _, op := range []struct {
+				name    string
+				want    uint64
+				prep, f func()
+			}{
+				{"MGetHashed", 0, func() {}, func() { st.MGetHashed(keys, sout, flags) }},
+				{"MSetHashed", n, func() {}, fill},
+				{"MDelHashed", 0, fill, func() { st.MDelHashed(keys, flags) }},
+			} {
+				if got, _ := allocsPerRun(20, op.prep, op.f); got != op.want {
+					t.Errorf("%s shards=%d: %s of %d present keys made %d allocations, want %d",
+						c.name, shards, op.name, n, got, op.want)
+				}
 			}
-			if !ok {
-				wantIns++
+			st.Close()
+		}
+		s := New(WithShards(shards), WithShardBuckets(1024), WithoutMaintenance())
+		fill := func() { s.MSet(keys, ivals) }
+		fill()
+		for _, op := range []struct {
+			name    string
+			prep, f func()
+		}{
+			{"MGet", func() {}, func() { s.MGet(keys, out, flags) }},
+			{"MSet", func() {}, fill},
+			{"MDel", fill, func() { s.MDel(keys) }},
+		} {
+			if got, _ := allocsPerRun(20, op.prep, op.f); got != 0 {
+				t.Errorf("index shards=%d: %s of %d present keys made %d allocations, want 0", shards, op.name, n, got)
 			}
-			model[keys[i]] = vals[i]
-		}
-		if ins != wantIns {
-			t.Fatalf("round %d: inserted = %d, want %d", round, ins, wantIns)
-		}
-		// Delete a random half and check per-key outcomes.
-		delKeys := keys[:n/2]
-		found := make([]bool, n/2)
-		del := s.MDelEach(delKeys, old[:n/2], found)
-		wantDel := 0
-		for i, k := range delKeys {
-			prev, ok := model[k]
-			if found[i] != ok || (ok && old[i] != prev) {
-				t.Fatalf("round %d del key %d: got %d,%v model %d,%v", round, k, old[i], found[i], prev, ok)
-			}
-			if ok {
-				wantDel++
-				delete(model, k)
-			}
-		}
-		if del != wantDel {
-			t.Fatalf("round %d: deleted = %d, want %d", round, del, wantDel)
-		}
-		if s.Len() != len(model) {
-			t.Fatalf("round %d: Len = %d, model %d", round, s.Len(), len(model))
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/internal/core"
 )
 
@@ -380,8 +381,8 @@ func (s *Strings) credit(k uint64, p *pair) { s.bytes.Add(k, -int64(p.size())-pa
 // live is the read path's one judgment over what the index returned for k:
 // a pair whose deadline has passed is a miss, and retires through the same
 // conditional-delete splice the sweeper uses. TTL-less pairs pay one
-// predictable branch. Every accessor — scalar, batched, scanned — goes
-// through here.
+// predictable branch. Every accessor — point read or scan — goes through
+// here.
 func (s *Strings) live(k uint64, p *pair, ok bool) *pair {
 	if !ok {
 		return nil
@@ -412,18 +413,24 @@ func (s *Strings) SetHashed(k uint64, value string) bool {
 	return s.set(k, value, 0)
 }
 
-// set is the scalar write under Set and SetEX: pair first, index publish
-// after, the displaced pair credited back — its stamp handed to the
-// successor, under a budget — and an eviction hand lent if the insert
-// pushed the store past its watermark.
+// set is the scalar write under Set and SetEX: put, then an eviction hand
+// lent if the insert pushed the store past its watermark.
 func (s *Strings) set(k uint64, value string, deadline int64) bool {
-	epoch := s.epoch.Load()
+	ds.CheckKey(k)
+	live := s.put(k, value, deadline, s.epoch.Load())
+	s.evictHand()
+	return live
+}
+
+// put is the write's body, for a key already checked: pair first, index
+// publish after, the displaced pair credited back — its stamp handed to
+// the successor, under a budget. It reports whether a live value was
+// replaced.
+func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) bool {
 	p := newPair(value, deadline, stampNew(epoch))
 	s.charge(k, p)
 	old, replaced := s.index.Set(k, p)
-	live := replaced && s.displaced(k, p, old, epoch)
-	s.evictHand()
-	return live
+	return replaced && s.displaced(k, p, old, epoch)
 }
 
 // displaced settles a pair a write of p under k just unmapped: its bytes
@@ -481,97 +488,36 @@ func (s *Strings) DelHashed(k uint64) bool {
 	return ok && s.unmapped(k, old)
 }
 
-// batchStrScratch pools the per-batch slices of the batch operations, the
-// same treatment the index's own batch routing gets from batchScratch — a
-// batched path that allocates per call would undo it.
-type batchStrScratch struct {
-	hashes     []uint64
-	pairs, old []*pair
-}
-
-var strScratchPool = sync.Pool{New: func() any { return new(batchStrScratch) }}
-
-// grabStrScratch sizes the scratch for an n-key batch and returns it.
-func grabStrScratch(n int) *batchStrScratch {
-	sc := strScratchPool.Get().(*batchStrScratch)
-	if cap(sc.hashes) < n {
-		sc.hashes = make([]uint64, n)
-		sc.pairs = make([]*pair, n)
-		sc.old = make([]*pair, n)
-	}
-	return sc
-}
-
-// release returns the scratch of an n-key batch to the pool, its pair
-// slots cleared: a pooled scratch must not keep a value alive.
-func (sc *batchStrScratch) release(n int) {
-	clear(sc.pairs[:n])
-	clear(sc.old[:n])
-	strScratchPool.Put(sc)
-}
-
 // MGet looks up every keys[i], storing the value into vals[i] and
 // presence into found[i]; vals and found must be at least len(keys) long.
 func (s *Strings) MGet(keys []string, vals []string, found []bool) {
-	sc := grabStrScratch(len(keys))
-	defer sc.release(len(keys))
-	hashes := sc.hashes[:len(keys)]
 	for i, key := range keys {
-		hashes[i] = HashKey(key)
+		vals[i], found[i] = s.Get(key)
 	}
-	s.mget(hashes, vals, found, sc.pairs[:len(keys)])
 }
 
 // MGetHashed is MGet for pre-hashed keys (see HashKeyBytes): protocol
 // parsers hash straight out of their read buffers and hand the batch
 // here, so key bytes never escape the parser's views.
 func (s *Strings) MGetHashed(hashes []uint64, vals []string, found []bool) {
-	sc := grabStrScratch(len(hashes))
-	defer sc.release(len(hashes))
-	s.mget(hashes, vals, found, sc.pairs[:len(hashes)])
-}
-
-// mget is the shared body of MGet/MGetHashed: one shard-batched index
-// pass, then each fetched pair through the read judgment (which retires an
-// expired one).
-func (s *Strings) mget(hashes []uint64, vals []string, found []bool, pairs []*pair) {
-	s.index.MGet(hashes, pairs, found)
-	var epoch uint32
-	if s.budget != 0 {
-		epoch = s.epoch.Load()
-	}
 	for i, k := range hashes {
-		p := s.live(k, pairs[i], found[i])
-		if p == nil {
-			vals[i], found[i] = "", false
-			continue
-		}
-		if s.budget != 0 {
-			p.touch(epoch)
-		}
-		vals[i], found[i] = p.val(), true
+		vals[i], found[i] = s.GetHashed(k)
 	}
 }
 
 // MSetHashed stores vals[i] under every pre-hashed keys[i], recording
 // into replaced[i] whether a live value was overwritten, and returns the
-// fresh-insert count. The pairs are built up front (a published pair is
-// always a fully built one) and the index pass is shard-batched. replaced
-// must be at least len(hashes) long. Duplicate hashes apply in order,
-// exactly as sequential SetHashed calls.
+// fresh-insert count. Every key is checked before any is charged or
+// applied; then each is one SetHashed, but the batch lends one eviction
+// hand, not one per key. replaced must be at least len(hashes) long.
+// Duplicate hashes apply in order, exactly as sequential SetHashed calls.
 func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) int {
-	sc := grabStrScratch(len(hashes))
-	defer sc.release(len(hashes))
-	pairs, old := sc.pairs[:len(hashes)], sc.old[:len(hashes)]
+	checkKeys(hashes)
 	epoch := s.epoch.Load()
+	inserted := 0
 	for i, k := range hashes {
-		pairs[i] = newPair(vals[i], 0, stampNew(epoch))
-		s.charge(k, pairs[i])
-	}
-	inserted := s.index.MSetEach(hashes, pairs, old, replaced)
-	for i, k := range hashes {
-		if replaced[i] && !s.displaced(k, pairs[i], old[i], epoch) {
-			replaced[i] = false
+		replaced[i] = s.put(k, vals[i], 0, epoch)
+		if !replaced[i] {
 			inserted++
 		}
 	}
@@ -581,16 +527,14 @@ func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) in
 
 // MDelHashed removes every pre-hashed keys[i], recording presence into
 // found[i], and returns the hit count; found must be at least len(hashes)
-// long. The index pass is shard-batched.
+// long. Every key is checked before any is removed.
 func (s *Strings) MDelHashed(hashes []uint64, found []bool) int {
-	sc := grabStrScratch(len(hashes))
-	defer sc.release(len(hashes))
-	old := sc.old[:len(hashes)]
-	deleted := s.index.MDelEach(hashes, old, found)
+	checkKeys(hashes)
+	deleted := 0
 	for i, k := range hashes {
-		if found[i] && !s.unmapped(k, old[i]) {
-			found[i] = false
-			deleted--
+		found[i] = s.DelHashed(k)
+		if found[i] {
+			deleted++
 		}
 	}
 	return deleted

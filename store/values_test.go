@@ -228,10 +228,10 @@ func TestStringsHashedBatches(t *testing.T) {
 // TestMSetHashedGrowsLikeSetHashed pins migration pacing on the path a
 // pipelined bulk load takes (coalesced SETs and MSET drain through
 // MSetHashed in 64-key batches): without Quiesce, it must leave the index
-// exactly as large as the same keys set one SetHashed at a time. With
-// migration help paid once per shard visit instead of per key, the batched
-// store's root slabs trailed the scalar twin's by several doublings. No
-// scheduler, so only the writes drive migration.
+// exactly as large as the same keys set one SetHashed at a time. When
+// batches paid migration help once per shard visit instead of per key,
+// the batched store's root slabs trailed the scalar twin's by several
+// doublings. No scheduler, so only the writes drive migration.
 func TestMSetHashedGrowsLikeSetHashed(t *testing.T) {
 	n := 500_000
 	if testing.Short() {
