@@ -51,8 +51,9 @@
 // involvement.
 //
 // The store package composes the pieces into a servable system, as one
-// stack: a shard contract (point ops, conditional delete and replace,
-// sampling and sweeping) satisfied by the Resizable table, which adds
+// stack: a shard contract (point ops, with one write body that builds
+// its value only if it stores; conditional delete and replace; sampling
+// and sweeping) satisfied by the Resizable table, which adds
 // maintenance, and by the OPTIK skip list; a router that is data
 // (shard = min((key·mul)>>shift, last): the Fibonacci multiplier hashes,
 // mul = 1 range-partitions); one index core over them (store.Store —

@@ -77,3 +77,31 @@ func CheckKey(key uint64) {
 		panic("ds: key out of range [1, 2^64-2]; 0 and 2^64-1 are reserved for sentinels")
 	}
 }
+
+// Put is an upsert whose value is built only if it is stored: the request
+// the index structures' Write takes (hashmap.Resizable, skiplist.Optik),
+// and through them the store's shard contract. A Put with Keep and Build
+// nil stores Val, and is exactly the structures' Upsert.
+//
+// Keep and Build are plain functions and the payload travels inside the
+// Put, by value: a closure handed through an interface call escapes, and
+// would cost the write an allocation before it decided anything.
+type Put[V any] struct {
+	// Val is the value to store when Build is nil.
+	Val V
+	// Keep, when non-nil, judges the value key already maps to, once the
+	// parse that found it has validated it exactly as Search validates a
+	// hit. True means storing would change nothing: Write returns at
+	// once, with no lock taken, no store and no version bump, so no
+	// concurrent reader restarts.
+	Keep func(old V, p Put[V]) bool
+	// Build, when non-nil, builds the value to store from the payload. It
+	// runs outside every critical section, only once Keep has declined or
+	// the key was found absent, and at most once per Write.
+	Build func(p Put[V]) V
+	// The payload Keep compares with and Build builds from. The
+	// structures never read it.
+	Bytes string
+	Aux   int64
+	Tag   uint32
+}

@@ -128,6 +128,12 @@ const growthCheckMask = 64 - 1
 // validation test uses it to stage that interleaving deterministically.
 var testHookChainHit func()
 
+// testHookWriteHit, when non-nil, runs in Write after the parse found its
+// key and before the value Keep judges is loaded — the window in which a
+// delete can clear the slot or unlink the node. The white-box validation
+// tests stage that interleaving through it.
+var testHookWriteHit func()
+
 // NewResizable returns a growing table of uint64 values with at least
 // nbuckets buckets (rounded up to a power of two).
 func NewResizable(nbuckets int) *Resizable[uint64] { return NewResizableOf[uint64](nbuckets) }
@@ -221,73 +227,54 @@ func (r *Resizable[V]) Search(key uint64) (V, bool) {
 // synchronization; a feasible insert validates its scan with one
 // TryLockVersion CAS, then bumps the size counter and, when thresholds
 // say so, starts or helps a resize. Migration help is part of every
-// update's body: each one claims its quantum.
+// update's body: each one claims its quantum. It is the write body told
+// not to touch a present key.
 func (r *Resizable[V]) Insert(key uint64, val V) bool {
-	ds.CheckKey(key)
-	r.help()
-	t := r.root.Load()
-	var bo backoff.Backoff
-	spilled := false
-	for {
-		b := &t.buckets[t.index(key)]
-		vn := b.lock.GetVersion()
-		head := b.head.Load()
-		if head == forwardedNode[V]() {
-			t = t.next.Load()
-			continue
-		}
-		free := -1
-		dup := false
-		for i := range b.inline {
-			switch b.inline[i].key.Load() {
-			case key:
-				dup = true
-			case 0:
-				if free < 0 {
-					free = i
-				}
-			}
-		}
-		if dup {
-			return false // infeasible: no locking at all
-		}
-		var pred *node[V]
-		cur := head
-		for cur != nil && cur.key.Load() < key {
-			pred, cur = cur, cur.next.Load()
-		}
-		if cur != nil && cur.key.Load() == key {
-			return false // infeasible: no locking at all
-		}
-		if !b.lock.TryLockVersion(vn) {
-			bo.Wait()
-			continue
-		}
-		b.put(key, val, free, pred, cur)
-		b.lock.Unlock()
-		spilled = free < 0
-		break
-	}
-	c := r.count.AddOp(key, 1)
-	if spilled || c&growthCheckMask == 0 {
-		r.maybeGrow()
-	}
-	return true
+	_, _, present := r.write(key, ds.Put[V]{Val: val}, false)
+	return !present
 }
 
 // Upsert inserts key→val when key is absent and replaces the stored value
 // when it is present, returning the previous value and whether a
-// replacement happened. The replacement is a per-bucket OPTIK critical
-// section like any other feasible update — the scan finds the slot or
-// chain node optimistically, TryLockVersion validates it, and the store
-// commits under the lock, so concurrent readers either validate against
-// the old value or restart into the new one. An in-place replacement
-// moves no thresholds (the element count is unchanged) but still counts
-// as an operation for the maintenance scheduler's activity signal.
+// replacement happened: Write with a value already built.
 func (r *Resizable[V]) Upsert(key uint64, val V) (V, bool) {
+	old, _, replaced := r.Write(key, ds.Put[V]{Val: val})
+	return old, replaced
+}
+
+// Write inserts key when absent and replaces the stored value when
+// present, returning the previous value, the value key maps to on return,
+// and whether key was present. The replacement is a per-bucket OPTIK
+// critical section like any other feasible update — the scan finds the
+// slot or chain node optimistically, TryLockVersion validates it, and the
+// store commits under the lock, so concurrent readers either validate
+// against the old value or restart into the new one. An in-place
+// replacement moves no thresholds (the element count is unchanged) but
+// still counts as an operation for the maintenance scheduler's activity
+// signal; a kept write, which changes nothing, does not.
+//
+// A present value is first offered to p.Keep, once validated as Search
+// validates a hit: read between two equal, unlocked bucket versions. An
+// inline slot that a delete is clearing, or a chain node a delete
+// unlinked or a migration froze, fails that check and the parse restarts,
+// so Keep only ever judges a value the key held.
+// A kept value is the infeasible update of the paper: no lock, no store,
+// no version bump, and val is old. Otherwise p.Build, if set, builds val
+// before the lock is tried.
+func (r *Resizable[V]) Write(key uint64, p ds.Put[V]) (old, val V, replaced bool) {
+	return r.write(key, p, true)
+}
+
+// write is the table's one write body, shared by Insert (upsert false: a
+// present key returns at once, unlocked and unvalidated, as the paper's
+// infeasible insert) and Write. It returns (old value, value mapped,
+// whether key was present).
+func (r *Resizable[V]) write(key uint64, p ds.Put[V], upsert bool) (old, val V, present bool) {
 	ds.CheckKey(key)
 	r.help()
 	t := r.root.Load()
+	val = p.Val
+	built := p.Build == nil
 	var bo backoff.Backoff
 	for {
 		b := &t.buckets[t.index(key)]
@@ -319,17 +306,39 @@ func (r *Resizable[V]) Upsert(key uint64, val V) (V, bool) {
 				w = &cur.val
 			}
 		}
+		if w != nil && !upsert {
+			return old, val, true // infeasible: no locking at all
+		}
+		if w != nil && p.Keep != nil {
+			if vn.IsLocked() {
+				bo.Wait()
+				continue
+			}
+			if h := testHookWriteHit; h != nil {
+				h()
+			}
+			old = core.LoadWord(w)
+			if !b.lock.GetVersion().Same(vn) {
+				continue
+			}
+			if p.Keep(old, p) {
+				return old, old, true // infeasible: no locking at all
+			}
+		}
+		if !built {
+			val, built = p.Build(p), true
+		}
 		if !b.lock.TryLockVersion(vn) {
 			bo.Wait()
 			continue
 		}
 		if w != nil {
 			// Validated: the slot or node still holds key, so the value is its.
-			old := core.LoadWord(w)
+			old = core.LoadWord(w)
 			core.StoreWord(w, val)
 			b.lock.Unlock()
 			r.noteUpdate(key)
-			return old, true
+			return old, val, true
 		}
 		b.put(key, val, free, pred, cur)
 		b.lock.Unlock()
@@ -337,7 +346,7 @@ func (r *Resizable[V]) Upsert(key uint64, val V) (V, bool) {
 			r.maybeGrow()
 		}
 		var zero V
-		return zero, false
+		return zero, val, false
 	}
 }
 
@@ -360,9 +369,9 @@ func (r *Resizable[V]) Delete(key uint64) (V, bool) {
 // conditional delete a layer above needs to retire an entry it sampled
 // without a lock: for a pointer word the check is identity, and a layer
 // that never stores the same pointer twice (store.Strings builds a fresh
-// pair for every write) knows a passing check means the entry is still
-// the one it judged expired or idle — a successor that replaced it, or
-// re-inserted the key after a delete, holds another pointer.
+// pair for every write that stores) knows a passing check means the entry
+// is still the one it judged expired or idle — a successor that replaced
+// it, or re-inserted the key after a delete, holds another pointer.
 func (r *Resizable[V]) DeleteIfValue(key uint64, val V) bool {
 	ds.CheckKey(key)
 	_, ok := r.delete(key, true, val)

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,6 +111,10 @@ func TestConservationAndProducerOrder(t *testing.T) {
 					for consumed.Load() < int64(total) {
 						v, ok := q.Dequeue()
 						if !ok {
+							// Yield on an empty queue: four consumers
+							// spinning on Dequeue would otherwise starve
+							// the producers of the CPUs they need.
+							runtime.Gosched()
 							continue
 						}
 						consumed.Add(1)

@@ -187,28 +187,44 @@ func (s *Optik[V]) acquireLevel(pred, succ *oNode[V], predv core.Version, level 
 // partially inserted node from being deleted mid-linking.
 func (s *Optik[V]) Insert(key uint64, val V) bool {
 	ds.CheckKey(key)
-	_, _, inserted := s.insert(key, val, false)
+	_, _, _, inserted := s.write(key, ds.Put[V]{Val: val}, false)
 	return inserted
 }
 
-// Upsert adds key→val if absent, or replaces the present value in place —
-// one critical section on the node's own tower lock, no delete/re-insert
-// round trip. Returns the previous value and whether a replacement
-// happened.
+// Upsert adds key→val if absent, or replaces the present value in place:
+// Write with a value already built.
 func (s *Optik[V]) Upsert(key uint64, val V) (V, bool) {
-	ds.CheckKey(key)
-	old, replaced, _ := s.insert(key, val, true)
+	old, _, replaced := s.Write(key, ds.Put[V]{Val: val})
 	return old, replaced
 }
 
-// insert is the shared Insert/Upsert loop: parse, handle a present key
-// (fail, or replace under the node's lock), otherwise link a new tower
-// eagerly level by level. Returns (old value, replaced, inserted).
-func (s *Optik[V]) insert(key uint64, val V, upsert bool) (V, bool, bool) {
+// Write is the list's one write body: it adds key if absent, or replaces
+// the present value in place — one critical section on the node's own
+// tower lock, no delete/re-insert round trip. It returns the previous
+// value, the value key maps to on return, and whether key was present.
+//
+// A present value is first offered to p.Keep, once validated as Search
+// validates a hit — the node reached at level 0 and unmarked — and
+// against the tower's version, so a node a delete marked after the parse
+// read it is never judged. A kept value is the infeasible update: no
+// lock, no store, no version bump, and val is old. Otherwise p.Build, if
+// set, builds val before any lock is tried.
+func (s *Optik[V]) Write(key uint64, p ds.Put[V]) (old, val V, replaced bool) {
+	ds.CheckKey(key)
+	old, val, replaced, _ = s.write(key, p, true)
+	return old, val, replaced
+}
+
+// write is the shared Insert/Write loop: parse, handle a present key
+// (fail, keep, or replace under the node's lock), otherwise link a new
+// tower eagerly level by level. Returns (old value, value mapped,
+// replaced, inserted).
+func (s *Optik[V]) write(key uint64, p ds.Put[V], upsert bool) (old, val V, replaced, inserted bool) {
 	var preds, succs [MaxLevel]*oNode[V]
 	var predVs [MaxLevel]core.Version
 	var n *oNode[V]
-	var zero V
+	val = p.Val
+	built := p.Build == nil
 	topLevel := 0 // n's height, once n is allocated
 	startLevel := 0
 	var bo backoff.Backoff
@@ -223,7 +239,22 @@ func (s *Optik[V]) insert(key uint64, val V, upsert bool) (V, bool, bool) {
 					continue
 				}
 				if !upsert {
-					return zero, false, false
+					return old, val, false, false
+				}
+				if p.Keep != nil {
+					if h := testHookWriteHit; h != nil {
+						h()
+					}
+					old = core.LoadWord(&found.val)
+					if !found.lock.GetVersion().Same(v) {
+						continue
+					}
+					if p.Keep(old, p) {
+						return old, old, true, false // infeasible: no locking at all
+					}
+				}
+				if !built {
+					val, built = p.Build(p), true
 				}
 				if v.IsLocked() || !found.lock.TryLockVersion(v) {
 					// An inserter is using the node as predecessor, or a
@@ -233,11 +264,14 @@ func (s *Optik[V]) insert(key uint64, val V, upsert bool) (V, bool, bool) {
 					continue
 				}
 				// Lockable implies unmarked: deleters hold the lock forever.
-				old := core.LoadWord(&found.val)
+				old = core.LoadWord(&found.val)
 				core.StoreWord(&found.val, val)
 				found.lock.Unlock()
-				return old, true, false
+				return old, val, true, false
 			}
+		}
+		if !built {
+			val, built = p.Build(p), true
 		}
 		if n == nil {
 			n = newONode[V](key, randomLevel())
@@ -291,7 +325,8 @@ func (s *Optik[V]) insert(key uint64, val V, upsert bool) (V, bool, bool) {
 		// A parse that snapshot n since its level-0 link now fails its
 		// validation of n and restarts: the tag is a version change.
 		n.lock.SetTags(linkedTag)
-		return zero, false, true
+		var zero V
+		return zero, val, false, true
 	}
 }
 
@@ -317,7 +352,7 @@ func (s *Optik[V]) Delete(key uint64) (V, bool) {
 // failed check releases the lock with Revert — no version bump, nothing
 // changed — and leaves the entry in place. For a pointer word the check is
 // identity, which is exact for a layer that never stores one pointer twice
-// (store.Strings: a fresh pair for every write).
+// (store.Strings: a fresh pair for every write that stores).
 func (s *Optik[V]) DeleteIfValue(key uint64, val V) bool {
 	ds.CheckKey(key)
 	_, ok := s.delete(key, true, val)
@@ -360,6 +395,12 @@ func (s *Optik[V]) ReplaceIfValue(key uint64, old, new V) bool {
 		return true
 	}
 }
+
+// testHookWriteHit, when non-nil, runs in Write after the parse found its
+// key unmarked and before the value Keep judges is loaded — the window in
+// which a delete can mark and unlink the node. The white-box validation
+// test stages that interleaving through it.
+var testHookWriteHit func()
 
 // testHookDeleteWindow, when non-nil, runs inside a conditional delete
 // after the parse found its victim and before the victim's lock is taken —

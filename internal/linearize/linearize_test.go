@@ -241,3 +241,50 @@ func TestDeepBacktracking(t *testing.T) {
 		t.Fatal("overlapping same-key batch rejected")
 	}
 }
+
+// kvOp builds a KV operation with explicit times.
+func kvOp(op int, key uint64, val string, ok bool, call, ret int64) Operation {
+	in := KVInput{Op: op, Key: key}
+	out := KVOutput{OK: ok}
+	if op == OpKVGet {
+		out.Val = val
+	} else {
+		in.Val = val
+	}
+	return Operation{Input: in, Output: out, Call: call, Return: ret}
+}
+
+// TestKVCacheModel pins what eviction may and may not explain: a key found
+// absent without any DEL (evicted), and a SET that then reports a fresh
+// insert, are accepted; a SET that reports the key replaced after a DEL
+// that completed before it began — a restating SET that kept a deleted
+// entry — is not, nor is a GET that finds a value after its key was
+// evicted and never written again.
+func TestKVCacheModel(t *testing.T) {
+	evicted := []Operation{
+		kvOp(OpKVSet, 1, "a", false, 0, 1),
+		kvOp(OpKVGet, 1, "", false, 2, 3),
+		kvOp(OpKVSet, 1, "a", false, 4, 5),
+		kvOp(OpKVGet, 1, "a", true, 6, 7),
+		kvOp(OpKVDel, 1, "", false, 8, 9),
+	}
+	if !Check(KVCacheModel(), evicted) {
+		t.Fatal("a history explained by evictions was rejected")
+	}
+	keptDeleted := []Operation{
+		kvOp(OpKVSet, 1, "a", false, 0, 1),
+		kvOp(OpKVDel, 1, "", true, 2, 3),
+		kvOp(OpKVSet, 1, "a", true, 4, 5),
+	}
+	if Check(KVCacheModel(), keptDeleted) {
+		t.Fatal("a SET that replaced a deleted key was accepted")
+	}
+	resurrected := []Operation{
+		kvOp(OpKVSet, 1, "a", false, 0, 1),
+		kvOp(OpKVGet, 1, "", false, 2, 3),
+		kvOp(OpKVGet, 1, "a", true, 4, 5),
+	}
+	if Check(KVCacheModel(), resurrected) {
+		t.Fatal("a value found again after its key was evicted was accepted")
+	}
+}

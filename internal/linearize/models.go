@@ -210,6 +210,56 @@ func KVTTLModel(start int64) Model {
 	}
 }
 
+// KVCacheModel returns the sequential specification of the string store
+// under a byte budget, over the OpKVGet, OpKVSet and OpKVDel operations:
+// the store's eviction may remove any key at any instant, and records
+// nothing a history can see. An eviction is a step the checker cannot
+// place, so the model folds it into the operation that observes it: an
+// operation that finds its key absent is accepted in any state, and moves
+// the state to absent — the key was evicted just before it. An operation
+// that finds the key present must find it present in the model, holding
+// the value last written: eviction never brings a key back, and never
+// brings back a value that was overwritten. Partitioned per key like
+// SetModel.
+func KVCacheModel() Model {
+	return Model{
+		Init: func() any { return kvState{} },
+		Step: func(state, input, output any) (bool, any) {
+			s := state.(kvState)
+			in := input.(KVInput)
+			out := output.(KVOutput)
+			switch in.Op {
+			case OpKVGet:
+				if out.OK {
+					return s.present && s.val == out.Val, s
+				}
+				return true, kvState{}
+			case OpKVSet:
+				return !out.OK || s.present, kvState{present: true, val: in.Val}
+			case OpKVDel:
+				return !out.OK || s.present, kvState{}
+			}
+			return false, s
+		},
+		Key: func(state any) string {
+			s := state.(kvState)
+			return fmt.Sprintf("%v:%s", s.present, s.val)
+		},
+		Partition: func(ops []Operation) [][]Operation {
+			byKey := map[uint64][]Operation{}
+			for _, op := range ops {
+				k := op.Input.(KVInput).Key
+				byKey[k] = append(byKey[k], op)
+			}
+			parts := make([][]Operation, 0, len(byKey))
+			for _, p := range byKey {
+				parts = append(parts, p)
+			}
+			return parts
+		},
+	}
+}
+
 // Queue operations for QueueModel histories.
 const (
 	OpEnqueue = iota

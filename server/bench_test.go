@@ -117,14 +117,18 @@ func BenchmarkRange(b *testing.B) {
 // store a view, the warm index reuses its slots and nodes, and the client
 // side (a prebuilt buffer out, fixed-size replies in) allocates nothing.
 // fresh times inserts — the keys are deleted again with the timer stopped
-// — and overwrite times SETs over keys already present: the displaced
-// value leaves the index and costs nothing more.
+// — and overwrite times SETs over keys already present, alternating
+// between two values so that every SET stores: the displaced value leaves
+// the index and costs nothing more. restate times SETs of the value each
+// key already holds, which the store decides on its validated read and
+// which therefore allocate nothing at all.
 func BenchmarkPipelineSet(b *testing.B) {
-	b.Run("fresh", func(b *testing.B) { benchPipelineSet(b, false) })
-	b.Run("overwrite", func(b *testing.B) { benchPipelineSet(b, true) })
+	b.Run("fresh", func(b *testing.B) { benchPipelineSet(b, "fresh") })
+	b.Run("overwrite", func(b *testing.B) { benchPipelineSet(b, "overwrite") })
+	b.Run("restate", func(b *testing.B) { benchPipelineSet(b, "restate") })
 }
 
-func benchPipelineSet(b *testing.B, overwrite bool) {
+func benchPipelineSet(b *testing.B, mode string) {
 	st := store.NewStrings(store.WithShardBuckets(1024), store.WithoutMaintenance())
 	defer st.Close()
 	srv := New(st)
@@ -140,12 +144,15 @@ func benchPipelineSet(b *testing.B, overwrite bool) {
 	defer conn.Close()
 
 	const population, depth = 4096, 64
-	val := strings.Repeat("v", 64)
-	var sets, dels [population / depth][]byte
-	for i := range sets {
+	vals := [2]string{strings.Repeat("v", 64), strings.Repeat("w", 64)}
+	var sets [2][population / depth][]byte
+	var dels [population / depth][]byte
+	for i := range dels {
 		for j := 0; j < depth; j++ {
 			key := strconv.Itoa(i*depth + j + 1)
-			sets[i] = fmt.Appendf(sets[i], "*3\r\n$3\r\nSET\r\n$%d\r\n%s\r\n$%d\r\n%s\r\n", len(key), key, len(val), val)
+			for v, val := range vals {
+				sets[v][i] = fmt.Appendf(sets[v][i], "*3\r\n$3\r\nSET\r\n$%d\r\n%s\r\n$%d\r\n%s\r\n", len(key), key, len(val), val)
+			}
 			dels[i] = fmt.Appendf(dels[i], "*2\r\n$3\r\nDEL\r\n$%d\r\n%s\r\n", len(key), key)
 		}
 	}
@@ -158,18 +165,22 @@ func benchPipelineSet(b *testing.B, overwrite bool) {
 			b.Fatal(err)
 		}
 	}
-	for i := range sets {
-		roundTrip(sets[i]) // warm the index
-		if !overwrite {
+	for i := range dels {
+		roundTrip(sets[0][i]) // warm the index
+		if mode == "fresh" {
 			roundTrip(dels[i])
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += depth {
-		k := i / depth % len(sets)
-		roundTrip(sets[k])
-		if !overwrite {
+		k := i / depth % len(dels)
+		v := 0
+		if mode == "overwrite" {
+			v = 1 - i/population%2 // the warm-up stored vals[0]; every lap flips
+		}
+		roundTrip(sets[v][k])
+		if mode == "fresh" {
 			b.StopTimer()
 			roundTrip(dels[k])
 			b.StartTimer()

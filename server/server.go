@@ -671,10 +671,12 @@ func (s *Server) statsText() string {
 			"coalesced_batches:%d\ncoalesced_keys:%d\n"+
 			"conns_open:%d\nconns_rejected:%d\nconns_shed:%d\n"+
 			"buffers_resident:%d\n"+
-			"get_hits:%d\nget_misses:%d\nconn_panics:%d\n",
+			"get_hits:%d\nget_misses:%d\nconn_panics:%d\n"+
+			"writes_elided:%d\n",
 		s.active.Load(), s.accepted.Load(), s.commands.Load(),
 		s.coalescedBatches.Load(), s.coalescedKeys.Load(),
 		s.active.Load(), s.rejected.Load(), s.shed.Load(),
 		s.buffersResident.Load(),
-		s.getHits.Load(), s.getMisses.Load(), s.connPanics.Load())
+		s.getHits.Load(), s.getMisses.Load(), s.connPanics.Load(),
+		s.st.WritesElided())
 }

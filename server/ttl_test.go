@@ -219,7 +219,8 @@ func documentedStatsFields(t *testing.T) []string {
 // live reply to each other: the same names in the same order on the hash
 // server, and on the ordered one the same plus its ordered:1 discriminator.
 // A field added to the reply and not the document, or the other way round,
-// fails here, and so does a field the document lists as removed.
+// fails here, and so does a field the document lists as removed; and
+// writes_elided must count exactly the SETs that restated a value.
 func TestServerStatsFields(t *testing.T) {
 	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused"}
 	documented := documentedStatsFields(t)
@@ -248,6 +249,20 @@ func TestServerStatsFields(t *testing.T) {
 			}
 			if want := int(b2i(srv.ordered)); ordered != want {
 				t.Errorf("STATS carries %d ordered lines, want %d", ordered, want)
+			}
+			// writes_elided counts the SETs that restated their key's value
+			// and stored nothing: the second and the fourth.
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close()
+			c.Set(1, 10)
+			c.Set(1, 10)
+			c.Set(1, 20)
+			c.Set(1, 20)
+			if got := c.Stats()["writes_elided"]; got != 2 {
+				t.Errorf("writes_elided = %d after two restating SETs, want 2", got)
 			}
 		})
 	}

@@ -62,12 +62,12 @@ func (sh *orderedShard[V]) Insert(key uint64, val V) bool {
 	return ok
 }
 
-func (sh *orderedShard[V]) Upsert(key uint64, val V) (V, bool) {
-	old, replaced := sh.Optik.Upsert(key, val)
+func (sh *orderedShard[V]) Write(key uint64, p ds.Put[V]) (old, val V, replaced bool) {
+	old, val, replaced = sh.Optik.Write(key, p)
 	if !replaced {
 		sh.count.Add(key, 1)
 	}
-	return old, replaced
+	return old, val, replaced
 }
 
 func (sh *orderedShard[V]) Delete(key uint64) (V, bool) {

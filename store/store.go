@@ -1,9 +1,10 @@
 // Package store lifts the library's concurrent structures into a servable
 // subsystem, as one stack with one body per behaviour:
 //
-//	shard contract   what a shard must do: point ops, conditional
-//	                 delete and replace, sampling and sweeping,
-//	                 maintenance. Two structures satisfy it — the
+//	shard contract   what a shard must do: point ops (one write body,
+//	                 which builds its value only if it stores),
+//	                 conditional delete and replace, sampling and
+//	                 sweeping, maintenance. Two structures satisfy it — the
 //	                 resizable OPTIK hash table as is, and the OPTIK
 //	                 skip list plus a striped counter (ordered.go), which
 //	                 additionally scans in key order. Both are generic
@@ -66,7 +67,14 @@ import (
 type shard[V comparable] interface {
 	Search(key uint64) (V, bool)
 	Insert(key uint64, val V) bool
-	Upsert(key uint64, val V) (old V, replaced bool)
+	// Write is the structure's one write body: insert key, or replace its
+	// value, returning the previous value, the value key maps to on
+	// return and whether key was present. p.Keep judges a present value
+	// once it is validated as Search validates a hit, and a value it
+	// keeps costs no lock, store or version bump; p.Build builds the value
+	// otherwise, outside the critical section. Set is Write with a value
+	// already built (see ds.Put).
+	Write(key uint64, p ds.Put[V]) (old, val V, replaced bool)
 	Delete(key uint64) (V, bool)
 	// DeleteIfValue removes key only while it maps to exactly val, and
 	// ReplaceIfValue swaps its value from exactly old to new: the
@@ -259,7 +267,14 @@ func (s *Store[V]) Get(key uint64) (V, bool) {
 // previous value and whether one was replaced — the upsert a serving store
 // needs (contrast Insert, the paper's set semantics).
 func (s *Store[V]) Set(key uint64, val V) (V, bool) {
-	return s.shards[s.shardID(key)].Upsert(key, val)
+	old, _, replaced := s.write(key, ds.Put[V]{Val: val})
+	return old, replaced
+}
+
+// write routes one Put to its shard's Write: the body under Set, and under
+// the string layer's writes, which build their pair lazily.
+func (s *Store[V]) write(key uint64, p ds.Put[V]) (old, val V, replaced bool) {
+	return s.shards[s.shardID(key)].Write(key, p)
 }
 
 // Del removes key, returning its value, if present.

@@ -512,8 +512,10 @@ func TestBatchRejectsBadKeyWhole(t *testing.T) {
 // TestBatchAllocations pins the multi-key calls' allocation contract: a
 // batch is a loop over the point ops and allocates nothing of its own. On
 // 1 and 4 shards, the string layer's MGetHashed and MDelHashed of 64
-// present keys allocate nothing and MSetHashed exactly one object per key
-// (its pair); the index's MGet, MSet and MDel allocate nothing.
+// present keys allocate nothing; an MSetHashed that restates every key's
+// value allocates nothing either (each write is decided on the index's
+// validated read), and one of new values exactly one object per key (its
+// pair). The index's MGet, MSet and MDel allocate nothing.
 func TestBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation makes allocation counts meaningless")
@@ -522,10 +524,12 @@ func TestBatchAllocations(t *testing.T) {
 	keys := make([]uint64, n)
 	ivals := make([]uint64, n)
 	vals := make([]string, n)
+	fresh := make([]string, n)
 	for i := range keys {
 		keys[i] = uint64(i + 1)
 		ivals[i] = uint64(i)
 		vals[i] = strings.Repeat("v", 32)
+		fresh[i] = strings.Repeat("w", 32)
 	}
 	out := make([]uint64, n)
 	sout := make([]string, n)
@@ -541,7 +545,8 @@ func TestBatchAllocations(t *testing.T) {
 				prep, f func()
 			}{
 				{"MGetHashed", 0, func() {}, func() { st.MGetHashed(keys, sout, flags) }},
-				{"MSetHashed", n, func() {}, fill},
+				{"MSetHashed restating", 0, fill, fill},
+				{"MSetHashed of new values", n, fill, func() { st.MSetHashed(keys, fresh, flags) }},
 				{"MDelHashed", 0, fill, func() { st.MDelHashed(keys, flags) }},
 			} {
 				if got, _ := allocsPerRun(20, op.prep, op.f); got != op.want {

@@ -245,6 +245,10 @@ func (s *Strings) BytesUsed() int64 { return s.bytes.Sum() }
 // ByteBudget returns the configured budget (0 = unbounded).
 func (s *Strings) ByteBudget() int64 { return s.budget }
 
+// WritesElided returns how many writes restated the value their key
+// already held and were decided without storing (see put).
+func (s *Strings) WritesElided() uint64 { return uint64(max(s.elided.Sum(), 0)) }
+
 // TTLStats snapshots the governance counters: entries retired lazily by
 // readers, retired by the background sweep, and evicted for the budget.
 func (s *Strings) TTLStats() (expiredLazy, expiredSwept, evicted uint64) {
@@ -254,14 +258,14 @@ func (s *Strings) TTLStats() (expiredLazy, expiredSwept, evicted uint64) {
 // retire splices out an entry judged dead — expired, or sampled for
 // eviction — counting it on counter: remove k from the index only while it
 // still maps to exactly p (checked under the lock owning the entry; any
-// write since built a new pair, so an unconditional delete here could
-// kill a live successor). Losing the race means someone else already
-// retired or replaced it, and credited its bytes.
+// write that stored since built a new pair, so an unconditional delete
+// here could kill a live successor). Losing the race means someone else
+// already retired or replaced it, and credited its bytes.
 func (s *Strings) retire(k uint64, p *pair, counter *atomic.Uint64) bool {
 	if !s.index.DelIfValue(k, p) {
 		return false
 	}
-	s.credit(k, p)
+	s.credit(k, p.size())
 	counter.Add(1)
 	return true
 }

@@ -7,12 +7,16 @@
 // A read is one hop from key to value and takes no lock, and nothing has
 // to be validated beyond what the index already validates:
 //
-//   - SET builds the pair first and publishes it through the index after,
-//     so any pair a reader can reach is fully built.
+//   - A SET that stores builds its pair first and publishes it through the
+//     index after, so any pair a reader can reach is fully built. A SET
+//     that restates the bytes a TTL-less entry already holds stores
+//     nothing: the index decides it on its validated read, with no pair,
+//     no lock and no version bump (put).
 //   - A pair is never mutated (but for its advisory stamp) and never
-//     reused: replacing a value or a deadline publishes a new pair. A
-//     reader holding a pair holds exactly the value the key mapped to at
-//     its read, for as long as it likes.
+//     reused: a fresh pair for every write that stores, so replacing a
+//     value or a deadline publishes a new pair. A reader holding a pair
+//     holds exactly the value the key mapped to at its read, for as long
+//     as it likes.
 //   - A pair leaves the index exactly once, by whichever call unmapped it
 //     — an overwrite, a delete, or governance's conditional delete, which
 //     compares pointers and so can never remove a successor.
@@ -78,13 +82,10 @@ const (
 // so the caller's string may be a view over memory it is about to reuse.
 // The object is a []uint64 rather than a []byte because the element type is
 // what guarantees the header's 8-byte alignment. A length the 31 bits left
-// beside the flag cannot hold is refused outright, never truncated; the
-// wire cannot produce one (server.maxBulk).
+// beside the flag cannot hold is refused outright, never truncated
+// (pairLen).
 func newPair(val string, deadline int64, stamp uint32) *pair {
-	if len(val) > math.MaxInt32 {
-		panic("store: value too large")
-	}
-	words, n := pairWords, uint32(len(val))
+	words, n := pairWords, uint32(pairLen(val))
 	if deadline != 0 {
 		words, n = pairWords+1, n|pairTTL
 	}
@@ -99,6 +100,16 @@ func newPair(val string, deadline int64, stamp uint32) *pair {
 		copy(unsafe.Slice((*byte)(unsafe.Pointer(&obj[words])), len(val)), val)
 	}
 	return p
+}
+
+// pairLen returns the length of a value to store, refusing outright one
+// the 31 bits a pair keeps beside its flag cannot hold; the wire cannot
+// produce one (server.maxBulk).
+func pairLen(val string) int {
+	if len(val) > math.MaxInt32 {
+		panic("store: value too large")
+	}
+	return len(val)
 }
 
 // size returns the value length: n without the flag.
@@ -264,22 +275,25 @@ func clampHash(v uint64) uint64 {
 // one. Distinct string keys whose hashes collide alias to one entry; with
 // 64-bit FNV-1a that needs ~2^32 live keys to become likely.
 //
-// Value ownership: every write (Set, SetEX, MSetHashed) copies its value
-// into the store's own object and retains nothing of the argument, so a
-// caller may pass a view over a buffer it reuses as soon as the call
-// returns. Every read (Get, MGet, Scan, Min/Max) returns a string that
-// aliases that immutable object: it costs no copy and stays valid and
+// Value ownership: every write (Set, SetEX, MSetHashed) that stores
+// copies its value into the store's own object, and one that restates the
+// value its key holds only compares; none retains anything of the
+// argument, so a caller may pass a view over a buffer it reuses as soon as
+// the call returns. Every read (Get, MGet, Scan, Min/Max) returns a string
+// that aliases that immutable object: it costs no copy and stays valid and
 // unchanged for as long as the caller holds it, whatever happens to the
 // key. Expire and Persist replace the pair, copying the value bytes into
 // the replacement.
 type Strings struct {
 	// Set once by init and read by every operation: the index, the byte
-	// counter, the injectable clock (nil = coarse time.Now cached in
-	// cachedNow) and the byte budget (0 = unbounded). They own their cache
-	// line — the words below are stored by writers and by governance, and a
-	// GET must not take a miss on this line for it.
+	// counter, the counter of writes decided without storing (see put),
+	// the injectable clock (nil = coarse time.Now cached in cachedNow) and
+	// the byte budget (0 = unbounded). They own their cache line — the
+	// words below are stored by writers and by governance, and a GET must
+	// not take a miss on this line for it.
 	index  *Store[*pair]
 	bytes  *core.Striped
+	elided *core.Striped
 	clock  func() int64
 	budget int64
 
@@ -341,7 +355,7 @@ func NewStrings(opts ...Option) *Strings {
 // shared scheduler when one exists — WithoutMaintenance stores are driven
 // via Quiesce.
 func (s *Strings) init(index *Store[*pair], o options) {
-	s.index, s.bytes = index, core.NewStriped(0)
+	s.index, s.bytes, s.elided = index, core.NewStriped(0), core.NewStriped(0)
 	s.clock, s.budget = o.clock, o.byteBudget
 	s.sweepRng = 0x9E3779B97F4A7C15
 	s.handRng.Store(0x6A09E667F3BCC909)
@@ -372,11 +386,14 @@ func (s *Strings) Quiesce() {
 // Store.Len).
 func (s *Strings) Len() int { return s.index.Len() }
 
-// charge adds a pair's footprint to the byte counter — value bytes plus
-// pairOverhead — as the pair is published under k; credit takes it off
-// again, in whichever call unmapped the pair.
-func (s *Strings) charge(k uint64, p *pair) { s.bytes.Add(k, int64(p.size())+pairOverhead) }
-func (s *Strings) credit(k uint64, p *pair) { s.bytes.Add(k, -int64(p.size())-pairOverhead) }
+// charge adds the footprint of a pair holding n value bytes to the byte
+// counter — n plus pairOverhead — before the pair can be published under
+// k; credit takes it off again, in whichever call unmapped the pair (or in
+// the write that charged it and then stored nothing). Charging first keeps
+// every counter cell at or above its live entries: an unmap can never
+// credit a pair before its write has charged it.
+func (s *Strings) charge(k uint64, n int) { s.bytes.Add(k, int64(n)+pairOverhead) }
+func (s *Strings) credit(k uint64, n int) { s.bytes.Add(k, -int64(n)-pairOverhead) }
 
 // live is the read path's one judgment over what the index returned for k:
 // a pair whose deadline has passed is a miss, and retires through the same
@@ -422,15 +439,56 @@ func (s *Strings) set(k uint64, value string, deadline int64) bool {
 	return live
 }
 
-// put is the write's body, for a key already checked: pair first, index
-// publish after, the displaced pair credited back — its stamp handed to
-// the successor, under a budget. It reports whether a live value was
-// replaced.
+// put is the write's body, for a key already checked. A SET without a
+// deadline that restates the bytes a TTL-less entry already holds is
+// decided on the index's validated read (restated): no pair, no lock, and
+// no version bump, so the bucket's or tower's readers do not restart. Any
+// other write has the index build its pair (buildPair) and publish it,
+// and the displaced pair is credited back — its stamp handed to the
+// successor, under a budget. The bytes are charged before the write, as
+// for any pair that may be published, and a kept write credits them back.
+// It reports whether a live value was replaced.
 func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) bool {
-	p := newPair(value, deadline, stampNew(epoch))
-	s.charge(k, p)
-	old, replaced := s.index.Set(k, p)
+	w := ds.Put[*pair]{Build: buildPair, Bytes: value, Aux: deadline, Tag: epoch}
+	if deadline == 0 {
+		w.Keep = restated
+		if s.budget != 0 {
+			w.Keep = restatedTouched
+		}
+	}
+	n := pairLen(value) // a refused value is refused before it is charged
+	s.charge(k, n)
+	old, p, replaced := s.index.write(k, w)
+	if replaced && p == old {
+		s.credit(k, n)
+		s.elided.Add(k, 1)
+		return true
+	}
 	return replaced && s.displaced(k, p, old, epoch)
+}
+
+// buildPair builds the pair a put stores: its value bytes, its deadline,
+// and a stamp of one touch in the put's epoch.
+func buildPair(w ds.Put[*pair]) *pair { return newPair(w.Bytes, w.Aux, stampNew(w.Tag)) }
+
+// restated is a put's keep judgment: the entry has no deadline and holds
+// exactly the bytes being written (a pair with a deadline carries pairTTL
+// in n, so it never matches a length). The put is issued without a
+// deadline, so storing would change nothing a reader can see.
+func restated(old *pair, w ds.Put[*pair]) bool {
+	return old.n == uint32(len(w.Bytes)) && old.val() == w.Bytes
+}
+
+// restatedTouched is restated under a byte budget: a kept write still
+// counts one touch on the entry's stamp, as displaced hands one to the
+// pair a stored write publishes — how often a key is used does not
+// depend on whether its write had anything to store.
+func restatedTouched(old *pair, w ds.Put[*pair]) bool {
+	if !restated(old, w) {
+		return false
+	}
+	old.touch(w.Tag)
+	return true
 }
 
 // displaced settles a pair a write of p under k just unmapped: its bytes
@@ -450,7 +508,7 @@ func (s *Strings) displaced(k uint64, p, old *pair, epoch uint32) bool {
 // deleted — and reports whether it was live: an expired one was already
 // observably absent, and counts as lazily expired.
 func (s *Strings) unmapped(k uint64, old *pair) bool {
-	s.credit(k, old)
+	s.credit(k, old.size())
 	if s.expiredNow(old) {
 		s.expiredLazy.Add(1)
 		return false

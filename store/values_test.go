@@ -487,6 +487,7 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 	readMostly := []span{
 		{"index", unsafe.Offsetof(s.index), unsafe.Sizeof(s.index)},
 		{"bytes", unsafe.Offsetof(s.bytes), unsafe.Sizeof(s.bytes)},
+		{"elided", unsafe.Offsetof(s.elided), unsafe.Sizeof(s.elided)},
 		{"clock", unsafe.Offsetof(s.clock), unsafe.Sizeof(s.clock)},
 		{"budget", unsafe.Offsetof(s.budget), unsafe.Sizeof(s.budget)},
 	}
@@ -667,7 +668,7 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 			for s.BytesUsed() <= budget+budget/16 {
 				next++
 				p := newPair(val, 0, stampNew(s.epoch.Load()))
-				s.charge(next, p)
+				s.charge(next, p.size())
 				s.index.Set(next, p)
 			}
 		}
@@ -690,4 +691,72 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// TestRestatingSetIsElided pins which writes are decided without storing:
+// a SET (or an MSET pair) of exactly the bytes a TTL-less live entry holds
+// keeps the entry's pair — the same object, the same bytes_used — reports
+// the key replaced, and counts on WritesElided. A SET of other bytes, a
+// SETEX, and a SET over an entry with a TTL (it clears the deadline)
+// store. Under a byte budget a kept write still counts one touch on the
+// entry's stamp, as a stored one hands its successor; without one the
+// stamp is left alone.
+func TestRestatingSetIsElided(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		s := newStrings(WithShards(2), WithoutMaintenance(), WithClock(func() int64 { return 1 }))
+		defer s.Close()
+		k := HashKey("k")
+		pairOf := func() *pair { p, _ := s.index.Get(k); return p }
+		step := func(name string, write func() bool, wantElided uint64, wantSame bool) {
+			t.Helper()
+			before, used := pairOf(), s.BytesUsed()
+			if !write() {
+				t.Fatalf("%s: reported a fresh insert over a live key", name)
+			}
+			if got := s.WritesElided(); got != wantElided {
+				t.Fatalf("%s: WritesElided = %d, want %d", name, got, wantElided)
+			}
+			if same := pairOf() == before; same != wantSame {
+				t.Fatalf("%s: pair kept = %v, want %v", name, same, wantSame)
+			}
+			if wantSame && s.BytesUsed() != used {
+				t.Fatalf("%s: bytes_used moved %d -> %d on a kept write", name, used, s.BytesUsed())
+			}
+		}
+		if s.Set("k", "v") {
+			t.Fatal("first Set reported a replacement")
+		}
+		step("restating Set", func() bool { return s.Set("k", "v") }, 1, true)
+		step("Set of new bytes", func() bool { return s.Set("k", "w") }, 1, false)
+		step("Set of a longer value", func() bool { return s.Set("k", "ww") }, 1, false)
+		step("SetEX of the same bytes", func() bool { return s.SetEX("k", "ww", 100) }, 1, false)
+		step("Set over a TTL", func() bool { return s.Set("k", "ww") }, 1, false)
+		if ttl := s.TTL("k"); ttl != -1 {
+			t.Fatalf("TTL = %d after a Set over a TTL, want -1", ttl)
+		}
+		step("restating MSetHashed", func() bool {
+			replaced := make([]bool, 1)
+			s.MSetHashed([]uint64{k}, []string{"ww"}, replaced)
+			return replaced[0]
+		}, 2, true)
+		s.Set("k", "")
+		step("restating Set of the empty value", func() bool { return s.Set("k", "") }, 3, true)
+		if v, ok := s.Get("k"); !ok || v != "" {
+			t.Fatalf("Get = %q,%v, want \"\",true", v, ok)
+		}
+
+		for _, budget := range []int64{0, 1 << 20} {
+			b := newStrings(WithShards(2), WithoutMaintenance(), WithByteBudget(budget))
+			b.Set("k", "v")
+			p, _ := b.index.Get(k)
+			epoch := b.epoch.Load()
+			b.epoch.Store(epoch + 1)
+			b.Set("k", "v")
+			freq, _ := stampRead(p.touched.Load(), epoch+1)
+			if want := uint32(1 + min(budget, 1)); freq != want {
+				t.Fatalf("budget %d: a kept write left the stamp counting %d touches, want %d", budget, freq, want)
+			}
+			b.Close()
+		}
+	})
 }
