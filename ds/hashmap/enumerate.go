@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"github.com/optik-go/optik/internal/core"
+	"github.com/optik-go/optik/internal/rng"
 )
 
 // Enumeration: the two ways a layer above reaches entries it holds no key
@@ -12,73 +13,49 @@ import (
 // lock-free readers like Search: every bucket they report is read under a
 // version snapshot and validated before anything leaves it.
 
-// SampleWidth is how many entries one Sample probe reports at most: the
-// three inline pairs and the first chain node, everything a bucket holds
-// at the table's usual load.
-const SampleWidth = inlinePairs + 1
+// SampleWidth is how many entries one Sample call reports at most.
+const SampleWidth = 8
 
-// Sample probes one random bucket of the current slab, rnd's low bits
-// choosing it, and reports its entries — all of them when they fit in
-// SampleWidth, else a window of SampleWidth consecutive ones starting at a
-// position rnd's bits 32 and up choose. Every entry of a bucket holding at
-// most SampleWidth entries is therefore reported by exactly the probes
-// that pick its bucket, one in len(buckets) — the same for every such
-// entry, so each entry's share of the draws is uniform — and an entry of
-// a fuller bucket of n by SampleWidth/n of those: within 2× of uniform up
-// to eight entries, which at the table's maximum load factor of 2 is a
-// one-in-several-thousand bucket. Entries of one probe share a bucket,
-// which says nothing about how they are used, so a best-of-K eviction
-// over them is as good as over K independent draws. n is 0 for an empty
-// bucket, one forwarded mid-resize, or one that changed under the read; a
-// caller wanting k entries spends probes until it has them — at load
-// factor 1, about one entry per probe.
+// sampleRun is how many consecutive buckets one Sample call reads: at the
+// table's maximum load factor they hold SampleWidth entries on average.
+const sampleRun = SampleWidth / maxLoad
+
+// Sample reads a run of sampleRun consecutive buckets of the current slab,
+// starting at the one rnd's low bits choose, through collect, the sweep's
+// validated read (a forwarded bucket is read where its entries went), and
+// reports their entries: one random miss and then sequential lines, where
+// independent probes would spend a miss per bucket. A run holding more
+// than SampleWidth entries is thinned by reservoir sampling, rnd stepped
+// for the draws, so each of its T entries is reported with chance
+// SampleWidth/T. Every entry is then reported by the sampleRun runs that
+// cover its bucket, each time with chance min(1, SampleWidth/T): within 2×
+// of uniform up to the maximum load (TestSampleNearUniform). A run that
+// stopped at SampleWidth entries instead would starve the entries after a
+// dense stretch — 6 % of a 10,000-key table drew under half their share,
+// the worst an eighth. Neighbouring buckets hold keys whose hashes are
+// alike, which says nothing about how they are used, so a best-of-K
+// eviction over a run is as good as over K independent draws. n is 0 only
+// for a run of empty buckets.
 func (r *Resizable[V]) Sample(rnd uint64) (keys [SampleWidth]uint64, vals [SampleWidth]V, n int) {
 	t := r.root.Load()
-	b := &t.buckets[rnd&t.mask]
-	vn := b.lock.GetVersionWait()
-	head := b.head.Load()
-	if head == forwardedNode[V]() {
-		return keys, vals, 0
-	}
-	total := 0
-	for i := range b.inline {
-		if b.inline[i].key.Load() != 0 {
-			total++
-		}
-	}
-	for cur := head; cur != nil; cur = cur.next.Load() {
-		total++
-	}
-	if total == 0 {
-		return keys, vals, 0
-	}
-	// The window is positions skip, skip+1, … mod total; n < SampleWidth
-	// also guards a bucket that grew since it was counted.
-	skip := 0
-	if total > SampleWidth {
-		skip = int((rnd >> 32) % uint64(total))
-	}
-	pos := 0
-	for i := range b.inline {
-		if k := b.inline[i].key.Load(); k != 0 {
-			if n < SampleWidth && (pos+total-skip)%total < SampleWidth {
-				keys[n], vals[n] = k, core.LoadWord(&b.inline[i].val)
-				n++
+	var bk [SampleWidth]uint64
+	var bv [SampleWidth]V
+	draw := rnd
+	for i := uint64(0); i < sampleRun; i++ {
+		m, _ := t.collect((rnd+i)&t.mask, bk[:], bv[:])
+		for j := range m {
+			slot := n
+			if n >= SampleWidth {
+				draw = rng.Step(draw)
+				slot = int(rng.Mix(draw) % uint64(n+1))
 			}
-			pos++
-		}
-	}
-	for cur := head; cur != nil && pos < total; cur = cur.next.Load() {
-		if n < SampleWidth && (pos+total-skip)%total < SampleWidth {
-			keys[n], vals[n] = cur.key.Load(), core.LoadWord(&cur.val)
+			if slot < SampleWidth {
+				keys[slot], vals[slot] = bk[j], bv[j]
+			}
 			n++
 		}
-		pos++
 	}
-	if !b.lock.GetVersion().Same(vn) {
-		return [SampleWidth]uint64{}, [SampleWidth]V{}, 0
-	}
-	return keys, vals, n
+	return keys, vals, min(n, SampleWidth)
 }
 
 // Sweep copies the entries of the buckets at and after cursor into keys

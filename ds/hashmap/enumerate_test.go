@@ -62,8 +62,9 @@ func TestSweepLapAcrossResize(t *testing.T) {
 	}
 }
 
-// TestSampleNearUniform pins the sampler's uniformity: over 10⁶ probes of
-// a 10,000-key table every key is reported within 2× of its fair share.
+// TestSampleNearUniform pins the sampler's uniformity: over 10⁶ runs
+// sampled from a 10,000-key table every key is reported within 2× of its
+// fair share, however full the buckets just before it are.
 func TestSampleNearUniform(t *testing.T) {
 	const keys, probes = 10_000, 1_000_000
 	m := NewResizable(1)
@@ -96,7 +97,7 @@ func TestSampleNearUniform(t *testing.T) {
 	if len(count) != keys {
 		t.Errorf("%d of %d keys never drawn", keys-len(count), keys)
 	}
-	t.Logf("%d buckets, %.2f entries per probe; draws per key %d..%d, fair %.0f",
+	t.Logf("%d buckets, %.2f entries per run; draws per key %d..%d, fair %.0f",
 		m.Buckets(), float64(total)/probes, lo, hi, fair)
 }
 

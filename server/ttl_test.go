@@ -18,16 +18,16 @@ import (
 // startTTLServer brings up a server — over a hash store, or an ordered
 // one — driven by an injected clock, so the wire-level expiry tests
 // advance time by hand — no sleeps.
-func startTTLServer(t *testing.T, ordered bool) (*atomic.Int64, string) {
+func startTTLServer(t *testing.T, ordered bool, extra ...store.Option) (*atomic.Int64, string) {
 	t.Helper()
 	var clock atomic.Int64
 	clock.Store(1_000_000_000)
-	opts := []store.Option{
+	opts := append([]store.Option{
 		store.WithClock(clock.Load),
 		store.WithShards(2),
 		store.WithShardBuckets(64),
 		store.WithKeyMax(1 << 20),
-	}
+	}, extra...)
 	var st *store.Strings
 	var srv *Server
 	if ordered {
@@ -219,9 +219,12 @@ func documentedStatsFields(t *testing.T) []string {
 // live reply to each other: the same names in the same order on the hash
 // server, and on the ordered one the same plus its ordered:1 discriminator.
 // A field added to the reply and not the document, or the other way round,
-// fails here, and so does a field the document lists as removed; and
-// writes_elided must count exactly the SETs that restated a value.
+// fails here, and so does a field the document lists as removed;
+// writes_elided must count exactly the SETs that restated a value; and
+// evicted_warm must count a victim the budget took while every resident
+// was in use.
 func TestServerStatsFields(t *testing.T) {
+	const entry = store.PairOverhead + 2 // a two-digit value
 	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused"}
 	documented := documentedStatsFields(t)
 	if len(documented) < 15 {
@@ -229,7 +232,7 @@ func TestServerStatsFields(t *testing.T) {
 	}
 	for _, srv := range ttlServers {
 		t.Run(srv.name, func(t *testing.T) {
-			_, addr := startTTLServer(t, srv.ordered)
+			_, addr := startTTLServer(t, srv.ordered, store.WithByteBudget(5*entry))
 			var live []string
 			ordered := 0
 			for _, name := range statsFieldNames(t, addr) {
@@ -263,6 +266,27 @@ func TestServerStatsFields(t *testing.T) {
 			c.Set(1, 20)
 			if got := c.Stats()["writes_elided"]; got != 2 {
 				t.Errorf("writes_elided = %d after two restating SETs, want 2", got)
+			}
+			// Five entries fill the budget; each is read in two epochs, so
+			// all are warm, and the write that takes the store past the
+			// budget inherits its key's count. The victim is warm.
+			keys := []uint64{1, 11, 12, 13, 14}
+			for _, k := range keys[1:] {
+				c.Set(k, 10)
+			}
+			for range 2 {
+				c.Quiesce()
+				for _, k := range keys {
+					c.Get(k)
+				}
+			}
+			if st := c.Stats(); st["evicted"] != 0 || st["evicted_warm"] != 0 {
+				t.Fatalf("evicted %d (%d warm) under the budget, want none", st["evicted"], st["evicted_warm"])
+			}
+			c.Set(11, 1000)
+			c.Quiesce()
+			if st := c.Stats(); st["evicted"] != 1 || st["evicted_warm"] != 1 {
+				t.Errorf("evicted %d (%d warm) with every resident in use, want 1 (1)", st["evicted"], st["evicted_warm"])
 			}
 		})
 	}

@@ -17,9 +17,9 @@
 // refreshes the coarse cached clock, advances the eviction epoch, sweeps a
 // cursor quantum of the index for expired pairs (shard.Sweep), and — when
 // a byte budget is configured and exceeded — evicts sampled entries (of K
-// random residents drawn with shard.Sample, the one whose stamp says it is
-// used least often, then least recently: see stampRead) until back under
-// budget. Writers lend the same bounded hand inline when an insert finds
+// random residents drawn with shard.Sample, more while all of them are in
+// use, the one whose stamp says it is used least often, then least
+// recently: see stampRead) until back under budget. Writers lend the same bounded hand inline when an insert finds
 // bytes past the watermark (evictHand), so the budget holds even when a
 // saturated box starves the scheduler goroutine.
 //
@@ -51,18 +51,28 @@ const (
 	// least used of K random live entries. K = 4 costs two points of
 	// hit_rate on cache_churn (docs/ARCHITECTURE.md), so 8 stays.
 	evictSampleK = 8
-	// evictProbeMax bounds the index probes spent collecting those K
-	// live candidates. A hash probe reports one bucket — as many entries
-	// as the load factor, on average — and skipping the empty ones instead
-	// of counting them keeps the sample a genuine best-of-K over residents:
-	// best-of-2 is barely better than random, and random eviction of a
-	// zipfian resident set is what churns the warm tail into a refill
-	// storm. A table resizes to keep its load above 1/4, but not below its
-	// floor size, and a small store in a floor-sized table is far emptier
-	// than that (150 entries in 2048 buckets in TestByteBudgetEviction);
-	// 16·K probes still find K entries at a load of 1/16, and such a table
-	// is small enough that an empty probe is a cache hit. A loaded table
-	// stops at K after a handful of probes and never spends the rest.
+	// evictWidenMax is how far a round widens its sample while the least
+	// used entry it has found is above the raze bar and it has razed
+	// nothing: with ~80 % of cache_churn's residents warm, one best-of-8 in
+	// six holds no cold entry and would evict a warm one. 4·K keeps most of
+	// what wider caps gain in hit_rate at a bounded cost for a round over
+	// residents that are all warm, the widening's worst case
+	// (BenchmarkEvictRound; docs/ARCHITECTURE.md has both rows).
+	evictWidenMax = 4 * evictSampleK
+	// evictProbeMax bounds the index probes spent collecting those
+	// candidates. A hash probe reads a run of four buckets — four entries
+	// per unit of load factor, on average — and a probe that lands on
+	// nothing is skipped, not counted, which keeps the sample a genuine
+	// best-of-K over residents: best-of-2 is barely better than random, and
+	// random eviction of a zipfian resident set is what churns the warm tail
+	// into a refill storm. A table resizes to keep its load above 1/4, but
+	// not below its floor size, and a small store in a floor-sized table is
+	// far emptier than that (150 entries in 2048 buckets in
+	// TestByteBudgetEviction); 16·K probes still find K entries there, and
+	// such a table is small enough that an empty probe is a cache hit. A
+	// sorted probe reports one entry, so a widened sorted round spends
+	// evictWidenMax probes. A loaded table stops after a handful of probes
+	// and never spends the rest.
 	evictProbeMax = 16 * evictSampleK
 	// evictMaxFails bounds consecutive fruitless eviction attempts (empty
 	// probes or vanished entries) before a pass gives up; the next pass
@@ -249,6 +259,11 @@ func (s *Strings) ByteBudget() int64 { return s.budget }
 // already held and were decided without storing (see put).
 func (s *Strings) WritesElided() uint64 { return uint64(max(s.elided.Sum(), 0)) }
 
+// EvictedWarm returns how many eviction victims were above the raze bar:
+// entries used more than once of late, evicted because the widened sample
+// that chose them held nothing colder.
+func (s *Strings) EvictedWarm() uint64 { return uint64(max(s.warm.Sum(), 0)) }
+
 // TTLStats snapshots the governance counters: entries retired lazily by
 // readers, retired by the background sweep, and evicted for the budget.
 func (s *Strings) TTLStats() (expiredLazy, expiredSwept, evicted uint64) {
@@ -370,30 +385,35 @@ func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
 
 // evictSample runs one eviction round over K or more random live entries
 // (spending at most evictProbeMax index probes to find them — a probe
-// reports every entry of a random bucket, or the run after a random key,
-// and one that lands on nothing is skipped, not counted, which keeps the
-// sample a genuine best-of-K over residents) and returns how many entries
-// it retired. Expired pairs met along the way retire immediately as
-// swept. In the normal mode only the least used pair of the sample is
-// evicted: lowest decayed touch count, ties to the longest untouched —
-// where nothing is touched twice in a generation every count reads 0 or 1
-// and the order is approx-LRU. In aggressive mode every sampled pair at or
-// under aggressiveMaxFreq goes, the round ending early once the store is
-// back at its budget (a round must not take a small store further under
-// than it was over), with the best-of-K single victim as the fallback
-// when the whole sample is in use (convergence must not stall). rng is
-// caller-owned xorshift state — the sweeper passes its maintMu-guarded
-// field, write-path hands a private local — so concurrent rounds never
-// race; every retirement below it is a thread-safe conditional delete
-// (retire), and the stamp only ever picks the candidate. The round
-// allocates nothing: the shards hand each probe's entries back by value.
+// reports the entries of a run of random buckets, or the successor of a
+// random key, and one that lands on nothing is skipped, not counted,
+// which keeps the sample a genuine best-of-K over residents) and returns
+// how many entries it retired. Expired pairs met along the way retire
+// immediately as swept. In the normal mode only the least used pair of the
+// sample is evicted: lowest decayed touch count, ties to the longest
+// untouched — where nothing is touched twice in a generation every count
+// reads 0 or 1 and the order is approx-LRU. In aggressive mode every
+// sampled pair at or under aggressiveMaxFreq goes, the round ending early
+// once the store is back at its budget (a round must not take a small
+// store further under than it was over), with the best-of-K single victim
+// as the fallback when the whole sample is in use (convergence must not
+// stall). Either way a round that has razed nothing and whose least used
+// pair is above that bar keeps sampling, up to evictWidenMax entries, so
+// the fallback victim is warm only when the widened sample held nothing
+// colder; such victims count on EvictedWarm. rng is caller-owned xorshift
+// state — the sweeper passes its maintMu-guarded field, write-path hands a
+// private local — so concurrent rounds never race; every retirement below
+// it is a thread-safe conditional delete (retire), and the stamp only ever
+// picks the candidate. The round allocates nothing: the shards hand each
+// probe's entries back by value.
 func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, aggressive bool) int {
 	var best *pair
 	var bestKey uint64
 	var bestFreq, bestAge uint32
 	evicted, live := 0, 0
 probes:
-	for i := 0; i < evictProbeMax && live < evictSampleK; i++ {
+	for i := 0; i < evictProbeMax && (live < evictSampleK ||
+		live < evictWidenMax && evicted == 0 && best != nil && bestFreq > aggressiveMaxFreq); i++ {
 		*rng ^= *rng << 13
 		*rng ^= *rng >> 7
 		*rng ^= *rng << 17
@@ -421,6 +441,9 @@ probes:
 	}
 	if evicted == 0 && best != nil && s.retire(bestKey, best, &s.evicted) {
 		evicted = 1
+		if bestFreq > aggressiveMaxFreq {
+			s.warm.Add(bestKey, 1)
+		}
 	}
 	return evicted
 }

@@ -287,13 +287,15 @@ func clampHash(v uint64) uint64 {
 type Strings struct {
 	// Set once by init and read by every operation: the index, the byte
 	// counter, the counter of writes decided without storing (see put),
-	// the injectable clock (nil = coarse time.Now cached in cachedNow) and
+	// the counter of warm eviction victims (see evictSample), the
+	// injectable clock (nil = coarse time.Now cached in cachedNow) and
 	// the byte budget (0 = unbounded). They own their cache line — the
 	// words below are stored by writers and by governance, and a GET must
 	// not take a miss on this line for it.
 	index  *Store[*pair]
 	bytes  *core.Striped
 	elided *core.Striped
+	warm   *core.Striped
 	clock  func() int64
 	budget int64
 
@@ -355,7 +357,7 @@ func NewStrings(opts ...Option) *Strings {
 // shared scheduler when one exists — WithoutMaintenance stores are driven
 // via Quiesce.
 func (s *Strings) init(index *Store[*pair], o options) {
-	s.index, s.bytes, s.elided = index, core.NewStriped(0), core.NewStriped(0)
+	s.index, s.bytes, s.elided, s.warm = index, core.NewStriped(0), core.NewStriped(0), core.NewStriped(0)
 	s.clock, s.budget = o.clock, o.byteBudget
 	s.sweepRng = 0x9E3779B97F4A7C15
 	s.handRng.Store(0x6A09E667F3BCC909)

@@ -488,6 +488,7 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 		{"index", unsafe.Offsetof(s.index), unsafe.Sizeof(s.index)},
 		{"bytes", unsafe.Offsetof(s.bytes), unsafe.Sizeof(s.bytes)},
 		{"elided", unsafe.Offsetof(s.elided), unsafe.Sizeof(s.elided)},
+		{"warm", unsafe.Offsetof(s.warm), unsafe.Sizeof(s.warm)},
 		{"clock", unsafe.Offsetof(s.clock), unsafe.Sizeof(s.clock)},
 		{"budget", unsafe.Offsetof(s.budget), unsafe.Sizeof(s.budget)},
 	}
