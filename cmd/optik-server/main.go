@@ -6,7 +6,7 @@
 // Usage:
 //
 //	optik-server [-addr :7979] [-shards 0] [-shard-buckets 1024]
-//	             [-batch 512] [-coalesce 256] [-maxconns 0]
+//	             [-batch 512] [-maxconns 0]
 //	             [-idle-grace 5s] [-shed-water 0]
 //	             [-byte-budget 0] [-ordered]
 //
@@ -19,8 +19,6 @@
 //	               store only)
 //	-batch         pipelined requests executed per reply flush
 //	               (default 512)
-//	-coalesce      max keys per coalesced run of pipelined same-kind
-//	               scalar commands (default 256, 0 disables)
 //	-maxconns      concurrent connection cap (default 0 = unlimited)
 //	-idle-grace    how long a conn may sit idle before its buffers are
 //	               returned to the pool (default 5s; buffers come back
@@ -69,8 +67,6 @@ func main() {
 	shards := flag.Int("shards", 0, "index shards, power of two (0 = one per core)")
 	shardBuckets := flag.Int("shard-buckets", 1024, "per-shard floor bucket count")
 	batch := flag.Int("batch", 512, "pipelined requests executed per reply flush")
-	coalesce := flag.Int("coalesce", server.DefaultCoalesce,
-		"max keys per coalesced run of pipelined same-kind scalar commands (0 disables)")
 	maxConns := flag.Int("maxconns", 0, "concurrent connection cap (0 = unlimited)")
 	idleGrace := flag.Duration("idle-grace", 0, "idle grace before a conn's buffers return to the pool (0 = default 5s)")
 	shedWater := flag.Int("shed-water", 0, "shed idle conns above this population (0 = default: 90% of -maxconns)")
@@ -84,8 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sopts := []server.Option{server.WithPipeline(*batch), server.WithCoalesce(*coalesce),
-		server.WithMaxConns(*maxConns)}
+	sopts := []server.Option{server.WithPipeline(*batch), server.WithMaxConns(*maxConns)}
 	if *idleGrace > 0 {
 		sopts = append(sopts, server.WithIdleGrace(*idleGrace))
 	}
@@ -113,8 +108,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "optik-server:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("optik-server: serving %d %s shards on %s (batch %d, coalesce %d, maxconns %d)\n",
-		st.Index().Shards(), storeKind(*ordered), bound, *batch, *coalesce, *maxConns)
+	fmt.Printf("optik-server: serving %d %s shards on %s (batch %d, maxconns %d)\n",
+		st.Index().Shards(), storeKind(*ordered), bound, *batch, *maxConns)
 
 	// SIGINT/SIGTERM drain the server before the store's scheduler stops.
 	sig := make(chan os.Signal, 1)

@@ -1,6 +1,5 @@
 // Command optik-vet runs the repo's OPTIK analyzer fleet (atomicfield,
-// bufguard, optikvalidate, padcheck — see internal/analysis and
-// docs/INVARIANTS.md).
+// optikvalidate, padcheck — see internal/analysis and docs/INVARIANTS.md).
 //
 // Two modes, distinguished by the arguments:
 //

@@ -1,8 +1,8 @@
 // Package analysis is a self-contained, stdlib-only miniature of
 // golang.org/x/tools/go/analysis, shaped so the OPTIK invariant analyzers
-// (atomicfield, bufguard, optikvalidate, padcheck) read exactly like
-// upstream analyzers and could be ported to the real framework by swapping
-// one import. The container this repo builds in carries no module
+// (atomicfield, optikvalidate, padcheck) read exactly like upstream
+// analyzers and could be ported to the real framework by swapping one
+// import. The container this repo builds in carries no module
 // dependencies, so the framework re-implements the three pieces it needs:
 //
 //   - this file: the Analyzer/Pass/Diagnostic vocabulary;
@@ -79,9 +79,8 @@ func (d Diagnostic) String() string {
 }
 
 // IsTestFile reports whether pos lies in a *_test.go file. The
-// optikvalidate and bufguard analyzers skip test files: tests stage
-// deliberate protocol violations (unvalidated reads in staged windows,
-// buffers held across synchronization to provoke races) that are the
+// optikvalidate analyzer skips test files: tests stage deliberate
+// protocol violations (unvalidated reads in staged windows) that are the
 // point of the test.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")

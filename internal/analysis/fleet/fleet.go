@@ -7,7 +7,6 @@ package fleet
 import (
 	"github.com/optik-go/optik/internal/analysis"
 	"github.com/optik-go/optik/internal/analysis/atomicfield"
-	"github.com/optik-go/optik/internal/analysis/bufguard"
 	"github.com/optik-go/optik/internal/analysis/optikvalidate"
 	"github.com/optik-go/optik/internal/analysis/padcheck"
 )
@@ -15,7 +14,6 @@ import (
 // Analyzers is the full fleet, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	atomicfield.Analyzer,
-	bufguard.Analyzer,
 	optikvalidate.Analyzer,
 	padcheck.Analyzer,
 }

@@ -15,30 +15,26 @@ import (
 // depths: one client goroutine keeps depth GET commands in flight against
 // a loopback server on a prefilled store. This is the protocol+transport
 // overhead the wire adds on top of the in-process store, isolated from
-// any workload driver. The default variant exercises the coalescer
-// (pipelined scalars merged server-side); coalesce=off is the
-// one-execution-per-request baseline and multibulk replaces the scalar
-// pipeline with real MGET frames, bounding what coalescing can recover.
+// any workload driver. The default variant pipelines scalar GETs, each
+// executed as it parses; multibulk replaces them with real MGET frames,
+// one store call per frame, bounding what merging requests could recover.
 func BenchmarkPipeline(b *testing.B) {
 	for _, depth := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchPipeline(b, depth, nil, false)
+			benchPipeline(b, depth, false)
 		})
 	}
 	for _, depth := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("depth=%d/coalesce=off", depth), func(b *testing.B) {
-			benchPipeline(b, depth, []Option{WithCoalesce(0)}, false)
-		})
 		b.Run(fmt.Sprintf("depth=%d/multibulk", depth), func(b *testing.B) {
-			benchPipeline(b, depth, nil, true)
+			benchPipeline(b, depth, true)
 		})
 	}
 }
 
-func benchPipeline(b *testing.B, depth int, opts []Option, multibulk bool) {
+func benchPipeline(b *testing.B, depth int, multibulk bool) {
 	st := store.NewStrings(store.WithShardBuckets(1024), store.WithoutMaintenance())
 	defer st.Close()
-	srv := New(st, opts...)
+	srv := New(st)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -68,6 +64,42 @@ func benchPipeline(b *testing.B, depth int, opts []Option, multibulk bool) {
 			keys[j] = k%population + 1
 		}
 		cl.MGet(keys, vals, found)
+	}
+}
+
+// BenchmarkGetEngine measures one pipelined GET through the engine alone —
+// parse, dispatch, the store's lookup, reply framing — with no socket and
+// no client, over a store larger than the CPU caches (1 M keys of 64-byte
+// values, read uniformly), so each lookup misses as it does in kv_pipe64.
+// Each iteration feeds pump a segment of 64 GETs, the bench/ depth.
+func BenchmarkGetEngine(b *testing.B) {
+	const population, depth = 1 << 20, 64
+	st := store.NewStrings(store.WithoutMaintenance())
+	defer st.Close()
+	val := strings.Repeat("v", 64)
+	for i := 0; i < population; i++ {
+		st.Set("user:"+strconv.Itoa(i), val)
+	}
+	segments := make([][]byte, 1024)
+	var k uint64
+	for i := range segments {
+		for j := 0; j < depth; j++ {
+			k = k*2862933555777941757 + 3037000493 // lcg walk over the population
+			segments[i] = fmt.Appendf(segments[i], "GET user:%d\r\n", k%population)
+		}
+	}
+	cs := newConnState(New(st), discardConn{})
+	cs.acquireBuffers()
+	defer cs.releaseBuffers()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += depth {
+		cs.in = append(cs.in[:0], segments[i/depth%len(segments)]...)
+		if !cs.pump() {
+			b.Fatal("pump ended the connection")
+		}
+		cs.out = cs.out[:0]
 	}
 }
 

@@ -1,11 +1,10 @@
 // Tiered connection-buffer pools: the OPTIK "pay only on contention"
 // principle applied to memory. A connection's two byte slices (read buffer
-// `in`, reply buffer `out`; conn.go) and its coalescer staging state are
-// acquired from size-tiered sync.Pools on the first readable byte and
-// returned when the connection has sat idle past the grace or closes — so
-// an idle connection costs its registration and its handler's stack, not
-// its buffers, and connection churn stops allocating fresh buffers per
-// accept. The server charges what each connection holds to
+// `in`, reply buffer `out`; conn.go) are acquired from size-tiered
+// sync.Pools on the first readable byte and returned when the connection
+// has sat idle past the grace or closes — so an idle connection costs its
+// registration and its handler's stack, not its buffers, and connection
+// churn stops allocating fresh buffers per accept. The server charges what each connection holds to
 // buffersResident, the STATS `buffers_resident` RSS proxy.
 //
 // One pool per power-of-two size tier, each holding slices of exactly its
@@ -39,10 +38,7 @@ func tierFor(n int) (idx, size int, ok bool) {
 	return 0, n, false
 }
 
-var (
-	bytesPools [numTiers]sync.Pool // *[]byte with cap == the tier size
-	coalescers sync.Pool           // *coalescer, drained
-)
+var bytesPools [numTiers]sync.Pool // *[]byte with cap == the tier size
 
 // getBytes returns a zero-length slice whose capacity is size rounded up
 // to its tier — exactly size when size is a tier, or larger than every
@@ -64,20 +60,4 @@ func putBytes(b []byte) {
 		b = b[:0]
 		bytesPools[idx].Put(&b)
 	}
-}
-
-// getCoalescer returns a drained coalescer.
-func getCoalescer() *coalescer {
-	if co, _ := coalescers.Get().(*coalescer); co != nil {
-		return co
-	}
-	return &coalescer{}
-}
-
-// putCoalescer drains co (clearing every staged or scratch string so the
-// pool pins no payloads) and returns it.
-func putCoalescer(co *coalescer) {
-	co.reset()
-	clear(co.outVals)
-	coalescers.Put(co)
 }

@@ -139,8 +139,8 @@ func (c *Client) Retries() uint64 { return c.retries }
 // pipeline) and true multi-key frames (one MGET frame carrying k keys,
 // chunked under the server's per-request argument cap). The two modes
 // are semantically identical; they differ in which server path the
-// batch exercises — the coalescer assembling a run from scalars versus
-// the wire-level batched handler.
+// batch exercises — one point op per scalar request versus one multi-key
+// store call per frame.
 func (c *Client) SetMultibulk(on bool) { c.multibulk = on }
 
 // Dial connects to a server at addr.

@@ -1,14 +1,13 @@
-// connState is the per-connection protocol engine — parse → coalesce →
-// dispatch → flush — driven by one goroutine per connection (runLoop) that
-// blocks on the socket whenever it needs more bytes.
+// connState is the per-connection protocol engine — parse → dispatch →
+// flush — driven by one goroutine per connection (runLoop) that blocks on
+// the socket whenever it needs more bytes.
 //
 // The engine owns two byte slices. `in` holds the bytes received and not
 // yet parsed; parse (proto.go) cuts requests off its front, their arguments
 // views into it. `out` collects replies until one Write sends them. The
 // views stay valid because `in` moves in exactly one place — room, which
-// pump calls only once every parsed request has been dispatched and the
-// staged run drained (keys are hashed at staging, but a write run's values
-// are views too, live until the store copies them at the drain). A frame
+// pump calls only once every parsed request has been dispatched, and a
+// request is done with its views when its dispatch returns. A frame
 // larger than `in` grows it geometrically as the bytes arrive, bounded by
 // the parser's header checks; a reply larger than `out` grows that; each
 // returns to its pooled size once emptied, so memory follows the bytes in
@@ -57,9 +56,13 @@ type connState struct {
 	// Protocol engine state; nil/empty while buffers are not resident.
 	in      []byte // received and not yet parsed
 	out     []byte // replies not yet written
-	co      *coalescer
 	req     request
 	charged int64 // bytes this conn has on Server.buffersResident
+	// A multi-key request's keys, values and per-key flags, or a RANGE/SCAN
+	// page; sized to the largest seen since the buffers were acquired.
+	keys  []uint64
+	vals  []string
+	flags []bool
 	// What the batch in progress owes the server's counters: requests
 	// dispatched, GET/MGET keys found and not found (see account).
 	pending      int
@@ -89,25 +92,37 @@ func (cs *connState) acquireBuffers() {
 	n := cs.srv.opts.bufSize
 	cs.in = getBytes(n)
 	cs.out = getBytes(2 * n)
-	cs.co = getCoalescer()
 	cs.charge()
 }
 
-// releaseBuffers returns the working set to the pools. Idempotent. Callers
-// release only when nothing is staged or buffered (idle) or the connection
-// is dead (teardown). The last request's argument views go too: left in
-// place, they would keep `in` reachable from an idle conn long after the
-// pool let it go.
+// releaseBuffers returns the working set to the pools and drops the
+// scratch. Idempotent. Callers release only when nothing is buffered
+// (idle) or the connection is dead (teardown). The last request's argument
+// views go too: left in place, they would keep `in` reachable from an idle
+// conn long after the pool let it go.
 func (cs *connState) releaseBuffers() {
 	if cs.in == nil {
 		return
 	}
 	putBytes(cs.in)
 	putBytes(cs.out)
-	putCoalescer(cs.co)
-	cs.in, cs.out, cs.co = nil, nil, nil
+	cs.in, cs.out = nil, nil
+	cs.keys, cs.vals, cs.flags = nil, nil, nil
 	clear(cs.req.args[:cap(cs.req.args)])
 	cs.charge()
+}
+
+// scratch returns the connection's scratch cut to n keys or page entries,
+// growing it first if it is shorter. A caller clears the value slots it
+// filled once the reply is framed, so the scratch pins nothing between
+// requests.
+func (cs *connState) scratch(n int) ([]uint64, []string, []bool) {
+	if cap(cs.keys) < n {
+		cs.keys = make([]uint64, n)
+		cs.vals = make([]string, n)
+		cs.flags = make([]bool, n)
+	}
+	return cs.keys[:n], cs.vals[:n], cs.flags[:n]
 }
 
 // charge squares the server's buffers_resident gauge with what the two
@@ -136,10 +151,19 @@ func (cs *connState) write() error {
 	return err
 }
 
-// flushBatch ends a pipeline batch: drain the staged run, write every
-// reply, account the commands. Reports false when the connection is dead.
+// spill writes out once it outgrows the buffer budget, preserving TCP
+// backpressure under replies much larger than requests.
+func (cs *connState) spill() error {
+	if len(cs.out) < cs.srv.opts.bufSize {
+		return nil
+	}
+	return cs.write()
+}
+
+// flushBatch ends a pipeline batch: write every reply, account the
+// commands. Reports false when the connection is dead.
 func (cs *connState) flushBatch() bool {
-	if cs.drain() != nil || cs.write() != nil {
+	if cs.write() != nil {
 		return false
 	}
 	cs.account()
@@ -175,11 +199,6 @@ func (cs *connState) pump() bool {
 			return false
 		}
 		if n == 0 {
-			// A staged write run holds views into `in`: no view outlives the
-			// drain of its run, so the run drains before the buffer moves.
-			if cs.drain() != nil {
-				return false
-			}
 			cs.room(rd)
 			return true
 		}
@@ -187,7 +206,7 @@ func (cs *connState) pump() bool {
 		cs.pending++
 		if cs.dispatch() != nil {
 			// errQuit and write errors both end the connection; flush what
-			// the client is owed first (QUIT drained the stage itself).
+			// the client is owed first.
 			cs.write()
 			cs.account()
 			return false
@@ -203,12 +222,12 @@ func (cs *connState) pump() bool {
 
 // room drops the rd parsed bytes (and any blank lines after them) off the
 // front of `in` and leaves space to read into. It is the one place `in`
-// moves, and pump calls it only with every parsed request dispatched and
-// the staged run drained, so no argument or value view is live. A partial
-// frame that fills the buffer doubles it — the parser has already refused
-// any frame whose headers break a limit, so growth follows bytes actually
-// received, up to maxRequest — and once what is left fits the configured
-// size again the buffer returns to it.
+// moves, and pump calls it only with every parsed request dispatched, so
+// no argument or value view is live. A partial frame that fills the buffer
+// doubles it — the parser has already refused any frame whose headers
+// break a limit, so growth follows bytes actually received, up to
+// maxRequest — and once what is left fits the configured size again the
+// buffer returns to it.
 func (cs *connState) room(rd int) {
 	rd += blanks(cs.in[rd:])
 	home, size, rest := cs.srv.opts.bufSize, cap(cs.in), len(cs.in)-rd
@@ -231,17 +250,13 @@ func (cs *connState) room(rd int) {
 	cs.charge()
 }
 
-// readFailed ends the connection after a parse or read error. The staged
-// run's replies are owed first. A protocol error is then reported on the
-// wire, and travels on a FIN (half-close plus a bounded drain of whatever
-// the client is still sending), not a RST that could destroy it in flight.
-// Every other error (EOF, reset, a close by Server.Close) goes quiet.
+// readFailed ends the connection after a parse or read error. A protocol
+// error is reported on the wire behind the replies already owed, and
+// travels on a FIN (half-close plus a bounded drain of whatever the client
+// is still sending), not a RST that could destroy it in flight. Every
+// other error (EOF, reset, a close by Server.Close) goes quiet.
 func (cs *connState) readFailed(err error) {
-	drained := cs.drain()
 	cs.account()
-	if drained != nil {
-		return
-	}
 	pe, _ := err.(*protoError)
 	if pe != nil {
 		cs.out = appendError(cs.out, pe.Error())

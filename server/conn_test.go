@@ -13,6 +13,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -453,16 +454,16 @@ func TestClientCloseIdempotent(t *testing.T) {
 	cl.Ping()
 }
 
-// TestStagedSetSurvivesBufferMove pins the view-validity rule: a staged
-// SET's value is a view into the read buffer until its run drains, so the
-// run must drain before the buffer moves. An open write run is followed, in
-// the same segment, by the front of a frame several times the 512 B buffer:
-// making room for it first slides the buffer over the staged values' bytes
-// and then doubles it into a different backing array. Every value must come
-// back byte-exact.
-func TestStagedSetSurvivesBufferMove(t *testing.T) { onConnDriver(t, testStagedSetSurvivesBufferMove) }
+// TestSetValueSurvivesBufferMove pins the view-validity rule: a SET's value
+// reaches the store as a view into the read buffer, and the store copies it
+// inside that request's dispatch, before room can move the buffer. Six SETs
+// are followed, in the same segment, by the front of a frame several times
+// the 512 B buffer: making room for it first slides the buffer over the
+// SETs' bytes and then doubles it into a different backing array. Every
+// value must come back byte-exact.
+func TestSetValueSurvivesBufferMove(t *testing.T) { onConnDriver(t, testSetValueSurvivesBufferMove) }
 
-func testStagedSetSurvivesBufferMove(t *testing.T) {
+func testSetValueSurvivesBufferMove(t *testing.T) {
 	const small = 6
 	big := strings.Repeat("x", 2000)
 	frame := fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(big), big)
@@ -492,9 +493,66 @@ func testStagedSetSurvivesBufferMove(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	if got := readN(t, r, len(want)); got != want {
-		t.Fatalf("a staged value changed when the read buffer moved:\n got %.120q…\nwant %.120q…", got, want)
+		t.Fatalf("a SET's value changed when the read buffer moved:\n got %.120q…\nwant %.120q…", got, want)
 	}
 }
+
+// TestBufferCycleReturnsToPool pins that every buffer the engine trades
+// goes back to its pool tier. A cycle is a connection's buffer life in
+// brief: acquire, room doubling `in` under a partial frame that fills it,
+// room shrinking it back once the frame is consumed, write swapping an
+// `out` a large reply grew for one of the pooled size, release. A put the
+// engine drops leaves a tier short, and the next get from it allocates a
+// whole buffer, 512 B at the least; with every put in place a cycle
+// allocates only the pools' own bookkeeping.
+func TestBufferCycleReturnsToPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
+	}
+	cs := newConnState(New(nil, WithBufferSize(512)), discardConn{})
+	home := cs.srv.opts.bufSize
+	cycle := func() {
+		cs.acquireBuffers()
+		cs.in = cs.in[:cap(cs.in)]
+		cs.room(0) // a partial frame fills `in`: it doubles
+		cs.room(len(cs.in))
+		if cap(cs.in) != home {
+			t.Fatalf("in holds %d bytes once the frame is consumed, want %d", cap(cs.in), home)
+		}
+		// A reply past out's capacity grows it (drawn from the pool here, as
+		// append would allocate it, so that the cycle itself allocates
+		// nothing); the old array is left behind.
+		grown := append(getBytes(4*home), cs.out...)
+		putBytes(cs.out)
+		cs.out = append(grown, '+')
+		if err := cs.write(); err != nil || cap(cs.out) != 2*home {
+			t.Fatalf("write = %v and left out at %d bytes, want nil and %d", err, cap(cs.out), 2*home)
+		}
+		cs.releaseBuffers()
+	}
+	cycle() // fill the tiers
+	const cycles = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / cycles
+	if per >= 512 {
+		t.Fatalf("a buffer cycle allocates %d B, want under 512: a put is missing", per)
+	}
+	t.Logf("a buffer cycle allocates %d B", per)
+	if got := cs.srv.buffersResident.Load(); got != 0 {
+		t.Fatalf("buffers_resident = %d after release, want 0", got)
+	}
+}
+
+// discardConn is a net.Conn whose writes all succeed; nothing else of it
+// may be called.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestConnPanicContained pins the containment backstop: a request whose
 // handling panics (staged through the dispatch hook, above every lock)

@@ -5,10 +5,10 @@
 // pipelining: a connection parses and executes requests back to back
 // while input is buffered and flushes all their replies in one write, so
 // a client that keeps k requests in flight pays the per-request syscall
-// and scheduling costs once per batch instead of once per key. Pipelined
-// runs of same-kind commands are coalesced into one multi-key store call
-// (coalesce.go); the store runs it as a loop over its point ops, so each
-// key still costs one lookup or update of its own.
+// and scheduling costs once per batch instead of once per key. Each
+// request executes as it is parsed, in arrival order: a GET, SET or DEL is
+// one point op on the store, and an MGET, MSET or MDEL frame one multi-key
+// call, which the store runs as a loop over its point ops.
 //
 // The full wire format — framing, command grammar, reply types, error
 // handling and the pipelining contract — is specified in docs/PROTOCOL.md

@@ -1,8 +1,7 @@
 // The ordered command family: SCAN, RANGE, MIN, MAX (docs/PROTOCOL.md has
-// the grammar). All four are coalescer barriers — they drain any staged
-// run first, like LEN or STATS — because their replies depend on global
-// index order, which a half-applied staged run would make unanswerable in
-// arrival-order semantics.
+// the grammar). Like every request they execute in arrival order, so each
+// sees every write pipelined ahead of it; a SCAN or RANGE page is gathered
+// in the connection's scratch.
 //
 // SCAN pages with a STABLE cursor: the cursor is a resumption KEY (the
 // smallest key the next page may contain), not a position. A positional
@@ -190,7 +189,7 @@ func (cs *connState) executeScan(rest [][]byte) error {
 		ranges = append(ranges, [2]uint64{ds.MinKey, ds.MaxKey})
 	}
 
-	keys, vals := cs.co.page(count)
+	keys, vals, _ := cs.scratch(count)
 	filled := 0
 	exhausted := true
 	for _, r := range ranges {
@@ -249,7 +248,7 @@ func (cs *connState) executeRange(rest [][]byte) error {
 		cs.out = appendArrayHeader(cs.out, 0)
 		return nil
 	}
-	keys, vals := cs.co.page(limit)
+	keys, vals, _ := cs.scratch(limit)
 	filled := cs.srv.sorted.Scan(lo, hi, keys, vals)
 	cs.out = appendArrayHeader(cs.out, 2*filled)
 	return cs.appendPage(keys[:filled], vals[:filled])

@@ -55,7 +55,7 @@ func TestRangeSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 			t.Errorf("%q: %.2f allocs per request on a warm connection, want 0", cmd, allocs)
 		}
-		for i, v := range cs.co.outVals {
+		for i, v := range cs.vals {
 			if v != "" {
 				t.Fatalf("%q: page scratch slot %d still pins a value after the reply", cmd, i)
 			}

@@ -49,7 +49,7 @@ func TestOrderedServerPointOps(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("LEN = %d", c.Len())
 	}
-	// Batched surface rides the coalescer exactly as on the hash server.
+	// The batched surface works exactly as on the hash server.
 	keys := []uint64{5, 3, 9, 7}
 	vals := []uint64{50, 30, 90, 70}
 	if ins := c.MSet(keys, vals); ins != 4 {
@@ -168,7 +168,7 @@ func TestOrderedServerScanPrefix(t *testing.T) {
 // TestOrderedServerInvalidKey pins the soft-error contract: a
 // non-decimal key, or either sentinel (0, 2^64-1 — ds.CheckKey panics on
 // both), answers -ERR for that request only, in arrival order, with the
-// connection and any staged run intact.
+// connection and the requests around it intact.
 func TestOrderedServerInvalidKey(t *testing.T) {
 	_, c := startOrdered(t)
 	c.Set(5, 55)
@@ -191,9 +191,9 @@ func TestOrderedServerInvalidKey(t *testing.T) {
 		t.Fatalf("third GET = %d,%v (connection broken by soft error?)", v, ok)
 	}
 	// The sentinels, as the key of every single-key command and inside a
-	// pipelined MGET (behind a staged read run) and MSET (behind a staged
-	// write run): each request draws its own error, its neighbors answer
-	// normally, and the rejected MSET stored nothing (7 stays absent).
+	// pipelined MGET (behind a GET) and MSET (behind a SET): each request
+	// draws its own error, its neighbors answer normally, and the rejected
+	// MSET stored nothing (7 stays absent).
 	const bad = "-ERR invalid key\r\n"
 	for i, s := range []string{"0", "18446744073709551615"} {
 		send := fmt.Sprintf("GET %[1]s\r\nSET %[1]s 1\r\nDEL %[1]s\r\nSETEX %[1]s 10 v\r\n"+

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/optik-go/optik/store"
 )
@@ -19,7 +20,6 @@ type options struct {
 	maxConns  int
 	pipeline  int
 	bufSize   int
-	coalesce  int
 	idleGrace time.Duration
 	shedWater int
 	shedSet   bool
@@ -68,23 +68,6 @@ func WithBufferSize(n int) Option {
 	return func(o *options) { o.bufSize = n }
 }
 
-// WithCoalesce bounds server-side request coalescing: runs of same-kind
-// pipelined commands (GET/MGET, SET/MSET, DEL/MDEL) are staged up to n
-// keys and driven through one call of the store's multi-key path
-// (default 256), which loops over the point ops. Coalescing is invisible
-// on the wire — replies keep exact arrival order and byte-identical
-// framing — and never delays a request/response client (the run drains
-// whenever the read buffer does). 0 disables staging entirely, restoring
-// one-execution-per-request (a multi-key MGET/MSET/MDEL frame is still one
-// multi-key call). A run may overshoot n by the final request's keys:
-// requests are never split across runs.
-func WithCoalesce(n int) Option {
-	return func(o *options) { o.coalesce = n }
-}
-
-// DefaultCoalesce is the default WithCoalesce run bound (in keys).
-const DefaultCoalesce = 256
-
 // Server serves a store over the wire protocol in docs/PROTOCOL.md:
 // a hash-routed store.Strings (New) or an ordered store.SortedStrings
 // (NewOrdered), which additionally answers SCAN/RANGE/MIN/MAX. Construct,
@@ -114,10 +97,6 @@ type Server struct {
 	// buffersResident tracks the capacity of the read and reply buffers
 	// connections hold right now — the STATS RSS proxy.
 	buffersResident atomic.Int64
-	// Coalescing stats: runs that merged >= 2 pipelined requests into one
-	// multi-key store call, and the keys those runs carried.
-	coalescedBatches atomic.Uint64
-	coalescedKeys    atomic.Uint64
 	// connPanics counts connections closed by the containment backstop
 	// (contain): a request whose handling panicked.
 	connPanics atomic.Uint64
@@ -140,7 +119,7 @@ func NewOrdered(st *store.SortedStrings, opts ...Option) *Server {
 }
 
 func newServer(st *store.Strings, sorted *store.SortedStrings, opts []Option) *Server {
-	o := options{pipeline: 512, bufSize: 16384, coalesce: DefaultCoalesce}
+	o := options{pipeline: 512, bufSize: 16384}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -148,9 +127,6 @@ func newServer(st *store.Strings, sorted *store.SortedStrings, opts []Option) *S
 		o.pipeline = 1
 	}
 	_, o.bufSize, _ = tierFor(o.bufSize) // rounds up to a pool tier; the floor is the smallest
-	if o.coalesce < 0 {
-		o.coalesce = 0
-	}
 	if !o.shedSet && o.maxConns > 0 {
 		o.shedWater = o.maxConns - o.maxConns/10
 	}
@@ -376,7 +352,7 @@ func (s *Server) track(cs *connState, add bool) bool {
 }
 
 // handle is one connection's goroutine. The protocol engine itself — parse
-// pipelined requests, stage or execute in arrival order, flush once per
+// pipelined requests, execute them in arrival order, flush once per
 // batch — and its idle-grace buffer release live in connState (conn.go);
 // this wrapper owns the teardown.
 func (s *Server) handle(cs *connState) {
@@ -413,15 +389,15 @@ func (s *Server) contain() {
 // to stand for a request whose handling panics.
 var testHookDispatch func(cmd []byte)
 
-// dispatch routes the request just parsed: the three coalescable families
-// are staged into the connection's run (draining first on a family switch,
-// immediately at the run bound — and always when coalescing is disabled);
-// everything else is a barrier that drains the run and then executes.
-// Replies append to out in arrival order either way. The request's
-// arguments are views into `in`: whatever outlives this call (a staged key,
-// a SET value) is hashed or copied here.
+// dispatch executes the request just parsed, appending its reply to out,
+// so requests execute and answer in arrival order. Its arguments are views
+// into `in`, valid until room next moves it; the store copies a SET's
+// value before it returns and keeps nothing else of them, so nothing of a
+// request outlives its dispatch. A multi-key frame is hashed whole into
+// the connection's scratch before the store sees a key of it, so a frame
+// with one key the codec cannot represent is refused whole.
 func (cs *connState) dispatch() error {
-	s, co, args := cs.srv, cs.co, cs.req.args
+	s, args := cs.srv, cs.req.args
 	if len(args) == 0 {
 		return nil
 	}
@@ -429,83 +405,74 @@ func (cs *connState) dispatch() error {
 	if h := testHookDispatch; h != nil {
 		h(cmd)
 	}
-	kind, multi := runNone, false
 	switch {
 	case cmdEq(cmd, "GET"):
 		if len(rest) != 1 {
-			return cs.barrierArity("get")
+			return cs.arity("get")
 		}
-		kind = runRead
+		k, ok := s.key(rest[0])
+		if !ok {
+			return cs.softError("ERR invalid key")
+		}
+		cs.appendValue(s.st.GetHashed(k))
 	case cmdEq(cmd, "MGET"):
 		if len(rest) == 0 {
-			return cs.barrierArity("mget")
+			return cs.arity("mget")
 		}
-		kind, multi = runRead, true
+		keys, vals, found := cs.scratch(len(rest))
+		if !s.hashKeys(keys, rest, 1) {
+			return cs.softError("ERR invalid key")
+		}
+		s.st.MGetHashed(keys, vals, found)
+		cs.out = appendArrayHeader(cs.out, len(keys))
+		for i := range keys {
+			cs.appendValue(vals[i], found[i])
+			if err := cs.spill(); err != nil {
+				return err
+			}
+		}
+		clear(vals) // the scratch pins no values between requests
 	case cmdEq(cmd, "SET"):
 		if len(rest) != 2 {
-			return cs.barrierArity("set")
+			return cs.arity("set")
 		}
-		kind = runWrite
+		k, ok := s.key(rest[0])
+		if !ok {
+			return cs.softError("ERR invalid key")
+		}
+		cs.out = appendInt(cs.out, b2i(s.st.SetHashed(k, view(rest[1]))))
 	case cmdEq(cmd, "MSET"):
 		if len(rest) == 0 || len(rest)%2 != 0 {
-			return cs.barrierArity("mset")
+			return cs.arity("mset")
 		}
-		kind, multi = runWrite, true
+		keys, vals, replaced := cs.scratch(len(rest) / 2)
+		if !s.hashKeys(keys, rest, 2) {
+			return cs.softError("ERR invalid key")
+		}
+		for i := range vals {
+			vals[i] = view(rest[2*i+1])
+		}
+		inserted := s.st.MSetHashed(keys, vals, replaced)
+		clear(vals)
+		cs.out = appendInt(cs.out, int64(inserted))
 	case cmdEq(cmd, "DEL"):
 		if len(rest) != 1 {
-			return cs.barrierArity("del")
+			return cs.arity("del")
 		}
-		kind = runDel
+		k, ok := s.key(rest[0])
+		if !ok {
+			return cs.softError("ERR invalid key")
+		}
+		cs.out = appendInt(cs.out, b2i(s.st.DelHashed(k)))
 	case cmdEq(cmd, "MDEL"):
 		if len(rest) == 0 {
-			return cs.barrierArity("mdel")
+			return cs.arity("mdel")
 		}
-		kind, multi = runDel, true
-	default:
-		// Barrier command: the staged run's replies come first.
-		if err := cs.drain(); err != nil {
-			return err
+		keys, _, found := cs.scratch(len(rest))
+		if !s.hashKeys(keys, rest, 1) {
+			return cs.softError("ERR invalid key")
 		}
-		return cs.execute(cmd, rest)
-	}
-	if co.kind != kind && co.kind != runNone {
-		if err := cs.drain(); err != nil {
-			return err
-		}
-	}
-	n := len(rest)
-	staged := false
-	if kind == runWrite {
-		n = len(rest) / 2
-		staged = s.stagePairs(co, rest)
-	} else {
-		staged = s.stageKeys(co, rest)
-	}
-	if !staged {
-		// A key the codec cannot represent (the ordered server takes
-		// decimal uint64s only): soft per-request error, with the staged
-		// run's replies drained first so arrival order holds. Nothing of
-		// this request was staged (the stage rolls back), so the
-		// connection stays fully usable.
-		if err := cs.drain(); err != nil {
-			return err
-		}
-		return cs.softError("ERR invalid key")
-	}
-	co.stage(kind, n, multi)
-	if co.keys() >= s.opts.coalesce {
-		return cs.drain()
-	}
-	return nil
-}
-
-// execute answers one barrier command (every command outside the three
-// coalescable families), appending its reply to out. The ordered family
-// spills mid-reply — a 4096-entry page can outgrow any buffer budget — and
-// gathers its page in the (drained) coalescer's scratch.
-func (cs *connState) execute(cmd []byte, rest [][]byte) error {
-	s := cs.srv
-	switch {
+		cs.out = appendInt(cs.out, int64(s.st.MDelHashed(keys, found)))
 	case cmdEq(cmd, "SCAN"), cmdEq(cmd, "RANGE"), cmdEq(cmd, "MIN"), cmdEq(cmd, "MAX"):
 		if s.sorted == nil {
 			return cs.softError("ERR ordered commands require an ordered store (optik-server -ordered)")
@@ -557,11 +524,42 @@ func (cs *connState) execute(cmd []byte, rest [][]byte) error {
 	return nil
 }
 
-// executeTTL answers the expiry family. All four are barriers (they reach
-// here through dispatch's default case), so they order after any staged
-// coalesced run — a pipelined SET k / EXPIRE k pair applies in arrival
-// order. Bad seconds (non-numeric, overflow, and SETEX's non-positive)
-// are soft errors: the frame was well-formed, the connection stays up.
+// appendValue frames one GET or MGET result and tallies it as a hit or a
+// miss.
+func (cs *connState) appendValue(v string, found bool) {
+	if found {
+		cs.hits++
+		cs.out = appendBulk(cs.out, v)
+	} else {
+		cs.misses++
+		cs.out = appendNilBulk(cs.out)
+	}
+}
+
+// hashKeys maps args[0], args[stride], … through the key codec into
+// keys, one per slot; false when the codec cannot represent one of them.
+func (s *Server) hashKeys(keys []uint64, args [][]byte, stride int) bool {
+	for i := range keys {
+		k, ok := s.key(args[i*stride])
+		if !ok {
+			return false
+		}
+		keys[i] = k
+	}
+	return true
+}
+
+// view is a value argument as a string over the parser's bytes, with no
+// copy. It is valid only until the read buffer next moves; the store's
+// write paths copy what they are given and retain nothing, so a view may
+// be handed to them and must go nowhere else.
+func view(arg []byte) string {
+	return unsafe.String(unsafe.SliceData(arg), len(arg))
+}
+
+// executeTTL answers the expiry family. Bad seconds (non-numeric,
+// overflow, and SETEX's non-positive) are soft errors: the frame was
+// well-formed, the connection stays up.
 func (cs *connState) executeTTL(cmd []byte, rest [][]byte) error {
 	s := cs.srv
 	switch {
@@ -628,15 +626,6 @@ func (cs *connState) arity(cmd string) error {
 	return cs.softError("ERR wrong number of arguments for '" + cmd + "'")
 }
 
-// barrierArity drains the staged run — its replies precede the error in
-// arrival order — then reports the wrong-argument-count error for cmd.
-func (cs *connState) barrierArity(cmd string) error {
-	if err := cs.drain(); err != nil {
-		return err
-	}
-	return cs.arity(cmd)
-}
-
 func b2i(b bool) int64 {
 	if b {
 		return 1
@@ -668,13 +657,11 @@ func cmdEq(b []byte, upper string) bool {
 func (s *Server) statsText() string {
 	return s.statsPrefix() + fmt.Sprintf(
 		"conns:%d\naccepted:%d\ncommands:%d\n"+
-			"coalesced_batches:%d\ncoalesced_keys:%d\n"+
 			"conns_open:%d\nconns_rejected:%d\nconns_shed:%d\n"+
 			"buffers_resident:%d\n"+
 			"get_hits:%d\nget_misses:%d\nconn_panics:%d\n"+
 			"writes_elided:%d\nevicted_warm:%d\n",
 		s.active.Load(), s.accepted.Load(), s.commands.Load(),
-		s.coalescedBatches.Load(), s.coalescedKeys.Load(),
 		s.active.Load(), s.rejected.Load(), s.shed.Load(),
 		s.buffersResident.Load(),
 		s.getHits.Load(), s.getMisses.Load(), s.connPanics.Load(),

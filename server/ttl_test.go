@@ -114,8 +114,8 @@ func testServerTTLTranscript(t *testing.T, ordered bool, keys func(string) strin
 }
 
 // TestServerTTLBarriersWithPipeline pins arrival-order semantics: TTL
-// commands are barriers, so a pipelined coalesced run ahead of them
-// answers first and their effects apply to the already-staged writes.
+// commands pipelined among writes and reads answer in order, and their
+// effects apply to the writes ahead of them.
 func TestServerTTLBarriersWithPipeline(t *testing.T) {
 	_, addr := startTTLServer(t, false)
 	conn, r := dialRaw(t, addr)
@@ -225,7 +225,7 @@ func documentedStatsFields(t *testing.T) []string {
 // was in use.
 func TestServerStatsFields(t *testing.T) {
 	const entry = store.PairOverhead + 2 // a two-digit value
-	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused"}
+	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused", "coalesced_batches", "coalesced_keys"}
 	documented := documentedStatsFields(t)
 	if len(documented) < 15 {
 		t.Fatalf("parsed only %d fields out of docs/PROTOCOL.md: %v", len(documented), documented)
@@ -360,10 +360,10 @@ func TestProtocolCommandTables(t *testing.T) {
 
 // TestServerGetHitsMisses pins what get_hits and get_misses count: keys that
 // GET and MGET found and did not find — keys, not commands — whether they
-// came in one MGET frame, as a pipelined run the server coalesces, or one by
-// one, and nothing else (a SET's replaced flag, a DEL of an absent key). A
-// connection settles its batch before it reads the next request, so the one
-// Client — one connection — that did the GETs reads them accounted.
+// came in one MGET frame, as pipelined GETs, or one by one, and nothing
+// else (a SET's replaced flag, a DEL of an absent key). A connection
+// settles its batch before it reads the next request, so the one Client —
+// one connection — that did the GETs reads them accounted.
 func TestServerGetHitsMisses(t *testing.T) {
 	for _, srv := range ttlServers {
 		t.Run(srv.name, func(t *testing.T) {
