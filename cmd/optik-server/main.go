@@ -13,8 +13,9 @@
 // Flags:
 //
 //	-addr          listen address (default :7979)
-//	-shards        index shards, rounded up to a power of two
-//	               (default 0 = one per core)
+//	-shards        hash store shards, rounded up to a power of two
+//	               (default 0 = one per core; the ordered store is one
+//	               skip list and ignores it)
 //	-shard-buckets per-shard floor bucket count (default 1024; hash
 //	               store only)
 //	-batch         pipelined requests executed per reply flush
@@ -33,13 +34,10 @@
 //	               evict sampled entries, least used first, back to the
 //	               budget; STATS reports bytes_used, evicted and the
 //	               get_hits/get_misses a cache is judged by
-//	-ordered       back the server with the range-partitioned skip-list
-//	               store instead of the hash store: keys must be decimal
-//	               uint64s, and the ordered command family (SCAN, RANGE,
-//	               MIN, MAX) comes alive
-//	-keymax        largest expected key of the ordered store — bounds its
-//	               range partition (0 = full key space; ignored without
-//	               -ordered)
+//	-ordered       back the server with the skip-list store instead of
+//	               the hash store: keys must be decimal uint64s, and the
+//	               ordered command family (SCAN, RANGE, MIN, MAX) comes
+//	               alive
 //
 // Try it with netcat:
 //
@@ -64,15 +62,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7979", "listen address")
-	shards := flag.Int("shards", 0, "index shards, power of two (0 = one per core)")
+	shards := flag.Int("shards", 0, "hash store shards, power of two (0 = one per core; ignored with -ordered)")
 	shardBuckets := flag.Int("shard-buckets", 1024, "per-shard floor bucket count")
 	batch := flag.Int("batch", 512, "pipelined requests executed per reply flush")
 	maxConns := flag.Int("maxconns", 0, "concurrent connection cap (0 = unlimited)")
 	idleGrace := flag.Duration("idle-grace", 0, "idle grace before a conn's buffers return to the pool (0 = default 5s)")
 	shedWater := flag.Int("shed-water", 0, "shed idle conns above this population (0 = default: 90% of -maxconns)")
 	byteBudget := flag.Int64("byte-budget", 0, "byte budget of the store, 0 = unbounded")
-	ordered := flag.Bool("ordered", false, "back the server with the range-partitioned skip-list store (decimal keys, SCAN/RANGE/MIN/MAX)")
-	keyMax := flag.Uint64("keymax", 0, "largest expected key of the ordered store (0 = full key space; ignored without -ordered)")
+	ordered := flag.Bool("ordered", false, "back the server with the skip-list store (decimal keys, SCAN/RANGE/MIN/MAX)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: optik-server [flags]")
@@ -89,9 +86,6 @@ func main() {
 	}
 	stOpts := []store.Option{store.WithShards(*shards), store.WithShardBuckets(*shardBuckets),
 		store.WithByteBudget(*byteBudget)}
-	if *keyMax > 0 {
-		stOpts = append(stOpts, store.WithKeyMax(*keyMax))
-	}
 	var srv *server.Server
 	var st *store.Strings
 	if *ordered {

@@ -55,17 +55,15 @@
 // its value only if it stores; conditional delete and replace; sampling
 // and sweeping) satisfied by the Resizable table, which adds
 // maintenance, and by the OPTIK skip list; a router that is data
-// (shard = min((key·mul)>>shift, last): the Fibonacci multiplier hashes,
-// mul = 1 range-partitions); one index core over them (store.Store —
-// upsert Set semantics, MGet/MSet/MDel as loops over the point ops,
-// aggregated statistics, the whole fleet serviced by one shared
-// Scheduler), which store.Ordered
-// specializes only by carrying
-// Scan/Min/Max over sorted shards; and one string layer (store.Strings —
-// the index's value word is each immutable value object itself, so a
-// read is one hop from key to value and the index's own validation is
-// the only one, with per-entry TTL and byte-budget eviction), which
-// store.SortedStrings specializes the same way. The server package puts
+// (shard = (key·φ)>>shift, the top bits of a Fibonacci hash); one index
+// core over them (store.Store — upsert Set semantics, MGet/MSet/MDel as
+// loops over the point ops, aggregated statistics, the whole fleet
+// serviced by one shared Scheduler), which store.Ordered specializes
+// only by carrying Scan/Min/Max over its one skip list; and one string
+// layer (store.Strings — the index's value word is each immutable value
+// object itself, so a read is one hop from key to value and the index's
+// own validation is the only one, with per-entry TTL and byte-budget
+// eviction), which store.SortedStrings specializes the same way. The server package puts
 // that store on the network: a RESP-flavored pipelined TCP protocol
 // served by cmd/optik-server and measured end to end by the
 // repository's bench/ module.

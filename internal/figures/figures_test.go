@@ -69,7 +69,7 @@ var joinKeys = map[string]struct{ figures, workloads, impls []string }{
 	"server": {[]string{"Server", "Server latency"}, []string{"zipf get90/set8/del2 batch20%x16 init 65536"},
 		[]string{"store-1sh", "store-4sh", "store-16sh"}},
 	"ordered": {[]string{"Ordered", "Ordered latency"}, []string{"zipf get80/set8/del2/scan10x64 init 65536"},
-		[]string{"ordered-1sh", "ordered-4sh", "ordered-16sh"}},
+		[]string{"ordered"}},
 	"conns": {[]string{"Conns"}, []string{"conns 8 active 100%", "conns 8 active 25%"},
 		[]string{"conns"}},
 }

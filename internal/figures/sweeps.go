@@ -140,15 +140,6 @@ func figChurn(o RunOpts) []Panel {
 // storeInitial is the server and ordered figures' prefilled element count.
 const storeInitial = 65536
 
-// shardSeries names a store figure's shard-count series.
-func shardSeries(prefix string, shards []int) []string {
-	out := make([]string, len(shards))
-	for i, sh := range shards {
-		out[i] = fmt.Sprintf("%s-%dsh", prefix, sh)
-	}
-	return out
-}
-
 // figServer runs the sharded-store scenario (beyond the paper: its tables
 // are the building block, the store is the system the ROADMAP builds
 // toward): a zipfian GET/SET/DEL request stream with 20% of requests as
@@ -161,7 +152,10 @@ func shardSeries(prefix string, shards []int) []string {
 // containment actually show.
 func figServer(o RunOpts) []Panel {
 	shards := normalizeShards(o.Shards)
-	series := shardSeries("store", shards)
+	series := make([]string, len(shards))
+	for i, sh := range shards {
+		series[i] = fmt.Sprintf("store-%dsh", sh)
+	}
 	wl := fmt.Sprintf("zipf get90/set8/del2 batch20%%x16 init %d", storeInitial)
 	run := func(s, th int, sample bool) workload.ServerResult {
 		return workload.RunServer(workload.ServerConfig{
@@ -234,27 +228,24 @@ func storeFactory(shards, initial int) func() *store.Store[uint64] {
 }
 
 // figOrdered runs the ordered-index scenario (beyond the paper: its skip
-// list is the building block, the range-partitioned store is the system):
-// a zipfian GET/SET/DEL stream with a 10% fraction of range scans, swept
-// across thread counts × shard counts. The 1-shard column is the single
-// skip list behind the store API; separation between columns is what
-// range partitioning buys when scans and point ops contend.
+// list is the building block, the ordered store is the system): a zipfian
+// GET/SET/DEL stream with a 10% fraction of range scans, swept across
+// thread counts over the store's one skip list.
 func figOrdered(o RunOpts) []Panel {
-	shards := normalizeShards(o.Shards)
-	series := shardSeries("ordered", shards)
 	wl := fmt.Sprintf("zipf get80/set8/del2/scan10x64 init %d", storeInitial)
-	run := func(s, th int, sample bool) workload.OrderedResult {
+	run := func(th int, sample bool) workload.OrderedResult {
 		return workload.RunOrdered(workload.OrderedConfig{
 			Threads: th, Duration: o.Duration, InitialSize: storeInitial,
 			SetPct: 8, DelPct: 2, ScanPct: 10, ScanWidth: 64, SampleLatency: sample,
-		}, orderedFactory(shards[s], storeInitial))
+		}, func() *store.Ordered[uint64] { return store.NewOrdered() })
 	}
+	series := []string{"ordered"}
 	return []Panel{{
 		Figure: "Ordered", Workload: wl,
 		Title:  fmt.Sprintf("Ordered — store.Ordered, %s (Mops/s)", wl),
 		Series: series,
-		Cell: func(s, th int) Row {
-			res := run(s, th, false)
+		Cell: func(_, th int) Row {
+			res := run(th, false)
 			return Row{Mops: res.Mops, MaxProcs: res.MaxProcs}
 		},
 	}, {
@@ -262,8 +253,8 @@ func figOrdered(o RunOpts) []Panel {
 		Title:   fmt.Sprintf("Ordered latency — per-op ns by request kind, %d threads", top(o)[0]),
 		Series:  series,
 		Threads: top(o),
-		Sample: func(s, th int) (Row, []string) {
-			res := run(s, th, true)
+		Sample: func(_, th int) (Row, []string) {
+			res := run(th, true)
 			row := latencyRow(res.Mops, res.Latency)
 			row.MaxProcs = res.MaxProcs
 			density := 0.0
@@ -279,15 +270,6 @@ func figOrdered(o RunOpts) []Panel {
 			}
 		},
 	}}
-}
-
-// orderedFactory builds the ordered figure's in-process store: the key
-// ceiling matches the workload's 2×initial key range, so the range
-// partition splits the populated space, not a mostly-empty one.
-func orderedFactory(shards, initial int) func() *store.Ordered[uint64] {
-	return func() *store.Ordered[uint64] {
-		return store.NewOrdered(store.WithShards(shards), store.WithKeyMax(uint64(2*initial)))
-	}
 }
 
 // figConns runs the connection-scaling scenario (beyond the paper:

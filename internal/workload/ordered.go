@@ -1,10 +1,9 @@
-// The ordered scenario: the range-partitioned skip-list store serving a
-// mixed point/range request stream — zipfian GET/SET/DEL exactly as the
-// server workload, plus a configurable fraction of range scans, the query
-// the ordered index exists for. Scans page with a fixed width from a
-// zipfian start key, so hot regions are scanned as often as they are
-// read, and scan latency rides its own ring for a direct per-kind
-// comparison against point ops.
+// The ordered scenario: the skip-list store serving a mixed point/range
+// request stream — zipfian GET/SET/DEL exactly as the server workload, plus
+// a configurable fraction of range scans, the query the ordered index
+// exists for. Scans page with a fixed width from a zipfian start key, so
+// hot regions are scanned as often as they are read, and scan latency
+// rides its own ring for a direct per-kind comparison against point ops.
 
 package workload
 

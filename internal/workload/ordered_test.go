@@ -8,9 +8,9 @@ import (
 )
 
 // TestRunOrderedInProcess drives the mixed point/scan workload against
-// the range-partitioned store directly and checks the accounting
-// contract: conservation of elements, a live hit rate, scans that
-// actually return entries, and latency summaries per kind.
+// the skip-list store directly and checks the accounting contract:
+// conservation of elements, a live hit rate, scans that actually return
+// entries, and latency summaries per kind.
 func TestRunOrderedInProcess(t *testing.T) {
 	cfg := OrderedConfig{
 		Threads:       4,
@@ -23,7 +23,7 @@ func TestRunOrderedInProcess(t *testing.T) {
 		SampleLatency: true,
 	}
 	res := RunOrdered(cfg, func() *store.Ordered[uint64] {
-		return store.NewOrdered(store.WithShards(4), store.WithKeyMax(uint64(2*cfg.InitialSize)))
+		return store.NewOrdered()
 	})
 	if res.Ops == 0 || res.Gets == 0 || res.Sets == 0 || res.Dels == 0 || res.Scans == 0 {
 		t.Fatalf("thin run: %+v", res)

@@ -110,7 +110,7 @@ func BenchmarkGetEngine(b *testing.B) {
 // (TestRangeSteadyStateAllocs pins that without the socket); what remains
 // here is the skip-list walk, the value reads and the reply framing.
 func BenchmarkRange(b *testing.B) {
-	st := store.NewSortedStrings(store.WithKeyMax(1<<16), store.WithoutMaintenance())
+	st := store.NewSortedStrings(store.WithoutMaintenance())
 	defer st.Close()
 	srv := NewOrdered(st)
 	addr, err := srv.Start("127.0.0.1:0")

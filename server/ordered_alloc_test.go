@@ -21,7 +21,7 @@ func TestRangeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
 	}
-	st := store.NewSortedStrings(store.WithKeyMax(4096), store.WithoutMaintenance())
+	st := store.NewSortedStrings(store.WithoutMaintenance())
 	defer st.Close()
 	for k := uint64(1); k <= 4096; k++ {
 		st.Set(k, "value-of-thirty-two-bytes-exactly")
@@ -90,7 +90,7 @@ func TestAppendBulkUint(t *testing.T) {
 // ordered_scan.
 func BenchmarkRangeEngine(b *testing.B) {
 	const population, stride, page = 1 << 20, 4, 100
-	st := store.NewSortedStrings(store.WithKeyMax(population*stride), store.WithoutMaintenance())
+	st := store.NewSortedStrings(store.WithoutMaintenance())
 	defer st.Close()
 	for k := uint64(1); k <= population; k++ {
 		st.Set(k*stride, "value-of-thirty-two-bytes-exactly")

@@ -14,7 +14,7 @@ import (
 // startOrdered boots an ordered loopback server and a client for it.
 func startOrdered(t *testing.T, opts ...Option) (*store.SortedStrings, *Client) {
 	t.Helper()
-	st := store.NewSortedStrings(store.WithShards(4), store.WithKeyMax(1<<20))
+	st := store.NewSortedStrings()
 	srv := NewOrdered(st, opts...)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

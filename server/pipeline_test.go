@@ -62,7 +62,7 @@ func startModelServer(t *testing.T, ordered bool, opts ...Option) string {
 		_, _, addr := startServer(t, opts...)
 		return addr
 	}
-	st := store.NewSortedStrings(store.WithShards(2), store.WithKeyMax(1<<20))
+	st := store.NewSortedStrings()
 	srv := NewOrdered(st, opts...)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

@@ -26,7 +26,6 @@ func startTTLServer(t *testing.T, ordered bool, extra ...store.Option) (*atomic.
 		store.WithClock(clock.Load),
 		store.WithShards(2),
 		store.WithShardBuckets(64),
-		store.WithKeyMax(1 << 20),
 	}, extra...)
 	var st *store.Strings
 	var srv *Server

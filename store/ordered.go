@@ -1,18 +1,13 @@
 // The ordered face of the package: the same index core and the same string
-// layer, over sorted shards behind a RANGE partition instead of a hash.
-// Hashing would scatter adjacent keys across shards and turn every range
-// scan into a full-fleet merge; partitioning the key space into contiguous
-// slices keeps a scan's locality (one shard, or a few adjacent ones) and
-// makes cross-shard scans a concatenation instead of a merge sort.
-//
-// The trade against the hash store is explicit: a skewed key distribution
-// concentrates load on the shards owning the hot slice, where the hash
-// router would spread it. WithKeyMax exists for exactly that reason — tell
-// the store the real key ceiling and the partition stretches over the used
-// space instead of dedicating almost every shard to keys that never occur.
+// layer, over one sorted shard — a single OPTIK skip list (§5.3). Hashing
+// would scatter adjacent keys and turn every range scan into a merge, and
+// the skip list needs no partition to scale: its contention is per tower,
+// not per structure (the paper's fig 11 runs one list to 40+ threads). So
+// an ordered store is one shard whatever WithShards says, and a scan is one
+// level-0 walk.
 //
 // Nothing else differs. Ordered and SortedStrings exist as types only so
-// that Scan, Min and Max are callable exactly where the shards are sorted;
+// that Scan, Min and Max are callable exactly where the index is sorted;
 // every other method is the shared core's.
 package store
 
@@ -25,14 +20,13 @@ import (
 	"github.com/optik-go/optik/internal/core"
 )
 
-// WithKeyMax declares the largest key an ordered store will hold (default
-// ds.MaxKey). The range partition divides [0, max] evenly across the
-// shards, so a store holding small keys should declare its real ceiling
-// or every key lands on shard 0. Keys above max are still legal — they
-// all route to the last shard. Ignored by the hash-routed constructors.
-func WithKeyMax(max uint64) Option {
-	return func(o *options) { o.keyMax = max }
-}
+// WithKeyMax once bounded the range partition of the ordered store.
+//
+// Deprecated: WithKeyMax does nothing. An ordered store is one skip list
+// and has no partition to bound; the option is kept only so that code
+// written against the partitioned store (the benchmark module among it)
+// still compiles.
+func WithKeyMax(uint64) Option { return func(*options) {} }
 
 // orderedShard is the sorted implementation of the shard contract: an
 // OPTIK skip list (§5.3) plus the striped counter the list itself does not
@@ -47,7 +41,7 @@ type orderedShard[V comparable] struct {
 	count *core.Striped
 }
 
-func newOrderedShard[V comparable]() shard[V] {
+func newOrderedShard[V comparable]() *orderedShard[V] {
 	return &orderedShard[V]{
 		Optik: skiplist.NewOptikOf[V](),
 		count: core.NewStriped(0),
@@ -86,20 +80,30 @@ func (sh *orderedShard[V]) DeleteIfValue(key uint64, val V) bool {
 	return ok
 }
 
-// Sample reports the successor of a key drawn uniformly between the
-// shard's smallest and largest key: the first entry at or after it. The
-// draw is uniform over the key space, not over the entries — an entry is
-// drawn as often as the gap below it is wide (the smallest entry, one key
-// wide) — so it favours the first entry after every empty stretch of the
-// key space, and can leave most entries of a clustered key set undrawn at
-// any one moment (docs/ARCHITECTURE.md measures both). Two things keep
-// that from steering eviction. A gap says nothing about how its entry is
-// used, so the bias adds noise to the sample, never a preference. And it
-// moves: an entry the draw cannot see becomes visible as soon as the
-// entries before it go, because their gaps become its own. One probe
+// sampleStrata is how many equal strata of [Min, Max] the sorted shard's
+// Sample draws from, 1<<sampleStrataBits (docs/ARCHITECTURE.md has the
+// rows that chose it).
+const (
+	sampleStrataBits = 4
+	sampleStrata     = 1 << sampleStrataBits
+)
+
+// Sample reports one entry of one stratum of the shard's key range: rnd's
+// top bits pick one of sampleStrata equal strata of [Min, Max], and the
+// probe reports the successor of a key drawn uniformly between the
+// stratum's first key and its end, wrapping to that first key when the
+// draw falls past the stratum's last one. An empty stratum reports
+// nothing. The draw is uniform over the key space, not over the entries:
+// within a stratum an entry is drawn as often as the gap below it is
+// wide, and the stratum's first entry also takes every draw past its
+// last. The strata bound how far that bias reaches: a cluster of keys
+// (the hashes of similar strings are one) owns the strata it spans
+// whatever gaps lie elsewhere, so one dominant gap cannot hide every other
+// cluster from the sample. And the bias moves: an entry the draw cannot
+// see becomes visible as soon as the entries before it go, because their
+// gaps become its own (docs/ARCHITECTURE.md measures both). One probe
 // reports one entry: a run of successors would be a run of keys alike
-// wherever keys cluster (the hashes of similar strings do), and a sample
-// of them would be one draw K times.
+// wherever keys cluster, and a sample of them would be one draw K times.
 func (sh *orderedShard[V]) Sample(rnd uint64) (keys [hashmap.SampleWidth]uint64, vals [hashmap.SampleWidth]V, n int) {
 	lo, _, ok := sh.Min()
 	if !ok {
@@ -109,7 +113,21 @@ func (sh *orderedShard[V]) Sample(rnd uint64) (keys [hashmap.SampleWidth]uint64,
 	if !ok || hi < lo {
 		return keys, vals, 0
 	}
-	return keys, vals, sh.ScanRange(lo+rnd%(hi-lo+1), hi, keys[:1], vals[:1])
+	width := (hi-lo)/sampleStrata + 1
+	stratum := rnd >> (64 - sampleStrataBits)
+	off := stratum * width
+	if off > hi-lo {
+		return keys, vals, 0
+	}
+	from := lo + off
+	to := from + min(width-1, hi-lo-off)
+	if sh.ScanRange(from, to, keys[:1], vals[:1]) == 0 {
+		return keys, vals, 0
+	}
+	// A draw past the stratum's last key leaves its first in keys[0].
+	first := keys[0]
+	sh.ScanRange(first+rnd%(to-first+1), to, keys[:1], vals[:1])
+	return keys, vals, 1
 }
 
 // Sweep walks level 0 from the cursor key: one ScanRange page, and the
@@ -130,73 +148,43 @@ func (sh *orderedShard[V]) Len() int {
 	return int(max(sh.count.Sum(), 0))
 }
 
-// Ordered is the index core over sorted shards: every method of Store,
+// Ordered is the index core over one sorted shard: every method of Store,
 // plus the ordered family — Scan, Min, Max — that a hash-routed store
 // cannot serve.
-type Ordered[V comparable] struct{ Store[V] }
+type Ordered[V comparable] struct {
+	Store[V]
+	list *orderedShard[V]
+}
 
-// NewOrdered returns a range-partitioned store over OPTIK skip lists.
-// WithShards, WithMaintenanceInterval and WithoutMaintenance mean what
-// they do for New; WithKeyMax bounds the partition; WithShardBuckets does
-// not apply.
+// NewOrdered returns a store over one OPTIK skip list.
+// WithMaintenanceInterval and WithoutMaintenance mean what they do for
+// New; WithShards and WithShardBuckets do not apply.
 func NewOrdered(opts ...Option) *Ordered[uint64] { return newOrdered[uint64](newOptions(opts)) }
 
 // newOrdered is NewOrdered over any value word.
 func newOrdered[V comparable](o options) *Ordered[V] {
-	var shift uint
-	for shift < 64 && o.keyMax>>shift >= uint64(o.shards) {
-		shift++
-	}
-	return &Ordered[V]{newStore(o, 1, shift, newOrderedShard[V])}
+	o.shards = 1
+	list := newOrderedShard[V]()
+	return &Ordered[V]{newStore(o, func() shard[V] { return list }), list}
 }
 
-// sorted recovers the sorted shard behind the contract; an Ordered holds
-// no other kind.
-func sorted[V comparable](sh shard[V]) *orderedShard[V] { return sh.(*orderedShard[V]) }
-
 // Scan copies the live entries with from <= key <= to, ascending, into
-// keys/vals (same length), returning how many were filled. The range
-// partition makes this a concatenation: shards are visited in partition
-// order and each contributes its slice of the window already sorted, so
-// no merge is needed. Cursoring works by resumption key — call again with
-// from = lastKey+1 — which survives any amount of concurrent churn
-// because the position is a key, not an index (see the skip list's
-// ScanRange for the no-skip/no-repeat argument).
+// keys/vals (same length), returning how many were filled. Cursoring
+// works by resumption key — call again with from = lastKey+1 — which
+// survives any amount of concurrent churn because the position is a key,
+// not an index (see the skip list's ScanRange for the no-skip/no-repeat
+// argument).
 func (s *Ordered[V]) Scan(from, to uint64, keys []uint64, vals []V) int {
-	ds.CheckKey(from)
-	ds.CheckKey(to)
-	if from > to {
-		return 0
-	}
-	n := 0
-	for i, end := s.shardID(from), s.shardID(to); i <= end && n < len(keys); i++ {
-		n += sorted(s.shards[i]).ScanRange(from, to, keys[n:], vals[n:])
-	}
-	return n
+	return s.list.ScanRange(from, to, keys, vals)
 }
 
 // Min returns the smallest live key and its value; ok is false on an
-// empty store. Shards are probed in partition order, so the first hit is
-// the global minimum.
-func (s *Ordered[V]) Min() (key uint64, val V, ok bool) {
-	for _, sh := range s.shards {
-		if k, v, ok := sorted(sh).Min(); ok {
-			return k, v, true
-		}
-	}
-	return 0, val, false
-}
+// empty store.
+func (s *Ordered[V]) Min() (key uint64, val V, ok bool) { return s.list.Min() }
 
 // Max returns the largest live key and its value; ok is false on an
 // empty store.
-func (s *Ordered[V]) Max() (key uint64, val V, ok bool) {
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		if k, v, ok := sorted(s.shards[i]).Max(); ok {
-			return k, v, true
-		}
-	}
-	return 0, val, false
-}
+func (s *Ordered[V]) Max() (key uint64, val V, ok bool) { return s.list.Max() }
 
 // SortedStrings maps uint64 keys to string values with range queries: the
 // string layer (Strings, embedded — TTL, byte budget, eviction and the

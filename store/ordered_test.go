@@ -14,7 +14,7 @@ import (
 )
 
 func TestOrderedBasic(t *testing.T) {
-	s := NewOrdered(WithShards(4), WithKeyMax(1<<20))
+	s := NewOrdered()
 	defer s.Close()
 
 	if _, ok := s.Get(42); ok {
@@ -49,18 +49,21 @@ func TestOrderedBasic(t *testing.T) {
 	}
 }
 
-func TestOrderedRangePartition(t *testing.T) {
-	// keyMax 1<<20, 4 shards: the partition must put keys in their slice
-	// and Scan must concatenate across slices in order.
-	s := NewOrdered(WithShards(4), WithKeyMax(1<<20), WithoutMaintenance())
+// TestOrderedIsOneSkipList pins that an ordered store is one shard
+// whatever WithShards says, and that Scan, Min and Max over keys spread
+// across the whole key range read them in key order.
+func TestOrderedIsOneSkipList(t *testing.T) {
+	s := NewOrdered(WithShards(16), WithoutMaintenance())
+	if got := s.Shards(); got != 1 {
+		t.Fatalf("Shards() = %d, want 1", got)
+	}
 	want := []uint64{}
-	for k := uint64(1); k < 1<<20; k += 1 << 14 {
+	for k := uint64(ds.MinKey); k < ds.MaxKey-ds.MaxKey/64; k += ds.MaxKey / 64 {
 		s.Set(k, k+1)
 		want = append(want, k)
 	}
-	// A key above the declared ceiling still routes (to the last shard).
-	s.Set(1<<21, 7)
-	want = append(want, 1<<21)
+	s.Set(ds.MaxKey, 7)
+	want = append(want, ds.MaxKey)
 
 	keys := make([]uint64, len(want)+8)
 	vals := make([]uint64, len(want)+8)
@@ -70,24 +73,28 @@ func TestOrderedRangePartition(t *testing.T) {
 	}
 	for i, k := range want {
 		if keys[i] != k {
-			t.Fatalf("scan[%d] = %d, want %d (cross-shard order broken)", i, keys[i], k)
+			t.Fatalf("scan[%d] = %d, want %d (order broken)", i, keys[i], k)
 		}
 	}
 	if k, _, ok := s.Min(); !ok || k != want[0] {
 		t.Fatalf("Min = %d,%v want %d", k, ok, want[0])
 	}
-	if k, v, ok := s.Max(); !ok || k != 1<<21 || v != 7 {
+	if k, v, ok := s.Max(); !ok || k != ds.MaxKey || v != 7 {
 		t.Fatalf("Max = %d/%d/%v", k, v, ok)
 	}
 }
 
-// TestOrderedBatchOps pins the multi-key calls over range-partitioned
-// shards: per-key outcomes, duplicates applied in arrival order, and keys
-// spread over several shards or piled on one.
+// TestOrderedBatchOps pins the multi-key calls over the skip list:
+// per-key outcomes and duplicates applied in arrival order. Each row asks
+// for a different shard count, which the ordered constructors ignore, so
+// every row must read the same one-shard store.
 func TestOrderedBatchOps(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := NewOrdered(WithShards(shards), WithKeyMax(1<<16), WithoutMaintenance())
+			s := NewOrdered(WithShards(shards), WithoutMaintenance())
+			if s.Shards() != 1 {
+				t.Fatalf("Shards() = %d, want 1", s.Shards())
+			}
 			keys := []uint64{100, 5000, 60000, 5000, 1}
 			if ins := s.MSet(keys, []uint64{1, 2, 3, 4, 5}); ins != 4 {
 				t.Fatalf("MSet inserted %d, want 4", ins)
@@ -114,7 +121,7 @@ func TestOrderedBatchOps(t *testing.T) {
 				t.Fatalf("Len = %d after deleting everything", s.Len())
 			}
 
-			st := NewSortedStrings(WithShards(shards), WithKeyMax(1<<16), WithoutMaintenance())
+			st := NewSortedStrings(WithShards(shards), WithoutMaintenance())
 			replaced := make([]bool, len(keys))
 			if ins := st.MSet(keys, []string{"a", "b", "c", "d", "e"}, replaced); ins != 4 {
 				t.Fatalf("SortedStrings.MSet inserted %d, want 4", ins)
@@ -193,7 +200,7 @@ func (r *refSorted) scan(from, to uint64, limit int) ([]uint64, []uint64) {
 // "identical" is exact — the concurrent variants below check invariants
 // instead).
 func TestOrderedVsReference(t *testing.T) {
-	s := NewOrdered(WithShards(8), WithKeyMax(1<<16), WithoutMaintenance())
+	s := NewOrdered(WithoutMaintenance())
 	ref := &refSorted{m: map[uint64]uint64{}}
 	r := rng.NewXorshift(0xfeed)
 	const keyRange = 4096
@@ -242,7 +249,7 @@ func TestOrderedVsReference(t *testing.T) {
 // for the whole scan, and every page must be strictly ascending. Stable
 // keys are pinned by using a disjoint key range writers never touch.
 func TestOrderedScanCursorInvariant(t *testing.T) {
-	s := NewOrdered(WithShards(8), WithKeyMax(1<<20))
+	s := NewOrdered()
 	defer s.Close()
 
 	// Stable keys: every multiple of 64 in [64, 1<<19]. Churn keys are
@@ -334,7 +341,7 @@ func TestOrderedReclaimWithoutQuiesce(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	s := NewOrdered(WithShards(2), WithKeyMax(4*n), WithoutMaintenance())
+	s := NewOrdered(WithoutMaintenance())
 	empty := heap()
 	for round := 0; round < 2; round++ {
 		for k := uint64(1); k <= n; k++ {
@@ -366,7 +373,7 @@ func TestOrderedReclaimWithoutQuiesce(t *testing.T) {
 }
 
 func TestSortedStrings(t *testing.T) {
-	s := NewSortedStrings(WithShards(4), WithKeyMax(1<<16))
+	s := NewSortedStrings()
 	defer s.Close()
 
 	if replaced := s.Set(100, "a"); replaced {
@@ -422,7 +429,7 @@ func TestSortedStrings(t *testing.T) {
 // TestSortedStringsConcurrent exercises the slot-recycling validate path
 // under churn (meaningful mostly with -race).
 func TestSortedStringsConcurrent(t *testing.T) {
-	s := NewSortedStrings(WithShards(4), WithKeyMax(4096))
+	s := NewSortedStrings()
 	defer s.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -478,7 +485,7 @@ func TestSortedStringsConcurrent(t *testing.T) {
 // so a churn-shrunk page would skip every stable key behind it and fail
 // the seen-exactly-once check.
 func TestSortedStringsScanShortPageMeansExhausted(t *testing.T) {
-	s := NewSortedStrings(WithShards(4), WithKeyMax(1<<16))
+	s := NewSortedStrings()
 	defer s.Close()
 
 	stable := map[uint64]bool{}
@@ -550,7 +557,7 @@ func TestSortedStringsScanShortPageMeansExhausted(t *testing.T) {
 // behind the holes, so a short page still means the range is exhausted.
 func TestSortedStringsExpiredAreAbsent(t *testing.T) {
 	clk := newTestClock(1_000_000_000)
-	s := NewSortedStrings(WithClock(clk.fn()), WithShards(4), WithKeyMax(1<<10), WithoutMaintenance())
+	s := NewSortedStrings(WithClock(clk.fn()), WithoutMaintenance())
 	// Keys 1..200: every third one mortal, plus both extremes.
 	mortal := func(k uint64) bool { return k%3 == 0 || k == 1 || k == 200 }
 	live := 0
@@ -712,12 +719,17 @@ func TestShardSweepLapUnderChurn(t *testing.T) {
 }
 
 // TestOrderedSampleBias measures the sorted shard's eviction sample, the
-// successor of a key drawn from the shard's key range, on a key set with
-// one large gap — 500 dense keys, then 500 more a trillion keys on — and
-// on the clustered hashes of short similar strings the eviction tests use,
-// and pins the bias it documents: an entry is drawn as often as the gap
-// below it is wide, and the gap moves to the next entry when the one
-// before it goes. docs/ARCHITECTURE.md quotes the logged numbers.
+// successor of a key drawn within one of sampleStrata equal slices of the
+// shard's key range, on a key set with one large gap — 500 dense keys,
+// then 500 more a trillion keys on — and on the clustered hashes of short
+// similar strings the eviction tests use, and pins what it documents. On
+// the gapped set the dense run fills a sliver of the first slice and the
+// far run the tail of the last, so each run takes half the draws: the far
+// run's evenly (its keys fill the span they are drawn from), the dense
+// run's all on its first key, which also takes every draw past its last.
+// When that key goes, its successor inherits the draws. An unstratified
+// draw gave the key after the gap nearly all the draws and left the dense
+// run undrawn. docs/ARCHITECTURE.md quotes the logged numbers.
 func TestOrderedSampleBias(t *testing.T) {
 	const draws = 100
 	gapped := make([]uint64, 0, 1000)
@@ -728,22 +740,27 @@ func TestOrderedSampleBias(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		hashed = append(hashed, HashKey(fmt.Sprintf("k%d", i)))
 	}
-	for _, set := range []struct {
-		name string
-		keys []uint64
-	}{{"gapped", gapped}, {"hashed", hashed}} {
-		sh := newOrderedShard[uint64]().(*orderedShard[uint64])
-		for _, k := range set.keys {
-			sh.Insert(k, k)
-		}
+	r := rng.NewXorshift(11)
+	// sample counts the keys of n probes that found an entry.
+	sample := func(sh *orderedShard[uint64], n int) map[uint64]int {
 		count := map[uint64]int{}
-		r := rng.NewXorshift(11)
-		for got := 0; got < draws*len(set.keys); {
-			if k, _, n := sh.Sample(r.Next()); n == 1 {
+		for got := 0; got < n; {
+			if k, _, found := sh.Sample(r.Next()); found == 1 {
 				count[k[0]]++
 				got++
 			}
 		}
+		return count
+	}
+	for _, set := range []struct {
+		name string
+		keys []uint64
+	}{{"gapped", gapped}, {"hashed", hashed}} {
+		sh := newOrderedShard[uint64]()
+		for _, k := range set.keys {
+			sh.Insert(k, k)
+		}
+		count := sample(sh, draws*len(set.keys))
 		most := 0
 		for _, c := range count {
 			most = max(most, c)
@@ -753,19 +770,19 @@ func TestOrderedSampleBias(t *testing.T) {
 		if set.name != "gapped" {
 			continue
 		}
-		if share := float64(count[1e12+1]) / (draws * 1000); share < 0.99 {
-			t.Errorf("the key after the gap drew %.3f of the draws; want nearly all", share)
+		if share := float64(count[1]) / (draws * 1000); share < 0.45 || share > 0.55 {
+			t.Errorf("the dense run's first key drew %.3f of the draws; want its slice's half", share)
 		}
-		// Its successor inherits the gap once it is gone.
-		sh.Delete(1e12 + 1)
-		next := 0
-		for i := 0; i < 1000; i++ {
-			if k, _, n := sh.Sample(r.Next()); n == 1 && k[0] == 1e12+2 {
-				next++
+		for k := uint64(1e12 + 1); k <= 1e12+500; k++ {
+			if c := count[k]; c < draws/2 || c > 2*draws {
+				t.Errorf("far-run key %d drew %d times, want within 2× of its fair %d", k, c, draws)
 			}
 		}
-		if next < 990 {
-			t.Errorf("after the key past the gap went, its successor drew %d of 1000, want nearly all", next)
+		// The dense run's second key inherits its first's draws once it
+		// is gone.
+		sh.Delete(1)
+		if next := sample(sh, 1000)[2]; next < 400 || next > 600 {
+			t.Errorf("after the dense run's first key went, its successor drew %d of 1000, want about half", next)
 		}
 	}
 }

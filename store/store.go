@@ -10,14 +10,14 @@
 //	                 additionally scans in key order. Both are generic
 //	                 over the value word: uint64 for the index stores,
 //	                 *pair for the string layer.
-//	router           data, not code: shard = min((key·mul)>>shift, last).
-//	                 The Fibonacci multiplier gives the hash router, mul=1
-//	                 the range partition.
+//	router           data, not code: shard = (key·φ)>>shift, the top
+//	                 bits of a Fibonacci hash.
 //	index core       Store: shards behind the router, multi-key calls
 //	                 that loop over the point ops, store-wide
 //	                 aggregation, one shared maintenance scheduler.
-//	                 Ordered is the same core over sorted shards, and is
-//	                 the type that carries Scan/Min/Max.
+//	                 Ordered is the same core over one sorted shard — a
+//	                 single skip list, whose contention is per tower —
+//	                 and is the type that carries Scan/Min/Max.
 //	string layer     Strings (values.go, ttl.go): immutable value pairs
 //	                 held by the index itself — a read is one hop from
 //	                 key to value — with per-entry TTL and byte-budget
@@ -102,16 +102,12 @@ type shard[V comparable] interface {
 // layer builds its own index over *pair.
 type Store[V comparable] struct {
 	shards []shard[V]
-	// The router: shard = min((key*mul)>>shift, last). With the Fibonacci
-	// multiplier it consumes the hash's top bits (the shard tables place
-	// buckets by bits 32 and up of the same product, so a route and a
-	// bucket index never alias for any sane shard × bucket count); with
-	// mul = 1 it is a range partition, and the clamp absorbs keys above
-	// the declared ceiling and a ceiling that is no multiple of the shard
-	// count. A shift of 64 (one shard) routes everything to shard 0.
-	mul   uint64
+	// The router: shard = (key*fibMul)>>shift, the product's top
+	// log2(shards) bits (the shard tables place buckets by bits 32 and up
+	// of the same product, so a route and a bucket index never alias for
+	// any sane shard × bucket count). A shift of 64 (one shard) routes
+	// everything to shard 0.
 	shift uint
-	last  uint64
 	sched *maint.Scheduler
 }
 
@@ -130,9 +126,6 @@ type options struct {
 	shardBuckets int
 	interval     time.Duration
 	maintenance  bool
-	// keyMax bounds the range partition of the ordered constructors (see
-	// WithKeyMax); the hash-routed ones ignore it.
-	keyMax uint64
 	// clock and byteBudget configure the string layer's memory governance
 	// (see WithClock/WithByteBudget and ttl.go); the index-only
 	// constructors ignore them.
@@ -143,9 +136,10 @@ type options struct {
 // Option configures the constructors.
 type Option func(*options)
 
-// WithShards sets the shard count, rounded up to a power of two and
-// capped at 256. The default is the next power of two >= GOMAXPROCS —
-// one shard per core's worth of traffic.
+// WithShards sets the hash store's shard count, rounded up to a power of
+// two and capped at 256. The default is the next power of two >=
+// GOMAXPROCS — one shard per core's worth of traffic. The ordered
+// constructors ignore it: an ordered store is one skip list.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }
@@ -192,7 +186,7 @@ func WithByteBudget(n int64) Option {
 
 // newOptions applies opts over the defaults and settles the shard count.
 func newOptions(opts []Option) options {
-	o := options{shardBuckets: 1024, maintenance: true, keyMax: ds.MaxKey}
+	o := options{shardBuckets: 1024, maintenance: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -208,14 +202,12 @@ func newOptions(opts []Option) options {
 }
 
 // newStore assembles the index core: o.shards shards from newShard behind
-// the (mul, shift) router, every shard that resizes registered on one
-// shared maintenance scheduler unless o says otherwise.
-func newStore[V comparable](o options, mul uint64, shift uint, newShard func() shard[V]) Store[V] {
+// the router, every shard that resizes registered on one shared
+// maintenance scheduler unless o says otherwise.
+func newStore[V comparable](o options, newShard func() shard[V]) Store[V] {
 	s := Store[V]{
 		shards: make([]shard[V], o.shards),
-		mul:    mul,
-		shift:  shift,
-		last:   uint64(o.shards - 1),
+		shift:  uint(64 - bits.TrailingZeros(uint(o.shards))),
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard()
@@ -238,8 +230,7 @@ func New(opts ...Option) *Store[uint64] { return newHashed[uint64](newOptions(op
 
 // newHashed is New over any value word.
 func newHashed[V comparable](o options) *Store[V] {
-	s := newStore(o, fibMul, uint(64-bits.TrailingZeros(uint(o.shards))),
-		func() shard[V] { return hashmap.NewResizableOf[V](o.shardBuckets) })
+	s := newStore(o, func() shard[V] { return hashmap.NewResizableOf[V](o.shardBuckets) })
 	return &s
 }
 
@@ -254,7 +245,7 @@ func (s *Store[V]) Close() {
 
 // shardID routes a key to its shard.
 func (s *Store[V]) shardID(key uint64) uint64 {
-	return min(key*s.mul>>s.shift, s.last)
+	return key * fibMul >> s.shift
 }
 
 // Get returns the value stored under key, if present. Lock-free, like the
@@ -301,7 +292,7 @@ func (s *Store[V]) ReplaceIfValue(key uint64, old, new V) bool {
 // position drawn from rnd remixed, so that the bits that chose the shard
 // do not also fix part of the position within it.
 func (s *Store[V]) sample(rnd uint64) ([hashmap.SampleWidth]uint64, [hashmap.SampleWidth]V, int) {
-	return s.shards[rnd>>56&s.last].Sample(rng.Mix(rnd))
+	return s.shards[rnd>>56&uint64(len(s.shards)-1)].Sample(rng.Mix(rnd))
 }
 
 // Search implements ds.Set (alias of Get), so the workload drivers and

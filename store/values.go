@@ -1,5 +1,5 @@
 // The string layer: string values over the index core, one implementation
-// under the hash-routed Strings and the range-partitioned SortedStrings
+// under the hash-routed Strings and the skip-list SortedStrings
 // alike. The index maps a key (a string key's 64-bit hash, or the uint64
 // key itself on the sorted store) straight to its value: the index's value
 // word is a *pair, one immutable, pointer-free object holding the
