@@ -18,7 +18,7 @@
 //     check fails; Optik2 restarts immediately (and is the more scalable
 //     variant in the paper).
 //
-// All variants share the MaxLevel height cap, a geometric (p = 1/2) level
+// All variants share the MaxLevel height cap, a geometric (p = 1/4) level
 // generator and one node layout — a header followed by a tower of the
 // node's own height, in one allocation (tower.go). Keys live in
 // [ds.MinKey, ds.MaxKey]; sentinels use the two reserved values.
@@ -32,9 +32,10 @@ import (
 	"github.com/optik-go/optik/internal/rng"
 )
 
-// MaxLevel is the tower height cap. 32 levels address 2^32 expected
-// elements, far beyond the paper's largest workload (65536 elements).
-const MaxLevel = 32
+// MaxLevel is the tower height cap. At p = 1/4, 16 levels address
+// 4^16 = 2^32 expected elements, far beyond the paper's largest workload
+// (65536 elements).
+const MaxLevel = 16
 
 // levelCell is one slot of the level-draw generator table, padded so
 // neighboring cells never share a cache line.
@@ -57,8 +58,10 @@ type levelCell struct {
 var levelCells [64]levelCell
 
 // randomLevel draws a tower height in [1, MaxLevel] from a geometric
-// distribution with p = 1/2, from a per-goroutine-affine xorshift cell
-// (the paper's per-thread PRNGs, without demanding a thread identity).
+// distribution with p = 1/4 (Pugh's recommendation, and redis'): the same
+// expected search cost as p = 1/2, with a third fewer forward slots per
+// node. It draws from a per-goroutine-affine xorshift cell (the paper's
+// per-thread PRNGs, without demanding a thread identity).
 func randomLevel() int {
 	var probe byte
 	addr := uintptr(unsafe.Pointer(&probe))
@@ -71,9 +74,10 @@ func randomLevel() int {
 	}
 	s = rng.Step(s)
 	c.state.Store(s)
-	// Trailing zeros of a uniform word are geometric(1/2); the OR caps the
+	// Trailing zeros of a uniform word are geometric(1/2), so each pair of
+	// them is a level that continues with probability 1/4; the OR caps the
 	// height at MaxLevel.
-	return bits.TrailingZeros64(rng.Mix(s)|1<<(MaxLevel-1)) + 1
+	return bits.TrailingZeros64(rng.Mix(s)|1<<(2*(MaxLevel-1)))/2 + 1
 }
 
 const (

@@ -29,12 +29,14 @@ func TestRandomLevelDistribution(t *testing.T) {
 		}
 		counts[l]++
 	}
-	// Geometric p=1/2: level 1 about half, level 2 about a quarter...
-	if f := float64(counts[1]) / draws; f < 0.45 || f > 0.55 {
-		t.Fatalf("P(level=1) = %v, want ~0.5", f)
+	// Geometric p=1/4: level 1 about three in four, level 2 about 3/16...
+	// The bands are ±0.05 around P(1) and ±20 % around P(2); p = 1/2's
+	// 0.5 and 0.25 fall outside both.
+	if f := float64(counts[1]) / draws; f < 0.70 || f > 0.80 {
+		t.Fatalf("P(level=1) = %v, want ~0.75", f)
 	}
-	if f := float64(counts[2]) / draws; f < 0.2 || f > 0.3 {
-		t.Fatalf("P(level=2) = %v, want ~0.25", f)
+	if f := float64(counts[2]) / draws; f < 0.15 || f > 0.225 {
+		t.Fatalf("P(level=2) = %v, want ~0.1875", f)
 	}
 }
 

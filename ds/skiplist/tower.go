@@ -9,13 +9,12 @@ import (
 // Node layout, shared by all four node types (oNode, hoNode, hNode, fNode).
 //
 // A node is a fixed header followed, in the SAME allocation, by a tower of
-// as many forward slots as the node has levels. A geometric p = 1/2 tower
-// is two levels tall on average, so embedding a [MaxLevel] array in every
-// node (the previous layout: 296 bytes, a 320-byte size class) spent ~250
-// bytes per key on slots no traversal ever reads; sized to the node behind
-// a 24-byte header, a height-1 tower (half of them) is one 32-byte object
-// and the mean allocation is ~43 bytes. Only head and tail are MaxLevel
-// tall.
+// as many forward slots as the node has levels. A geometric p = 1/4 tower
+// is 4/3 levels tall on average, so a [MaxLevel] array embedded in every
+// node would spend most of its slots on levels no traversal reads; sized
+// to the node behind a 24-byte header, a height-1 tower (three in four) is
+// one 32-byte object and the mean allocation is ~36 bytes. Only head and
+// tail are MaxLevel tall.
 //
 // The allocation is an exact Go type — towerNode[header, [h]slot] — rather
 // than a header plus raw bytes, so the collector's pointer map covers every
@@ -43,9 +42,9 @@ type towerNode[H, T any] struct {
 
 // newTower allocates a zeroed header H followed by a tower of h forward
 // slots of type atomic.Pointer[P], as one object, and returns the header.
-// Heights 1–8 (255 nodes in 256) get exactly h slots; taller ones round up
-// to 12, 16, 24 or MaxLevel, which keeps the set of allocated types small.
-// h must be in [1, MaxLevel]; the caller records it in the header.
+// Heights 1–8 (all but one node in 65536 at p = 1/4) get exactly h slots;
+// taller ones round up to MaxLevel, which keeps the set of allocated types
+// small. h must be in [1, MaxLevel]; the caller records it in the header.
 func newTower[H, P any](h int) *H {
 	type slot = atomic.Pointer[P]
 	switch h {
@@ -65,13 +64,7 @@ func newTower[H, P any](h int) *H {
 		return &new(towerNode[H, [7]slot]).hdr
 	case 8:
 		return &new(towerNode[H, [8]slot]).hdr
-	case 9, 10, 11, 12:
-		return &new(towerNode[H, [12]slot]).hdr
-	case 13, 14, 15, 16:
-		return &new(towerNode[H, [16]slot]).hdr
-	case 17, 18, 19, 20, 21, 22, 23, 24:
-		return &new(towerNode[H, [24]slot]).hdr
-	case 25, 26, 27, 28, 29, 30, 31, MaxLevel:
+	case 9, 10, 11, 12, 13, 14, 15, MaxLevel:
 		return &new(towerNode[H, [MaxLevel]slot]).hdr
 	}
 	panic("skiplist: tower height out of range")

@@ -221,7 +221,7 @@ func (p *pair) touch(epoch uint32) {
 // allocator's rounding of it to a size class, and its share of the index —
 // a 16-byte slot of a 64-byte bucket at a load of a quarter to two entries
 // per bucket, a 24-byte chain node, or a skip-list tower of 32 bytes and
-// up (~43 on average). 56 was sized when a value also cost an 8-byte arena slot; that slot
+// up (~36 on average). 56 was sized when a value also cost an 8-byte arena slot; that slot
 // is gone, and the charge is not lowered with it, because the byte budget
 // governs order of magnitude, not malloc-exact bytes, and every budget
 // already written against 56 — the eviction workload's, cache_churn's in
