@@ -189,41 +189,34 @@ func BenchmarkChurnSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkStore drives the sharded store on the mixed zipfian server
-// workload (90% GET / 8% SET / 2% DEL over a churning key population)
-// across shard counts, in a single-key variant and a batched one (every
-// request a 16-key MGet/MSet/MDel). The shards=1 rows are the unsharded
-// table behind the same API — the baseline the scaling axis is read
-// against. A batch is a loop over the point ops, so the batch rows save
-// only the workload loop's per-request overhead and should read close to
-// the single rows. Shard-count scaling is a parallelism win, so its full
-// size shows on multi-core hardware.
+// BenchmarkStore drives the hash store on the mixed zipfian server
+// workload (90% GET / 8% SET / 2% DEL over a churning key population), in
+// a single-key variant and a batched one (every request a 16-key
+// MGet/MSet/MDel). A batch is a loop over the point ops, so the batch rows
+// save only the workload loop's per-request overhead and should read
+// close to the single rows.
 func BenchmarkStore(b *testing.B) {
 	const initial = 65536
 	threads := 16
-	for _, shards := range []int{1, 4, 16} {
-		for _, mode := range []struct {
-			label    string
-			batchPct int
-		}{{"single", 0}, {"batch16", 100}} {
-			name := fmt.Sprintf("shards=%d/%s/threads=%d", shards, mode.label, threads)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				perShard := initial / shards
-				var res workload.ServerResult
-				for i := 0; i < b.N; i++ {
-					res = workload.RunServer(workload.ServerConfig{
-						Threads: threads, Duration: benchDuration, InitialSize: initial,
-						SetPct: 8, DelPct: 2, BatchPct: mode.batchPct, BatchSize: 16,
-					}, func() *store.Store[uint64] {
-						return store.New(store.WithShards(shards), store.WithShardBuckets(perShard))
-					})
-				}
-				b.ReportMetric(res.Mops, "Mops/s")
-				b.ReportMetric(100*res.HitRate, "hit-%")
-				b.ReportMetric(0, "ns/op")
-			})
-		}
+	for _, mode := range []struct {
+		label    string
+		batchPct int
+	}{{"single", 0}, {"batch16", 100}} {
+		b.Run(fmt.Sprintf("%s/threads=%d", mode.label, threads), func(b *testing.B) {
+			b.ReportAllocs()
+			var res workload.ServerResult
+			for i := 0; i < b.N; i++ {
+				res = workload.RunServer(workload.ServerConfig{
+					Threads: threads, Duration: benchDuration, InitialSize: initial,
+					SetPct: 8, DelPct: 2, BatchPct: mode.batchPct, BatchSize: 16,
+				}, func() *store.Store[uint64] {
+					return store.New(store.WithShardBuckets(initial))
+				})
+			}
+			b.ReportMetric(res.Mops, "Mops/s")
+			b.ReportMetric(100*res.HitRate, "hit-%")
+			b.ReportMetric(0, "ns/op")
+		})
 	}
 }
 

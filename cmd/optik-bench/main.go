@@ -23,10 +23,6 @@
 //	          file, so the perf trajectory can be tracked across changes
 //	-churn-peak  peak element count of the churn figure (default 100000;
 //	          CI passes a small peak to keep the sweep short)
-//	-shards   comma-separated shard counts the server figure sweeps
-//	          (default 1,4,16; the 1-shard row is the unsharded baseline;
-//	          the ordered store is one skip list, so its figure sweeps
-//	          threads only)
 //	-conns    comma-separated connection populations the conns figure
 //	          sweeps (default 64,1024,4096; populations above ~1k need a
 //	          raised ulimit -n — the nightly adds 10000)
@@ -36,7 +32,7 @@
 // Example:
 //
 //	optik-bench -threads 1,4,16 -duration 500ms -reps 5 -json BENCH_fig9.json fig9
-//	optik-bench -threads 4,16 -shards 1,8 server
+//	optik-bench -threads 4,16 server
 //	optik-bench -threads 1,2,4 ordered
 //	optik-bench -duration 1s -conns 64,1024 -active 100,5 conns
 package main
@@ -58,7 +54,6 @@ func main() {
 	repsFlag := flag.Int("reps", 3, "runs per throughput cell (median reported)")
 	jsonFlag := flag.String("json", "", "write machine-readable results (JSON) to this file")
 	churnPeakFlag := flag.Int("churn-peak", 0, "peak element count for the churn figure (0 = default 100000)")
-	shardsFlag := flag.String("shards", "1,4,16", "comma-separated shard counts for the server figure")
 	connsFlag := flag.String("conns", "64,1024,4096", "comma-separated connection populations for the conns figure")
 	activeFlag := flag.String("active", "100,5", "comma-separated active-connection percentages for the conns figure")
 	flag.Usage = func() {
@@ -77,11 +72,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "optik-bench:", err)
 		os.Exit(2)
 	}
-	shards, err := parseThreads(*shardsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "optik-bench: -shards:", err)
-		os.Exit(2)
-	}
 	connCounts, err := parseThreads(*connsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "optik-bench: -conns:", err)
@@ -98,7 +88,6 @@ func main() {
 		Reps:       *repsFlag,
 		Out:        os.Stdout,
 		ChurnPeak:  *churnPeakFlag,
-		Shards:     shards,
 		Conns:      connCounts,
 		ActivePcts: activePcts,
 	}

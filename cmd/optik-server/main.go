@@ -1,11 +1,11 @@
-// optik-server serves the sharded OPTIK string store over TCP, speaking
+// optik-server serves the OPTIK string store over TCP, speaking
 // the RESP-flavored protocol in docs/PROTOCOL.md (GET/SET/DEL,
 // MGET/MSET/MDEL, LEN, STATS, QUIESCE, PING, QUIT; inline or multibulk
 // framing, pipelining-friendly).
 //
 // Usage:
 //
-//	optik-server [-addr :7979] [-shards 0] [-shard-buckets 1024]
+//	optik-server [-addr :7979] [-shard-buckets 1024]
 //	             [-batch 512] [-maxconns 0]
 //	             [-idle-grace 5s] [-shed-water 0]
 //	             [-byte-budget 0] [-ordered]
@@ -13,11 +13,9 @@
 // Flags:
 //
 //	-addr          listen address (default :7979)
-//	-shards        hash store shards, rounded up to a power of two
-//	               (default 0 = one per core; the ordered store is one
+//	-shard-buckets the hash table's floor bucket count, rounded up to a
+//	               power of two (default 1024; the ordered store is one
 //	               skip list and ignores it)
-//	-shard-buckets per-shard floor bucket count (default 1024; hash
-//	               store only)
 //	-batch         pipelined requests executed per reply flush
 //	               (default 512)
 //	-maxconns      concurrent connection cap (default 0 = unlimited)
@@ -62,8 +60,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7979", "listen address")
-	shards := flag.Int("shards", 0, "hash store shards, power of two (0 = one per core; ignored with -ordered)")
-	shardBuckets := flag.Int("shard-buckets", 1024, "per-shard floor bucket count")
+	shardBuckets := flag.Int("shard-buckets", 1024, "the hash table's floor bucket count (ignored with -ordered)")
 	batch := flag.Int("batch", 512, "pipelined requests executed per reply flush")
 	maxConns := flag.Int("maxconns", 0, "concurrent connection cap (0 = unlimited)")
 	idleGrace := flag.Duration("idle-grace", 0, "idle grace before a conn's buffers return to the pool (0 = default 5s)")
@@ -84,8 +81,7 @@ func main() {
 	if *shedWater > 0 {
 		sopts = append(sopts, server.WithShedWater(*shedWater))
 	}
-	stOpts := []store.Option{store.WithShards(*shards), store.WithShardBuckets(*shardBuckets),
-		store.WithByteBudget(*byteBudget)}
+	stOpts := []store.Option{store.WithShardBuckets(*shardBuckets), store.WithByteBudget(*byteBudget)}
 	var srv *server.Server
 	var st *store.Strings
 	if *ordered {
@@ -102,8 +98,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "optik-server:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("optik-server: serving %d %s shards on %s (batch %d, maxconns %d)\n",
-		st.Index().Shards(), storeKind(*ordered), bound, *batch, *maxConns)
+	fmt.Printf("optik-server: serving the %s store on %s (batch %d, maxconns %d)\n",
+		storeKind(*ordered), bound, *batch, *maxConns)
 
 	// SIGINT/SIGTERM drain the server before the store's scheduler stops.
 	sig := make(chan os.Signal, 1)

@@ -54,11 +54,10 @@
 // stack: a shard contract (point ops, with one write body that builds
 // its value only if it stores; conditional delete and replace; sampling
 // and sweeping) satisfied by the Resizable table, which adds
-// maintenance, and by the OPTIK skip list; a router that is data
-// (shard = (key·φ)>>shift, the top bits of a Fibonacci hash); one index
-// core over them (store.Store — upsert Set semantics, MGet/MSet/MDel as
-// loops over the point ops, aggregated statistics, the whole fleet
-// serviced by one shared Scheduler), which store.Ordered specializes
+// maintenance, and by the OPTIK skip list; one index core over one of
+// them (store.Store — upsert Set semantics, MGet/MSet/MDel as loops over
+// the point ops, monitoring counts, the table serviced by one
+// Scheduler), which store.Ordered specializes
 // only by carrying Scan/Min/Max over its one skip list; and one string
 // layer (store.Strings — the index's value word is each immutable value
 // object itself, so a read is one hop from key to value and the index's

@@ -1,6 +1,7 @@
 package hashmap
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -165,8 +166,13 @@ func newRTable[V any](nbuckets int) *rtable[V] {
 // index spreads keys with a Fibonacci multiplicative hash. The fixed
 // tables use key mod nbuckets, mirroring the paper; a power-of-two mask
 // needs the multiply so dense key ranges don't collapse onto low bits.
+// The bucket is the product's top log2(n) bits, bit-reversed: the top
+// bits are where the multiply spreads a dense key range evenly at every
+// table size, and the reversal puts the next bit a doubling consumes at
+// the index's top, so a grow still splits bucket i into i and i+n and a
+// shrink merges i and i+n/2 (see migrateBucket, migratePair and Sweep).
 func (t *rtable[V]) index(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15 >> 32) & t.mask)
+	return int(bits.Reverse64(key*0x9E3779B97F4A7C15) & t.mask)
 }
 
 // Search returns the value stored under key, if present. It never locks:

@@ -7,7 +7,7 @@
 // maintenance counters.
 //
 // The machinery lives in the library now: store.Strings maps string keys
-// to string values through a sharded OPTIK index whose value word is the
+// to string values through one OPTIK hash table whose value word is the
 // immutable value object itself (the layer started life in this example
 // and was lifted into store/values.go when the network server needed it
 // too — the server package serves the same type over TCP). There is no
@@ -16,8 +16,8 @@
 //
 // Run with:
 //
-//	go run ./examples/kvstore [-readers 8] [-writers 2] [-shards 0]
-//	                          [-batch 16] [-duration 2s]
+//	go run ./examples/kvstore [-readers 8] [-writers 2] [-batch 16]
+//	                          [-duration 2s]
 package main
 
 import (
@@ -35,12 +35,11 @@ import (
 func main() {
 	readers := flag.Int("readers", 8, "reader goroutines")
 	writers := flag.Int("writers", 2, "writer goroutines")
-	shards := flag.Int("shards", 0, "index shards (0 = one per core)")
 	batch := flag.Int("batch", 16, "keys per batched GET (half the readers batch)")
 	duration := flag.Duration("duration", 2*time.Second, "run duration")
 	flag.Parse()
 
-	st := store.NewStrings(store.WithShards(*shards), store.WithShardBuckets(1024))
+	st := store.NewStrings(store.WithShardBuckets(1024))
 	defer st.Close()
 	// Seed the cache.
 	for i := 0; i < 2048; i++ {
@@ -106,8 +105,7 @@ func main() {
 	wg.Wait()
 
 	elapsed := duration.Seconds()
-	fmt.Printf("kvstore over %v with %d readers / %d writers on %d shards\n",
-		*duration, *readers, *writers, st.Index().Shards())
+	fmt.Printf("kvstore over %v with %d readers / %d writers\n", *duration, *readers, *writers)
 	fmt.Printf("  GET: %8.2f Kops/s (hit rate %.1f%%)\n",
 		float64(gets.Load())/elapsed/1e3, 100*float64(hits.Load())/float64(max(gets.Load(), 1)))
 	fmt.Printf("  SET: %8.2f Kops/s\n", float64(sets.Load())/elapsed/1e3)

@@ -34,8 +34,8 @@ func TestPaddedLockBehaves(t *testing.T) {
 
 func TestStripedSumQuiescentExact(t *testing.T) {
 	s := NewStriped(8)
-	if s.Shards() != 8 {
-		t.Fatalf("Shards = %d, want 8", s.Shards())
+	if s.Cells() != 8 {
+		t.Fatalf("Cells = %d, want 8", s.Cells())
 	}
 	const workers, iters = 8, 10000
 	var wg sync.WaitGroup
@@ -60,12 +60,12 @@ func TestStripedSumQuiescentExact(t *testing.T) {
 
 func TestStripedShardRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{1, 1}, {3, 4}, {8, 8}, {9, 16}} {
-		if got := NewStriped(tc.in).Shards(); got != tc.want {
-			t.Fatalf("NewStriped(%d).Shards() = %d, want %d", tc.in, got, tc.want)
+		if got := NewStriped(tc.in).Cells(); got != tc.want {
+			t.Fatalf("NewStriped(%d).Cells() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	if NewStriped(0).Shards() < 1 {
-		t.Fatal("machine-sized counter has no shards")
+	if NewStriped(0).Cells() < 1 {
+		t.Fatal("machine-sized counter has no cells")
 	}
 }
 

@@ -123,5 +123,5 @@ func cellOps(c int64) int64 {
 	return (c - int64(int32(c))) >> 32 & (1<<31 - 1)
 }
 
-// Shards returns the number of cells.
-func (s *Striped) Shards() int { return len(s.cells) }
+// Cells returns the number of cells.
+func (s *Striped) Cells() int { return len(s.cells) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,11 +231,20 @@ func TestTicketMutualExclusion(t *testing.T) {
 
 func TestTicketConcurrentUnlockVsTicketDraw(t *testing.T) {
 	// Stress the CAS-loop Unlock against concurrent ticket draws: counts
-	// must stay consistent (every draw eventually served).
+	// must stay consistent (every draw eventually served). A ticket lock
+	// hands the lock to one waiter in turn, so a waiter descheduled at its
+	// turn stalls every other; more goroutines than processors turn that
+	// into scheduler-quantum stalls, hence at most GOMAXPROCS of them (but
+	// two, for a race), sharing the same total of critical sections.
 	var l TicketLock
-	const goroutines, iters = 8, 3000
+	const total = 24000
+	goroutines := max(2, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
+		iters := total / goroutines
+		if g == 0 {
+			iters += total % goroutines
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -249,8 +259,8 @@ func TestTicketConcurrentUnlockVsTicketDraw(t *testing.T) {
 	if v.IsLocked() {
 		t.Fatal("lock left held")
 	}
-	if v.current() != uint32(goroutines*iters) {
-		t.Fatalf("served %d critical sections, want %d", v.current(), goroutines*iters)
+	if v.current() != uint32(total) {
+		t.Fatalf("served %d critical sections, want %d", v.current(), total)
 	}
 }
 

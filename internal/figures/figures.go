@@ -41,10 +41,6 @@ type RunOpts struct {
 	// ChurnPeak overrides the churn figure's peak element count (0 keeps
 	// the default); CI uses a small peak to keep the sweep short.
 	ChurnPeak int
-	// Shards are the shard counts the server figure sweeps (default 1,
-	// 4, 16 — the 1-shard row is the unsharded baseline every other row
-	// is read against).
-	Shards []int
 	// Conns are the connection populations the conns figure sweeps
 	// (default 64, 1024, 4096; the nightly adds 10000 — mind ulimit -n).
 	Conns []int

@@ -67,7 +67,7 @@ var joinKeys = map[string]struct{ figures, workloads, impls []string }{
 	"churn": {[]string{"Churn"}, []string{"churn 4000/250 steady 4000"},
 		[]string{"lazy-gl-fixed", "optik-gl-fixed", "slab-fixed", "resizable"}},
 	"server": {[]string{"Server", "Server latency"}, []string{"zipf get90/set8/del2 batch20%x16 init 65536"},
-		[]string{"store-1sh", "store-4sh", "store-16sh"}},
+		[]string{"store"}},
 	"ordered": {[]string{"Ordered", "Ordered latency"}, []string{"zipf get80/set8/del2/scan10x64 init 65536"},
 		[]string{"ordered"}},
 	"conns": {[]string{"Conns"}, []string{"conns 8 active 100%", "conns 8 active 25%"},
@@ -302,19 +302,17 @@ func TestHideHandlesSuppressesCaching(t *testing.T) {
 func TestFigServerEmitsSeriesAndRecords(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOpts(&buf)
-	o.Shards = []int{1, 2}
 	rec := &Recorder{}
 	o.Record = rec
 	figure(t, "server").Run(o)
 	out := buf.String()
-	for _, want := range []string{"Server", "Server latency", "store-1sh", "store-2sh", "batch20%", "get", "set", "del", "batch", "hit rate"} {
+	for _, want := range []string{"Server", "Server latency", "store", "batch20%", "get", "set", "del", "batch", "hit rate"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	// One throughput row per shard count plus one latency row per shard
-	// count.
-	if got, want := len(rec.Rows), 2*len(o.Shards); got != want {
+	// One throughput row and one latency row.
+	if got, want := len(rec.Rows), 2; got != want {
 		t.Fatalf("recorded %d rows, want %d", got, want)
 	}
 	for _, row := range rec.Rows {
@@ -333,21 +331,5 @@ func TestFigServerEmitsSeriesAndRecords(t *testing.T) {
 		default:
 			t.Fatalf("unexpected figure %q", row.Figure)
 		}
-	}
-}
-
-func TestNormalizeShards(t *testing.T) {
-	got := normalizeShards([]int{3, 4, 17, 1000})
-	want := []int{4, 32, 256}
-	if len(got) != len(want) {
-		t.Fatalf("normalizeShards = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("normalizeShards = %v, want %v", got, want)
-		}
-	}
-	if d := normalizeShards(nil); len(d) != 3 || d[0] != 1 {
-		t.Fatalf("default shards = %v", d)
 	}
 }

@@ -140,35 +140,28 @@ func figChurn(o RunOpts) []Panel {
 // storeInitial is the server and ordered figures' prefilled element count.
 const storeInitial = 65536
 
-// figServer runs the sharded-store scenario (beyond the paper: its tables
+// figServer runs the hash-store scenario (beyond the paper: its tables
 // are the building block, the store is the system the ROADMAP builds
 // toward): a zipfian GET/SET/DEL request stream with 20% of requests as
-// 16-key batches, swept across thread counts × shard counts. One column
-// per shard count puts the scaling axis in the table itself — the
-// 1-shard column is the unsharded table behind the same API, so any
-// separation between columns is what sharding buys on this machine. A
-// second pass at the top thread count samples per-op latency split by
-// request kind, where the batch amortization and the per-shard migration
-// containment actually show.
+// 16-key batches, swept across thread counts over the store's one table,
+// provisioned at the prefill size. A second pass at the top thread count
+// samples per-op latency split by request kind, where the batch
+// amortization shows.
 func figServer(o RunOpts) []Panel {
-	shards := normalizeShards(o.Shards)
-	series := make([]string, len(shards))
-	for i, sh := range shards {
-		series[i] = fmt.Sprintf("store-%dsh", sh)
-	}
 	wl := fmt.Sprintf("zipf get90/set8/del2 batch20%%x16 init %d", storeInitial)
-	run := func(s, th int, sample bool) workload.ServerResult {
+	run := func(th int, sample bool) workload.ServerResult {
 		return workload.RunServer(workload.ServerConfig{
 			Threads: th, Duration: o.Duration, InitialSize: storeInitial,
 			SetPct: 8, DelPct: 2, BatchPct: 20, BatchSize: 16, SampleLatency: sample,
-		}, storeFactory(shards[s], storeInitial))
+		}, func() *store.Store[uint64] { return store.New(store.WithShardBuckets(storeInitial)) })
 	}
+	series := []string{"store"}
 	return []Panel{{
 		Figure: "Server", Workload: wl,
 		Title:  fmt.Sprintf("Server — store.Store, %s (Mops/s)", wl),
 		Series: series,
-		Cell: func(s, th int) Row {
-			res := run(s, th, false)
+		Cell: func(_, th int) Row {
+			res := run(th, false)
 			return Row{Mops: res.Mops, FinalBuckets: res.FinalBuckets, MaxProcs: res.MaxProcs}
 		},
 	}, {
@@ -176,8 +169,8 @@ func figServer(o RunOpts) []Panel {
 		Title:   fmt.Sprintf("Server latency — per-op ns by request kind, %d threads", top(o)[0]),
 		Series:  series,
 		Threads: top(o),
-		Sample: func(s, th int) (Row, []string) {
-			res := run(s, th, true)
+		Sample: func(_, th int) (Row, []string) {
+			res := run(th, true)
 			row := latencyRow(res.Mops, res.Latency)
 			row.MaxProcs = res.MaxProcs
 			return row, []string{
@@ -186,45 +179,11 @@ func figServer(o RunOpts) []Panel {
 				kindLine("set", res.SetLatency),
 				kindLine("del", res.DelLatency),
 				kindLine("batch", res.BatchLatency),
-				fmt.Sprintf("hit rate %.1f%%, %d buckets across %d shards, %d resizes",
-					100*res.HitRate, res.FinalBuckets, shards[s], res.Resizes),
+				fmt.Sprintf("hit rate %.1f%%, %d buckets, %d resizes",
+					100*res.HitRate, res.FinalBuckets, res.Resizes),
 			}
 		},
 	}}
-}
-
-// normalizeShards applies store.New's shard rounding (next power of two,
-// capped at 256) up front and dedupes, so the printed series names, the
-// per-shard floor provisioning and the JSON join keys all describe the
-// configuration that actually runs — `-shards 3` measures and labels a
-// 4-shard store, not a phantom 3-shard one.
-func normalizeShards(in []int) []int {
-	if len(in) == 0 {
-		return []int{1, 4, 16}
-	}
-	out := make([]int, 0, len(in))
-	seen := map[int]bool{}
-	for _, n := range in {
-		p := 1
-		for p < n && p < 256 {
-			p <<= 1
-		}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// storeFactory builds the server figure's store: the initial size split
-// across the shards as each one's floor, so the per-shard provisioning is
-// fair at every shard count.
-func storeFactory(shards, initial int) func() *store.Store[uint64] {
-	perShard := max(initial/shards, 64)
-	return func() *store.Store[uint64] {
-		return store.New(store.WithShards(shards), store.WithShardBuckets(perShard))
-	}
 }
 
 // figOrdered runs the ordered-index scenario (beyond the paper: its skip

@@ -110,7 +110,7 @@ func TestStringsRestateLinearizable(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var evicted, elided uint64
 			for round := 0; round < 3; round++ {
-				s := c.new(store.WithShards(2), store.WithShardBuckets(16),
+				s := c.new(store.WithShardBuckets(16),
 					store.WithByteBudget(2*(store.PairOverhead+2)), store.WithoutMaintenance())
 				h := recordRestateHistory(s, 4, 60, 4)
 				_, _, ev := s.TTLStats()

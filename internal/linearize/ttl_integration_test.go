@@ -25,7 +25,6 @@ func recordKVTTLHistory(newStrings func(...store.Option) *store.Strings, gorouti
 	clock.Store(1_000_000_000)
 	s := newStrings(
 		store.WithClock(clock.Load),
-		store.WithShards(2),
 		store.WithShardBuckets(16),
 		store.WithoutMaintenance(),
 	)

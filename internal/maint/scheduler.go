@@ -45,8 +45,8 @@ const DefaultInterval = 10 * time.Millisecond
 //     second instead of a hundred times; a busy one is sampled at the
 //     base rate.
 //
-// Register and Unregister may be called at any time, including while the
-// scheduler is mid-pass; Stop halts the goroutine and waits for it.
+// Register may be called at any time, including while the scheduler is
+// mid-pass; Stop halts the goroutine and waits for it.
 type Scheduler struct {
 	mu      sync.Mutex
 	entries map[Maintainer]*schedEntry
@@ -131,15 +131,6 @@ func (s *Scheduler) Register(m Maintainer) {
 	}
 }
 
-// Unregister removes m from the maintenance rounds. The structure keeps
-// working — migration still advances on its updates and Quiesce remains
-// available — it just gets no background attention.
-func (s *Scheduler) Unregister(m Maintainer) {
-	s.mu.Lock()
-	delete(s.entries, m)
-	s.mu.Unlock()
-}
-
 // Stop halts the scheduler goroutine and waits for it to exit (promptly
 // even mid-quiesce: the per-table maintenance is cancellable). Idempotent;
 // a stopped scheduler stays stopped — start a new one instead.
@@ -218,7 +209,7 @@ var testHookPass func(active bool, interval time.Duration)
 
 // pass runs one maintenance round over every registered table and reports
 // whether any of them showed activity. The entry list is snapshotted so
-// Register/Unregister never wait behind a quiesce.
+// Register never waits behind a quiesce.
 func (s *Scheduler) pass() bool {
 	s.mu.Lock()
 	entries := make([]*schedEntry, 0, len(s.entries))

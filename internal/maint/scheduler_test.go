@@ -208,10 +208,9 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 	}
 }
 
-// TestSchedulerLifecycle pins Register/Unregister/Stop edge cases: double
-// registration is a no-op, unregistered tables stop being serviced but
-// keep working, Stop is idempotent, and a stopped scheduler refuses new
-// registrations instead of leaking them.
+// TestSchedulerLifecycle pins Register/Stop edge cases: double
+// registration is a no-op, Stop is idempotent, and a stopped scheduler
+// refuses new registrations instead of leaking them.
 func TestSchedulerLifecycle(t *testing.T) {
 	s := NewScheduler(time.Millisecond)
 	m := hashmap.NewResizable(8)
@@ -220,25 +219,18 @@ func TestSchedulerLifecycle(t *testing.T) {
 	if got := s.Tables(); got != 1 {
 		t.Fatalf("Tables = %d after double Register, want 1", got)
 	}
-	s.Unregister(m)
-	if got := s.Tables(); got != 0 {
-		t.Fatalf("Tables = %d after Unregister, want 0", got)
-	}
-	if !m.Insert(1, 1) {
-		t.Fatal("unregistered table stopped working")
-	}
 	s.Stop()
 	s.Stop() // idempotent
-	s.Register(m)
-	if got := s.Tables(); got != 0 {
-		t.Fatalf("stopped scheduler accepted a registration (Tables = %d)", got)
+	s.Register(hashmap.NewResizable(8))
+	if got := s.Tables(); got != 1 {
+		t.Fatalf("stopped scheduler accepted a registration (Tables = %d, want 1)", got)
 	}
 }
 
 // stubMaintainer is a minimal non-table Maintainer: the scheduler must
-// drive anything implementing the interface (the skip-list shards behind
-// store.Ordered ride the same goroutine), choosing the idle or busy pass
-// purely from the activity sample.
+// drive anything implementing the interface (the string layer's expiry
+// and eviction pass rides the same goroutine as the table), choosing the
+// idle or busy pass purely from the activity sample.
 type stubMaintainer struct {
 	sample atomic.Uint64
 	idles  atomic.Int64
@@ -298,9 +290,5 @@ func TestSchedulerMixedFleet(t *testing.T) {
 	}
 	if m.idles.Load() == 0 {
 		t.Fatal("stub maintainer never reached an idle pass")
-	}
-	s.Unregister(m)
-	if got := s.Tables(); got != 1 {
-		t.Fatalf("Tables = %d after Unregister, want 1", got)
 	}
 }

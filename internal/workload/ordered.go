@@ -73,8 +73,8 @@ type OrderedResult struct {
 }
 
 // RunOrdered drives the mixed point/scan workload against a fresh store
-// from factory and returns the aggregate result; the factory owns shard
-// count, RunOrdered closes the store after the final accounting.
+// from factory and returns the aggregate result; the factory owns its
+// options, RunOrdered closes the store after the final accounting.
 func RunOrdered(cfg OrderedConfig, factory func() *store.Ordered[uint64]) OrderedResult {
 	if cfg.Threads <= 0 || cfg.InitialSize <= 0 || cfg.Duration <= 0 {
 		panic("workload: Threads, InitialSize and Duration must be positive")

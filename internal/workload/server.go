@@ -1,4 +1,4 @@
-// The server scenario: the sharded store serving a cache-style request
+// The server scenario: the hash store serving a cache-style request
 // stream. Unlike the set workloads (fixed element count, strict set
 // semantics), this drives the store's own surface — GET / upsert-SET /
 // DEL over a zipfian key population, with a configurable fraction of the
@@ -72,7 +72,7 @@ type ServerResult struct {
 	PrefillLen int
 	// FinalLen is the store's Len after the final quiesce.
 	FinalLen int
-	// FinalBuckets and Resizes aggregate the shards after the run.
+	// FinalBuckets and Resizes read the store after the run.
 	FinalBuckets, Resizes int
 	// Latency summarizes every sampled key operation (ns); zero without
 	// SampleLatency.
@@ -91,8 +91,8 @@ type ServerResult struct {
 }
 
 // RunServer drives a server workload against a fresh store from factory
-// and returns the aggregate result. The factory builds the store so shard
-// count and maintenance mode stay with the caller; RunServer closes it
+// and returns the aggregate result. The factory builds the store so its
+// provisioning and maintenance mode stay with the caller; RunServer closes it
 // after the final accounting.
 func RunServer(cfg ServerConfig, factory func() *store.Store[uint64]) ServerResult {
 	if cfg.Threads <= 0 || cfg.InitialSize <= 0 || cfg.Duration <= 0 {

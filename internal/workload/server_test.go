@@ -21,7 +21,7 @@ func TestRunServerConservation(t *testing.T) {
 		SampleLatency: true,
 	}
 	res := RunServer(cfg, func() *store.Store[uint64] {
-		return store.New(store.WithShards(4), store.WithShardBuckets(64))
+		return store.New(store.WithShardBuckets(64))
 	})
 	if res.Ops == 0 || res.Gets == 0 || res.Sets == 0 || res.Dels == 0 {
 		t.Fatalf("thin run: %+v", res)
@@ -52,7 +52,7 @@ func TestRunServerBatchOnly(t *testing.T) {
 		Threads: 2, Duration: 100 * time.Millisecond, InitialSize: 1024,
 		SetPct: 20, DelPct: 10, BatchPct: 100, BatchSize: 4,
 	}, func() *store.Store[uint64] {
-		return store.New(store.WithShards(2), store.WithShardBuckets(64), store.WithoutMaintenance())
+		return store.New(store.WithShardBuckets(64), store.WithoutMaintenance())
 	})
 	if res.Ops == 0 {
 		t.Fatal("no ops")

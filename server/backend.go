@@ -53,15 +53,15 @@ func decimalKey(arg []byte) (uint64, bool) {
 // statsPrefix renders the store-side lines of the STATS reply; the server
 // appends its own connection/command counters after it. One line set for
 // both stores, so stats consumers read them with one parser:
-// buckets/resizes read 0 where shards do not resize, and an ordered server
-// adds the ordered:1 discriminator.
+// buckets/resizes read 0 where the index does not resize (the skip list),
+// and an ordered server adds the ordered:1 discriminator.
 func (s *Server) statsPrefix() string {
 	idx := s.st.Index()
 	lazy, swept, evicted := s.st.TTLStats()
 	prefix := fmt.Sprintf(
-		"len:%d\nshards:%d\nbuckets:%d\nresizes:%d\n"+
+		"len:%d\nbuckets:%d\nresizes:%d\n"+
 			"bytes_used:%d\nexpired_lazy:%d\nexpired_swept:%d\nevicted:%d\n",
-		idx.Len(), idx.Shards(), idx.Buckets(), idx.Resizes(),
+		idx.Len(), idx.Buckets(), idx.Resizes(),
 		s.st.BytesUsed(), lazy, swept, evicted)
 	if s.sorted != nil {
 		prefix += "ordered:1\n"

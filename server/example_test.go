@@ -10,7 +10,7 @@ import (
 // ExampleServer brings the whole stack up in-process: a string store, the
 // TCP front on a loopback port, and the pipelining client talking to it.
 func ExampleServer() {
-	st := store.NewStrings(store.WithShards(2))
+	st := store.NewStrings()
 	defer st.Close()
 	srv := server.New(st)
 	addr, err := srv.Start("127.0.0.1:0")

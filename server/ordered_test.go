@@ -220,7 +220,7 @@ func TestOrderedServerInvalidKey(t *testing.T) {
 // hash-backed server answers the ordered family with an error, not a
 // hang or a crash.
 func TestOrderedCommandsOnHashServer(t *testing.T) {
-	st := store.NewStrings(store.WithShards(2))
+	st := store.NewStrings()
 	srv := New(st)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

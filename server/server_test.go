@@ -19,7 +19,7 @@ import (
 // down with the test.
 func startServer(t *testing.T, opts ...Option) (*Server, *store.Strings, string) {
 	t.Helper()
-	st := store.NewStrings(store.WithShards(2), store.WithShardBuckets(64))
+	st := store.NewStrings(store.WithShardBuckets(64))
 	srv := New(st, opts...)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -338,7 +338,7 @@ func TestServerConcurrentConservation(t *testing.T) {
 		t.Fatalf("conservation violation: LEN = %d, net SET−DEL = %d", got, want)
 	}
 	stats := cl.Stats()
-	if stats["len"] != int64(net.Load()) || stats["shards"] != 2 || stats["commands"] == 0 {
+	if stats["len"] != int64(net.Load()) || stats["commands"] == 0 {
 		t.Fatalf("STATS inconsistent: %v", stats)
 	}
 }

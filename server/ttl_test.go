@@ -24,7 +24,6 @@ func startTTLServer(t *testing.T, ordered bool, extra ...store.Option) (*atomic.
 	clock.Store(1_000_000_000)
 	opts := append([]store.Option{
 		store.WithClock(clock.Load),
-		store.WithShards(2),
 		store.WithShardBuckets(64),
 	}, extra...)
 	var st *store.Strings
@@ -224,7 +223,7 @@ func documentedStatsFields(t *testing.T) []string {
 // was in use.
 func TestServerStatsFields(t *testing.T) {
 	const entry = store.PairOverhead + 2 // a two-digit value
-	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused", "coalesced_batches", "coalesced_keys"}
+	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused", "coalesced_batches", "coalesced_keys", "shards"}
 	documented := documentedStatsFields(t)
 	if len(documented) < 15 {
 		t.Fatalf("parsed only %d fields out of docs/PROTOCOL.md: %v", len(documented), documented)

@@ -7,9 +7,9 @@ import (
 )
 
 // ExampleStore shows the uint64 store surface: upsert Set semantics,
-// batched multi-key operations, and aggregated accounting across shards.
+// batched multi-key operations, and accounting.
 func ExampleStore() {
-	st := store.New(store.WithShards(4), store.WithShardBuckets(64))
+	st := store.New(store.WithShardBuckets(64))
 	defer st.Close()
 
 	if _, replaced := st.Set(1, 100); !replaced {
@@ -37,9 +37,9 @@ func ExampleStore() {
 }
 
 // ExampleStrings shows the string-valued store the network server
-// serves: same sharded OPTIK index, each value held by the index itself.
+// serves: the same OPTIK index, each value held by the index itself.
 func ExampleStrings() {
-	st := store.NewStrings(store.WithShards(2))
+	st := store.NewStrings()
 	defer st.Close()
 
 	st.Set("user:1", "alice")

@@ -3,8 +3,8 @@
 // would scatter adjacent keys and turn every range scan into a merge, and
 // the skip list needs no partition to scale: its contention is per tower,
 // not per structure (the paper's fig 11 runs one list to 40+ threads). So
-// an ordered store is one shard whatever WithShards says, and a scan is one
-// level-0 walk.
+// an ordered store is one skip list, as a hashed store is one table, and a
+// scan is one level-0 walk.
 //
 // Nothing else differs. Ordered and SortedStrings exist as types only so
 // that Scan, Min and Max are callable exactly where the index is sorted;
@@ -149,7 +149,7 @@ func (sh *orderedShard[V]) Len() int {
 }
 
 // Ordered is the index core over one sorted shard: every method of Store,
-// plus the ordered family — Scan, Min, Max — that a hash-routed store
+// plus the ordered family — Scan, Min, Max — that a hashed store
 // cannot serve.
 type Ordered[V comparable] struct {
 	Store[V]
@@ -158,14 +158,13 @@ type Ordered[V comparable] struct {
 
 // NewOrdered returns a store over one OPTIK skip list.
 // WithMaintenanceInterval and WithoutMaintenance mean what they do for
-// New; WithShards and WithShardBuckets do not apply.
+// New; WithShardBuckets does not apply.
 func NewOrdered(opts ...Option) *Ordered[uint64] { return newOrdered[uint64](newOptions(opts)) }
 
 // newOrdered is NewOrdered over any value word.
 func newOrdered[V comparable](o options) *Ordered[V] {
-	o.shards = 1
 	list := newOrderedShard[V]()
-	return &Ordered[V]{newStore(o, func() shard[V] { return list }), list}
+	return &Ordered[V]{newStore[V](o, list), list}
 }
 
 // Scan copies the live entries with from <= key <= to, ascending, into

@@ -49,13 +49,14 @@ func TestOrderedBasic(t *testing.T) {
 	}
 }
 
-// TestOrderedIsOneSkipList pins that an ordered store is one shard
-// whatever WithShards says, and that Scan, Min and Max over keys spread
-// across the whole key range read them in key order.
+// TestOrderedIsOneSkipList pins that an ordered store is its one skip
+// list — the shard under the index core is the list Scan reads — and that
+// Scan, Min and Max over keys spread across the whole key range read them
+// in key order.
 func TestOrderedIsOneSkipList(t *testing.T) {
-	s := NewOrdered(WithShards(16), WithoutMaintenance())
-	if got := s.Shards(); got != 1 {
-		t.Fatalf("Shards() = %d, want 1", got)
+	s := NewOrdered(WithoutMaintenance())
+	if sh, ok := s.shard.(*orderedShard[uint64]); !ok || sh != s.list {
+		t.Fatalf("index core's shard is %T, not the ordered store's skip list", s.shard)
 	}
 	want := []uint64{}
 	for k := uint64(ds.MinKey); k < ds.MaxKey-ds.MaxKey/64; k += ds.MaxKey / 64 {
@@ -85,69 +86,60 @@ func TestOrderedIsOneSkipList(t *testing.T) {
 }
 
 // TestOrderedBatchOps pins the multi-key calls over the skip list:
-// per-key outcomes and duplicates applied in arrival order. Each row asks
-// for a different shard count, which the ordered constructors ignore, so
-// every row must read the same one-shard store.
+// per-key outcomes and duplicates applied in arrival order.
 func TestOrderedBatchOps(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := NewOrdered(WithShards(shards), WithoutMaintenance())
-			if s.Shards() != 1 {
-				t.Fatalf("Shards() = %d, want 1", s.Shards())
-			}
-			keys := []uint64{100, 5000, 60000, 5000, 1}
-			if ins := s.MSet(keys, []uint64{1, 2, 3, 4, 5}); ins != 4 {
-				t.Fatalf("MSet inserted %d, want 4", ins)
-			}
-			got := make([]uint64, len(keys))
-			found := make([]bool, len(keys))
-			s.MGet(keys, got, found)
-			if !found[1] || got[1] != 4 || !found[3] || got[3] != 4 {
-				t.Fatalf("MGet[5000] = %d,%v want the later write 4 (in-order apply broken)", got[1], found[1])
-			}
-			if s.Len() != 4 {
-				t.Fatalf("Len = %d, want 4", s.Len())
-			}
-			if ins := s.MSet(keys[:2], []uint64{9, 9}); ins != 0 {
-				t.Fatalf("MSet over present keys inserted %d", ins)
-			}
-			if del := s.MDel([]uint64{100, 77, 60000}); del != 2 {
-				t.Fatalf("MDel removed %d, want 2", del)
-			}
-			if del := s.MDel([]uint64{5000, 1, 5000}); del != 2 {
-				t.Fatalf("MDel removed %d, want 2", del)
-			}
-			if s.Len() != 0 {
-				t.Fatalf("Len = %d after deleting everything", s.Len())
-			}
+	s := NewOrdered(WithoutMaintenance())
+	keys := []uint64{100, 5000, 60000, 5000, 1}
+	if ins := s.MSet(keys, []uint64{1, 2, 3, 4, 5}); ins != 4 {
+		t.Fatalf("MSet inserted %d, want 4", ins)
+	}
+	got := make([]uint64, len(keys))
+	found := make([]bool, len(keys))
+	s.MGet(keys, got, found)
+	if !found[1] || got[1] != 4 || !found[3] || got[3] != 4 {
+		t.Fatalf("MGet[5000] = %d,%v want the later write 4 (in-order apply broken)", got[1], found[1])
+	}
+	if s.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", s.Len())
+	}
+	if ins := s.MSet(keys[:2], []uint64{9, 9}); ins != 0 {
+		t.Fatalf("MSet over present keys inserted %d", ins)
+	}
+	if del := s.MDel([]uint64{100, 77, 60000}); del != 2 {
+		t.Fatalf("MDel removed %d, want 2", del)
+	}
+	if del := s.MDel([]uint64{5000, 1, 5000}); del != 2 {
+		t.Fatalf("MDel removed %d, want 2", del)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after deleting everything", s.Len())
+	}
 
-			st := NewSortedStrings(WithShards(shards), WithoutMaintenance())
-			replaced := make([]bool, len(keys))
-			if ins := st.MSet(keys, []string{"a", "b", "c", "d", "e"}, replaced); ins != 4 {
-				t.Fatalf("SortedStrings.MSet inserted %d, want 4", ins)
-			}
-			if !replaced[3] || replaced[0] || replaced[1] || replaced[2] || replaced[4] {
-				t.Fatalf("SortedStrings.MSet replaced = %v, want only the duplicate", replaced)
-			}
-			vals := make([]string, len(keys))
-			st.MGet(keys, vals, found)
-			for i, want := range []string{"a", "d", "c", "d", "e"} {
-				if !found[i] || vals[i] != want {
-					t.Fatalf("SortedStrings.MGet[%d] = %q,%v; want %q", i, vals[i], found[i], want)
-				}
-			}
-			delFound := make([]bool, 4)
-			if del := st.MDel([]uint64{100, 77, 5000, 5000}, delFound); del != 2 {
-				t.Fatalf("SortedStrings.MDel removed %d, want 2", del)
-			}
-			if !delFound[0] || delFound[1] || !delFound[2] || delFound[3] {
-				t.Fatalf("SortedStrings.MDel found = %v, want [true false true false]", delFound)
-			}
-			scanKeys := make([]uint64, 4)
-			if n := st.Scan(ds.MinKey, ds.MaxKey, scanKeys, vals[:4]); n != 2 || scanKeys[0] != 1 || scanKeys[1] != 60000 {
-				t.Fatalf("Scan after MDel = %v (%d entries), want [1 60000]", scanKeys[:n], n)
-			}
-		})
+	st := NewSortedStrings(WithoutMaintenance())
+	replaced := make([]bool, len(keys))
+	if ins := st.MSet(keys, []string{"a", "b", "c", "d", "e"}, replaced); ins != 4 {
+		t.Fatalf("SortedStrings.MSet inserted %d, want 4", ins)
+	}
+	if !replaced[3] || replaced[0] || replaced[1] || replaced[2] || replaced[4] {
+		t.Fatalf("SortedStrings.MSet replaced = %v, want only the duplicate", replaced)
+	}
+	vals := make([]string, len(keys))
+	st.MGet(keys, vals, found)
+	for i, want := range []string{"a", "d", "c", "d", "e"} {
+		if !found[i] || vals[i] != want {
+			t.Fatalf("SortedStrings.MGet[%d] = %q,%v; want %q", i, vals[i], found[i], want)
+		}
+	}
+	delFound := make([]bool, 4)
+	if del := st.MDel([]uint64{100, 77, 5000, 5000}, delFound); del != 2 {
+		t.Fatalf("SortedStrings.MDel removed %d, want 2", del)
+	}
+	if !delFound[0] || delFound[1] || !delFound[2] || delFound[3] {
+		t.Fatalf("SortedStrings.MDel found = %v, want [true false true false]", delFound)
+	}
+	scanKeys := make([]uint64, 4)
+	if n := st.Scan(ds.MinKey, ds.MaxKey, scanKeys, vals[:4]); n != 2 || scanKeys[0] != 1 || scanKeys[1] != 60000 {
+		t.Fatalf("Scan after MDel = %v (%d entries), want [1 60000]", scanKeys[:n], n)
 	}
 }
 
@@ -655,8 +647,8 @@ func TestShardSweepLapUnderChurn(t *testing.T) {
 		{"sorted", func(o options) *Store[uint64] { return &newOrdered[uint64](o).Store }, true},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
-			st := kind.new(newOptions([]Option{WithShards(1), WithShardBuckets(8), WithoutMaintenance()}))
-			sh := st.shards[0]
+			st := kind.new(newOptions([]Option{WithShardBuckets(8), WithoutMaintenance()}))
+			sh := st.shard
 			for k := uint64(1); k <= stable; k++ {
 				sh.Insert(2*k, k) // stable keys are even, churn keys odd
 			}

@@ -10,46 +10,38 @@
 //	                 additionally scans in key order. Both are generic
 //	                 over the value word: uint64 for the index stores,
 //	                 *pair for the string layer.
-//	router           data, not code: shard = (key·φ)>>shift, the top
-//	                 bits of a Fibonacci hash.
-//	index core       Store: shards behind the router, multi-key calls
-//	                 that loop over the point ops, store-wide
-//	                 aggregation, one shared maintenance scheduler.
-//	                 Ordered is the same core over one sorted shard — a
-//	                 single skip list, whose contention is per tower —
-//	                 and is the type that carries Scan/Min/Max.
+//	index core       Store: one shard, multi-key calls that loop over
+//	                 the point ops, monitoring counts, and the shard's
+//	                 maintenance scheduler. New builds it over one
+//	                 resizable hash table, whose contention is per
+//	                 bucket; Ordered is the same core over one skip
+//	                 list, whose contention is per tower, and is the
+//	                 type that carries Scan/Min/Max.
 //	string layer     Strings (values.go, ttl.go): immutable value pairs
 //	                 held by the index itself — a read is one hop from
 //	                 key to value — with per-entry TTL and byte-budget
 //	                 eviction. SortedStrings is the same layer over an
 //	                 Ordered index.
 //
-// Sharding is the classic route from a fast structure to a served system
-// (lock striping over optimistic structures — the design behind the
-// paper's ConcurrentHashMap baseline, scaled out): each shard owns its
-// locks and its striped counter (and, for the tables, its incremental
-// resize machinery), so shards never contend on anything — no shared
-// counter cell, no shared migration cursor. A resize migrates one shard's
-// buckets while the other shards serve traffic untouched, which bounds the
-// tail a resize can inflict on the store as a whole.
-//
-// The fleet shares exactly one piece of infrastructure: the maintenance
-// scheduler (internal/maint). One goroutine samples every table shard's
-// activity, quiesces the idle ones, and backs its poll interval off
-// exponentially while the whole fleet sleeps — the store costs one
-// goroutine and one timer at any shard count.
+// A store is one structure, not a striped fleet of them: the OPTIK table
+// already takes one lock per bucket and the skip list one per tower, so
+// two writers conflict only on the same bucket or tower, and a router
+// over several structures would split no conflict the structure does not
+// split already. The table's counter is striped and its resize is
+// incremental — every update migrates a bounded number of buckets — so a
+// resize never stops the store. One maintenance scheduler
+// (internal/maint) samples the table's activity, quiesces it when idle,
+// and backs its poll interval off exponentially while it sleeps.
 //
 // Batched operations (MGet, MSet, MDel) are loops over Get, Set and Del:
-// each key is routed and applied on its own, one indirect shard call per
-// key, in arrival order, so duplicates behave exactly as the sequential
-// scalar calls would. The writes check every key before they apply any.
+// each key is applied on its own, one indirect shard call per key, in
+// arrival order, so duplicates behave exactly as the sequential scalar
+// calls would. The writes check every key before they apply any.
 // Each key remains an independent linearizable operation; a batch is a
 // loop, not a transaction.
 package store
 
 import (
-	"math/bits"
-	"runtime"
 	"time"
 
 	"github.com/optik-go/optik/ds"
@@ -58,9 +50,9 @@ import (
 	"github.com/optik-go/optik/internal/rng"
 )
 
-// shard is the contract one partition of the index satisfies, over value
-// word V. Everything above it — routing, the value layer's expiry and
-// eviction — is written once against this surface; *hashmap.Resizable
+// shard is the contract the structure under a store satisfies, over value
+// word V. Everything above it — the index core, the value layer's expiry
+// and eviction — is written once against this surface; *hashmap.Resizable
 // implements it as is, *orderedShard wraps the skip list to do so. Both
 // are pointer-shaped, so a key's visit costs one itab call and the work
 // behind it is the structure's own.
@@ -94,35 +86,21 @@ type shard[V comparable] interface {
 	Len() int
 }
 
-// Store is a sharded key-value index over uint64 keys and values: the
-// hash-routed form New builds, and the core every other type in the
-// package is made of. All methods are safe for concurrent use. Keys follow
-// the library's range ([ds.MinKey, ds.MaxKey]); values are unrestricted.
+// Store is a key-value index over uint64 keys and values: the hashed form
+// New builds, and the core every other type in the package is made of.
+// All methods are safe for concurrent use. Keys follow the library's
+// range ([ds.MinKey, ds.MaxKey]); values are unrestricted.
 // The value word V is uint64 for every store a caller builds; the string
 // layer builds its own index over *pair.
 type Store[V comparable] struct {
-	shards []shard[V]
-	// The router: shard = (key*fibMul)>>shift, the product's top
-	// log2(shards) bits (the shard tables place buckets by bits 32 and up
-	// of the same product, so a route and a bucket index never alias for
-	// any sane shard × bucket count). A shift of 64 (one shard) routes
-	// everything to shard 0.
-	shift uint
+	shard shard[V]
 	sched *maint.Scheduler
 }
 
 var _ ds.Set = (*Store[uint64])(nil)
 
-// maxShards bounds the shard count.
-const maxShards = 256
-
-// fibMul is the Fibonacci multiplicative hash constant the hash router
-// shares with the shard tables' bucket placement.
-const fibMul = 0x9E3779B97F4A7C15
-
 // options collects construction knobs; see the Option helpers.
 type options struct {
-	shards       int
 	shardBuckets int
 	interval     time.Duration
 	maintenance  bool
@@ -136,24 +114,17 @@ type options struct {
 // Option configures the constructors.
 type Option func(*options)
 
-// WithShards sets the hash store's shard count, rounded up to a power of
-// two and capped at 256. The default is the next power of two >=
-// GOMAXPROCS — one shard per core's worth of traffic. The ordered
-// constructors ignore it: an ordered store is one skip list.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
-}
-
-// WithShardBuckets sets each hash shard's initial (and floor) bucket
-// count; the default is 1024. A shard never shrinks below its floor, so
-// this is the provisioned per-shard size. Sorted shards have no buckets.
+// WithShardBuckets sets the hash table's initial (and floor) bucket
+// count, rounded up to a power of two; the default is 1024. The table
+// never shrinks below its floor, so this is the provisioned size. The
+// ordered constructors ignore it: a skip list has no buckets.
 func WithShardBuckets(n int) Option {
 	return func(o *options) { o.shardBuckets = n }
 }
 
-// WithMaintenanceInterval sets the shared scheduler's base poll interval
+// WithMaintenanceInterval sets the scheduler's base poll interval
 // (default maint.DefaultInterval; it backs off exponentially while the
-// fleet idles).
+// store idles).
 func WithMaintenanceInterval(d time.Duration) Option {
 	return func(o *options) { o.interval = d }
 }
@@ -184,74 +155,52 @@ func WithByteBudget(n int64) Option {
 	return func(o *options) { o.byteBudget = n }
 }
 
-// newOptions applies opts over the defaults and settles the shard count.
+// newOptions applies opts over the defaults.
 func newOptions(opts []Option) options {
 	o := options{shardBuckets: 1024, maintenance: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.shards <= 0 {
-		o.shards = runtime.GOMAXPROCS(0)
-	}
-	n := 1
-	for n < o.shards && n < maxShards {
-		n <<= 1
-	}
-	o.shards = n
 	return o
 }
 
-// newStore assembles the index core: o.shards shards from newShard behind
-// the router, every shard that resizes registered on one shared
-// maintenance scheduler unless o says otherwise.
-func newStore[V comparable](o options, newShard func() shard[V]) Store[V] {
-	s := Store[V]{
-		shards: make([]shard[V], o.shards),
-		shift:  uint(64 - bits.TrailingZeros(uint(o.shards))),
-	}
-	for i := range s.shards {
-		s.shards[i] = newShard()
-	}
+// newStore assembles the index core over sh, registering sh on a
+// maintenance scheduler if it resizes, unless o says otherwise.
+func newStore[V comparable](o options, sh shard[V]) Store[V] {
+	s := Store[V]{shard: sh}
 	if o.maintenance {
 		s.sched = maint.NewScheduler(o.interval)
-		for _, sh := range s.shards {
-			if r, ok := sh.(resizer); ok {
-				s.sched.Register(r)
-			}
+		if r, ok := sh.(resizer); ok {
+			s.sched.Register(r)
 		}
 	}
 	return s
 }
 
-// New returns a hash-routed Store over resizable OPTIK hash tables, every
-// shard registered on one shared maintenance scheduler (unless
-// WithoutMaintenance). Close releases the scheduler goroutine.
+// New returns a Store over one resizable OPTIK hash table, registered on
+// a maintenance scheduler (unless WithoutMaintenance). Close releases the
+// scheduler goroutine.
 func New(opts ...Option) *Store[uint64] { return newHashed[uint64](newOptions(opts)) }
 
 // newHashed is New over any value word.
 func newHashed[V comparable](o options) *Store[V] {
-	s := newStore(o, func() shard[V] { return hashmap.NewResizableOf[V](o.shardBuckets) })
+	s := newStore[V](o, hashmap.NewResizableOf[V](o.shardBuckets))
 	return &s
 }
 
-// Close stops the shared maintenance scheduler. The shards stay usable —
-// migration still advances on updates and Quiesce still works — they just
-// get no background attention. Idempotent.
+// Close stops the maintenance scheduler. The store stays usable —
+// migration still advances on updates and Quiesce still works — it just
+// gets no background attention. Idempotent.
 func (s *Store[V]) Close() {
 	if s.sched != nil {
 		s.sched.Stop()
 	}
 }
 
-// shardID routes a key to its shard.
-func (s *Store[V]) shardID(key uint64) uint64 {
-	return key * fibMul >> s.shift
-}
-
 // Get returns the value stored under key, if present. Lock-free, like the
 // shard's Search.
 func (s *Store[V]) Get(key uint64) (V, bool) {
-	return s.shards[s.shardID(key)].Search(key)
+	return s.shard.Search(key)
 }
 
 // Set stores key→val, inserting or replacing in place, and returns the
@@ -262,15 +211,15 @@ func (s *Store[V]) Set(key uint64, val V) (V, bool) {
 	return old, replaced
 }
 
-// write routes one Put to its shard's Write: the body under Set, and under
+// write hands one Put to the shard's Write: the body under Set, and under
 // the string layer's writes, which build their pair lazily.
 func (s *Store[V]) write(key uint64, p ds.Put[V]) (old, val V, replaced bool) {
-	return s.shards[s.shardID(key)].Write(key, p)
+	return s.shard.Write(key, p)
 }
 
 // Del removes key, returning its value, if present.
 func (s *Store[V]) Del(key uint64) (V, bool) {
-	return s.shards[s.shardID(key)].Delete(key)
+	return s.shard.Delete(key)
 }
 
 // DelIfValue removes key only while it still maps to exactly val, checked
@@ -278,21 +227,22 @@ func (s *Store[V]) Del(key uint64) (V, bool) {
 // list's tower lock). The value layer's expiry/eviction retirement uses it
 // to splice out exactly the pair it judged dead, never a successor.
 func (s *Store[V]) DelIfValue(key uint64, val V) bool {
-	return s.shards[s.shardID(key)].DeleteIfValue(key, val)
+	return s.shard.DeleteIfValue(key, val)
 }
 
 // ReplaceIfValue swaps key's value from exactly old to new under the same
 // lock, reporting whether it did: the value layer's Expire and Persist
 // install a re-armed pair only over the one they read.
 func (s *Store[V]) ReplaceIfValue(key uint64, old, new V) bool {
-	return s.shards[s.shardID(key)].ReplaceIfValue(key, old, new)
+	return s.shard.ReplaceIfValue(key, old, new)
 }
 
-// sample probes the shard rnd's top bits choose (see shard.Sample) at a
-// position drawn from rnd remixed, so that the bits that chose the shard
-// do not also fix part of the position within it.
+// sample probes the shard (see shard.Sample) at a position drawn from rnd
+// remixed, so that consecutive steps of the caller's generator land on
+// unrelated positions in the bits either shard reads: the table's bucket
+// run and the skip list's stratum.
 func (s *Store[V]) sample(rnd uint64) ([hashmap.SampleWidth]uint64, [hashmap.SampleWidth]V, int) {
-	return s.shards[rnd>>56&uint64(len(s.shards)-1)].Sample(rng.Mix(rnd))
+	return s.shard.Sample(rng.Mix(rnd))
 }
 
 // Search implements ds.Set (alias of Get), so the workload drivers and
@@ -301,30 +251,21 @@ func (s *Store[V]) Search(key uint64) (V, bool) { return s.Get(key) }
 
 // Insert implements ds.Set: strict insert-if-absent.
 func (s *Store[V]) Insert(key uint64, val V) bool {
-	return s.shards[s.shardID(key)].Insert(key, val)
+	return s.shard.Insert(key, val)
 }
 
 // Delete implements ds.Set (alias of Del).
 func (s *Store[V]) Delete(key uint64) (V, bool) { return s.Del(key) }
 
-// Len sums the shard counts: O(shards × counter stripes), independent of
-// the element count. Same non-linearizable contract as every Len in the
+// Len reads the shard's count: O(counter stripes), independent of the
+// element count. Same non-linearizable contract as every Len in the
 // library.
-func (s *Store[V]) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
-	}
-	return n
-}
+func (s *Store[V]) Len() int { return s.shard.Len() }
 
-// Shards returns the shard count.
-func (s *Store[V]) Shards() int { return len(s.shards) }
-
-// resizer is the surface of shards that resize (the hash tables): their
+// resizer is the surface of a shard that resizes (the hash table): its
 // monitoring counts, and the maintenance a resize needs — the scheduler's
-// Maintainer contract and Quiesce. A store of sorted shards reads 0 for
-// both counts and has nothing to maintain.
+// Maintainer contract and Quiesce. An ordered store reads 0 for both
+// counts and has nothing to maintain.
 type resizer interface {
 	maint.Maintainer
 	Buckets() int
@@ -332,37 +273,29 @@ type resizer interface {
 	Quiesce()
 }
 
-// Buckets sums the shards' current bucket counts (racy; for monitoring).
+// Buckets reads the table's current bucket count (racy; for monitoring).
 func (s *Store[V]) Buckets() int {
-	n := 0
-	for _, sh := range s.shards {
-		if r, ok := sh.(resizer); ok {
-			n += r.Buckets()
-		}
+	if r, ok := s.shard.(resizer); ok {
+		return r.Buckets()
 	}
-	return n
+	return 0
 }
 
-// Resizes sums the shards' lifetime resize counts (racy; for monitoring).
+// Resizes reads the table's lifetime resize count (racy; for monitoring).
 func (s *Store[V]) Resizes() int {
-	n := 0
-	for _, sh := range s.shards {
-		if r, ok := sh.(resizer); ok {
-			n += r.Resizes()
-		}
+	if r, ok := s.shard.(resizer); ok {
+		return r.Resizes()
 	}
-	return n
+	return 0
 }
 
-// Quiesce drives every table shard's maintenance home: in-flight
-// migrations completed, pending resizes settled. Operators normally never
-// call it — the shared scheduler does — but workload phase transitions
-// and tests want the determinism.
+// Quiesce drives the table's maintenance home: in-flight migrations
+// completed, pending resizes settled. Operators normally never call it —
+// the scheduler does — but workload phase transitions and tests want the
+// determinism.
 func (s *Store[V]) Quiesce() {
-	for _, sh := range s.shards {
-		if r, ok := sh.(resizer); ok {
-			r.Quiesce()
-		}
+	if r, ok := s.shard.(resizer); ok {
+		r.Quiesce()
 	}
 }
 

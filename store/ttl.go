@@ -9,7 +9,7 @@
 // identity under the lock owning the index entry, so a successor written
 // since — always a different pair — is never mistaken for the entry that
 // expired). The index core makes that splice available on every shard
-// kind, so nothing here knows whether the store is hash-routed or sorted.
+// kind, so nothing here knows whether the store is hashed or sorted.
 // Readers of TTL-less entries pay one predictable branch; nothing on the
 // hot path ever blocks on the clock or the sweeper.
 //
@@ -357,27 +357,23 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 }
 
 // sweep examines a cursor quantum of the index for expired pairs and
-// retires them, reporting false if cancel cut it short. The cursor is a
-// shard and that shard's Sweep cursor, and a lap moves through the shards
-// in order; the quantum bounds the entries examined and, through the page
-// size, the positions walked, so an empty store costs a pass no more than
-// a full one. The page's pair slots are cleared after each call: the
-// sweeper keeps no value alive.
+// retires them, reporting false if cancel cut it short. The cursor is the
+// shard's Sweep cursor; the quantum bounds the entries examined and,
+// through the page size, the positions walked, so an empty store costs a
+// pass no more than a full one. The page's pair slots are cleared after
+// each call: the sweeper keeps no value alive.
 func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
-	shards := s.index.shards
 	defer clear(s.sweepPairs[:])
 	for calls := 0; calls < sweepQuantum/sweepPage; calls++ {
 		if canceled(cancel) {
 			return false
 		}
-		n, next := shards[s.sweepShard].Sweep(s.sweepCursor, s.sweepKeys[:], s.sweepPairs[:])
+		var n int
+		n, s.sweepCursor = s.index.shard.Sweep(s.sweepCursor, s.sweepKeys[:], s.sweepPairs[:])
 		for i, p := range s.sweepPairs[:n] {
 			if p.expiredAt(now) {
 				s.retire(s.sweepKeys[i], p, &s.expiredSwept)
 			}
-		}
-		if s.sweepCursor = next; next == 0 {
-			s.sweepShard = (s.sweepShard + 1) % uint64(len(shards))
 		}
 	}
 	return true
@@ -404,7 +400,7 @@ func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
 // state — the sweeper passes its maintMu-guarded field, write-path hands a
 // private local — so concurrent rounds never race; every retirement below
 // it is a thread-safe conditional delete (retire), and the stamp only ever
-// picks the candidate. The round allocates nothing: the shards hand each
+// picks the candidate. The round allocates nothing: the shard hands each
 // probe's entries back by value.
 func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, aggressive bool) int {
 	var best *pair

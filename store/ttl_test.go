@@ -119,8 +119,7 @@ func (r *ttlRef) ttl(key string) int64 {
 // body over either index, so every TTL and eviction suite below runs
 // against both rather than keeping an ordered twin: the sorted row drives
 // the same string-keyed surface through the embedded Strings (the hashed
-// keys land in its one skip list like any other uint64s, and it ignores
-// the WithShards the hash row is given).
+// keys land in its one skip list like any other uint64s).
 var stringsCtors = []struct {
 	name string
 	new  func(...Option) *Strings
@@ -146,7 +145,7 @@ func testTTLProperty(t *testing.T, newStrings func(...Option) *Strings) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			clk := newTestClock(1_000_000_000)
-			s := newStrings(WithClock(clk.fn()), WithShards(4), WithShardBuckets(16), WithoutMaintenance())
+			s := newStrings(WithClock(clk.fn()), WithShardBuckets(16), WithoutMaintenance())
 			ref := newTTLRef(clk.fn())
 			r := rng.NewXorshift(seed)
 			const keySpace = 32
@@ -228,7 +227,7 @@ func TestTTLSemanticsEdges(t *testing.T) { eachStrings(t, testTTLSemanticsEdges)
 
 func testTTLSemanticsEdges(t *testing.T, newStrings func(...Option) *Strings) {
 	clk := newTestClock(1_000_000_000)
-	s := newStrings(WithClock(clk.fn()), WithShards(1), WithoutMaintenance())
+	s := newStrings(WithClock(clk.fn()), WithoutMaintenance())
 
 	// Expire on a missing key reports false and creates nothing.
 	if s.Expire("missing", 10) {
@@ -318,7 +317,7 @@ func TestTTLMGetBatchExpiry(t *testing.T) { eachStrings(t, testTTLMGetBatchExpir
 
 func testTTLMGetBatchExpiry(t *testing.T, newStrings func(...Option) *Strings) {
 	clk := newTestClock(1_000_000_000)
-	s := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance())
+	s := newStrings(WithClock(clk.fn()), WithoutMaintenance())
 	keys := make([]string, 8)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
@@ -356,7 +355,7 @@ func TestTTLByteAccounting(t *testing.T) { eachStrings(t, testTTLByteAccounting)
 
 func testTTLByteAccounting(t *testing.T, newStrings func(...Option) *Strings) {
 	clk := newTestClock(1_000_000_000)
-	s := newStrings(WithClock(clk.fn()), WithShards(1), WithoutMaintenance())
+	s := newStrings(WithClock(clk.fn()), WithoutMaintenance())
 	if got := s.BytesUsed(); got != 0 {
 		t.Fatalf("empty store BytesUsed = %d", got)
 	}
@@ -448,7 +447,7 @@ func byteBudgetEviction(t *testing.T, newStrings func(...Option) *Strings, seed 
 		fill   = 60
 		budget = int64(perKey * 100) // room for 100 of the 150 keys
 	)
-	s := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance(), WithByteBudget(budget))
+	s := newStrings(WithClock(clk.fn()), WithoutMaintenance(), WithByteBudget(budget))
 	s.sweepRng = rng.Mix(seed) | 1
 	s.handRng.Store(rng.Mix(^seed) | 1)
 	val := make([]byte, valLen)
@@ -520,7 +519,7 @@ func testEvictionScanResistance(t *testing.T, newStrings func(...Option) *String
 		scan   = 5000
 		budget = int64((valLen + pairOverhead) * 1000)
 	)
-	s := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance(), WithByteBudget(budget))
+	s := newStrings(WithClock(clk.fn()), WithoutMaintenance(), WithByteBudget(budget))
 	val := strings.Repeat("v", valLen)
 	for i := 0; i < hot; i++ {
 		s.Set(fmt.Sprintf("hot%03d", i), val)
@@ -563,8 +562,8 @@ type evictMix struct {
 	val  string
 }
 
-func newEvictMix(newStrings func(...Option) *Strings, shards int) *evictMix {
-	s := newStrings(WithShards(shards), WithoutMaintenance(), WithClock(func() int64 { return 1 }),
+func newEvictMix(newStrings func(...Option) *Strings) *evictMix {
+	s := newStrings(WithoutMaintenance(), WithClock(func() int64 { return 1 }),
 		WithByteBudget(1))
 	return &evictMix{s: s, keys: rng.NewXorshift(3), val: strings.Repeat("v", 16)}
 }
@@ -591,7 +590,7 @@ func (m *evictMix) put(cold bool) uint64 {
 func TestEvictionWidensToACold(t *testing.T) {
 	const residents, rounds = 4000, 400
 	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
-		m := newEvictMix(newStrings, 2)
+		m := newEvictMix(newStrings)
 		s := m.s
 		defer s.Close()
 		cold := map[uint64]bool{}
@@ -673,7 +672,7 @@ func BenchmarkEvictRound(b *testing.B) {
 			cold int // per 10 residents
 		}{{"cold-rich", 5}, {"all-warm", 0}} {
 			b.Run(c.name+"/"+mix.name, func(b *testing.B) {
-				m := newEvictMix(c.new, 1)
+				m := newEvictMix(c.new)
 				s := m.s
 				defer s.Close()
 				for i := 0; i < 1<<17; i++ {
@@ -785,7 +784,7 @@ func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *St
 		f, _ := stampRead(p.touched.Load(), s.epoch.Load())
 		return f
 	}
-	s := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance(), WithByteBudget(1<<20))
+	s := newStrings(WithClock(clk.fn()), WithoutMaintenance(), WithByteBudget(1<<20))
 	s.Set("k", "v0")
 	if got := freq(s); got != 1 {
 		t.Fatalf("fresh key: freq %d, want 1", got)
@@ -821,7 +820,7 @@ func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *St
 
 	// No budget: the stamp is never read, so the write path neither loads the
 	// displaced pair's nor stores one — the successor keeps its birth stamp.
-	u := newStrings(WithClock(clk.fn()), WithShards(2), WithoutMaintenance())
+	u := newStrings(WithClock(clk.fn()), WithoutMaintenance())
 	u.Set("k", "v0")
 	p := u.lookup(k)
 	p.touched.Store(stampNew(0) + 40)
@@ -837,7 +836,7 @@ func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *St
 // without depending on real time passing: a fresh store's TTL ops work
 // and a TTL far in the future stays live.
 func TestTTLDefaultClock(t *testing.T) {
-	s := NewStrings(WithShards(1), WithoutMaintenance())
+	s := NewStrings(WithoutMaintenance())
 	s.SetEX("k", "v", 3600)
 	if v, ok := s.Get("k"); !ok || v != "v" {
 		t.Fatalf("Get = (%q,%v)", v, ok)
@@ -859,7 +858,7 @@ func TestTTLDefaultClock(t *testing.T) {
 // holds, after a collection, no more than 10% over the empty store plus
 // 16 bytes per entry it held — less than any index node, so a node or
 // tower kept reachable after its delete (on a free list, say) shows. The
-// hash shards are provisioned so the table never resizes: a delete must
+// hash table is provisioned so it never resizes: a delete must
 // clear the inline slot's value word itself, because no shrink will throw
 // the slab away. A value word that survives its entry — an inline slot
 // left set, a node or tower still reachable and pointing at its pair —
@@ -903,7 +902,7 @@ func testMemoryReturnsToFloor(t *testing.T, newStrings func(...Option) *Strings)
 	} {
 		t.Run(way.name, func(t *testing.T) {
 			clk := newTestClock(1_000_000_000)
-			s := newStrings(WithClock(clk.fn()), WithShards(2), WithShardBuckets(1<<14),
+			s := newStrings(WithClock(clk.fn()), WithShardBuckets(1<<14),
 				WithoutMaintenance(), WithByteBudget(1<<40))
 			empty := heap()
 			for i := uint64(1); i <= n; i++ {

@@ -1,5 +1,5 @@
 // The string layer: string values over the index core, one implementation
-// under the hash-routed Strings and the skip-list SortedStrings
+// under the hashed Strings and the skip-list SortedStrings
 // alike. The index maps a key (a string key's 64-bit hash, or the uint64
 // key itself on the sorted store) straight to its value: the index's value
 // word is a *pair, one immutable, pointer-free object holding the
@@ -270,7 +270,7 @@ func clampHash(v uint64) uint64 {
 // *pair values, with per-entry TTL and byte-budget eviction (ttl.go). The
 // *Hashed methods are the layer itself — they take the index key directly;
 // the string-keyed forms hash first. NewStrings builds it over a
-// hash-routed index — examples/kvstore runs that in-process and the
+// hashed index — examples/kvstore runs that in-process and the
 // server package serves it over TCP — and NewSortedStrings over a sorted
 // one. Distinct string keys whose hashes collide alias to one entry; with
 // 64-bit FNV-1a that needs ~2^32 live keys to become likely.
@@ -304,10 +304,9 @@ type Strings struct {
 	_ core.CacheLinePad
 
 	// The sweeper's state, under maintMu (see maintainPass): its position
-	// — a shard and that shard's cursor — its rng, and the page the sweep
-	// reads entries into.
+	// — the shard's Sweep cursor — its rng, and the page the sweep reads
+	// entries into.
 	maintMu     sync.Mutex
-	sweepShard  uint64
 	sweepCursor uint64
 	sweepRng    uint64
 	sweepKeys   [sweepPage]uint64
@@ -341,7 +340,7 @@ type governed struct {
 	epochTick atomic.Int64
 }
 
-// NewStrings returns a string store over a hash-routed index; the options
+// NewStrings returns a string store over a hashed index; the options
 // configure the index exactly as in New, and WithClock/WithByteBudget
 // configure the memory-governance layer (ttl.go).
 func NewStrings(opts ...Option) *Strings {

@@ -19,7 +19,7 @@ import (
 // TestStringsBasic pins the scalar surface: set/get/del, replace
 // semantics, and the byte counter following the live entries.
 func TestStringsBasic(t *testing.T) {
-	s := NewStrings(WithShards(2), WithShardBuckets(64), WithoutMaintenance())
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
 
 	if _, ok := s.Get("missing"); ok {
@@ -56,7 +56,7 @@ func TestStringsBasic(t *testing.T) {
 
 // TestStringsMGet pins the batched read path.
 func TestStringsMGet(t *testing.T) {
-	s := NewStrings(WithShards(4), WithShardBuckets(64), WithoutMaintenance())
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
 	for i := 0; i < 100; i++ {
 		s.Set(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i))
@@ -78,7 +78,7 @@ func TestStringsMGet(t *testing.T) {
 // writers that delete and re-store it: a reader must only ever observe a
 // value that was written for the key it asked about.
 func TestStringsConcurrentRecycle(t *testing.T) {
-	s := NewStrings(WithShards(2), WithShardBuckets(64), WithoutMaintenance())
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
 
 	// The interleaving the governance splice must survive, staged once by
@@ -177,7 +177,7 @@ func TestClampHashFoldsSentinels(t *testing.T) {
 // replaced or deleted pair is credited back), and duplicate hashes
 // applying in order.
 func TestStringsHashedBatches(t *testing.T) {
-	s := NewStrings(WithShards(4), WithShardBuckets(64), WithoutMaintenance())
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
 	keys := []string{"a", "b", "a", "c"}
 	hashes := make([]uint64, len(keys))
@@ -238,9 +238,9 @@ func TestMSetHashedGrowsLikeSetHashed(t *testing.T) {
 		n = 100_000
 	}
 	const batch = 64
-	batched := NewStrings(WithShards(2), WithoutMaintenance())
+	batched := NewStrings(WithoutMaintenance())
 	defer batched.Close()
-	scalar := NewStrings(WithShards(2), WithoutMaintenance())
+	scalar := NewStrings(WithoutMaintenance())
 	defer scalar.Close()
 	hashes := make([]uint64, 0, batch)
 	vals := make([]string, 0, batch)
@@ -266,7 +266,7 @@ func TestMSetHashedGrowsLikeSetHashed(t *testing.T) {
 // the data-race coverage for the batch paths, and the final Len must
 // match the model of net inserts — and BytesUsed the live entries.
 func TestStringsHashedBatchConcurrent(t *testing.T) {
-	s := NewStrings(WithShards(4), WithShardBuckets(64), WithoutMaintenance())
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
 	const workers, iters, span = 4, 300, 128
 	var net int64
@@ -357,7 +357,7 @@ func TestPairOneAllocation(t *testing.T) {
 			t.Fatalf("pair.%s is a %v: the object must hold no pointer", pt.Field(i).Name, k)
 		}
 	}
-	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance(),
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance(),
 		WithClock(func() int64 { return 1 }))
 	defer s.Close()
 	const k, runs = 7, 20
@@ -426,7 +426,7 @@ func TestPairDeadlineRoundTrip(t *testing.T) {
 	}
 
 	clock := now
-	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance(),
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance(),
 		WithClock(func() int64 { return clock }))
 	defer s.Close()
 	want := strings.Repeat("payload-", 9)
@@ -503,7 +503,6 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 	}
 	sweeper := []span{
 		{"maintMu", unsafe.Offsetof(s.maintMu), unsafe.Sizeof(s.maintMu)},
-		{"sweepShard", unsafe.Offsetof(s.sweepShard), unsafe.Sizeof(s.sweepShard)},
 		{"sweepCursor", unsafe.Offsetof(s.sweepCursor), unsafe.Sizeof(s.sweepCursor)},
 		{"sweepRng", unsafe.Offsetof(s.sweepRng), unsafe.Sizeof(s.sweepRng)},
 		{"sweepKeys", unsafe.Offsetof(s.sweepKeys), unsafe.Sizeof(s.sweepKeys)},
@@ -537,7 +536,7 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 // over its read buffer, so a store that aliased the argument would serve
 // whatever the connection received next.
 func TestSetCopiesValue(t *testing.T) {
-	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance(),
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance(),
 		WithClock(func() int64 { return 1 }))
 	defer s.Close()
 	buf := []byte("first-value")
@@ -560,7 +559,7 @@ func TestSetCopiesValue(t *testing.T) {
 // after its key is deleted, its index slot rewritten a hundred thousand
 // times and the collector run — pairs are never reused in place.
 func TestGetStringOutlivesEntry(t *testing.T) {
-	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance())
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
 	want := strings.Repeat("held", 16)
 	s.Set("held", want)
@@ -598,7 +597,7 @@ func TestValueTooLarge(t *testing.T) {
 		data unsafe.Pointer
 		n    int
 	})(unsafe.Pointer(&huge)).n = int(tooLong)
-	s := NewStrings(WithShards(1), WithShardBuckets(64), WithoutMaintenance())
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance())
 	defer s.Close()
 	defer func() {
 		if r := recover(); r != "store: value too large" {
@@ -620,7 +619,7 @@ func TestBytesUsedFormula(t *testing.T) {
 	if PairOverhead != 56 {
 		t.Fatalf("PairOverhead = %d, want 56 (bench workloads size budgets from it)", PairOverhead)
 	}
-	s := NewStrings(WithShards(2), WithShardBuckets(64), WithoutMaintenance(),
+	s := NewStrings(WithShardBuckets(64), WithoutMaintenance(),
 		WithClock(func() int64 { return 1 }))
 	defer s.Close()
 	const n = 1000
@@ -652,7 +651,7 @@ func TestBytesUsedFormula(t *testing.T) {
 // entries is exactly one allocation — the pair — however many entries the
 // hand retires, because a retirement is a conditional delete on the index
 // and nothing else: no free-list node, no closure. And an eviction round
-// on its own allocates nothing on either spine: the shards hand their
+// on its own allocates nothing on either spine: both shards hand their
 // samples back by value, so no scratch escapes through the shard
 // interface.
 func TestEvictingSetIsOneAllocation(t *testing.T) {
@@ -660,7 +659,7 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 	budget := int64(keep * (valLen + PairOverhead))
 	val := strings.Repeat("v", valLen)
 	for _, c := range stringsCtors {
-		s := c.new(WithShards(1), WithShardBuckets(1024), WithoutMaintenance(),
+		s := c.new(WithShardBuckets(1024), WithoutMaintenance(),
 			WithClock(func() int64 { return 1 }), WithByteBudget(budget))
 		next := uint64(0)
 		// overfill pushes the store past the hands' watermark behind the
@@ -704,7 +703,7 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 // stamp is left alone.
 func TestRestatingSetIsElided(t *testing.T) {
 	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
-		s := newStrings(WithShards(2), WithoutMaintenance(), WithClock(func() int64 { return 1 }))
+		s := newStrings(WithoutMaintenance(), WithClock(func() int64 { return 1 }))
 		defer s.Close()
 		k := HashKey("k")
 		pairOf := func() *pair { p, _ := s.index.Get(k); return p }
@@ -747,7 +746,7 @@ func TestRestatingSetIsElided(t *testing.T) {
 		}
 
 		for _, budget := range []int64{0, 1 << 20} {
-			b := newStrings(WithShards(2), WithoutMaintenance(), WithByteBudget(budget))
+			b := newStrings(WithoutMaintenance(), WithByteBudget(budget))
 			b.Set("k", "v")
 			p, _ := b.index.Get(k)
 			epoch := b.epoch.Load()
