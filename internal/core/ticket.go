@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"github.com/optik-go/optik/internal/backoff"
@@ -84,14 +85,21 @@ func (l *TicketLock) LockVersion(target TicketVersion) bool {
 // extension of §3.2.
 func (l *TicketLock) LockVersionBackoff(target TicketVersion) bool {
 	my := l.drawTicket()
-	for {
+	for i := 0; ; i++ {
 		cur := uint32(l.word.Load())
 		if cur == my {
 			return my == target.current()
 		}
 		// Spin proportionally to the number of threads ahead of us; each
 		// of them will hold the lock for roughly a constant-length
-		// critical section.
+		// critical section. Every 64th poll yields instead, as
+		// backoff.Poll does: with more waiters than processors the holder
+		// or the next in line may be descheduled, and spinning on would
+		// hand it the lock only at the end of our time slice.
+		if i&63 == 63 {
+			runtime.Gosched()
+			continue
+		}
 		backoff.Spin(int(my-cur) * backoff.InitialSpin)
 	}
 }

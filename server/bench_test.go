@@ -18,21 +18,30 @@ import (
 // any workload driver. The default variant pipelines scalar GETs, each
 // executed as it parses; multibulk replaces them with real MGET frames,
 // one store call per frame, bounding what merging requests could recover.
+// The budget variant serves the same GETs from a store under a byte budget
+// just roomy enough to hold the population (4,096 entries of ~60 charged
+// bytes in 256 KiB): every GET also counts a read on the read sketch and
+// touches its entry's stamp, and the sketch, sized for that budget, halves
+// within the first few thousand GETs of the timed loop — a sketch that
+// allocated would show here.
 func BenchmarkPipeline(b *testing.B) {
 	for _, depth := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchPipeline(b, depth, false)
+			benchPipeline(b, depth, false, 0)
 		})
 	}
 	for _, depth := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("depth=%d/multibulk", depth), func(b *testing.B) {
-			benchPipeline(b, depth, true)
+			benchPipeline(b, depth, true, 0)
 		})
 	}
+	b.Run("depth=64/budget", func(b *testing.B) {
+		benchPipeline(b, 64, false, 1<<18)
+	})
 }
 
-func benchPipeline(b *testing.B, depth int, multibulk bool) {
-	st := store.NewStrings(store.WithShardBuckets(1024), store.WithoutMaintenance())
+func benchPipeline(b *testing.B, depth int, multibulk bool, budget int64) {
+	st := store.NewStrings(store.WithShardBuckets(1024), store.WithoutMaintenance(), store.WithByteBudget(budget))
 	defer st.Close()
 	srv := New(st)
 	addr, err := srv.Start("127.0.0.1:0")

@@ -660,10 +660,10 @@ func (s *Server) statsText() string {
 			"conns_open:%d\nconns_rejected:%d\nconns_shed:%d\n"+
 			"buffers_resident:%d\n"+
 			"get_hits:%d\nget_misses:%d\nconn_panics:%d\n"+
-			"writes_elided:%d\nevicted_warm:%d\n",
+			"writes_elided:%d\nevicted_warm:%d\nevicted_new:%d\n",
 		s.active.Load(), s.accepted.Load(), s.commands.Load(),
 		s.active.Load(), s.rejected.Load(), s.shed.Load(),
 		s.buffersResident.Load(),
 		s.getHits.Load(), s.getMisses.Load(), s.connPanics.Load(),
-		s.st.WritesElided(), s.st.EvictedWarm())
+		s.st.WritesElided(), s.st.EvictedWarm(), s.st.EvictedNew())
 }

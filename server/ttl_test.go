@@ -218,9 +218,9 @@ func documentedStatsFields(t *testing.T) []string {
 // server, and on the ordered one the same plus its ordered:1 discriminator.
 // A field added to the reply and not the document, or the other way round,
 // fails here, and so does a field the document lists as removed;
-// writes_elided must count exactly the SETs that restated a value; and
+// writes_elided must count exactly the SETs that restated a value;
 // evicted_warm must count a victim the budget took while every resident
-// was in use.
+// was in use; and evicted_new must count a fresh key its own SET evicted.
 func TestServerStatsFields(t *testing.T) {
 	const entry = store.PairOverhead + 2 // a two-digit value
 	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused", "coalesced_batches", "coalesced_keys", "shards"}
@@ -265,9 +265,9 @@ func TestServerStatsFields(t *testing.T) {
 			if got := c.Stats()["writes_elided"]; got != 2 {
 				t.Errorf("writes_elided = %d after two restating SETs, want 2", got)
 			}
-			// Five entries fill the budget; each is read in two epochs, so
-			// all are warm, and the write that takes the store past the
-			// budget inherits its key's count. The victim is warm.
+			// Five entries fill the budget; each is read twice, so all are
+			// warm, and an overwrite that takes the store past the budget
+			// is not a fresh key and holds no duel. The victim is warm.
 			keys := []uint64{1, 11, 12, 13, 14}
 			for _, k := range keys[1:] {
 				c.Set(k, 10)
@@ -283,8 +283,17 @@ func TestServerStatsFields(t *testing.T) {
 			}
 			c.Set(11, 1000)
 			c.Quiesce()
-			if st := c.Stats(); st["evicted"] != 1 || st["evicted_warm"] != 1 {
-				t.Errorf("evicted %d (%d warm) with every resident in use, want 1 (1)", st["evicted"], st["evicted_warm"])
+			if st := c.Stats(); st["evicted"] != 1 || st["evicted_warm"] != 1 || st["evicted_new"] != 0 {
+				t.Errorf("evicted %d (%d warm, %d new) with every resident in use, want 1 (1, 0)", st["evicted"], st["evicted_warm"], st["evicted_new"])
+			}
+			// A fresh key nobody has read loses its duel with the residents,
+			// read twice each: its own SET evicts it.
+			c.Set(15, 10)
+			if _, ok := c.Get(15); ok {
+				t.Error("an unread fresh key was admitted over residents read twice")
+			}
+			if st := c.Stats(); st["evicted"] != 2 || st["evicted_new"] != 1 {
+				t.Errorf("evicted %d (%d new) after an unread fresh SET, want 2 (1)", st["evicted"], st["evicted_new"])
 			}
 		})
 	}

@@ -147,8 +147,11 @@ func WithClock(now func() int64) Option {
 
 // WithByteBudget bounds the string layer's approximate live footprint:
 // when bytes_used exceeds n, the maintenance pass evicts sampled entries —
-// the least often used first, the longest untouched among equals — until
-// back under. 0 (the default) means unbounded. The budget
+// the least often read first, the longest untouched among entries nobody
+// read — until back under, and a SET of a new key that takes the store
+// over n keeps that key only if it has been read more often than the
+// entry it would displace, or neither was read. 0 (the default) means
+// unbounded. The budget
 // governs bytes, not elements — the store sheds a few large values or
 // many small ones alike.
 func WithByteBudget(n int64) Option {

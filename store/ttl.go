@@ -18,10 +18,13 @@
 // cursor quantum of the index for expired pairs (shard.Sweep), and — when
 // a byte budget is configured and exceeded — evicts sampled entries (of K
 // random residents drawn with shard.Sample, more while all of them are in
-// use, the one whose stamp says it is used least often, then least
-// recently: see stampRead) until back under budget. Writers lend the same bounded hand inline when an insert finds
-// bytes past the watermark (evictHand), so the budget holds even when a
-// saturated box starves the scheduler goroutine.
+// use, the one the read sketch says is read least often, then the one
+// least recently touched: see evictSample) until back under budget.
+// Writers lend the same bounded hand inline when a write leaves the store
+// over budget (evictHand), so the budget holds even when a saturated box
+// starves the scheduler goroutine; a fresh insert's own entry duels the
+// hand's victim, and stays only if it has been read more often (TinyLFU
+// admission).
 //
 // Everything is driven through one injectable clock (WithClock), so tests
 // advance time by hand and every expiry behavior reproduces
@@ -34,6 +37,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"github.com/optik-go/optik/ds/hashmap"
 )
 
 const (
@@ -89,13 +94,13 @@ const (
 	// background scheduler that used to be the only epoch source.
 	epochPeriod = int64(time.Millisecond)
 	// aggressiveMaxFreq is the bar of the aggressive eviction mode: sampled
-	// entries touched in at most this many epochs of late go in bulk. One
-	// is what an insert is born with, so one-shot entries stop occupying a
-	// budgeted store within a blink and anything read again since does not
-	// qualify.
+	// entries the read sketch counts at most this many reads for go in
+	// bulk. One is what a refill carries — the GET that missed — so
+	// one-shot entries stop occupying a budgeted store within a blink and
+	// anything read again since does not qualify.
 	aggressiveMaxFreq = 1
 	// evictHandRounds bounds the write path's inline governance hand to
-	// this many sample rounds per insert, keeping the worst-case SET
+	// this many sample rounds per write, keeping the worst-case SET
 	// latency spike small while still reclaiming several entries' bytes
 	// per entry inserted (each aggressive round retires up to
 	// evictSampleK victims).
@@ -260,9 +265,15 @@ func (s *Strings) ByteBudget() int64 { return s.budget }
 func (s *Strings) WritesElided() uint64 { return uint64(max(s.elided.Sum(), 0)) }
 
 // EvictedWarm returns how many eviction victims were above the raze bar:
-// entries used more than once of late, evicted because the widened sample
-// that chose them held nothing colder.
+// entries read more than once of late, evicted because the widened sample
+// that chose them held nothing colder (or, for a fresh insert, because the
+// sample's victim was read at least as often).
 func (s *Strings) EvictedWarm() uint64 { return uint64(max(s.warm.Sum(), 0)) }
+
+// EvictedNew returns how many evictions took the entry the write lending
+// the round had just inserted: a fresh key that lost its duel with the
+// sample's victim. They are counted in TTLStats' evicted too.
+func (s *Strings) EvictedNew() uint64 { return s.evictedNew.Load() }
 
 // TTLStats snapshots the governance counters: entries retired lazily by
 // readers, retired by the background sweep, and evicted for the budget.
@@ -336,7 +347,7 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 		// precision for the ~K× throughput that keeps bytes_used pinned
 		// instead of drifting to the working-set size.
 		aggressive := s.BytesUsed() > s.budget+s.budget/16
-		n := s.evictSample(&s.sweepRng, now, epoch, aggressive)
+		n := s.evictSample(&s.sweepRng, now, epoch, aggressive, 0, nil)
 		if n == 0 {
 			fails++
 			continue
@@ -384,83 +395,138 @@ func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
 // reports the entries of a run of random buckets, or the successor of a
 // random key, and one that lands on nothing is skipped, not counted,
 // which keeps the sample a genuine best-of-K over residents) and returns
-// how many entries it retired. Expired pairs met along the way retire
-// immediately as swept. In the normal mode only the least used pair of the
-// sample is evicted: lowest decayed touch count, ties to the longest
-// untouched — where nothing is touched twice in a generation every count
-// reads 0 or 1 and the order is approx-LRU. In aggressive mode every
-// sampled pair at or under aggressiveMaxFreq goes, the round ending early
-// once the store is back at its budget (a round must not take a small
-// store further under than it was over), with the best-of-K single victim
-// as the fallback when the whole sample is in use (convergence must not
-// stall). Either way a round that has razed nothing and whose least used
-// pair is above that bar keeps sampling, up to evictWidenMax entries, so
-// the fallback victim is warm only when the widened sample held nothing
-// colder; such victims count on EvictedWarm. rng is caller-owned xorshift
-// state — the sweeper passes its maintMu-guarded field, write-path hands a
-// private local — so concurrent rounds never race; every retirement below
-// it is a thread-safe conditional delete (retire), and the stamp only ever
-// picks the candidate. The round allocates nothing: the shard hands each
-// probe's entries back by value.
-func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, aggressive bool) int {
+// how many entries it retired. A candidate is judged by its key first:
+// one that cannot displace the best so far — read more often, or as often
+// when both were read at all — is passed over without its pair being read
+// (in aggressive mode the best is always read more often than any entry
+// the round razes). A pair that is read retires on the spot, as swept, if
+// it has expired. In the normal mode only the least used pair of the sample is evicted:
+// fewest reads on the sketch, ties to the longest untouched — where
+// nothing has been read every count is 0 and the order is approx-LRU. In
+// aggressive mode every sampled pair read at most aggressiveMaxFreq times
+// goes, the round ending early once the store is back at its budget (a
+// round must not take a small store further under than it was over), with
+// the best-of-K single victim as the fallback when the whole sample is in
+// use (convergence must not stall). Either way a round that has razed
+// nothing, holds no duel, and whose least used pair is above that bar
+// keeps sampling, up to evictWidenMax entries, so the fallback victim is
+// warm only when the widened sample held nothing colder. Warm victims
+// count on EvictedWarm.
+//
+// A round lent by a fresh insert of fresh under k holds a duel for that
+// single victim, the newcomer itself never a candidate: it stays only if
+// the sketch counts strictly more reads for k than for the victim, or if
+// both count none — then nothing has been read and recency decides, and
+// the newcomer is the freshest entry there is. Otherwise the newcomer is
+// the one evicted, and it counts on EvictedNew. A duel does not widen its
+// sample: when the best of K is warm the newcomer is usually the colder
+// of the two, and widening duels as well cost a replay of cache_churn's
+// rings a fifth more time in the store for no hit rate
+// (docs/ARCHITECTURE.md). A round that razed entries in aggressive mode
+// holds no duel.
+//
+// rng is caller-owned xorshift state — the sweeper passes its
+// maintMu-guarded field, write-path hands a private local — so concurrent
+// rounds never race; every retirement below it is a thread-safe
+// conditional delete (retire), and the sketch and the stamp only ever pick
+// the candidate. The round allocates nothing: the shard hands each probe's
+// entries back by value.
+func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, aggressive bool, k uint64, fresh *pair) int {
 	var best *pair
 	var bestKey uint64
 	var bestFreq, bestAge uint32
 	evicted, live := 0, 0
 probes:
 	for i := 0; i < evictProbeMax && (live < evictSampleK ||
-		live < evictWidenMax && evicted == 0 && best != nil && bestFreq > aggressiveMaxFreq); i++ {
+		live < evictWidenMax && evicted == 0 && best != nil && bestFreq > aggressiveMaxFreq && fresh == nil); i++ {
 		*rng ^= *rng << 13
 		*rng ^= *rng >> 7
 		*rng ^= *rng << 17
 		keys, pairs, n := s.index.sample(*rng)
 		live += n
+		var freqs [hashmap.SampleWidth]uint32
+		s.sketch.counts(keys[:n], freqs[:n])
 		for j, p := range pairs[:n] {
-			k := keys[j]
+			pk, freq := keys[j], freqs[j]
+			if p == fresh {
+				continue // the newcomer's fate is the duel's
+			}
+			if best != nil && (freq > bestFreq || freq == bestFreq && freq != 0) {
+				continue // neither a victim nor razed: its pair is not read
+			}
 			if p.expiredAt(now) {
-				s.retire(k, p, &s.expiredSwept)
+				s.retire(pk, p, &s.expiredSwept)
 				continue
 			}
-			freq, age := stampRead(p.touched.Load(), epoch)
 			if aggressive && freq <= aggressiveMaxFreq {
-				if s.retire(k, p, &s.evicted) {
+				if s.retire(pk, p, &s.evicted) {
 					if evicted++; s.BytesUsed() <= s.budget {
 						break probes
 					}
 				}
 				continue
 			}
-			if best == nil || freq < bestFreq || (freq == bestFreq && age > bestAge) {
-				best, bestKey, bestFreq, bestAge = p, k, freq, age
+			if age := p.age(epoch); best == nil || freq < bestFreq || (freq == bestFreq && age > bestAge) {
+				best, bestKey, bestFreq, bestAge = p, pk, freq, age
 			}
 		}
 	}
-	if evicted == 0 && best != nil && s.retire(bestKey, best, &s.evicted) {
-		evicted = 1
-		if bestFreq > aggressiveMaxFreq {
-			s.warm.Add(bestKey, 1)
+	if evicted != 0 || best == nil {
+		return evicted
+	}
+	if fresh != nil {
+		if nf := s.sketch.count(k); nf <= bestFreq && (nf != 0 || bestFreq != 0) {
+			best, bestKey, bestFreq = fresh, k, nf
 		}
 	}
-	return evicted
+	if !s.retire(bestKey, best, &s.evicted) {
+		return 0
+	}
+	if best == fresh {
+		s.evictedNew.Add(1)
+	}
+	if bestFreq > aggressiveMaxFreq {
+		s.warm.Add(bestKey, 1)
+	}
+	return 1
 }
 
-// evictHand is the write path's bounded governance hand: an insert that
-// observes bytes_used past the aggressive watermark lends a few eviction
-// sample rounds inline, on the inserting goroutine's own time — the same
-// bargain the hash table strikes for resize migration (a busy structure
-// drives its own maintenance on the backs of its updates), and the same
-// one Redis strikes at maxmemory (the command that crosses the watermark
-// pays for the reclaim). The background passes alone cannot be trusted
-// with the budget: on a saturated box the scheduler goroutine runs tens
-// of milliseconds apart, and a hot write stream outgrows any bounded
-// burst it could evict that rarely. The hand is deliberately lock-free —
-// it must not queue behind (or be starved by) a running maintenance
-// pass, because a pass fighting a hot write stream for one core is
-// exactly when the writers' help is needed; each hand derives a private
-// rng from one atomic bump and races the confirmed deletes safely.
-func (s *Strings) evictHand() {
-	if s.budget == 0 || s.BytesUsed() <= s.budget+s.budget/16 {
+// evictHand is the write path's bounded governance hand: a write that
+// leaves bytes_used past the aggressive watermark, or a fresh insert that
+// leaves it past the budget, lends a few eviction sample rounds inline, on
+// the writing goroutine's own time — the same bargain the hash table
+// strikes for resize migration (a busy structure drives its own
+// maintenance on the backs of its updates), and the same one Redis strikes
+// at maxmemory (the command that crosses the watermark pays for the
+// reclaim). The background passes alone cannot be trusted with the budget:
+// on a saturated box the scheduler goroutine runs tens of milliseconds
+// apart, and a hot write stream outgrows any bounded burst it could evict
+// that rarely. fresh, under k, is the entry a scalar fresh insert just
+// stored (nil for any other write): the hand's first round holds its duel
+// (evictSample), so every such insert over the budget evicts one entry,
+// itself or a colder one, and a stream of them holds the budget. Under
+// the watermark that duel is the hand's only round; past it the hand runs
+// up to evictHandRounds aggressive rounds while the store is over. The
+// hand is deliberately lock-free — it must not queue behind (or be starved
+// by) a running maintenance pass, because a pass fighting a hot write
+// stream for one core is exactly when the writers' help is needed; each
+// hand derives a private rng from one atomic bump and races the confirmed
+// deletes safely.
+func (s *Strings) evictHand(k uint64, fresh *pair) {
+	if s.budget == 0 {
 		return
+	}
+	used, watermark := s.BytesUsed(), s.budget+s.budget/16
+	rounds := evictHandRounds
+	if used <= watermark {
+		if fresh == nil || used <= s.budget {
+			return
+		}
+		// A fresh insert's duel: one entry in, one out. More rounds here
+		// would take the store under its budget whenever another writer's
+		// insert landed meanwhile, and that writer's key would then skip
+		// its own duel.
+		rounds = 1
 	}
 	rng := s.handRng.Add(0x9E3779B97F4A7C15)
 	// A fresh clock, not the cached one: the hand is the component that
@@ -468,17 +534,18 @@ func (s *Strings) evictHand() {
 	// background passes, and the cached clock only moves when those very
 	// passes run — gating the tick on it would deadlock the epoch at
 	// pass cadence and collapse every resident entry into one
-	// indistinguishable stamp (eviction degrades to random, and
-	// random eviction of a zipfian resident set is a refill storm). The
-	// clock read is noise next to the probing below, and refreshing the
-	// cache here also tightens lazy expiry while the passes are starved.
+	// indistinguishable stamp (eviction among equal counts degrades to
+	// random). The clock read is noise next to the probing below, and
+	// refreshing the cache here also tightens lazy expiry while the passes
+	// are starved.
 	now := s.nowFresh()
 	if last := s.epochTick.Load(); now-last >= epochPeriod && s.epochTick.CompareAndSwap(last, now) {
 		s.epoch.Add(1)
 	}
 	epoch := s.epoch.Load()
-	for i := 0; i < evictHandRounds && s.BytesUsed() > s.budget; i++ {
-		s.evictSample(&rng, now, epoch, true)
+	for i := 0; i < rounds && (i == 0 || s.BytesUsed() > s.budget); i++ {
+		s.evictSample(&rng, now, epoch, used > watermark, k, fresh)
+		fresh = nil
 	}
 }
 

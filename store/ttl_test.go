@@ -404,15 +404,19 @@ func testTTLByteAccounting(t *testing.T, newStrings func(...Option) *Strings) {
 	}
 }
 
-// TestByteBudgetEviction pins the budget enforcement: exceed the budget,
-// run the governance pass, land at or under it — and prefer evicting
-// cold entries over recently touched ones, on every one of 64 seeds of
-// the sweep's and the write-path hands' rngs, with the sorted store's
-// mean cold survival within 0.05 of the hash store's. The keys' FNV
-// hashes fall in three clusters; on one skip list, a sample that drew the
-// successor of a key uniform over the whole [Min, Max] gave the gap below
-// the fill cluster ~81 % of its draws and the cold cluster ~0, and
-// evicted no cold entry on any seed.
+// TestByteBudgetEviction pins the budget enforcement: SET past the
+// budget, land at or under it — and prefer evicting cold entries over
+// recently touched ones, on every one of 64 seeds of the sweep's and the
+// write-path hands' rngs. Over the seeds each store keeps at most 0.15 of
+// the cold set, and the sorted store no more of it than the hash store
+// plus 0.05. The keys' FNV hashes fall in three clusters; on one skip
+// list, a sample that drew the successor of a key uniform over the whole
+// [Min, Max] gave the gap below the fill cluster ~81 % of its draws and
+// the cold cluster ~0, and evicted no cold entry on any seed. The hash
+// store's sample is uniform, and a uniform best-of-8 keeps ~0.09 of the
+// cold set here (each fill SET evicts the oldest unread entry of its
+// sample, a cold one if the sample holds any); the sorted store's strata
+// favour the cold cluster, and it keeps none.
 func TestByteBudgetEviction(t *testing.T) {
 	const seeds = 64
 	meanCold := map[string]float64{}
@@ -430,8 +434,13 @@ func TestByteBudgetEviction(t *testing.T) {
 			t.Logf("mean over %d seeds: hot survival %.2f, cold survival %.2f", seeds, hotSum/seeds, coldSum/seeds)
 		})
 	}
-	if d := meanCold["sorted"] - meanCold["hash"]; len(meanCold) == 2 && (d > 0.05 || d < -0.05) {
-		t.Errorf("mean cold survival: sorted %.3f, hash %.3f; want within 0.05", meanCold["sorted"], meanCold["hash"])
+	for name, cold := range meanCold {
+		if cold > 0.15 {
+			t.Errorf("%s: mean cold survival %.3f, want at most 0.15", name, cold)
+		}
+	}
+	if d := meanCold["sorted"] - meanCold["hash"]; len(meanCold) == 2 && d > 0.05 {
+		t.Errorf("mean cold survival: sorted %.3f, hash %.3f; want sorted at most hash + 0.05", meanCold["sorted"], meanCold["hash"])
 	}
 }
 
@@ -472,21 +481,22 @@ func byteBudgetEviction(t *testing.T, newStrings func(...Option) *Strings, seed 
 	if _, _, evicted := s.TTLStats(); evicted != 0 {
 		t.Fatalf("evicted %d entries while under budget", evicted)
 	}
-	// Phase 2: fresh filler pushes the store past budget; the governance
-	// pass must land at or under it, shedding the aged cold set first.
+	// Phase 2: fresh filler takes the store to its budget and past; each
+	// insert over it duels one victim inline, so the SETs alone hold the
+	// budget, shedding the aged cold set first.
 	for i := 0; i < fill; i++ {
 		s.Set(fmt.Sprintf("fill%03d", i), string(val))
 	}
-	if got := s.BytesUsed(); got <= budget {
-		t.Fatalf("setup: BytesUsed = %d, want > budget %d", got, budget)
-	}
-	s.Quiesce()
 	if got := s.BytesUsed(); got > budget {
-		t.Fatalf("post-Quiesce BytesUsed = %d, want <= budget %d", got, budget)
+		t.Fatalf("BytesUsed = %d after the SETs, want <= budget %d", got, budget)
 	}
 	_, _, evicted := s.TTLStats()
 	if evicted == 0 {
 		t.Fatal("nothing evicted")
+	}
+	s.Quiesce()
+	if got := s.BytesUsed(); got > budget {
+		t.Fatalf("post-Quiesce BytesUsed = %d, want <= budget %d", got, budget)
 	}
 	hotLive, coldLive := 0, 0
 	for i := 0; i < hot; i++ {
@@ -502,9 +512,9 @@ func byteBudgetEviction(t *testing.T, newStrings func(...Option) *Strings, seed 
 	return float64(hotLive) / float64(hot), float64(coldLive) / float64(cold)
 }
 
-// TestEvictionScanResistance pins what the frequency half of the stamp buys:
-// a hot set read in several epochs survives a one-pass insert of five times
-// the budget in never-read keys. Under a recency-only order the scan is
+// TestEvictionScanResistance pins what the read sketch buys: a hot set read
+// in several epochs survives a one-pass insert of five times the budget in
+// never-read keys. Under a recency-only order the scan is
 // always the freshest thing in the store and the hot set goes first — every
 // hot key is gone by the end. Both stores keep 99 % of the hot set: a
 // round whose best-of-K holds only hot keys widens its sample until it
@@ -553,9 +563,11 @@ func testEvictionScanResistance(t *testing.T, newStrings func(...Option) *String
 }
 
 // evictMix is a budgeted store without maintenance, filled behind the
-// string layer's back with entries whose stamps are set outright: warm
-// ones read in eight epochs, cold ones as an insert leaves them. put
-// charges and maps a fresh random key of the given temperature.
+// string layer's back: warm keys read eight times on the sketch, cold ones
+// never. The sketch is sized for 2^18 entries and the budget then cut to
+// one byte, so every round has work and the residents do not share
+// counters. put charges and maps a fresh random key of the given
+// temperature.
 type evictMix struct {
 	s    *Strings
 	keys *rng.Xorshift
@@ -564,17 +576,17 @@ type evictMix struct {
 
 func newEvictMix(newStrings func(...Option) *Strings) *evictMix {
 	s := newStrings(WithoutMaintenance(), WithClock(func() int64 { return 1 }),
-		WithByteBudget(1))
+		WithByteBudget(PairOverhead<<18))
+	s.budget = 1
 	return &evictMix{s: s, keys: rng.NewXorshift(3), val: strings.Repeat("v", 16)}
 }
 
 func (m *evictMix) put(cold bool) uint64 {
 	k := m.keys.Intn(1<<62) + 1
-	stamp := m.s.epoch.Load()<<stampCountBits | 8
-	if cold {
-		stamp = stampNew(m.s.epoch.Load())
+	for i := 0; i < 8 && !cold; i++ {
+		m.s.sketch.add(k)
 	}
-	p := newPair(m.val, 0, stamp)
+	p := newPair(m.val, 0, m.s.epoch.Load())
 	m.s.charge(k, p.size())
 	m.s.index.Set(k, p)
 	return k
@@ -586,21 +598,18 @@ func (m *evictMix) put(cold bool) uint64 {
 // cold entry evicts a cold one, on both stores, and a round whose sample
 // holds none evicts a warm one and counts it on EvictedWarm. A fixed
 // best-of-K evicts a warm entry whenever the cold ones lie past its first
-// K, so the test also requires rounds of that kind.
+// K, so the test also requires rounds of that kind. Cold is what the read
+// sketch says: a key whose four counters all collide with a warm key's
+// reads warm, and the round is right to treat it so.
 func TestEvictionWidensToACold(t *testing.T) {
 	const residents, rounds = 4000, 400
 	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
 		m := newEvictMix(newStrings)
 		s := m.s
 		defer s.Close()
-		cold := map[uint64]bool{}
-		put := func(c bool) {
-			if k := m.put(c); c {
-				cold[k] = true
-			}
-		}
+		isCold := func(k uint64) bool { return s.sketch.count(k) <= aggressiveMaxFreq }
 		for i := 0; i < residents; i++ {
-			put(i%10 == 0)
+			m.put(i%10 == 0)
 		}
 		epoch := s.epoch.Load()
 		rnd := uint64(0x9E3779B97F4A7C15)
@@ -615,14 +624,14 @@ func TestEvictionWidensToACold(t *testing.T) {
 				replay ^= replay << 17
 				keys, _, n := s.index.sample(replay)
 				for _, k := range keys[:n] {
-					if cold[k] && coldAt < 0 {
+					if isCold(k) && coldAt < 0 {
 						coldAt = live
 					}
 					sampled = append(sampled, k)
 					live++
 				}
 			}
-			if got := s.evictSample(&rnd, 1, epoch, false); got != 1 {
+			if got := s.evictSample(&rnd, 1, epoch, false, 0, nil); got != 1 {
 				t.Fatalf("round %d evicted %d entries, want 1", r, got)
 			}
 			victim, found := uint64(0), 0
@@ -635,7 +644,7 @@ func TestEvictionWidensToACold(t *testing.T) {
 				t.Fatalf("round %d: %d sampled keys gone, want the one victim", r, found)
 			}
 			switch {
-			case coldAt >= 0 && !cold[victim]:
+			case coldAt >= 0 && !isCold(victim):
 				t.Fatalf("round %d evicted a warm entry though entry %d of its widened sample was cold", r, coldAt)
 			case coldAt < 0:
 				warm++
@@ -645,14 +654,163 @@ func TestEvictionWidensToACold(t *testing.T) {
 			if got := s.EvictedWarm(); got != warm {
 				t.Fatalf("round %d: EvictedWarm = %d, want %d", r, got, warm)
 			}
-			delete(cold, victim)
-			put(coldAt >= 0)
+			m.put(coldAt >= 0)
 		}
 		t.Logf("%d of %d rounds found their cold victim past the first %d entries; %d had none to find",
 			pastK, rounds, evictSampleK, warm)
 		if pastK < rounds/10 {
 			t.Fatalf("only %d of %d rounds had their nearest cold entry past the first %d; the test does not exercise the widening",
 				pastK, rounds, evictSampleK)
+		}
+	})
+}
+
+// admissionStore is a store at its byte budget of 100 entries, each of
+// them read twice, with its rngs seeded from seed: every fresh SET from
+// here on duels one victim read at least twice.
+func admissionStore(t *testing.T, newStrings func(...Option) *Strings, seed uint64) (*Strings, string) {
+	const valLen, keep = 100, 100
+	budget := int64(keep * (valLen + PairOverhead))
+	s := newStrings(WithClock(func() int64 { return 1 }), WithoutMaintenance(), WithByteBudget(budget))
+	s.sweepRng = rng.Mix(seed) | 1
+	s.handRng.Store(rng.Mix(^seed) | 1)
+	val := strings.Repeat("v", valLen)
+	for i := 0; i < keep; i++ {
+		s.Set(fmt.Sprintf("res%03d", i), val)
+	}
+	for range 2 {
+		for i := 0; i < keep; i++ {
+			s.Get(fmt.Sprintf("res%03d", i))
+		}
+	}
+	if _, _, evicted := s.TTLStats(); evicted != 0 || s.BytesUsed() != budget {
+		t.Fatalf("setup: evicted %d, BytesUsed %d; want 0 and exactly the budget %d", evicted, s.BytesUsed(), budget)
+	}
+	return s, val
+}
+
+// TestAdmissionAdmitsAReadNewcomer pins the duel's first half: a key read
+// more often than every resident — here three GETs, each a miss, against
+// two — is admitted by its SET, and the SET evicts one resident in its
+// place, so bytes_used stays at the budget. One newcomer per store, over
+// 32 seeds: an admitted newcomer is a resident read three times, and the
+// sorted store's sample, which can draw one entry many times, would
+// otherwise pit later newcomers against it.
+func TestAdmissionAdmitsAReadNewcomer(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		for seed := uint64(1); seed <= 32; seed++ {
+			s, val := admissionStore(t, newStrings, seed)
+			for range 3 {
+				s.Get("new")
+			}
+			s.Set("new", val)
+			if _, ok := s.Get("new"); !ok {
+				t.Fatalf("seed %d: a newcomer read 3 times was evicted by its own SET", seed)
+			}
+			if _, _, evicted := s.TTLStats(); evicted != 1 || s.EvictedNew() != 0 || s.BytesUsed() > s.ByteBudget() {
+				t.Fatalf("seed %d: evicted %d (%d new), BytesUsed %d; want 1 (0 new) and at most %d",
+					seed, evicted, s.EvictedNew(), s.BytesUsed(), s.ByteBudget())
+			}
+			s.Close()
+		}
+	})
+}
+
+// TestAdmissionEvictsAnUnreadNewcomer pins the duel's second half: a key
+// read no more often than the residents — never, once, or as often as
+// they were — is evicted by its own write, SET and SETEX alike. The write
+// reports a fresh insert, bytes_used stays at the budget, a GET of the key
+// misses, every resident stays, and the eviction counts on EvictedNew.
+func TestAdmissionEvictsAnUnreadNewcomer(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		for seed := uint64(1); seed <= 16; seed++ {
+			s, val := admissionStore(t, newStrings, seed)
+			for i, reads := range []int{0, 1, 2, 0, 1, 2} {
+				key := fmt.Sprintf("new%03d", i)
+				for range reads {
+					s.Get(key)
+				}
+				if i < 3 {
+					if s.Set(key, val) {
+						t.Fatalf("seed %d: SET of newcomer %d reported a replacement", seed, i)
+					}
+				} else if s.SetEX(key, val, 100) {
+					t.Fatalf("seed %d: SETEX of newcomer %d reported a replacement", seed, i)
+				}
+				if _, ok := s.Get(key); ok {
+					t.Fatalf("seed %d: newcomer %d, read %d times against residents read twice, was admitted", seed, i, reads)
+				}
+				if _, _, evicted := s.TTLStats(); evicted != uint64(i+1) || s.EvictedNew() != uint64(i+1) || s.BytesUsed() > s.ByteBudget() {
+					t.Fatalf("seed %d, newcomer %d: evicted %d (%d new), BytesUsed %d; want %d (%d new) and at most %d",
+						seed, i, evicted, s.EvictedNew(), s.BytesUsed(), i+1, i+1, s.ByteBudget())
+				}
+			}
+			if got := s.Len(); got != 100 {
+				t.Fatalf("seed %d: %d residents left, want all 100", seed, got)
+			}
+			s.Close()
+		}
+	})
+}
+
+// TestAdmissionWriteOnlyKeepsNewest pins the duel's tie: in a store
+// nothing reads, every count is 0, so every newcomer stays and the victim
+// is the oldest entry of the sample. SETs of ten times the budget in keys,
+// one per millisecond, leave the store at its budget holding every one of
+// the last ten keys written and most of the last hundred, and next to
+// nothing of the first thousand.
+func TestAdmissionWriteOnlyKeepsNewest(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		const valLen, keep, writes = 100, 100, 1000
+		budget := int64(keep * (valLen + PairOverhead))
+		clk := newTestClock(1_000_000_000)
+		s := newStrings(WithClock(clk.fn()), WithoutMaintenance(), WithByteBudget(budget))
+		defer s.Close()
+		val := strings.Repeat("v", valLen)
+		for i := 0; i < writes; i++ {
+			clk.advance(epochPeriod)
+			s.Set(fmt.Sprintf("w%04d", i), val)
+		}
+		if s.BytesUsed() > budget || s.EvictedNew() != 0 {
+			t.Fatalf("BytesUsed %d, EvictedNew %d; want at most %d and 0", s.BytesUsed(), s.EvictedNew(), budget)
+		}
+		live := func(from, to int) (n int) {
+			for i := from; i < to; i++ {
+				if _, ok := s.index.Get(HashKey(fmt.Sprintf("w%04d", i))); ok {
+					n++
+				}
+			}
+			return n
+		}
+		newest, recent, old := live(writes-10, writes), live(writes-keep, writes), live(0, keep)
+		t.Logf("live: %d of the last 10, %d of the last %d, %d of the first %d", newest, recent, keep, old, keep)
+		if newest != 10 || recent < keep*3/4 || old > keep/20 {
+			t.Fatalf("live: %d of the last 10, %d of the last %d, %d of the first %d; want 10, at least %d, at most %d",
+				newest, recent, keep, old, keep, keep*3/4, keep/20)
+		}
+	})
+}
+
+// TestSketchSizeIsCapped pins the cap on the read sketch: a budget too
+// large for any heap — WithByteBudget(MaxInt64) — allocates at most
+// sketchMaxWords words more than the same store without a budget, and a
+// store without a budget has no sketch.
+func TestSketchSizeIsCapped(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		build := func(opts ...Option) (*Strings, uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s := newStrings(append(opts, WithoutMaintenance())...)
+			runtime.ReadMemStats(&after)
+			return s, after.TotalAlloc - before.TotalAlloc
+		}
+		plain, base := build()
+		capped, bytes := build(WithByteBudget(math.MaxInt64))
+		if plain.sketch != nil || len(capped.sketch.words) != sketchMaxWords {
+			t.Fatalf("sketch without a budget: %v; words under MaxInt64: %d, want %d", plain.sketch != nil, len(capped.sketch.words), sketchMaxWords)
+		}
+		if extra := bytes - base; extra > 8*sketchMaxWords+1024 {
+			t.Fatalf("WithByteBudget(MaxInt64) allocated %d bytes more than no budget, want at most %d", extra, 8*sketchMaxWords+1024)
 		}
 	})
 }
@@ -685,7 +843,7 @@ func BenchmarkEvictRound(b *testing.B) {
 				b.ResetTimer()
 				for range b.N {
 					warm := s.EvictedWarm()
-					n := s.evictSample(&rnd, 1, epoch, true)
+					n := s.evictSample(&rnd, 1, epoch, true, 0, nil)
 					b.StopTimer()
 					evicted += n
 					warmN := int(s.EvictedWarm() - warm)
@@ -700,135 +858,180 @@ func BenchmarkEvictRound(b *testing.B) {
 	}
 }
 
-// TestStampDecay pins the stamp arithmetic: one count per epoch however many
-// reads, halving exactly at generation boundaries, saturation, the one
-// generation of future a reader allows for, and the 24-bit epoch's horizon:
-// a stamp reads its true age until 2^24 - 2^10 epochs (≈ 4.6 h of ~1 ms
-// epochs), fresher than it is around the wrap, never older, never panicking.
-func TestStampDecay(t *testing.T) {
-	const gen = 1 << stampGenBits
-	stamp := func(epoch, count uint32) uint32 { return epoch<<stampCountBits | count }
-	for _, c := range []struct {
-		name      string
-		stamp     uint32
-		epoch     uint32
-		freq, age uint32
-	}{
-		{"fresh insert", stampNew(7), 7, 1, 0},
-		{"same generation", stamp(gen+1, 8), 2*gen - 1, 8, gen - 2},
-		{"one boundary", stamp(gen+1, 8), 2 * gen, 4, gen - 1},
-		{"boundary one epoch on", stamp(2*gen-1, 8), 2 * gen, 4, 1},
-		{"still one boundary", stamp(gen+1, 8), 3*gen - 1, 4, 2*gen - 2},
-		{"two boundaries", stamp(gen+1, 8), 3 * gen, 2, 2*gen - 1},
-		{"written on a boundary", stamp(gen, 8), 2*gen - 1, 8, gen - 1},
-		{"odd counts round down", stamp(gen, 5), 2 * gen, 2, gen},
-		{"decays to nothing", stamp(gen, 255), 9 * gen, 0, 8 * gen},
-		{"the oldest readable stamp", stamp(0, 255), 1<<23 - 1, 0, 1<<23 - 1},
-		{"from the future", stamp(10, 3), 7, 3, 0},
-		{"a generation ahead is still the future", stamp(7+gen, 3), 7, 3, 0},
-		{"further ahead is a wrapped stamp: oldest and coldest", stamp(8+gen, 3), 7, 0, 1<<24 - gen - 1},
-		{"half the epoch field old", stamp(0, 9), 1 << 23, 0, 1 << 23},
-		{"the horizon: a generation short of a wrap reads as the future", stamp(0, 9), 1<<24 - gen, 9, 0},
-		{"a full wrap reads fresh", stamp(5, 9), 1<<24 + 5, 9, 0},
-		{"and decays again from there", stamp(5, 9), 1<<24 + 5 + 4*gen, 0, 4 * gen},
-		{"epoch past 24 bits", stamp(1<<24-2, 8), 1<<24 + 1, 4, 3},
-		{"epoch at 32 bits", stamp(1<<24-1, 8), 1<<32 - 1, 8, 0},
-	} {
-		freq, age := stampRead(c.stamp, c.epoch)
-		if freq != c.freq || age != c.age {
-			t.Errorf("%s: stampRead(%#x, %d) = freq %d age %d, want freq %d age %d",
-				c.name, c.stamp, c.epoch, freq, age, c.freq, c.age)
+// TestReadSketch pins the sketch's arithmetic: a read raises a key's
+// estimate by one until it saturates at 15, a saturated read stores nothing
+// and is not counted toward the period, the read that ends the period is
+// reported, halving takes every estimate to half of it rounded down, and
+// the minimal increment leaves a hot key's counters alone when a key that
+// shares some of them is read.
+func TestReadSketch(t *testing.T) {
+	sk := newSketch(PairOverhead * 16 * 1024)
+	if len(sk.words) != 1024 {
+		t.Fatalf("a budget of 16,384 entries sized %d words, want 1,024", len(sk.words))
+	}
+	const hot, cold = 7, 1 << 40
+	for i := uint32(1); i <= 20; i++ {
+		if sk.add(hot) {
+			t.Fatalf("read %d ended a period of %d", i, sketchPeriod*1024)
 		}
-		// The second touch of an epoch never moves the stamp, and touch stores
-		// only a stamp that moved: at most one store per entry per epoch.
-		once := stampTouch(c.stamp, c.epoch)
-		if twice := stampTouch(once, c.epoch); twice != once {
-			t.Errorf("%s: second touch in epoch %d moved the stamp %#x → %#x", c.name, c.epoch, once, twice)
+		if got := sk.count(hot); got != min(i, counterMax) {
+			t.Fatalf("after %d reads count %d, want %d", i, got, min(i, counterMax))
 		}
-		if _, a := stampRead(once, c.epoch); a != 0 {
-			t.Errorf("%s: a stamp just touched reads age %d", c.name, a)
-		}
+	}
+	if left := sk.left.Load(); left != sketchPeriod*1024-counterMax {
+		t.Fatalf("%d reads left in the period after 15 counted, want %d", left, sketchPeriod*1024-counterMax)
+	}
+	for range 3 {
+		sk.add(cold)
+	}
+	if got := sk.count(cold); got != 3 {
+		t.Fatalf("cold key: count %d after 3 reads, want 3", got)
+	}
+	sk.left.Store(2)
+	if sk.add(cold) || !sk.add(cold) {
+		t.Fatal("the read that takes the period to zero must be the one reported")
+	}
+	sk.halve(100)
+	if h, c := sk.count(hot), sk.count(cold); h != counterMax/2 || c != 5/2 || sk.left.Load() != 100 {
+		t.Fatalf("after halving: hot %d, cold %d, period %d; want %d, %d, 100", h, c, sk.left.Load(), counterMax/2, 5/2)
 	}
 
-	// Through a pair: many reads in an epoch count once, each new epoch counts
-	// once more, the count holds at the cap, and a reader that snapshotted an
-	// older epoch does not take the stamp backwards.
-	p := newPair("v", 0, stampNew(4*gen))
-	for epoch := uint32(4 * gen); epoch < 4*gen+300; epoch++ {
-		for read := 0; read < 3; read++ {
-			p.touch(epoch)
+	// Minimal increment: reads of a key that shares the hot key's word and
+	// some, not all, of its counters raise only its own counters — the
+	// shared ones, already above its count, stay where the hot key put them
+	// — and it reads its own reads.
+	sk = newSketch(0)
+	hw, hsel := sk.slot(hot)
+	sharing := 0
+	for k := uint64(1); sharing < 20 && k < 1<<20; k++ {
+		w, sel := sk.slot(k)
+		same := 0
+		for i := range 4 {
+			if counterShift(sel, i) == counterShift(hsel, i) {
+				same++
+			}
 		}
-		want := min(epoch-4*gen+1, stampCountMax)
-		if freq, age := stampRead(p.touched.Load(), epoch); freq != want || age != 0 {
-			t.Fatalf("epoch %d: freq %d age %d after three reads, want freq %d age 0", epoch, freq, age, want)
+		if k == hot || w != hw || same == 0 || same == 4 {
+			continue
+		}
+		sharing++
+		clear(sk.words)
+		for range 5 {
+			sk.add(hot)
+		}
+		sk.add(k)
+		sk.add(k)
+		for i := range 4 {
+			if got := hw.Load() >> counterShift(hsel, i) & counterMax; got != 5 {
+				t.Fatalf("key %d, sharing %d of the hot key's counters, moved its counter %d to %d, want 5", k, same, i, got)
+			}
+		}
+		if c := sk.count(k); c != 2 {
+			t.Fatalf("key %d beside the hot key: count %d after 2 reads, want 2", k, c)
 		}
 	}
-	before := p.touched.Load()
-	if p.touch(4 * gen); p.touched.Load() != before {
-		t.Fatalf("a stale reader moved the stamp %#x → %#x", before, p.touched.Load())
+	if sharing == 0 {
+		t.Fatal("no key shared some of the hot key's counters")
 	}
 }
 
-// TestOverwriteInheritsFrequency pins that a key's count survives its pairs:
-// every write over a live key hands the displaced pair's stamp on (as one
-// more touch when the epoch moved), Expire and Persist pass it through
-// untouched, a fresh key starts at one — and without a budget none of it
-// happens, because nothing would ever read the result.
+// TestStampAge pins the recency stamp: a pair reads its age in epochs
+// since its last touch, a stamp up to stampFuture epochs ahead of the
+// reader reads age 0, a touch stores only a later epoch, and the
+// comparison is modulo 2^32.
+func TestStampAge(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		stamp, epoch uint32
+		age          uint32
+	}{
+		{"just touched", 7, 7, 0},
+		{"one epoch old", 7, 8, 1},
+		{"a thousand old", 7, 1007, 1000},
+		{"from the future", 10, 7, 0},
+		{"stampFuture ahead", 7 + stampFuture, 7, 0},
+		{"further ahead is a wrapped stamp: oldest", 8 + stampFuture, 7, 1<<32 - stampFuture - 1},
+		{"across the wrap", 1<<32 - 2, 3, 5},
+	} {
+		p := newPair("v", 0, c.stamp)
+		if got := p.age(c.epoch); got != c.age {
+			t.Errorf("%s: stamp %d at epoch %d reads age %d, want %d", c.name, c.stamp, c.epoch, got, c.age)
+		}
+		p.touch(c.epoch)
+		want := c.epoch // a touch takes an older stamp to the reader's epoch
+		if c.age == 0 {
+			want = c.stamp // and leaves one of age 0 alone
+		}
+		if got := p.touched.Load(); got != want {
+			t.Errorf("%s: a touch at epoch %d left stamp %d, want %d", c.name, c.epoch, got, want)
+		}
+	}
+}
+
+// TestOverwriteInheritsFrequency pins that a key's read count is the
+// key's, not its pair's: no write — Set, SetEX, MSetHashed, Expire,
+// Persist — moves it, neither does a DEL or the key's eviction, and a GET
+// moves it whether it hits or misses. Writes do reset the recency stamp:
+// a stored write's pair is born at the write's epoch, and Expire and
+// Persist carry the stamp through. Without a budget there is no sketch at
+// all.
 func TestOverwriteInheritsFrequency(t *testing.T) { eachStrings(t, testOverwriteInheritsFrequency) }
 
 func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *Strings) {
 	clk := newTestClock(1_000_000_000)
 	k := HashKey("k")
-	freq := func(s *Strings) uint32 {
-		p := s.lookup(k)
-		f, _ := stampRead(p.touched.Load(), s.epoch.Load())
-		return f
-	}
 	s := newStrings(WithClock(clk.fn()), WithoutMaintenance(), WithByteBudget(1<<20))
+	freq := func() uint32 { return s.sketch.count(k) }
+	stamp := func() uint32 { return s.lookup(k).touched.Load() }
 	s.Set("k", "v0")
-	if got := freq(s); got != 1 {
-		t.Fatalf("fresh key: freq %d, want 1", got)
+	if got := freq(); got != 0 {
+		t.Fatalf("fresh key: freq %d, want 0", got)
 	}
-	for epoch := 0; epoch < 5; epoch++ {
+	for range 5 {
 		s.epoch.Add(1)
 		s.Get("k")
 	}
-	want := uint32(6)
+	if freq() != 5 || stamp() != s.epoch.Load() {
+		t.Fatalf("five GETs: freq %d stamp %d, want 5 and epoch %d", freq(), stamp(), s.epoch.Load())
+	}
 	for _, w := range []struct {
 		name  string
 		do    func()
-		touch uint32
+		reset bool // the stamp is the write's epoch
 	}{
-		{"Set, same epoch", func() { s.Set("k", "v1") }, 0},
-		{"Set", func() { s.epoch.Add(1); s.Set("k", "v2") }, 1},
-		{"SetEX", func() { s.epoch.Add(1); s.SetEX("k", "v3", 100) }, 1},
+		{"Set", func() { s.Set("k", "v2") }, true},
+		{"SetEX", func() { s.SetEX("k", "v3", 100) }, true},
 		{"MSetHashed", func() {
-			s.epoch.Add(1)
 			s.MSetHashed([]uint64{HashKey("other"), k}, []string{"o", "v4"}, make([]bool, 2))
-		}, 1},
-		{"Expire", func() { s.epoch.Add(1); s.Expire("k", 100) }, 0},
-		{"Persist", func() { s.epoch.Add(1); s.Persist("k") }, 0},
+		}, true},
+		{"Expire", func() { s.Expire("k", 100) }, false},
+		{"Persist", func() { s.Persist("k") }, false},
 	} {
+		before := stamp()
+		s.epoch.Add(1)
 		w.do()
-		if want += w.touch; freq(s) != want {
-			t.Fatalf("%s over a hot key: freq %d, want %d", w.name, freq(s), want)
+		if freq() != 5 {
+			t.Fatalf("%s over a hot key: freq %d, want 5", w.name, freq())
+		}
+		if want := map[bool]uint32{true: s.epoch.Load(), false: before}[w.reset]; stamp() != want {
+			t.Fatalf("%s: stamp %d, want %d", w.name, stamp(), want)
 		}
 	}
-	if p := s.lookup(HashKey("other")); p.touched.Load()&stampCountMax != 1 {
-		t.Fatalf("fresh key in a batch: stamp %#x, want a count of 1", p.touched.Load())
+	if got := s.sketch.count(HashKey("other")); got != 0 {
+		t.Fatalf("fresh key in a batch: freq %d, want 0", got)
+	}
+	s.Del("k")
+	if _, ok := s.Get("k"); ok || freq() != 6 {
+		t.Fatalf("GET after DEL: hit %v, freq %d; want a miss counted, 6", ok, freq())
 	}
 
-	// No budget: the stamp is never read, so the write path neither loads the
-	// displaced pair's nor stores one — the successor keeps its birth stamp.
+	// No budget: no sketch, and a GET leaves the stamp alone.
 	u := newStrings(WithClock(clk.fn()), WithoutMaintenance())
 	u.Set("k", "v0")
-	p := u.lookup(k)
-	p.touched.Store(stampNew(0) + 40)
 	u.epoch.Add(1)
-	u.Set("k", "v1")
-	u.MSetHashed([]uint64{k}, []string{"v2"}, make([]bool, 1))
-	if p := u.lookup(k); p.touched.Load() != stampNew(u.epoch.Load()) {
-		t.Fatalf("no budget: overwrite left stamp %#x, want the birth stamp %#x", p.touched.Load(), stampNew(u.epoch.Load()))
+	u.Get("k")
+	if u.sketch != nil || u.lookup(k).touched.Load() != 0 {
+		t.Fatalf("no budget: sketch %v, stamp %d after a GET; want none and 0", u.sketch != nil, u.lookup(k).touched.Load())
 	}
 }
 

@@ -61,10 +61,11 @@ import (
 // string val handed out stays valid and unchanged for as long as anyone
 // holds it, and a pair's address names one value for its whole life.
 type pair struct {
-	// touched is the eviction stamp — how often and how recently the entry
-	// was used, in one word (see stampRead). Readers store it only when the
+	// touched is the recency stamp: the eviction epoch in which the entry
+	// was last read, or written (see age). Readers store it only when the
 	// epoch moved since their last visit, so a hot entry writes the line
-	// once per epoch, not once per read.
+	// once per epoch, not once per read. How often the key is read is the
+	// read sketch's to say (sketch.go), not the pair's.
 	touched atomic.Uint32
 	// n is the value length, with pairTTL set when the deadline word is
 	// present; read it through size, deadline and val.
@@ -84,7 +85,7 @@ const (
 // what guarantees the header's 8-byte alignment. A length the 31 bits left
 // beside the flag cannot hold is refused outright, never truncated
 // (pairLen).
-func newPair(val string, deadline int64, stamp uint32) *pair {
+func newPair(val string, deadline int64, epoch uint32) *pair {
 	words, n := pairWords, uint32(pairLen(val))
 	if deadline != 0 {
 		words, n = pairWords+1, n|pairTTL
@@ -92,7 +93,7 @@ func newPair(val string, deadline int64, stamp uint32) *pair {
 	obj := make([]uint64, words+(len(val)+7)/8)
 	p := (*pair)(unsafe.Pointer(&obj[0]))
 	p.n = n
-	p.touched.Store(stamp)
+	p.touched.Store(epoch)
 	if deadline != 0 {
 		obj[pairWords] = uint64(deadline)
 	}
@@ -144,74 +145,33 @@ func (p *pair) expiredAt(now int64) bool {
 	return d != 0 && d <= now
 }
 
-// The eviction stamp packs frequency and recency into pair.touched:
-//
-//	| epoch of the last counted touch : 24 | count : 8 |
-//
-// count is the number of distinct epochs in which the entry was touched,
-// saturating at stampCountMax, and it decays without anyone visiting the
-// entry: whoever reads the stamp halves the count once for every generation
-// boundary (a multiple of 2^stampGenBits epochs) crossed since the stamp was
-// written. The boundaries are global, so the halvings follow from the stamp
-// and the current epoch alone — no per-entry timer, no decay sweep.
-//
-// The stamp is advisory and racy by design: readers load and store it with
-// no read-modify-write, so concurrent touches can lose a count, and nothing
-// but the choice of an eviction victim may depend on it. The 24-bit epoch is
-// compared modulo 2^24. A stamp up to one generation ahead of the reader's
-// epoch is from the future — touched after the reader snapshotted the epoch —
-// and reads as just touched; every other distance is an age, so an entry
-// idle for hours reads oldest and coldest, as it is. Only at the wrap — idle
-// for 2^24 epochs, ≈ 4.6 h at the ~1 ms epochPeriod — does a stamp alias: for
-// the generation before it the entry reads as from the future, count
-// undecayed, and for the few after it as recently touched, until the
-// halvings have taken the count to nothing again. That is some ten seconds
-// of looking used in every 4.6 h of not being, and it costs a misjudged
-// victim or two, not a hot key.
-const (
-	stampCountBits = 8
-	stampCountMax  = 1<<stampCountBits - 1
-	stampEpochMask = 1<<(32-stampCountBits) - 1
-	// stampGenBits sets the generation to 1024 epochs, about a second. On
-	// cache_churn 2^7, 2^10, 2^12 and 2^14 all land within 0.3 points of
-	// hit_rate of one another (docs/ARCHITECTURE.md), so it is a constant.
-	stampGenBits = 10
-)
+// stampFuture is how many epochs ahead of a reader's epoch a stamp may be
+// and still read as just touched: a stamp is from the future when it was
+// stored after the reader loaded the epoch, which is a tick or two, and the
+// slack of 1024 epochs (about a second) covers a reader descheduled across
+// many.
+const stampFuture = 1 << 10
 
-// stampNew is the stamp of an entry first written in epoch: one touch.
-func stampNew(epoch uint32) uint32 { return epoch<<stampCountBits | 1 }
-
-// stampRead returns what a stamp says at epoch: the decayed touch count,
-// and the epochs since the last counted touch. A stamp from the future reads
-// age 0; raw subtraction would alias exactly the freshest entries to
-// astronomical ages. A shift by the bit width or more is 0 in Go, so a
-// stamp many generations old needs no clamp to read count 0.
-func stampRead(stamp, epoch uint32) (freq, age uint32) {
-	e := stamp >> stampCountBits
-	age = (epoch - e) & stampEpochMask
-	if age > stampEpochMask-1<<stampGenBits {
-		age = 0
+// age returns the epochs since the pair was last touched, as seen from
+// epoch, comparing modulo 2^32. A stamp up to stampFuture epochs ahead
+// reads age 0; raw subtraction would make exactly the freshest entries the
+// oldest. Every other distance is an age, so an entry idle for days reads
+// oldest, as it is, until the wrap at 2^32 epochs (≈ 49 days of ~1 ms
+// epochs), where it reads fresh for a second.
+func (p *pair) age(epoch uint32) uint32 {
+	a := epoch - p.touched.Load()
+	if -a <= stampFuture { // a stamp of the reader's epoch, or up to stampFuture ahead
+		return 0
 	}
-	halvings := (e&(1<<stampGenBits-1) + age) >> stampGenBits
-	return (stamp & stampCountMax) >> halvings, age
+	return a
 }
 
-// stampTouch returns stamp after one more touch at epoch: unchanged when
-// the stamp already counts this epoch (or a later one), so an entry's count
-// moves at most once per epoch however often it is read.
-func stampTouch(stamp, epoch uint32) uint32 {
-	freq, age := stampRead(stamp, epoch)
-	if age == 0 {
-		return stamp
-	}
-	return epoch<<stampCountBits | min(freq+1, stampCountMax)
-}
-
-// touch counts a read at epoch into the stamp, storing only if it moved.
+// touch moves the stamp to epoch, storing only if it is older: at most one
+// store per entry per epoch, and a reader that loaded an older epoch does
+// not take the stamp backwards.
 func (p *pair) touch(epoch uint32) {
-	old := p.touched.Load()
-	if stamp := stampTouch(old, epoch); stamp != old {
-		p.touched.Store(stamp)
+	if p.age(epoch) != 0 {
+		p.touched.Store(epoch)
 	}
 }
 
@@ -287,15 +247,17 @@ func clampHash(v uint64) uint64 {
 type Strings struct {
 	// Set once by init and read by every operation: the index, the byte
 	// counter, the counter of writes decided without storing (see put),
-	// the counter of warm eviction victims (see evictSample), the
-	// injectable clock (nil = coarse time.Now cached in cachedNow) and
-	// the byte budget (0 = unbounded). They own their cache line — the
-	// words below are stored by writers and by governance, and a GET must
-	// not take a miss on this line for it.
+	// the counter of warm eviction victims (see evictSample), the read
+	// sketch (nil without a budget), the injectable clock (nil = coarse
+	// time.Now cached in cachedNow) and the byte budget (0 = unbounded).
+	// They own their cache line — the words below are stored by writers
+	// and by governance, and a GET must not take a miss on this line for
+	// it.
 	index  *Store[*pair]
 	bytes  *core.Striped
 	elided *core.Striped
 	warm   *core.Striped
+	sketch *sketch
 	clock  func() int64
 	budget int64
 
@@ -323,12 +285,14 @@ type governed struct {
 	// cachedNow is the coarse clock, refreshed once per maintenance pass,
 	// by every TTL-setting op and by every eviction hand.
 	cachedNow atomic.Int64
-	// epoch is the eviction-stamp epoch: passes and hands advance it,
-	// stamps keep its low 24 bits.
+	// epoch is the recency stamps' epoch: passes and hands advance it.
 	epoch        atomic.Uint32
 	expiredLazy  atomic.Uint64
 	expiredSwept atomic.Uint64
 	evicted      atomic.Uint64
+	// evictedNew counts the evictions whose victim was the entry the
+	// write lending the round had just inserted (see evictSample).
+	evictedNew atomic.Uint64
 	// handRng seeds the write path's lock-free eviction hands (see
 	// evictHand): each hand derives a private xorshift state from one
 	// atomic bump, so concurrent hands probe independent entries without
@@ -351,13 +315,16 @@ func NewStrings(opts ...Option) *Strings {
 }
 
 // init wires the layer over index, in place (the scheduler keeps the
-// pointer): the byte counter, the governance options, the sweep rng and
-// cached clock seeded, and the governance pass registered on the index's
-// shared scheduler when one exists — WithoutMaintenance stores are driven
-// via Quiesce.
+// pointer): the byte counter, the governance options and, under a budget,
+// the read sketch, the sweep rng and cached clock seeded, and the
+// governance pass registered on the index's shared scheduler when one
+// exists — WithoutMaintenance stores are driven via Quiesce.
 func (s *Strings) init(index *Store[*pair], o options) {
 	s.index, s.bytes, s.elided, s.warm = index, core.NewStriped(0), core.NewStriped(0), core.NewStriped(0)
 	s.clock, s.budget = o.clock, o.byteBudget
+	if s.budget != 0 {
+		s.sketch = newSketch(s.budget)
+	}
 	s.sweepRng = 0x9E3779B97F4A7C15
 	s.handRng.Store(0x6A09E667F3BCC909)
 	if s.clock == nil {
@@ -432,11 +399,16 @@ func (s *Strings) SetHashed(k uint64, value string) bool {
 }
 
 // set is the scalar write under Set and SetEX: put, then an eviction hand
-// lent if the insert pushed the store past its watermark.
+// lent if the write left the store over its budget. A fresh insert hands
+// the hand its new entry, which duels the round's victim (evictSample) and
+// may lose: under a budget a SET can evict the key it just wrote.
 func (s *Strings) set(k uint64, value string, deadline int64) bool {
 	ds.CheckKey(k)
-	live := s.put(k, value, deadline, s.epoch.Load())
-	s.evictHand()
+	p, live := s.put(k, value, deadline, s.epoch.Load())
+	if live {
+		p = nil
+	}
+	s.evictHand(k, p)
 	return live
 }
 
@@ -445,17 +417,16 @@ func (s *Strings) set(k uint64, value string, deadline int64) bool {
 // decided on the index's validated read (restated): no pair, no lock, and
 // no version bump, so the bucket's or tower's readers do not restart. Any
 // other write has the index build its pair (buildPair) and publish it,
-// and the displaced pair is credited back — its stamp handed to the
-// successor, under a budget. The bytes are charged before the write, as
-// for any pair that may be published, and a kept write credits them back.
-// It reports whether a live value was replaced.
-func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) bool {
+// and the displaced pair is credited back. The bytes are charged before
+// the write, as for any pair that may be published, and a kept write
+// credits them back. It returns the pair k maps to after the write and
+// reports whether a live value was replaced. A write is not a read: it
+// counts nothing on the read sketch, and the pair it stores is born at the
+// write's epoch whatever its predecessor's stamp said.
+func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) (*pair, bool) {
 	w := ds.Put[*pair]{Build: buildPair, Bytes: value, Aux: deadline, Tag: epoch}
 	if deadline == 0 {
 		w.Keep = restated
-		if s.budget != 0 {
-			w.Keep = restatedTouched
-		}
 	}
 	n := pairLen(value) // a refused value is refused before it is charged
 	s.charge(k, n)
@@ -463,14 +434,14 @@ func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) bool
 	if replaced && p == old {
 		s.credit(k, n)
 		s.elided.Add(k, 1)
-		return true
+		return p, true
 	}
-	return replaced && s.displaced(k, p, old, epoch)
+	return p, replaced && s.unmapped(k, old)
 }
 
 // buildPair builds the pair a put stores: its value bytes, its deadline,
-// and a stamp of one touch in the put's epoch.
-func buildPair(w ds.Put[*pair]) *pair { return newPair(w.Bytes, w.Aux, stampNew(w.Tag)) }
+// and a recency stamp of the put's epoch.
+func buildPair(w ds.Put[*pair]) *pair { return newPair(w.Bytes, w.Aux, w.Tag) }
 
 // restated is a put's keep judgment: the entry has no deadline and holds
 // exactly the bytes being written (a pair with a deadline carries pairTTL
@@ -478,31 +449,6 @@ func buildPair(w ds.Put[*pair]) *pair { return newPair(w.Bytes, w.Aux, stampNew(
 // deadline, so storing would change nothing a reader can see.
 func restated(old *pair, w ds.Put[*pair]) bool {
 	return old.n == uint32(len(w.Bytes)) && old.val() == w.Bytes
-}
-
-// restatedTouched is restated under a byte budget: a kept write still
-// counts one touch on the entry's stamp, as displaced hands one to the
-// pair a stored write publishes — how often a key is used does not
-// depend on whether its write had anything to store.
-func restatedTouched(old *pair, w ds.Put[*pair]) bool {
-	if !restated(old, w) {
-		return false
-	}
-	old.touch(w.Tag)
-	return true
-}
-
-// displaced settles a pair a write of p under k just unmapped: its bytes
-// are credited back and, under a budget, its stamp is handed to p as one
-// more touch — how often a key is used is a property of the key, and a
-// write must not reset it (a reader's touch lost to this store is a lost
-// count). It reports whether old was live; one that had already expired
-// made the write a fresh insert, and counts as lazily expired.
-func (s *Strings) displaced(k uint64, p, old *pair, epoch uint32) bool {
-	if s.budget != 0 {
-		p.touched.Store(stampTouch(old.touched.Load(), epoch))
-	}
-	return s.unmapped(k, old)
 }
 
 // unmapped credits back a pair just unmapped from the index — replaced or
@@ -522,17 +468,32 @@ func (s *Strings) Get(key string) (string, bool) {
 	return s.GetHashed(HashKey(key))
 }
 
-// GetHashed is Get for a pre-hashed key: index → pair, plus the eviction
-// stamp's touch when a byte budget is in force.
+// GetHashed is Get for a pre-hashed key: index → pair, plus, when a byte
+// budget is in force, the read counted on the sketch — hit or miss, since
+// a key missed now is the refill admission will judge next — and a hit's
+// recency stamp moved to the current epoch.
 func (s *Strings) GetHashed(k uint64) (string, bool) {
 	p := s.lookup(k)
+	if s.sketch != nil {
+		s.read(k, p)
+	}
 	if p == nil {
 		return "", false
 	}
-	if s.budget != 0 {
+	return p.val(), true
+}
+
+// read counts a GET of k on the read sketch and touches its pair, if any.
+// The read that ends the sketch's period halves it, re-arming the period
+// at sketchPeriod reads per live entry (and per table word, so that a
+// nearly empty store does not halve at every turn).
+func (s *Strings) read(k uint64, p *pair) {
+	if s.sketch.add(k) {
+		s.sketch.halve(sketchPeriod * int64(max(s.Len(), len(s.sketch.words))))
+	}
+	if p != nil {
 		p.touch(s.epoch.Load())
 	}
-	return p.val(), true
 }
 
 // Del removes key, reporting whether it was present.
@@ -568,19 +529,19 @@ func (s *Strings) MGetHashed(hashes []uint64, vals []string, found []bool) {
 // into replaced[i] whether a live value was overwritten, and returns the
 // fresh-insert count. Every key is checked before any is charged or
 // applied; then each is one SetHashed, but the batch lends one eviction
-// hand, not one per key. replaced must be at least len(hashes) long.
+// hand, not one per key, and its fresh keys duel no victim. replaced must be at least len(hashes) long.
 // Duplicate hashes apply in order, exactly as sequential SetHashed calls.
 func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) int {
 	checkKeys(hashes)
 	epoch := s.epoch.Load()
 	inserted := 0
 	for i, k := range hashes {
-		replaced[i] = s.put(k, vals[i], 0, epoch)
+		_, replaced[i] = s.put(k, vals[i], 0, epoch)
 		if !replaced[i] {
 			inserted++
 		}
 	}
-	s.evictHand()
+	s.evictHand(0, nil)
 	return inserted
 }
 

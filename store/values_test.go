@@ -489,6 +489,7 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 		{"bytes", unsafe.Offsetof(s.bytes), unsafe.Sizeof(s.bytes)},
 		{"elided", unsafe.Offsetof(s.elided), unsafe.Sizeof(s.elided)},
 		{"warm", unsafe.Offsetof(s.warm), unsafe.Sizeof(s.warm)},
+		{"sketch", unsafe.Offsetof(s.sketch), unsafe.Sizeof(s.sketch)},
 		{"clock", unsafe.Offsetof(s.clock), unsafe.Sizeof(s.clock)},
 		{"budget", unsafe.Offsetof(s.budget), unsafe.Sizeof(s.budget)},
 	}
@@ -498,6 +499,7 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 		{"expiredLazy", unsafe.Offsetof(s.expiredLazy), unsafe.Sizeof(s.expiredLazy)},
 		{"expiredSwept", unsafe.Offsetof(s.expiredSwept), unsafe.Sizeof(s.expiredSwept)},
 		{"evicted", unsafe.Offsetof(s.evicted), unsafe.Sizeof(s.evicted)},
+		{"evictedNew", unsafe.Offsetof(s.evictedNew), unsafe.Sizeof(s.evictedNew)},
 		{"handRng", unsafe.Offsetof(s.handRng), unsafe.Sizeof(s.handRng)},
 		{"epochTick", unsafe.Offsetof(s.epochTick), unsafe.Sizeof(s.epochTick)},
 	}
@@ -667,7 +669,7 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 		overfill := func() {
 			for s.BytesUsed() <= budget+budget/16 {
 				next++
-				p := newPair(val, 0, stampNew(s.epoch.Load()))
+				p := newPair(val, 0, s.epoch.Load())
 				s.charge(next, p.size())
 				s.index.Set(next, p)
 			}
@@ -685,7 +687,7 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 		}
 		rng := uint64(0x9E3779B97F4A7C15)
 		evicted := s.evicted.Load()
-		objects, _ := allocsPerRun(100, overfill, func() { s.evictSample(&rng, 1, s.epoch.Load(), true) })
+		objects, _ := allocsPerRun(100, overfill, func() { s.evictSample(&rng, 1, s.epoch.Load(), true, 0, nil) })
 		if got := s.evicted.Load() - evicted; objects != 0 || got == 0 {
 			t.Errorf("%s: an eviction round made %d allocations (%d evictions over 100 rounds); want none", c.name, objects, got)
 		}
@@ -698,9 +700,9 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 // keeps the entry's pair — the same object, the same bytes_used — reports
 // the key replaced, and counts on WritesElided. A SET of other bytes, a
 // SETEX, and a SET over an entry with a TTL (it clears the deadline)
-// store. Under a byte budget a kept write still counts one touch on the
-// entry's stamp, as a stored one hands its successor; without one the
-// stamp is left alone.
+// store. A kept write is not a read: with a byte budget or without, it
+// moves neither the key's count on the read sketch nor the entry's
+// recency stamp.
 func TestRestatingSetIsElided(t *testing.T) {
 	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
 		s := newStrings(WithoutMaintenance(), WithClock(func() int64 { return 1 }))
@@ -752,9 +754,8 @@ func TestRestatingSetIsElided(t *testing.T) {
 			epoch := b.epoch.Load()
 			b.epoch.Store(epoch + 1)
 			b.Set("k", "v")
-			freq, _ := stampRead(p.touched.Load(), epoch+1)
-			if want := uint32(1 + min(budget, 1)); freq != want {
-				t.Fatalf("budget %d: a kept write left the stamp counting %d touches, want %d", budget, freq, want)
+			if p.touched.Load() != epoch || b.sketch != nil && b.sketch.count(k) != 0 {
+				t.Fatalf("budget %d: a kept write moved the stamp %d → %d or counted a read", budget, epoch, p.touched.Load())
 			}
 			b.Close()
 		}
