@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	optik-server [-addr :7979] [-shard-buckets 1024]
-//	             [-batch 512] [-maxconns 0]
+//	optik-server [-addr :7979] [-shard-buckets 1024] [-maxconns 0]
 //	             [-idle-grace 5s] [-shed-water 0]
 //	             [-byte-budget 0] [-ordered]
 //
@@ -16,8 +15,6 @@
 //	-shard-buckets the hash table's floor bucket count, rounded up to a
 //	               power of two (default 1024; the ordered store is one
 //	               skip list and ignores it)
-//	-batch         pipelined requests executed per reply flush
-//	               (default 512)
 //	-maxconns      concurrent connection cap (default 0 = unlimited)
 //	-idle-grace    how long a conn may sit idle before its buffers are
 //	               returned to the pool (default 5s; buffers come back
@@ -61,7 +58,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":7979", "listen address")
 	shardBuckets := flag.Int("shard-buckets", 1024, "the hash table's floor bucket count (ignored with -ordered)")
-	batch := flag.Int("batch", 512, "pipelined requests executed per reply flush")
 	maxConns := flag.Int("maxconns", 0, "concurrent connection cap (0 = unlimited)")
 	idleGrace := flag.Duration("idle-grace", 0, "idle grace before a conn's buffers return to the pool (0 = default 5s)")
 	shedWater := flag.Int("shed-water", 0, "shed idle conns above this population (0 = default: 90% of -maxconns)")
@@ -74,7 +70,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sopts := []server.Option{server.WithPipeline(*batch), server.WithMaxConns(*maxConns)}
+	sopts := []server.Option{server.WithMaxConns(*maxConns)}
 	if *idleGrace > 0 {
 		sopts = append(sopts, server.WithIdleGrace(*idleGrace))
 	}
@@ -98,8 +94,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "optik-server:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("optik-server: serving the %s store on %s (batch %d, maxconns %d)\n",
-		storeKind(*ordered), bound, *batch, *maxConns)
+	fmt.Printf("optik-server: serving the %s store on %s (maxconns %d)\n",
+		storeKind(*ordered), bound, *maxConns)
 
 	// SIGINT/SIGTERM drain the server before the store's scheduler stops.
 	sig := make(chan os.Signal, 1)

@@ -1,5 +1,5 @@
-// Command optik-vet runs the repo's OPTIK analyzer fleet (atomicfield,
-// optikvalidate, padcheck — see internal/analysis and docs/INVARIANTS.md).
+// Command optik-vet runs the repo's OPTIK analyzer fleet (optikvalidate,
+// padcheck — see internal/analysis and docs/INVARIANTS.md).
 //
 // Two modes, distinguished by the arguments:
 //

@@ -39,16 +39,15 @@
 // index node is ever reused: an unlinked chain node or skip-list tower is
 // frozen, and the garbage collector frees it once no lock-free reader can
 // still reach it — the role the paper's ssmem plays in C, with nothing for
-// a reader to announce. Background maintenance is a shared subsystem
-// (internal/maint): one Scheduler goroutine services any number of
-// registered structures — a table joins by implementing the three-method
-// Maintainer contract — watching each one's monotone
-// operation counter for idleness (balanced insert/delete traffic still
-// reads as active), quiescing the idle ones — migrations driven home —
-// and backing its poll interval off exponentially while everything
-// sleeps, so an abandoned oversized table registered on a scheduler
-// returns to its floor, and hands its memory back, with no caller
-// involvement.
+// a reader to announce. Background maintenance lives in internal/maint:
+// one Scheduler goroutine services the structures it is built with — a
+// table joins by implementing the three-method Maintainer contract —
+// watching each one's monotone operation counter for idleness (balanced
+// insert/delete traffic still reads as active), quiescing the idle ones —
+// migrations driven home — and backing its poll interval off
+// exponentially while everything sleeps, so an abandoned oversized table
+// under a scheduler returns to its floor, and hands its memory back, with
+// no caller involvement.
 //
 // The store package composes the pieces into a servable system, as one
 // stack: a shard contract (point ops, with one write body that builds

@@ -37,7 +37,7 @@
 //     makes Len O(shards) instead of O(n). Chain nodes are never reused:
 //     an unlinked or migrated node is frozen until the collector frees it.
 //     The table implements the maintenance scheduler's Maintainer
-//     contract (internal/maint), so a registered table is quiesced when
+//     contract (internal/maint), so a scheduled table is quiesced when
 //     traffic idles. See resizable.go for the design.
 package hashmap
 

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSchedulerReturnsTableToFloor is the acceptance scenario: a table
-// registered on a maintenance scheduler, grown to 1M elements and drained
+// serviced by a maintenance scheduler, grown to 1M elements and drained
 // to 1k, must return to its floor bucket count with ZERO caller calls to
 // Quiesce — the scheduler notices the idle and drives the shrink chain
 // home, leaving one floor-sized slab and no slab chain behind it for the
@@ -29,9 +29,8 @@ func TestSchedulerReturnsTableToFloor(t *testing.T) {
 	const keep = 1000
 	const floor = 4096
 	m := NewResizable(floor)
-	sched := maint.NewScheduler(0)
+	sched := maint.NewScheduler(0, m)
 	defer sched.Stop()
-	sched.Register(m)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -118,8 +117,7 @@ func TestSchedulerStartStopHammer(t *testing.T) {
 		go func(id int) {
 			defer hammerWG.Done()
 			for i := 0; i < 50; i++ {
-				s := maint.NewScheduler(time.Millisecond)
-				s.Register(m)
+				s := maint.NewScheduler(time.Millisecond, m)
 				if (i+id)%3 == 0 {
 					time.Sleep(200 * time.Microsecond)
 				}

@@ -60,7 +60,7 @@ import (
 // between sizes; the floor keeps a delete storm from shrinking a table
 // below its provisioned size. Migration advances only on the backs of
 // updates; Quiesce drives it (and any threshold-pending resize) home when
-// traffic stops, and a table registered on a maintenance scheduler
+// traffic stops, and a table handed to a maintenance scheduler
 // (internal/maint — the table implements its Maintainer contract) is
 // quiesced by it once traffic idles, so an abandoned oversized table hands
 // its memory back with no caller involvement.
@@ -652,7 +652,7 @@ func (r *Resizable[V]) maybeShrink() {
 // advances only on the backs of updates, so a table left oversized by a
 // delete storm keeps its memory until the next write burst; operators and
 // the churn workload call
-// Quiesce between traffic phases (or register the table on a
+// Quiesce between traffic phases (or hand the table to a
 // maint.Scheduler, which does the same through MaintainIdle). Safe to
 // call concurrently with operations, which proceed exactly as they do
 // against update-driven migration.

@@ -1,6 +1,6 @@
 // Package analysis is a self-contained, stdlib-only miniature of
 // golang.org/x/tools/go/analysis, shaped so the OPTIK invariant analyzers
-// (atomicfield, optikvalidate, padcheck) read exactly like upstream
+// (optikvalidate, padcheck) read exactly like upstream
 // analyzers and could be ported to the real framework by swapping one
 // import. The container this repo builds in carries no module
 // dependencies, so the framework re-implements the three pieces it needs:

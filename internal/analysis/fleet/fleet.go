@@ -6,14 +6,12 @@ package fleet
 
 import (
 	"github.com/optik-go/optik/internal/analysis"
-	"github.com/optik-go/optik/internal/analysis/atomicfield"
 	"github.com/optik-go/optik/internal/analysis/optikvalidate"
 	"github.com/optik-go/optik/internal/analysis/padcheck"
 )
 
 // Analyzers is the full fleet, in reporting order.
 var Analyzers = []*analysis.Analyzer{
-	atomicfield.Analyzer,
 	optikvalidate.Analyzer,
 	padcheck.Analyzer,
 }

@@ -8,18 +8,15 @@ import (
 	"github.com/optik-go/optik/internal/maint"
 )
 
-// ExampleScheduler shows one maintenance goroutine servicing a fleet of
-// tables: both tables are grown far past their floor, drained, and then
+// ExampleScheduler shows one maintenance goroutine servicing the two
+// tables it was built with: both tables are grown far past their floor, drained, and then
 // — with zero Quiesce calls from the caller — shrunk back to their floor
 // bucket counts by the shared scheduler alone.
 func ExampleScheduler() {
-	sched := maint.NewScheduler(time.Millisecond)
+	tables := []*hashmap.Resizable[uint64]{hashmap.NewResizable(64), hashmap.NewResizable(64)}
+	sched := maint.NewScheduler(time.Millisecond, tables[0], tables[1])
 	defer sched.Stop()
 
-	tables := []*hashmap.Resizable[uint64]{hashmap.NewResizable(64), hashmap.NewResizable(64)}
-	for _, m := range tables {
-		sched.Register(m)
-	}
 	for _, m := range tables {
 		for k := uint64(1); k <= 10000; k++ {
 			m.Insert(k, k)

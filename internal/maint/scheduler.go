@@ -1,11 +1,9 @@
-// Package maint is the shared maintenance goroutine behind every structure
-// that needs background attention: one Scheduler services any number of
-// registered Maintainers — hashmap.Resizable tables, a string store's
-// expiry/eviction pass — so a
-// sharded deployment pays one timer and one goroutine for its whole fleet
-// instead of one per shard. It lives outside ds/hashmap because nothing in
-// it is table-specific: a structure joins by implementing three methods,
-// without importing the hash map.
+// Package maint is the maintenance goroutine behind a store: one
+// Scheduler services the Maintainers its store hands it at construction —
+// the hash table, the string layer's expiry/eviction pass — pays only
+// while there is work, and backs off while there is none. It lives outside
+// ds/hashmap because nothing in it is table-specific: a structure joins by
+// implementing three methods, without importing the hash map.
 package maint
 
 import (
@@ -17,18 +15,16 @@ import (
 // DefaultInterval is the base poll period NewScheduler uses when given a
 // non-positive interval: short enough that an abandoned table shrinks
 // promptly, long enough that an idle scheduler is invisible in a profile.
-// While the fleet stays idle the scheduler backs the interval off
+// While every maintainer stays idle the scheduler backs the interval off
 // exponentially, up to idleBackoffMax times this.
 const DefaultInterval = 10 * time.Millisecond
 
-// Scheduler is one maintenance goroutine over a set of registered
-// structures. Each poll it samples every structure's activity; one idle
-// for two consecutive samples gets the full maintenance pass (a table
-// quiesces its resize chain home), one with traffic gets a bounded hand
-// and is otherwise left to drive its own maintenance on the backs of its
-// updates.
-//
-// Two properties make one goroutine enough for a fleet:
+// Scheduler is one maintenance goroutine over a fixed list of structures.
+// Each poll it samples every structure's activity; one idle for two
+// consecutive samples gets the full maintenance pass (a table quiesces its
+// resize chain home), one with traffic gets a bounded hand and is
+// otherwise left to drive its own maintenance on the backs of its updates.
+// Two properties keep that cheap:
 //
 //   - The activity signal is whatever monotone write-visible word the
 //     structure exposes (for the tables, the op half of the packed striped
@@ -36,25 +32,22 @@ const DefaultInterval = 10 * time.Millisecond
 //     an element *sum* instead would read perfectly balanced traffic —
 //     equal inserts and deletes, the steady state of any full cache — as
 //     idle. A spurious idle verdict is always safe (the idle pass is
-//     merely unnecessary work), but a scheduler serving many structures
-//     cannot afford to run full passes against busy ones.
+//     merely unnecessary work), but a scheduler cannot afford to run full
+//     passes against a busy structure.
 //   - The poll interval backs off exponentially while every structure is
 //     idle, doubling from the base up to idleBackoffMax times it, and
-//     snaps back to the base the moment any shows activity (or one is
-//     registered). An abandoned fleet costs a waking timer a few times a
-//     second instead of a hundred times; a busy one is sampled at the
-//     base rate.
+//     snaps back to the base the moment any shows activity. An abandoned
+//     store costs a waking timer a few times a second instead of a
+//     hundred times; a busy one is sampled at the base rate.
 //
-// Register may be called at any time, including while the scheduler is
-// mid-pass; Stop halts the goroutine and waits for it.
+// The goroutine alone reads and writes the list, so nothing in a pass
+// takes a lock. Stop halts the goroutine and waits for it.
 type Scheduler struct {
-	mu      sync.Mutex
-	entries map[Maintainer]*schedEntry
-	stop    chan struct{}
-	done    chan struct{}
-	wake    chan struct{}
-	stopped bool
-	base    time.Duration
+	entries  []schedEntry
+	stop     chan struct{}
+	done     chan struct{}
+	stopOnce sync.Once
+	base     time.Duration
 	// interval mirrors the goroutine's current poll interval in
 	// nanoseconds (racy reads via Interval; for monitoring and the
 	// backoff tests).
@@ -84,7 +77,7 @@ type Maintainer interface {
 	MaintainBusy()
 }
 
-// schedEntry is one registered structure plus its last activity sample.
+// schedEntry is one maintained structure plus its last activity sample.
 type schedEntry struct {
 	m      Maintainer
 	sample uint64
@@ -92,72 +85,43 @@ type schedEntry struct {
 }
 
 // idleBackoffMax caps the idle poll interval at this multiple of the base
-// interval: wide enough that an idle fleet's timer is background noise,
+// interval: wide enough that an idle store's timer is background noise,
 // narrow enough that the first write burst after a lull is picked up
 // within a second at the default base.
 const idleBackoffMax = 64
 
-// NewScheduler returns a running scheduler polling every base
-// (DefaultInterval when base <= 0). It starts with no tables; the
-// goroutine idles at the backed-off interval until the first Register.
-func NewScheduler(base time.Duration) *Scheduler {
+// NewScheduler returns a running scheduler polling ms every base
+// (DefaultInterval when base <= 0), in the order given.
+func NewScheduler(base time.Duration, ms ...Maintainer) *Scheduler {
 	if base <= 0 {
 		base = DefaultInterval
 	}
 	s := &Scheduler{
-		entries: make(map[Maintainer]*schedEntry),
+		entries: make([]schedEntry, len(ms)),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		wake:    make(chan struct{}, 1),
 		base:    base,
+	}
+	for i, m := range ms {
+		s.entries[i].m = m
 	}
 	s.interval.Store(int64(base))
 	go s.run()
 	return s
 }
 
-// Register adds m to the scheduler's maintenance rounds and resets the
-// poll interval to the base (a fresh structure deserves prompt attention).
-// Registering a structure twice, or on a stopped scheduler, is a no-op.
-func (s *Scheduler) Register(m Maintainer) {
-	s.mu.Lock()
-	if _, ok := s.entries[m]; !ok && !s.stopped {
-		s.entries[m] = &schedEntry{m: m}
-	}
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
 // Stop halts the scheduler goroutine and waits for it to exit (promptly
 // even mid-quiesce: the per-table maintenance is cancellable). Idempotent;
 // a stopped scheduler stays stopped — start a new one instead.
 func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		<-s.done
-		return
-	}
-	s.stopped = true
-	s.mu.Unlock()
-	close(s.stop)
+	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
 }
 
-// Tables returns how many structures are registered (racy; for
-// monitoring).
-func (s *Scheduler) Tables() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // Interval returns the scheduler's current poll interval: the base while
-// any table is active, backed off exponentially (up to idleBackoffMax ×
-// base) while all are idle. Racy; for monitoring and tests.
+// any structure is active, backed off exponentially (up to
+// idleBackoffMax × base) while all are idle. Racy; for monitoring and
+// tests.
 func (s *Scheduler) Interval() time.Duration {
 	return time.Duration(s.interval.Load())
 }
@@ -171,19 +135,6 @@ func (s *Scheduler) run() {
 		select {
 		case <-s.stop:
 			return
-		case <-s.wake:
-			// A registration: restart the cadence at the base so the new
-			// table's first sample lands promptly.
-			interval = s.base
-			s.interval.Store(int64(interval))
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(interval)
-			continue
 		case <-timer.C:
 		}
 		active := s.pass()
@@ -203,23 +154,16 @@ func (s *Scheduler) run() {
 // testHookPass, when non-nil, runs on the scheduler goroutine after every
 // timed pass with the pass's verdict and the interval the loop stored
 // after it. The backoff test follows the cadence pass by pass through it
-// instead of polling Interval, whose base-rate window after a Register is
+// instead of polling Interval, whose base-rate window after activity is
 // only a few milliseconds wide.
 var testHookPass func(active bool, interval time.Duration)
 
-// pass runs one maintenance round over every registered table and reports
-// whether any of them showed activity. The entry list is snapshotted so
-// Register never waits behind a quiesce.
+// pass runs one maintenance round over every structure and reports
+// whether any of them showed activity.
 func (s *Scheduler) pass() bool {
-	s.mu.Lock()
-	entries := make([]*schedEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
 	active := false
-	for _, e := range entries {
-		if s.service(e) {
+	for i := range s.entries {
+		if s.service(&s.entries[i]) {
 			active = true
 		}
 	}

@@ -14,11 +14,9 @@ import (
 // service tests: no goroutine, no timer, just the sampling state.
 func newTestScheduler() *Scheduler {
 	return &Scheduler{
-		entries: make(map[Maintainer]*schedEntry),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		wake:    make(chan struct{}, 1),
-		base:    DefaultInterval,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		base: DefaultInterval,
 	}
 }
 
@@ -82,11 +80,12 @@ func TestSchedulerValueUpdatesReadActive(t *testing.T) {
 }
 
 // TestSchedulerIdleBackoffWidens proves the poll interval actually backs
-// off: an idle scheduler must widen its interval pass by pass to the cap,
-// and a registration must snap it back to the base. It reads each pass's
-// verdict and stored interval through testHookPass: polling Interval would
-// have to land in the ~2 ms the interval stays at base after Register,
-// before idle backoff widens it again.
+// off: a scheduler whose one maintainer holds its sample still must widen
+// its interval pass by pass to the cap, and a moved sample must snap the
+// next pass back to the base. It follows each pass's verdict and stored
+// interval through testHookPass, which parks the scheduler goroutine until
+// the test resumes it, so the sample moves between two passes and never
+// during one.
 func TestSchedulerIdleBackoffWidens(t *testing.T) {
 	base := time.Millisecond
 	type passEvent struct {
@@ -94,58 +93,61 @@ func TestSchedulerIdleBackoffWidens(t *testing.T) {
 		interval time.Duration
 	}
 	events := make(chan passEvent)
+	resume := make(chan struct{})
 	quit := make(chan struct{})
 	testHookPass = func(active bool, interval time.Duration) {
 		select {
 		case events <- passEvent{active, interval}:
 		case <-quit:
+			return
+		}
+		select {
+		case <-resume:
+		case <-quit:
 		}
 	}
-	s := NewScheduler(base)
+	m := &stubMaintainer{}
+	s := NewScheduler(base, m)
 	defer func() {
 		close(quit)
 		s.Stop()
 		testHookPass = nil
 	}()
-	next := func() passEvent {
+	// next waits for a pass and checks its verdict and interval; the
+	// scheduler stays parked until resume.
+	next := func(what string, active bool, interval time.Duration) {
+		t.Helper()
 		select {
 		case e := <-events:
-			return e
+			if e.active != active || e.interval != interval {
+				t.Fatalf("%s: active %v, interval %v; want active %v, %v", what, e.active, e.interval, active, interval)
+			}
 		case <-time.After(30 * time.Second):
-			t.Fatal("no scheduler pass in 30 s")
-			return passEvent{}
+			t.Fatalf("%s: no scheduler pass in 30 s", what)
 		}
 	}
 	if got := s.Interval(); got != base {
 		t.Fatalf("fresh scheduler interval = %v, want %v", got, base)
 	}
-	// An empty fleet is idle: every pass doubles the interval, up to the cap.
+	// The first pass has no earlier sample to compare: it reads active.
+	next("first pass", true, base)
+	resume <- struct{}{}
+	// A still sample is idle: every pass doubles the interval, up to the cap.
 	for want := 2 * base; want <= idleBackoffMax*base; want *= 2 {
-		if e := next(); e.active || e.interval != want {
-			t.Fatalf("idle pass: active %v, interval %v; want idle, %v", e.active, e.interval, want)
-		}
+		next("idle pass", false, want)
+		resume <- struct{}{}
 	}
-	if e := next(); e.active || e.interval != idleBackoffMax*base {
-		t.Fatalf("idle pass at the cap: active %v, interval %v; want idle, %v", e.active, e.interval, idleBackoffMax*base)
-	}
-	// A registration is activity: the pass that first services the new
-	// table reads it active and leaves the cadence at the base. (A pass
-	// already past its snapshot when Register ran may report idle first.)
-	m := hashmap.NewResizable(8)
-	s.Register(m)
-	e := next()
-	if !e.active {
-		e = next()
-	}
-	if !e.active || e.interval != base {
-		t.Fatalf("pass after Register: active %v, interval %v; want active, %v", e.active, e.interval, base)
-	}
+	next("idle pass at the cap", false, idleBackoffMax*base)
+	m.sample.Add(1)
+	resume <- struct{}{}
+	next("pass after the sample moved", true, base)
+	resume <- struct{}{}
 }
 
-// TestSchedulerManyTablesOneGoroutine is the sharded-fleet scenario at
-// test scale: one scheduler (one goroutine) services 16 tables; each is
-// grown past several resizes and drained, and every one must return to
-// its floor with no caller Quiesce calls and no per-table goroutines.
+// TestSchedulerManyTablesOneGoroutine: one scheduler (one goroutine)
+// services 16 tables; each is grown past several resizes and drained, and
+// every one must return to its floor with no caller Quiesce calls and no
+// per-table goroutines.
 func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 	const tables = 16
 	const floor = 64
@@ -154,16 +156,14 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 		n = 3000
 	}
 	before := runtime.NumGoroutine()
-	s := NewScheduler(time.Millisecond)
-	defer s.Stop()
 	ms := make([]*hashmap.Resizable[uint64], tables)
+	fleet := make([]Maintainer, tables)
 	for i := range ms {
 		ms[i] = hashmap.NewResizable(floor)
-		s.Register(ms[i])
+		fleet[i] = ms[i]
 	}
-	if got := s.Tables(); got != tables {
-		t.Fatalf("Tables = %d, want %d", got, tables)
-	}
+	s := NewScheduler(time.Millisecond, fleet...)
+	defer s.Stop()
 	// One goroutine for the whole fleet. Unrelated runtime goroutines can
 	// come and go, so allow slack downward but never more than +1.
 	if got := runtime.NumGoroutine(); got > before+1 {
@@ -208,22 +208,26 @@ func TestSchedulerManyTablesOneGoroutine(t *testing.T) {
 	}
 }
 
-// TestSchedulerLifecycle pins Register/Stop edge cases: double
-// registration is a no-op, Stop is idempotent, and a stopped scheduler
-// refuses new registrations instead of leaking them.
+// TestSchedulerLifecycle pins Stop's edge cases: Stop is idempotent, also
+// on a scheduler with nothing to maintain, and a stopped scheduler's
+// goroutine is gone.
 func TestSchedulerLifecycle(t *testing.T) {
-	s := NewScheduler(time.Millisecond)
-	m := hashmap.NewResizable(8)
-	s.Register(m)
-	s.Register(m)
-	if got := s.Tables(); got != 1 {
-		t.Fatalf("Tables = %d after double Register, want 1", got)
+	before := runtime.NumGoroutine()
+	for _, s := range []*Scheduler{
+		NewScheduler(time.Millisecond, hashmap.NewResizable(8)),
+		NewScheduler(time.Millisecond),
+	} {
+		s.Stop()
+		s.Stop() // idempotent
 	}
-	s.Stop()
-	s.Stop() // idempotent
-	s.Register(hashmap.NewResizable(8))
-	if got := s.Tables(); got != 1 {
-		t.Fatalf("stopped scheduler accepted a registration (Tables = %d, want 1)", got)
+	// Goroutines of other tests come and go; this one's must not stay.
+	// A goroutine past its deferred close(done) is gone a yield later.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines grew from %d to %d across two stopped schedulers", before, got)
 	}
 }
 
@@ -271,19 +275,13 @@ func TestSchedulerDrivesAnyMaintainer(t *testing.T) {
 	}
 }
 
-// TestSchedulerMixedFleet registers a Resizable table and a stub in one
-// scheduler: both are serviced, neither starves the other, and Tables
-// counts them together.
+// TestSchedulerMixedFleet hands a Resizable table and a stub to one
+// scheduler: both are serviced, and the table ahead of the stub does not
+// starve it.
 func TestSchedulerMixedFleet(t *testing.T) {
-	s := NewScheduler(time.Millisecond)
-	defer s.Stop()
-	r := hashmap.NewResizable(8)
 	m := &stubMaintainer{}
-	s.Register(r)
-	s.Register(m)
-	if got := s.Tables(); got != 2 {
-		t.Fatalf("Tables = %d, want 2", got)
-	}
+	s := NewScheduler(time.Millisecond, hashmap.NewResizable(8), m)
+	defer s.Stop()
 	deadline := time.Now().Add(30 * time.Second)
 	for m.idles.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

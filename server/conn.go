@@ -214,9 +214,6 @@ func (cs *connState) pump() bool {
 		if cs.spill() != nil {
 			return false
 		}
-		if cs.pending >= s.opts.pipeline && !cs.flushBatch() {
-			return false
-		}
 	}
 }
 

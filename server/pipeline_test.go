@@ -20,10 +20,11 @@ import (
 // framing, duplicate keys, arity errors, unknown commands — the reply
 // stream must be byte-identical to what a sequential model renders for the
 // same commands. The rounds of a subtest share one server and one model,
-// so state carries across connections. A batch flushes after every
-// request, every 4th or every 512th; with a 512 B buffer, replies spill
-// mid-pipeline and mid-MGET and the read buffer slides under partial
-// frames. On the ordered server any key may be one the codec refuses (not
+// so state carries across connections. The client writes its pipeline
+// one request at a time, four at a time or all at once, so the server's
+// input drains — and it flushes its batch — at different points; with a
+// 512 B buffer, replies spill mid-pipeline and mid-MGET and the read
+// buffer slides under partial frames. On the ordered server any key may be one the codec refuses (not
 // decimal, or a sentinel): the request carrying it answers -ERR invalid
 // key, and a multi-key frame carrying it applies none of its keys.
 func TestReplyStreamMatchesModel(t *testing.T) {
@@ -35,18 +36,24 @@ func TestReplyStreamMatchesModel(t *testing.T) {
 				name := fmt.Sprintf("%s/pipeline=%d/bufsize=%d", srv.name, pipeline, bufSize)
 				t.Run(name, func(t *testing.T) {
 					ordered := srv.ordered
-					addr := startModelServer(t, ordered, WithPipeline(pipeline), WithBufferSize(bufSize))
+					addr := startModelServer(t, ordered, WithBufferSize(bufSize))
 					m := replyModel{ordered: ordered, vals: map[string]string{}}
 					rng := rand.New(rand.NewSource(seed))
 					for round := 0; round < 8; round++ {
-						pipe, cmds := randomPipeline(rng, 150, ordered)
+						frames, cmds := randomPipeline(rng, 150, ordered)
 						var want []byte
 						for _, cmd := range cmds {
 							want = m.reply(want, cmd)
 						}
-						if got := roundTrip(t, addr, pipe); !bytes.Equal(got, want) {
+						var writes [][]byte
+						for len(frames) > 0 {
+							n := min(pipeline, len(frames))
+							writes = append(writes, bytes.Join(frames[:n], nil))
+							frames = frames[n:]
+						}
+						if got := roundTrip(t, addr, writes...); !bytes.Equal(got, want) {
 							t.Fatalf("round %d: reply stream diverged from the model\npipeline: %q\n    want: %q\n     got: %q",
-								round, pipe, want, got)
+								round, bytes.Join(writes, nil), want, got)
 						}
 					}
 				})
@@ -183,9 +190,9 @@ func (m *replyModel) reply(dst []byte, args []string) []byte {
 	return fmt.Appendf(dst, "-ERR unknown command \"%s\"\r\n", cmd)
 }
 
-// roundTrip writes one pipeline (ending in QUIT) and reads the whole
-// reply stream to EOF.
-func roundTrip(t *testing.T, addr string, pipe []byte) []byte {
+// roundTrip writes one pipeline (ending in QUIT), one Write per element
+// of writes, and reads the whole reply stream to EOF.
+func roundTrip(t *testing.T, addr string, writes ...[]byte) []byte {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -193,8 +200,10 @@ func roundTrip(t *testing.T, addr string, pipe []byte) []byte {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(20 * time.Second))
-	if _, err := conn.Write(pipe); err != nil {
-		t.Fatalf("write: %v", err)
+	for _, w := range writes {
+		if _, err := conn.Write(w); err != nil {
+			t.Fatalf("write: %v", err)
+		}
 	}
 	out, err := io.ReadAll(conn)
 	if err != nil {
@@ -204,14 +213,15 @@ func roundTrip(t *testing.T, addr string, pipe []byte) []byte {
 }
 
 // randomPipeline builds n random commands followed by QUIT, mixing
-// inline and multibulk framing, and returns the bytes and the commands.
+// inline and multibulk framing, and returns each command's frame and
+// arguments.
 // Keys come from a small space so requests hit duplicates, overwrites and
 // misses — decimal ones for an ordered server, with a refused key now and
 // then; a third of the values are long enough to spill a 512 B reply
 // buffer within one MGET. Commands cover every point and multi-key family
 // and soft errors (never malformed frames — those end the connection).
-func randomPipeline(rng *rand.Rand, n int, ordered bool) ([]byte, [][]string) {
-	var b []byte
+func randomPipeline(rng *rand.Rand, n int, ordered bool) ([][]byte, [][]string) {
+	var frames [][]byte
 	var cmds [][]string
 	key := func() string {
 		switch {
@@ -231,6 +241,7 @@ func randomPipeline(rng *rand.Rand, n int, ordered bool) ([]byte, [][]string) {
 	}
 	emit := func(args ...string) {
 		cmds = append(cmds, args)
+		var b []byte
 		if rng.Intn(2) == 0 { // inline
 			b = append(b, strings.Join(args, " ")...)
 			b = append(b, "\r\n"...)
@@ -240,6 +251,7 @@ func randomPipeline(rng *rand.Rand, n int, ordered bool) ([]byte, [][]string) {
 				b = fmt.Appendf(b, "$%d\r\n%s\r\n", len(a), a)
 			}
 		}
+		frames = append(frames, b)
 	}
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(20); {
@@ -285,7 +297,7 @@ func randomPipeline(rng *rand.Rand, n int, ordered bool) ([]byte, [][]string) {
 		}
 	}
 	emit("QUIT")
-	return b, cmds
+	return frames, cmds
 }
 
 // TestClientMultibulkRoundTrip drives the client's multibulk batch mode

@@ -18,7 +18,6 @@ import (
 // options collects construction knobs; see the Option helpers.
 type options struct {
 	maxConns  int
-	pipeline  int
 	bufSize   int
 	idleGrace time.Duration
 	shedWater int
@@ -50,14 +49,6 @@ func WithIdleGrace(d time.Duration) Option {
 // connections (no request in flight) are ever shed.
 func WithShedWater(n int) Option {
 	return func(o *options) { o.shedWater = n; o.shedSet = true }
-}
-
-// WithPipeline sets how many pipelined requests a connection executes
-// before its replies are force-flushed even though more input is already
-// buffered (default 512). Smaller values bound reply latency under an
-// aggressive pipeliner; larger values amortize the write syscall further.
-func WithPipeline(n int) Option {
-	return func(o *options) { o.pipeline = n }
 }
 
 // WithBufferSize sets each connection's read buffer size in bytes — also
@@ -119,12 +110,9 @@ func NewOrdered(st *store.SortedStrings, opts ...Option) *Server {
 }
 
 func newServer(st *store.Strings, sorted *store.SortedStrings, opts []Option) *Server {
-	o := options{pipeline: 512, bufSize: 16384}
+	o := options{bufSize: 16384}
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.pipeline < 1 {
-		o.pipeline = 1
 	}
 	_, o.bufSize, _ = tierFor(o.bufSize) // rounds up to a pool tier; the floor is the smallest
 	if !o.shedSet && o.maxConns > 0 {

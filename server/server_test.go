@@ -78,22 +78,25 @@ func TestServerScalarTranscript(t *testing.T) {
 
 // TestServerPipelinedMixed sends one write holding a pipeline that mixes
 // inline and multibulk framing, scalar and batched commands, and asserts
-// every reply arrives in request order.
+// every reply arrives in request order. Over a 512 B buffer the pipeline
+// is read in pieces and the MGET's reply spills mid-frame, so the batch
+// flushes more than once.
 func TestServerPipelinedMixed(t *testing.T) {
-	_, _, addr := startServer(t, WithPipeline(4)) // force multiple flushes per batch
+	_, _, addr := startServer(t, WithBufferSize(512))
 	conn, r := dialRaw(t, addr)
 
+	long := strings.Repeat("x", 300)
 	var b strings.Builder
 	b.WriteString("*3\r\n$3\r\nset\r\n$1\r\na\r\n$2\r\nv1\r\n") // lower-case, multibulk
-	b.WriteString("SET b v2\r\n")
-	b.WriteString("MSET c v3 d v4\r\n")
+	b.WriteString("SET b " + long + "\r\n")
+	b.WriteString("MSET c v3 d " + long + "\r\n")
 	b.WriteString("MGET a b c d nope\r\n")
 	b.WriteString("*2\r\n$4\r\nMGET\r\n$1\r\na\r\n")
 	b.WriteString("MDEL a b missing\r\n")
 	b.WriteString("LEN\r\n")
 	b.WriteString("GET c\r\n")
 	want := ":0\r\n:0\r\n:2\r\n" +
-		"*5\r\n$2\r\nv1\r\n$2\r\nv2\r\n$2\r\nv3\r\n$2\r\nv4\r\n$-1\r\n" +
+		"*5\r\n$2\r\nv1\r\n$300\r\n" + long + "\r\n$2\r\nv3\r\n$300\r\n" + long + "\r\n$-1\r\n" +
 		"*1\r\n$2\r\nv1\r\n" +
 		":2\r\n:2\r\n$2\r\nv3\r\n"
 	if _, err := conn.Write([]byte(b.String())); err != nil {

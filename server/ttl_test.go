@@ -111,10 +111,10 @@ func testServerTTLTranscript(t *testing.T, ordered bool, keys func(string) strin
 	}
 }
 
-// TestServerTTLBarriersWithPipeline pins arrival-order semantics: TTL
+// TestServerTTLBarriersInPipeline pins arrival-order semantics: TTL
 // commands pipelined among writes and reads answer in order, and their
 // effects apply to the writes ahead of them.
-func TestServerTTLBarriersWithPipeline(t *testing.T) {
+func TestServerTTLBarriersInPipeline(t *testing.T) {
 	_, addr := startTTLServer(t, false)
 	conn, r := dialRaw(t, addr)
 

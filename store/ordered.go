@@ -35,7 +35,7 @@ func WithKeyMax(uint64) Option { return func(*options) {} }
 // every mutator that changes the count is overridden below to record it
 // on the counter, a cheap Len (the list's own is an O(n) walk). A skip
 // list never resizes and its unlinked towers go to the collector, so the
-// shard has no maintenance and is not registered on the scheduler.
+// shard has no maintenance and is not handed to a scheduler.
 type orderedShard[V comparable] struct {
 	*skiplist.Optik[V]
 	count *core.Striped
@@ -156,15 +156,21 @@ type Ordered[V comparable] struct {
 	list *orderedShard[V]
 }
 
-// NewOrdered returns a store over one OPTIK skip list.
-// WithMaintenanceInterval and WithoutMaintenance mean what they do for
-// New; WithShardBuckets does not apply.
-func NewOrdered(opts ...Option) *Ordered[uint64] { return newOrdered[uint64](newOptions(opts)) }
+// NewOrdered returns a store over one OPTIK skip list. A skip list needs
+// no maintenance, so the store starts no scheduler and no option applies;
+// Close is a no-op.
+func NewOrdered(opts ...Option) *Ordered[uint64] {
+	o := newOptions(opts)
+	s := newOrdered[uint64]()
+	s.maintain(o)
+	return s
+}
 
-// newOrdered is NewOrdered over any value word.
-func newOrdered[V comparable](o options) *Ordered[V] {
+// newOrdered is the index core over a skip list, for any value word, with
+// no scheduler yet.
+func newOrdered[V comparable]() *Ordered[V] {
 	list := newOrderedShard[V]()
-	return &Ordered[V]{newStore[V](o, list), list}
+	return &Ordered[V]{Store[V]{shard: list}, list}
 }
 
 // Scan copies the live entries with from <= key <= to, ascending, into
@@ -207,7 +213,7 @@ type SortedStrings struct {
 // the index exactly as in NewOrdered and the value layer as in NewStrings.
 func NewSortedStrings(opts ...Option) *SortedStrings {
 	o := newOptions(opts)
-	s := &SortedStrings{sorted: newOrdered[*pair](o)}
+	s := &SortedStrings{sorted: newOrdered[*pair]()}
 	s.init(&s.sorted.Store, o)
 	return s
 }

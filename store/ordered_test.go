@@ -644,7 +644,7 @@ func TestShardSweepLapUnderChurn(t *testing.T) {
 		exact bool
 	}{
 		{"hash", newHashed[uint64], false},
-		{"sorted", func(o options) *Store[uint64] { return &newOrdered[uint64](o).Store }, true},
+		{"sorted", func(options) *Store[uint64] { return &newOrdered[uint64]().Store }, true},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
 			st := kind.new(newOptions([]Option{WithShardBuckets(8), WithoutMaintenance()}))

@@ -11,8 +11,9 @@
 //	                 over the value word: uint64 for the index stores,
 //	                 *pair for the string layer.
 //	index core       Store: one shard, multi-key calls that loop over
-//	                 the point ops, monitoring counts, and the shard's
-//	                 maintenance scheduler. New builds it over one
+//	                 the point ops, monitoring counts, and a
+//	                 maintenance scheduler when there is something to
+//	                 maintain. New builds it over one
 //	                 resizable hash table, whose contention is per
 //	                 bucket; Ordered is the same core over one skip
 //	                 list, whose contention is per tower, and is the
@@ -30,8 +31,11 @@
 // split already. The table's counter is striped and its resize is
 // incremental — every update migrates a bounded number of buckets — so a
 // resize never stops the store. One maintenance scheduler
-// (internal/maint) samples the table's activity, quiesces it when idle,
-// and backs its poll interval off exponentially while it sleeps.
+// (internal/maint), given the table and the string layer's governance
+// pass when the store is built, samples their activity, quiesces the
+// table when idle, and backs its poll interval off exponentially while
+// they sleep; a bare ordered store has nothing to maintain and starts
+// none.
 //
 // Batched operations (MGet, MSet, MDel) are loops over Get, Set and Del:
 // each key is applied on its own, one indirect shard call per key, in
@@ -137,9 +141,8 @@ func WithoutMaintenance() Option {
 }
 
 // WithClock injects the nanosecond clock the string layer's TTL machinery
-// reads. The default is a coarse time.Now cached per maintenance pass and
-// refreshed by TTL-setting operations; tests inject a clock they advance
-// by hand, so every expiry behavior reproduces deterministically — no
+// reads. The default is time.Now; tests inject a clock they advance by
+// hand, so every expiry behavior reproduces deterministically — no
 // sleeps.
 func WithClock(now func() int64) Option {
 	return func(o *options) { o.clock = now }
@@ -167,28 +170,34 @@ func newOptions(opts []Option) options {
 	return o
 }
 
-// newStore assembles the index core over sh, registering sh on a
-// maintenance scheduler if it resizes, unless o says otherwise.
-func newStore[V comparable](o options, sh shard[V]) Store[V] {
-	s := Store[V]{shard: sh}
-	if o.maintenance {
-		s.sched = maint.NewScheduler(o.interval)
-		if r, ok := sh.(resizer); ok {
-			s.sched.Register(r)
-		}
+// maintain starts the store's maintenance scheduler over its shard, if
+// the shard resizes, and then extra — the maintainers are fixed here, for
+// the store's life. It starts nothing under WithoutMaintenance, nor when
+// there is nothing to maintain: an ordered index alone has no scheduler.
+func (s *Store[V]) maintain(o options, extra ...maint.Maintainer) {
+	ms := extra
+	if r, ok := s.shard.(resizer); ok {
+		ms = append([]maint.Maintainer{r}, extra...)
 	}
+	if o.maintenance && len(ms) > 0 {
+		s.sched = maint.NewScheduler(o.interval, ms...)
+	}
+}
+
+// New returns a Store over one resizable OPTIK hash table, serviced by a
+// maintenance scheduler (unless WithoutMaintenance). Close releases the
+// scheduler goroutine.
+func New(opts ...Option) *Store[uint64] {
+	o := newOptions(opts)
+	s := newHashed[uint64](o)
+	s.maintain(o)
 	return s
 }
 
-// New returns a Store over one resizable OPTIK hash table, registered on
-// a maintenance scheduler (unless WithoutMaintenance). Close releases the
-// scheduler goroutine.
-func New(opts ...Option) *Store[uint64] { return newHashed[uint64](newOptions(opts)) }
-
-// newHashed is New over any value word.
+// newHashed is the index core over a hash table, for any value word,
+// with no scheduler yet.
 func newHashed[V comparable](o options) *Store[V] {
-	s := newStore[V](o, hashmap.NewResizableOf[V](o.shardBuckets))
-	return &s
+	return &Store[V]{shard: hashmap.NewResizableOf[V](o.shardBuckets)}
 }
 
 // Close stops the maintenance scheduler. The store stays usable —

@@ -285,6 +285,50 @@ func TestStoreCloseLeavesShardsUsable(t *testing.T) {
 	s.Quiesce() // manual maintenance still available
 }
 
+// TestStoreSchedulerOnlyWhereMaintained pins which stores run a
+// maintenance goroutine. A bare ordered store has nothing to maintain and
+// starts none. An ordered string store starts one for its governance pass
+// alone — its shard does not resize — and that pass sweeps an expired
+// entry with no caller Quiesce. Close is idempotent on every store.
+func TestStoreSchedulerOnlyWhereMaintained(t *testing.T) {
+	before := runtime.NumGoroutine()
+	o := NewOrdered(WithMaintenanceInterval(time.Millisecond))
+	if o.sched != nil {
+		t.Fatal("NewOrdered started a maintenance scheduler over a skip list")
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutines grew from %d to %d building an ordered store; want none", before, got)
+	}
+
+	var now atomic.Int64
+	now.Store(1)
+	ss := NewSortedStrings(WithMaintenanceInterval(time.Millisecond), WithClock(now.Load))
+	if ss.index.sched == nil {
+		t.Fatal("NewSortedStrings started no scheduler for its governance pass")
+	}
+	if _, ok := ss.index.shard.(resizer); ok {
+		t.Fatal("the sorted shard resizes: its scheduler would service more than the governance pass")
+	}
+	if got := runtime.NumGoroutine(); got > before+1 {
+		t.Fatalf("goroutines grew from %d to %d building an ordered string store; want one", before, got)
+	}
+	ss.SetEXHashed(7, "v", 1)
+	now.Add(2 * nsPerSec)
+	deadline := time.Now().Add(30 * time.Second)
+	for ss.Len() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if _, swept, _ := ss.TTLStats(); swept != 1 || ss.Len() != 0 {
+		t.Fatalf("expired entry not swept by the scheduler: Len %d, expired_swept %d", ss.Len(), swept)
+	}
+
+	h, hs := New(), NewStrings()
+	for _, closeStore := range []func(){o.Close, ss.Close, h.Close, hs.Close} {
+		closeStore()
+		closeStore() // idempotent
+	}
+}
+
 // TestStoreEachVariants pins each key's outcome inside one batch against
 // the scalar ops, duplicate keys included: the
 // index's MSet/MDel counts and MGet's per-key reads, and the string layer's

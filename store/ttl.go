@@ -13,8 +13,8 @@
 // Readers of TTL-less entries pay one predictable branch; nothing on the
 // hot path ever blocks on the clock or the sweeper.
 //
-// Background governance rides the shared maintenance scheduler: each pass
-// refreshes the coarse cached clock, advances the eviction epoch, sweeps a
+// Background governance rides the store's maintenance scheduler: each pass
+// reads the clock, advances the eviction epoch, sweeps a
 // cursor quantum of the index for expired pairs (shard.Sweep), and — when
 // a byte budget is configured and exceeded — evicts sampled entries (of K
 // random residents drawn with shard.Sample, more while all of them are in
@@ -28,9 +28,9 @@
 //
 // Everything is driven through one injectable clock (WithClock), so tests
 // advance time by hand and every expiry behavior reproduces
-// deterministically — no sleeps, no flakes. The default clock is a coarse
-// time.Now cached per maintenance pass and refreshed by TTL-setting
-// operations, so reads never pay a syscall.
+// deterministically — no sleeps, no flakes. The default clock is
+// time.Now, read only where a deadline is set or judged: a read of a
+// TTL-less entry never reads it.
 package store
 
 import (
@@ -107,37 +107,23 @@ const (
 	evictHandRounds = 4
 )
 
-// nowFresh is the write-path clock for TTL-setting operations and TTL
-// itself: a fresh time.Now (cached for subsequent reads), or the injected
-// clock verbatim.
-func (s *Strings) nowFresh() int64 {
+// now reads the store's clock: the injected one, or time.Now.
+func (s *Strings) now() int64 {
 	if s.clock != nil {
 		return s.clock()
 	}
-	n := time.Now().UnixNano()
-	s.cachedNow.Store(n)
-	return n
+	return time.Now().UnixNano()
 }
 
 // expiredNow is the lazy-expiry judgment of the read path and of the
 // write paths' displaced-entry accounting. TTL-less pairs cost one
-// branch, exactly as before. For a pair carrying a deadline the coarse
-// cached clock answers first; a "still live" verdict is then confirmed
-// against a fresh reading, because the cache trails real time by up to a
-// whole (possibly backed-off, possibly starvation-stretched) maintenance
-// interval — long enough on an idle store for a just-lapsed entry to be
-// served as a hit. The fresh reading is deliberately not written back:
-// concurrent readers of TTL'd keys must not ping-pong a shared cache
-// line for a value the next pass refreshes anyway.
+// branch; a pair carrying a deadline is judged against one clock reading.
 func (s *Strings) expiredNow(p *pair) bool {
 	d := p.deadline()
 	if d == 0 {
 		return false
 	}
-	if s.clock != nil {
-		return d <= s.clock()
-	}
-	return d <= s.cachedNow.Load() || d <= time.Now().UnixNano()
+	return d <= s.now()
 }
 
 // deadlineFor converts a relative TTL in seconds to an absolute clock
@@ -145,7 +131,7 @@ func (s *Strings) expiredNow(p *pair) bool {
 // computed zero (or any non-positive deadline) clamps to 1 — an entry
 // expired since the epoch.
 func (s *Strings) deadlineFor(secs int64) int64 {
-	now := s.nowFresh()
+	now := s.now()
 	if secs > (math.MaxInt64-now)/nsPerSec {
 		return math.MaxInt64
 	}
@@ -237,12 +223,11 @@ func (s *Strings) TTL(key string) int64 {
 	return s.TTLHashed(HashKey(key))
 }
 
-// TTLHashed is TTL for a pre-hashed key. It reads a fresh clock — an
-// operator asking "how long has this left" deserves better than the
-// pass-coarse cache — and reads it BEFORE the lookup, so a pair the
-// (later) lookup judges live always has time left at that reading.
+// TTLHashed is TTL for a pre-hashed key. It reads the clock BEFORE the
+// lookup, so a pair the (later) lookup judges live always has time left
+// at that reading.
 func (s *Strings) TTLHashed(k uint64) int64 {
-	now := s.nowFresh()
+	now := s.now()
 	p := s.lookup(k)
 	if p == nil {
 		return -2
@@ -320,7 +305,7 @@ func (m ttlMaintainer) MaintainBusy() {
 	m.s.maintainPass(nil, evictBusyMax)
 }
 
-// maintainPass is one governance round: refresh the coarse clock, tick
+// maintainPass is one governance round: read the clock, tick
 // the eviction epoch, sweep a cursor quantum of the index for expired
 // pairs, then — over budget — evict sampled entries until under (or
 // the busy cap / fail bound / cancel hits). maxEvict 0 means "to budget".
@@ -329,7 +314,7 @@ func (m ttlMaintainer) MaintainBusy() {
 func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	now := s.nowFresh()
+	now := s.now()
 	epoch := s.epoch.Add(1)
 	s.epochTick.Store(now)
 	if !s.sweep(cancel, now) || s.budget == 0 {
@@ -360,7 +345,7 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 		// the razed cold mass.
 		if tick += n; tick >= sweepQuantum {
 			tick = 0
-			now = s.nowFresh()
+			now = s.now()
 			epoch = s.epoch.Add(1)
 			s.epochTick.Store(now)
 		}
@@ -529,16 +514,13 @@ func (s *Strings) evictHand(k uint64, fresh *pair) {
 		rounds = 1
 	}
 	rng := s.handRng.Add(0x9E3779B97F4A7C15)
-	// A fresh clock, not the cached one: the hand is the component that
-	// keeps the eviction epoch running when a saturated box starves the
-	// background passes, and the cached clock only moves when those very
-	// passes run — gating the tick on it would deadlock the epoch at
-	// pass cadence and collapse every resident entry into one
+	// The hand reads the clock itself: it is the component that keeps
+	// the eviction epoch running when a saturated box starves the
+	// background passes — a clock only those passes moved would stall the
+	// epoch at pass cadence and collapse every resident entry into one
 	// indistinguishable stamp (eviction among equal counts degrades to
-	// random). The clock read is noise next to the probing below, and
-	// refreshing the cache here also tightens lazy expiry while the passes
-	// are starved.
-	now := s.nowFresh()
+	// random). The clock read is noise next to the probing below.
+	now := s.now()
 	if last := s.epochTick.Load(); now-last >= epochPeriod && s.epochTick.CompareAndSwap(last, now) {
 		s.epoch.Add(1)
 	}

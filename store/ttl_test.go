@@ -1035,7 +1035,7 @@ func testOverwriteInheritsFrequency(t *testing.T, newStrings func(...Option) *St
 	}
 }
 
-// TestTTLDefaultClock exercises the uninjected path (cached coarse clock)
+// TestTTLDefaultClock exercises the uninjected path (time.Now)
 // without depending on real time passing: a fresh store's TTL ops work
 // and a TTL far in the future stays live.
 func TestTTLDefaultClock(t *testing.T) {

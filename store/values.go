@@ -26,7 +26,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"github.com/optik-go/optik/ds"
@@ -248,8 +247,8 @@ type Strings struct {
 	// Set once by init and read by every operation: the index, the byte
 	// counter, the counter of writes decided without storing (see put),
 	// the counter of warm eviction victims (see evictSample), the read
-	// sketch (nil without a budget), the injectable clock (nil = coarse
-	// time.Now cached in cachedNow) and the byte budget (0 = unbounded).
+	// sketch (nil without a budget), the injectable clock (nil =
+	// time.Now) and the byte budget (0 = unbounded).
 	// They own their cache line — the words below are stored by writers
 	// and by governance, and a GET must not take a miss on this line for
 	// it.
@@ -282,9 +281,6 @@ type Strings struct {
 // holds a padded struct to one atomic field per line, and these are one
 // field.
 type governed struct {
-	// cachedNow is the coarse clock, refreshed once per maintenance pass,
-	// by every TTL-setting op and by every eviction hand.
-	cachedNow atomic.Int64
 	// epoch is the recency stamps' epoch: passes and hands advance it.
 	epoch        atomic.Uint32
 	expiredLazy  atomic.Uint64
@@ -316,9 +312,9 @@ func NewStrings(opts ...Option) *Strings {
 
 // init wires the layer over index, in place (the scheduler keeps the
 // pointer): the byte counter, the governance options and, under a budget,
-// the read sketch, the sweep rng and cached clock seeded, and the
-// governance pass registered on the index's shared scheduler when one
-// exists — WithoutMaintenance stores are driven via Quiesce.
+// the read sketch, then the sweep rng, and last the index's scheduler,
+// started over its shard and the governance pass unless
+// WithoutMaintenance — such stores are driven via Quiesce.
 func (s *Strings) init(index *Store[*pair], o options) {
 	s.index, s.bytes, s.elided, s.warm = index, core.NewStriped(0), core.NewStriped(0), core.NewStriped(0)
 	s.clock, s.budget = o.clock, o.byteBudget
@@ -327,12 +323,7 @@ func (s *Strings) init(index *Store[*pair], o options) {
 	}
 	s.sweepRng = 0x9E3779B97F4A7C15
 	s.handRng.Store(0x6A09E667F3BCC909)
-	if s.clock == nil {
-		s.cachedNow.Store(time.Now().UnixNano())
-	}
-	if index.sched != nil {
-		index.sched.Register(ttlMaintainer{s})
-	}
+	index.maintain(o, ttlMaintainer{s})
 }
 
 // Index exposes the underlying index core for stats aggregation.

@@ -494,7 +494,6 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 		{"budget", unsafe.Offsetof(s.budget), unsafe.Sizeof(s.budget)},
 	}
 	written := []span{
-		{"cachedNow", unsafe.Offsetof(s.cachedNow), unsafe.Sizeof(s.cachedNow)},
 		{"epoch", unsafe.Offsetof(s.epoch), unsafe.Sizeof(s.epoch)},
 		{"expiredLazy", unsafe.Offsetof(s.expiredLazy), unsafe.Sizeof(s.expiredLazy)},
 		{"expiredSwept", unsafe.Offsetof(s.expiredSwept), unsafe.Sizeof(s.expiredSwept)},
