@@ -21,9 +21,10 @@ import (
 // The budget variant serves the same GETs from a store under a byte budget
 // just roomy enough to hold the population (4,096 entries of ~60 charged
 // bytes in 256 KiB): every GET also counts a read on the read sketch and
-// touches its entry's stamp, and the sketch, sized for that budget, halves
-// within the first few thousand GETs of the timed loop — a sketch that
-// allocated would show here.
+// touches its entry's stamp, and the sketch, sized for that budget (2,048
+// words), halves once ten GETs per word have raised a counter, ~20,000
+// GETs into the timed loop — a sketch that allocated would show in any
+// run longer than that.
 func BenchmarkPipeline(b *testing.B) {
 	for _, depth := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {

@@ -1,4 +1,4 @@
-// Package server is the network front for the sharded OPTIK store: it
+// Package server is the network front for the OPTIK store: it
 // exposes a store.Strings over a RESP-flavored (redis/memcached-style)
 // TCP protocol — GET/SET/DEL, multi-key MGET/MSET/MDEL, LEN, STATS,
 // QUIESCE, PING, QUIT — with per-connection read/write buffering and

@@ -19,7 +19,7 @@ const (
 	// tiny budget's counters from colliding on every key; the cap (8 MiB)
 	// keeps a budget written as "unbounded" — WithByteBudget(MaxInt64) —
 	// from sizing a table for entries no heap could hold. It still gives a
-	// budget of ~16 M entries one counter each.
+	// budget of ~4 M entries a counter of its own in each quarter.
 	sketchMinWords = 64
 	sketchMaxWords = 1 << 20
 	// sketchPeriod is the halving period in counted reads per live entry:
@@ -63,15 +63,21 @@ type sketch struct {
 	_    core.CacheLinePad
 }
 
-// newSketch sizes the table for a budget: one counter for every entry the
-// budget could hold if every value were empty (budget / PairOverhead),
-// rounded up to a power of two of 16-counter words, within
-// [sketchMinWords, sketchMaxWords]. cache_churn's budget gets 32,768 words,
-// 256 KiB.
+// newSketch sizes the table for a budget: four counters, one in each
+// quarter, for every entry the budget could hold if every value were empty
+// (budget / PairOverhead), rounded up to a power of two of words, within
+// [sketchMinWords, sketchMaxWords]. A key reads one counter per quarter,
+// so a full store of empty values gives every key a counter of its own in
+// each. A quarter of this size aliases the keys a budgeted store judges:
+// a key read once then estimates 2 or more, above the raze bar, and a key
+// never read estimates 1, above an unread newcomer, about a fifth of the
+// time each (TestSketchKeepsColdKeysCold); four times this size gains
+// little (docs/ARCHITECTURE.md has the rows). cache_churn's budget gets
+// 131,072 words, 1 MiB.
 func newSketch(budget int64) *sketch {
 	entries := budget / PairOverhead
 	n := sketchMinWords
-	for n < sketchMaxWords && int64(n)*16 < entries {
+	for n < sketchMaxWords && int64(n)*4 < entries {
 		n <<= 1
 	}
 	sk := &sketch{words: make([]atomic.Uint64, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
@@ -138,8 +144,8 @@ func (sk *sketch) add(k uint64) bool {
 }
 
 // halve halves every counter in place and re-arms the period at period
-// counted reads. It allocates nothing; on cache_churn's 32,768 words it is
-// some tens of microseconds once per million reads.
+// counted reads. It allocates nothing; on cache_churn's 131,072 words it is
+// a sweep of 1 MiB once per ~1.3 million counted reads.
 func (sk *sketch) halve(period int64) {
 	for i := range sk.words {
 		w := &sk.words[i]

@@ -314,12 +314,14 @@ func TestStoreSchedulerOnlyWhereMaintained(t *testing.T) {
 	}
 	ss.SetEXHashed(7, "v", 1)
 	now.Add(2 * nsPerSec)
+	swept := func() uint64 { _, n, _ := ss.TTLStats(); return n }
+	// The sweep unmaps the entry before it counts it: wait for both.
 	deadline := time.Now().Add(30 * time.Second)
-	for ss.Len() != 0 && time.Now().Before(deadline) {
+	for (ss.Len() != 0 || swept() == 0) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if _, swept, _ := ss.TTLStats(); swept != 1 || ss.Len() != 0 {
-		t.Fatalf("expired entry not swept by the scheduler: Len %d, expired_swept %d", ss.Len(), swept)
+	if n := swept(); n != 1 || ss.Len() != 0 {
+		t.Fatalf("expired entry not swept by the scheduler: Len %d, expired_swept %d", ss.Len(), n)
 	}
 
 	h, hs := New(), NewStrings()

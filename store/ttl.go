@@ -211,9 +211,21 @@ func (s *Strings) setDeadline(k uint64, deadline int64) bool {
 		if p == nil || (deadline == 0 && p.deadline() == 0) {
 			return false
 		}
+		if deadline != 0 {
+			s.storesDeadlines()
+		}
 		if s.index.ReplaceIfValue(k, p, newPair(p.val(), deadline, p.touched.Load())) {
 			return true
 		}
+	}
+}
+
+// storesDeadlines marks the store as one whose entries may expire, so the
+// passes sweep it from now on; a write calls it before it publishes a pair
+// with a deadline. Only the first such write stores to the flag.
+func (s *Strings) storesDeadlines() {
+	if !s.deadlines.Load() {
+		s.deadlines.Store(true)
 	}
 }
 
@@ -307,8 +319,10 @@ func (m ttlMaintainer) MaintainBusy() {
 
 // maintainPass is one governance round: read the clock, tick
 // the eviction epoch, sweep a cursor quantum of the index for expired
-// pairs, then — over budget — evict sampled entries until under (or
-// the busy cap / fail bound / cancel hits). maxEvict 0 means "to budget".
+// pairs — once any write has stored a deadline: a store that never has
+// holds nothing to expire — then, over budget, evict sampled entries until
+// under (or the busy cap / fail bound / cancel hits). maxEvict 0 means
+// "to budget".
 // maintMu serializes passes (the scheduler and a concurrent Quiesce may
 // both drive one); the pass never blocks user operations.
 func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
@@ -317,7 +331,7 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 	now := s.now()
 	epoch := s.epoch.Add(1)
 	s.epochTick.Store(now)
-	if !s.sweep(cancel, now) || s.budget == 0 {
+	if (s.deadlines.Load() && !s.sweep(cancel, now)) || s.budget == 0 {
 		return
 	}
 	fails, done, tick := 0, 0, 0

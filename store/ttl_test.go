@@ -866,20 +866,20 @@ func BenchmarkEvictRound(b *testing.B) {
 // shares some of them is read.
 func TestReadSketch(t *testing.T) {
 	sk := newSketch(PairOverhead * 16 * 1024)
-	if len(sk.words) != 1024 {
-		t.Fatalf("a budget of 16,384 entries sized %d words, want 1,024", len(sk.words))
+	if len(sk.words) != 4096 {
+		t.Fatalf("a budget of 16,384 entries sized %d words, want 4,096", len(sk.words))
 	}
 	const hot, cold = 7, 1 << 40
 	for i := uint32(1); i <= 20; i++ {
 		if sk.add(hot) {
-			t.Fatalf("read %d ended a period of %d", i, sketchPeriod*1024)
+			t.Fatalf("read %d ended a period of %d", i, sketchPeriod*4096)
 		}
 		if got := sk.count(hot); got != min(i, counterMax) {
 			t.Fatalf("after %d reads count %d, want %d", i, got, min(i, counterMax))
 		}
 	}
-	if left := sk.left.Load(); left != sketchPeriod*1024-counterMax {
-		t.Fatalf("%d reads left in the period after 15 counted, want %d", left, sketchPeriod*1024-counterMax)
+	if left := sk.left.Load(); left != sketchPeriod*4096-counterMax {
+		t.Fatalf("%d reads left in the period after 15 counted, want %d", left, sketchPeriod*4096-counterMax)
 	}
 	for range 3 {
 		sk.add(cold)
@@ -933,6 +933,92 @@ func TestReadSketch(t *testing.T) {
 	if sharing == 0 {
 		t.Fatal("no key shared some of the hot key's counters")
 	}
+}
+
+// TestSketchKeepsColdKeysCold pins the sketch's size against the aliasing
+// it exists to bound, at cache_churn's shape: a budget of a quarter of
+// 400,000 entries of 128-byte values, 80,000 keys read 15 times each and
+// 48,000 read once, the period disarmed so nothing halves. A key read once
+// must rarely estimate 2 — that clears the raze bar and wins duels — and a
+// key never read must rarely estimate 1, which beats an unread newcomer.
+// One counter per entry, a quarter of the words, leaves 18.7 % and 23.1 %
+// of them there.
+func TestSketchKeepsColdKeysCold(t *testing.T) {
+	const (
+		budget              = 400_000 * (128 + PairOverhead) / 4
+		hotN, onceN, neverN = 80_000, 48_000, 48_000
+		hotReads            = 15
+		oncePerRound        = onceN / hotReads
+		maxShare            = 0.03
+	)
+	sk := newSketch(budget)
+	sk.left.Store(math.MaxInt64)
+	r := rng.NewXorshift(1)
+	keys := func(n int) []uint64 {
+		ks := make([]uint64, n)
+		for i := range ks {
+			ks[i] = clampHash(r.Next())
+		}
+		return ks
+	}
+	hot, once, never := keys(hotN), keys(onceN), keys(neverN)
+	for round := range hotReads {
+		for _, k := range hot {
+			sk.add(k)
+		}
+		for _, k := range once[round*oncePerRound : (round+1)*oncePerRound] {
+			sk.add(k)
+		}
+	}
+	share := func(ks []uint64, atLeast uint32) float64 {
+		n := 0
+		for _, k := range ks {
+			if sk.count(k) >= atLeast {
+				n++
+			}
+		}
+		return float64(n) / float64(len(ks))
+	}
+	t.Logf("%d words: %.1f %% of once-read keys estimate ≥ 2, %.1f %% of never-read keys ≥ 1",
+		len(sk.words), 100*share(once, 2), 100*share(never, 1))
+	if got := share(once, 2); got > maxShare {
+		t.Errorf("%.1f %% of the keys read once estimate 2 or more, want at most %.0f %%", 100*got, 100*maxShare)
+	}
+	if got := share(never, 1); got > maxShare {
+		t.Errorf("%.1f %% of the keys never read estimate 1 or more, want at most %.0f %%", 100*got, 100*maxShare)
+	}
+}
+
+// TestSweepWaitsForADeadline pins the sweep's gate: a store no write has
+// given a deadline holds nothing that can expire, so its governance passes
+// examine no entry — the sweep cursor does not move — and the first SETEX
+// opens the sweep, which retires that entry once it lapses, unread.
+func TestSweepWaitsForADeadline(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		clk := newTestClock(1_000_000)
+		s := newStrings(WithClock(clk.fn()), WithoutMaintenance())
+		defer s.Close()
+		const n = 4 * sweepQuantum
+		for k := uint64(1); k <= n; k++ {
+			s.SetHashed(k, "v")
+		}
+		s.ExpireAtHashed(n+1, 1) // absent: stores no deadline
+		for range 8 {
+			s.Quiesce()
+		}
+		if s.sweepCursor != 0 || s.deadlines.Load() {
+			t.Fatalf("passes over a store without deadlines moved the sweep cursor to %d (deadlines %v)", s.sweepCursor, s.deadlines.Load())
+		}
+		s.SetEXHashed(n/2, "ttl", 1)
+		clk.advance(2 * nsPerSec)
+		for range 2 * n / sweepQuantum {
+			s.Quiesce()
+		}
+		lazy, swept, _ := s.TTLStats()
+		if lazy != 0 || swept != 1 || s.Len() != n-1 {
+			t.Fatalf("after the SETEX lapsed: %d swept, %d lazily expired, Len %d; want 1, 0, %d", swept, lazy, s.Len(), n-1)
+		}
+	})
 }
 
 // TestStampAge pins the recency stamp: a pair reads its age in epochs

@@ -298,6 +298,10 @@ type governed struct {
 	// hands CAS it forward every epochPeriod (see evictHand), passes
 	// overwrite it.
 	epochTick atomic.Int64
+	// deadlines is set, once and for good, by the first write that stores
+	// a deadline, before that write publishes: until then no entry can
+	// expire and the passes skip the sweep (see maintainPass).
+	deadlines atomic.Bool
 }
 
 // NewStrings returns a string store over a hashed index; the options
@@ -418,6 +422,8 @@ func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) (*pa
 	w := ds.Put[*pair]{Build: buildPair, Bytes: value, Aux: deadline, Tag: epoch}
 	if deadline == 0 {
 		w.Keep = restated
+	} else {
+		s.storesDeadlines()
 	}
 	n := pairLen(value) // a refused value is refused before it is charged
 	s.charge(k, n)
@@ -519,9 +525,14 @@ func (s *Strings) MGetHashed(hashes []uint64, vals []string, found []bool) {
 // MSetHashed stores vals[i] under every pre-hashed keys[i], recording
 // into replaced[i] whether a live value was overwritten, and returns the
 // fresh-insert count. Every key is checked before any is charged or
-// applied; then each is one SetHashed, but the batch lends one eviction
-// hand, not one per key, and its fresh keys duel no victim. replaced must be at least len(hashes) long.
-// Duplicate hashes apply in order, exactly as sequential SetHashed calls.
+// applied; then each is one SetHashed, but its fresh keys duel no victim,
+// and under a budget the batch lends its eviction hands after the last
+// key: one per evictSampleK fresh inserts, rounded up, and at least one.
+// Each aggressive round of a hand razes a sample of about evictSampleK
+// entries, so a bulk load past the watermark evicts at least as fast as it
+// inserts (TestBulkLoadHoldsBudget). replaced must be at least len(hashes)
+// long. Duplicate hashes apply in order, exactly as sequential SetHashed
+// calls.
 func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) int {
 	checkKeys(hashes)
 	epoch := s.epoch.Load()
@@ -532,7 +543,9 @@ func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) in
 			inserted++
 		}
 	}
-	s.evictHand(0, nil)
+	for range max(1, (inserted+evictSampleK-1)/evictSampleK) {
+		s.evictHand(0, nil)
+	}
 	return inserted
 }
 

@@ -261,6 +261,78 @@ func TestMSetHashedGrowsLikeSetHashed(t *testing.T) {
 	}
 }
 
+// TestBulkLoadHoldsBudget pins the eviction a budgeted bulk load lends:
+// two goroutines MSET four budgets' worth of fresh keys in 64-key batches,
+// as a preloading client does, with no scheduler, so only the batches'
+// hands evict. After every batch the store holds at most the aggressive
+// watermark (budget + budget/16) plus the other loader's batch in flight,
+// and the hash table has grown no further than that many entries need.
+// One hand per batch lets this load reach 2.1× the budget on the hash
+// store, whose table then keeps a doubling more, and 2.5× on the sorted.
+func TestBulkLoadHoldsBudget(t *testing.T) {
+	const (
+		valLen  = 128
+		entry   = valLen + PairOverhead
+		batch   = 64
+		loaders = 2
+	)
+	budget := 20_000 * entry
+	if testing.Short() {
+		budget = 5_000 * entry
+	}
+	perLoad := 2 * budget / entry // 4× the budget over both loaders
+	limit := int64(budget + budget/16 + batch*entry)
+	val := strings.Repeat("v", valLen)
+	for _, c := range stringsCtors {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.new(WithByteBudget(int64(budget)), WithoutMaintenance())
+			defer s.Close()
+			var peaks [loaders]int64
+			var wg sync.WaitGroup
+			for l := range loaders {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					hashes, vals := make([]uint64, 0, batch), make([]string, 0, batch)
+					replaced := make([]bool, batch)
+					for i := range perLoad {
+						hashes, vals = append(hashes, uint64(l*perLoad+i+1)), append(vals, val)
+						if len(hashes) < batch && i < perLoad-1 {
+							continue
+						}
+						if n := s.MSetHashed(hashes, vals, replaced); n != len(hashes) {
+							t.Errorf("MSetHashed inserted %d of %d fresh keys", n, len(hashes))
+						}
+						hashes, vals = hashes[:0], vals[:0]
+						peaks[l] = max(peaks[l], s.BytesUsed())
+					}
+				}()
+			}
+			wg.Wait()
+			p := max(peaks[0], peaks[1])
+			t.Logf("peak %.3f× the budget, %d buckets", float64(p)/float64(budget), s.Index().Buckets())
+			if p > limit {
+				t.Fatalf("bulk load peaked at %d bytes, %.2f× its budget; want at most %d", p, float64(p)/float64(budget), limit)
+			}
+			s.Index().Quiesce()
+			need := tableFor(int(limit / entry))
+			if b := s.Index().Buckets(); c.name == "hash" && b > need {
+				t.Fatalf("the table grew to %d buckets; %d entries need %d", b, limit/entry, need)
+			}
+		})
+	}
+}
+
+// tableFor is the bucket count a hash table holding n entries grows to:
+// the least power of two holding n at two entries per bucket.
+func tableFor(n int) int {
+	b := 1
+	for 2*b < n {
+		b <<= 1
+	}
+	return b
+}
+
 // TestStringsHashedBatchConcurrent races hashed batch writers/deleters
 // with scalar readers on an overlapping keyspace; under -race this is
 // the data-race coverage for the batch paths, and the final Len must
@@ -501,6 +573,7 @@ func TestStringsHotFieldsOwnTheirLine(t *testing.T) {
 		{"evictedNew", unsafe.Offsetof(s.evictedNew), unsafe.Sizeof(s.evictedNew)},
 		{"handRng", unsafe.Offsetof(s.handRng), unsafe.Sizeof(s.handRng)},
 		{"epochTick", unsafe.Offsetof(s.epochTick), unsafe.Sizeof(s.epochTick)},
+		{"deadlines", unsafe.Offsetof(s.deadlines), unsafe.Sizeof(s.deadlines)},
 	}
 	sweeper := []span{
 		{"maintMu", unsafe.Offsetof(s.maintMu), unsafe.Sizeof(s.maintMu)},
