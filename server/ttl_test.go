@@ -267,7 +267,8 @@ func TestServerStatsFields(t *testing.T) {
 			}
 			// Five entries fill the budget; each is read twice, so all are
 			// warm, and an overwrite that takes the store past the budget
-			// is not a fresh key and holds no duel. The victim is warm.
+			// is not a fresh key and holds no duel: its round razes, and
+			// with every resident in use it evicts one warm victim.
 			keys := []uint64{1, 11, 12, 13, 14}
 			for _, k := range keys[1:] {
 				c.Set(k, 10)
@@ -287,8 +288,10 @@ func TestServerStatsFields(t *testing.T) {
 				t.Errorf("evicted %d (%d warm, %d new) with every resident in use, want 1 (1, 0)", st["evicted"], st["evicted_warm"], st["evicted_new"])
 			}
 			// A fresh key nobody has read loses its duel with the residents,
-			// read twice each: its own SET evicts it.
-			c.Set(15, 10)
+			// read twice each: its own SET evicts it. Its value is the long
+			// one, so the SET takes the store past the budget whichever
+			// resident was the victim above.
+			c.Set(15, 1000)
 			if _, ok := c.Get(15); ok {
 				t.Error("an unread fresh key was admitted over residents read twice")
 			}

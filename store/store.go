@@ -151,12 +151,13 @@ func WithClock(now func() int64) Option {
 // WithByteBudget bounds the string layer's approximate live footprint:
 // when bytes_used exceeds n, the maintenance pass evicts sampled entries —
 // the least often read first, the longest untouched among entries nobody
-// read — until back under, and a SET of a new key that takes the store
-// over n keeps that key only if it has been read more often than the
-// entry it would displace, or neither was read. 0 (the default) means
-// unbounded. The budget
-// governs bytes, not elements — the store sheds a few large values or
-// many small ones alike.
+// read — until back under. Each write that adds bytes and leaves the store
+// over n evicts on its own time too: a SET of a new key keeps that key
+// only if it has been read more often than the entry it would displace,
+// or neither was read, and an MSET or a longer overwrite evicts the
+// barely-read entries of a sample. 0 (the default) means unbounded. The
+// budget governs bytes, not elements — the store sheds a few large values
+// or many small ones alike.
 func WithByteBudget(n int64) Option {
 	return func(o *options) { o.byteBudget = n }
 }

@@ -16,15 +16,17 @@
 // Background governance rides the store's maintenance scheduler: each pass
 // reads the clock, advances the eviction epoch, sweeps a
 // cursor quantum of the index for expired pairs (shard.Sweep), and — when
-// a byte budget is configured and exceeded — evicts sampled entries (of K
-// random residents drawn with shard.Sample, more while all of them are in
-// use, the one the read sketch says is read least often, then the one
-// least recently touched: see evictSample) until back under budget.
-// Writers lend the same bounded hand inline when a write leaves the store
-// over budget (evictHand), so the budget holds even when a saturated box
-// starves the scheduler goroutine; a fresh insert's own entry duels the
-// hand's victim, and stays only if it has been read more often (TinyLFU
-// admission).
+// a byte budget is configured and exceeded — evicts sampled entries one
+// round at a time (of K random residents drawn with shard.Sample, the one
+// the read sketch says is read least often, then the one least recently
+// touched: see evictSample) until back under budget.
+// Each write that adds bytes and leaves the store over budget lends a
+// round inline (evictHand), so the budget holds even when a saturated box
+// starves the scheduler goroutine. The kind of write picks the kind of
+// round: a scalar fresh insert's own entry duels the round's victim, and
+// stays only if it has been read more often (TinyLFU admission); an MSET
+// batch or a longer overwrite lends rounds that raze the sample's
+// barely-read entries.
 //
 // Everything is driven through one injectable clock (WithClock), so tests
 // advance time by hand and every expiry behavior reproduces
@@ -56,14 +58,6 @@ const (
 	// least used of K random live entries. K = 4 costs two points of
 	// hit_rate on cache_churn (docs/ARCHITECTURE.md), so 8 stays.
 	evictSampleK = 8
-	// evictWidenMax is how far a round widens its sample while the least
-	// used entry it has found is above the raze bar and it has razed
-	// nothing: with ~80 % of cache_churn's residents warm, one best-of-8 in
-	// six holds no cold entry and would evict a warm one. 4·K keeps most of
-	// what wider caps gain in hit_rate at a bounded cost for a round over
-	// residents that are all warm, the widening's worst case
-	// (BenchmarkEvictRound; docs/ARCHITECTURE.md has both rows).
-	evictWidenMax = 4 * evictSampleK
 	// evictProbeMax bounds the index probes spent collecting those
 	// candidates. A hash probe reads a run of four buckets — four entries
 	// per unit of load factor, on average — and a probe that lands on
@@ -75,9 +69,9 @@ const (
 	// far emptier than that (150 entries in 2048 buckets in
 	// TestByteBudgetEviction); 16·K probes still find K entries there, and
 	// such a table is small enough that an empty probe is a cache hit. A
-	// sorted probe reports one entry, so a widened sorted round spends
-	// evictWidenMax probes. A loaded table stops after a handful of probes
-	// and never spends the rest.
+	// sorted probe reports one entry, so a sorted round spends at least K
+	// probes. A loaded table stops after a handful of probes and never
+	// spends the rest.
 	evictProbeMax = 16 * evictSampleK
 	// evictMaxFails bounds consecutive fruitless eviction attempts (empty
 	// probes or vanished entries) before a pass gives up; the next pass
@@ -93,18 +87,12 @@ const (
 	// ~millisecond resolution even when a saturated box starves the
 	// background scheduler that used to be the only epoch source.
 	epochPeriod = int64(time.Millisecond)
-	// aggressiveMaxFreq is the bar of the aggressive eviction mode: sampled
-	// entries the read sketch counts at most this many reads for go in
-	// bulk. One is what a refill carries — the GET that missed — so
-	// one-shot entries stop occupying a budgeted store within a blink and
-	// anything read again since does not qualify.
+	// aggressiveMaxFreq is the raze bar: a raze round evicts every sampled
+	// entry the read sketch counts at most this many reads for. One is what
+	// a refill carries — the GET that missed — so one-shot entries stop
+	// occupying a budgeted store within a blink and anything read again
+	// since does not qualify. A victim above it counts on EvictedWarm.
 	aggressiveMaxFreq = 1
-	// evictHandRounds bounds the write path's inline governance hand to
-	// this many sample rounds per write, keeping the worst-case SET
-	// latency spike small while still reclaiming several entries' bytes
-	// per entry inserted (each aggressive round retires up to
-	// evictSampleK victims).
-	evictHandRounds = 4
 )
 
 // now reads the store's clock: the injected one, or time.Now.
@@ -262,8 +250,8 @@ func (s *Strings) ByteBudget() int64 { return s.budget }
 func (s *Strings) WritesElided() uint64 { return uint64(max(s.elided.Sum(), 0)) }
 
 // EvictedWarm returns how many eviction victims were above the raze bar:
-// entries read more than once of late, evicted because the widened sample
-// that chose them held nothing colder (or, for a fresh insert, because the
+// entries read more than once of late, evicted because the sample that
+// chose them held nothing colder (or, for a fresh insert, because the
 // sample's victim was read at least as often).
 func (s *Strings) EvictedWarm() uint64 { return uint64(max(s.warm.Sum(), 0)) }
 
@@ -339,14 +327,7 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 		if canceled(cancel) || (maxEvict > 0 && done >= maxEvict) {
 			return
 		}
-		// Pressure-adaptive width: mildly over budget, evict the single
-		// least used of the sample (classic best-of-K). More than ~6% over
-		// — insertion pressure is outrunning one-at-a-time eviction — evict
-		// every barely-used entry the sample turns up, trading victim
-		// precision for the ~K× throughput that keeps bytes_used pinned
-		// instead of drifting to the working-set size.
-		aggressive := s.BytesUsed() > s.budget+s.budget/16
-		n := s.evictSample(&s.sweepRng, now, epoch, aggressive, 0, nil)
+		n := s.evictSample(&s.sweepRng, now, epoch, false, 0, nil)
 		if n == 0 {
 			fails++
 			continue
@@ -389,7 +370,7 @@ func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
 	return true
 }
 
-// evictSample runs one eviction round over K or more random live entries
+// evictSample runs one eviction round over K random live entries
 // (spending at most evictProbeMax index probes to find them — a probe
 // reports the entries of a run of random buckets, or the successor of a
 // random key, and one that lands on nothing is skipped, not counted,
@@ -397,32 +378,27 @@ func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
 // how many entries it retired. A candidate is judged by its key first:
 // one that cannot displace the best so far — read more often, or as often
 // when both were read at all — is passed over without its pair being read
-// (in aggressive mode the best is always read more often than any entry
-// the round razes). A pair that is read retires on the spot, as swept, if
-// it has expired. In the normal mode only the least used pair of the sample is evicted:
-// fewest reads on the sketch, ties to the longest untouched — where
-// nothing has been read every count is 0 and the order is approx-LRU. In
-// aggressive mode every sampled pair read at most aggressiveMaxFreq times
-// goes, the round ending early once the store is back at its budget (a
-// round must not take a small store further under than it was over), with
-// the best-of-K single victim as the fallback when the whole sample is in
-// use (convergence must not stall). Either way a round that has razed
-// nothing, holds no duel, and whose least used pair is above that bar
-// keeps sampling, up to evictWidenMax entries, so the fallback victim is
-// warm only when the widened sample held nothing colder. Warm victims
-// count on EvictedWarm.
+// (in a raze round the best is always read more often than any entry the
+// round razes). A pair that is read retires on the spot, as swept, if it
+// has expired. A round evicts the least used pair of the sample: fewest
+// reads on the sketch, ties to the longest untouched — where nothing has
+// been read every count is 0 and the order is approx-LRU. A raze round
+// instead evicts every sampled pair read at most aggressiveMaxFreq times,
+// ending early once the store is back at its budget (a round must not take
+// a small store further under than it was over), with the least used pair
+// as the fallback when the whole sample is in use (convergence must not
+// stall). A pair another round retired first is not one of its K:
+// concurrent bulk loads' rounds draw the same entries of a sorted store
+// often enough that counting them would let the loads drift past the
+// budget (TestBulkLoadHoldsBudget). Victims above the raze bar count on
+// EvictedWarm.
 //
 // A round lent by a fresh insert of fresh under k holds a duel for that
 // single victim, the newcomer itself never a candidate: it stays only if
 // the sketch counts strictly more reads for k than for the victim, or if
 // both count none — then nothing has been read and recency decides, and
 // the newcomer is the freshest entry there is. Otherwise the newcomer is
-// the one evicted, and it counts on EvictedNew. A duel does not widen its
-// sample: when the best of K is warm the newcomer is usually the colder
-// of the two, and widening duels as well cost a replay of cache_churn's
-// rings a fifth more time in the store for no hit rate
-// (docs/ARCHITECTURE.md). A round that razed entries in aggressive mode
-// holds no duel.
+// the one evicted, and it counts on EvictedNew.
 //
 // rng is caller-owned xorshift state — the sweeper passes its
 // maintMu-guarded field, write-path hands a private local — so concurrent
@@ -430,14 +406,13 @@ func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
 // conditional delete (retire), and the sketch and the stamp only ever pick
 // the candidate. The round allocates nothing: the shard hands each probe's
 // entries back by value.
-func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, aggressive bool, k uint64, fresh *pair) int {
+func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, raze bool, k uint64, fresh *pair) int {
 	var best *pair
 	var bestKey uint64
 	var bestFreq, bestAge uint32
 	evicted, live := 0, 0
 probes:
-	for i := 0; i < evictProbeMax && (live < evictSampleK ||
-		live < evictWidenMax && evicted == 0 && best != nil && bestFreq > aggressiveMaxFreq && fresh == nil); i++ {
+	for i := 0; i < evictProbeMax && live < evictSampleK; i++ {
 		*rng ^= *rng << 13
 		*rng ^= *rng >> 7
 		*rng ^= *rng << 17
@@ -457,11 +432,11 @@ probes:
 				s.retire(pk, p, &s.expiredSwept)
 				continue
 			}
-			if aggressive && freq <= aggressiveMaxFreq {
-				if s.retire(pk, p, &s.evicted) {
-					if evicted++; s.BytesUsed() <= s.budget {
-						break probes
-					}
+			if raze && freq <= aggressiveMaxFreq {
+				if !s.retire(pk, p, &s.evicted) {
+					live-- // another round took it: no resident of this sample
+				} else if evicted++; s.BytesUsed() <= s.budget {
+					break probes
 				}
 				continue
 			}
@@ -490,42 +465,30 @@ probes:
 	return 1
 }
 
-// evictHand is the write path's bounded governance hand: a write that
-// leaves bytes_used past the aggressive watermark, or a fresh insert that
-// leaves it past the budget, lends a few eviction sample rounds inline, on
-// the writing goroutine's own time — the same bargain the hash table
+// evictHand is the write path's governance hand: a write that adds bytes
+// and leaves bytes_used over the budget lends one eviction round inline,
+// on the writing goroutine's own time — the same bargain the hash table
 // strikes for resize migration (a busy structure drives its own
 // maintenance on the backs of its updates), and the same one Redis strikes
-// at maxmemory (the command that crosses the watermark pays for the
-// reclaim). The background passes alone cannot be trusted with the budget:
-// on a saturated box the scheduler goroutine runs tens of milliseconds
-// apart, and a hot write stream outgrows any bounded burst it could evict
-// that rarely. fresh, under k, is the entry a scalar fresh insert just
-// stored (nil for any other write): the hand's first round holds its duel
-// (evictSample), so every such insert over the budget evicts one entry,
-// itself or a colder one, and a stream of them holds the budget. Under
-// the watermark that duel is the hand's only round; past it the hand runs
-// up to evictHandRounds aggressive rounds while the store is over. The
-// hand is deliberately lock-free — it must not queue behind (or be starved
-// by) a running maintenance pass, because a pass fighting a hot write
-// stream for one core is exactly when the writers' help is needed; each
-// hand derives a private rng from one atomic bump and races the confirmed
-// deletes safely.
+// at maxmemory (the command that crosses the limit pays for the reclaim).
+// The background passes alone cannot be trusted with the budget: on a
+// saturated box the scheduler goroutine runs tens of milliseconds apart,
+// and a hot write stream outgrows any bounded burst it could evict that
+// rarely. fresh, under k, is the entry a scalar fresh insert just stored:
+// its round is a duel (evictSample), so every such insert over the budget
+// evicts one entry, itself or a colder one, and a stream of them holds the
+// budget without taking the store under it, where another writer's insert
+// would skip its own duel. Any other write passes nil and its round
+// razes: an MSET batch lends one such round per evictSampleK fresh keys
+// (MSetHashed), which a bulk load of unread keys needs to evict as fast as
+// it inserts. The hand is deliberately lock-free — it must not queue
+// behind (or be starved by) a running maintenance pass, because a pass
+// fighting a hot write stream for one core is exactly when the writers'
+// help is needed; each hand derives a private rng from one atomic bump and
+// races the confirmed deletes safely.
 func (s *Strings) evictHand(k uint64, fresh *pair) {
-	if s.budget == 0 {
+	if s.budget == 0 || s.BytesUsed() <= s.budget {
 		return
-	}
-	used, watermark := s.BytesUsed(), s.budget+s.budget/16
-	rounds := evictHandRounds
-	if used <= watermark {
-		if fresh == nil || used <= s.budget {
-			return
-		}
-		// A fresh insert's duel: one entry in, one out. More rounds here
-		// would take the store under its budget whenever another writer's
-		// insert landed meanwhile, and that writer's key would then skip
-		// its own duel.
-		rounds = 1
 	}
 	rng := s.handRng.Add(0x9E3779B97F4A7C15)
 	// The hand reads the clock itself: it is the component that keeps
@@ -538,11 +501,7 @@ func (s *Strings) evictHand(k uint64, fresh *pair) {
 	if last := s.epochTick.Load(); now-last >= epochPeriod && s.epochTick.CompareAndSwap(last, now) {
 		s.epoch.Add(1)
 	}
-	epoch := s.epoch.Load()
-	for i := 0; i < rounds && (i == 0 || s.BytesUsed() > s.budget); i++ {
-		s.evictSample(&rng, now, epoch, used > watermark, k, fresh)
-		fresh = nil
-	}
+	s.evictSample(&rng, now, s.epoch.Load(), fresh == nil, k, fresh)
 }
 
 // canceled is a non-blocking poll of the scheduler's stop channel.

@@ -517,8 +517,8 @@ func byteBudgetEviction(t *testing.T, newStrings func(...Option) *Strings, seed 
 // never-read keys. Under a recency-only order the scan is
 // always the freshest thing in the store and the hot set goes first — every
 // hot key is gone by the end. Both stores keep 99 % of the hot set: a
-// round whose best-of-K holds only hot keys widens its sample until it
-// meets a scan key, where a fixed best-of-K lost 21 of 500.
+// never-read scan key loses its duel with any hot victim, and a pass
+// evicts the least read entry of its sample.
 func TestEvictionScanResistance(t *testing.T) { eachStrings(t, testEvictionScanResistance) }
 
 func testEvictionScanResistance(t *testing.T, newStrings func(...Option) *Strings) {
@@ -592,75 +592,58 @@ func (m *evictMix) put(cold bool) uint64 {
 	return k
 }
 
-// TestEvictionWidensToACold pins the widening on warm residents with a
-// cold tenth: every round whose widened sample — the probes a round reads
-// to gather evictWidenMax entries, replayed from the round's rng — holds a
-// cold entry evicts a cold one, on both stores, and a round whose sample
-// holds none evicts a warm one and counts it on EvictedWarm. A fixed
-// best-of-K evicts a warm entry whenever the cold ones lie past its first
-// K, so the test also requires rounds of that kind. Cold is what the read
-// sketch says: a key whose four counters all collide with a warm key's
-// reads warm, and the round is right to treat it so.
-func TestEvictionWidensToACold(t *testing.T) {
-	const residents, rounds = 4000, 400
+// TestEachWriteLendsItsRound pins the round each kind of write lends on a
+// store past its budget with no scheduler to evict for it, on both
+// stores: a same-size overwrite and a restated SET add no bytes and evict
+// nothing, however far over the store is; a scalar fresh SET duels one
+// victim, so it evicts exactly one entry; a longer overwrite lends a raze
+// round; and an MSET of a few fresh keys that takes the store only a
+// little over its budget lends a raze round that brings it back.
+func TestEachWriteLendsItsRound(t *testing.T) {
+	const valLen, keep, extra = 100, 100, 10 // extra entries are past budget + budget/16
+	const entry = valLen + PairOverhead
+	budget := int64(keep * entry)
+	val := strings.Repeat("v", valLen)
 	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
-		m := newEvictMix(newStrings)
-		s := m.s
+		// over is a store of keep+extra unread entries under a budget of
+		// keep, mapped behind the layer's back so that no write lends a
+		// round while it fills.
+		over := func(extra int) *Strings {
+			s := newStrings(WithClock(func() int64 { return 1 }), WithoutMaintenance(), WithByteBudget(budget))
+			for i := 0; i < keep+extra; i++ {
+				k, p := HashKey(fmt.Sprintf("res%03d", i)), newPair(val, 0, s.epoch.Load())
+				s.charge(k, p.size())
+				s.index.Set(k, p)
+			}
+			return s
+		}
+		evicts := func(s *Strings, write func()) uint64 {
+			_, _, before := s.TTLStats()
+			write()
+			_, _, after := s.TTLStats()
+			return after - before
+		}
+		s := over(extra)
 		defer s.Close()
-		isCold := func(k uint64) bool { return s.sketch.count(k) <= aggressiveMaxFreq }
-		for i := 0; i < residents; i++ {
-			m.put(i%10 == 0)
+		if n := evicts(s, func() { s.Set("res000", strings.Repeat("w", valLen)) }); n != 0 {
+			t.Fatalf("a same-size overwrite on a store %d entries over its budget evicted %d entries, want 0", extra, n)
 		}
-		epoch := s.epoch.Load()
-		rnd := uint64(0x9E3779B97F4A7C15)
-		pastK, warm := 0, uint64(0)
-		for r := 0; r < rounds; r++ {
-			var sampled []uint64
-			coldAt := -1
-			replay := rnd
-			for i, live := 0, 0; i < evictProbeMax && live < evictWidenMax; i++ {
-				replay ^= replay << 13
-				replay ^= replay >> 7
-				replay ^= replay << 17
-				keys, _, n := s.index.sample(replay)
-				for _, k := range keys[:n] {
-					if isCold(k) && coldAt < 0 {
-						coldAt = live
-					}
-					sampled = append(sampled, k)
-					live++
-				}
-			}
-			if got := s.evictSample(&rnd, 1, epoch, false, 0, nil); got != 1 {
-				t.Fatalf("round %d evicted %d entries, want 1", r, got)
-			}
-			victim, found := uint64(0), 0
-			for _, k := range sampled {
-				if _, ok := s.index.Get(k); !ok && victim != k {
-					victim, found = k, found+1
-				}
-			}
-			if found != 1 {
-				t.Fatalf("round %d: %d sampled keys gone, want the one victim", r, found)
-			}
-			switch {
-			case coldAt >= 0 && !isCold(victim):
-				t.Fatalf("round %d evicted a warm entry though entry %d of its widened sample was cold", r, coldAt)
-			case coldAt < 0:
-				warm++
-			case coldAt >= evictSampleK:
-				pastK++
-			}
-			if got := s.EvictedWarm(); got != warm {
-				t.Fatalf("round %d: EvictedWarm = %d, want %d", r, got, warm)
-			}
-			m.put(coldAt >= 0)
+		if n := evicts(s, func() { s.Set("res001", val) }); n != 0 {
+			t.Fatalf("a restated SET evicted %d entries, want 0", n)
 		}
-		t.Logf("%d of %d rounds found their cold victim past the first %d entries; %d had none to find",
-			pastK, rounds, evictSampleK, warm)
-		if pastK < rounds/10 {
-			t.Fatalf("only %d of %d rounds had their nearest cold entry past the first %d; the test does not exercise the widening",
-				pastK, rounds, evictSampleK)
+		if n := evicts(s, func() { s.Set("new", val) }); n != 1 {
+			t.Fatalf("a fresh SET over the budget evicted %d entries, want 1", n)
+		}
+		if n := evicts(s, func() { s.Set("res002", val+"w") }); n < 1 {
+			t.Fatalf("a longer overwrite over the budget evicted %d entries, want at least 1", n)
+		}
+
+		m := over(0)
+		defer m.Close()
+		hashes := []uint64{HashKey("m1"), HashKey("m2"), HashKey("m3")}
+		m.MSetHashed(hashes, []string{val, val, val}, make([]bool, len(hashes)))
+		if used := m.BytesUsed(); used > budget+entry {
+			t.Fatalf("an MSET of 3 fresh keys left the store at %d bytes, want at most the budget %d plus one entry", used, budget)
 		}
 	})
 }
@@ -797,12 +780,18 @@ func TestAdmissionWriteOnlyKeepsNewest(t *testing.T) {
 // store without a budget has no sketch.
 func TestSketchSizeIsCapped(t *testing.T) {
 	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
-		build := func(opts ...Option) (*Strings, uint64) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			s := newStrings(append(opts, WithoutMaintenance())...)
-			runtime.ReadMemStats(&after)
-			return s, after.TotalAlloc - before.TotalAlloc
+		// build measures a construction as the least of three after one
+		// unmeasured warm-up, so neither a construction's first-use
+		// allocations nor a runtime allocation that lands between the
+		// memory readings counts against it.
+		build := func(opts ...Option) (s *Strings, bytes uint64) {
+			opts = append(opts, WithoutMaintenance())
+			_, bytes = allocsPerRun(3, func() {
+				if s != nil {
+					s.Close()
+				}
+			}, func() { s = newStrings(opts...) })
+			return s, bytes
 		}
 		plain, base := build()
 		capped, bytes := build(WithByteBudget(math.MaxInt64))
@@ -815,14 +804,13 @@ func TestSketchSizeIsCapped(t *testing.T) {
 	})
 }
 
-// BenchmarkEvictRound times one aggressive eviction round — the write
-// path's hand — on hash and sorted stores of 2^17 residents, cold-rich (a
-// half cold) and all warm. After each round, outside the timer, the store
-// gets back as many warm and cold entries as the round evicted of each,
-// so the mix holds steady. entries/round is the entries a round evicts:
-// the cold ones its sample turns up, or its one fallback victim. All warm
-// is the widening's worst case: every round reads evictWidenMax entries
-// and evicts one.
+// BenchmarkEvictRound times one raze round — the round an MSET or a longer
+// overwrite lends — on hash and sorted stores of 2^17 residents, cold-rich
+// (a half cold) and all warm. After each round, outside the timer, the
+// store gets back as many warm and cold entries as the round evicted of
+// each, so the mix holds steady. entries/round is the entries a round
+// evicts: the cold ones its sample of K turns up, or its one fallback
+// victim, which is all a round over warm residents evicts.
 func BenchmarkEvictRound(b *testing.B) {
 	for _, c := range stringsCtors {
 		for _, mix := range []struct {

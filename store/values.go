@@ -393,17 +393,22 @@ func (s *Strings) SetHashed(k uint64, value string) bool {
 	return s.set(k, value, 0)
 }
 
-// set is the scalar write under Set and SetEX: put, then an eviction hand
-// lent if the write left the store over its budget. A fresh insert hands
-// the hand its new entry, which duels the round's victim (evictSample) and
-// may lose: under a budget a SET can evict the key it just wrote.
+// set is the scalar write under Set and SetEX: put, then the eviction
+// round the write lends if it left the store over its budget (evictHand).
+// A fresh insert hands the round its new entry, which duels the round's
+// victim (evictSample) and may lose: under a budget a SET can evict the
+// key it just wrote. An overwrite with a longer value lends a raze round;
+// a same-size or shorter one, and a restated SET, add no bytes and lend
+// nothing.
 func (s *Strings) set(k uint64, value string, deadline int64) bool {
 	ds.CheckKey(k)
-	p, live := s.put(k, value, deadline, s.epoch.Load())
-	if live {
-		p = nil
+	p, live, grew := s.put(k, value, deadline, s.epoch.Load())
+	switch {
+	case !live:
+		s.evictHand(k, p)
+	case grew:
+		s.evictHand(0, nil)
 	}
-	s.evictHand(k, p)
 	return live
 }
 
@@ -415,10 +420,12 @@ func (s *Strings) set(k uint64, value string, deadline int64) bool {
 // and the displaced pair is credited back. The bytes are charged before
 // the write, as for any pair that may be published, and a kept write
 // credits them back. It returns the pair k maps to after the write and
-// reports whether a live value was replaced. A write is not a read: it
-// counts nothing on the read sketch, and the pair it stores is born at the
-// write's epoch whatever its predecessor's stamp said.
-func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) (*pair, bool) {
+// reports whether a live value was replaced and whether the write added
+// bytes: a fresh insert, or a value longer than the one it displaced. A
+// write is not a read: it counts nothing on the read sketch, and the pair
+// it stores is born at the write's epoch whatever its predecessor's stamp
+// said.
+func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) (p *pair, live, grew bool) {
 	w := ds.Put[*pair]{Build: buildPair, Bytes: value, Aux: deadline, Tag: epoch}
 	if deadline == 0 {
 		w.Keep = restated
@@ -431,9 +438,9 @@ func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) (*pa
 	if replaced && p == old {
 		s.credit(k, n)
 		s.elided.Add(k, 1)
-		return p, true
+		return p, true, false
 	}
-	return p, replaced && s.unmapped(k, old)
+	return p, replaced && s.unmapped(k, old), !replaced || n > old.size()
 }
 
 // buildPair builds the pair a put stores: its value bytes, its deadline,
@@ -525,23 +532,29 @@ func (s *Strings) MGetHashed(hashes []uint64, vals []string, found []bool) {
 // MSetHashed stores vals[i] under every pre-hashed keys[i], recording
 // into replaced[i] whether a live value was overwritten, and returns the
 // fresh-insert count. Every key is checked before any is charged or
-// applied; then each is one SetHashed, but its fresh keys duel no victim,
-// and under a budget the batch lends its eviction hands after the last
-// key: one per evictSampleK fresh inserts, rounded up, and at least one.
-// Each aggressive round of a hand razes a sample of about evictSampleK
-// entries, so a bulk load past the watermark evicts at least as fast as it
-// inserts (TestBulkLoadHoldsBudget). replaced must be at least len(hashes)
-// long. Duplicate hashes apply in order, exactly as sequential SetHashed
-// calls.
+// applied; then each is one SetHashed, but its fresh keys duel no victim:
+// a batch that added bytes lends its eviction rounds after the last key,
+// one per evictSampleK fresh inserts, rounded up, and at least one, each
+// lent while the store is over its budget. A round razes every barely-read
+// entry of its sample of about evictSampleK, so a bulk load of unread keys
+// evicts as fast as it inserts (TestBulkLoadHoldsBudget). A duel per key
+// would hold the budget too, at half again the load's time
+// (docs/ARCHITECTURE.md). replaced must be at least len(hashes) long.
+// Duplicate hashes apply in order, exactly as sequential SetHashed calls.
 func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) int {
 	checkKeys(hashes)
 	epoch := s.epoch.Load()
-	inserted := 0
+	inserted, grew := 0, false
 	for i, k := range hashes {
-		_, replaced[i] = s.put(k, vals[i], 0, epoch)
+		var added bool
+		_, replaced[i], added = s.put(k, vals[i], 0, epoch)
+		grew = grew || added
 		if !replaced[i] {
 			inserted++
 		}
+	}
+	if !grew {
+		return inserted
 	}
 	for range max(1, (inserted+evictSampleK-1)/evictSampleK) {
 		s.evictHand(0, nil)

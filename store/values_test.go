@@ -264,9 +264,9 @@ func TestMSetHashedGrowsLikeSetHashed(t *testing.T) {
 // TestBulkLoadHoldsBudget pins the eviction a budgeted bulk load lends:
 // two goroutines MSET four budgets' worth of fresh keys in 64-key batches,
 // as a preloading client does, with no scheduler, so only the batches'
-// hands evict. After every batch the store holds at most the aggressive
-// watermark (budget + budget/16) plus the other loader's batch in flight,
-// and the hash table has grown no further than that many entries need.
+// rounds evict. After every batch the store holds at most its budget plus
+// a batch per loader in flight, and the hash table has grown no further
+// than that many entries need.
 // One hand per batch lets this load reach 2.1× the budget on the hash
 // store, whose table then keeps a doubling more, and 2.5× on the sorted.
 func TestBulkLoadHoldsBudget(t *testing.T) {
@@ -281,7 +281,7 @@ func TestBulkLoadHoldsBudget(t *testing.T) {
 		budget = 5_000 * entry
 	}
 	perLoad := 2 * budget / entry // 4× the budget over both loaders
-	limit := int64(budget + budget/16 + batch*entry)
+	limit := int64(budget + loaders*batch*entry)
 	val := strings.Repeat("v", valLen)
 	for _, c := range stringsCtors {
 		t.Run(c.name, func(t *testing.T) {
@@ -736,10 +736,10 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 		s := c.new(WithShardBuckets(1024), WithoutMaintenance(),
 			WithClock(func() int64 { return 1 }), WithByteBudget(budget))
 		next := uint64(0)
-		// overfill pushes the store past the hands' watermark behind the
-		// layer's back, so the next write finds work for its hand.
+		// overfill pushes the store past its budget behind the layer's
+		// back, so the next write finds work for its round.
 		overfill := func() {
-			for s.BytesUsed() <= budget+budget/16 {
+			for s.BytesUsed() <= budget {
 				next++
 				p := newPair(val, 0, s.epoch.Load())
 				s.charge(next, p.size())
