@@ -302,6 +302,36 @@ func TestServerStatsFields(t *testing.T) {
 	}
 }
 
+// TestServerTurnsAwayAnOversizeValue pins the byte budget's limit on the
+// wire, on both servers: with fifty 200-byte entries filling a 10,000-byte
+// budget exactly, a SET of a 20,000-byte value replies :0, as a fresh
+// insert does, but is never stored. A GET of its key misses and LEN is
+// unchanged, even after QUIESCE has run a full eviction pass.
+func TestServerTurnsAwayAnOversizeValue(t *testing.T) {
+	const entry, keep, budget = 200, 50, 10_000
+	for _, srv := range ttlServers {
+		t.Run(srv.name, func(t *testing.T) {
+			_, addr := startTTLServer(t, srv.ordered, store.WithByteBudget(budget))
+			conn, r := dialRaw(t, addr)
+			var send, want strings.Builder
+			val := strings.Repeat("v", entry-store.PairOverhead)
+			for i := 1; i <= keep; i++ {
+				fmt.Fprintf(&send, "SET %d %s\r\n", i, val)
+				want.WriteString(":0\r\n")
+			}
+			big := strings.Repeat("b", 2*budget)
+			fmt.Fprintf(&send, "LEN\r\n*3\r\n$3\r\nSET\r\n$4\r\n9999\r\n$%d\r\n%s\r\nQUIESCE\r\nGET 9999\r\nLEN\r\n", len(big), big)
+			fmt.Fprintf(&want, ":%d\r\n:0\r\n+OK\r\n$-1\r\n:%d\r\n", keep, keep)
+			if _, err := conn.Write([]byte(send.String())); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if got := readN(t, r, want.Len()); got != want.String() {
+				t.Fatalf("transcript mismatch:\n got %q\nwant %q", got, want.String())
+			}
+		})
+	}
+}
+
 // documentedCommands returns the command word of every row of the
 // docs/PROTOCOL.md table under heading, in table order.
 func documentedCommands(t *testing.T, heading string) []string {

@@ -150,14 +150,16 @@ func WithClock(now func() int64) Option {
 
 // WithByteBudget bounds the string layer's approximate live footprint:
 // when bytes_used exceeds n, the maintenance pass evicts sampled entries —
-// the least often read first, the longest untouched among entries nobody
-// read — until back under. Each write that adds bytes and leaves the store
-// over n evicts on its own time too: a SET of a new key keeps that key
-// only if it has been read more often than the entry it would displace,
-// or neither was read, and an MSET or a longer overwrite evicts the
-// barely-read entries of a sample. 0 (the default) means unbounded. The
-// budget governs bytes, not elements — the store sheds a few large values
-// or many small ones alike.
+// the barely-read ones, else the least often read, the longest untouched
+// among entries nobody read — until back under. Writes evict on their own
+// time too. A SET of a new key that would take the store over n is
+// decided before it is stored: the key is stored only if it has been read
+// more often than the entry it would displace, or neither was read, and
+// a value larger than n is never stored. Either way the SET replies as a
+// fresh insert. An MSET or a longer overwrite that leaves the store over
+// n evicts the barely-read entries of a sample. 0 (the default) means
+// unbounded. The budget governs bytes, not elements — the store sheds a
+// few large values or many small ones alike.
 func WithByteBudget(n int64) Option {
 	return func(o *options) { o.byteBudget = n }
 }
@@ -220,14 +222,8 @@ func (s *Store[V]) Get(key uint64) (V, bool) {
 // previous value and whether one was replaced — the upsert a serving store
 // needs (contrast Insert, the paper's set semantics).
 func (s *Store[V]) Set(key uint64, val V) (V, bool) {
-	old, _, replaced := s.write(key, ds.Put[V]{Val: val})
+	old, _, replaced := s.shard.Write(key, ds.Put[V]{Val: val})
 	return old, replaced
-}
-
-// write hands one Put to the shard's Write: the body under Set, and under
-// the string layer's writes, which build their pair lazily.
-func (s *Store[V]) write(key uint64, p ds.Put[V]) (old, val V, replaced bool) {
-	return s.shard.Write(key, p)
 }
 
 // Del removes key, returning its value, if present.

@@ -17,16 +17,18 @@
 // reads the clock, advances the eviction epoch, sweeps a
 // cursor quantum of the index for expired pairs (shard.Sweep), and — when
 // a byte budget is configured and exceeded — evicts sampled entries one
-// round at a time (of K random residents drawn with shard.Sample, the one
-// the read sketch says is read least often, then the one least recently
-// touched: see evictSample) until back under budget.
-// Each write that adds bytes and leaves the store over budget lends a
-// round inline (evictHand), so the budget holds even when a saturated box
-// starves the scheduler goroutine. The kind of write picks the kind of
-// round: a scalar fresh insert's own entry duels the round's victim, and
-// stays only if it has been read more often (TinyLFU admission); an MSET
-// batch or a longer overwrite lends rounds that raze the sample's
-// barely-read entries.
+// raze round at a time (of K random residents drawn with shard.Sample,
+// every one the read sketch counts at most one read for, or else the one
+// it counts fewest for, then the one least recently touched: see
+// evictSample) until back under budget.
+// Writes lend rounds inline too (evictHand), so the budget holds even when
+// a saturated box starves the scheduler goroutine, and there are two
+// kinds of round. A scalar fresh insert that would take the store over
+// its budget holds a duel before it is built: the newcomer is stored only
+// if it has been read more often than the round's victim (TinyLFU
+// admission), and a loser costs the index nothing. An MSET batch or a
+// longer overwrite that leaves the store over its budget lends the same
+// raze round the passes run.
 //
 // Everything is driven through one injectable clock (WithClock), so tests
 // advance time by hand and every expiry behavior reproduces
@@ -251,13 +253,15 @@ func (s *Strings) WritesElided() uint64 { return uint64(max(s.elided.Sum(), 0)) 
 
 // EvictedWarm returns how many eviction victims were above the raze bar:
 // entries read more than once of late, evicted because the sample that
-// chose them held nothing colder (or, for a fresh insert, because the
-// sample's victim was read at least as often).
+// chose them held nothing colder (or, for a fresh insert turned away,
+// because the sample's victim was read at least as often).
 func (s *Strings) EvictedWarm() uint64 { return uint64(max(s.warm.Sum(), 0)) }
 
-// EvictedNew returns how many evictions took the entry the write lending
-// the round had just inserted: a fresh key that lost its duel with the
-// sample's victim. They are counted in TTLStats' evicted too.
+// EvictedNew returns how many scalar fresh inserts the budget turned
+// away before storing them: a newcomer that lost its duel with the
+// sample's victim, or whose value alone outweighs the budget. Each
+// counts as an eviction in TTLStats' evicted too, as a write evicted at
+// once would.
 func (s *Strings) EvictedNew() uint64 { return s.evictedNew.Load() }
 
 // TTLStats snapshots the governance counters: entries retired lazily by
@@ -308,9 +312,9 @@ func (m ttlMaintainer) MaintainBusy() {
 // maintainPass is one governance round: read the clock, tick
 // the eviction epoch, sweep a cursor quantum of the index for expired
 // pairs — once any write has stored a deadline: a store that never has
-// holds nothing to expire — then, over budget, evict sampled entries until
-// under (or the busy cap / fail bound / cancel hits). maxEvict 0 means
-// "to budget".
+// holds nothing to expire — then, over budget, run raze rounds
+// (evictSample) until under (or the busy cap / fail bound / cancel hits).
+// maxEvict 0 means "to budget".
 // maintMu serializes passes (the scheduler and a concurrent Quiesce may
 // both drive one); the pass never blocks user operations.
 func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
@@ -327,7 +331,7 @@ func (s *Strings) maintainPass(cancel <-chan struct{}, maxEvict int) {
 		if canceled(cancel) || (maxEvict > 0 && done >= maxEvict) {
 			return
 		}
-		n := s.evictSample(&s.sweepRng, now, epoch, false, 0, nil)
+		n := s.evictSample(&s.sweepRng, now, epoch, 0)
 		if n == 0 {
 			fails++
 			continue
@@ -380,25 +384,31 @@ func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
 // when both were read at all — is passed over without its pair being read
 // (in a raze round the best is always read more often than any entry the
 // round razes). A pair that is read retires on the spot, as swept, if it
-// has expired. A round evicts the least used pair of the sample: fewest
-// reads on the sketch, ties to the longest untouched — where nothing has
-// been read every count is 0 and the order is approx-LRU. A raze round
-// instead evicts every sampled pair read at most aggressiveMaxFreq times,
-// ending early once the store is back at its budget (a round must not take
-// a small store further under than it was over), with the least used pair
-// as the fallback when the whole sample is in use (convergence must not
-// stall). A pair another round retired first is not one of its K:
-// concurrent bulk loads' rounds draw the same entries of a sorted store
-// often enough that counting them would let the loads drift past the
-// budget (TestBulkLoadHoldsBudget). Victims above the raze bar count on
-// EvictedWarm.
+// has expired. The round has one of two kinds, and k picks it.
 //
-// A round lent by a fresh insert of fresh under k holds a duel for that
-// single victim, the newcomer itself never a candidate: it stays only if
-// the sketch counts strictly more reads for k than for the victim, or if
-// both count none — then nothing has been read and recency decides, and
-// the newcomer is the freshest entry there is. Otherwise the newcomer is
-// the one evicted, and it counts on EvictedNew.
+// k 0 is a raze round, the one every write but a scalar fresh insert
+// lends, and the background passes' round: it evicts every sampled pair
+// read at most aggressiveMaxFreq times, ending early once the store is
+// back at its budget (a round must not take a small store further under
+// than it was over), with the least used pair of the sample as the
+// fallback when the whole sample is in use (convergence must not stall) —
+// fewest reads on the sketch, ties to the longest untouched; where nothing
+// has been read every count is 0 and the order is approx-LRU. A pair
+// another round retired first is not one of its K: concurrent bulk loads'
+// rounds draw the same entries of a sorted store often enough that
+// counting them would let the loads drift past the budget
+// (TestBulkLoadHoldsBudget).
+//
+// Any other k is a duel, held before a fresh insert of k is built: the
+// least used pair of the sample is its one victim, and the newcomer is
+// admitted only if the sketch counts strictly more reads for k than for
+// the victim, or if both count none — then nothing has been read and
+// recency decides, and the newcomer would be the freshest entry there is.
+// An admitted newcomer retires the victim and the round returns 1, or 0
+// when the sample held no victim or another round retired it first. A
+// newcomer turned away retires nothing, and the round returns -1.
+// Victims above the raze bar, a turned-away newcomer's count included,
+// count on EvictedWarm.
 //
 // rng is caller-owned xorshift state — the sweeper passes its
 // maintMu-guarded field, write-path hands a private local — so concurrent
@@ -406,7 +416,7 @@ func (s *Strings) sweep(cancel <-chan struct{}, now int64) bool {
 // conditional delete (retire), and the sketch and the stamp only ever pick
 // the candidate. The round allocates nothing: the shard hands each probe's
 // entries back by value.
-func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, raze bool, k uint64, fresh *pair) int {
+func (s *Strings) evictSample(rng *uint64, now int64, epoch uint32, k uint64) int {
 	var best *pair
 	var bestKey uint64
 	var bestFreq, bestAge uint32
@@ -422,9 +432,6 @@ probes:
 		s.sketch.counts(keys[:n], freqs[:n])
 		for j, p := range pairs[:n] {
 			pk, freq := keys[j], freqs[j]
-			if p == fresh {
-				continue // the newcomer's fate is the duel's
-			}
 			if best != nil && (freq > bestFreq || freq == bestFreq && freq != 0) {
 				continue // neither a victim nor razed: its pair is not read
 			}
@@ -432,7 +439,7 @@ probes:
 				s.retire(pk, p, &s.expiredSwept)
 				continue
 			}
-			if raze && freq <= aggressiveMaxFreq {
+			if k == 0 && freq <= aggressiveMaxFreq {
 				if !s.retire(pk, p, &s.evicted) {
 					live-- // another round took it: no resident of this sample
 				} else if evicted++; s.BytesUsed() <= s.budget {
@@ -448,16 +455,16 @@ probes:
 	if evicted != 0 || best == nil {
 		return evicted
 	}
-	if fresh != nil {
+	if k != 0 {
 		if nf := s.sketch.count(k); nf <= bestFreq && (nf != 0 || bestFreq != 0) {
-			best, bestKey, bestFreq = fresh, k, nf
+			if nf > aggressiveMaxFreq {
+				s.warm.Add(k, 1)
+			}
+			return -1
 		}
 	}
 	if !s.retire(bestKey, best, &s.evicted) {
 		return 0
-	}
-	if best == fresh {
-		s.evictedNew.Add(1)
 	}
 	if bestFreq > aggressiveMaxFreq {
 		s.warm.Add(bestKey, 1)
@@ -465,31 +472,30 @@ probes:
 	return 1
 }
 
-// evictHand is the write path's governance hand: a write that adds bytes
-// and leaves bytes_used over the budget lends one eviction round inline,
-// on the writing goroutine's own time — the same bargain the hash table
-// strikes for resize migration (a busy structure drives its own
-// maintenance on the backs of its updates), and the same one Redis strikes
-// at maxmemory (the command that crosses the limit pays for the reclaim).
-// The background passes alone cannot be trusted with the budget: on a
-// saturated box the scheduler goroutine runs tens of milliseconds apart,
-// and a hot write stream outgrows any bounded burst it could evict that
-// rarely. fresh, under k, is the entry a scalar fresh insert just stored:
-// its round is a duel (evictSample), so every such insert over the budget
-// evicts one entry, itself or a colder one, and a stream of them holds the
-// budget without taking the store under it, where another writer's insert
-// would skip its own duel. Any other write passes nil and its round
-// razes: an MSET batch lends one such round per evictSampleK fresh keys
-// (MSetHashed), which a bulk load of unread keys needs to evict as fast as
-// it inserts. The hand is deliberately lock-free — it must not queue
-// behind (or be starved by) a running maintenance pass, because a pass
-// fighting a hot write stream for one core is exactly when the writers'
-// help is needed; each hand derives a private rng from one atomic bump and
-// races the confirmed deletes safely.
-func (s *Strings) evictHand(k uint64, fresh *pair) {
-	if s.budget == 0 || s.BytesUsed() <= s.budget {
-		return
-	}
+// evictHand is the write path's governance hand: a write lends one
+// eviction round inline, on the writing goroutine's own time — the same
+// bargain the hash table strikes for resize migration (a busy structure
+// drives its own maintenance on the backs of its updates), and the same
+// one Redis strikes at maxmemory (the command that crosses the limit pays
+// for the reclaim). The background passes alone cannot be trusted with the
+// budget: on a saturated box the scheduler goroutine runs tens of
+// milliseconds apart, and a hot write stream outgrows any bounded burst it
+// could evict that rarely. A scalar fresh insert that would take the store
+// over its budget passes its key before it builds anything (Strings.set):
+// its round is a duel (evictSample), and the hand reports whether the
+// newcomer won it. So every such insert evicts one entry, a colder
+// resident or, by never being stored, itself, and a stream of them holds
+// the budget without taking the store under it, where another writer's
+// insert would skip its own duel. Any other write passes 0, once it has
+// left the store over its budget, and its round razes: an MSET batch lends
+// one such round per evictSampleK fresh keys (MSetHashed), which a bulk
+// load of unread keys needs to evict as fast as it inserts. The hand is
+// deliberately lock-free — it must not queue behind (or be starved by) a
+// running maintenance pass, because a pass fighting a hot write stream for
+// one core is exactly when the writers' help is needed; each hand derives
+// a private rng from one atomic bump and races the confirmed deletes
+// safely.
+func (s *Strings) evictHand(k uint64) bool {
 	rng := s.handRng.Add(0x9E3779B97F4A7C15)
 	// The hand reads the clock itself: it is the component that keeps
 	// the eviction epoch running when a saturated box starves the
@@ -501,8 +507,11 @@ func (s *Strings) evictHand(k uint64, fresh *pair) {
 	if last := s.epochTick.Load(); now-last >= epochPeriod && s.epochTick.CompareAndSwap(last, now) {
 		s.epoch.Add(1)
 	}
-	s.evictSample(&rng, now, s.epoch.Load(), fresh == nil, k, fresh)
+	return s.evictSample(&rng, now, s.epoch.Load(), k) >= 0
 }
+
+// fits reports whether n more bytes leave the store within its budget.
+func (s *Strings) fits(n int64) bool { return s.budget == 0 || s.BytesUsed()+n <= s.budget }
 
 // canceled is a non-blocking poll of the scheduler's stop channel.
 func canceled(c <-chan struct{}) bool {

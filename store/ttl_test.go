@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/optik-go/optik/ds"
 	"github.com/optik-go/optik/internal/rng"
 )
 
@@ -736,6 +737,171 @@ func TestAdmissionEvictsAnUnreadNewcomer(t *testing.T) {
 	})
 }
 
+// countingShard wraps a store's shard and counts the index updates made
+// through it: writes, and the conditional deletes that retire an entry.
+type countingShard struct {
+	shard[*pair]
+	writes, condDels atomic.Int64
+}
+
+func (c *countingShard) Write(key uint64, p ds.Put[*pair]) (old, val *pair, replaced bool) {
+	c.writes.Add(1)
+	return c.shard.Write(key, p)
+}
+
+func (c *countingShard) DeleteIfValue(key uint64, val *pair) bool {
+	c.condDels.Add(1)
+	return c.shard.DeleteIfValue(key, val)
+}
+
+// TestAdmissionTurnsAwayEveryUnreadNewcomer pins that the duel is held
+// before the write: one store takes 200 unread newcomers, SET and SETEX
+// alternately, and turns every one away without touching the index — no
+// index write and no conditional delete — so no newcomer can become a
+// candidate of a later duel. Seeds 7, 8 and 17 are ones where, when the
+// newcomer was stored first and dueled after, the sorted store's sample
+// drew nothing but the newcomer itself in some duel, kept it, and then
+// let later unread newcomers tie it at zero reads.
+func TestAdmissionTurnsAwayEveryUnreadNewcomer(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		for _, seed := range []uint64{7, 8, 17} {
+			s, val := admissionStore(t, newStrings, seed)
+			cs := &countingShard{shard: s.index.shard}
+			s.index.shard = cs
+			admitted := 0
+			for i := range 200 {
+				k := HashKey(fmt.Sprintf("new%03d", i))
+				if i%2 == 0 && s.SetHashed(k, val) || i%2 == 1 && s.SetEXHashed(k, val, 100) {
+					t.Fatalf("seed %d: the write of newcomer %d reported a replacement", seed, i)
+				}
+				if _, ok := s.index.Get(k); ok {
+					admitted++
+				}
+			}
+			if admitted != 0 || s.EvictedNew() != 200 || s.Len() != 100 || cs.writes.Load() != 0 || cs.condDels.Load() != 0 {
+				t.Fatalf("seed %d: %d of 200 unread newcomers admitted, %d turned away, %d residents, %d index writes and %d conditional deletes; want 0, 200, 100, 0 and 0",
+					seed, admitted, s.EvictedNew(), s.Len(), cs.writes.Load(), cs.condDels.Load())
+			}
+			s.Close()
+		}
+	})
+}
+
+// TestNoReaderSeesATurnedAwayValue races a reader's GETs of each newcomer
+// key against that key's SETs, on a store whose residents are read as
+// often as the sketch can count (counterMax) and whose sketch never
+// halves, so every newcomer loses its duel. A turned-away write is never
+// stored, so no GET may return it. A store that published the newcomer
+// and evicted it after its duel would let a reader see the value in
+// between.
+func TestNoReaderSeesATurnedAwayValue(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		const valLen, keep, sets = 100, 100, 8
+		newcomers := 2000
+		if testing.Short() {
+			newcomers = 500
+		}
+		s := newStrings(WithoutMaintenance(), WithByteBudget(keep*(valLen+PairOverhead)))
+		defer s.Close()
+		val := strings.Repeat("v", valLen)
+		for i := range keep {
+			s.Set(fmt.Sprintf("res%03d", i), val)
+		}
+		s.sketch.left.Store(math.MaxInt64)
+		for range counterMax {
+			for i := range keep {
+				s.Get(fmt.Sprintf("res%03d", i))
+			}
+		}
+		// The reader GETs the key the writer names in cur, and names it in
+		// ack once it has started, so every SET races a reader of its key.
+		var cur, ack atomic.Int64
+		cur.Store(-1)
+		ack.Store(-1)
+		var seen atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				i := cur.Load()
+				if i == int64(newcomers) {
+					return
+				}
+				if i < 0 {
+					runtime.Gosched()
+					continue
+				}
+				ack.Store(i)
+				if _, ok := s.Get(fmt.Sprintf("new%04d", i)); ok {
+					seen.Add(1)
+				}
+				runtime.Gosched() // a lone processor runs the writer too
+			}
+		}()
+		newVal := strings.Repeat("n", valLen)
+		for i := range int64(newcomers) {
+			cur.Store(i)
+			for ack.Load() != i {
+				runtime.Gosched()
+			}
+			for range sets {
+				s.Set(fmt.Sprintf("new%04d", i), newVal)
+			}
+		}
+		cur.Store(int64(newcomers))
+		<-done
+		if n := seen.Load(); n != 0 || s.EvictedNew() != uint64(newcomers*sets) {
+			t.Fatalf("%d GETs returned a turned-away value; %d of %d SETs turned away; want 0 and all",
+				n, s.EvictedNew(), newcomers*sets)
+		}
+	})
+}
+
+// TestOversizeValueIsTurnedAway pins the gate's limit: a fresh value whose
+// charge alone exceeds the budget is turned away like a losing newcomer,
+// however cold the residents are. A 10,000-byte budget holds fifty
+// 200-byte entries exactly; a 20,000-byte SET, then a SETEX of the same,
+// each report a fresh insert and are never stored, and even after a full
+// pass every resident stays, with evicted and evicted_new at 1, then 2.
+// Stored, the value would have had the pass evict the whole store to make
+// room, and itself last.
+func TestOversizeValueIsTurnedAway(t *testing.T) {
+	eachStrings(t, func(t *testing.T, newStrings func(...Option) *Strings) {
+		const entry, keep, budget = 200, 50, 10_000
+		s := newStrings(WithClock(func() int64 { return 1 }), WithoutMaintenance(), WithByteBudget(budget))
+		defer s.Close()
+		val := strings.Repeat("v", entry-PairOverhead)
+		for i := range keep {
+			s.Set(fmt.Sprintf("res%03d", i), val)
+		}
+		if _, _, evicted := s.TTLStats(); evicted != 0 || s.BytesUsed() != budget {
+			t.Fatalf("setup: evicted %d, BytesUsed %d; want 0 and exactly the budget %d", evicted, s.BytesUsed(), budget)
+		}
+		big := strings.Repeat("b", 2*budget)
+		for n, write := range []func() bool{
+			func() bool { return s.Set("big", big) },
+			func() bool { return s.SetEX("big", big, 100) },
+		} {
+			if write() {
+				t.Fatalf("write %d of the oversize value reported a replacement", n+1)
+			}
+			s.Quiesce()
+			if _, ok := s.Get("big"); ok {
+				t.Fatalf("write %d: a value larger than the budget was stored", n+1)
+			}
+			for i := range keep {
+				if _, ok := s.index.Get(HashKey(fmt.Sprintf("res%03d", i))); !ok {
+					t.Fatalf("write %d: resident %d was evicted for a value larger than the budget", n+1, i)
+				}
+			}
+			if _, _, evicted := s.TTLStats(); evicted != uint64(n+1) || s.EvictedNew() != uint64(n+1) || s.BytesUsed() != budget {
+				t.Fatalf("write %d: evicted %d (%d new), BytesUsed %d; want %d (%d new) and %d",
+					n+1, evicted, s.EvictedNew(), s.BytesUsed(), n+1, n+1, budget)
+			}
+		}
+	})
+}
+
 // TestAdmissionWriteOnlyKeepsNewest pins the duel's tie: in a store
 // nothing reads, every count is 0, so every newcomer stays and the victim
 // is the oldest entry of the sample. SETs of ten times the budget in keys,
@@ -831,7 +997,7 @@ func BenchmarkEvictRound(b *testing.B) {
 				b.ResetTimer()
 				for range b.N {
 					warm := s.EvictedWarm()
-					n := s.evictSample(&rnd, 1, epoch, true, 0, nil)
+					n := s.evictSample(&rnd, 1, epoch, 0)
 					b.StopTimer()
 					evicted += n
 					warmN := int(s.EvictedWarm() - warm)

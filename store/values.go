@@ -286,8 +286,8 @@ type governed struct {
 	expiredLazy  atomic.Uint64
 	expiredSwept atomic.Uint64
 	evicted      atomic.Uint64
-	// evictedNew counts the evictions whose victim was the entry the
-	// write lending the round had just inserted (see evictSample).
+	// evictedNew counts the scalar fresh inserts turned away before
+	// they were stored (see set).
 	evictedNew atomic.Uint64
 	// handRng seeds the write path's lock-free eviction hands (see
 	// evictHand): each hand derives a private xorshift state from one
@@ -393,21 +393,29 @@ func (s *Strings) SetHashed(k uint64, value string) bool {
 	return s.set(k, value, 0)
 }
 
-// set is the scalar write under Set and SetEX: put, then the eviction
-// round the write lends if it left the store over its budget (evictHand).
-// A fresh insert hands the round its new entry, which duels the round's
-// victim (evictSample) and may lose: under a budget a SET can evict the
-// key it just wrote. An overwrite with a longer value lends a raze round;
-// a same-size or shorter one, and a restated SET, add no bytes and lend
-// nothing.
+// set is the scalar write under Set and SetEX. Under a budget the write
+// is judged before it is built: when it would take bytes_used over the
+// budget and the validated lookup finds k absent, a fresh insert holds its
+// duel first (evictHand), and a newcomer that loses it, or whose value
+// alone outweighs the budget, is turned away — nothing is allocated,
+// charged, locked or version-bumped, the eviction counts on EvictedNew,
+// and the SET reports a fresh insert, as a write evicted at once would.
+// A winner has retired its victim and is stored by put. An overwrite with
+// a longer value that leaves the store over its budget lends a raze round
+// after the write; a same-size or shorter one, and a restated SET, add no
+// bytes and lend nothing. A racing writer can make k present between the
+// lookup and put: the insert is then an overwrite that paid one eviction.
 func (s *Strings) set(k uint64, value string, deadline int64) bool {
 	ds.CheckKey(k)
-	p, live, grew := s.put(k, value, deadline, s.epoch.Load())
-	switch {
-	case !live:
-		s.evictHand(k, p)
-	case grew:
-		s.evictHand(0, nil)
+	cost := int64(pairLen(value)) + pairOverhead
+	if !s.fits(cost) && s.lookup(k) == nil && (cost > s.budget || !s.evictHand(k)) {
+		s.evicted.Add(1)
+		s.evictedNew.Add(1)
+		return false
+	}
+	live, grew := s.put(k, value, deadline, s.epoch.Load())
+	if live && grew && !s.fits(0) {
+		s.evictHand(0)
 	}
 	return live
 }
@@ -419,13 +427,13 @@ func (s *Strings) set(k uint64, value string, deadline int64) bool {
 // other write has the index build its pair (buildPair) and publish it,
 // and the displaced pair is credited back. The bytes are charged before
 // the write, as for any pair that may be published, and a kept write
-// credits them back. It returns the pair k maps to after the write and
-// reports whether a live value was replaced and whether the write added
-// bytes: a fresh insert, or a value longer than the one it displaced. A
-// write is not a read: it counts nothing on the read sketch, and the pair
-// it stores is born at the write's epoch whatever its predecessor's stamp
-// said.
-func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) (p *pair, live, grew bool) {
+// credits them back. It reports whether a live value was replaced and
+// whether the write added bytes: a fresh insert, or a value longer than
+// the one it displaced. Admission is the caller's, decided before put
+// runs: put stores whatever it is handed. A write is not a read: it counts
+// nothing on the read sketch, and the pair it stores is born at the
+// write's epoch whatever its predecessor's stamp said.
+func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) (live, grew bool) {
 	w := ds.Put[*pair]{Build: buildPair, Bytes: value, Aux: deadline, Tag: epoch}
 	if deadline == 0 {
 		w.Keep = restated
@@ -434,13 +442,13 @@ func (s *Strings) put(k uint64, value string, deadline int64, epoch uint32) (p *
 	}
 	n := pairLen(value) // a refused value is refused before it is charged
 	s.charge(k, n)
-	old, p, replaced := s.index.write(k, w)
+	old, p, replaced := s.index.shard.Write(k, w)
 	if replaced && p == old {
 		s.credit(k, n)
 		s.elided.Add(k, 1)
-		return p, true, false
+		return true, false
 	}
-	return p, replaced && s.unmapped(k, old), !replaced || n > old.size()
+	return replaced && s.unmapped(k, old), !replaced || n > old.size()
 }
 
 // buildPair builds the pair a put stores: its value bytes, its deadline,
@@ -532,22 +540,23 @@ func (s *Strings) MGetHashed(hashes []uint64, vals []string, found []bool) {
 // MSetHashed stores vals[i] under every pre-hashed keys[i], recording
 // into replaced[i] whether a live value was overwritten, and returns the
 // fresh-insert count. Every key is checked before any is charged or
-// applied; then each is one SetHashed, but its fresh keys duel no victim:
-// a batch that added bytes lends its eviction rounds after the last key,
+// applied; then each is one put, and its fresh keys duel no victim: they
+// are stored as they come, and a batch that added bytes lends its
+// eviction rounds after the last key,
 // one per evictSampleK fresh inserts, rounded up, and at least one, each
 // lent while the store is over its budget. A round razes every barely-read
 // entry of its sample of about evictSampleK, so a bulk load of unread keys
 // evicts as fast as it inserts (TestBulkLoadHoldsBudget). A duel per key
 // would hold the budget too, at half again the load's time
 // (docs/ARCHITECTURE.md). replaced must be at least len(hashes) long.
-// Duplicate hashes apply in order, exactly as sequential SetHashed calls.
+// Duplicate hashes apply in order, as sequential SetHashed calls would.
 func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) int {
 	checkKeys(hashes)
 	epoch := s.epoch.Load()
 	inserted, grew := 0, false
 	for i, k := range hashes {
 		var added bool
-		_, replaced[i], added = s.put(k, vals[i], 0, epoch)
+		replaced[i], added = s.put(k, vals[i], 0, epoch)
 		grew = grew || added
 		if !replaced[i] {
 			inserted++
@@ -557,7 +566,9 @@ func (s *Strings) MSetHashed(hashes []uint64, vals []string, replaced []bool) in
 		return inserted
 	}
 	for range max(1, (inserted+evictSampleK-1)/evictSampleK) {
-		s.evictHand(0, nil)
+		if !s.fits(0) {
+			s.evictHand(0)
+		}
 	}
 	return inserted
 }

@@ -727,7 +727,9 @@ func TestBytesUsedFormula(t *testing.T) {
 // and nothing else: no free-list node, no closure. And an eviction round
 // on its own allocates nothing on either spine: both shards hand their
 // samples back by value, so no scratch escapes through the shard
-// interface.
+// interface. A fresh SET nobody has read, against residents read twice,
+// loses its duel before anything is built: no allocation at all, on
+// either spine.
 func TestEvictingSetIsOneAllocation(t *testing.T) {
 	const valLen, keep = 64, 100
 	budget := int64(keep * (valLen + PairOverhead))
@@ -757,9 +759,20 @@ func TestEvictingSetIsOneAllocation(t *testing.T) {
 					objects, got)
 			}
 		}
+		a, aval := admissionStore(t, c.new, 1)
+		newcomer := uint64(1 << 40)
+		objects, _ := allocsPerRun(100, func() {}, func() {
+			newcomer++
+			a.SetHashed(newcomer, aval)
+		})
+		if objects != 0 || a.EvictedNew() != 101 || a.Len() != 100 {
+			t.Errorf("%s: a losing fresh SET made %d allocations; %d of 101 newcomers turned away, %d residents left; want 0, 101 and 100",
+				c.name, objects, a.EvictedNew(), a.Len())
+		}
+		a.Close()
 		rng := uint64(0x9E3779B97F4A7C15)
 		evicted := s.evicted.Load()
-		objects, _ := allocsPerRun(100, overfill, func() { s.evictSample(&rng, 1, s.epoch.Load(), true, 0, nil) })
+		objects, _ = allocsPerRun(100, overfill, func() { s.evictSample(&rng, 1, s.epoch.Load(), 0) })
 		if got := s.evicted.Load() - evicted; objects != 0 || got == 0 {
 			t.Errorf("%s: an eviction round made %d allocations (%d evictions over 100 rounds); want none", c.name, objects, got)
 		}
