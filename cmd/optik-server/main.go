@@ -6,8 +6,7 @@
 // Usage:
 //
 //	optik-server [-addr :7979] [-shard-buckets 1024] [-maxconns 0]
-//	             [-idle-grace 5s] [-shed-water 0]
-//	             [-byte-budget 0] [-ordered]
+//	             [-idle-grace 5s] [-byte-budget 0] [-ordered]
 //
 // Flags:
 //
@@ -15,15 +14,15 @@
 //	-shard-buckets the hash table's floor bucket count, rounded up to a
 //	               power of two (default 1024; the ordered store is one
 //	               skip list and ignores it)
-//	-maxconns      concurrent connection cap (default 0 = unlimited)
+//	-maxconns      concurrent connection cap (default 0 = unlimited);
+//	               a connection over it reads -ERR busy retry and a FIN,
+//	               and conns_rejected counts it. Idle conns are never
+//	               dropped to make room
 //	-idle-grace    how long a conn may sit idle before its buffers are
 //	               returned to the pool (default 5s; buffers come back
 //	               on the next readable byte). Each conn is served by
 //	               its own goroutine; an idle one keeps only that
 //	               goroutine's stack and its registration
-//	-shed-water    population high-water mark above which the server
-//	               sheds idle-longest conns with -ERR busy retry
-//	               (default: 90% of -maxconns when that is set)
 //	-byte-budget   byte budget of the store (default 0 = unbounded):
 //	               above it, maintenance passes and write-path hands
 //	               evict sampled entries, least used first, back to the
@@ -60,7 +59,6 @@ func main() {
 	shardBuckets := flag.Int("shard-buckets", 1024, "the hash table's floor bucket count (ignored with -ordered)")
 	maxConns := flag.Int("maxconns", 0, "concurrent connection cap (0 = unlimited)")
 	idleGrace := flag.Duration("idle-grace", 0, "idle grace before a conn's buffers return to the pool (0 = default 5s)")
-	shedWater := flag.Int("shed-water", 0, "shed idle conns above this population (0 = default: 90% of -maxconns)")
 	byteBudget := flag.Int64("byte-budget", 0, "byte budget of the store, 0 = unbounded")
 	ordered := flag.Bool("ordered", false, "back the server with the skip-list store (decimal keys, SCAN/RANGE/MIN/MAX)")
 	flag.Parse()
@@ -73,9 +71,6 @@ func main() {
 	sopts := []server.Option{server.WithMaxConns(*maxConns)}
 	if *idleGrace > 0 {
 		sopts = append(sopts, server.WithIdleGrace(*idleGrace))
-	}
-	if *shedWater > 0 {
-		sopts = append(sopts, server.WithShedWater(*shedWater))
 	}
 	stOpts := []store.Option{store.WithShardBuckets(*shardBuckets), store.WithByteBudget(*byteBudget)}
 	var srv *server.Server

@@ -32,9 +32,9 @@ type Jittered struct {
 	seeded bool
 }
 
-// Default window bounds: the busy reply means "the server is shedding on
-// millisecond scales", so the first retry comes quickly and the cap stays
-// well under human-visible latency.
+// Default window bounds: the busy reply means "the server is at its
+// connection cap, and a slot frees on millisecond scales", so the first
+// retry comes quickly and the cap stays well under human-visible latency.
 const (
 	DefaultBase = 2 * time.Millisecond
 	DefaultMax  = 250 * time.Millisecond

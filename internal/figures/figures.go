@@ -77,8 +77,6 @@ type Row struct {
 	// connection buffers checked out server-side at the sample point,
 	// the sampling connection's own among them.
 	BuffersResident int64 `json:"buffers_resident,omitempty"`
-	// ConnsShed counts connections the server shed during the run.
-	ConnsShed int64 `json:"conns_shed,omitempty"`
 }
 
 // Recorder accumulates rows for machine-readable output. The figure

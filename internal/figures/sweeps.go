@@ -267,7 +267,7 @@ func figConns(o RunOpts) []Panel {
 					res := runConnsCell(grace, cfg)
 					row := latencyRow(res.Mops, res.Latency)
 					row.MaxProcs = res.MaxProcs
-					row.BuffersResident, row.ConnsShed = res.BuffersResident, res.Shed
+					row.BuffersResident = res.BuffersResident
 					return row
 				},
 			})

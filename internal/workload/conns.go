@@ -58,11 +58,10 @@ type ConnsResult struct {
 	// Server-side STATS sampled at the deadline, with the population
 	// still connected: ConnsOpen is conns_open,
 	// BuffersResident is the buffers_resident RSS proxy (idle conns past
-	// the grace hold no buffers), Shed and Rejected count overload
-	// actions.
+	// the grace hold no buffers), Rejected counts conns turned away over
+	// the connection cap.
 	ConnsOpen       int64
 	BuffersResident int64
-	Shed            int64
 	Rejected        int64
 	// Retries counts client-side transient-failure retries (busy replies
 	// honored, redials) across the whole population.
@@ -134,7 +133,6 @@ func RunConns(cfg ConnsConfig) ConnsResult {
 			s := st.Stats()
 			total.ConnsOpen = s["conns_open"]
 			total.BuffersResident = s["buffers_resident"]
-			total.Shed = s["conns_shed"]
 			total.Rejected = s["conns_rejected"]
 			st.Close()
 		}

@@ -9,7 +9,7 @@
 //
 // One pool per power-of-two size tier, each holding slices of exactly its
 // size: a requested size is rounded UP to its tier, so a non-power-of-two
-// WithBufferSize gets slightly larger buffers than asked — never smaller.
+// withBufferSize gets slightly larger buffers than asked — never smaller.
 // A read buffer grown by doubling is again a tier size and goes back to
 // that tier; a reply buffer grown by append rarely is, and is left to the
 // GC.
@@ -19,7 +19,7 @@ package server
 import "sync"
 
 const (
-	minTierShift = 9  // 512 B — the WithBufferSize floor
+	minTierShift = 9  // 512 B — the withBufferSize floor
 	maxTierShift = 20 // 1 MiB — larger requests allocate unpooled
 	numTiers     = maxTierShift - minTierShift + 1
 )

@@ -25,8 +25,8 @@ import (
 // surface loudly, not an error to propagate through a hot measurement
 // loop.
 //
-// Overload is the exception: a `-ERR busy retry` reply (the shedding
-// contract in docs/PROTOCOL.md) and transport-level failures are
+// Overload is the exception: a `-ERR busy retry` reply (the connection
+// cap's contract in docs/PROTOCOL.md) and transport-level failures are
 // transient, so by default every operation retries them — jittered
 // exponential backoff, redial, replay — up to a bounded attempt count
 // before falling back to the panic. SetRetry tunes or disables this.
@@ -64,8 +64,8 @@ func retryf(format string, args ...any) {
 	panic(&clientRetryable{msg: fmt.Sprintf(format, args...)})
 }
 
-// do runs op, absorbing retryable panics: jittered backoff (the shedding
-// server asked exactly for that), redial, replay. Non-retryable panics —
+// do runs op, absorbing retryable panics: jittered backoff (a server at
+// its connection cap asked exactly for that), redial, replay. Non-retryable panics —
 // protocol violations, server error replies other than busy — pass
 // through untouched, and exhausted retries re-panic with the first
 // failure's message so disabled-retry behavior matches the old client.
@@ -260,9 +260,9 @@ func (c *Client) readReply() (kind byte, n int64, payload []byte) {
 		c.bulk = append(c.bulk[:0], line[1:]...)
 		return kind, 0, c.bulk
 	case '-':
-		// The busy reply is the server's shedding contract: transient by
-		// definition, so it retries; every other server error is a bug to
-		// surface.
+		// The busy reply is the server's connection-cap contract:
+		// transient by definition, so it retries; every other server error
+		// is a bug to surface.
 		if strings.HasPrefix(string(line[1:]), "ERR busy") {
 			retryf("server client: server busy: %s", line[1:])
 		}

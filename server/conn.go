@@ -13,17 +13,15 @@
 // returns to its pooled size once emptied, so memory follows the bytes in
 // flight, not the largest frame the connection ever saw.
 //
-// Lifecycle: a connection starts parked with no buffers — an idle conn
-// costs its registration and a parked goroutine, per the OPTIK principle
-// of paying only when there is work. Buffers are acquired from the tiered
-// pools (bufpool.go) on the first readable byte and released at teardown
-// or once the connection has sat idle past the grace (WithIdleGrace): the
-// handler arms a read deadline when it parks and, when it fires on a conn
+// Lifecycle: a connection starts with no buffers — an idle conn costs its
+// registration and a blocked goroutine, per the OPTIK principle of paying
+// only when there is work. Buffers are acquired from the tiered pools
+// (bufpool.go) on the first readable byte and released at teardown or once
+// the connection has sat idle past the grace (WithIdleGrace): the handler
+// arms a read deadline when it goes idle and, when it fires on a conn
 // nobody used since, hands the buffers back and waits for a first byte
-// again. The parked/busy/shed state word coordinates the handler with the
-// load shedder: the shedder may claim only a parked conn, so it never
-// writes concurrently with the protocol engine, and once it has, the
-// connection is the shedder's to close.
+// again. The handler goroutine owns its conn from accept to close; nothing
+// else reads, writes or closes it but Server.Close.
 
 package server
 
@@ -32,19 +30,11 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync/atomic"
 	"time"
 )
 
-// Connection lifecycle states (connState.state).
-const (
-	connParked int32 = iota // no request in flight; the shedder may claim it
-	connBusy                // the handler owns the conn
-	connShed                // the shedder claimed it and closes it; the handler exits quietly
-)
-
-// busyReply is the overload reply: written to a rejected accept or into a
-// shed idle connection, ahead of a FIN. Clients back off and redial (the
+// busyReply is the overload reply: written to an accept over the
+// connection cap, ahead of a FIN. Clients back off and redial (the
 // server.Client does this itself; see docs/PROTOCOL.md "Overload").
 var busyReply = []byte("-ERR busy retry\r\n")
 
@@ -68,8 +58,7 @@ type connState struct {
 	pending      int
 	hits, misses int
 
-	state      atomic.Int32
-	lastActive atomic.Int64 // UnixNano of the last claim; shed picks the smallest, the grace counts from it
+	lastActive int64 // UnixNano of the last byte that ended an idle wait; the grace counts from it
 }
 
 func newConnState(s *Server, nc net.Conn) *connState {
@@ -78,11 +67,7 @@ func newConnState(s *Server, nc net.Conn) *connState {
 	return cs
 }
 
-func (cs *connState) touch() { cs.lastActive.Store(time.Now().UnixNano()) }
-func (cs *connState) park()  { cs.state.Store(connParked) }
-func (cs *connState) claim() bool {
-	return cs.state.CompareAndSwap(connParked, connBusy)
-}
+func (cs *connState) touch() { cs.lastActive = time.Now().UnixNano() }
 
 // acquireBuffers checks the engine's working set out of the tiered pools.
 // Caller guarantees buffers are not already resident. out is twice the
@@ -249,9 +234,8 @@ func (cs *connState) room(rd int) {
 
 // readFailed ends the connection after a parse or read error. A protocol
 // error is reported on the wire behind the replies already owed, and
-// travels on a FIN (half-close plus a bounded drain of whatever the client
-// is still sending), not a RST that could destroy it in flight. Every
-// other error (EOF, reset, a close by Server.Close) goes quiet.
+// travels on a soft close. Every other error (EOF, reset, a close by
+// Server.Close) goes quiet.
 func (cs *connState) readFailed(err error) {
 	cs.account()
 	pe, _ := err.(*protoError)
@@ -259,12 +243,20 @@ func (cs *connState) readFailed(err error) {
 		cs.out = appendError(cs.out, pe.Error())
 	}
 	if cs.write() == nil && pe != nil {
-		if tc, ok := cs.nc.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-		cs.nc.SetReadDeadline(time.Now().Add(time.Second))
-		io.Copy(io.Discard, cs.nc)
+		softClose(cs.nc, time.Second)
 	}
+}
+
+// softClose sends a FIN behind the last reply written to nc and drains
+// whatever the peer still sends for up to wait, so that closing the socket
+// with unread input does not turn into a RST that destroys the reply in
+// flight. The caller closes nc afterwards.
+func softClose(nc net.Conn, wait time.Duration) {
+	if tc, ok := nc.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	nc.SetReadDeadline(time.Now().Add(wait))
+	io.Copy(io.Discard, nc)
 }
 
 // runLoop is the connection's one blocking loop. Buffers are acquired only
@@ -278,8 +270,8 @@ func (cs *connState) runLoop() {
 		for err == nil && n == 0 {
 			n, err = cs.nc.Read(first[:])
 		}
-		if err != nil || !cs.claim() {
-			return // closed, or shed while we parked on the first read
+		if err != nil {
+			return
 		}
 		cs.touch()
 		cs.acquireBuffers()
@@ -291,14 +283,14 @@ func (cs *connState) runLoop() {
 }
 
 // serve runs batches until the connection finishes (false) or sits idle
-// past the grace (true: buffers released, no deadline, parked).
+// past the grace (true: buffers released, no deadline).
 //
-// One read deadline paces the grace. It is armed when the handler parks
-// with none pending, not per batch: the claim that ends every park already
-// stamps lastActive. Firing on a parked conn used within the grace, it is
-// re-armed for the rest of it; on one idle past it, the buffers go back to
-// the pools. Firing mid-frame, it is cleared and the read resumes, so a
-// half-arrived frame keeps its buffer.
+// One read deadline paces the grace. It is armed when the handler goes
+// idle with none pending, not per batch: the touch that ends every idle
+// wait already stamps lastActive. Firing on an idle conn used within the
+// grace, it is re-armed for the rest of it; on one idle past it, the
+// buffers go back to the pools. Firing mid-frame, it is cleared and the
+// read resumes, so a half-arrived frame keeps its buffer.
 func (cs *connState) serve() bool {
 	grace := cs.srv.opts.idleGrace
 	armed := false
@@ -309,32 +301,23 @@ func (cs *connState) serve() bool {
 			return false
 		}
 		idle := len(cs.in) == 0
-		if idle {
-			// Between batches: park so the shedder may claim the conn,
-			// then re-claim once the read returns.
-			if !armed && grace > 0 {
-				cs.nc.SetReadDeadline(time.Now().Add(grace))
-				armed = true
-			}
-			cs.park()
+		if idle && !armed && grace > 0 {
+			cs.nc.SetReadDeadline(time.Now().Add(grace))
+			armed = true
 		}
 		n, err := cs.nc.Read(cs.in[len(cs.in):cap(cs.in)])
-		if idle && !cs.claim() {
-			return false // shed: the shedder owns the close
-		}
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			if !idle {
 				cs.nc.SetReadDeadline(time.Time{})
 				armed = false
 				continue
 			}
-			if until := time.Unix(0, cs.lastActive.Load()).Add(grace); time.Now().Before(until) {
+			if until := time.Unix(0, cs.lastActive).Add(grace); time.Now().Before(until) {
 				cs.nc.SetReadDeadline(until)
 				continue
 			}
 			cs.releaseBuffers()
 			cs.nc.SetReadDeadline(time.Time{})
-			cs.park()
 			return true
 		}
 		if err != nil {
@@ -345,15 +328,5 @@ func (cs *connState) serve() bool {
 		if idle {
 			cs.touch()
 		}
-	}
-}
-
-// close closes the socket unless the shedder claimed the connection, in
-// which case the shed path (busy reply, FIN, close) owns it. A conn the
-// handler holds busy can no longer be shed.
-func (cs *connState) close() {
-	cs.claim()
-	if cs.state.Load() != connShed {
-		cs.nc.Close()
 	}
 }

@@ -1,8 +1,8 @@
 // Connection-lifecycle tests: frames larger than the read buffer, whole or
 // trickled across idle-grace deadline wake-ups, buffer pool accounting
-// returning to its floor under churn, idle-grace buffer release,
-// idle-longest-first load shedding, and client recovery from overload via
-// backoff.
+// returning to its floor under churn, idle-grace buffer release, the
+// connection cap turning newcomers away while idle conns keep their place,
+// and client recovery from overload via backoff.
 
 package server
 
@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -50,7 +51,7 @@ func testBigFrame(t *testing.T) {
 	pipe = append(pipe, fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(val), val)...)
 	pipe = append(pipe, "GET big\r\nQUIT\r\n"...)
 	want := fmt.Sprintf(":0\r\n$%d\r\n%s\r\n+OK\r\n", len(val), val)
-	_, _, addr := startServer(t, WithBufferSize(512))
+	_, _, addr := startServer(t, withBufferSize(512))
 	if got := roundTrip(t, addr, pipe); string(got) != want {
 		t.Fatalf("big-frame transcript:\n got %q\nwant %q", got, want)
 	}
@@ -68,7 +69,7 @@ func pingRaw(t *testing.T, conn net.Conn, r *bufio.Reader) {
 }
 
 // TestTrickledFrame feeds one command a few bytes at a time with pauses
-// longer than the idle grace, on a connection that has already parked once
+// longer than the idle grace, on a connection that has already gone idle once
 // and so has the grace deadline armed: the deadline fires mid-frame, and
 // the half-arrived frame must stay in the connection's buffer across every
 // wake-up — the grace must not take the buffers out from under it.
@@ -96,7 +97,7 @@ func TestTrickledFrame(t *testing.T) {
 func TestTrickledBigFrame(t *testing.T) {
 	val := strings.Repeat("y", 2000) // ~4x the 512B read buffer
 	frame := fmt.Sprintf("*3\r\n$3\r\nSET\r\n$3\r\nbig\r\n$%d\r\n%s\r\n", len(val), val)
-	_, _, addr := startServer(t, WithBufferSize(512), WithIdleGrace(3*time.Millisecond))
+	_, _, addr := startServer(t, withBufferSize(512), WithIdleGrace(3*time.Millisecond))
 	conn, r := dialRaw(t, addr)
 	pingRaw(t, conn, r)
 	for len(frame) > 0 {
@@ -264,51 +265,28 @@ func TestIdleRelease(t *testing.T) {
 	}
 }
 
-// TestShedIdleLongest checks the shedding order: pushing the population
-// past the high-water mark sheds the connection idle the longest, with the
-// busy reply readable ahead of the FIN, while younger connections stay
-// usable. The conns are either silent (parked on their first byte with no
-// buffers) or have spoken under a 1 ms grace, so their handlers have been
-// woken by grace deadlines and have released their buffers by the shed;
-// either way the shedder owns the close and the busy reply must arrive.
-func TestShedIdleLongest(t *testing.T) {
-	for _, spoken := range []bool{false, true} {
-		name := "silent"
-		if spoken {
-			name = "spoken"
-		}
-		t.Run(name, func(t *testing.T) {
-			srv, _, addr := startServer(t, WithShedWater(2), WithIdleGrace(time.Millisecond))
-			dial := func() (net.Conn, *bufio.Reader) {
-				conn, r := dialRaw(t, addr)
-				if spoken {
-					pingRaw(t, conn, r)
-				}
-				return conn, r
-			}
-			connA, rA := dial()
-			waitFor(t, "conn A accepted", func() bool { return srv.active.Load() == 1 })
-			serverA := serverSide(srv, connA)
-			time.Sleep(20 * time.Millisecond) // make A measurably idle-longer
-			connB, rB := dial()
-			waitFor(t, "conn B accepted", func() bool { return srv.active.Load() == 2 })
-			time.Sleep(20 * time.Millisecond)
-			connC, rC := dialRaw(t, addr) // pushes past the water mark: A is shed
-			if got := readN(t, rA, len(busyReply)); got != string(busyReply) {
-				t.Fatalf("shed conn A read %q, want busy reply", got)
-			}
-			if _, err := rA.ReadByte(); err == nil {
-				t.Fatal("shed conn A still open after busy reply, want EOF")
-			}
-			// The EOF is the FIN; the socket itself must be closed too, by
-			// the shedder, since the handler leaves a shed conn alone.
-			waitFor(t, "conn A's server side to be closed", func() bool { return closed(serverA.nc) })
-			if got := srv.shed.Load(); got != 1 {
-				t.Fatalf("conns_shed = %d, want 1", got)
-			}
-			pingRaw(t, connB, rB)
-			pingRaw(t, connC, rC)
-		})
+// TestCapKeepsIdleConns pins the one overload policy: at the connection
+// cap a newcomer reads the busy reply and then EOF, while the conns already
+// admitted keep their place however long they have sat idle — here past
+// the grace, holding no buffers — and still answer.
+func TestCapKeepsIdleConns(t *testing.T) {
+	srv, _, addr := startServer(t, WithMaxConns(2), WithIdleGrace(time.Millisecond))
+	connA, rA := dialRaw(t, addr)
+	pingRaw(t, connA, rA)
+	connB, rB := dialRaw(t, addr)
+	pingRaw(t, connB, rB)
+	waitFor(t, "both idle conns to release their buffers", func() bool { return srv.buffersResident.Load() == 0 })
+	_, rC := dialRaw(t, addr)
+	if got := readN(t, rC, len(busyReply)); got != string(busyReply) {
+		t.Fatalf("conn C over the cap read %q, want the busy reply", got)
+	}
+	if b, err := rC.ReadByte(); err != io.EOF {
+		t.Fatalf("conn C read %q, %v after the busy reply, want EOF", b, err)
+	}
+	pingRaw(t, connA, rA)
+	pingRaw(t, connB, rB)
+	if got := srv.rejected.Load(); got != 1 {
+		t.Fatalf("conns_rejected = %d, want 1", got)
 	}
 }
 
@@ -324,13 +302,6 @@ func serverSide(srv *Server, c net.Conn) *connState {
 	panic("no server side for " + c.LocalAddr().String())
 }
 
-// closed reports whether nc's socket has been closed, without touching
-// its deadlines or reading from it.
-func closed(nc net.Conn) bool {
-	rc, err := nc.(*net.TCPConn).SyscallConn()
-	return err != nil || rc.Control(func(uintptr) {}) != nil
-}
-
 // TestOverloadClientRecovery runs the acceptance scenario: client load at
 // twice -maxconns. In-budget connections must stay responsive the whole
 // time; over-budget clients are rejected with the busy reply and must
@@ -339,7 +310,7 @@ func TestOverloadClientRecovery(t *testing.T) { onConnDriver(t, testOverloadClie
 
 func testOverloadClientRecovery(t *testing.T) {
 	const budget = 4
-	srv, _, addr := startServer(t, WithMaxConns(budget), WithShedWater(0))
+	srv, _, addr := startServer(t, WithMaxConns(budget))
 	inBudget := make([]*Client, budget)
 	for i := range inBudget {
 		cl, err := Dial(addr)
@@ -403,7 +374,8 @@ func testOverloadClientRecovery(t *testing.T) {
 
 // TestStatsConnFields checks the connection STATS fields exist and are
 // numeric (the Client.Stats contract), and that `poller`, removed with
-// the second connection driver, is gone.
+// the second connection driver, and `conns_shed`, removed with the idle
+// shedder, are gone.
 func TestStatsConnFields(t *testing.T) { onConnDriver(t, testStatsConnFields) }
 
 func testStatsConnFields(t *testing.T) {
@@ -414,13 +386,15 @@ func testStatsConnFields(t *testing.T) {
 	}
 	defer cl.Close()
 	stats := cl.Stats()
-	for _, field := range []string{"conns_open", "conns_rejected", "conns_shed", "buffers_resident"} {
+	for _, field := range []string{"conns_open", "conns_rejected", "buffers_resident"} {
 		if _, ok := stats[field]; !ok {
 			t.Errorf("STATS missing %q", field)
 		}
 	}
-	if _, ok := stats["poller"]; ok {
-		t.Error("STATS still carries the removed poller field")
+	for _, field := range []string{"poller", "conns_shed"} {
+		if _, ok := stats[field]; ok {
+			t.Errorf("STATS still carries the removed %s field", field)
+		}
 	}
 	if got := stats["conns_open"]; got != 1 {
 		t.Errorf("conns_open = %d, want 1", got)
@@ -477,7 +451,7 @@ func testSetValueSurvivesBufferMove(t *testing.T) {
 	head = append(head, frame[:1200]...)
 	gets = append(gets, "GET big\r\n"...)
 	want += fmt.Sprintf("$%d\r\n%s\r\n", len(big), big)
-	_, _, addr := startServer(t, WithBufferSize(512))
+	_, _, addr := startServer(t, withBufferSize(512))
 	conn, r := dialRaw(t, addr)
 	if _, err := conn.Write(head); err != nil {
 		t.Fatalf("write: %v", err)
@@ -509,7 +483,7 @@ func TestBufferCycleReturnsToPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under -race; allocation counts mean nothing")
 	}
-	cs := newConnState(New(nil, WithBufferSize(512)), discardConn{})
+	cs := newConnState(New(nil, withBufferSize(512)), discardConn{})
 	home := cs.srv.opts.bufSize
 	cycle := func() {
 		cs.acquireBuffers()

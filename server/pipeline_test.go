@@ -36,7 +36,7 @@ func TestReplyStreamMatchesModel(t *testing.T) {
 				name := fmt.Sprintf("%s/pipeline=%d/bufsize=%d", srv.name, pipeline, bufSize)
 				t.Run(name, func(t *testing.T) {
 					ordered := srv.ordered
-					addr := startModelServer(t, ordered, WithBufferSize(bufSize))
+					addr := startModelServer(t, ordered, withBufferSize(bufSize))
 					m := replyModel{ordered: ordered, vals: map[string]string{}}
 					rng := rand.New(rand.NewSource(seed))
 					for round := 0; round < 8; round++ {

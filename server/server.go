@@ -6,7 +6,6 @@ import (
 	"log"
 	"net"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +19,6 @@ type options struct {
 	maxConns  int
 	bufSize   int
 	idleGrace time.Duration
-	shedWater int
-	shedSet   bool
 }
 
 // Option configures New.
@@ -42,20 +39,11 @@ func WithIdleGrace(d time.Duration) Option {
 	return func(o *options) { o.idleGrace = d }
 }
 
-// WithShedWater sets the high-water connection count above which an accept
-// sheds idle-longest connections (busy reply + FIN) to make room, keeping
-// active clients responsive instead of bouncing newcomers. Defaults to 90%
-// of WithMaxConns when that is set; <= 0 disables shedding. Only parked
-// connections (no request in flight) are ever shed.
-func WithShedWater(n int) Option {
-	return func(o *options) { o.shedWater = n; o.shedSet = true }
-}
-
-// WithBufferSize sets each connection's read buffer size in bytes — also
+// withBufferSize sets each connection's read buffer size in bytes — also
 // the longest line accepted and the reply backlog past which a batch is
 // written early (default 16384; at least 512, rounded up to a power of two
-// up to 1 MiB).
-func WithBufferSize(n int) Option {
+// up to 1 MiB). Only tests set it, to drive frames past a small buffer.
+func withBufferSize(n int) Option {
 	return func(o *options) { o.bufSize = n }
 }
 
@@ -80,7 +68,6 @@ type Server struct {
 	active   atomic.Int64
 	accepted atomic.Uint64
 	rejected atomic.Uint64
-	shed     atomic.Uint64
 	commands atomic.Uint64
 	// getHits and getMisses count GET/MGET keys found and not found — keys,
 	// not commands — so a governed store's hit rate reads off STATS.
@@ -115,12 +102,6 @@ func newServer(st *store.Strings, sorted *store.SortedStrings, opts []Option) *S
 		opt(&o)
 	}
 	_, o.bufSize, _ = tierFor(o.bufSize) // rounds up to a pool tier; the floor is the smallest
-	if !o.shedSet && o.maxConns > 0 {
-		o.shedWater = o.maxConns - o.maxConns/10
-	}
-	if o.maxConns > 0 && o.shedWater >= o.maxConns {
-		o.shedWater = o.maxConns - 1
-	}
 	if o.idleGrace == 0 {
 		o.idleGrace = 5 * time.Second
 	}
@@ -173,11 +154,6 @@ func (s *Server) Serve() error {
 		}
 		acceptDelay = 0
 		s.accepted.Add(1)
-		if hw := s.opts.shedWater; hw > 0 {
-			if over := int(s.active.Load()) - hw + 1; over > 0 {
-				s.shedIdle(over)
-			}
-		}
 		if s.opts.maxConns > 0 && s.active.Load() >= int64(s.opts.maxConns) {
 			s.reject(nc)
 			continue
@@ -196,10 +172,9 @@ func (s *Server) Serve() error {
 	}
 }
 
-// reject answers an over-cap accept with the busy reply and a soft close:
-// the bytes are written straight to the socket and travel on a FIN, with a short bounded drain of whatever the client
-// already pipelined so the kernel does not convert our close into a RST
-// that destroys the reply in flight. The drain runs on a short-lived
+// reject answers an over-cap accept with the busy reply, written straight
+// to the socket, and a soft close (softClose, with a short drain of
+// whatever the client already pipelined). It runs on a short-lived
 // goroutine so the accept loop never blocks on a rejected peer.
 func (s *Server) reject(nc net.Conn) {
 	s.rejected.Add(1)
@@ -207,76 +182,10 @@ func (s *Server) reject(nc net.Conn) {
 	go func() {
 		defer s.wg.Done()
 		defer nc.Close()
-		if _, err := nc.Write(busyReply); err != nil {
-			return
-		}
-		if tc, ok := nc.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-		nc.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
-		var scratch [256]byte
-		for {
-			if _, err := nc.Read(scratch[:]); err != nil {
-				return
-			}
+		if _, err := nc.Write(busyReply); err == nil {
+			softClose(nc, 250*time.Millisecond)
 		}
 	}()
-}
-
-// shedIdle sheds up to n parked connections, idle-longest first, to bring
-// the population back under the high-water mark. Only parked conns are
-// candidates — the CAS in shedConn guarantees no protocol engine owns the
-// conn — so an active client never loses an in-flight request.
-func (s *Server) shedIdle(n int) {
-	type cand struct {
-		cs   *connState
-		last int64
-	}
-	s.mu.Lock()
-	cands := make([]cand, 0, len(s.conns))
-	for _, cs := range s.conns {
-		if cs.state.Load() == connParked {
-			cands = append(cands, cand{cs, cs.lastActive.Load()})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].last < cands[j].last })
-	for _, c := range cands {
-		if n <= 0 {
-			return
-		}
-		if s.shedConn(c.cs) {
-			n--
-		}
-	}
-}
-
-// shedConn claims one parked connection for shedding. On success the
-// shedder owns the socket: it writes the busy reply (no engine can be
-// writing concurrently: the CAS out of parked excludes it), a FIN, and
-// closes it, which wakes the parked handler; a handler that finds its conn
-// shed exits without closing it, so no wake-up — the close or an idle-grace
-// deadline — can cut the reply off. The write runs on a short-lived
-// goroutine with a write deadline, like reject(): shedConn is called from
-// the accept loop, and a shed target whose send buffer is full (dead peer)
-// must not stall new accepts — the opposite of what shedding under
-// overload is for.
-func (s *Server) shedConn(cs *connState) bool {
-	if !cs.state.CompareAndSwap(connParked, connShed) {
-		return false
-	}
-	s.shed.Add(1)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cs.nc.Close()
-		cs.nc.SetWriteDeadline(time.Now().Add(time.Second))
-		cs.nc.Write(busyReply)
-		if tc, ok := cs.nc.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-	}()
-	return true
 }
 
 // ListenAndServe is Listen followed by Serve.
@@ -347,7 +256,7 @@ func (s *Server) handle(cs *connState) {
 	defer s.wg.Done()
 	defer s.active.Add(-1)
 	defer s.track(cs, false)
-	defer cs.close()
+	defer cs.nc.Close()
 	defer cs.releaseBuffers()
 	defer s.contain()
 	cs.runLoop()
@@ -645,12 +554,12 @@ func cmdEq(b []byte, upper string) bool {
 func (s *Server) statsText() string {
 	return s.statsPrefix() + fmt.Sprintf(
 		"conns:%d\naccepted:%d\ncommands:%d\n"+
-			"conns_open:%d\nconns_rejected:%d\nconns_shed:%d\n"+
+			"conns_open:%d\nconns_rejected:%d\n"+
 			"buffers_resident:%d\n"+
 			"get_hits:%d\nget_misses:%d\nconn_panics:%d\n"+
 			"writes_elided:%d\nevicted_warm:%d\nevicted_new:%d\n",
 		s.active.Load(), s.accepted.Load(), s.commands.Load(),
-		s.active.Load(), s.rejected.Load(), s.shed.Load(),
+		s.active.Load(), s.rejected.Load(),
 		s.buffersResident.Load(),
 		s.getHits.Load(), s.getMisses.Load(), s.connPanics.Load(),
 		s.st.WritesElided(), s.st.EvictedWarm(), s.st.EvictedNew())

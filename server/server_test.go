@@ -82,7 +82,7 @@ func TestServerScalarTranscript(t *testing.T) {
 // is read in pieces and the MGET's reply spills mid-frame, so the batch
 // flushes more than once.
 func TestServerPipelinedMixed(t *testing.T) {
-	_, _, addr := startServer(t, WithBufferSize(512))
+	_, _, addr := startServer(t, withBufferSize(512))
 	conn, r := dialRaw(t, addr)
 
 	long := strings.Repeat("x", 300)

@@ -223,7 +223,7 @@ func documentedStatsFields(t *testing.T) []string {
 // was in use; and evicted_new must count a fresh key its own SET evicted.
 func TestServerStatsFields(t *testing.T) {
 	const entry = store.PairOverhead + 2 // a two-digit value
-	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused", "coalesced_batches", "coalesced_keys", "shards"}
+	removed := []string{"values_allocated", "values_free", "poller", "nodes_retired", "nodes_reclaimed", "nodes_reused", "coalesced_batches", "coalesced_keys", "shards", "conns_shed"}
 	documented := documentedStatsFields(t)
 	if len(documented) < 15 {
 		t.Fatalf("parsed only %d fields out of docs/PROTOCOL.md: %v", len(documented), documented)
